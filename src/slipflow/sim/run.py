@@ -27,10 +27,14 @@ from .energy import boundary_production, gradient_dissipation
 from .field import (
     SpectralField2D,
     scalar_inner,
-    slip_residuals,
     velocity_norms,
 )
-from .stepper import ChannelStepper, SimConfig, SimulationBlowupError
+from .stepper import (
+    ChannelStepper,
+    SimConfig,
+    SimulationBlowupError,
+    check_boundary_conditions,
+)
 
 __all__ = [
     "RunDiagnostics",
@@ -72,19 +76,6 @@ class RunResult:
     diagnostics: RunDiagnostics
     final_state: SpectralField2D
     checkpoints: list = field(default_factory=list)
-
-
-def check_boundary_conditions(state: SpectralField2D, cfg: SimConfig, tol: float = 1.0e-8):
-    """Raise unless the streamfunction state satisfies walls + slip to tol."""
-    s = cfg.channel
-    res = slip_residuals(state, s.mu, s.slip.xi_minus, s.slip.xi_plus)
-    scale = max(1.0, float(np.abs(state.coefficients).max(initial=0.0)))
-    worst = max(res)
-    if worst > tol * scale:
-        raise ValidationError(
-            f"initial state violates the boundary conditions: residual {worst:.3e} "
-            f"exceeds {tol:.0e} x scale {scale:.3e}"
-        )
 
 
 def _growth_rate(times: np.ndarray, l2: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ Prognostic variables, per Fourier mode n in x1:
     induced streamfunction (the Poisson-Dirichlet solve of
     (D^2 - kappa^2) Phi = -omega) to satisfy the slip conditions
     mu Phi'' = +xi_+ Phi' at x2 = +1 and mu Phi'' = -xi_- Phi' at x2 = -1.
-    That transfer is a precomputed 2x2 influence matrix per mode.
+    That transfer is a precomputed 2x2 influence matrix per mode (Kleiser &
+    Schumann 1980).  The update is linear in the explicit part, so it is
+    composed once into one real P x P operator per mode (see ChannelStepper).
   * n = 0: the x1-mean of u1, advanced by Crank-Nicolson diffusion with the
     Robin slip rows mu u' = +xi_+ u (top) and mu u' = -xi_- u (bottom)
     replacing the wall equations, forced by -d2 mean(u1 u2).
@@ -43,6 +45,7 @@ from .field import (
     cgl_nodes,
     cheb_coeffs_from_values,
     cheb_values_from_coeffs,
+    slip_residuals,
 )
 
 __all__ = [
@@ -51,6 +54,7 @@ __all__ = [
     "SimulationBlowupError",
     "InfluenceConditioningError",
     "step",
+    "check_boundary_conditions",
     "cheb_diff_matrix",
 ]
 
@@ -110,8 +114,30 @@ def cheb_diff_matrix(P: int) -> np.ndarray:
     return D
 
 
+def _apply(ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row n of complex ``rows`` through real operator ``ops[n]``, as one matmul.
+
+    The rows are viewed as (M, P, 2) floats, so the real and imaginary parts
+    share the product and nothing is upcast to complex.
+    """
+    x = np.ascontiguousarray(rows, dtype=complex)
+    y = ops @ x.view(np.float64).reshape(*x.shape, 2)
+    return y.view(complex).reshape(x.shape)
+
+
 class ChannelStepper:
-    """Time stepper owning the per-mode factorizations and the state."""
+    """Time stepper owning the stacked per-mode operators and the state.
+
+    ``_T`` (M, P, P) maps the explicit right-hand side row n to the new
+    vorticity row, ``new[n] = T[n-1] @ rhs[n]``.  With Z zeroing the two wall
+    rows, Ainv = A^-1 Z for the Crank-Nicolson Helmholtz matrix A,
+    Kinv = -K^-1 Z for the Poisson-Dirichlet matrix K, og = A^-1 [e_0, e_P-1]
+    the wall-omega Green columns and S the two slip functionals,
+    T = Ainv - og G^-1 S Kinv Ainv with the influence matrix G = S Kinv og.
+    ``_K`` (M, P, P) holds Kinv, so ``phi[n] = K[n-1] @ omega[n]``.  A
+    numerically singular G raises InfluenceConditioningError when the
+    operators are built.  The mean row (n = 0) keeps its own Robin-row LU.
+    """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):
         if initial.M != cfg.M or initial.P != cfg.P:
@@ -154,44 +180,40 @@ class ChannelStepper:
         self._explicit_base = eye + alpha * D2  # row form handles kappa below
         self._alpha = alpha
 
-        self._helm_lu = []
-        self._pois_lu = []
-        self._omega_greens = []
-        self._ginv = []
-        for n in range(1, M + 1):
-            k2 = self.kappa[n] ** 2
-            H = D2 - k2 * eye
-            A = eye - alpha * H
-            A[0], A[-1] = eye[0], eye[-1]
-            alu = sla.lu_factor(A.astype(complex))
-            K = H.copy()
-            K[0], K[-1] = eye[0], eye[-1]
-            klu = sla.lu_factor(K.astype(complex))
-            # Green columns: unit omega wall values through the implicit solve
-            g = np.zeros((P, 2), dtype=complex)
-            g[0, 0] = 1.0
-            g[-1, 1] = 1.0
-            og = sla.lu_solve(alu, g)
-            rhs = -og
-            rhs[0] = rhs[-1] = 0.0
-            pg = sla.lu_solve(klu, rhs)
-            G = np.array(
-                [
-                    [self._slip_plus @ pg[:, 0], self._slip_plus @ pg[:, 1]],
-                    [self._slip_minus @ pg[:, 0], self._slip_minus @ pg[:, 1]],
-                ]
-            ).real
-            det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-            scale = np.abs(G).max()
-            if not np.isfinite(det) or abs(det) < 1.0e-13 * scale * scale:
-                raise InfluenceConditioningError(
-                    f"influence matrix for mode n = {n} is singular "
-                    f"(det = {det:g}, scale = {scale:g})"
-                )
-            self._helm_lu.append(alu)
-            self._pois_lu.append(klu)
-            self._omega_greens.append(og)
-            self._ginv.append(np.linalg.inv(G))
+        # Per-mode Poisson-Dirichlet (K) and Crank-Nicolson Helmholtz (A)
+        # matrices with identity wall rows; zeroing the wall columns of their
+        # inverses folds in the zeroed wall rows of every right-hand side.
+        K = D2 - (self.kappa[1:] ** 2)[:, None, None] * eye
+        A = eye - alpha * K
+        for mat in (A, K):
+            mat[:, 0], mat[:, -1] = eye[0], eye[-1]
+        # each matrix is dropped once inverted and T is formed in place, so
+        # at most three (M, P, P) arrays are live during the build
+        a_inv = np.linalg.inv(A)
+        del A
+        og = a_inv[:, :, [0, -1]]  # unit omega wall values through the solve
+        a_inv[:, :, [0, -1]] = 0.0
+        k_inv = np.linalg.inv(K)
+        del K
+        k_inv *= -1.0
+        k_inv[:, :, [0, -1]] = 0.0
+        S = np.stack([self._slip_plus, self._slip_minus])
+        SK = S @ k_inv
+        G = SK @ og
+        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        scale = np.abs(G).max(axis=(1, 2))
+        bad = ~np.isfinite(det) | (np.abs(det) < 1.0e-13 * scale * scale)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InfluenceConditioningError(
+                f"influence matrix for mode n = {i + 1} is singular "
+                f"(det = {det[i]:g}, scale = {scale[i]:g})"
+            )
+        # new[n] = T[n-1] @ rhs[n]: Helmholtz solve, then the wall-omega
+        # correction that zeroes the slip functionals of its streamfunction
+        a_inv -= og @ np.linalg.solve(G, SK @ a_inv)
+        self._T = a_inv
+        self._K = k_inv
 
         # mean mode: Crank-Nicolson diffusion with Robin wall rows
         A0 = eye - alpha * D2
@@ -222,10 +244,7 @@ class ChannelStepper:
     def _solve_phi(self, omega: np.ndarray) -> np.ndarray:
         """Poisson-Dirichlet streamfunction node values from vorticity rows."""
         phi = np.zeros_like(omega)
-        for n in range(1, self.cfg.M + 1):
-            rhs = -omega[n].copy()
-            rhs[0] = rhs[-1] = 0.0
-            phi[n] = sla.lu_solve(self._pois_lu[n - 1], rhs)
+        phi[1:] = _apply(self._K, omega[1:])
         return phi
 
     def _velocity_nodes(self, phi: np.ndarray):
@@ -310,16 +329,7 @@ class ChannelStepper:
         )
         rhs = explicit - cfg.dt * adv_x
         new = np.empty_like(self._omega)
-        for n in range(1, cfg.M + 1):
-            b = rhs[n].copy()
-            b[0] = b[-1] = 0.0
-            w_p = sla.lu_solve(self._helm_lu[n - 1], b)
-            p_rhs = -w_p
-            p_rhs[0] = p_rhs[-1] = 0.0
-            phi_p = sla.lu_solve(self._pois_lu[n - 1], p_rhs)
-            s = np.array([self._slip_plus @ phi_p, self._slip_minus @ phi_p])
-            ab = -self._ginv[n - 1] @ s
-            new[n] = w_p + self._omega_greens[n - 1] @ ab
+        new[1:] = _apply(self._T, rhs[1:])
         b0 = rhs[0].real.copy()
         b0[0] = b0[-1] = 0.0
         new[0] = sla.lu_solve(self._mean_lu, b0)
@@ -387,22 +397,26 @@ class ChannelStepper:
         )
 
 
+def check_boundary_conditions(state: SpectralField2D, cfg: SimConfig, tol: float = 1.0e-8):
+    """Raise unless the streamfunction state satisfies walls + slip to tol."""
+    s = cfg.channel
+    res = slip_residuals(state, s.mu, s.slip.xi_minus, s.slip.xi_plus)
+    scale = max(1.0, float(np.abs(state.coefficients).max(initial=0.0)))
+    worst = max(res)
+    if worst > tol * scale:
+        raise ValidationError(
+            f"state violates the boundary conditions: residual {worst:.3e} "
+            f"exceeds {tol:.0e} x scale {scale:.3e}"
+        )
+
+
 def step(state: SpectralField2D, cfg: SimConfig) -> SpectralField2D:
     """One bootstrap step of the scheme as a pure function of the state.
 
     Requires the state to satisfy the wall conditions (impermeability and
     slip) to 1e-8 relative to its own scale.
     """
-    from .field import slip_residuals
-
-    res = slip_residuals(
-        state, cfg.channel.mu, cfg.channel.slip.xi_minus, cfg.channel.slip.xi_plus
-    )
-    scale = max(1.0, float(np.abs(state.coefficients).max(initial=0.0)))
-    if max(res) > 1.0e-8 * scale:
-        raise ValidationError(
-            f"state violates the boundary conditions: residual {max(res):.3e}"
-        )
+    check_boundary_conditions(state, cfg)
     stepper = ChannelStepper(cfg, state)
     stepper.step()
     return stepper.streamfunction()

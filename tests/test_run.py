@@ -107,10 +107,8 @@ class TestCheckpointing:
                          "checkpoint_00000025.bin"]
         assert all(p.exists() for p in result.checkpoints)
 
-    def test_restart_is_bit_exact(self, channel, basis48, tmp_path):
-        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
-        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
-                        linearized=True, diagnostics_stride=10)
+    @staticmethod
+    def _assert_restart_bit_exact(field, cfg, tmp_path):
         reference = run(field, cfg, out_dir=tmp_path, checkpoint_stride=20)
         mid = tmp_path / "checkpoint_00000020.bin"
         stepper = read_checkpoint(mid, cfg)
@@ -120,6 +118,19 @@ class TestCheckpointing:
         resumed = stepper.streamfunction()
         assert np.array_equal(resumed.coefficients,
                               reference.final_state.coefficients)
+
+    def test_restart_is_bit_exact(self, channel, basis48, tmp_path):
+        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
+                        linearized=True, diagnostics_stride=10)
+        self._assert_restart_bit_exact(field, cfg, tmp_path)
+
+    def test_nonlinear_locked_restart_is_bit_exact(self, channel, basis48, tmp_path):
+        # the AB2 advection history is restored from the checkpoint
+        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
+                        lock_symmetry=True, diagnostics_stride=10)
+        self._assert_restart_bit_exact(field, cfg, tmp_path)
 
     def test_write_read_checkpoint_preserves_state(self, channel, basis48, tmp_path):
         field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
