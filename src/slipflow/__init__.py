@@ -12,7 +12,7 @@ Subpackages cover the pipeline from parameters to nonlinear simulation:
 - ``cli``:       reproducible command-line front end
 """
 
-from .model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair, validate_problem
+from .model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair
 from .numerics import ChebBasis, CoeffVector, build_basis
 from .critical import mu_c_closed_form, mu_c_global, mu_c_variational, critical_wavenumber
 from .spectrum import assemble, solve_spectrum, lambda1_variational, determinant_roots

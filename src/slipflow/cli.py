@@ -34,8 +34,6 @@ from pathlib import Path
 
 TOOL_VERSION = "slipflow 0.1.0"
 
-_FMT = "%.17g"
-
 _DEFAULT_CONFIG = {
     "period_length": 1.0,
     "viscosity": 0.5,
@@ -47,7 +45,6 @@ _SIM_KEYS = {
     "P": int,
     "dt": float,
     "t_end": float,
-    "dealias": bool,
     "linearized": bool,
     "lock_symmetry": bool,
     "diagnostics_stride": int,
@@ -170,35 +167,28 @@ def _config_digest(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_csv(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _write_manifest(out: Path, command: str, digest: str, outputs) -> None:
+    from .output import write_json
+
     manifest = {
         "command": command,
         "config_digest": digest,
         "tool_version": TOOL_VERSION,
         "outputs": list(outputs),
     }
-    _write_json(out / "run_manifest.json", manifest)
+    write_json(out / "run_manifest.json", manifest)
 
 
 def _cmd_critical(ns, out, channel):
     from .critical import critical_curve, mu_c_global
+    from .output import csv_row, fmt, write_lines
 
     k_min, k_max = ns.k
     curve = critical_curve(channel.slip, k_min, k_max, ns.points)
     mu_global = mu_c_global(channel.slip)
-    lines = ["k,mu_c"]
-    for k, mu in zip(curve.ks, curve.mu_cs):
-        lines.append(_FMT % k + "," + _FMT % mu)
-    lines.append("# mu_c_global = " + _FMT % mu_global)
-    _write_csv(out / "critical.csv", lines)
+    lines = ["k,mu_c", *(csv_row(row) for row in zip(curve.ks, curve.mu_cs))]
+    lines.append("# mu_c_global = " + fmt(mu_global))
+    write_lines(out / "critical.csv", lines)
     print(f"critical: {ns.points} samples on [{k_min:g}, {k_max:g}], "
           f"mu_c_global = {mu_global:.12g}")
     args = {"k_min": k_min, "k_max": k_max, "points": ns.points}
@@ -210,14 +200,12 @@ def _cmd_spectrum(ns, out, channel):
 
     from .model import ModeProblem
     from .numerics import build_basis
+    from .output import write_csv, write_json
     from .spectrum import assemble, determinant_roots, solve_spectrum
 
     problem = ModeProblem(k=ns.k, mu=channel.mu, slip=channel.slip)
     spectrum = solve_spectrum(assemble(problem, build_basis(ns.basis)))
-    lines = ["n,lambda"]
-    for n, lam in enumerate(spectrum.eigenvalues, start=1):
-        lines.append("%d," % n + _FMT % lam)
-    _write_csv(out / "spectrum.csv", lines)
+    write_csv(out / "spectrum.csv", "n,lambda", enumerate(spectrum.eigenvalues, start=1))
 
     roots = np.sort(np.asarray(determinant_roots(problem).roots))[::-1]
     n_gal = spectrum.positive_count
@@ -233,7 +221,7 @@ def _cmd_spectrum(ns, out, channel):
         "positive_count_oracle": int(roots.size),
         "max_rel_mismatch": max_rel,
     }
-    _write_json(out / "spectrum_report.json", report)
+    write_json(out / "spectrum_report.json", report)
     ok = n_gal == roots.size and max_rel <= 1.0e-6
     print(f"spectrum: k = {ns.k:g}, positive count {n_gal} (oracle {roots.size}), "
           f"max relative mismatch {max_rel:.3e} -> {'ok' if ok else 'MISMATCH'}")
@@ -245,20 +233,18 @@ def _cmd_dispersion(ns, out, channel):
     from .critical import mu_c_closed_form
     from .model import LatticeSweep
     from .numerics import build_basis
+    from .output import write_csv
     from .spectrum import assemble, solve_spectrum
 
     sweep = LatticeSweep(L=channel.L, mu=channel.mu, slip=channel.slip, n_max=ns.n_max)
     basis = build_basis(ns.basis)
-    lines = ["k,lambda1,mu_c"]
-    best_k, best_lam = None, None
+    rows = []
     for n in range(1, ns.n_max + 1):
         problem = sweep.problem(n)
         lam1 = solve_spectrum(assemble(problem, basis)).lambda1
-        mu_c = mu_c_closed_form(problem.k, channel.slip)
-        lines.append(",".join(_FMT % v for v in (problem.k, lam1, mu_c)))
-        if best_lam is None or lam1 > best_lam:
-            best_k, best_lam = problem.k, lam1
-    _write_csv(out / "dispersion.csv", lines)
+        rows.append((problem.k, lam1, mu_c_closed_form(problem.k, channel.slip)))
+    write_csv(out / "dispersion.csv", "k,lambda1,mu_c", rows)
+    best_k, best_lam, _ = max(rows, key=lambda row: row[1])
     print(f"dispersion: {ns.n_max} lattice wavenumbers, "
           f"max lambda1 = {best_lam:.12g} at k = {best_k:g}")
     args = {"n_max": ns.n_max, "basis": ns.basis}
@@ -276,6 +262,7 @@ def _cmd_modes(ns, out, channel):
         sample_packet_field,
     )
     from .numerics import build_basis
+    from .output import write_csv, write_json
     from .spectrum import assemble, solve_spectrum
 
     k = ns.k if ns.k is not None else 1.0 / channel.L
@@ -290,13 +277,10 @@ def _cmd_modes(ns, out, channel):
     grid = Grid2D(n1=n1, n2=n2, L=channel.L)
     u1, u2, q = sample_packet_field(packet, ns.t, grid)
     x1, x2 = grid.x1, grid.x2
-    lines = ["x1,x2,u1,u2,q"]
-    for i in range(n1):
-        for j in range(n2):
-            lines.append(
-                ",".join(_FMT % v for v in (x1[i], x2[j], u1[i, j], u2[i, j], q[i, j]))
-            )
-    _write_csv(out / "modes.csv", lines)
+    rows = (
+        (x1[i], x2[j], u1[i, j], u2[i, j], q[i, j]) for i in range(n1) for j in range(n2)
+    )
+    write_csv(out / "modes.csv", "x1,x2,u1,u2,q", rows)
 
     epsilon0 = default_epsilon0(packet, channel.L)
     t_delta = escape_time(GrowthEnvelope(packet=packet, delta=ns.delta, epsilon0=epsilon0))
@@ -310,7 +294,7 @@ def _cmd_modes(ns, out, channel):
         "delta": ns.delta,
         "T_delta": t_delta,
     }
-    _write_json(out / "packet.json", manifest)
+    write_json(out / "packet.json", manifest)
     print(f"modes: {packet.count} unstable mode(s) at k = {k:g}, "
           f"T_delta({ns.delta:g}) = {t_delta:.12g}")
     args = {
@@ -324,39 +308,23 @@ def _cmd_modes(ns, out, channel):
     return 0, ["modes.csv", "packet.json"], args
 
 
-def _packet_initial(channel, k: float, basis_size: int, sim):
-    """Unit-coefficient packet at lattice wavenumber k, embedded in the grid."""
+def _cmd_simulate(ns, out, channel, raw):
     from .model import ModeProblem, ValidationError
-    from .modes import build_packet, packet_streamfunction_profile
+    from .modes import build_packet
     from .numerics import build_basis
-    from .sim import field_from_mode_profile
+    from .sim import diagnostics_to_csv, energy_to_csv, field_from_packet, run
     from .spectrum import assemble, solve_spectrum
 
-    n_mode = round(k * channel.L)
-    if abs(k * channel.L - n_mode) > 1.0e-9 or n_mode < 1:
-        raise ValidationError(
-            f"k = {k:g} is not a lattice wavenumber n / L with L = {channel.L:g}"
-        )
+    cfg = _sim_config(raw, ns, channel)
+    k = ns.k if ns.k is not None else 1.0 / channel.L
     problem = ModeProblem(k=k, mu=channel.mu, slip=channel.slip)
-    spectrum = solve_spectrum(assemble(problem, build_basis(basis_size)))
-    packet = build_packet(spectrum)
+    packet = build_packet(solve_spectrum(assemble(problem, build_basis(ns.basis))))
     if packet.count == 0:
         raise ValidationError(
             f"no unstable modes at k = {k:g}, mu = {channel.mu:g}; "
             "choose initial data differently"
         )
-    profile = packet_streamfunction_profile(packet)
-    return field_from_mode_profile(
-        profile, n_mode=int(n_mode), M=sim.M, P=sim.P, L=channel.L, kind="sin"
-    )
-
-
-def _cmd_simulate(ns, out, channel, raw):
-    from .sim import diagnostics_to_csv, energy_to_csv, run
-
-    cfg = _sim_config(raw, ns, channel)
-    k = ns.k if ns.k is not None else 1.0 / channel.L
-    initial = _packet_initial(channel, k, ns.basis, cfg) * ns.amplitude
+    initial = field_from_packet(packet, cfg.M, cfg.P, channel.L) * ns.amplitude
     stride = ns.checkpoint_stride if ns.checkpoint_stride is not None else cfg.n_steps
     result = run(initial, cfg, out_dir=out, checkpoint_stride=stride)
     diagnostics_to_csv(result.diagnostics, out / "diagnostics.csv")
@@ -437,10 +405,11 @@ def _cmd_experiment(ns, out, channel, raw):
 
 
 def _cmd_verify(ns, out):
+    from .output import write_json
     from .verification import verification_report
 
     report = verification_report(seed=ns.seed)
-    _write_json(out / "verify_report.json", report)
+    write_json(out / "verify_report.json", report)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status}  {check['name']}  (margin = {check['margin']:.3e})")

@@ -31,7 +31,6 @@ __all__ = [
     "LatticeSweep",
     "ValidationError",
     "ConfigError",
-    "validate_problem",
     "load_config",
     "channel_from_config",
     "mode_problem",
@@ -134,26 +133,7 @@ class LatticeSweep:
 
     def problem(self, n: int) -> ModeProblem:
         _require(1 <= n <= self.n_max, "n: mode index out of sweep range")
-        return ModeProblem(k=n / self.L, mu=self.mu, slip=SlipPair(self.slip.xi_minus, self.slip.xi_plus))
-
-
-def validate_problem(obj) -> None:
-    """Re-check the invariants of any model value; raise ValidationError if violated.
-
-    Accepts SlipPair, ChannelConfig, ModeProblem or LatticeSweep.  Validation
-    is pure and idempotent: it never mutates its argument, and validating a
-    value twice is the same as validating it once.
-    """
-    if isinstance(obj, SlipPair):
-        SlipPair(obj.xi_minus, obj.xi_plus)
-    elif isinstance(obj, ChannelConfig):
-        ChannelConfig(obj.L, obj.mu, obj.slip)
-    elif isinstance(obj, ModeProblem):
-        ModeProblem(obj.k, obj.mu, obj.slip)
-    elif isinstance(obj, LatticeSweep):
-        LatticeSweep(obj.L, obj.mu, obj.slip, obj.n_max)
-    else:
-        raise ValidationError(f"cannot validate object of type {type(obj).__name__}")
+        return ModeProblem(k=n / self.L, mu=self.mu, slip=self.slip)
 
 
 def mode_problem(config: ChannelConfig, n: int) -> ModeProblem:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .model import LatticeSweep, ModeProblem, validate_problem
+from .model import LatticeSweep, ModeProblem
 from .numerics import ChebBasis, CoeffVector, find_root_bracketed
 from .spectrum import Spectrum, assemble, solve_spectrum
 
@@ -157,9 +157,6 @@ class GrowthEnvelope:
         if not self.epsilon0 > 0.0:
             raise ValueError(f"epsilon0 must be > 0, got {self.epsilon0}")
 
-    def value(self, t):
-        return packet_envelope_value(self.packet, t)
-
 
 def packet_envelope_value(packet: ModePacket, t):
     """Envelope F_N(t) = sum_j |c_j| e^{lambda_j t}."""
@@ -198,7 +195,6 @@ def default_epsilon0(packet: ModePacket, L: float = 1.0, fraction: float = 0.01)
 
 def build_mode(problem: ModeProblem, lam: float, phi: CoeffVector) -> NormalMode:
     """Lift an eigenpair to the physical mode profiles by exact differentiation."""
-    validate_problem(problem)
     k, mu = problem.k, problem.mu
     if k == 0.0:
         raise ValueError("normal modes require k > 0")
@@ -323,7 +319,7 @@ def packet_streamfunction_profile(packet: ModePacket) -> np.ndarray:
     return -acc / k
 
 
-def compute_capital_lambda(sweep: LatticeSweep, basis: ChebBasis, mu: float | None = None):
+def compute_capital_lambda(sweep: LatticeSweep, basis: ChebBasis):
     """Maximal growth rate over the wavenumber lattice: (Lambda, argmax k).
 
     Solves the spectrum at every k = n/L, n = 1..n_max.  Raises if the top
@@ -331,13 +327,12 @@ def compute_capital_lambda(sweep: LatticeSweep, basis: ChebBasis, mu: float | No
     reached the stable range, so the max may be unconverged); warns if the
     rates fail to decrease along the sweep.
     """
-    validate_problem(sweep)
-    mu = sweep.mu if mu is None else mu
-    lam1 = []
-    for n in range(1, sweep.n_max + 1):
-        prob = ModeProblem(k=n / sweep.L, mu=mu, slip=sweep.slip)
-        lam1.append(solve_spectrum(assemble(prob, basis)).lambda1)
-    lam1 = np.array(lam1)
+    lam1 = np.array(
+        [
+            solve_spectrum(assemble(sweep.problem(n), basis)).lambda1
+            for n in range(1, sweep.n_max + 1)
+        ]
+    )
     if lam1[-1] > 0.0:
         raise ValueError(
             f"lambda_1 = {lam1[-1]:g} still positive at the last lattice point "

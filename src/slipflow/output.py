@@ -1,0 +1,48 @@
+"""The one output format of every data file the package writes.
+
+Floats are printed with 17 significant digits, enough to round-trip every
+double exactly, so reruns reproduce each CSV byte for byte and a reader
+recovers the stored values bit for bit.  JSON is indented by two spaces
+with sorted keys and ends in a newline.
+
+Standard library only: the command-line module imports it before numpy is
+loaded.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+__all__ = ["fmt", "csv_row", "write_lines", "write_csv", "write_json"]
+
+_FLOAT = "%.17g"
+
+
+def fmt(x) -> str:
+    """One number as printed in every CSV file."""
+    return _FLOAT % x
+
+
+def csv_row(values) -> str:
+    """Comma-separated numbers, each through ``fmt``."""
+    return ",".join(_FLOAT % v for v in values)
+
+
+def write_lines(path, lines) -> Path:
+    """Write text lines, each terminated by a newline."""
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_csv(path, header: str, rows) -> Path:
+    """A header line followed by one ``csv_row`` per row of numbers."""
+    return write_lines(path, [header, *(csv_row(row) for row in rows)])
+
+
+def write_json(path, obj) -> Path:
+    """Indented, key-sorted JSON with a trailing newline."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path

@@ -29,7 +29,6 @@ is an exact fixed point) and records exact zeros instead.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -38,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ..model import ChannelConfig, LatticeSweep, ModeProblem, ValidationError
+from ..output import csv_row, write_csv, write_json, write_lines
 from ..critical import mu_c_global
 from ..numerics import build_basis
 from ..spectrum import assemble, solve_spectrum
@@ -49,17 +49,16 @@ from ..modes import (
     default_epsilon0,
     escape_time,
     packet_envelope_value,
-    packet_streamfunction_profile,
     reduced_packet,
 )
 from .field import (
     SpectralField2D,
     _sq_l2,
-    field_from_mode_profile,
+    field_from_packet,
     velocity_from_streamfunction,
     velocity_norms,
 )
-from .run import _FMT, _Recorder, diagnostics_to_csv
+from .run import _Recorder, diagnostics_to_csv
 from .stepper import (
     ChannelStepper,
     InfluenceConditioningError,
@@ -159,14 +158,6 @@ def _diff_l2(a, b) -> float:
     return math.sqrt(_sq_l2(a[0] - b[0]) + _sq_l2(a[1] - b[1]))
 
 
-def _packet_initial_field(packet: ModePacket, sim: SimConfig) -> SpectralField2D:
-    profile = packet_streamfunction_profile(packet)
-    n_mode = int(round(packet.modes[0].problem.k * sim.channel.L))
-    return field_from_mode_profile(
-        profile, n_mode=n_mode, M=sim.M, P=sim.P, L=sim.channel.L, kind="sin"
-    )
-
-
 def _gate(times, lhs, rhs) -> GateReport:
     ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0.0)
     bad = np.nonzero(lhs > rhs)[0]
@@ -195,14 +186,14 @@ def _run_one_delta(
     cfg_nl = replace(base, linearized=False, lock_symmetry=True)
     cfg_li = replace(base, linearized=True, lock_symmetry=False)
 
-    full0 = _packet_initial_field(packet, sim) * delta
+    full0 = field_from_packet(packet, sim.M, sim.P, sim.channel.L) * delta
     steppers = {
         "nf": ChannelStepper(cfg_nl, full0),
         "lf": ChannelStepper(cfg_li, full0),
     }
     reduced_active = reduced.count > 0
     if reduced_active:
-        red0 = _packet_initial_field(reduced, sim) * delta
+        red0 = field_from_packet(reduced, sim.M, sim.P, sim.channel.L) * delta
         steppers["nr"] = ChannelStepper(cfg_nl, red0)
         steppers["lr"] = ChannelStepper(cfg_li, red0)
     zero_pair = _zero_velocity(sim.M, sim.P, sim.channel.L)
@@ -408,7 +399,7 @@ def run_separation_experiment(
         )
     reduced = reduced_packet(packet)
 
-    unit_full = _packet_initial_field(packet, sim)
+    unit_full = field_from_packet(packet, sim.M, sim.P, channel.L)
     u1, u2 = velocity_from_streamfunction(unit_full)
     l2_0, _, h2_0 = velocity_norms(u1, u2)
     c1 = h2_0
@@ -477,20 +468,6 @@ def run_separation_experiment(
     return exp
 
 
-def _series_csv(o: DeltaOutcome) -> str:
-    lines = ["t,sep_l2,linear_prediction,d_from_linear_full,d_from_linear_reduced"]
-    for i in range(o.times.size):
-        vals = (
-            o.times[i],
-            o.sep_l2[i],
-            o.linear_prediction[i],
-            o.d_from_linear_full[i],
-            o.d_from_linear_reduced[i],
-        )
-        lines.append(",".join(_FMT % v for v in vals))
-    return "\n".join(lines) + "\n"
-
-
 def _gate_dict(g: GateReport) -> dict:
     return {
         "held": g.held,
@@ -538,32 +515,26 @@ def write_experiment_outputs(exp: SeparationExperiment, out_dir) -> list:
     for o in exp.outcomes:
         sub = out / delta_dir_name(o.delta)
         sub.mkdir(exist_ok=True)
-        manifest = sub / "manifest.json"
-        manifest.write_text(
-            json.dumps(_outcome_manifest(o, exp), indent=2, sort_keys=True) + "\n"
-        )
-        written.append(manifest)
+        written.append(write_json(sub / "manifest.json", _outcome_manifest(o, exp)))
         if o.error is None:
-            series = sub / "separation.csv"
-            series.write_text(_series_csv(o))
+            series = write_csv(
+                sub / "separation.csv",
+                "t,sep_l2,linear_prediction,d_from_linear_full,d_from_linear_reduced",
+                zip(
+                    o.times,
+                    o.sep_l2,
+                    o.linear_prediction,
+                    o.d_from_linear_full,
+                    o.d_from_linear_reduced,
+                ),
+            )
             diag = diagnostics_to_csv(o.diagnostics, sub / "diagnostics.csv")
             written.extend([series, diag])
     lines = ["delta,T_delta,separation,bound,verdict"]
     for o in exp.outcomes:
-        lines.append(
-            ",".join(
-                [
-                    _FMT % o.delta,
-                    _FMT % o.t_delta,
-                    _FMT % o.separation,
-                    _FMT % o.bound,
-                    "true" if o.ok else "false",
-                ]
-            )
-        )
-    summary = out / "summary.csv"
-    summary.write_text("\n".join(lines) + "\n")
-    written.append(summary)
+        numbers = csv_row((o.delta, o.t_delta, o.separation, o.bound))
+        lines.append(numbers + "," + ("true" if o.ok else "false"))
+    written.append(write_lines(out / "summary.csv", lines))
     manifest = {
         "channel": {
             "period_length": exp.channel.L,
@@ -586,7 +557,5 @@ def write_experiment_outputs(exp: SeparationExperiment, out_dir) -> list:
         "escape_ok": exp.escape_ok,
         "verdict": exp.verdict,
     }
-    mpath = out / "experiment_manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    written.append(mpath)
+    written.append(write_json(out / "experiment_manifest.json", manifest))
     return written

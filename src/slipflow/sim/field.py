@@ -31,6 +31,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 from scipy import fft as sfft
 
+from ..model import ValidationError
+from ..modes import ModePacket, packet_streamfunction_profile
+
 __all__ = [
     "SpectralField2D",
     "cgl_nodes",
@@ -43,6 +46,7 @@ __all__ = [
     "velocity_from_streamfunction",
     "divergence_max",
     "field_from_mode_profile",
+    "field_from_packet",
     "slip_residuals",
 ]
 
@@ -179,11 +183,6 @@ class SpectralField2D:
             raise ValueError("wall must be +1 or -1")
         return self.coefficients @ basis
 
-    def mode_values_at(self, x: np.ndarray, deriv: int = 0) -> np.ndarray:
-        """Per-mode profile samples, shape (M+1, len(x))."""
-        rows = self.coefficients if deriv == 0 else _chebder_rows(self.coefficients, deriv)
-        return C.chebval(np.asarray(x, dtype=float), rows.T)
-
 
 def field_from_values(vals: np.ndarray, M: int, P: int, L: float) -> SpectralField2D:
     """Forward transform from samples on (n1 uniform) x (CGL of vals' width).
@@ -287,6 +286,21 @@ def field_from_mode_profile(
     else:
         raise ValueError(f"unknown mode kind {kind!r}")
     return SpectralField2D(rows, L)
+
+
+def field_from_packet(packet: ModePacket, M: int, P: int, L: float) -> SpectralField2D:
+    """Streamfunction of a mode packet at t = 0, embedded at resolution (M, P).
+
+    The packet wavenumber k must be a lattice wavenumber n / L; the profile
+    lands in Fourier row n as a sin(n x1 / L) mode, exactly (see
+    ``field_from_mode_profile``).
+    """
+    profile = packet_streamfunction_profile(packet)
+    k = packet.modes[0].problem.k
+    n_mode = round(k * L)
+    if abs(k * L - n_mode) > 1.0e-9 or n_mode < 1:
+        raise ValidationError(f"k = {k:g} is not a lattice wavenumber n / L with L = {L:g}")
+    return field_from_mode_profile(profile, n_mode=n_mode, M=M, P=P, L=L, kind="sin")
 
 
 def slip_residuals(phi: SpectralField2D, mu: float, xi_minus: float, xi_plus: float):

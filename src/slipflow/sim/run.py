@@ -1,21 +1,22 @@
 """Run driver: time loop, recorded diagnostics, checkpoints, restarts.
 
-Checkpoint format (little endian): a 72-byte header of nine 8-byte fields,
+Checkpoint format (little endian): a 96-byte header of twelve 8-byte fields,
 
     magic "SLIPSIM1" | version u64 | M u64 | P u64 | L f64 | mu f64
-    | xi_minus f64 | xi_plus f64 | t f64
+    | xi_minus f64 | xi_plus f64 | t f64 | dt f64 | linearized u64
+    | lock_symmetry u64
 
 followed by the complex state block ((M+1) x P complex128: vorticity rows,
 mean-u1 row 0) and, when the run has taken at least one step, the advection
 history block of the same shape.  Restarting with the same config resumes
 the exact trajectory: the stepper is a pure function of the checkpointed
 data, so diagnostics after the restart are bit-identical to the original
-run's.
+run's.  A config that differs in any header field is refused, since the
+advection history only continues the scheme it was written by.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..model import ValidationError
+from ..output import write_csv, write_json
 from .energy import boundary_production, gradient_dissipation
 from .field import (
     SpectralField2D,
@@ -50,9 +52,9 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"SLIPSIM1"
-CHECKPOINT_VERSION = 1
-CHECKPOINT_HEADER_BYTES = 72
-_FMT = "%.17g"
+CHECKPOINT_VERSION = 2
+CHECKPOINT_HEADER_BYTES = 96
+_HEADER_FIELDS = "<QQQddddddQQ"
 
 
 @dataclass
@@ -189,9 +191,7 @@ def run(
                 "t_reached": stepper.t,
                 "steps_completed": int(round(stepper.t / cfg.dt)),
             }
-            (out / "failure_manifest.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            )
+            write_json(out / "failure_manifest.json", manifest)
         raise
     return RunResult(
         diagnostics=rec.finish(),
@@ -204,7 +204,7 @@ def write_checkpoint(path: str | Path, stepper: ChannelStepper) -> Path:
     """Binary state dump allowing a bit-exact restart (same SimConfig)."""
     cfg = stepper.cfg
     header = CHECKPOINT_MAGIC + struct.pack(
-        "<QQQddddd",
+        _HEADER_FIELDS,
         CHECKPOINT_VERSION,
         cfg.M,
         cfg.P,
@@ -213,6 +213,9 @@ def write_checkpoint(path: str | Path, stepper: ChannelStepper) -> Path:
         stepper.slip.xi_minus,
         stepper.slip.xi_plus,
         stepper.t,
+        cfg.dt,
+        cfg.linearized,
+        cfg.lock_symmetry,
     )
     assert len(header) == CHECKPOINT_HEADER_BYTES
     path = Path(path)
@@ -229,23 +232,29 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
     raw = Path(path).read_bytes()
     if len(raw) < CHECKPOINT_HEADER_BYTES or raw[:8] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file")
-    version, M, P = struct.unpack("<QQQ", raw[8:32])
-    L, mu, xi_m, xi_p, t = struct.unpack("<ddddd", raw[32:72])
+    version, M, P, L, mu, xi_m, xi_p, t, dt, lin, lock = struct.unpack(
+        _HEADER_FIELDS, raw[8:CHECKPOINT_HEADER_BYTES]
+    )
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {version}")
     ch = cfg.channel
-    same = (
-        M == cfg.M
-        and P == cfg.P
-        and L == ch.L
-        and mu == ch.mu
-        and xi_m == ch.slip.xi_minus
-        and xi_p == ch.slip.xi_plus
+    written = (M, P, L, mu, xi_m, xi_p, dt, bool(lin), bool(lock))
+    supplied = (
+        cfg.M,
+        cfg.P,
+        ch.L,
+        ch.mu,
+        ch.slip.xi_minus,
+        ch.slip.xi_plus,
+        cfg.dt,
+        cfg.linearized,
+        cfg.lock_symmetry,
     )
-    if not same:
+    if written != supplied:
         raise ValidationError(
             f"{path}: checkpoint was written for (M={M}, P={P}, L={L:g}, mu={mu:g}, "
-            f"xi=({xi_m:g}, {xi_p:g})), which differs from the supplied config"
+            f"xi=({xi_m:g}, {xi_p:g}), dt={dt:g}, linearized={bool(lin)}, "
+            f"lock_symmetry={bool(lock)}), which differs from the supplied config"
         )
     block = (M + 1) * P * np.dtype(complex).itemsize
     body = raw[CHECKPOINT_HEADER_BYTES:]
@@ -265,7 +274,6 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
 
 def diagnostics_to_csv(diag: RunDiagnostics, path: str | Path) -> Path:
     """Columns: t,l2,h1,h2,boundary_production,dissipation,growth_rate."""
-    path = Path(path)
     cols = (
         diag.times,
         diag.l2_norm,
@@ -275,17 +283,13 @@ def diagnostics_to_csv(diag: RunDiagnostics, path: str | Path) -> Path:
         diag.dissipation,
         diag.growth_rate_estimate,
     )
-    lines = ["t,l2,h1,h2,boundary_production,dissipation,growth_rate"]
-    for row in zip(*cols):
-        lines.append(",".join(_FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    header = "t,l2,h1,h2,boundary_production,dissipation,growth_rate"
+    return write_csv(path, header, zip(*cols))
 
 
 def energy_to_csv(diag: RunDiagnostics, path: str | Path) -> Path:
     """Energy budget columns: t,dEdt,boundary_production,dissipation,
     nonlinear_flux,residual."""
-    path = Path(path)
     cols = (
         diag.times,
         diag.energy_rate,
@@ -294,8 +298,5 @@ def energy_to_csv(diag: RunDiagnostics, path: str | Path) -> Path:
         diag.nonlinear_flux,
         diag.energy_residual,
     )
-    lines = ["t,dEdt,boundary_production,dissipation,nonlinear_flux,residual"]
-    for row in zip(*cols):
-        lines.append(",".join(_FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    header = "t,dEdt,boundary_production,dissipation,nonlinear_flux,residual"
+    return write_csv(path, header, zip(*cols))

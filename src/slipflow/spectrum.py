@@ -36,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .model import ModeProblem, validate_problem
+from .model import ModeProblem
 from .numerics import (
     ChebBasis,
-    CoeffVector,
     boundary_form,
     energy_form,
     find_root_bracketed,
@@ -91,13 +90,6 @@ class Spectrum:
     basis: ChebBasis
 
     @property
-    def pairs(self):
-        return [
-            (float(lam), CoeffVector(self.coefficients[:, i], self.basis))
-            for i, lam in enumerate(self.eigenvalues)
-        ]
-
-    @property
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
@@ -114,7 +106,6 @@ class DeterminantTrace:
 
 def assemble(problem: ModeProblem, basis: ChebBasis) -> AssembledPencil:
     """Assemble B = R - mu E and the Gram form A for the problem's wavenumber."""
-    validate_problem(problem)
     k = problem.k
     R = boundary_form(problem.slip, basis)
     E = energy_form(k, basis)
@@ -252,7 +243,6 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, restarts: int
     A-whitened operator, with the tridiagonal maximum extracted by Sturm
     bisection.  Several random starts guard against an unlucky start vector.
     """
-    validate_problem(problem)
     pencil = assemble(problem, basis)
     n = basis.size
     L = linalg.cholesky(pencil.A, lower=True)
@@ -331,7 +321,6 @@ def determinant_roots(
     bracket resolution is uniform in m ~ sqrt(lambda/mu).  An empty root
     list is a valid outcome (stable wavenumber).
     """
-    validate_problem(problem)
     if lambda_max is None:
         lambda_max = DEFAULT_SCAN_FACTOR * problem.mu * problem.k ** 2
     if not lambda_max > 0.0:

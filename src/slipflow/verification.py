@@ -35,12 +35,11 @@ from .modes import (
     escape_time,
     packet_envelope_value,
     packet_l2_norm,
-    packet_streamfunction_profile,
 )
 from .sim.field import (
     SpectralField2D,
     divergence_max,
-    field_from_mode_profile,
+    field_from_packet,
     field_from_values,
     scalar_norms,
     velocity_from_streamfunction,
@@ -286,19 +285,16 @@ def check_field_norms(seed=0) -> PropertyCheck:
     return _check("field_norms", worst, detail)
 
 
-def _packet_initial(basis_size: int, mu: float, M: int, P: int, L: float = 1.0):
-    basis = build_basis(basis_size)
-    prob = ModeProblem(k=1.0 / L, mu=mu, slip=_STD_SLIP)
-    spec = solve_spectrum(assemble(prob, basis))
-    packet = build_packet(spec, count=1)
-    profile = packet_streamfunction_profile(packet)
-    field = field_from_mode_profile(profile, n_mode=1, M=M, P=P, L=L, kind="sin")
-    return packet, field
+def _fastest_mode_packet():
+    """Unit packet of the fastest mode at k = 1, mu = 0.5, slip (1, 1)."""
+    prob = ModeProblem(k=1.0, mu=0.5, slip=_STD_SLIP)
+    return build_packet(solve_spectrum(assemble(prob, build_basis(48))), count=1)
 
 
 def check_linearized_growth(seed=0) -> PropertyCheck:
     """The linearized stepper reproduces the top eigenvalue growth rate."""
-    packet, field = _packet_initial(48, 0.5, 8, 56)
+    packet = _fastest_mode_packet()
+    field = field_from_packet(packet, 8, 56, 1.0)
     lam = packet.top_lambda
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=4.0e-3, t_end=0.6,
@@ -352,8 +348,8 @@ def check_energy_fuzz(seed=0) -> PropertyCheck:
         chk = energy_inequality_check(u1, u2, 0.5, _STD_SLIP, lam_cap)
         holds_all &= chk.holds
         worst = max(worst, (chk.lhs - chk.rhs) / (1.0e-8 * chk.norm_sq))
-    packet, field = _packet_initial(48, 0.5, 8, 64)
-    u1, u2 = velocity_from_streamfunction(field)
+    packet = _fastest_mode_packet()
+    u1, u2 = velocity_from_streamfunction(field_from_packet(packet, 8, 64, 1.0))
     chk = energy_inequality_check(u1, u2, 0.5, _STD_SLIP, lam_cap)
     eq_rel = abs(chk.lhs / chk.norm_sq - packet.top_lambda) / packet.top_lambda
     margin = max(worst, eq_rel / 1.0e-6, 0.0 if holds_all else 2.0)
@@ -366,7 +362,7 @@ def check_checkpoint_roundtrip(seed=0) -> PropertyCheck:
     import tempfile
     from pathlib import Path
 
-    packet, field = _packet_initial(48, 0.5, 8, 56)
+    field = field_from_packet(_fastest_mode_packet(), 8, 56, 1.0)
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.08,
                     diagnostics_stride=10)
@@ -392,7 +388,7 @@ def check_checkpoint_roundtrip(seed=0) -> PropertyCheck:
 
 def check_run_invariants(seed=0) -> PropertyCheck:
     """Nonlinear run preserves reality, boundary conditions, energy budget."""
-    packet, field = _packet_initial(48, 0.5, 8, 56)
+    field = field_from_packet(_fastest_mode_packet(), 8, 56, 1.0)
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
                     diagnostics_stride=10)

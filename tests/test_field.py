@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from slipflow.model import ModeProblem, SlipPair
-from slipflow.modes import build_packet, packet_streamfunction_profile
+from slipflow.model import ModeProblem, SlipPair, ValidationError
+from slipflow.modes import (
+    Grid2D,
+    build_packet,
+    packet_streamfunction_profile,
+    sample_packet_field,
+)
 from slipflow.numerics import build_basis
 from slipflow.sim import (
     SpectralField2D,
     cgl_nodes,
     divergence_max,
     field_from_mode_profile,
+    field_from_packet,
     field_from_values,
     scalar_inner,
     scalar_norms,
@@ -144,6 +150,31 @@ def test_field_from_mode_profile_samples():
     x1 = f.x1_grid(24)
     expected = np.sin(2.0 * x1)[:, None] * (1.0 - x2 ** 2)[None, :]
     assert np.allclose(vals, expected, atol=1e-13)
+
+
+def test_field_from_packet_embeds_two_mode_packet(basis48):
+    # the embedded streamfunction carries the packet velocity of modes.py
+    from slipflow.spectrum import assemble, solve_spectrum
+
+    def packet_at(k):
+        problem = ModeProblem(k=k, mu=0.1, slip=SlipPair(1.0, 1.0))
+        return build_packet(solve_spectrum(assemble(problem, basis48)))
+
+    L = 0.5
+    packet = packet_at(4.0)
+    assert packet.count == 2
+    phi = field_from_packet(packet, M=3, P=56, L=L)
+    assert np.count_nonzero(np.abs(phi.coefficients).max(axis=1)) == 1
+    grid = Grid2D(n1=16, n2=9, L=L)
+    u1, u2 = velocity_from_streamfunction(phi)
+    want1, want2, _ = sample_packet_field(packet, 0.0, grid)
+    assert np.allclose(u1.values(n1=16, x2=grid.x2), want1, rtol=0.0, atol=1e-12)
+    assert np.allclose(u2.values(n1=16, x2=grid.x2), want2, rtol=0.0, atol=1e-12)
+
+    with pytest.raises(ValidationError, match="lattice"):
+        field_from_packet(packet_at(3.0), M=8, P=56, L=L)
+    with pytest.raises(ValueError, match="outside"):
+        field_from_packet(packet, M=1, P=56, L=L)
 
 
 def test_values_rejects_undersampling():

@@ -17,7 +17,6 @@ from slipflow.model import (
     channel_from_config,
     load_config,
     mode_problem,
-    validate_problem,
 )
 
 
@@ -76,14 +75,6 @@ def test_lattice_sweep():
         sweep.problem(5)
     with pytest.raises(ValidationError):
         LatticeSweep(L=1.0, mu=0.2, slip=SlipPair(1.0, 1.0), n_max=0)
-
-
-def test_validate_problem_idempotent():
-    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
-    validate_problem(problem)
-    validate_problem(problem)
-    with pytest.raises(ValidationError):
-        validate_problem("not a model object")
 
 
 def test_load_config_reads_json(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ class TestCheckpointing:
     def test_read_checkpoint_rejects_truncated_body(self, channel, tmp_path):
         cfg = SimConfig(channel=channel, M=8, P=56)
         header = CHECKPOINT_MAGIC + struct.pack(
-            "<QQQddddd", 1, 8, 56, 1.0, 0.5, 1.0, 1.0, 0.0
+            "<QQQddddddQQ", 2, 8, 56, 1.0, 0.5, 1.0, 1.0, 0.0, cfg.dt, 0, 0
         )
         assert len(header) == CHECKPOINT_HEADER_BYTES
         short = tmp_path / "short.bin"
@@ -175,6 +176,33 @@ class TestCheckpointing:
         other = ChannelConfig(L=1.0, mu=0.25, slip=channel.slip)
         with pytest.raises(ValidationError, match="differs"):
             read_checkpoint(path, SimConfig(channel=other, M=8, P=56))
+
+    @pytest.mark.parametrize(
+        "change", [{"dt": 1.0e-3}, {"linearized": True}, {"lock_symmetry": True}]
+    )
+    def test_read_checkpoint_rejects_other_scheme(
+        self, channel, basis48, tmp_path, change
+    ):
+        # the AB2 history only continues the scheme that wrote it
+        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1)
+        from slipflow.sim import ChannelStepper
+
+        stepper = ChannelStepper(cfg, field)
+        stepper.step()
+        path = write_checkpoint(tmp_path / "s.bin", stepper)
+        with pytest.raises(ValidationError, match="differs"):
+            read_checkpoint(path, replace(cfg, **change))
+
+    def test_read_checkpoint_rejects_version_1(self, channel, tmp_path):
+        cfg = SimConfig(channel=channel, M=8, P=56)
+        header = CHECKPOINT_MAGIC + struct.pack(
+            "<QQQddddd", 1, 8, 56, 1.0, 0.5, 1.0, 1.0, 0.0
+        )
+        old = tmp_path / "v1.bin"
+        old.write_bytes(header + b"\x00" * (9 * 56 * 16))
+        with pytest.raises(ValidationError, match="unsupported checkpoint version 1"):
+            read_checkpoint(old, cfg)
 
 
 class TestFailurePaths:

@@ -1,6 +1,7 @@
 """Time stepper: scheme order, exact invariants, and analytic decay/growth rates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from slipflow.modes import build_packet, packet_streamfunction_profile
 from slipflow.spectrum import assemble, solve_spectrum
 from slipflow.sim import (
     ChannelStepper,
+    InfluenceConditioningError,
     SimConfig,
     field_from_mode_profile,
     run,
@@ -90,6 +92,15 @@ class TestStepperBasics:
         wrong_length = SpectralField2D(np.zeros((5, 24), dtype=complex), 2.0)
         with pytest.raises(ValidationError):
             ChannelStepper(cfg, wrong_length)
+
+    def test_ill_conditioned_influence_matrix_is_refused(self, channel):
+        # mode 1 of G is singular at dt = 4.29371901504907 for this channel;
+        # 1e-8 away it reads cond 8.7e8, while dt = 4.29 reads 3.5e3
+        zero = SpectralField2D(np.zeros((3, 24), dtype=complex), channel.L)
+        near = SimConfig(channel=channel, M=2, P=24, dt=4.293719, t_end=4.293719)
+        with pytest.raises(InfluenceConditioningError, match="mode n = 1"):
+            ChannelStepper(near, zero)
+        ChannelStepper(replace(near, dt=4.29, t_end=4.29), zero)
 
     def test_cfl_number_scales_with_dt(self, channel, basis48):
         field, _ = _mode_field(channel, basis48, amplitude=0.05)
