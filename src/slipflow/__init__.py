@@ -10,18 +10,9 @@ Subpackages cover the pipeline from parameters to nonlinear simulation:
 - ``sim``:       spectral Navier-Stokes solver (streamfunction-vorticity) and the
                  nonlinear separation experiment
 - ``cli``:       reproducible command-line front end
-"""
 
-from .model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair
-from .numerics import ChebBasis, CoeffVector, build_basis
-from .critical import mu_c_closed_form, mu_c_global, mu_c_variational, critical_wavenumber
-from .spectrum import assemble, solve_spectrum, lambda1_variational, determinant_roots
-from .modes import (
-    ModePacket,
-    GrowthEnvelope,
-    build_packet,
-    compute_capital_lambda,
-    escape_time,
-)
+Importing the package loads no submodule, so ``slipflow.cli`` can pin the
+BLAS thread pools before numpy is imported.
+"""
 
 __version__ = "0.1.0"

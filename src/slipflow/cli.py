@@ -6,16 +6,20 @@ at one wavenumber plus the shooting-determinant cross-check), dispersion
 simulate (time stepping with diagnostics), experiment (two-solution
 separation sweep), verify (deterministic property suites).
 
-Only the standard library is imported at module level; numpy, scipy and
-the compute modules load lazily inside the handlers.  That lets the
-global --threads flag pin the BLAS/OpenMP thread pools through the usual
-environment variables, which only works while numpy is not yet imported,
-i.e. in a fresh process.
+Importing this module loads only the standard library and the package
+root, which imports no submodule; numpy, scipy and the compute modules
+load lazily inside the handlers.  That lets the global --threads flag pin
+the BLAS/OpenMP thread pools through the usual environment variables,
+which only works while numpy is not yet imported, i.e. in a fresh process.
 
 Configuration resolution, lowest to highest precedence: built-in defaults
 (period_length 1, viscosity 0.5, slip 1/1), the --config JSON file,
 SLIPFLOW_* environment variables (SLIPFLOW_VISCOSITY=0.2,
-SLIPFLOW_SLIP__XI_PLUS=2 for nested keys), then command-line flags.
+SLIPFLOW_SLIP__XI_PLUS=2 for nested keys), then command-line flags.  The
+"sim" section takes the fields of SimConfig and the "experiment" section
+the keywords of run_separation_experiment, with their defaults; any other
+key is refused (exit code 2).
+
 Every command writes a run_manifest.json carrying a sha256 digest of the
 fully resolved configuration.  Rerunning an identical invocation
 reproduces every output file byte for byte (floats are printed with 17
@@ -32,33 +36,14 @@ import sys
 import time
 from pathlib import Path
 
-TOOL_VERSION = "slipflow 0.1.0"
+from . import __version__
+
+TOOL_VERSION = f"slipflow {__version__}"
 
 _DEFAULT_CONFIG = {
     "period_length": 1.0,
     "viscosity": 0.5,
     "slip": {"xi_minus": 1.0, "xi_plus": 1.0},
-}
-
-_SIM_KEYS = {
-    "M": int,
-    "P": int,
-    "dt": float,
-    "t_end": float,
-    "linearized": bool,
-    "lock_symmetry": bool,
-    "diagnostics_stride": int,
-    "cfl_limit": float,
-}
-
-_EXPERIMENT_KEYS = {
-    "deltas",
-    "epsilon0",
-    "delta0",
-    "basis_size",
-    "n_max",
-    "packet_count",
-    "coefficients",
 }
 
 
@@ -80,7 +65,7 @@ def _resolve_raw(ns) -> dict:
 
     raw = json.loads(json.dumps(_DEFAULT_CONFIG))
     if ns.config is not None:
-        _merge_config(raw, load_config(ns.config, environ={}))
+        _merge_config(raw, load_config(ns.config))
     raw = apply_env_overrides(raw)
     unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
     if unknown:
@@ -100,66 +85,63 @@ def _resolve_raw(ns) -> dict:
     return raw
 
 
+def _section(raw: dict, name: str, keys) -> dict:
+    """The config section ``name``, refusing keys outside ``keys``."""
+    from .model import ConfigError
+
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a section (JSON object)")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
+    return section
+
+
 def _sim_config(raw: dict, ns, channel):
-    """SimConfig from the config's sim section plus command-line overrides."""
+    """SimConfig from the config's sim section plus command-line overrides.
+
+    The keys are the fields of SimConfig besides the channel, each typed
+    like its default; each flag's dest is the field it sets.
+    """
+    from dataclasses import fields
+
     from .model import ConfigError
     from .sim import SimConfig
 
-    section = raw.get("sim", {})
-    if not isinstance(section, dict):
-        raise ConfigError("sim: must be a section (JSON object)")
-    unknown = sorted(set(section) - set(_SIM_KEYS))
-    if unknown:
-        raise ConfigError(f"sim: unknown keys {unknown}")
-    merged = dict(section)
-    for attr, key in (
-        ("m", "M"),
-        ("p", "P"),
-        ("dt", "dt"),
-        ("t_end", "t_end"),
-        ("stride", "diagnostics_stride"),
-    ):
-        value = getattr(ns, attr, None)
+    kinds = {f.name: type(f.default) for f in fields(SimConfig) if f.name != "channel"}
+    merged = dict(_section(raw, "sim", kinds))
+    for key in kinds:
+        value = getattr(ns, key, None)
         if value is not None:
             merged[key] = value
-    if getattr(ns, "linearized", False):
-        merged["linearized"] = True
     clean = {}
     for key, value in merged.items():
         try:
-            clean[key] = _SIM_KEYS[key](value)
+            clean[key] = kinds[key](value)
         except (TypeError, ValueError):
             raise ConfigError(f"sim.{key}: bad value {value!r}")
     return SimConfig(channel=channel, **clean)
 
 
 def _experiment_settings(raw: dict, ns) -> dict:
-    from .model import ConfigError
+    """Keywords of run_separation_experiment: its defaults <- config <- flags."""
+    import inspect
 
-    section = raw.get("experiment", {})
-    if not isinstance(section, dict):
-        raise ConfigError("experiment: must be a section (JSON object)")
-    unknown = sorted(set(section) - _EXPERIMENT_KEYS)
-    if unknown:
-        raise ConfigError(f"experiment: unknown keys {unknown}")
-    merged = dict(section)
-    for attr, key in (
-        ("deltas", "deltas"),
-        ("epsilon0", "epsilon0"),
-        ("delta0", "delta0"),
-        ("basis", "basis_size"),
-        ("n_max", "n_max"),
-        ("count", "packet_count"),
-    ):
-        value = getattr(ns, attr, None)
+    from .sim import run_separation_experiment
+
+    params = inspect.signature(run_separation_experiment).parameters
+    settings = {
+        key: p.default for key, p in params.items()
+        if key not in ("channel", "sim", "out_dir")
+    }
+    settings.update(_section(raw, "experiment", settings))
+    for key in settings:
+        value = getattr(ns, key, None)
         if value is not None:
-            merged[key] = value
-    merged.setdefault("deltas", [1.0e-5, 1.0e-6, 1.0e-7])
-    merged.setdefault("delta0", 0.02)
-    merged.setdefault("basis_size", 48)
-    merged.setdefault("n_max", 8)
-    merged["deltas"] = [float(d) for d in merged["deltas"]]
-    return merged
+            settings[key] = value
+    settings["deltas"] = [float(d) for d in settings["deltas"]]
+    return settings
 
 
 def _config_digest(payload: dict) -> str:
@@ -255,7 +237,6 @@ def _cmd_modes(ns, out, channel):
     from .model import ModeProblem, ValidationError
     from .modes import (
         Grid2D,
-        GrowthEnvelope,
         build_packet,
         default_epsilon0,
         escape_time,
@@ -283,7 +264,7 @@ def _cmd_modes(ns, out, channel):
     write_csv(out / "modes.csv", "x1,x2,u1,u2,q", rows)
 
     epsilon0 = default_epsilon0(packet, channel.L)
-    t_delta = escape_time(GrowthEnvelope(packet=packet, delta=ns.delta, epsilon0=epsilon0))
+    t_delta = escape_time(packet, ns.delta, epsilon0)
     manifest = {
         "k": k,
         "mu": channel.mu,
@@ -364,17 +345,7 @@ def _cmd_experiment(ns, out, channel, raw):
         return 0, [], args
     cfg = _sim_config(raw, ns, channel)
     settings = _experiment_settings(raw, ns)
-    exp = run_separation_experiment(
-        channel,
-        sim=cfg,
-        deltas=settings["deltas"],
-        epsilon0=settings.get("epsilon0"),
-        delta0=settings["delta0"],
-        basis_size=settings["basis_size"],
-        n_max=settings["n_max"],
-        packet_count=settings.get("packet_count"),
-        coefficients=settings.get("coefficients"),
-    )
+    exp = run_separation_experiment(channel, sim=cfg, **settings)
     written = write_experiment_outputs(exp, out)
     outputs = [p.relative_to(out).as_posix() for p in written]
     for o in exp.outcomes:
@@ -387,19 +358,12 @@ def _cmd_experiment(ns, out, channel, raw):
     print(f"experiment: slope = {exp.slope:.6g} (want 2 +- 0.2), "
           f"escape spacing ok = {exp.escape_ok}, "
           f"verdict = {'PASS' if exp.verdict else 'FAIL'}")
-    args = {
-        "deltas": settings["deltas"],
-        "epsilon0": settings.get("epsilon0"),
-        "delta0": settings["delta0"],
-        "basis_size": settings["basis_size"],
-        "n_max": settings["n_max"],
-        "packet_count": settings.get("packet_count"),
-        "sim": {
-            "M": cfg.M,
-            "P": cfg.P,
-            "dt": cfg.dt,
-            "diagnostics_stride": cfg.diagnostics_stride,
-        },
+    args = {key: value for key, value in settings.items() if key != "coefficients"}
+    args["sim"] = {
+        "M": cfg.M,
+        "P": cfg.P,
+        "dt": cfg.dt,
+        "diagnostics_stride": cfg.diagnostics_stride,
     }
     return (0 if exp.verdict else 1), outputs, args
 
@@ -479,13 +443,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=1.0e-3,
                    help="initial data amplitude (default 1e-3)")
     p.add_argument("--basis", type=int, default=48)
-    p.add_argument("--m", type=int, default=None, help="Fourier modes in x1")
-    p.add_argument("--p", type=int, default=None, help="Chebyshev points in x2")
+    p.add_argument("--m", dest="M", type=int, default=None, help="Fourier modes in x1")
+    p.add_argument("--p", dest="P", type=int, default=None,
+                   help="Chebyshev points in x2")
     p.add_argument("--dt", type=float, default=None, help="time step")
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None,
-                   help="diagnostics stride in steps")
-    p.add_argument("--linearized", action="store_true",
+    p.add_argument("--stride", dest="diagnostics_stride", metavar="STRIDE", type=int,
+                   default=None, help="diagnostics stride in steps")
+    p.add_argument("--linearized", action="store_true", default=None,
                    help="drop the nonlinear term")
     p.add_argument("--checkpoint-stride", dest="checkpoint_stride", type=int,
                    default=None, help="steps between checkpoints (default: final only)")
@@ -497,13 +462,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon0", type=float, default=None,
                    help="escape amplitude (default: set by the packet size)")
     p.add_argument("--delta0", type=float, default=None)
-    p.add_argument("--basis", type=int, default=None)
+    p.add_argument("--basis", dest="basis_size", metavar="BASIS", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--count", type=int, default=None, help="packet size cap")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
+    p.add_argument("--count", dest="packet_count", metavar="COUNT", type=int,
+                   default=None, help="packet size cap")
+    p.add_argument("--m", dest="M", type=int, default=None)
+    p.add_argument("--p", dest="P", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", dest="diagnostics_stride", metavar="STRIDE", type=int,
+                   default=None)
 
     sub.add_parser("verify",
                    help="run the deterministic property suites, write a JSON report")

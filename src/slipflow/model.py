@@ -33,7 +33,6 @@ __all__ = [
     "ConfigError",
     "load_config",
     "channel_from_config",
-    "mode_problem",
     "ENV_PREFIX",
 ]
 
@@ -90,11 +89,6 @@ class ChannelConfig:
         _require(_finite(self.L) and self.L > 0.0, "period_length: must be > 0")
         _require(_finite(self.mu) and self.mu > 0.0, "viscosity: must be > 0")
 
-    def wavenumber(self, n: int) -> float:
-        """Lattice wavenumber ``k = n / L`` of the n-th Fourier mode."""
-        _require(int(n) == n and n >= 1, "n: mode index must be an integer >= 1")
-        return n / self.L
-
 
 @dataclass(frozen=True)
 class ModeProblem:
@@ -126,19 +120,10 @@ class LatticeSweep:
             "n_max: must be an integer >= 1",
         )
 
-    def wavenumbers(self):
-        import numpy as np
-
-        return np.arange(1, self.n_max + 1, dtype=float) / self.L
-
     def problem(self, n: int) -> ModeProblem:
+        """The instability problem of lattice mode n, wavenumber ``k = n / L``."""
         _require(1 <= n <= self.n_max, "n: mode index out of sweep range")
         return ModeProblem(k=n / self.L, mu=self.mu, slip=self.slip)
-
-
-def mode_problem(config: ChannelConfig, n: int) -> ModeProblem:
-    """The instability problem of the n-th lattice mode of a channel."""
-    return ModeProblem(k=config.wavenumber(n), mu=config.mu, slip=config.slip)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +170,12 @@ def apply_env_overrides(raw: dict, environ=None) -> dict:
     return out
 
 
-def load_config(path, environ=None) -> dict:
-    """Read a JSON config file and apply environment overrides.
+def load_config(path) -> dict:
+    """Read a JSON config file.
 
-    Returns the raw (nested dict) configuration; use ``channel_from_config``
-    to turn it into a validated ChannelConfig.
+    Returns the raw (nested dict) configuration; overlay the environment
+    with ``apply_env_overrides`` and validate the channel keys with
+    ``channel_from_config``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -200,7 +186,7 @@ def load_config(path, environ=None) -> dict:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
-    return apply_env_overrides(raw, environ)
+    return raw
 
 
 def _get_number(raw: dict, key: str, *, section: str | None = None):

@@ -40,7 +40,6 @@ __all__ = [
     "ChebSeries",
     "NormalMode",
     "ModePacket",
-    "GrowthEnvelope",
     "Grid2D",
     "build_mode",
     "build_packet",
@@ -141,23 +140,6 @@ class ModePacket:
         return self.modes[-1].lam
 
 
-@dataclass(frozen=True)
-class GrowthEnvelope:
-    """F_N(t) = sum |c_j| e^{lambda_j t} for a packet, with the escape scales."""
-
-    packet: ModePacket
-    delta: float
-    epsilon0: float
-
-    def __post_init__(self):
-        if self.packet.count < 1:
-            raise ValueError("growth envelope needs a nonempty packet")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if not self.epsilon0 > 0.0:
-            raise ValueError(f"epsilon0 must be > 0, got {self.epsilon0}")
-
-
 def packet_envelope_value(packet: ModePacket, t):
     """Envelope F_N(t) = sum_j |c_j| e^{lambda_j t}."""
     t = np.asarray(t, dtype=float)
@@ -185,12 +167,12 @@ def packet_l2_norm(packet: ModePacket, L: float = 1.0) -> float:
     return math.sqrt(math.pi * L * float(w @ (su**2 + sv**2)))
 
 
-def default_epsilon0(packet: ModePacket, L: float = 1.0, fraction: float = 0.01) -> float:
-    """Escape amplitude: the given fraction of the unit packet's L2 size."""
+def default_epsilon0(packet: ModePacket, L: float = 1.0) -> float:
+    """Escape amplitude: one percent of the unit packet's L2 size."""
     size = packet_l2_norm(packet, L)
     if not size > 0.0:
         raise ValueError("epsilon0 default needs a nonempty packet")
-    return fraction * size
+    return 0.01 * size
 
 
 def build_mode(problem: ModeProblem, lam: float, phi: CoeffVector) -> NormalMode:
@@ -257,13 +239,10 @@ class Grid2D:
     n1: int
     n2: int
     L: float = 1.0
-    x2_kind: str = "uniform"
 
     def __post_init__(self):
         if self.n1 < 4 or self.n2 < 4:
             raise ValueError("grid resolutions must be >= 4 in each direction")
-        if self.x2_kind not in ("uniform", "cheb"):
-            raise ValueError(f"unknown x2 grid kind {self.x2_kind!r}")
 
     @property
     def x1(self) -> np.ndarray:
@@ -271,9 +250,7 @@ class Grid2D:
 
     @property
     def x2(self) -> np.ndarray:
-        if self.x2_kind == "uniform":
-            return np.linspace(-1.0, 1.0, self.n2)
-        return np.cos(math.pi * np.arange(self.n2 - 1, -1, -1) / (self.n2 - 1))
+        return np.linspace(-1.0, 1.0, self.n2)
 
 
 def sample_field(mode: NormalMode, t: float, grid: Grid2D):
@@ -344,21 +321,26 @@ def compute_capital_lambda(sweep: LatticeSweep, basis: ChebBasis):
     return float(lam1[best]), (best + 1) / sweep.L
 
 
-def escape_time(env: GrowthEnvelope) -> float:
+def escape_time(packet: ModePacket, delta: float, epsilon0: float) -> float:
     """The unique T with delta * F_N(T) = epsilon0, by bracketed root finding."""
-    packet = env.packet
+    if packet.count < 1:
+        raise ValueError("escape time needs a nonempty packet")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not epsilon0 > 0.0:
+        raise ValueError(f"epsilon0 must be > 0, got {epsilon0}")
     lams = packet.lambdas
     if np.any(lams <= 0.0):
         raise ValueError("escape time requires every packet growth rate > 0")
-    f0 = env.delta * packet_envelope_value(packet, 0.0)
-    if not f0 < env.epsilon0:
+    f0 = delta * packet_envelope_value(packet, 0.0)
+    if not f0 < epsilon0:
         raise ValueError(
-            f"already escaped at t = 0: delta * F_N(0) = {f0:g} >= epsilon0 = {env.epsilon0:g}"
+            f"already escaped at t = 0: delta * F_N(0) = {f0:g} >= epsilon0 = {epsilon0:g}"
         )
     cmin = np.abs(packet.coefficients).min()
-    hi = math.log(env.epsilon0 / (env.delta * cmin)) / lams[0] + 1.0
+    hi = math.log(epsilon0 / (delta * cmin)) / lams[0] + 1.0
 
     def g(t: float) -> float:
-        return env.delta * packet_envelope_value(packet, t) - env.epsilon0
+        return delta * packet_envelope_value(packet, t) - epsilon0
 
     return find_root_bracketed(g, 0.0, hi, tol=1e-14 * hi)

@@ -93,10 +93,6 @@ class ChebBasis:
             series = C.chebder(series, deriv)
         return C.chebval(np.asarray(x, dtype=float), series)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Quadrature integral of values sampled at ``quad_nodes``."""
-        return float(np.dot(self.quad_weights, values))
-
 
 @dataclass(frozen=True)
 class CoeffVector:

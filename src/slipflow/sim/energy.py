@@ -67,9 +67,10 @@ def energy_inequality_check(
     mu: float,
     slip: SlipPair,
     lam: float,
-    tol: float = 1.0e-8,
 ) -> EnergyCheck:
     """Evaluate production - dissipation <= lam * ||w||^2 by exact quadrature.
+
+    ``holds`` allows a roundoff slack of 1e-8 * ||w||^2.
 
     Rejects inputs that are not discretely divergence free, that leak
     through the walls, or that carry a mean-flow component (the bound does
@@ -95,20 +96,20 @@ def energy_inequality_check(
     lhs = boundary_production(u1, slip) - gradient_dissipation(u1, u2, mu)
     rhs = lam * norm_sq
     return EnergyCheck(
-        lhs=lhs, rhs=rhs, norm_sq=norm_sq, holds=bool(lhs <= rhs + tol * norm_sq)
+        lhs=lhs, rhs=rhs, norm_sq=norm_sq, holds=bool(lhs <= rhs + 1.0e-8 * norm_sq)
     )
 
 
-def random_solenoidal_field(rng, M: int, P: int, L: float, decay: float = 0.35):
+def random_solenoidal_field(rng, M: int, P: int, L: float):
     """Random unit-norm divergence-free velocity with no mean component.
 
-    Draws a random streamfunction on modes n = 1..M with spectrally
-    decaying Chebyshev coefficients, corrects the constant and linear terms
-    so each mode profile vanishes at both walls, and returns the induced
-    velocity pair normalized to unit L2 norm.
+    Draws a random streamfunction on modes n = 1..M with Chebyshev
+    coefficients decaying like exp(-0.35 j), corrects the constant and
+    linear terms so each mode profile vanishes at both walls, and returns
+    the induced velocity pair normalized to unit L2 norm.
     """
     rows = np.zeros((M + 1, P), dtype=complex)
-    amp = np.exp(-decay * np.arange(P))
+    amp = np.exp(-0.35 * np.arange(P))
     for n in range(1, M + 1):
         c = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) * amp
         top = c.sum()

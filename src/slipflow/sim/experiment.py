@@ -42,7 +42,6 @@ from ..critical import mu_c_global
 from ..numerics import build_basis
 from ..spectrum import assemble, solve_spectrum
 from ..modes import (
-    GrowthEnvelope,
     ModePacket,
     build_packet,
     compute_capital_lambda,
@@ -177,7 +176,7 @@ def _run_one_delta(
 ) -> DeltaOutcome:
     lam_top = packet.top_lambda
     c_top = abs(float(packet.coefficients[-1]))
-    t_delta = escape_time(GrowthEnvelope(packet, delta, epsilon0))
+    t_delta = escape_time(packet, delta, epsilon0)
     dt = sim.dt
     n_steps = int(math.ceil(t_delta / dt - 1.0e-12))
     t_run = n_steps * dt

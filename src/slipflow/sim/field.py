@@ -123,9 +123,6 @@ class SpectralField2D:
         """Max imaginary magnitude of the mean row (0 for a real field)."""
         return float(np.abs(self.coefficients[0].imag).max(initial=0.0))
 
-    def copy(self) -> "SpectralField2D":
-        return SpectralField2D(self.coefficients.copy(), self.L)
-
     def __add__(self, other: "SpectralField2D") -> "SpectralField2D":
         self._check_compatible(other)
         return SpectralField2D(self.coefficients + other.coefficients, self.L)
@@ -151,9 +148,6 @@ class SpectralField2D:
 
     def d_x2(self, order: int = 1) -> "SpectralField2D":
         return SpectralField2D(_chebder_rows(self.coefficients, order), self.L)
-
-    def x1_grid(self, n1: int) -> np.ndarray:
-        return 2.0 * math.pi * self.L * np.arange(n1) / n1
 
     def values(self, n1: int | None = None, x2: np.ndarray | None = None) -> np.ndarray:
         """Real physical samples, shape (n1, len(x2)).
@@ -262,9 +256,9 @@ def divergence_max(u1: SpectralField2D, u2: SpectralField2D) -> float:
 
 
 def field_from_mode_profile(
-    profile_coeffs: np.ndarray, n_mode: int, M: int, P: int, L: float, kind: str = "sin"
+    profile_coeffs: np.ndarray, n_mode: int, M: int, P: int, L: float
 ) -> SpectralField2D:
-    """Single-Fourier-mode field g(x2) * sin-or-cos(n x1 / L) without truncation.
+    """Single-Fourier-mode field g(x2) * sin(n x1 / L) without truncation.
 
     ``profile_coeffs`` is a real Chebyshev series for g.  Raises if the
     profile degree does not fit in P columns (initial data must embed
@@ -279,12 +273,7 @@ def field_from_mode_profile(
     if not 1 <= n_mode <= M:
         raise ValueError(f"mode index {n_mode} outside 1..{M}")
     rows = np.zeros((M + 1, P), dtype=complex)
-    if kind == "sin":
-        rows[n_mode, : profile_coeffs.size] = -0.5j * profile_coeffs
-    elif kind == "cos":
-        rows[n_mode, : profile_coeffs.size] = 0.5 * profile_coeffs
-    else:
-        raise ValueError(f"unknown mode kind {kind!r}")
+    rows[n_mode, : profile_coeffs.size] = -0.5j * profile_coeffs
     return SpectralField2D(rows, L)
 
 
@@ -300,7 +289,7 @@ def field_from_packet(packet: ModePacket, M: int, P: int, L: float) -> SpectralF
     n_mode = round(k * L)
     if abs(k * L - n_mode) > 1.0e-9 or n_mode < 1:
         raise ValidationError(f"k = {k:g} is not a lattice wavenumber n / L with L = {L:g}")
-    return field_from_mode_profile(profile, n_mode=n_mode, M=M, P=P, L=L, kind="sin")
+    return field_from_mode_profile(profile, n_mode=n_mode, M=M, P=P, L=L)
 
 
 def slip_residuals(phi: SpectralField2D, mu: float, xi_minus: float, xi_plus: float):

@@ -57,11 +57,9 @@ __all__ = [
     "determinant_roots",
     "spectrum_residuals",
     "resolved_count",
-    "DEFAULT_BASIS_SIZE",
     "DEFAULT_SCAN_FACTOR",
 ]
 
-DEFAULT_BASIS_SIZE = 64
 DEFAULT_SCAN_FACTOR = 1e4  # scan upper bound: 1e4 * mu * k^2
 
 
@@ -235,13 +233,13 @@ def _largest_tridiagonal_eigenvalue(alpha: np.ndarray, beta: np.ndarray) -> floa
     return 0.5 * (lo + hi)
 
 
-def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, restarts: int = 2, seed: int = 0) -> float:
+def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0) -> float:
     """Maximum of the Rayleigh quotient B_k(phi,phi)/int((phi')^2+k^2 phi^2).
 
     Independent of the dense pencil solver: the quotient is maximized by
     Lanczos iterations (random start, full reorthogonalization) on the
     A-whitened operator, with the tridiagonal maximum extracted by Sturm
-    bisection.  Several random starts guard against an unlucky start vector.
+    bisection.  Two random starts guard against an unlucky start vector.
     """
     pencil = assemble(problem, basis)
     n = basis.size
@@ -253,7 +251,7 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, restarts: int
 
     rng = np.random.default_rng(seed)
     best = -math.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(2):
         q = rng.standard_normal(n)
         q /= np.linalg.norm(q)
         Q = np.empty((n, n))

@@ -8,7 +8,9 @@ success and 2 on failure.
 
 The suite is deterministic: all randomness flows from the single seed, and
 the JSON report contains no timings, so two runs with the same seed produce
-byte-identical reports.
+byte-identical reports.  One battery builds its two Galerkin bases (N = 48
+and 64) and the reference spectrum (k = 1, mu = 0.5, slip (1, 1), N = 48)
+once and hands them to every check.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 
 from . import critical
 from .model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair
-from .numerics import build_basis
+from .numerics import ChebBasis, build_basis
 from .spectrum import (
+    Spectrum,
     assemble,
     determinant_roots,
     resolved_count,
@@ -29,7 +32,6 @@ from .spectrum import (
     spectrum_residuals,
 )
 from .modes import (
-    GrowthEnvelope,
     build_packet,
     compute_capital_lambda,
     escape_time,
@@ -51,6 +53,17 @@ from .sim.stepper import ChannelStepper, SimConfig
 __all__ = ["PropertyCheck", "verify_all", "verification_report", "CHECK_NAMES"]
 
 _STD_SLIP = SlipPair(1.0, 1.0)
+_REFERENCE = ModeProblem(k=1.0, mu=0.5, slip=_STD_SLIP)
+
+
+@dataclass(frozen=True)
+class _Battery:
+    """What the checks of one battery share, built once per battery."""
+
+    seed: int
+    basis48: ChebBasis
+    basis64: ChebBasis
+    reference: Spectrum  # _REFERENCE in basis48
 
 
 @dataclass
@@ -68,7 +81,7 @@ def _check(name, margin, detail=None, passed=None) -> PropertyCheck:
     return PropertyCheck(name=name, passed=passed, margin=margin, detail=detail or {})
 
 
-def check_critical_closed_form(seed=0) -> PropertyCheck:
+def check_critical_closed_form(battery: _Battery) -> PropertyCheck:
     """Equal-slip identity, argument symmetry, small-k and large-k limits."""
     worst = 0.0
     detail = {}
@@ -94,7 +107,7 @@ def check_critical_closed_form(seed=0) -> PropertyCheck:
     return _check("critical_closed_form", worst, detail)
 
 
-def check_critical_monotone(seed=0) -> PropertyCheck:
+def check_critical_monotone(battery: _Battery) -> PropertyCheck:
     """mu_c(k) strictly decreases in k for every sampled slip pair."""
     ks = np.geomspace(0.05, 60.0, 60)
     worst = 0.0
@@ -105,9 +118,9 @@ def check_critical_monotone(seed=0) -> PropertyCheck:
     return _check("critical_monotone_decrease", worst, {"grid_points": ks.size})
 
 
-def check_critical_variational(seed=0) -> PropertyCheck:
+def check_critical_variational(battery: _Battery) -> PropertyCheck:
     """Closed form versus the variational threshold on a small grid."""
-    basis = build_basis(64)
+    basis = battery.basis64
     worst = 0.0
     for k in (0.5, 2.0, 8.0):
         for pair in (SlipPair(1.0, 1.0), SlipPair(0.0, 3.0), SlipPair(0.5, 2.0)):
@@ -117,9 +130,9 @@ def check_critical_variational(seed=0) -> PropertyCheck:
     return _check("critical_variational_agreement", worst, {"tolerance": 1.0e-6})
 
 
-def check_spectrum_oracle(seed=0) -> PropertyCheck:
+def check_spectrum_oracle(battery: _Battery) -> PropertyCheck:
     """Positive Galerkin eigenvalues match determinant roots, same count."""
-    basis = build_basis(64)
+    basis = battery.basis64
     worst = 0.0
     detail = {}
     cases = [
@@ -146,9 +159,9 @@ def check_spectrum_oracle(seed=0) -> PropertyCheck:
     return _check("spectrum_oracle_agreement", worst, detail)
 
 
-def check_sign_flip(seed=0) -> PropertyCheck:
+def check_sign_flip(battery: _Battery) -> PropertyCheck:
     """lambda_1 changes sign across the critical viscosity."""
-    basis = build_basis(48)
+    basis = battery.basis48
     worst = 0.0
     for k in (0.5, 1.0, 4.0):
         for pair in (_STD_SLIP, SlipPair(0.0, 3.0)):
@@ -160,10 +173,9 @@ def check_sign_flip(seed=0) -> PropertyCheck:
     return _check("sign_flip_at_threshold", worst, {"k_values": [0.5, 1.0, 4.0]})
 
 
-def check_eigenfunction_quality(seed=0) -> PropertyCheck:
+def check_eigenfunction_quality(battery: _Battery) -> PropertyCheck:
     """Strong-form residuals, boundary residuals, normalization, orthogonality."""
-    basis = build_basis(64)
-    pencil = assemble(ModeProblem(k=1.0, mu=0.5, slip=_STD_SLIP), basis)
+    pencil = assemble(_REFERENCE, battery.basis64)
     spec = solve_spectrum(pencil)
     nres = resolved_count(spec)
     strong, bcm, bcp = spectrum_residuals(spec)
@@ -187,12 +199,11 @@ def check_eigenfunction_quality(seed=0) -> PropertyCheck:
     return _check("eigenfunction_quality", worst, detail)
 
 
-def check_mode_triple(seed=0) -> PropertyCheck:
+def check_mode_triple(battery: _Battery) -> PropertyCheck:
     """The lifted (psi, phi, pi) triple satisfies the mode system and slip."""
-    basis = build_basis(48)
-    prob = ModeProblem(k=1.0, mu=0.5, slip=_STD_SLIP)
-    packet = build_packet(solve_spectrum(assemble(prob, basis)))
-    x, w = np.polynomial.legendre.leggauss(basis.size + 4)
+    prob = battery.reference.problem
+    packet = build_packet(battery.reference)
+    x, w = np.polynomial.legendre.leggauss(battery.basis48.size + 4)
     worst = 0.0
     detail = {}
     for mode in packet.modes:
@@ -217,21 +228,19 @@ def check_mode_triple(seed=0) -> PropertyCheck:
     return _check("mode_triple_residuals", worst, detail)
 
 
-def check_escape_time(seed=0) -> PropertyCheck:
+def check_escape_time(battery: _Battery) -> PropertyCheck:
     """Closed form for one mode, defining equation for two, monotone in delta."""
-    basis = build_basis(48)
-    prob = ModeProblem(k=1.0, mu=0.5, slip=_STD_SLIP)
-    packet = build_packet(solve_spectrum(assemble(prob, basis)))
+    packet = build_packet(battery.reference)
     lam = packet.top_lambda
-    t1 = escape_time(GrowthEnvelope(packet, 1.0e-6, 1.0e-2))
+    t1 = escape_time(packet, 1.0e-6, 1.0e-2)
     exact = math.log(1.0e4) / lam
     worst = abs(t1 - exact) / exact / 1.0e-10
     prob2 = ModeProblem(k=1.0, mu=0.1, slip=_STD_SLIP)
-    packet2 = build_packet(solve_spectrum(assemble(prob2, basis)))
-    t2 = escape_time(GrowthEnvelope(packet2, 1.0e-5, 1.0e-2))
+    packet2 = build_packet(solve_spectrum(assemble(prob2, battery.basis48)))
+    t2 = escape_time(packet2, 1.0e-5, 1.0e-2)
     resid = abs(1.0e-5 * packet_envelope_value(packet2, t2) - 1.0e-2) / 1.0e-2
     worst = max(worst, resid / 1.0e-10)
-    t3 = escape_time(GrowthEnvelope(packet2, 0.5e-5, 1.0e-2))
+    t3 = escape_time(packet2, 0.5e-5, 1.0e-2)
     if not t3 > t2:
         worst = max(worst, 2.0)
     ident = abs(
@@ -244,7 +253,7 @@ def check_escape_time(seed=0) -> PropertyCheck:
     return _check("escape_time", worst, detail)
 
 
-def check_field_norms(seed=0) -> PropertyCheck:
+def check_field_norms(battery: _Battery) -> PropertyCheck:
     """Quadrature-exact norms: analytic value, Parseval, divergence-free curl."""
     import scipy.fft
 
@@ -260,7 +269,7 @@ def check_field_norms(seed=0) -> PropertyCheck:
     rel = abs(l2 - target) / target
     worst = rel / 1.0e-13
 
-    rng = np.random.default_rng(seed + 11)
+    rng = np.random.default_rng(battery.seed + 11)
     vals = rng.standard_normal((4 * M, P))
     g = field_from_values(vals, M=M, P=P, L=L)
     grid = g.values(n1=4 * M)
@@ -285,15 +294,14 @@ def check_field_norms(seed=0) -> PropertyCheck:
     return _check("field_norms", worst, detail)
 
 
-def _fastest_mode_packet():
-    """Unit packet of the fastest mode at k = 1, mu = 0.5, slip (1, 1)."""
-    prob = ModeProblem(k=1.0, mu=0.5, slip=_STD_SLIP)
-    return build_packet(solve_spectrum(assemble(prob, build_basis(48))), count=1)
+def _fastest_mode_packet(battery: _Battery):
+    """Unit packet of the fastest mode of the reference spectrum."""
+    return build_packet(battery.reference, count=1)
 
 
-def check_linearized_growth(seed=0) -> PropertyCheck:
+def check_linearized_growth(battery: _Battery) -> PropertyCheck:
     """The linearized stepper reproduces the top eigenvalue growth rate."""
-    packet = _fastest_mode_packet()
+    packet = _fastest_mode_packet(battery)
     field = field_from_packet(packet, 8, 56, 1.0)
     lam = packet.top_lambda
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
@@ -307,7 +315,7 @@ def check_linearized_growth(seed=0) -> PropertyCheck:
                   {"fitted": slope, "eigenvalue": lam, "rel_error": rel})
 
 
-def check_mean_robin_rate(seed=0) -> PropertyCheck:
+def check_mean_robin_rate(battery: _Battery) -> PropertyCheck:
     """Mean-flow diffusion reproduces the analytic Robin eigenmode rate."""
     from scipy.optimize import brentq
 
@@ -335,12 +343,11 @@ def check_mean_robin_rate(seed=0) -> PropertyCheck:
                   {"fitted": slope, "analytic": rate, "rel_error": rel})
 
 
-def check_energy_fuzz(seed=0) -> PropertyCheck:
+def check_energy_fuzz(battery: _Battery) -> PropertyCheck:
     """Random solenoidal fields obey the sharp energy inequality."""
-    basis = build_basis(48)
     sweep = LatticeSweep(L=1.0, mu=0.5, slip=_STD_SLIP, n_max=8)
-    lam_cap, _ = compute_capital_lambda(sweep, basis)
-    rng = np.random.default_rng(seed + 23)
+    lam_cap, _ = compute_capital_lambda(sweep, battery.basis48)
+    rng = np.random.default_rng(battery.seed + 23)
     worst = 0.0
     holds_all = True
     for _ in range(25):
@@ -348,7 +355,7 @@ def check_energy_fuzz(seed=0) -> PropertyCheck:
         chk = energy_inequality_check(u1, u2, 0.5, _STD_SLIP, lam_cap)
         holds_all &= chk.holds
         worst = max(worst, (chk.lhs - chk.rhs) / (1.0e-8 * chk.norm_sq))
-    packet = _fastest_mode_packet()
+    packet = _fastest_mode_packet(battery)
     u1, u2 = velocity_from_streamfunction(field_from_packet(packet, 8, 64, 1.0))
     chk = energy_inequality_check(u1, u2, 0.5, _STD_SLIP, lam_cap)
     eq_rel = abs(chk.lhs / chk.norm_sq - packet.top_lambda) / packet.top_lambda
@@ -357,12 +364,12 @@ def check_energy_fuzz(seed=0) -> PropertyCheck:
                   {"fields": 25, "worst_ratio": worst, "mode_equality_rel": eq_rel})
 
 
-def check_checkpoint_roundtrip(seed=0) -> PropertyCheck:
+def check_checkpoint_roundtrip(battery: _Battery) -> PropertyCheck:
     """Step, checkpoint mid-way, resume: bit-identical final state."""
     import tempfile
     from pathlib import Path
 
-    field = field_from_packet(_fastest_mode_packet(), 8, 56, 1.0)
+    field = field_from_packet(_fastest_mode_packet(battery), 8, 56, 1.0)
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.08,
                     diagnostics_stride=10)
@@ -386,9 +393,9 @@ def check_checkpoint_roundtrip(seed=0) -> PropertyCheck:
     return _check("checkpoint_roundtrip", margin, {"bit_identical": bool(same)})
 
 
-def check_run_invariants(seed=0) -> PropertyCheck:
+def check_run_invariants(battery: _Battery) -> PropertyCheck:
     """Nonlinear run preserves reality, boundary conditions, energy budget."""
-    field = field_from_packet(_fastest_mode_packet(), 8, 56, 1.0)
+    field = field_from_packet(_fastest_mode_packet(battery), 8, 56, 1.0)
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
                     diagnostics_stride=10)
@@ -446,7 +453,14 @@ CHECK_NAMES = (
 
 def verify_all(seed: int = 0):
     """Run every property check; deterministic for a fixed seed."""
-    return [f(seed=seed) for f in _CHECKS]
+    basis48 = build_basis(48)
+    battery = _Battery(
+        seed=seed,
+        basis48=basis48,
+        basis64=build_basis(64),
+        reference=solve_spectrum(assemble(_REFERENCE, basis48)),
+    )
+    return [f(battery) for f in _CHECKS]
 
 
 def verification_report(seed: int = 0) -> dict:

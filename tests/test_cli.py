@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import slipflow
 from slipflow.cli import main
 from slipflow.critical import mu_c_global
 from slipflow.model import SlipPair
@@ -250,6 +252,21 @@ class TestUsageErrors:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_cfl_limit_is_not_a_setting(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {"cfl_limit": 0.3}}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "simulate",
+                     "--t-end", "0.01")
+        assert rc == 2
+        assert "cfl_limit" in capsys.readouterr().err
+
+    def test_unknown_experiment_key_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"viscosity": 0.1, "experiment": {"out_dir": "x"}}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "experiment")
+        assert rc == 2
+        assert "out_dir" in capsys.readouterr().err
+
 
 class TestModuleInvocation:
     def test_python_dash_m_entry_point(self, tmp_path):
@@ -261,3 +278,21 @@ class TestModuleInvocation:
         assert proc.returncode == 0
         assert "mu_c_global" in proc.stdout
         assert (tmp_path / "critical.csv").exists()
+
+    def test_import_leaves_numpy_unloaded(self):
+        # --threads pins the BLAS pools through the environment, which only
+        # works while numpy is not yet imported
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import slipflow.cli, sys; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == slipflow.__version__

@@ -41,8 +41,7 @@ def top_mode_velocity(channel, basis48):
     problem = ModeProblem(k=1.0, mu=channel.mu, slip=channel.slip)
     spectrum = solve_spectrum(assemble(problem, basis48))
     profile = packet_streamfunction_profile(build_packet(spectrum, count=1))
-    phi = field_from_mode_profile(profile, n_mode=1, M=8, P=64, L=channel.L,
-                                  kind="sin")
+    phi = field_from_mode_profile(profile, n_mode=1, M=8, P=64, L=channel.L)
     u1, u2 = velocity_from_streamfunction(phi)
     return u1, u2, spectrum.lambda1
 

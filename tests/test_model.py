@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from slipflow.model import (
@@ -16,7 +15,6 @@ from slipflow.model import (
     apply_env_overrides,
     channel_from_config,
     load_config,
-    mode_problem,
 )
 
 
@@ -46,18 +44,18 @@ def test_channel_config_validation():
 
 
 def test_wavenumber_lattice():
-    config = ChannelConfig(L=2.0, mu=0.5, slip=SlipPair(1.0, 1.0))
-    assert config.wavenumber(3) == 1.5
+    sweep = LatticeSweep(L=2.0, mu=0.5, slip=SlipPair(1.0, 1.0), n_max=4)
+    assert sweep.problem(3).k == 1.5
     with pytest.raises(ValidationError):
-        config.wavenumber(0)
+        sweep.problem(0)
 
 
 def test_mode_problem_from_config():
-    config = ChannelConfig(L=2.0, mu=0.3, slip=SlipPair(0.5, 1.5))
-    problem = mode_problem(config, 4)
+    slip = SlipPair(0.5, 1.5)
+    problem = LatticeSweep(L=2.0, mu=0.3, slip=slip, n_max=4).problem(4)
     assert problem.k == 2.0
     assert problem.mu == 0.3
-    assert problem.slip == config.slip
+    assert problem.slip == slip
 
 
 def test_mode_problem_validation():
@@ -69,8 +67,7 @@ def test_mode_problem_validation():
 
 def test_lattice_sweep():
     sweep = LatticeSweep(L=0.5, mu=0.2, slip=SlipPair(1.0, 1.0), n_max=4)
-    assert np.array_equal(sweep.wavenumbers(), [2.0, 4.0, 6.0, 8.0])
-    assert sweep.problem(2).k == 4.0
+    assert [sweep.problem(n).k for n in range(1, 5)] == [2.0, 4.0, 6.0, 8.0]
     with pytest.raises(ValidationError):
         sweep.problem(5)
     with pytest.raises(ValidationError):
@@ -84,7 +81,7 @@ def test_load_config_reads_json(tmp_path):
         "viscosity": 0.25,
         "slip": {"xi_minus": 0.5, "xi_plus": 1.5},
     }))
-    channel = channel_from_config(load_config(path, environ={}))
+    channel = channel_from_config(load_config(path))
     assert channel.L == 2.0
     assert channel.mu == 0.25
     assert channel.slip == SlipPair(0.5, 1.5)
@@ -92,21 +89,21 @@ def test_load_config_reads_json(tmp_path):
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
-        load_config(tmp_path / "absent.json", environ={})
+        load_config(tmp_path / "absent.json")
 
 
 def test_load_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{")
     with pytest.raises(ConfigError):
-        load_config(path, environ={})
+        load_config(path)
 
 
 def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        load_config(path, environ={})
+        load_config(path)
 
 
 def test_env_overrides_scalar_and_nested():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from slipflow.model import LatticeSweep, ModeProblem, SlipPair
 from slipflow.modes import (
     Grid2D,
-    GrowthEnvelope,
     ModePacket,
     build_packet,
     compute_capital_lambda,
@@ -137,15 +136,13 @@ def test_envelope_value(basis48):
 def test_escape_time_single_mode_closed_form(basis48):
     packet = _packet(basis48)
     lam = packet.top_lambda
-    env = GrowthEnvelope(packet=packet, delta=1.0e-6, epsilon0=1.0e-2)
     exact = math.log(1.0e4) / lam
-    assert abs(escape_time(env) - exact) <= 1e-10 * exact
+    assert abs(escape_time(packet, 1.0e-6, 1.0e-2) - exact) <= 1e-10 * exact
 
 
 def test_escape_time_defining_equation_two_modes(basis48):
     packet = _packet(basis48, mu=0.1)
-    env = GrowthEnvelope(packet=packet, delta=1.0e-4, epsilon0=2.0e-2)
-    T = escape_time(env)
+    T = escape_time(packet, 1.0e-4, 2.0e-2)
     assert abs(1.0e-4 * packet_envelope_value(packet, T) - 2.0e-2) <= 1e-12
 
 
@@ -154,20 +151,21 @@ def test_escape_time_defining_equation_two_modes(basis48):
 def test_escape_time_decreasing_in_delta(ratio, basis48):
     packet = _packet(basis48)
     eps = 1.0e-2
-    t_lo = escape_time(GrowthEnvelope(packet=packet, delta=1.0e-7, epsilon0=eps))
-    t_hi = escape_time(GrowthEnvelope(packet=packet, delta=1.0e-7 * ratio, epsilon0=eps))
+    t_lo = escape_time(packet, 1.0e-7, eps)
+    t_hi = escape_time(packet, 1.0e-7 * ratio, eps)
     assert t_hi < t_lo
 
 
 def test_escape_time_validation(basis48):
     packet = _packet(basis48)
-    with pytest.raises(ValueError):
-        escape_time(GrowthEnvelope(packet=packet, delta=2.0e-2, epsilon0=1.0e-2))
-    with pytest.raises(ValueError):
-        GrowthEnvelope(packet=packet, delta=0.0, epsilon0=1.0e-2)
-    with pytest.raises(ValueError):
-        GrowthEnvelope(packet=ModePacket(modes=(), coefficients=np.zeros(0)),
-                       delta=1.0e-6, epsilon0=1.0e-2)
+    with pytest.raises(ValueError, match="already escaped"):
+        escape_time(packet, 2.0e-2, 1.0e-2)
+    with pytest.raises(ValueError, match="delta"):
+        escape_time(packet, 0.0, 1.0e-2)
+    with pytest.raises(ValueError, match="epsilon0"):
+        escape_time(packet, 1.0e-6, 0.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        escape_time(ModePacket(modes=(), coefficients=np.zeros(0)), 1.0e-6, 1.0e-2)
 
 
 def test_compute_capital_lambda(basis48):
@@ -209,8 +207,6 @@ def test_sample_packet_field_is_coefficient_linear(basis48):
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid2D(n1=2, n2=9)
-    with pytest.raises(ValueError):
-        Grid2D(n1=8, n2=8, x2_kind="spooky")
 
 
 def test_packet_streamfunction_profile_consistency(basis48):

@@ -32,7 +32,7 @@ def _mode_field(channel, basis, k=1.0, M=16, P=56, amplitude=1.0):
     profile = packet_streamfunction_profile(build_packet(spectrum, count=1))
     n_mode = int(round(k * channel.L))
     field = field_from_mode_profile(profile, n_mode=n_mode, M=M, P=P,
-                                    L=channel.L, kind="sin")
+                                    L=channel.L)
     return field * amplitude, spectrum.lambda1
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import slipflow.critical
+import slipflow.verification
 from slipflow.verification import CHECK_NAMES, verification_report, verify_all
 
 
@@ -42,6 +43,19 @@ class TestDeterminism:
         a = json.dumps(report, sort_keys=True)
         b = json.dumps(again, sort_keys=True)
         assert a == b
+
+    def test_battery_builds_each_basis_once(self, report, monkeypatch):
+        real = slipflow.verification.build_basis
+        sizes = []
+
+        def counting(N):
+            sizes.append(N)
+            return real(N)
+
+        monkeypatch.setattr(slipflow.verification, "build_basis", counting)
+        checks = verify_all(seed=0)
+        assert sorted(sizes) == [48, 64]
+        assert [c.margin for c in checks] == [c["margin"] for c in report["checks"]]
 
     def test_verify_all_matches_report(self, report):
         checks = verify_all(seed=0)
