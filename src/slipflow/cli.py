@@ -86,12 +86,20 @@ def _resolve_raw(ns) -> dict:
 
 
 def _section(raw: dict, name: str, keys) -> dict:
-    """The config section ``name``, refusing keys outside ``keys``."""
+    """The config section ``name`` spelled as ``keys``, refusing any other key.
+
+    Keys match regardless of case, since environment overrides arrive lower
+    case (SLIPFLOW_SIM__M sets M).
+    """
     from .model import ConfigError
 
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
+    given = raw.get(name, {})
+    if not isinstance(given, dict):
         raise ConfigError(f"{name}: must be a section (JSON object)")
+    spelling = {key.lower(): key for key in keys}
+    section = {spelling.get(key.lower(), key): value for key, value in given.items()}
+    if len(section) < len(given):
+        raise ConfigError(f"{name}: a key is given twice in different case")
     unknown = sorted(set(section) - set(keys))
     if unknown:
         raise ConfigError(f"{name}: unknown keys {unknown}")

@@ -150,7 +150,11 @@ def _parse_env_value(text: str):
 
 
 def apply_env_overrides(raw: dict, environ=None) -> dict:
-    """Overlay SLIPFLOW_* environment variables onto a raw config dict."""
+    """Overlay SLIPFLOW_* environment variables onto a raw config dict.
+
+    Names are case-insensitive: a new key is stored lower case, and a key
+    the section already holds keeps its spelling.
+    """
     env = os.environ if environ is None else environ
     out = json.loads(json.dumps(raw))  # deep copy, JSON-clean
     for name, text in sorted(env.items()):
@@ -161,10 +165,12 @@ def apply_env_overrides(raw: dict, environ=None) -> dict:
             section, key = path.split("__", 1)
             if not section or not key:
                 raise ConfigError(f"{name}: malformed override name")
-            out.setdefault(section, {})
-            if not isinstance(out[section], dict):
+            target = out.setdefault(section, {})
+            if not isinstance(target, dict):
                 raise ConfigError(f"{section}: cannot override a scalar with a section")
-            out[section][key] = _parse_env_value(text)
+            # replace the key the section already spells in another case
+            key = next((k for k in target if k.lower() == key), key)
+            target[key] = _parse_env_value(text)
         else:
             out[path] = _parse_env_value(text)
     return out

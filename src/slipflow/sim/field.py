@@ -88,12 +88,19 @@ def _quad_rule(P: int):
     return x, w, V
 
 
+@lru_cache(maxsize=16)
+def _chebder_matrix(P: int, order: int) -> np.ndarray:
+    """(P, P) map from Chebyshev coefficients to those of the order-th derivative."""
+    der = C.chebder(np.eye(P), order)
+    out = np.zeros((P, P))
+    out[: der.shape[0]] = der
+    out.flags.writeable = False
+    return out
+
+
 def _chebder_rows(rows: np.ndarray, order: int = 1) -> np.ndarray:
     """Chebyshev derivative along axis 1, zero padded back to P columns."""
-    der = C.chebder(rows.T, order).T
-    out = np.zeros_like(rows)
-    out[:, : der.shape[1]] = der
-    return out
+    return rows @ _chebder_matrix(rows.shape[1], order).T
 
 
 @dataclass

@@ -14,15 +14,22 @@ Prognostic variables, per Fourier mode n in x1:
     composed once into one real P x P operator per mode (see ChannelStepper).
   * n = 0: the x1-mean of u1, advanced by Crank-Nicolson diffusion with the
     Robin slip rows mu u' = +xi_+ u (top) and mu u' = -xi_- u (bottom)
-    replacing the wall equations, forced by -d2 mean(u1 u2).
+    replacing the wall equations, forced by -d2 mean(u1 u2).  Its
+    Crank-Nicolson inverse is operator 0 of the same per-mode stack.
 
 Advection uses second-order Adams-Bashforth extrapolation (first step:
 plain Euler weights), evaluated pseudospectrally on a grid padded to 4M
 points in x1 and ceil(3P/2) Chebyshev nodes in x2, which removes quadratic
-aliasing in both directions.  The streamfunction is never stored: it is
-reconstructed from the vorticity at the start of every step, so the
-trajectory is a pure function of (omega, advection history) and restarting
-from a checkpoint reproduces the original run bit for bit.
+aliasing in both directions.  The x2 half of the padding is two fixed real
+matrices built with the operators: the pad matrix maps the P node values to
+the ceil(3P/2) padded node values of the same polynomial, and the unpad
+matrix maps padded node values to the P node values of their truncation to
+P Chebyshev coefficients.  A step runs no DCT, only the x1 FFTs.
+
+The streamfunction is never stored: it is reconstructed from the vorticity
+at the start of every step, so the trajectory is a pure function of (omega,
+advection history) and restarting from a checkpoint reproduces the original
+run bit for bit.
 
 The optional symmetry lock projects the state after every step onto the
 invariant class {phi rows pure imaginary, zero mean flow} (physically:
@@ -37,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from ..model import ChannelConfig, ValidationError
 from .field import (
@@ -133,16 +139,22 @@ def _apply(ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class ChannelStepper:
     """Time stepper owning the stacked per-mode operators and the state.
 
-    ``_T`` (M, P, P) maps the explicit right-hand side row n to the new
-    vorticity row, ``new[n] = T[n-1] @ rhs[n]``.  With Z zeroing the two wall
+    ``_T`` (M+1, P, P) maps the explicit right-hand side row n to the new
+    state row, ``new[n] = T[n] @ rhs[n]``.  With Z zeroing the two wall
     rows, Ainv = A^-1 Z for the Crank-Nicolson Helmholtz matrix A,
     Kinv = -K^-1 Z for the Poisson-Dirichlet matrix K, og = A^-1 [e_0, e_P-1]
     the wall-omega Green columns and S the two slip functionals,
-    T = Ainv - og G^-1 S Kinv Ainv with the influence matrix G = S Kinv og.
-    ``_K`` (M, P, P) holds Kinv, so ``phi[n] = K[n-1] @ omega[n]``.  A G
-    whose condition number exceeds INFLUENCE_COND_MAX raises
-    InfluenceConditioningError when the operators are built.  The mean row
-    (n = 0) keeps its own Robin-row LU.
+    T[n] = Ainv - og G^-1 S Kinv Ainv with the influence matrix G = S Kinv og
+    for n >= 1.  The mean row's A has the two Robin rows as its wall rows
+    and no influence correction, so T[0] = Ainv.  ``_K`` (M, P, P) holds
+    Kinv, so ``phi[n] = K[n-1] @ omega[n]``.  A G whose condition number
+    exceeds INFLUENCE_COND_MAX raises InfluenceConditioningError when the
+    operators are built.
+
+    ``_pad`` (ceil(3P/2), P) takes the P CGL node values of a polynomial to
+    its values at the ceil(3P/2) padded CGL nodes (DCT-I, zero-pad, inverse
+    DCT-I); ``_unpad`` (P, ceil(3P/2)) takes padded node values to the P
+    node values of their first P Chebyshev coefficients.
     """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):
@@ -186,18 +198,21 @@ class ChannelStepper:
         self._explicit_base = eye + alpha * D2  # row form handles kappa below
         self._alpha = alpha
 
-        # Per-mode Poisson-Dirichlet (K) and Crank-Nicolson Helmholtz (A)
-        # matrices with identity wall rows; zeroing the wall columns of their
+        # Per-mode Poisson-Dirichlet (K, modes 1..M) and Crank-Nicolson
+        # Helmholtz (A, modes 0..M) matrices with identity wall rows, except
+        # the mean mode's Robin rows; zeroing the wall columns of their
         # inverses folds in the zeroed wall rows of every right-hand side.
         K = D2 - (self.kappa[1:] ** 2)[:, None, None] * eye
-        A = eye - alpha * K
+        A = eye - alpha * np.concatenate([D2[None], K])
         for mat in (A, K):
             mat[:, 0], mat[:, -1] = eye[0], eye[-1]
+        A[0, 0] = self.mu * D[0] - xi_p * eye[0]
+        A[0, -1] = self.mu * D[-1] + xi_m * eye[-1]
         # each matrix is dropped once inverted and T is formed in place, so
         # at most three (M, P, P) arrays are live during the build
         a_inv = np.linalg.inv(A)
         del A
-        og = a_inv[:, :, [0, -1]]  # unit omega wall values through the solve
+        og = a_inv[1:, :, [0, -1]]  # unit omega wall values through the solve
         a_inv[:, :, [0, -1]] = 0.0
         k_inv = np.linalg.inv(K)
         del K
@@ -216,21 +231,21 @@ class ChannelStepper:
                 f"influence matrix for mode n = {i + 1} is ill-conditioned "
                 f"(cond = {cond[i]:.3g} > {INFLUENCE_COND_MAX:g})"
             )
-        # new[n] = T[n-1] @ rhs[n]: Helmholtz solve, then the wall-omega
+        # new[n] = T[n] @ rhs[n]: Helmholtz solve, then the wall-omega
         # correction that zeroes the slip functionals of its streamfunction
-        a_inv -= og @ np.linalg.solve(G, SK @ a_inv)
+        a_inv[1:] -= og @ np.linalg.solve(G, SK @ a_inv[1:])
         self._T = a_inv
         self._K = k_inv
 
-        # mean mode: Crank-Nicolson diffusion with Robin wall rows
-        A0 = eye - alpha * D2
-        A0[0] = self.mu * D[0] - xi_p * eye[0]
-        A0[-1] = self.mu * D[-1] + xi_m * eye[-1]
-        self._mean_lu = sla.lu_factor(A0)
-
         # product grid padded against quadratic aliasing in x1 and x2
         self._n1 = max(4 * M, 8)
-        self._p_pad = math.ceil(3 * P / 2)
+        p_pad = math.ceil(3 * P / 2)
+        pad_coeffs = np.zeros((p_pad, P))
+        pad_coeffs[:P] = cheb_coeffs_from_values(eye, axis=0)
+        self._pad = cheb_values_from_coeffs(pad_coeffs, axis=0)
+        self._unpad = cheb_values_from_coeffs(
+            cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
+        )
 
     # -- representation changes ----------------------------------------
 
@@ -280,18 +295,14 @@ class ChannelStepper:
     # -- pseudospectral products ----------------------------------------
 
     def _to_phys(self, rows: np.ndarray) -> np.ndarray:
-        c = cheb_coeffs_from_values(rows, axis=1)
-        cpad = np.zeros((rows.shape[0], self._p_pad), dtype=complex)
-        cpad[:, : self.cfg.P] = c
-        vpad = cheb_values_from_coeffs(cpad, axis=1)
-        spec = np.zeros((self._n1 // 2 + 1, self._p_pad), dtype=complex)
-        spec[: self.cfg.M + 1] = vpad
-        return np.fft.irfft(spec, n=self._n1, axis=0) * self._n1
+        """Real values on the padded product grid of node-value rows."""
+        spec = np.zeros((self._n1 // 2 + 1, self.cfg.P), dtype=complex)
+        spec[: self.cfg.M + 1] = rows
+        return (np.fft.irfft(spec, n=self._n1, axis=0) * self._n1) @ self._pad.T
 
     def _from_phys(self, vals: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft(vals, axis=0)[: self.cfg.M + 1] / self._n1
-        c = cheb_coeffs_from_values(spec, axis=1)[:, : self.cfg.P]
-        return cheb_values_from_coeffs(c, axis=1)
+        """Node-value rows of padded product-grid values, truncated to (M+1, P)."""
+        return np.fft.rfft(vals @ self._unpad.T, axis=0)[: self.cfg.M + 1] / self._n1
 
     def _advection(self, phi: np.ndarray) -> np.ndarray:
         """Advection rows: n >= 1 carry u . grad omega at the nodes,
@@ -306,12 +317,9 @@ class ChannelStepper:
         u1p = self._to_phys(u1)
         u2p = self._to_phys(u2)
         adv = self._from_phys(u1p * self._to_phys(w1) + u2p * self._to_phys(w2))
+        # the truncated flux has degree < P, so collocation is exact
         flux = self._from_phys(u1p * u2p)
-        flux_c = cheb_coeffs_from_values(flux[0].real[None, :], axis=1)[0]
-        dflux = np.zeros(self.cfg.P)
-        der = np.polynomial.chebyshev.chebder(flux_c)
-        dflux[: der.size] = der
-        adv[0] = cheb_values_from_coeffs(dflux[None, :], axis=1)[0]
+        adv[0] = flux[0].real @ self.D.T
         return adv
 
     # -- stepping --------------------------------------------------------
@@ -334,12 +342,7 @@ class ChannelStepper:
             - self._alpha * (self.kappa**2)[:, None] * self._omega
         )
         rhs = explicit - cfg.dt * adv_x
-        new = np.empty_like(self._omega)
-        new[1:] = _apply(self._T, rhs[1:])
-        b0 = rhs[0].real.copy()
-        b0[0] = b0[-1] = 0.0
-        new[0] = sla.lu_solve(self._mean_lu, b0)
-        self._omega = new
+        self._omega = _apply(self._T, rhs)
         self._n_prev = adv
         self._have_history = True
         self.t += cfg.dt

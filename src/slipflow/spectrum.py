@@ -200,37 +200,20 @@ def spectrum_residuals(spectrum: Spectrum):
 
 
 def _largest_tridiagonal_eigenvalue(alpha: np.ndarray, beta: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric tridiagonal matrix by Sturm bisection."""
+    """Largest eigenvalue of a symmetric tridiagonal matrix by Sturm bisection.
+
+    LAPACK's stebz bisects with the smallest absolute tolerance it accepts,
+    so the eigenvalue keeps its digits even when it is small beside the
+    Gershgorin bound of the whole matrix.
+    """
     n = alpha.size
-    pad = np.concatenate(([0.0], np.abs(beta), [0.0]))
-    radius = pad[:n] + pad[1 : n + 1]
-    lo = float(np.min(alpha - radius))
-    hi = float(np.max(alpha + radius))
-    scale = max(abs(lo), abs(hi), 1e-300)
-
-    def count_below(x: float) -> int:
-        # Sturm sequence: the number of negative pivots of T - x I equals
-        # the number of eigenvalues below x.
-        count = 0
-        d = 1.0
-        for i in range(n):
-            off = beta[i - 1] ** 2 if i else 0.0
-            d = alpha[i] - x - off / d
-            if d == 0.0:
-                d = -1e-300
-            if d < 0.0:
-                count += 1
-        return count
-
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if count_below(mid) >= n:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * scale:
-            break
-    return 0.5 * (lo + hi)
+    if n == 1:
+        return float(alpha[0])
+    top = linalg.eigh_tridiagonal(
+        alpha, beta, eigvals_only=True, select="i", select_range=(n - 1, n - 1),
+        lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
+    )
+    return float(top[0])
 
 
 def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0) -> float:

@@ -194,6 +194,24 @@ class TestConfigResolution:
         footer = (out / "critical.csv").read_text().splitlines()[-1]
         assert float(footer.split("=")[1]) == mu_c_global(SlipPair(2.0, 2.0))
 
+    def test_env_sets_the_grid_size(self):
+        from slipflow.cli import _sim_config
+        from slipflow.model import ChannelConfig, apply_env_overrides
+
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        env = {"SLIPFLOW_SIM__M": "6", "SLIPFLOW_SIM__P": "24"}
+        cfg = _sim_config(apply_env_overrides({}, environ=env), SimpleNamespace(), channel)
+        assert (cfg.M, cfg.P) == (6, 24)
+        raw = apply_env_overrides({"sim": {"M": 8, "P": 32}}, environ=env)
+        cfg = _sim_config(raw, SimpleNamespace(), channel)
+        assert (cfg.M, cfg.P) == (6, 24)
+
+    def test_env_grid_size_reaches_the_simulation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SLIPFLOW_SIM__M", "1")  # below SimConfig's minimum
+        rc = run_cli("--out", tmp_path, "simulate", "--t-end", "0.01")
+        assert rc == 2
+        assert "need at least 2 Fourier modes" in capsys.readouterr().err
+
     def test_digest_tracks_the_resolved_config(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("--out", a, "critical", "--k", "1", "2", "--points", "3")
@@ -251,6 +269,14 @@ class TestUsageErrors:
                      "--t-end", "0.01")
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_sim_key_given_twice_in_different_case(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {"M": 4, "m": 6}}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "simulate",
+                     "--t-end", "0.01")
+        assert rc == 2
+        assert "twice" in capsys.readouterr().err
 
     def test_cfl_limit_is_not_a_setting(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -197,3 +197,20 @@ def test_cgl_nodes_descending():
     assert np.all(np.diff(x) < 0.0)
     with pytest.raises(ValueError):
         cgl_nodes(3)
+
+
+@pytest.mark.parametrize("P", [24, 56, 64])
+@pytest.mark.parametrize("order", [1, 2])
+def test_chebder_rows_matches_numpy_chebder(P, order):
+    from numpy.polynomial import chebyshev as C
+
+    from slipflow.sim.field import _chebder_rows
+
+    rng = np.random.default_rng(P + order)
+    rows = rng.standard_normal((9, P)) + 1j * rng.standard_normal((9, P))
+    der = C.chebder(rows.T, order).T
+    want = np.zeros_like(rows)
+    want[:, : der.shape[1]] = der
+    got = _chebder_rows(rows, order)
+    assert got.shape == rows.shape
+    assert np.abs(got - want).max() <= 1.0e-13 * np.abs(want).max()

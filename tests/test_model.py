@@ -125,6 +125,14 @@ def test_env_overrides_create_missing_section():
     assert out["sim"]["dt"] == 0.001
 
 
+def test_env_overrides_match_keys_in_any_case():
+    out = apply_env_overrides({}, {ENV_PREFIX + "SIM__M": "6"})
+    assert out["sim"] == {"m": 6}
+    raw = {"sim": {"M": 32, "dt": 0.1}}
+    env = {ENV_PREFIX + "SIM__M": "6", ENV_PREFIX + "SIM__DT": "0.01"}
+    assert apply_env_overrides(raw, env)["sim"] == {"M": 6, "dt": 0.01}
+
+
 def test_env_overrides_malformed_name():
     with pytest.raises(ConfigError):
         apply_env_overrides({}, {ENV_PREFIX + "SLIP__": "1"})

@@ -84,6 +84,26 @@ def test_lambda1_variational_matches_pencil(basis64):
         assert abs(lam_v - lam_g) <= 1e-8 * max(abs(lam_g), 1e-6)
 
 
+@pytest.fixture(scope="module")
+def basis96():
+    return build_basis(96)
+
+
+@pytest.mark.parametrize("k", [0.05, 0.5])
+@pytest.mark.parametrize("xi", [(1.0, 1.0), (0.0, 3.0), (10.0, 0.1)])
+def test_lambda1_variational_keeps_digits_near_mu_c(k, xi, basis96):
+    # just below mu_c, lambda_1 is small beside the spread of the whitened
+    # operator, so the tridiagonal bisection must stop on the eigenvalue's
+    # own scale, not on a fraction of the Gershgorin bound
+    from slipflow.critical import mu_c_closed_form
+
+    slip = SlipPair(*xi)
+    problem = ModeProblem(k=k, mu=0.999 * mu_c_closed_form(k, slip), slip=slip)
+    lam_g = solve_spectrum(assemble(problem, basis96)).lambda1
+    lam_v = lambda1_variational(problem, basis96)
+    assert abs(lam_v - lam_g) <= 1e-8 * abs(lam_g)
+
+
 def test_characteristic_determinant_requires_positive_lambda():
     problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
     with pytest.raises(ValueError):

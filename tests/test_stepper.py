@@ -23,6 +23,7 @@ from slipflow.sim.field import (
     SpectralField2D,
     cgl_nodes,
     cheb_coeffs_from_values,
+    cheb_values_from_coeffs,
     scalar_norms,
     slip_residuals,
 )
@@ -225,14 +226,20 @@ class _PerModeReference(ChannelStepper):
 
     Helmholtz solve, Poisson solve, slip functionals and the 2x2 influence
     correction are applied in sequence for every Fourier mode, the way the
-    composed operator ``T`` is defined, so the stacked path can be checked
-    against it.
+    composed operator ``T`` is defined, and the mean row is solved with an
+    LU of its Robin-row Crank-Nicolson matrix, so the stacked path can be
+    checked against it.
     """
 
     def _build_operators(self):
         super()._build_operators()
         P = self.cfg.P
         eye = np.eye(P)
+        xi = self.slip
+        A0 = eye - self._alpha * self.D2
+        A0[0] = self.mu * self.D[0] - xi.xi_plus * eye[0]
+        A0[-1] = self.mu * self.D[-1] + xi.xi_minus * eye[-1]
+        self.mean_lu = sla.lu_factor(A0)
         self.ref = []
         for n in range(1, self.cfg.M + 1):
             H = self.D2 - self.kappa[n] ** 2 * eye
@@ -275,7 +282,7 @@ class _PerModeReference(ChannelStepper):
             new[n] = w_p - og @ np.linalg.solve(G, s)
         b0 = rhs[0].real.copy()
         b0[0] = b0[-1] = 0.0
-        new[0] = sla.lu_solve(self._mean_lu, b0)
+        new[0] = sla.lu_solve(self.mean_lu, b0)
         self._omega, self._n_prev, self._have_history = new, adv, True
         self.t += cfg.dt
         if cfg.lock_symmetry:
@@ -309,3 +316,120 @@ class TestStackedOperators:
         got = stacked.streamfunction().coefficients
         want = reference.streamfunction().coefficients
         assert np.abs(got - want).max() <= 1.0e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("xi", [(1.0, 1.0), (0.0, 3.0), (10.0, 0.1)])
+    def test_unlocked_nonlinear_mean_row_matches(self, xi):
+        M, P = 6, 24
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(*xi))
+        rng = np.random.default_rng(11)
+        decay = np.exp(-0.4 * np.arange(P))
+        rows = (rng.standard_normal((M + 1, P))
+                + 1j * rng.standard_normal((M + 1, P))) * decay * 1.0e-3
+        rows[0] = rng.standard_normal(P) * decay * 1.0e-3
+        field = SpectralField2D(rows, channel.L)
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05)
+        stacked = ChannelStepper(cfg, field)
+        reference = _PerModeReference(cfg, field)
+        for _ in range(50):
+            stacked.step()
+            reference.step()
+        # the mean row is forced by the advective flux, not only diffused
+        assert np.abs(stacked._n_prev[0]).max() > 1.0e-6 * np.abs(stacked._omega).max()
+        scale = np.abs(reference._omega).max()
+        assert np.abs(stacked._omega - reference._omega).max() <= 1.0e-10 * scale
+        mean = reference._omega[0]
+        assert np.abs(stacked._omega[0] - mean).max() <= 1.0e-10 * np.abs(mean).max()
+
+
+def _dct_to_phys(stepper, rows):
+    """Padded product-grid values by DCT-I, zero-pad, inverse DCT-I, irfft."""
+    M, P, n1 = stepper.cfg.M, stepper.cfg.P, stepper._n1
+    p_pad = math.ceil(3 * P / 2)
+    cpad = np.zeros((rows.shape[0], p_pad), dtype=complex)
+    cpad[:, :P] = cheb_coeffs_from_values(rows, axis=1)
+    spec = np.zeros((n1 // 2 + 1, p_pad), dtype=complex)
+    spec[: M + 1] = cheb_values_from_coeffs(cpad, axis=1)
+    return np.fft.irfft(spec, n=n1, axis=0) * n1
+
+
+def _dct_from_phys(stepper, vals):
+    """Node-value rows by rfft, DCT-I, truncation to P, inverse DCT-I."""
+    M, P, n1 = stepper.cfg.M, stepper.cfg.P, stepper._n1
+    spec = np.fft.rfft(vals, axis=0)[: M + 1] / n1
+    c = cheb_coeffs_from_values(spec, axis=1)[:, :P]
+    return cheb_values_from_coeffs(c, axis=1)
+
+
+def _dct_advection(stepper, phi):
+    """The advection rows with the DCT transforms and a chebder mean flux."""
+    u1, u2 = stepper._velocity_nodes(phi, stepper._omega[0])
+    wtot = stepper._omega.copy()
+    wtot[0] = -(stepper._omega[0].real @ stepper.D.T)
+    w1 = (1j * stepper.kappa)[:, None] * wtot
+    w2 = wtot @ stepper.D.T
+    u1p, u2p = _dct_to_phys(stepper, u1), _dct_to_phys(stepper, u2)
+    adv = _dct_from_phys(
+        stepper,
+        u1p * _dct_to_phys(stepper, w1) + u2p * _dct_to_phys(stepper, w2),
+    )
+    flux = _dct_from_phys(stepper, u1p * u2p)
+    flux_c = cheb_coeffs_from_values(flux[0].real[None, :], axis=1)[0]
+    dflux = np.zeros(stepper.cfg.P)
+    der = np.polynomial.chebyshev.chebder(flux_c)
+    dflux[: der.size] = der
+    adv[0] = cheb_values_from_coeffs(dflux[None, :], axis=1)[0]
+    return adv
+
+
+def _transform_mismatch(stepper, rng):
+    """Largest relative difference of the matrix maps from the DCT path."""
+    M, P, n1 = stepper.cfg.M, stepper.cfg.P, stepper._n1
+    rows = rng.standard_normal((M + 1, P)) + 1j * rng.standard_normal((M + 1, P))
+    rows[0] = rows[0].real
+    vals = rng.standard_normal((n1, math.ceil(3 * P / 2)))
+    worst = 0.0
+    for got, want in ((stepper._to_phys(rows), _dct_to_phys(stepper, rows)),
+                      (stepper._from_phys(vals), _dct_from_phys(stepper, vals))):
+        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+    return worst
+
+
+class TestPaddedTransforms:
+    """The pad and unpad matrices against the DCT-I composition they replace."""
+
+    @staticmethod
+    def _stepper(P, rows=None):
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        M = 6
+        if rows is None:
+            rows = np.zeros((M + 1, P), dtype=complex)
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05)
+        return ChannelStepper(cfg, SpectralField2D(rows, channel.L))
+
+    @pytest.mark.parametrize("P", [24, 56, 64])
+    def test_matrices_match_dct_path(self, P):
+        stepper = self._stepper(P)
+        assert stepper._pad.shape == (math.ceil(3 * P / 2), P)
+        assert stepper._unpad.shape == (P, math.ceil(3 * P / 2))
+        assert _transform_mismatch(stepper, np.random.default_rng(P)) <= 1.0e-13
+
+    @pytest.mark.parametrize("P", [24, 56, 64])
+    def test_perturbed_pad_matrix_is_caught(self, P):
+        stepper = self._stepper(P)
+        rng = np.random.default_rng(P + 1)
+        stepper._pad = stepper._pad * (1.0 + 1.0e-9 * rng.standard_normal(stepper._pad.shape))
+        assert _transform_mismatch(stepper, np.random.default_rng(P)) > 1.0e-13
+
+    @pytest.mark.parametrize("P", [24, 56])
+    def test_advection_matches_dct_path(self, P):
+        M = 6
+        rng = np.random.default_rng(P + 2)
+        decay = np.exp(-0.3 * np.arange(P))
+        rows = (rng.standard_normal((M + 1, P))
+                + 1j * rng.standard_normal((M + 1, P))) * decay
+        rows[0] = rng.standard_normal(P) * decay
+        stepper = self._stepper(P, rows)
+        phi = stepper._solve_phi(stepper._omega)
+        got, want = stepper._advection(phi), _dct_advection(stepper, phi)
+        assert np.abs(got - want).max() <= 1.0e-12 * np.abs(want).max()
+        assert np.abs(got[0] - want[0]).max() <= 1.0e-12 * np.abs(want[0]).max()
