@@ -186,34 +186,24 @@ def _cmd_critical(ns, out, channel):
 
 
 def _cmd_spectrum(ns, out, channel):
-    import numpy as np
-
     from .model import ModeProblem
     from .numerics import build_basis
     from .output import write_csv, write_json
-    from .spectrum import assemble, determinant_roots, solve_spectrum
+    from .spectrum import assemble, oracle_agreement, solve_spectrum
 
     problem = ModeProblem(k=ns.k, mu=channel.mu, slip=channel.slip)
     spectrum = solve_spectrum(assemble(problem, build_basis(ns.basis)))
     write_csv(out / "spectrum.csv", "n,lambda", enumerate(spectrum.eigenvalues, start=1))
 
-    roots = np.sort(np.asarray(determinant_roots(problem).roots))[::-1]
-    n_gal = spectrum.positive_count
-    n_pairs = min(n_gal, roots.size)
-    if n_pairs:
-        gal = spectrum.eigenvalues[:n_pairs]
-        rel = np.abs(gal - roots[:n_pairs]) / np.abs(roots[:n_pairs])
-        max_rel = float(rel.max())
-    else:
-        max_rel = 0.0
+    n_gal, n_oracle, max_rel = oracle_agreement(spectrum)
     report = {
-        "positive_count_galerkin": int(n_gal),
-        "positive_count_oracle": int(roots.size),
+        "positive_count_galerkin": n_gal,
+        "positive_count_oracle": n_oracle,
         "max_rel_mismatch": max_rel,
     }
     write_json(out / "spectrum_report.json", report)
-    ok = n_gal == roots.size and max_rel <= 1.0e-6
-    print(f"spectrum: k = {ns.k:g}, positive count {n_gal} (oracle {roots.size}), "
+    ok = n_gal == n_oracle and max_rel <= 1.0e-6
+    print(f"spectrum: k = {ns.k:g}, positive count {n_gal} (oracle {n_oracle}), "
           f"max relative mismatch {max_rel:.3e} -> {'ok' if ok else 'MISMATCH'}")
     args = {"k": ns.k, "basis": ns.basis}
     return (0 if ok else 1), ["spectrum.csv", "spectrum_report.json"], args

@@ -42,6 +42,7 @@ __all__ = [
     "ModePacket",
     "Grid2D",
     "build_mode",
+    "mode_residuals",
     "build_packet",
     "reduced_packet",
     "modes_from_spectrum",
@@ -53,10 +54,7 @@ __all__ = [
     "default_epsilon0",
     "escape_time",
     "packet_streamfunction_profile",
-    "PACKET_SIZE_CAP",
 ]
-
-PACKET_SIZE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -190,6 +188,27 @@ def build_mode(problem: ModeProblem, lam: float, phi: CoeffVector) -> NormalMode
     return NormalMode(problem=problem, lam=float(lam), phi=phi, psi=ChebSeries(c_psi), pi=ChebSeries(c_pi))
 
 
+def mode_residuals(mode: NormalMode):
+    """Residuals of a mode triple in the linearized system and wall conditions.
+
+    Returns (line1, line2, wall, slip): the L2 norms over [-1, 1] of the two
+    momentum lines, max |phi(+/-1)|, and the larger slip defect
+    |mu psi'(+/-1) -/+ xi_{+/-} psi(+/-1)|.  The quadrature is Gauss-Legendre
+    with four points more than the trial basis size.
+    """
+    prob = mode.problem
+    k, mu, lam = prob.k, prob.mu, mode.lam
+    psi, phi, pi = mode.psi, mode.phi, mode.pi
+    x, w = np.polynomial.legendre.leggauss(phi.basis.size + 4)
+    r1 = lam * psi(x) - k * pi(x) + mu * (k * k * psi(x) - psi(x, 2))
+    r2 = lam * phi(x) + pi(x, 1) + mu * (k * k * phi(x) - phi(x, 2))
+    wall = max(abs(float(phi(1.0))), abs(float(phi(-1.0))))
+    slip_p = abs(mu * psi(1.0, 1) - prob.slip.xi_plus * psi(1.0))
+    slip_m = abs(mu * psi(-1.0, 1) + prob.slip.xi_minus * psi(-1.0))
+    return (math.sqrt(float(w @ r1**2)), math.sqrt(float(w @ r2**2)), wall,
+            float(max(slip_p, slip_m)))
+
+
 def modes_from_spectrum(spectrum: Spectrum, count: int | None = None):
     """The positive-growth modes of a spectrum, ordered by increasing rate."""
     n_pos = spectrum.positive_count
@@ -207,14 +226,16 @@ def build_packet(
     count: int | None = None,
     coefficients=None,
 ) -> ModePacket:
-    """Packet of the unstable modes of one wavenumber (at most 8, c_j = 1).
+    """Packet of the unstable modes of one wavenumber (c_j = 1 by default).
 
     Uses all positive growth rates when ``count`` is None; fewer positive
     modes than requested is not an error, the packet simply carries what
-    exists.
+    exists.  A wavenumber has at most two unstable modes: B = R - mu E adds
+    the rank <= 2 slip boundary form R to a negative definite form, so B has
+    at most two positive eigenvalues, and by Sylvester's law of inertia so
+    has the pencil B v = lambda A v.
     """
-    cap = PACKET_SIZE_CAP if count is None else min(count, PACKET_SIZE_CAP)
-    modes = modes_from_spectrum(spectrum, cap)
+    modes = modes_from_spectrum(spectrum, count)
     if coefficients is None:
         coefficients = np.ones(len(modes))
     coefficients = np.asarray(coefficients, dtype=float)

@@ -202,17 +202,16 @@ def _run_one_delta(
     rec_steps, rows = [], []
 
     def record(m: int):
-        vel = {name: st.velocity() for name, st in steppers.items()}
-        u_nf, u_lf = vel["nf"], vel["lf"]
-        u_nr = vel.get("nr", zero_pair)
-        u_lr = vel.get("lr", zero_pair)
-        t = steppers["nf"].t
-        f_t = delta * packet_envelope_value(packet, t)
-        l2_nf, _, h2_nf = velocity_norms(*u_nf)
+        u_nf, (l2_nf, _, h2_nf), cfl = recorder.record()
+        u_lf = steppers["lf"].velocity()
         if reduced_active:
+            u_nr, u_lr = steppers["nr"].velocity(), steppers["lr"].velocity()
             l2_nr, _, h2_nr = velocity_norms(*u_nr)
         else:
+            u_nr = u_lr = zero_pair
             l2_nr = h2_nr = 0.0
+        t = steppers["nf"].t
+        f_t = delta * packet_envelope_value(packet, t)
         rec_steps.append(m)
         rows.append(
             (
@@ -226,8 +225,7 @@ def _run_one_delta(
                 h2_nf + h2_nr,
             )
         )
-        recorder.record()
-        if steppers["nf"].cfl_number() > 1.0:
+        if cfl > 1.0:
             raise SimulationBlowupError(
                 f"advective CFL exceeded 1 at t = {t:.6g}"
             )

@@ -102,16 +102,23 @@ class _Recorder:
         self.rows = []
 
     def record(self):
+        """Append the diagnostics row of the stepper's current state.
+
+        The state's streamfunction is solved once and shared by every
+        quantity; returns the velocity (u1, u2), its norms (l2, h1, h2) and
+        the advective CFL number.
+        """
         st = self.stepper
-        cfg = st.cfg
-        u1, u2 = st.velocity()
-        l2, h1, h2 = velocity_norms(u1, u2)
+        phi = st._solve_phi(st._omega)
+        u1, u2 = st._velocity_fields(st._omega, phi)
+        norms = velocity_norms(u1, u2)
+        l2, h1, h2 = norms
         bp = boundary_production(u1, st.slip)
         diss = gradient_dissipation(u1, u2, st.mu)
-        visc, adv = st.tendency_split()
+        visc, adv = st._tendency_split(phi)
         v1, v2 = st.tendency_velocity(visc)
         dedt_v = scalar_inner(u1, v1) + scalar_inner(u2, v2)
-        if cfg.linearized:
+        if st.cfg.linearized:
             dedt_a = 0.0
         else:
             a1, a2 = st.tendency_velocity(adv)
@@ -120,6 +127,7 @@ class _Recorder:
         dedt = dedt_v + dedt_a
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
+        return (u1, u2), norms, st._cfl(phi)
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)
@@ -169,8 +177,8 @@ def run(
             stepper.step()
             at_record = m % cfg.diagnostics_stride == 0 or m == cfg.n_steps
             if at_record:
-                rec.record()
-                if stepper.cfl_number() > 1.0:
+                _, _, cfl = rec.record()
+                if cfl > 1.0:
                     raise SimulationBlowupError(
                         f"advective CFL exceeded 1 at t = {stepper.t:.6g}"
                     )

@@ -273,9 +273,9 @@ class ChannelStepper:
         u2[0] = 0.0
         return u1, u2
 
-    def _velocity_fields(self, rows: np.ndarray):
-        """(u1, u2) coefficient fields of state-shaped rows."""
-        u1, u2 = self._velocity_nodes(self._solve_phi(rows), rows[0])
+    def _velocity_fields(self, rows: np.ndarray, phi: np.ndarray):
+        """(u1, u2) coefficient fields of state-shaped rows with streamfunction phi."""
+        u1, u2 = self._velocity_nodes(phi, rows[0])
         return (
             SpectralField2D(cheb_coeffs_from_values(u1, axis=1), self.L),
             SpectralField2D(cheb_coeffs_from_values(u2, axis=1), self.L),
@@ -290,7 +290,7 @@ class ChannelStepper:
 
     def velocity(self):
         """(u1, u2) as coefficient-space fields."""
-        return self._velocity_fields(self._omega)
+        return self._velocity_fields(self._omega, self._solve_phi(self._omega))
 
     # -- pseudospectral products ----------------------------------------
 
@@ -360,7 +360,11 @@ class ChannelStepper:
 
         Uses the largest |u1| and |u2| on the product grid.
         """
-        u1, u2 = self._velocity_nodes(self._solve_phi(self._omega), self._omega[0])
+        return self._cfl(self._solve_phi(self._omega))
+
+    def _cfl(self, phi: np.ndarray) -> float:
+        """``cfl_number`` given the state's streamfunction rows phi."""
+        u1, u2 = self._velocity_nodes(phi, self._omega[0])
         m1 = float(np.abs(self._to_phys(u1)).max(initial=0.0))
         m2 = float(np.abs(self._to_phys(u2)).max(initial=0.0))
         dx1 = 2.0 * math.pi * self.L / self._n1
@@ -382,17 +386,18 @@ class ChannelStepper:
         Returns (visc, adv) shaped like the state: rows n >= 1 give
         d omega_n/dt contributions, row 0 gives d ubar/dt contributions.
         """
-        phi = self._solve_phi(self._omega)
+        return self._tendency_split(self._solve_phi(self._omega))
+
+    def _tendency_split(self, phi: np.ndarray):
+        """``tendency_split`` given the state's streamfunction rows phi."""
         w = self._omega
         visc = self.mu * (w @ self.D2.T - (self.kappa**2)[:, None] * w)
         visc[0] = self.mu * (w[0].real @ self.D2.T)
-        adv_rows = self._advection(phi)
-        adv = -adv_rows
-        return visc, adv
+        return visc, -self._advection(phi)
 
     def tendency_velocity(self, rows: np.ndarray):
         """Velocity-space image of tendency rows (same mapping as the state)."""
-        return self._velocity_fields(rows)
+        return self._velocity_fields(rows, self._solve_phi(rows))
 
 
 def check_boundary_conditions(state: SpectralField2D, cfg: SimConfig):

@@ -55,12 +55,11 @@ __all__ = [
     "lambda1_variational",
     "characteristic_determinant",
     "determinant_roots",
+    "oracle_agreement",
     "spectrum_residuals",
+    "gram_defects",
     "resolved_count",
-    "DEFAULT_SCAN_FACTOR",
 ]
-
-DEFAULT_SCAN_FACTOR = 1e4  # scan upper bound: 1e4 * mu * k^2
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DeterminantTrace:
-    """Scan of the characteristic determinant over a geometric lambda grid."""
+    """Positive roots of the characteristic determinant, ascending."""
 
     problem: ModeProblem
-    lambda_grid: np.ndarray
-    det_values: np.ndarray
     roots: np.ndarray
 
 
@@ -192,6 +189,18 @@ def spectrum_residuals(spectrum: Spectrum):
     bc_minus = np.abs(mu * wall[2][0] + prob.slip.xi_minus * wall[1][0])
     bc_plus = np.abs(mu * wall[2][1] - prob.slip.xi_plus * wall[1][1])
     return strong, bc_minus, bc_plus
+
+
+def gram_defects(spectrum: Spectrum, n: int):
+    """A-normalization and orthogonality defects of the leading n eigenvectors.
+
+    Returns (norm, orthogonality): the largest |G_ii - 1| and |G_ij|, i != j,
+    of the Gram matrix G = V^T A V of the first n coefficient columns V.
+    """
+    V = spectrum.coefficients[:, :n]
+    gram = V.T @ gram_form(spectrum.problem.k, spectrum.basis) @ V
+    diag = np.diag(gram)
+    return float(np.abs(diag - 1.0).max()), float(np.abs(gram - np.diag(diag)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -290,37 +299,24 @@ def characteristic_determinant(lam: float, problem: ModeProblem) -> float:
     return float(np.linalg.det(mat))
 
 
-def determinant_roots(
-    problem: ModeProblem,
-    lambda_max: float | None = None,
-    grid_points: int = 512,
-    lambda_min: float | None = None,
-) -> DeterminantTrace:
+def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
     """Scan the determinant on a geometric grid and refine every sign change.
 
-    The default window is (1e-10, 1] * 1e4 * mu * k^2, geometric so the
-    bracket resolution is uniform in m ~ sqrt(lambda/mu).  An empty root
-    list is a valid outcome (stable wavenumber).
+    The window is (1e-10, 1] * 1e4 * mu * k^2 with 512 points, geometric so
+    the bracket resolution is uniform in m ~ sqrt(lambda/mu).  An empty root
+    list is a valid outcome (stable wavenumber).  The scan misses roots above
+    the window (the leading root once mu <= 0.01 mu_c) and pairs of roots
+    closer than a grid cell (near-degenerate equal-slip pairs).
     """
-    if lambda_max is None:
-        lambda_max = DEFAULT_SCAN_FACTOR * problem.mu * problem.k ** 2
-    if not lambda_max > 0.0:
-        raise ValueError(f"lambda_max must be > 0, got {lambda_max}")
-    if grid_points < 64:
-        raise ValueError(f"grid_points must be >= 64, got {grid_points}")
-    if lambda_min is None:
-        lambda_min = 1e-10 * lambda_max
-    if not 0.0 < lambda_min < lambda_max:
-        raise ValueError(f"need 0 < lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]")
-
-    grid = np.geomspace(lambda_min, lambda_max, grid_points)
+    lambda_max = 1e4 * problem.mu * problem.k ** 2
+    grid = np.geomspace(1e-10 * lambda_max, lambda_max, 512)
     values = np.array([characteristic_determinant(x, problem) for x in grid])
 
     def f(lam: float) -> float:
         return characteristic_determinant(lam, problem)
 
     roots = []
-    for i in range(grid_points - 1):
+    for i in range(grid.size - 1):
         a, b = grid[i], grid[i + 1]
         fa, fb = values[i], values[i + 1]
         if fa == 0.0:
@@ -330,9 +326,18 @@ def determinant_roots(
             continue  # captured as the left endpoint of the next interval
         if np.sign(fa) != np.sign(fb):
             roots.append(find_root_bracketed(f, a, b, tol=1e-14 * b))
-    return DeterminantTrace(
-        problem=problem,
-        lambda_grid=grid,
-        det_values=values,
-        roots=np.array(sorted(set(roots))),
-    )
+    return DeterminantTrace(problem=problem, roots=np.array(sorted(set(roots))))
+
+
+def oracle_agreement(spectrum: Spectrum):
+    """Pair the positive Galerkin eigenvalues with the determinant roots.
+
+    Returns (galerkin_count, oracle_count, max_rel_mismatch): the two positive
+    counts and the largest |lambda_j - root_j| / root_j over the leading
+    min(galerkin_count, oracle_count) pairs, both in descending order; the
+    mismatch is 0 when there is no pair.
+    """
+    roots = determinant_roots(spectrum.problem).roots[::-1]
+    n = min(spectrum.positive_count, roots.size)
+    rel = np.abs(spectrum.eigenvalues[:n] - roots[:n]) / roots[:n]
+    return spectrum.positive_count, int(roots.size), float(rel.max()) if n else 0.0

@@ -26,7 +26,8 @@ from .numerics import ChebBasis, build_basis
 from .spectrum import (
     Spectrum,
     assemble,
-    determinant_roots,
+    gram_defects,
+    oracle_agreement,
     resolved_count,
     solve_spectrum,
     spectrum_residuals,
@@ -35,11 +36,13 @@ from .modes import (
     build_packet,
     compute_capital_lambda,
     escape_time,
+    mode_residuals,
     packet_envelope_value,
     packet_l2_norm,
 )
 from .sim.field import (
     SpectralField2D,
+    cheb_coeffs_from_values,
     divergence_max,
     field_from_packet,
     field_from_values,
@@ -141,19 +144,15 @@ def check_spectrum_oracle(battery: _Battery) -> PropertyCheck:
         (2.0, 0.9 * critical.mu_c_closed_form(2.0, SlipPair(0.0, 3.0)), SlipPair(0.0, 3.0)),
     ]
     for k, mu, pair in cases:
-        prob = ModeProblem(k=k, mu=mu, slip=pair)
-        spec = solve_spectrum(assemble(prob, basis))
-        roots = determinant_roots(prob).roots
-        pos = spec.eigenvalues[: spec.positive_count]
-        if pos.size != roots.size:
+        spec = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=pair), basis))
+        n_gal, n_oracle, rel = oracle_agreement(spec)
+        if n_gal != n_oracle:
             worst = 2.0
             continue
-        if pos.size:
-            rel = np.abs(np.sort(pos) - roots) / roots
-            worst = max(worst, float(rel.max()) / 1.0e-8)
+        worst = max(worst, rel / 1.0e-8)
     sup = ModeProblem(k=1.0, mu=1.1 * critical.mu_c_closed_form(1.0, _STD_SLIP), slip=_STD_SLIP)
-    spec = solve_spectrum(assemble(sup, basis))
-    if spec.positive_count != 0 or determinant_roots(sup).roots.size != 0:
+    n_gal, n_oracle, _ = oracle_agreement(solve_spectrum(assemble(sup, basis)))
+    if n_gal != 0 or n_oracle != 0:
         worst = 2.0
     detail["cases"] = len(cases) + 1
     return _check("spectrum_oracle_agreement", worst, detail)
@@ -175,14 +174,10 @@ def check_sign_flip(battery: _Battery) -> PropertyCheck:
 
 def check_eigenfunction_quality(battery: _Battery) -> PropertyCheck:
     """Strong-form residuals, boundary residuals, normalization, orthogonality."""
-    pencil = assemble(_REFERENCE, battery.basis64)
-    spec = solve_spectrum(pencil)
+    spec = solve_spectrum(assemble(_REFERENCE, battery.basis64))
     nres = resolved_count(spec)
     strong, bcm, bcp = spectrum_residuals(spec)
-    V = spec.coefficients[:, :nres]
-    gram = V.T @ pencil.A @ V
-    norm_defect = float(np.abs(np.diag(gram) - 1.0).max())
-    ortho = float(np.abs(gram - np.diag(np.diag(gram))).max())
+    norm_defect, ortho = gram_defects(spec, nres)
     worst = max(
         float(strong[:nres].max()) / 1.0e-6,
         float(max(bcm[:nres].max(), bcp[:nres].max())) / 1.0e-8,
@@ -201,29 +196,11 @@ def check_eigenfunction_quality(battery: _Battery) -> PropertyCheck:
 
 def check_mode_triple(battery: _Battery) -> PropertyCheck:
     """The lifted (psi, phi, pi) triple satisfies the mode system and slip."""
-    prob = battery.reference.problem
-    packet = build_packet(battery.reference)
-    x, w = np.polynomial.legendre.leggauss(battery.basis48.size + 4)
     worst = 0.0
     detail = {}
-    for mode in packet.modes:
-        k, mu, lam = prob.k, prob.mu, mode.lam
-        psi, pi = mode.psi, mode.pi
-        phi = mode.phi
-        r1 = lam * psi(x) - k * pi(x) + mu * (k * k * psi(x) - psi(x, 2))
-        r2 = lam * phi(x) + pi(x, 1) + mu * (k * k * phi(x) - phi(x, 2))
-        l1 = math.sqrt(float(w @ r1**2))
-        l2 = math.sqrt(float(w @ r2**2))
-        wall_phi = max(abs(float(phi(1.0))), abs(float(phi(-1.0))))
-        slip_p = abs(mu * psi(1.0, 1) - prob.slip.xi_plus * psi(1.0))
-        slip_m = abs(mu * psi(-1.0, 1) + prob.slip.xi_minus * psi(-1.0))
-        worst = max(
-            worst,
-            l1 / 1.0e-7,
-            l2 / 1.0e-7,
-            wall_phi / 1.0e-10,
-            max(slip_p, slip_m) / 1.0e-8,
-        )
+    for mode in build_packet(battery.reference).modes:
+        l1, l2, wall_phi, slip = mode_residuals(mode)
+        worst = max(worst, l1 / 1.0e-7, l2 / 1.0e-7, wall_phi / 1.0e-10, slip / 1.0e-8)
         detail[f"lambda_{mode.lam:.6f}"] = {"line1": l1, "line2": l2}
     return _check("mode_triple_residuals", worst, detail)
 
@@ -325,13 +302,7 @@ def check_mean_robin_rate(battery: _Battery) -> PropertyCheck:
     P = 64
     x = np.cos(math.pi * np.arange(P) / (P - 1))
     rows = np.zeros((3, P), dtype=complex)
-    prof = np.cosh(a * x)
-    import scipy.fft
-
-    c = scipy.fft.dct(prof, type=1) / (P - 1)
-    c[0] *= 0.5
-    c[-1] *= 0.5
-    rows[0] = c
+    rows[0] = cheb_coeffs_from_values(np.cosh(a * x))
     channel = ChannelConfig(L=1.0, mu=mu, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=2, P=P, dt=1.0e-3, t_end=0.05,
                     linearized=True, diagnostics_stride=10)

@@ -28,6 +28,19 @@ def standard_cases(factors=(0.5, 0.9)):
     return cases
 
 
+def mode_field(channel, basis, M=16, P=56, amplitude=1.0):
+    """Fastest k = 1 mode embedded at (M, P) by field_from_packet, and lambda_1."""
+    from slipflow.model import ModeProblem
+    from slipflow.modes import build_packet
+    from slipflow.sim import field_from_packet
+    from slipflow.spectrum import assemble, solve_spectrum
+
+    problem = ModeProblem(k=1.0, mu=channel.mu, slip=channel.slip)
+    spectrum = solve_spectrum(assemble(problem, basis))
+    field = field_from_packet(build_packet(spectrum, count=1), M, P, channel.L)
+    return field * amplitude, spectrum.lambda1
+
+
 @pytest.fixture(scope="session")
 def basis32():
     from slipflow.numerics import build_basis

@@ -22,15 +22,13 @@ from slipflow.critical import (
     mu_c_variational,
 )
 from slipflow.model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair
-from slipflow.modes import (
-    build_packet,
-    compute_capital_lambda,
-    packet_streamfunction_profile,
-)
+from slipflow.modes import compute_capital_lambda
 from slipflow.numerics import build_basis
 from slipflow.spectrum import (
     assemble,
     determinant_roots,
+    gram_defects,
+    oracle_agreement,
     resolved_count,
     solve_spectrum,
     spectrum_residuals,
@@ -38,12 +36,11 @@ from slipflow.spectrum import (
 from slipflow.sim import (
     SimConfig,
     energy_inequality_check,
-    field_from_mode_profile,
     random_solenoidal_field,
     run,
 )
 
-from conftest import STANDARD_SLIP_PAIRS, STANDARD_KS, standard_cases
+from conftest import STANDARD_SLIP_PAIRS, STANDARD_KS, mode_field, standard_cases
 
 GRID_KS = (0.5, 1.0, 2.0, 4.0, 8.0)
 GRID_XIS = (0.0, 0.5, 1.0, 3.0)
@@ -102,21 +99,15 @@ def test_criterion_03_spectrum_oracle_equivalence():
     basis = build_basis(64)
     worst = 0.0
     for k, mu, slip in standard_cases(factors=(0.5, 0.9)):
-        problem = ModeProblem(k=k, mu=mu, slip=slip)
-        spec = solve_spectrum(assemble(problem, basis))
-        roots = determinant_roots(problem).roots
-        positive = spec.eigenvalues[: spec.positive_count]
-        assert positive.size == roots.size, (k, mu, slip)
-        if positive.size:
-            rel = np.abs(np.sort(positive) - roots) / roots
-            worst = max(worst, float(rel.max()))
+        spec = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=slip), basis))
+        n_gal, n_oracle, rel = oracle_agreement(spec)
+        assert n_gal == n_oracle, (k, mu, slip)
+        worst = max(worst, rel)
     for slip in STANDARD_SLIP_PAIRS:
         for k in STANDARD_KS:
             mu = 1.1 * mu_c_closed_form(k, slip)
-            problem = ModeProblem(k=k, mu=mu, slip=slip)
-            spec = solve_spectrum(assemble(problem, basis))
-            assert spec.positive_count == 0
-            assert determinant_roots(problem).roots.size == 0
+            spec = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=slip), basis))
+            assert oracle_agreement(spec)[:2] == (0, 0)
     wall = time.perf_counter() - t0
     assert worst <= 1.0e-8
     assert wall < 30.0
@@ -145,19 +136,16 @@ def test_criterion_04_sign_flip_at_threshold():
 def test_criterion_05_eigenfunction_quality():
     basis = build_basis(64)
     for k, mu, slip in standard_cases(factors=(0.5, 0.9)):
-        pencil = assemble(ModeProblem(k=k, mu=mu, slip=slip), basis)
-        spec = solve_spectrum(pencil)
+        spec = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=slip), basis))
         nres = resolved_count(spec)
         assert nres >= 8
         strong, bc_minus, bc_plus = spectrum_residuals(spec)
         assert float(strong[:nres].max()) <= 1.0e-6
         assert float(bc_minus[:nres].max()) <= 1.0e-8
         assert float(bc_plus[:nres].max()) <= 1.0e-8
-        V = spec.coefficients[:, :nres]
-        gram = V.T @ pencil.A @ V
-        assert float(np.abs(np.diag(gram) - 1.0).max()) <= 1.0e-10
-        off = gram - np.diag(np.diag(gram))
-        assert float(np.abs(off).max()) <= 1.0e-8
+        norm, orthogonality = gram_defects(spec, nres)
+        assert norm <= 1.0e-10
+        assert orthogonality <= 1.0e-8
     print("criterion 5 PASS: residuals, normalization, orthogonality "
           "on 12 cases")
 
@@ -169,11 +157,7 @@ def test_criterion_06_linearized_growth(acceptance_channel, basis64, basis48):
     lam = solve_spectrum(assemble(problem, basis64)).lambda1
     # The initial profile comes from the 48 basis (polynomial degree 49)
     # so it embeds exactly in the P = 64 Chebyshev grid of the run.
-    spec = solve_spectrum(assemble(problem, basis48))
-    packet = build_packet(spec, count=1)
-    profile = packet_streamfunction_profile(packet)
-    field = field_from_mode_profile(profile, n_mode=1, M=32, P=64,
-                                    L=acceptance_channel.L)
+    field, _ = mode_field(acceptance_channel, basis48, M=32, P=64)
     cfg = SimConfig(channel=acceptance_channel, M=32, P=64, dt=4.0e-3,
                     t_end=2.0 / lam, linearized=True, diagnostics_stride=25)
     diag = run(field * 1.0e-3, cfg).diagnostics

@@ -4,20 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mode_field
 
 from slipflow.model import (
     ChannelConfig,
     LatticeSweep,
-    ModeProblem,
     SlipPair,
     ValidationError,
 )
-from slipflow.modes import build_packet, compute_capital_lambda, packet_streamfunction_profile
-from slipflow.spectrum import assemble, solve_spectrum
+from slipflow.modes import compute_capital_lambda
 from slipflow.sim import (
     boundary_production,
     energy_inequality_check,
-    field_from_mode_profile,
     gradient_dissipation,
     random_solenoidal_field,
 )
@@ -38,12 +36,9 @@ def channel():
 
 @pytest.fixture(scope="module")
 def top_mode_velocity(channel, basis48):
-    problem = ModeProblem(k=1.0, mu=channel.mu, slip=channel.slip)
-    spectrum = solve_spectrum(assemble(problem, basis48))
-    profile = packet_streamfunction_profile(build_packet(spectrum, count=1))
-    phi = field_from_mode_profile(profile, n_mode=1, M=8, P=64, L=channel.L)
+    phi, lam = mode_field(channel, basis48, M=8, P=64)
     u1, u2 = velocity_from_streamfunction(phi)
-    return u1, u2, spectrum.lambda1
+    return u1, u2, lam
 
 
 class TestBudgetPieces:

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mode_field
 
-from slipflow.model import ModeProblem, SlipPair, ValidationError
+from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
 from slipflow.modes import (
     Grid2D,
     build_packet,
-    packet_streamfunction_profile,
     sample_packet_field,
 )
 from slipflow.numerics import build_basis
@@ -104,12 +104,8 @@ def test_arithmetic_and_compatibility():
 
 
 def test_velocity_from_streamfunction_is_divergence_free(basis48):
-    from slipflow.spectrum import assemble, solve_spectrum
-
-    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
-    packet = build_packet(solve_spectrum(assemble(problem, basis48)))
-    profile = packet_streamfunction_profile(packet)
-    phi = field_from_mode_profile(profile, n_mode=1, M=8, P=56, L=1.0)
+    channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    phi, _ = mode_field(channel, basis48, M=8, P=56)
     u1, u2 = velocity_from_streamfunction(phi)
     assert divergence_max(u1, u2) <= 1e-10 * max(1.0, np.abs(u1.coefficients).max())
     # impermeability at the walls
@@ -118,12 +114,8 @@ def test_velocity_from_streamfunction_is_divergence_free(basis48):
 
 
 def test_slip_residuals_of_eigenmode_profile(basis48):
-    from slipflow.spectrum import assemble, solve_spectrum
-
-    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
-    packet = build_packet(solve_spectrum(assemble(problem, basis48)))
-    profile = packet_streamfunction_profile(packet)
-    phi = field_from_mode_profile(profile, n_mode=1, M=8, P=56, L=1.0)
+    channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    phi, _ = mode_field(channel, basis48, M=8, P=56)
     res = slip_residuals(phi, 0.5, 1.0, 1.0)
     assert max(res) <= 1e-8
     # wrong slip coefficients must show up in the residual

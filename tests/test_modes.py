@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import standard_cases
 
 from slipflow.model import LatticeSweep, ModeProblem, SlipPair
 from slipflow.modes import (
@@ -16,6 +17,7 @@ from slipflow.modes import (
     compute_capital_lambda,
     default_epsilon0,
     escape_time,
+    mode_residuals,
     modes_from_spectrum,
     packet_envelope_value,
     packet_l2_norm,
@@ -39,17 +41,12 @@ def test_mode_triple_satisfies_the_system(basis48):
     problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(0.5, 3.0))
     packet = build_packet(solve_spectrum(assemble(problem, basis48)))
     assert packet.count >= 1
-    x, w = np.polynomial.legendre.leggauss(basis48.size + 4)
-    k, mu = problem.k, problem.mu
     for mode in packet.modes:
-        lam, psi, phi, pi = mode.lam, mode.psi, mode.phi, mode.pi
-        r1 = lam * psi(x) - k * pi(x) + mu * (k * k * psi(x) - psi(x, 2))
-        r2 = lam * phi(x) + pi(x, 1) + mu * (k * k * phi(x) - phi(x, 2))
-        assert math.sqrt(float(w @ r1 ** 2)) <= 1e-7
-        assert math.sqrt(float(w @ r2 ** 2)) <= 1e-7
-        assert max(abs(float(phi(1.0))), abs(float(phi(-1.0)))) <= 1e-10
-        assert abs(mu * psi(1.0, 1) - problem.slip.xi_plus * psi(1.0)) <= 1e-8
-        assert abs(mu * psi(-1.0, 1) + problem.slip.xi_minus * psi(-1.0)) <= 1e-8
+        line1, line2, wall, slip = mode_residuals(mode)
+        assert line1 <= 1e-7
+        assert line2 <= 1e-7
+        assert wall <= 1e-10
+        assert slip <= 1e-8
 
 
 def test_psi_is_minus_phi_prime_over_k(basis48):
@@ -85,6 +82,18 @@ def test_build_packet_coefficients(basis48):
     assert packet2.coefficients[0] == 0.5
     # count=1 keeps the fastest mode
     assert packet2.modes[0].lam == packet.top_lambda
+
+
+@pytest.mark.parametrize(
+    "k,mu,slip", standard_cases() + [(1.0, 0.05, STD_SLIP), (1.0, 0.1, STD_SLIP)]
+)
+def test_packet_keeps_every_unstable_mode(k, mu, slip, basis48):
+    # the rank <= 2 boundary form allows at most two unstable modes
+    spectrum = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=slip), basis48))
+    assert 1 <= spectrum.positive_count <= 2
+    packet = build_packet(spectrum)
+    assert packet.count == spectrum.positive_count
+    assert np.array_equal(packet.lambdas, spectrum.eigenvalues[: packet.count][::-1])
 
 
 def test_modes_from_spectrum_caps_at_positive_count(basis48):

@@ -7,33 +7,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import mode_field
 
-from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
-from slipflow.modes import build_packet, packet_streamfunction_profile
-from slipflow.spectrum import assemble, solve_spectrum
+from slipflow.model import ChannelConfig, SlipPair, ValidationError
 from slipflow.sim import (
     SimConfig,
     SimulationBlowupError,
     check_boundary_conditions,
     diagnostics_to_csv,
     energy_to_csv,
-    field_from_mode_profile,
     read_checkpoint,
     run,
     write_checkpoint,
 )
 from slipflow.sim.run import CHECKPOINT_HEADER_BYTES, CHECKPOINT_MAGIC
 from slipflow.sim.field import SpectralField2D, cgl_nodes, cheb_coeffs_from_values
-
-
-def _mode_field(channel, basis, k=1.0, M=16, P=56, amplitude=1.0):
-    problem = ModeProblem(k=k, mu=channel.mu, slip=channel.slip)
-    spectrum = solve_spectrum(assemble(problem, basis))
-    profile = packet_streamfunction_profile(build_packet(spectrum, count=1))
-    n_mode = int(round(k * channel.L))
-    field = field_from_mode_profile(profile, n_mode=n_mode, M=M, P=P,
-                                    L=channel.L)
-    return field * amplitude, spectrum.lambda1
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +31,7 @@ def channel():
 
 @pytest.fixture(scope="module")
 def growing_run(channel, basis48):
-    field, lam = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+    field, lam = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.5,
                     linearized=True, diagnostics_stride=10)
     return run(field, cfg), cfg, lam
@@ -99,7 +87,7 @@ class TestCheckpointing:
     def test_checkpoints_written_at_stride_and_final_step(
         self, channel, basis48, tmp_path
     ):
-        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.05,
                         linearized=True, diagnostics_stride=5)
         result = run(field, cfg, out_dir=tmp_path, checkpoint_stride=10)
@@ -121,20 +109,20 @@ class TestCheckpointing:
                               reference.final_state.coefficients)
 
     def test_restart_is_bit_exact(self, channel, basis48, tmp_path):
-        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
                         linearized=True, diagnostics_stride=10)
         self._assert_restart_bit_exact(field, cfg, tmp_path)
 
     def test_nonlinear_locked_restart_is_bit_exact(self, channel, basis48, tmp_path):
         # the AB2 advection history is restored from the checkpoint
-        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
                         lock_symmetry=True, diagnostics_stride=10)
         self._assert_restart_bit_exact(field, cfg, tmp_path)
 
     def test_write_read_checkpoint_preserves_state(self, channel, basis48, tmp_path):
-        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1)
         from slipflow.sim import ChannelStepper
 
@@ -168,7 +156,7 @@ class TestCheckpointing:
     def test_read_checkpoint_rejects_mismatched_config(
         self, channel, basis48, tmp_path
     ):
-        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1)
         from slipflow.sim import ChannelStepper
 
@@ -184,7 +172,7 @@ class TestCheckpointing:
         self, channel, basis48, tmp_path, change
     ):
         # the AB2 history only continues the scheme that wrote it
-        field, _ = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1)
         from slipflow.sim import ChannelStepper
 
@@ -220,7 +208,7 @@ class TestFailurePaths:
 
     def test_dt_above_stability_bound_is_rejected(self, basis48):
         channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
-        field, _ = _mode_field(channel, basis48, amplitude=5.0)
+        field, _ = mode_field(channel, basis48, amplitude=5.0)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, t_end=1.0,
                         linearized=True)
         with pytest.raises(ValidationError, match="stability bound"):
@@ -231,7 +219,7 @@ class TestFailurePaths:
         # exp(8.53 t); starting just inside the advective stability bound
         # it must cross CFL 1 mid-run, deterministically.
         channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
-        field, lam = _mode_field(channel, basis48, amplitude=1.0)
+        field, lam = mode_field(channel, basis48, amplitude=1.0)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, t_end=1.0,
                         linearized=True, diagnostics_stride=10)
         with pytest.raises(SimulationBlowupError, match="CFL"):
@@ -251,7 +239,7 @@ class TestFailurePaths:
     def test_failed_run_without_out_dir_writes_nothing(self, basis48, tmp_path,
                                                        monkeypatch):
         channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
-        field, _ = _mode_field(channel, basis48, amplitude=1.0)
+        field, _ = mode_field(channel, basis48, amplitude=1.0)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, t_end=1.0,
                         linearized=True, diagnostics_stride=10)
         monkeypatch.chdir(tmp_path)

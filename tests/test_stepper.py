@@ -5,18 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import mode_field
 from scipy import linalg as sla
 from scipy.optimize import brentq
 
-from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
-from slipflow.modes import build_packet, packet_streamfunction_profile
-from slipflow.spectrum import assemble, solve_spectrum
+from slipflow.model import ChannelConfig, SlipPair, ValidationError
 from slipflow.sim import (
     ChannelStepper,
     InfluenceConditioningError,
     SimConfig,
     check_boundary_conditions,
-    field_from_mode_profile,
     run,
 )
 from slipflow.sim.field import (
@@ -27,17 +25,6 @@ from slipflow.sim.field import (
     scalar_norms,
     slip_residuals,
 )
-
-
-def _mode_field(channel, basis, k=1.0, M=16, P=56, amplitude=1.0):
-    """Unit fastest-mode initial condition embedded at resolution (M, P)."""
-    problem = ModeProblem(k=k, mu=channel.mu, slip=channel.slip)
-    spectrum = solve_spectrum(assemble(problem, basis))
-    profile = packet_streamfunction_profile(build_packet(spectrum, count=1))
-    n_mode = int(round(k * channel.L))
-    field = field_from_mode_profile(profile, n_mode=n_mode, M=M, P=P,
-                                    L=channel.L)
-    return field * amplitude, spectrum.lambda1
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +89,7 @@ class TestStepperBasics:
         ChannelStepper(replace(near, dt=4.29, t_end=4.29), zero)
 
     def test_cfl_number_scales_with_dt(self, channel, basis48):
-        field, _ = _mode_field(channel, basis48, amplitude=0.05)
+        field, _ = mode_field(channel, basis48, amplitude=0.05)
         cfl = []
         for dt in (1.0e-3, 2.0e-3):
             cfg = SimConfig(channel=channel, M=16, P=56, dt=dt, t_end=1.0)
@@ -112,7 +99,7 @@ class TestStepperBasics:
 
 class TestAnalyticRates:
     def test_linearized_growth_matches_top_eigenvalue(self, channel, basis48):
-        field, lam = _mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        field, lam = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.6,
                         linearized=True, diagnostics_stride=25)
         diag = run(field, cfg).diagnostics
@@ -156,7 +143,7 @@ class TestAnalyticRates:
         assert l2[-1] < 0.5 * l2[0]
 
     def test_scheme_is_second_order_in_time(self, channel, basis48):
-        field, _ = _mode_field(channel, basis48, amplitude=0.05)
+        field, _ = mode_field(channel, basis48, amplitude=0.05)
         finals = {}
         for dt in (4.0e-3, 2.0e-3, 1.0e-3):
             cfg = SimConfig(channel=channel, M=16, P=56, dt=dt, t_end=0.4,
@@ -170,7 +157,7 @@ class TestAnalyticRates:
 
 class TestInvariantsPreserved:
     def test_reality_and_boundary_conditions_hold_after_run(self, channel, basis48):
-        field, _ = _mode_field(channel, basis48, amplitude=0.05)
+        field, _ = mode_field(channel, basis48, amplitude=0.05)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4,
                         diagnostics_stride=1000)
         final = run(field, cfg).final_state
@@ -181,7 +168,7 @@ class TestInvariantsPreserved:
         assert max(res) < 1.0e-8 * max(scale, 1.0e-300)
 
     def test_symmetry_lock_pins_the_invariant_class(self, channel, basis48):
-        field, _ = _mode_field(channel, basis48, amplitude=0.05)
+        field, _ = mode_field(channel, basis48, amplitude=0.05)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4,
                         lock_symmetry=True, diagnostics_stride=1000)
         final = run(field, cfg).final_state
@@ -197,14 +184,14 @@ class TestPureStepFunction:
         return stepper.streamfunction()
 
     def test_step_is_deterministic(self, channel, basis48):
-        field, _ = _mode_field(channel, basis48, amplitude=0.05)
+        field, _ = mode_field(channel, basis48, amplitude=0.05)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4)
         first = self._one_step(field, cfg)
         second = self._one_step(field, cfg)
         assert np.array_equal(first.coefficients, second.coefficients)
 
     def test_step_growth_factor_tracks_eigenvalue(self, channel, basis48):
-        field, lam = _mode_field(channel, basis48, amplitude=0.05)
+        field, lam = mode_field(channel, basis48, amplitude=0.05)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4)
         after = self._one_step(field, cfg)
         growth = scalar_norms(after)[0] / scalar_norms(field)[0]
