@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import SlipPair, ValidationError
-from .field import SpectralField2D, _sq_l2, divergence_max, velocity_from_streamfunction
+from .field import (
+    SpectralField2D,
+    _gram_forms,
+    _kappa_sq,
+    _sq_l2,
+    divergence_max,
+    velocity_from_streamfunction,
+)
 
 __all__ = [
     "EnergyCheck",
@@ -48,9 +55,8 @@ def boundary_production(u1: SpectralField2D, slip: SlipPair) -> float:
 
 def gradient_dissipation(u1: SpectralField2D, u2: SpectralField2D, mu: float) -> float:
     """mu times the squared L2 norm of the full velocity gradient."""
-    return mu * (
-        _sq_l2(u1.d_x1()) + _sq_l2(u1.d_x2()) + _sq_l2(u2.d_x1()) + _sq_l2(u2.d_x2())
-    )
+    q0, q1 = _gram_forms(u1, u1, (0, 1)) + _gram_forms(u2, u2, (0, 1))
+    return mu * float(_kappa_sq(u1) @ q0 + q1.sum())
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,12 @@ row 0 having zero imaginary part.
 
 Physical x2 nodes are the P Chebyshev-Gauss-Lobatto points in descending
 order (node 0 at x2 = +1, node P-1 at x2 = -1).  Node/coefficient
-transforms are type-I DCTs, so they are exact for the represented
-polynomials; all norms integrate trigonometric-polynomial integrands with
-Gauss-Legendre quadrature of sufficient order, so they are exact too.
+transforms apply a cached real (P, P) matrix, the type-I DCT of the
+identity, so they are exact for the represented polynomials.  Every L2
+quantity is a per-mode quadratic form with a cached (P, P) Gram matrix
+G_k[i, j] = int T_i^(k) T_j^(k) dx2, integrated by P-point Gauss-Legendre
+quadrature, which is exact for the degree <= 2P - 2 integrands; an x1
+derivative is a kappa_n^2 weight on the mode's form.  The norms are exact.
 
 Streamfunction convention used by the solver: a field interpreted as a
 streamfunction carries the perturbation streamfunction in rows n >= 1 and
@@ -58,34 +61,45 @@ def cgl_nodes(P: int) -> np.ndarray:
     return np.cos(math.pi * np.arange(P) / (P - 1))
 
 
+@lru_cache(maxsize=32)
+def _cheb_transform_matrix(P: int, to_values: bool) -> np.ndarray:
+    """(P, P) map from CGL node values to Chebyshev-T coefficients, or back.
+
+    Built once per P from the type-I DCT of the identity.
+    """
+    scale = np.ones(P)
+    if to_values:
+        scale[[0, -1]] = 2.0
+        out = 0.5 * sfft.dct(np.diag(scale), type=1, axis=0)
+    else:
+        scale[[0, -1]] = 0.5
+        out = scale[:, None] * sfft.dct(np.eye(P), type=1, axis=0) / (P - 1)
+    out.flags.writeable = False
+    return out
+
+
+def _along_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Real ``mat`` applied along ``axis`` of ``arr``, as one real matmul.
+
+    A complex array is viewed as interleaved floats, so nothing is upcast.
+    """
+    x = np.ascontiguousarray(np.moveaxis(arr, axis, 0))
+    flat = x.reshape(x.shape[0], -1)
+    if np.iscomplexobj(flat):
+        y = (mat @ flat.view(np.float64)).view(complex)
+    else:
+        y = mat @ flat
+    return np.moveaxis(y.reshape(x.shape), 0, axis)
+
+
 def cheb_coeffs_from_values(vals: np.ndarray, axis: int = -1) -> np.ndarray:
     """Chebyshev-T coefficients from values at the matching CGL nodes (exact)."""
-    P = vals.shape[axis]
-    c = sfft.dct(vals, type=1, axis=axis) / (P - 1)
-    sl = [slice(None)] * vals.ndim
-    for edge in (0, P - 1):
-        sl[axis] = edge
-        c[tuple(sl)] *= 0.5
-    return c
+    return _along_axis(_cheb_transform_matrix(vals.shape[axis], False), vals, axis)
 
 
 def cheb_values_from_coeffs(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Values at the CGL nodes of the coefficients' own length (exact inverse)."""
-    P = coeffs.shape[axis]
-    d = np.copy(coeffs)
-    sl = [slice(None)] * coeffs.ndim
-    for edge in (0, P - 1):
-        sl[axis] = edge
-        d[tuple(sl)] *= 2.0
-    return 0.5 * sfft.dct(d, type=1, axis=axis)
-
-
-@lru_cache(maxsize=16)
-def _quad_rule(P: int):
-    """Gauss-Legendre rule exact for the degree <= 2P-1 norm integrands."""
-    x, w = np.polynomial.legendre.leggauss(P)
-    V = C.chebvander(x, P - 1)
-    return x, w, V
+    return _along_axis(_cheb_transform_matrix(coeffs.shape[axis], True), coeffs, axis)
 
 
 @lru_cache(maxsize=16)
@@ -101,6 +115,21 @@ def _chebder_matrix(P: int, order: int) -> np.ndarray:
 def _chebder_rows(rows: np.ndarray, order: int = 1) -> np.ndarray:
     """Chebyshev derivative along axis 1, zero padded back to P columns."""
     return rows @ _chebder_matrix(rows.shape[1], order).T
+
+
+@lru_cache(maxsize=32)
+def _gram_matrix(P: int, order: int) -> np.ndarray:
+    """(P, P) Gram matrix int T_i^(order) T_j^(order) dx2 over [-1, 1].
+
+    B holds the order-th derivatives of T_0..T_(P-1) at the P Gauss-Legendre
+    nodes x with weights w, and G = B^T diag(w) B is exact for these
+    degree <= 2P - 2 integrands.
+    """
+    x, w = np.polynomial.legendre.leggauss(P)
+    B = C.chebvander(x, P - 1) @ _chebder_matrix(P, order)
+    out = B.T @ (w[:, None] * B)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -199,37 +228,50 @@ def field_from_values(vals: np.ndarray, M: int, P: int, L: float) -> SpectralFie
     return SpectralField2D(rows[:, :P], L)
 
 
-def _mode_weights(M: int) -> np.ndarray:
-    w = np.full(M + 1, 2.0)
-    w[0] = 1.0
-    return w
+def _kappa_sq(f: SpectralField2D) -> np.ndarray:
+    """Squared x1 wavenumbers n / L of the stored rows."""
+    return (np.arange(f.M + 1) / f.L) ** 2
+
+
+def _gram_forms(f: SpectralField2D, g: SpectralField2D, orders) -> np.ndarray:
+    """Per-mode L2 inner products of the order-th x2 derivatives of f and g.
+
+    Row k, column n holds the channel integral of the mode-n part of
+    Re d2^k f conj(d2^k g), counting mode -n with mode n, so a row sums to
+    the exact inner product and weighting it by kappa_n^2 adds one x1
+    derivative to both fields.  Each order costs one real matmul with its
+    Gram matrix, on the fields' coefficients viewed as interleaved floats.
+    Returns shape (len(orders), M + 1).
+    """
+    f._check_compatible(g)
+    a = np.ascontiguousarray(f.coefficients.T).view(np.float64)
+    b = a if g is f else np.ascontiguousarray(g.coefficients.T).view(np.float64)
+    weights = np.full(f.M + 1, 4.0 * math.pi * f.L)
+    weights[0] = 2.0 * math.pi * f.L
+    out = np.empty((len(orders), f.M + 1))
+    for i, order in enumerate(orders):
+        q = (a * (_gram_matrix(f.P, order) @ b)).sum(axis=0)
+        out[i] = weights * (q[0::2] + q[1::2])
+    return out
 
 
 def _sq_l2(field: SpectralField2D) -> float:
     """Exact squared L2 norm over the channel."""
-    _, w, V = _quad_rule(field.P)
-    prof = field.coefficients @ V.T  # (M+1, P) values at GL nodes
-    per_mode = (np.abs(prof) ** 2) @ w
-    return float(2.0 * math.pi * field.L * (_mode_weights(field.M) @ per_mode))
+    return float(_gram_forms(field, field, (0,)).sum())
 
 
 def scalar_inner(f: SpectralField2D, g: SpectralField2D) -> float:
     """Exact L2 inner product of two real fields."""
-    f._check_compatible(g)
-    _, w, V = _quad_rule(f.P)
-    pf = f.coefficients @ V.T
-    pg = g.coefficients @ V.T
-    per_mode = (pf * pg.conj()).real @ w
-    return float(2.0 * math.pi * f.L * (_mode_weights(f.M) @ per_mode))
+    return float(_gram_forms(f, g, (0,)).sum())
 
 
 def scalar_norms(field: SpectralField2D):
     """(l2, h1, h2) of one scalar field; h2 uses the full multi-index sum."""
-    f = field
-    fx, fy = f.d_x1(), f.d_x2()
-    sq = _sq_l2(f)
-    sq1 = sq + _sq_l2(fx) + _sq_l2(fy)
-    sq2 = sq1 + _sq_l2(fx.d_x1()) + _sq_l2(fx.d_x2()) + _sq_l2(fy.d_x2())
+    q0, q1, q2 = _gram_forms(field, field, (0, 1, 2))
+    k2 = _kappa_sq(field)
+    sq = q0.sum()
+    sq1 = sq + k2 @ q0 + q1.sum()
+    sq2 = sq1 + (k2 * k2) @ q0 + k2 @ q1 + q2.sum()
     return math.sqrt(sq), math.sqrt(sq1), math.sqrt(sq2)
 
 

@@ -26,10 +26,15 @@ the ceil(3P/2) padded node values of the same polynomial, and the unpad
 matrix maps padded node values to the P node values of their truncation to
 P Chebyshev coefficients.  A step runs no DCT, only the x1 FFTs.
 
+A linearized stepper has no advection, so its Fourier rows decouple and a
+row that is zero stays exactly zero.  Its step solves no streamfunction and
+applies the explicit part and T only to the span of rows that hold a
+nonzero entry (for a one-mode packet, a single row).
+
 The streamfunction is never stored: it is reconstructed from the vorticity
-at the start of every step, so the trajectory is a pure function of (omega,
-advection history) and restarting from a checkpoint reproduces the original
-run bit for bit.
+at the start of every nonlinear step, so the trajectory is a pure function
+of (omega, advection history) and restarting from a checkpoint reproduces
+the original run bit for bit.
 
 The optional symmetry lock projects the state after every step onto the
 invariant class {phi rows pure imaginary, zero mean flow} (physically:
@@ -127,6 +132,8 @@ def cheb_diff_matrix(P: int) -> np.ndarray:
 
 def _apply(ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row n of complex ``rows`` through real operator ``ops[n]``, as one matmul.
+
+    A single (P, P) ``ops`` is applied to every row.
 
     The rows are viewed as (M, P, 2) floats, so the real and imaginary parts
     share the product and nothing is upcast to complex.
@@ -328,22 +335,34 @@ class ChannelStepper:
         self._omega[1:] = 1j * self._omega[1:].imag
         self._omega[0] = 0.0
 
+    def _live_rows(self) -> slice:
+        """The span of rows from the first to the last one with a nonzero entry."""
+        live = np.flatnonzero(self._omega.view(np.float64).any(axis=1))
+        if live.size == 0:
+            return slice(0, 0)
+        return slice(int(live[0]), int(live[-1]) + 1)
+
     def step(self):
-        """Advance one dt (Euler-weight bootstrap on the very first step)."""
+        """Advance one dt (Euler-weight bootstrap on the very first step).
+
+        A linearized step reads neither the streamfunction nor the advection
+        (both would be zero), and its rows decouple, so a row that is zero
+        stays exactly zero: only the span of live rows is advanced.
+        """
         cfg = self.cfg
-        phi = self._solve_phi(self._omega)
-        adv = self._advection(phi)
-        if self._have_history:
-            adv_x = 1.5 * adv - 0.5 * self._n_prev
-        else:
-            adv_x = adv
-        explicit = (
-            self._omega @ self._explicit_base.T
-            - self._alpha * (self.kappa**2)[:, None] * self._omega
-        )
-        rhs = explicit - cfg.dt * adv_x
-        self._omega = _apply(self._T, rhs)
-        self._n_prev = adv
+        rows = self._live_rows() if cfg.linearized else slice(None)
+        w = self._omega[rows]
+        rhs = _apply(self._explicit_base, w)
+        rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
+        if not cfg.linearized:
+            adv = self._advection(self._solve_phi(self._omega))
+            if self._have_history:
+                adv_x = 1.5 * adv - 0.5 * self._n_prev
+            else:
+                adv_x = adv
+            rhs -= cfg.dt * adv_x
+            self._n_prev = adv
+        self._omega[rows] = _apply(self._T[rows], rhs)
         self._have_history = True
         self.t += cfg.dt
         if cfg.lock_symmetry:

@@ -28,6 +28,34 @@ def standard_cases(factors=(0.5, 0.9)):
     return cases
 
 
+def dct_coeffs_from_values(vals, axis=-1):
+    """Chebyshev-T coefficients from CGL node values by scipy's DCT-I.
+
+    The reference for the library's matrix transforms, kept independent of
+    the code under test.
+    """
+    from scipy import fft
+
+    P = vals.shape[axis]
+    c = fft.dct(vals, type=1, axis=axis) / (P - 1)
+    edges = [slice(None)] * c.ndim
+    edges[axis] = [0, P - 1]
+    c[tuple(edges)] *= 0.5
+    return c
+
+
+def dct_values_from_coeffs(coeffs, axis=-1):
+    """CGL node values from Chebyshev-T coefficients by scipy's DCT-I."""
+    from scipy import fft
+
+    P = coeffs.shape[axis]
+    d = coeffs.copy()
+    edges = [slice(None)] * d.ndim
+    edges[axis] = [0, P - 1]
+    d[tuple(edges)] *= 2.0
+    return 0.5 * fft.dct(d, type=1, axis=axis)
+
+
 def mode_field(channel, basis, M=16, P=56, amplitude=1.0):
     """Fastest k = 1 mode embedded at (M, P) by field_from_packet, and lambda_1."""
     from slipflow.model import ModeProblem

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mode_field
+from conftest import dct_coeffs_from_values, dct_values_from_coeffs, mode_field
 
 from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
 from slipflow.modes import (
@@ -26,6 +26,9 @@ from slipflow.sim import (
     velocity_from_streamfunction,
     velocity_norms,
 )
+import slipflow.sim.field as field_module
+from slipflow.sim.energy import gradient_dissipation
+from slipflow.sim.field import _sq_l2, cheb_coeffs_from_values, cheb_values_from_coeffs
 
 
 def _sin_parabola_field(M=8, P=24, L=1.0):
@@ -206,3 +209,95 @@ def test_chebder_rows_matches_numpy_chebder(P, order):
     got = _chebder_rows(rows, order)
     assert got.shape == rows.shape
     assert np.abs(got - want).max() <= 1.0e-13 * np.abs(want).max()
+
+
+# -- Gram-matrix norms against the Gauss-Legendre projection ----------------
+
+def _gl_inner(f, g):
+    """Exact L2 inner product over the channel by Gauss-Legendre projection."""
+    x, w = np.polynomial.legendre.leggauss(f.P)
+    V = np.polynomial.chebyshev.chebvander(x, f.P - 1)
+    per_mode = ((f.coefficients @ V.T) * (g.coefficients @ V.T).conj()).real @ w
+    wts = np.full(f.M + 1, 2.0)
+    wts[0] = 1.0
+    return float(2.0 * math.pi * f.L * (wts @ per_mode))
+
+
+def _gl_norms(f):
+    """(l2, h1, h2) from the derivative fields, each projected separately."""
+    fx, fy = f.d_x1(), f.d_x2()
+    sq = _gl_inner(f, f)
+    sq1 = sq + _gl_inner(fx, fx) + _gl_inner(fy, fy)
+    sq2 = sq1 + sum(_gl_inner(d, d) for d in (fx.d_x1(), fx.d_x2(), fy.d_x2()))
+    return math.sqrt(sq), math.sqrt(sq1), math.sqrt(sq2)
+
+
+def _gl_dissipation(u1, u2, mu):
+    return mu * sum(_gl_inner(d, d) for u in (u1, u2) for d in (u.d_x1(), u.d_x2()))
+
+
+def _random_rows(rng, M, P, L=0.75):
+    """Decaying complex rows with a nonzero real mean row."""
+    decay = np.exp(-0.3 * np.arange(P))
+    rows = (rng.standard_normal((M + 1, P))
+            + 1j * rng.standard_normal((M + 1, P))) * decay
+    rows[0] = rng.standard_normal(P) * decay
+    return SpectralField2D(rows, L)
+
+
+def _gram_mismatch(P):
+    """Largest relative gap of the four Gram-form quantities from the GL path."""
+    rng = np.random.default_rng(P)
+    f, g = _random_rows(rng, 6, P), _random_rows(rng, 6, P)
+    pairs = [(_sq_l2(f), _gl_inner(f, f)),
+             (scalar_inner(f, g), _gl_inner(f, g)),
+             (gradient_dissipation(f, g, 0.3), _gl_dissipation(f, g, 0.3))]
+    pairs += list(zip(scalar_norms(f), _gl_norms(f)))
+    return max(abs(got - want) / abs(want) for got, want in pairs)
+
+
+@pytest.mark.parametrize("P", [16, 24, 56, 64, 96])
+def test_gram_forms_match_gauss_legendre_projection(P):
+    assert _gram_mismatch(P) <= 1.0e-13
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_perturbed_gram_matrix_is_caught(order, monkeypatch):
+    P = 56
+    exact = field_module._gram_matrix
+    noise = 1.0e-9 * np.random.default_rng(order).standard_normal((P, P))
+
+    def perturbed(size, k):
+        G = exact(size, k)
+        return G * (1.0 + noise) if k == order else G
+
+    monkeypatch.setattr(field_module, "_gram_matrix", perturbed)
+    assert _gram_mismatch(P) > 1.0e-13
+
+
+def test_gram_matrices_are_cached_read_only():
+    G = field_module._gram_matrix(24, 1)
+    assert G is field_module._gram_matrix(24, 1)
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
+
+
+# -- matrix Chebyshev transforms against scipy's DCT-I ----------------------
+
+@pytest.mark.parametrize("P", [16, 24, 64, 96])
+@pytest.mark.parametrize("layout", ["axis1", "axis0", "1d"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_matrix_transforms_match_scipy_dct(P, layout, dtype):
+    shape, axis = {"axis1": ((7, P), 1), "axis0": ((P, 5), 0), "1d": ((P,), -1)}[layout]
+    rng = np.random.default_rng(P + len(shape))
+    x = rng.standard_normal(shape)
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal(shape)
+    coeffs = cheb_coeffs_from_values(x, axis=axis)
+    values = cheb_values_from_coeffs(x, axis=axis)
+    for got, want in ((coeffs, dct_coeffs_from_values(x, axis=axis)),
+                      (values, dct_values_from_coeffs(x, axis=axis))):
+        assert got.shape == x.shape and got.dtype == x.dtype
+        assert np.abs(got - want).max() <= 1.0e-13 * np.abs(want).max()
+    back = cheb_values_from_coeffs(coeffs, axis=axis)
+    assert np.abs(back - x).max() <= 1.0e-13 * np.abs(x).max()

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import mode_field
+from conftest import dct_coeffs_from_values, dct_values_from_coeffs, mode_field
 from scipy import linalg as sla
 from scipy.optimize import brentq
 
@@ -21,10 +21,10 @@ from slipflow.sim.field import (
     SpectralField2D,
     cgl_nodes,
     cheb_coeffs_from_values,
-    cheb_values_from_coeffs,
     scalar_norms,
     slip_residuals,
 )
+from slipflow.sim.run import read_checkpoint, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -328,14 +328,78 @@ class TestStackedOperators:
         assert np.abs(stacked._omega[0] - mean).max() <= 1.0e-10 * np.abs(mean).max()
 
 
+class TestLinearizedStep:
+    """A linearized step advances only its live rows and reads no streamfunction."""
+
+    @staticmethod
+    def _stepper(live):
+        M, P = 6, 24
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(0.0, 3.0))
+        rng = np.random.default_rng(13)
+        decay = np.exp(-0.4 * np.arange(P))
+        rows = np.zeros((M + 1, P), dtype=complex)
+        for n in live:
+            rows[n] = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) * decay
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.2,
+                        linearized=True)
+        field = SpectralField2D(rows * 1.0e-3, channel.L)
+        return cfg, field, ChannelStepper(cfg, field)
+
+    def test_step_never_solves_the_streamfunction(self):
+        _, _, stepper = self._stepper((1, 3))
+        calls = []
+        solve = stepper._solve_phi
+        stepper._solve_phi = lambda omega: calls.append(1) or solve(omega)
+        for _ in range(5):
+            stepper.step()
+        assert calls == []
+
+    def test_zero_rows_stay_exactly_zero(self):
+        _, _, stepper = self._stepper((1, 3))
+        for _ in range(200):
+            stepper.step()
+        dead = [0, 2, 4, 5, 6]
+        assert np.all(stepper._omega[dead] == 0.0)
+        assert (np.abs(stepper._omega[[1, 3]]).max(axis=1) > 0.0).all()
+        assert np.all(stepper._n_prev == 0.0)
+
+    def test_zero_state_stays_zero(self):
+        _, _, stepper = self._stepper(())
+        stepper.step()
+        assert np.all(stepper._omega == 0.0)
+
+    def test_live_rows_match_per_mode_reference(self):
+        cfg, field, stepper = self._stepper((1, 3))
+        reference = _PerModeReference(cfg, field)
+        for _ in range(100):
+            stepper.step()
+            reference.step()
+        scale = np.abs(reference._omega).max()
+        assert np.abs(stepper._omega - reference._omega).max() <= 1.0e-10 * scale
+
+    def test_mid_run_checkpoint_resumes_bit_exactly(self, tmp_path):
+        cfg, _, straight = self._stepper((1, 3))
+        for _ in range(50):
+            straight.step()
+        path = write_checkpoint(tmp_path / "mid.bin", straight)
+        resumed = read_checkpoint(path, cfg)
+        for _ in range(50):
+            straight.step()
+            resumed.step()
+        assert resumed.t == straight.t
+        assert np.array_equal(resumed._omega, straight._omega)
+        assert np.array_equal(resumed.streamfunction().coefficients,
+                              straight.streamfunction().coefficients)
+
+
 def _dct_to_phys(stepper, rows):
     """Padded product-grid values by DCT-I, zero-pad, inverse DCT-I, irfft."""
     M, P, n1 = stepper.cfg.M, stepper.cfg.P, stepper._n1
     p_pad = math.ceil(3 * P / 2)
     cpad = np.zeros((rows.shape[0], p_pad), dtype=complex)
-    cpad[:, :P] = cheb_coeffs_from_values(rows, axis=1)
+    cpad[:, :P] = dct_coeffs_from_values(rows, axis=1)
     spec = np.zeros((n1 // 2 + 1, p_pad), dtype=complex)
-    spec[: M + 1] = cheb_values_from_coeffs(cpad, axis=1)
+    spec[: M + 1] = dct_values_from_coeffs(cpad, axis=1)
     return np.fft.irfft(spec, n=n1, axis=0) * n1
 
 
@@ -343,8 +407,8 @@ def _dct_from_phys(stepper, vals):
     """Node-value rows by rfft, DCT-I, truncation to P, inverse DCT-I."""
     M, P, n1 = stepper.cfg.M, stepper.cfg.P, stepper._n1
     spec = np.fft.rfft(vals, axis=0)[: M + 1] / n1
-    c = cheb_coeffs_from_values(spec, axis=1)[:, :P]
-    return cheb_values_from_coeffs(c, axis=1)
+    c = dct_coeffs_from_values(spec, axis=1)[:, :P]
+    return dct_values_from_coeffs(c, axis=1)
 
 
 def _dct_advection(stepper, phi):
@@ -360,11 +424,11 @@ def _dct_advection(stepper, phi):
         u1p * _dct_to_phys(stepper, w1) + u2p * _dct_to_phys(stepper, w2),
     )
     flux = _dct_from_phys(stepper, u1p * u2p)
-    flux_c = cheb_coeffs_from_values(flux[0].real[None, :], axis=1)[0]
+    flux_c = dct_coeffs_from_values(flux[0].real[None, :], axis=1)[0]
     dflux = np.zeros(stepper.cfg.P)
     der = np.polynomial.chebyshev.chebder(flux_c)
     dflux[: der.size] = der
-    adv[0] = cheb_values_from_coeffs(dflux[None, :], axis=1)[0]
+    adv[0] = dct_values_from_coeffs(dflux[None, :], axis=1)[0]
     return adv
 
 
