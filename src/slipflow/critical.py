@@ -33,9 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .model import ChannelConfig, SlipPair
-from .numerics import ChebBasis, boundary_form, energy_form, solve_generalized_symmetric
+from .numerics import ChebBasis, NotPositiveDefiniteError, energy_form
 
 __all__ = [
     "mu_c_closed_form",
@@ -43,6 +44,7 @@ __all__ = [
     "mu_c_global",
     "critical_wavenumber",
     "CriticalCurve",
+    "critical_curve",
     "MAX_CLOSED_FORM_K",
     "SCALED_BRANCH_K",
     "SERIES_BRANCH_K",
@@ -126,18 +128,31 @@ def mu_c_closed_form(k: float, slip: SlipPair) -> float:
 def mu_c_variational(k: float, slip: SlipPair, basis: ChebBasis) -> float:
     """Discrete maximum of the production/energy quotient on the trial space.
 
-    Exactly the largest eigenvalue of the pencil (R, E) with R the rank-<=2
-    boundary form and E the SPD k-energy form, so no iterative optimizer is
-    involved.  Nondecreasing in the basis size (nested Galerkin spaces) and
-    converging to mu_c_closed_form from below.
+    Exactly the largest eigenvalue of the pencil (R, E), with E the SPD
+    k-energy form and R = D Xi D^T the boundary form: the columns of D are
+    the wall slopes phi_j'(-1), phi_j'(+1) and Xi = diag(xi_minus, xi_plus).
+    With E = L L^T and Z = L^-1 D Xi^(1/2), the pencil has the eigenvalues
+    of L^-1 R L^-T = Z Z^T, and the nonzero eigenvalues of Z Z^T are those of
+    the 2x2 matrix Z^T Z = Xi^(1/2) D^T E^-1 D Xi^(1/2).  So one Cholesky
+    factorization, one triangular solve against two columns and one 2x2
+    eigenvalue give the maximum exactly, with no iterative optimizer and no
+    N x N eigensolve.
+    Nondecreasing in the basis size (nested Galerkin spaces) and converging
+    to mu_c_closed_form from below.
     """
     if not k > 0.0:
         raise ValueError(f"k: must be > 0, got {k}")
     if basis.size < 8:
         raise ValueError(f"basis size must be >= 8 for the quotient maximum, got {basis.size}")
-    R = boundary_form(slip, basis)
-    E = energy_form(k, basis)
-    top = solve_generalized_symmetric(R, E).eigenvalues[0]
+    try:
+        L = linalg.cholesky(energy_form(k, basis), lower=True)
+    except linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "energy form is not positive definite; the trial basis or assembly is broken"
+        )
+    sqrt_xi = np.sqrt([slip.xi_minus, slip.xi_plus])
+    Z = linalg.solve_triangular(L, basis.wall_tables[1].T * sqrt_xi, lower=True)
+    top = np.linalg.eigvalsh(Z.T @ Z)[-1]
     return float(max(top, 0.0))
 
 

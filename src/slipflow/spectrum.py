@@ -24,8 +24,11 @@ lambda) r^2 + k^2 (mu k^2 + lambda) factors with discriminant lambda^2), so
 positive eigenvalues are exactly the roots of a 4x4 boundary-condition
 determinant.  Second, lambda_1 equals the maximum of the Rayleigh quotient
 B_k(phi,phi) / int((phi')^2 + k^2 phi^2), computed here by Lanczos iteration
-with full reorthogonalization and a Sturm-sequence bisection, sharing no
-factorization code with the dense solve.
+with full reorthogonalization and a Sturm-sequence bisection.  The whitened
+operator L^-1 B L^-T (A = L L^T) is formed once per call, so each Lanczos
+step is one matrix-vector product.  The path factors A itself and calls no
+dense eigensolver, so it shares no factorization or eigensolver with the
+dense solve.
 """
 
 from __future__ import annotations
@@ -230,34 +233,36 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0
 
     Independent of the dense pencil solver: the quotient is maximized by
     Lanczos iterations (random start, full reorthogonalization) on the
-    A-whitened operator, with the tridiagonal maximum extracted by Sturm
-    bisection.  Two random starts guard against an unlucky start vector.
+    A-whitened operator W = L^-1 B L^-T, with the tridiagonal maximum
+    extracted by Sturm bisection.  W is formed once from the Cholesky factor
+    A = L L^T by two triangular solves on matrices, so a Lanczos step is one
+    matrix-vector product; no eigensolver of the dense path is involved.
+    Two random starts guard against an unlucky start vector.
     """
     pencil = assemble(problem, basis)
     n = basis.size
     L = linalg.cholesky(pencil.A, lower=True)
-
-    def apply_whitened(y: np.ndarray) -> np.ndarray:
-        u = linalg.solve_triangular(L, y, lower=True, trans="T")
-        return linalg.solve_triangular(L, pencil.B @ u, lower=True)
+    X = linalg.solve_triangular(L, pencil.B, lower=True)  # L^-1 B
+    W = linalg.solve_triangular(L, X.T, lower=True)  # L^-1 B L^-T, B symmetric
 
     rng = np.random.default_rng(seed)
     best = -math.inf
     for _ in range(2):
         q = rng.standard_normal(n)
         q /= np.linalg.norm(q)
-        Q = np.empty((n, n))
+        Q = np.empty((n, n))  # Lanczos vectors by rows
         alpha = np.empty(n)
         beta = np.empty(n)
         m = 0
         for j in range(n):
-            Q[:, j] = q
-            w = apply_whitened(q)
+            Q[j] = q
+            w = W @ q
             alpha[j] = q @ w
-            w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)  # full reorthogonalization
-            w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
+            Qj = Q[: j + 1]
+            w -= (Qj @ w) @ Qj  # full reorthogonalization
+            w -= (Qj @ w) @ Qj
             m = j + 1
-            b = np.linalg.norm(w)
+            b = math.sqrt(w @ w)
             if j + 1 == n or b < 1e-14 * max(abs(alpha[j]), 1.0):
                 break
             beta[j] = b

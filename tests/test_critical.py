@@ -13,6 +13,14 @@ from slipflow.critical import (
     mu_c_variational,
 )
 from slipflow.model import ChannelConfig, SlipPair
+from slipflow.numerics import (
+    ChebBasis,
+    NotPositiveDefiniteError,
+    boundary_form,
+    build_basis,
+    energy_form,
+    solve_generalized_symmetric,
+)
 
 
 def test_equal_slip_identity():
@@ -73,6 +81,88 @@ def test_variational_agreement(basis64):
             closed = mu_c_closed_form(k, slip)
             var = mu_c_variational(k, slip, basis64)
             assert abs(var - closed) <= 1e-6 * closed
+
+
+PENCIL_KS = (0.05, 0.5, 4.0, 16.0, 60.0)
+PENCIL_SLIPS = (SlipPair(1.0, 1.0), SlipPair(0.0, 3.0), SlipPair(10.0, 0.1))
+PENCIL_SIZES = (16, 48, 96)
+
+
+def _slip_id(slip):
+    return f"xi={slip.xi_minus:g},{slip.xi_plus:g}"
+
+
+@pytest.fixture(scope="module")
+def pencil_bases():
+    return {n: build_basis(n) for n in PENCIL_SIZES}
+
+
+def _mu_c_full_pencil(k, slip, basis):
+    # the reference: top eigenvalue of the full N x N pencil (R, E)
+    R = boundary_form(slip, basis)
+    E = energy_form(k, basis)
+    return max(solve_generalized_symmetric(R, E).eigenvalues[0], 0.0)
+
+
+@pytest.mark.parametrize("k", PENCIL_KS)
+@pytest.mark.parametrize("slip", PENCIL_SLIPS, ids=_slip_id)
+def test_variational_matches_full_pencil(k, slip, pencil_bases):
+    for n in PENCIL_SIZES:
+        ref = _mu_c_full_pencil(k, slip, pencil_bases[n])
+        var = mu_c_variational(k, slip, pencil_bases[n])
+        assert abs(var - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("k", PENCIL_KS)
+@pytest.mark.parametrize("slip", PENCIL_SLIPS, ids=_slip_id)
+def test_variational_nondecreasing_in_basis_size(k, slip, pencil_bases):
+    values = [mu_c_variational(k, slip, pencil_bases[n]) for n in PENCIL_SIZES]
+    for coarse, fine in zip(values, values[1:]):
+        assert fine >= coarse * (1.0 - 1e-12)
+
+
+def _lopsided_basis(basis):
+    # trial space {phi_0 + phi_1, phi_2, ..., phi_{N-1}}: not mapped onto itself
+    # by x2 -> -x2, so the two walls are told apart and xi_- / xi_+ cannot trade
+    # places unnoticed (on the full wall-clamped space, mu_c is swap-symmetric)
+    M = np.eye(basis.size)[:, 1:]
+    M[0, 0] = 1.0
+    return ChebBasis(
+        size=basis.size - 1,
+        quad_nodes=basis.quad_nodes,
+        quad_weights=basis.quad_weights,
+        node_tables=[T @ M for T in basis.node_tables],
+        wall_tables=[T @ M for T in basis.wall_tables],
+        cheb_coeffs=M.T @ basis.cheb_coeffs,
+    )
+
+
+@pytest.mark.parametrize("k", PENCIL_KS)
+def test_variational_matches_full_pencil_on_lopsided_space(k, pencil_bases):
+    basis = _lopsided_basis(pencil_bases[16])
+    slip, swapped = SlipPair(0.0, 3.0), SlipPair(3.0, 0.0)
+    ref = _mu_c_full_pencil(k, slip, basis)
+    assert abs(_mu_c_full_pencil(k, swapped, basis) - ref) > 1e-6 * ref
+    assert abs(mu_c_variational(k, slip, basis) - ref) <= 1e-12 * ref
+
+
+def test_variational_zero_slip_is_exactly_zero(pencil_bases):
+    for k in PENCIL_KS:
+        for n in PENCIL_SIZES:
+            assert mu_c_variational(k, SlipPair(0.0, 0.0), pencil_bases[n]) == 0.0
+
+
+def test_variational_usage_errors(basis64, monkeypatch):
+    slip = SlipPair(1.0, 1.0)
+    with pytest.raises(ValueError):
+        mu_c_variational(0.0, slip, basis64)
+    with pytest.raises(ValueError):
+        mu_c_variational(1.0, slip, build_basis(7))
+    monkeypatch.setattr(
+        "slipflow.critical.energy_form", lambda k, basis: -energy_form(k, basis)
+    )
+    with pytest.raises(NotPositiveDefiniteError):
+        mu_c_variational(1.0, slip, basis64)
 
 
 def test_critical_wavenumber_bisection():

@@ -82,6 +82,43 @@ def test_lambda1_variational_matches_pencil(basis64):
         assert abs(lam_v - lam_g) <= 1e-8 * max(abs(lam_g), 1e-6)
 
 
+def test_lambda1_variational_calls_no_dense_eigensolver(basis64, monkeypatch):
+    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    lam_g = solve_spectrum(assemble(problem, basis64)).lambda1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Lanczos path reached a dense eigensolver")
+
+    for target in (
+        "scipy.linalg.eigh",
+        "numpy.linalg.eigh",
+        "slipflow.numerics.solve_generalized_symmetric",
+        "slipflow.spectrum.solve_generalized_symmetric",
+    ):
+        monkeypatch.setattr(target, forbidden)
+    lam_v = lambda1_variational(problem, basis64)
+    assert abs(lam_v - lam_g) <= 1e-8 * abs(lam_g)
+
+
+BENCHMARK_KS = (0.05, 0.5, 1.0, 4.0, 16.0)
+BENCHMARK_SLIPS = ((1.0, 1.0), (0.0, 3.0), (10.0, 0.1))
+BENCHMARK_FRACTIONS = (1.0e-3, 1.0e-2, 0.1, 0.5, 0.999)
+
+
+@pytest.mark.parametrize("k", BENCHMARK_KS)
+@pytest.mark.parametrize("xi", BENCHMARK_SLIPS)
+def test_lambda1_variational_matches_pencil_on_benchmark_grid(k, xi, basis48):
+    from slipflow.critical import mu_c_closed_form
+
+    slip = SlipPair(*xi)
+    mu_c = mu_c_closed_form(k, slip)
+    for f in BENCHMARK_FRACTIONS:
+        problem = ModeProblem(k=k, mu=f * mu_c, slip=slip)
+        lam_g = solve_spectrum(assemble(problem, basis48)).lambda1
+        lam_v = lambda1_variational(problem, basis48)
+        assert abs(lam_v - lam_g) <= 1e-8 * max(abs(lam_g), 1e-6)
+
+
 @pytest.fixture(scope="module")
 def basis96():
     return build_basis(96)
