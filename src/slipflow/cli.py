@@ -1,7 +1,7 @@
 """Command line driver for the channel instability toolkit.
 
 Subcommands: critical (viscosity threshold curve), spectrum (growth rates
-at one wavenumber plus the shooting-determinant cross-check), dispersion
+at one wavenumber plus the rank-2 operator cross-check), dispersion
 (top rate over the wavenumber lattice), modes (packet field export),
 simulate (time stepping with diagnostics), experiment (two-solution
 separation sweep), verify (deterministic property suites).
@@ -189,7 +189,7 @@ def _cmd_spectrum(ns, out, channel):
     from .model import ModeProblem
     from .numerics import build_basis
     from .output import write_csv, write_json
-    from .spectrum import assemble, oracle_agreement, solve_spectrum
+    from .spectrum import assemble, determinant_roots, oracle_agreement, solve_spectrum
 
     problem = ModeProblem(k=ns.k, mu=channel.mu, slip=channel.slip)
     spectrum = solve_spectrum(assemble(problem, build_basis(ns.basis)))
@@ -199,6 +199,7 @@ def _cmd_spectrum(ns, out, channel):
     report = {
         "positive_count_galerkin": n_gal,
         "positive_count_oracle": n_oracle,
+        "marginal_branches_oracle": determinant_roots(problem).marginal,
         "max_rel_mismatch": max_rel,
     }
     write_json(out / "spectrum_report.json", report)

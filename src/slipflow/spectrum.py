@@ -17,12 +17,17 @@ for all wall-vanishing theta; the slip conditions are natural.  Projected on
 the trial basis this is the symmetric pencil B v = lambda A v with B = R -
 mu E indefinite and A the SPD Gram form, solved densely.
 
-Two independent cross-checks are provided.  First, the equation has the
-explicit solution basis {cosh kx, sinh kx, cosh mx, sinh mx} with
-m = sqrt(k^2 + lambda/mu) (the characteristic quartic mu r^4 - (2 mu k^2 +
-lambda) r^2 + k^2 (mu k^2 + lambda) factors with discriminant lambda^2), so
-positive eigenvalues are exactly the roots of a 4x4 boundary-condition
-determinant.  Second, lambda_1 equals the maximum of the Rayleigh quotient
+Two independent cross-checks are provided.  First, the operator method of
+Lafitte & Nguyen: lambda >= 0 is a growth rate exactly when 1 is an
+eigenvalue of a compact self-adjoint operator, and because the slip
+boundary form has rank 2 that operator is the 2x2 matrix
+K(lambda) = Xi^(1/2) G(lambda) Xi^(1/2), Xi = diag(xi_minus, xi_plus).
+With m = sqrt(k^2 + lambda/mu), the even and odd wall responses
+e = (m tanh m - k tanh k)/lambda and o = (m coth m - k coth k)/lambda give
+G = [[e+o, o-e], [o-e, e+o]] / 2.  The eigenvalues kappa_1 >= kappa_2 of K
+do not increase with lambda, so each branch with kappa_i(0) > 1 crosses 1
+exactly once: there are at most two growth rates, and mu kappa_1(0) is
+mu_c(k).  Second, lambda_1 equals the maximum of the Rayleigh quotient
 B_k(phi,phi) / int((phi')^2 + k^2 phi^2), computed here by Lanczos iteration
 with full reorthogonalization and a Sturm-sequence bisection.  The whitened
 operator L^-1 B L^-T (A = L L^T) is formed once per call, so each Lanczos
@@ -56,6 +61,7 @@ __all__ = [
     "assemble",
     "solve_spectrum",
     "lambda1_variational",
+    "operator_eigenvalues",
     "characteristic_determinant",
     "determinant_roots",
     "oracle_agreement",
@@ -94,12 +100,17 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
+# a branch with |kappa_i(0) - 1| below this is marginal: its growth rate is roundoff
+MARGINAL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class DeterminantTrace:
-    """Positive roots of the characteristic determinant, ascending."""
+    """Positive roots of det(I - K(lambda)), ascending, and the marginal branch count."""
 
     problem: ModeProblem
     roots: np.ndarray
+    marginal: int
 
 
 def assemble(problem: ModeProblem, basis: ChebBasis) -> AssembledPencil:
@@ -272,66 +283,100 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# Exact-solution oracle: characteristic determinant and its positive roots.
+# Exact oracle: the rank-2 slip operator K(lambda) and its unit crossings.
 # ---------------------------------------------------------------------------
 
 
-def characteristic_determinant(lam: float, problem: ModeProblem) -> float:
-    """Boundary-condition determinant whose positive roots are the growth rates.
+def _wall_responses(lam: float, k: float, mu: float):
+    """Even and odd wall responses (e, o) of the mode equation at rate lam >= 0.
 
-    For lambda > 0 the solution space of the mode equation is spanned by
-    cosh(kx), sinh(kx), cosh(mx), sinh(mx) with m = sqrt(k^2 + lambda/mu) > k.
-    Columns are scaled by cosh(k) and cosh(m) (folded in analytically via
-    tanh), so every entry stays polynomially bounded in m and the scan never
-    overflows.
+    With m = sqrt(k^2 + lam/mu), e = (m tanh m - k tanh k)/lam and
+    o = (m coth m - k coth k)/lam.  Both are divided differences
+    (h(m) - h(k)) / ((m - k) mu (m + k)), evaluated as
+    h1(m) + k (h1(m) - h1(k)) / (m - k) with h1 = tanh or coth, each written
+    through 1 - e^{-2x} so that nothing overflows, and with
+    h1(m) - h1(k) carried by (e^{-2k} - e^{-2m}) / (m - k) = e^{-2k}
+    (1 - e^{-2(m-k)}) / (m - k), whose limit 2 e^{-2k} at lam = 0 (m = k) is
+    exact.  The odd part loses about eps / k^2 to cancellation for small k
+    (1e-13 relative at k = 0.05).
+    """
+    d = lam / (mu * (math.sqrt(k * k + lam / mu) + k))  # m - k, without cancellation
+    m = k + d
+    om, ok = -math.expm1(-2.0 * m), -math.expm1(-2.0 * k)  # tanh x = om / (2 - om)
+    gap = math.exp(-2.0 * k) * (-math.expm1(-2.0 * d) / d if d > 0.0 else 2.0)
+    even = om / (2.0 - om) + 2.0 * k * gap / ((2.0 - om) * (2.0 - ok))
+    odd = (2.0 - om) / om - 2.0 * k * gap / (om * ok)
+    scale = mu * (m + k)
+    return even / scale, odd / scale
+
+
+def operator_eigenvalues(lam: float, problem: ModeProblem):
+    """Eigenvalues kappa_1 >= kappa_2 >= 0 of the slip operator K(lam), lam >= 0.
+
+    K = Xi^(1/2) G Xi^(1/2) with Xi = diag(xi_minus, xi_plus) and
+    G = [[e+o, o-e], [o-e, e+o]] / 2 (walls ordered -1, +1).  G_ij is the
+    slope at wall i of the exact response of lam (k^2 - D^2) + mu (D^2 - k^2)^2
+    to a unit slope load at wall j, so lam > 0 is a growth rate exactly when
+    1 is an eigenvalue of K.  kappa_2 comes from det K = xi_- xi_+ e o, so it
+    keeps its digits when it is small beside kappa_1.
+    """
+    if not lam >= 0.0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    e, o = _wall_responses(lam, problem.k, problem.mu)
+    xm, xp = problem.slip.xi_minus, problem.slip.xi_plus
+    half_sum = 0.25 * (xm + xp) * (e + o)
+    spread = math.hypot(0.25 * (xm - xp) * (e + o), 0.5 * math.sqrt(xm * xp) * (o - e))
+    kappa1 = half_sum + spread
+    kappa2 = min(xm * xp * e * o / kappa1, kappa1) if kappa1 > 0.0 else 0.0
+    return kappa1, kappa2
+
+
+def characteristic_determinant(lam: float, problem: ModeProblem) -> float:
+    """det(I - K(lam)) = (1 - kappa_1)(1 - kappa_2); its positive roots are the growth rates.
+
+    K(lam) is the rank-2 slip operator of ``operator_eigenvalues``.  The
+    factored form keeps the sign exact near a root of either branch.
     """
     if not lam > 0.0:
-        raise ValueError(f"lambda must be > 0 for the real exponent basis, got {lam}")
-    k, mu = problem.k, problem.mu
-    xm, xp = problem.slip.xi_minus, problem.slip.xi_plus
-    m = math.sqrt(k * k + lam / mu)
-    tk, tm = math.tanh(k), math.tanh(m)
-    k2, m2 = mu * k * k, mu * m * m
-    # rows: phi(1)=0, phi(-1)=0, mu phi''(1)-xi_+ phi'(1)=0, mu phi''(-1)+xi_- phi'(-1)=0
-    mat = np.array(
-        [
-            [1.0, tk, 1.0, tm],
-            [1.0, -tk, 1.0, -tm],
-            [k2 - xp * k * tk, k2 * tk - xp * k, m2 - xp * m * tm, m2 * tm - xp * m],
-            [k2 - xm * k * tk, -(k2 * tk - xm * k), m2 - xm * m * tm, -(m2 * tm - xm * m)],
-        ]
-    )
-    return float(np.linalg.det(mat))
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    kappa1, kappa2 = operator_eigenvalues(lam, problem)
+    return (1.0 - kappa1) * (1.0 - kappa2)
 
 
 def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
-    """Scan the determinant on a geometric grid and refine every sign change.
+    """Growth rates as the unit crossings of the eigenvalue branches of K(lam).
 
-    The window is (1e-10, 1] * 1e4 * mu * k^2 with 512 points, geometric so
-    the bracket resolution is uniform in m ~ sqrt(lambda/mu).  An empty root
-    list is a valid outcome (stable wavenumber).  The scan misses roots above
-    the window (the leading root once mu <= 0.01 mu_c) and pairs of roots
-    closer than a grid cell (near-degenerate equal-slip pairs).
+    Each branch kappa_i(lam) is nonincreasing in lam and tends to 0, so it
+    crosses 1 exactly once when kappa_i(0) > 1 and never otherwise: at most
+    two roots (Sylvester inertia).  K(0) = Xi^(1/2) G(0) Xi^(1/2) is the
+    lam -> 0 limit, and mu kappa_1(0) is mu_c(k).  A branch with
+    |kappa_i(0) - 1| < MARGINAL_TOL is marginal: its crossing is roundoff,
+    so it is counted in ``marginal`` and gives no root.  Each crossing is
+    bracketed by factors of 4 from lam = mu k^2 and solved by Brent's method;
+    one determinant evaluation confirms every root.
     """
-    lambda_max = 1e4 * problem.mu * problem.k ** 2
-    grid = np.geomspace(1e-10 * lambda_max, lambda_max, 512)
-    values = np.array([characteristic_determinant(x, problem) for x in grid])
-
-    def f(lam: float) -> float:
-        return characteristic_determinant(lam, problem)
-
+    kappa0 = operator_eigenvalues(0.0, problem)
     roots = []
-    for i in range(grid.size - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            roots.append(a)
+    for branch, top in enumerate(kappa0):
+        if not top > 1.0 + MARGINAL_TOL:
             continue
-        if fb == 0.0:
-            continue  # captured as the left endpoint of the next interval
-        if np.sign(fa) != np.sign(fb):
-            roots.append(find_root_bracketed(f, a, b, tol=1e-14 * b))
-    return DeterminantTrace(problem=problem, roots=np.array(sorted(set(roots))))
+
+        def excess(lam: float, branch=branch) -> float:
+            return operator_eigenvalues(lam, problem)[branch] - 1.0
+
+        hi = problem.mu * problem.k ** 2
+        while excess(hi) > 0.0:
+            hi *= 4.0
+        lo = 0.25 * hi
+        while lo > 0.0 and excess(lo) <= 0.0:
+            hi, lo = lo, 0.25 * lo
+        roots.append(find_root_bracketed(excess, lo, hi, tol=1e-14 * hi))
+    for lam in roots:
+        det = characteristic_determinant(lam, problem)
+        if abs(det) > 1e-10 * max(1.0, operator_eigenvalues(lam, problem)[0]):
+            raise FloatingPointError(f"root {lam!r} leaves det(I - K) = {det:g}")
+    marginal = sum(abs(top - 1.0) < MARGINAL_TOL for top in kappa0)
+    return DeterminantTrace(problem=problem, roots=np.array(sorted(roots)), marginal=marginal)
 
 
 def oracle_agreement(spectrum: Spectrum):

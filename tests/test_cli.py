@@ -71,13 +71,27 @@ class TestSpectrum:
         monkeypatch.setattr(
             slipflow.spectrum,
             "determinant_roots",
-            lambda prob: SimpleNamespace(roots=np.array([])),
+            lambda prob: SimpleNamespace(roots=np.array([]), marginal=0),
         )
         rc = run_cli("--out", tmp_path, "spectrum", "--k", "1.0", "--mu", "0.5")
         assert rc == 1
         report = json.loads((tmp_path / "spectrum_report.json").read_text())
         assert report["positive_count_galerkin"] == 1
         assert report["positive_count_oracle"] == 0
+
+
+    def test_equal_slip_pair_counts_both_rates(self, tmp_path):
+        # at k = 4, mu = 0.5 mu_c the two rates 7.9333 and 7.9172 lie within
+        # one cell of a geometric scan; the operator oracle finds both
+        from slipflow.critical import mu_c_closed_form
+
+        mu = 0.5 * mu_c_closed_form(4.0, SlipPair(1.0, 1.0))
+        rc = run_cli("--out", tmp_path, "spectrum", "--k", "4", "--mu", repr(mu))
+        assert rc == 0
+        report = json.loads((tmp_path / "spectrum_report.json").read_text())
+        assert report["positive_count_oracle"] == report["positive_count_galerkin"] == 2
+        assert report["marginal_branches_oracle"] == 0
+        assert report["max_rel_mismatch"] < 1.0e-8
 
 
 class TestDispersion:
