@@ -16,6 +16,9 @@ which satisfies the linearized momentum equations
 together with the wall conditions phi(+/-1) = 0 and mu psi'(+/-1) =
 +/- xi_{+/-} psi(+/-1).  (The pressure profile is determined by the first
 momentum equation; its sign pairs with the +mu Laplacian of that system.)
+The three profiles are ``numpy.polynomial.Chebyshev`` series on [-1, 1]:
+phi is the trial-space eigenfunction, and psi and pi follow from it by
+exact series differentiation.
 
 Packets of the first N modes of one wavenumber, ordered by increasing
 growth rate, drive the nonlinear separation experiment: their envelope
@@ -30,14 +33,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
+from numpy.polynomial import Chebyshev
 
 from .model import LatticeSweep, ModeProblem
-from .numerics import ChebBasis, CoeffVector, find_root_bracketed
+from .numerics import ChebBasis, find_root_bracketed
 from .spectrum import Spectrum, assemble, solve_spectrum
 
 __all__ = [
-    "ChebSeries",
     "NormalMode",
     "ModePacket",
     "Grid2D",
@@ -58,35 +60,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ChebSeries:
-    """Plain Chebyshev-T series on [-1, 1]; value objects for psi and pi.
-
-    The slip profiles psi and pi do not vanish at the walls, so unlike phi
-    they cannot live in the wall-clamped trial space; they are carried as
-    raw coefficient series produced by exact differentiation of phi.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-    def __call__(self, x, deriv: int = 0):
-        series = self.coeffs
-        if deriv:
-            series = C.chebder(series, deriv)
-        return C.chebval(np.asarray(x, dtype=float), series)
-
-
-@dataclass(frozen=True)
 class NormalMode:
-    """One physical normal mode: growth rate and the three x2-profiles."""
+    """One physical normal mode: growth rate and the three x2-profiles.
+
+    ``phi``, ``psi`` and ``pi`` are ``numpy.polynomial.Chebyshev`` series on
+    [-1, 1]: ``p(x)`` evaluates a profile and ``p.deriv(n)`` differentiates
+    it exactly.  phi vanishes at the walls; psi and pi in general do not.
+    """
 
     problem: ModeProblem
     lam: float
-    phi: CoeffVector
-    psi: ChebSeries
-    pi: ChebSeries
+    phi: Chebyshev
+    psi: Chebyshev
+    pi: Chebyshev
 
 
 @dataclass(frozen=True)
@@ -155,7 +141,7 @@ def packet_l2_norm(packet: ModePacket, L: float = 1.0) -> float:
     """
     if packet.count == 0:
         return 0.0
-    n_gl = max(m.phi.to_chebyshev().size for m in packet.modes) + 2
+    n_gl = max(m.phi.coef.size for m in packet.modes) + 2
     x, w = np.polynomial.legendre.leggauss(n_gl)
     su = np.zeros_like(x)
     sv = np.zeros_like(x)
@@ -173,19 +159,14 @@ def default_epsilon0(packet: ModePacket, L: float = 1.0) -> float:
     return 0.01 * size
 
 
-def build_mode(problem: ModeProblem, lam: float, phi: CoeffVector) -> NormalMode:
+def build_mode(problem: ModeProblem, lam: float, phi: Chebyshev) -> NormalMode:
     """Lift an eigenpair to the physical mode profiles by exact differentiation."""
     k, mu = problem.k, problem.mu
     if k == 0.0:
         raise ValueError("normal modes require k > 0")
-    c_phi = phi.to_chebyshev()
-    c_psi = -C.chebder(c_phi) / k
-    c_psi2 = C.chebder(c_psi, 2)
-    n = c_psi.size
-    c_pi = lam * c_psi + mu * k * k * c_psi
-    c_pi[: c_psi2.size] -= mu * c_psi2
-    c_pi /= k
-    return NormalMode(problem=problem, lam=float(lam), phi=phi, psi=ChebSeries(c_psi), pi=ChebSeries(c_pi))
+    psi = -phi.deriv() / k
+    pi = (lam * psi + mu * k * k * psi - mu * psi.deriv(2)) / k
+    return NormalMode(problem=problem, lam=float(lam), phi=phi, psi=psi, pi=pi)
 
 
 def mode_residuals(mode: NormalMode):
@@ -199,12 +180,12 @@ def mode_residuals(mode: NormalMode):
     prob = mode.problem
     k, mu, lam = prob.k, prob.mu, mode.lam
     psi, phi, pi = mode.psi, mode.phi, mode.pi
-    x, w = np.polynomial.legendre.leggauss(phi.basis.size + 4)
-    r1 = lam * psi(x) - k * pi(x) + mu * (k * k * psi(x) - psi(x, 2))
-    r2 = lam * phi(x) + pi(x, 1) + mu * (k * k * phi(x) - phi(x, 2))
+    x, w = np.polynomial.legendre.leggauss(phi.coef.size + 2)
+    r1 = lam * psi(x) - k * pi(x) + mu * (k * k * psi(x) - psi.deriv(2)(x))
+    r2 = lam * phi(x) + pi.deriv()(x) + mu * (k * k * phi(x) - phi.deriv(2)(x))
     wall = max(abs(float(phi(1.0))), abs(float(phi(-1.0))))
-    slip_p = abs(mu * psi(1.0, 1) - prob.slip.xi_plus * psi(1.0))
-    slip_m = abs(mu * psi(-1.0, 1) + prob.slip.xi_minus * psi(-1.0))
+    slip_p = abs(mu * psi.deriv()(1.0) - prob.slip.xi_plus * psi(1.0))
+    slip_m = abs(mu * psi.deriv()(-1.0) + prob.slip.xi_minus * psi(-1.0))
     return (math.sqrt(float(w @ r1**2)), math.sqrt(float(w @ r2**2)), wall,
             float(max(slip_p, slip_m)))
 
@@ -216,7 +197,7 @@ def modes_from_spectrum(spectrum: Spectrum, count: int | None = None):
     out = []
     for i in range(take - 1, -1, -1):  # ascending lambda
         lam = float(spectrum.eigenvalues[i])
-        phi = CoeffVector(spectrum.coefficients[:, i], spectrum.basis)
+        phi = Chebyshev(spectrum.coefficients[:, i] @ spectrum.basis.cheb_coeffs)
         out.append(build_mode(spectrum.problem, lam, phi))
     return out
 
@@ -312,8 +293,7 @@ def packet_streamfunction_profile(packet: ModePacket) -> np.ndarray:
     k = packet.modes[0].problem.k
     acc = None
     for cj, mode in zip(packet.coefficients, packet.modes):
-        c_phi = mode.phi.to_chebyshev()
-        acc = cj * c_phi if acc is None else acc + cj * c_phi
+        acc = cj * mode.phi.coef if acc is None else acc + cj * mode.phi.coef
     return -acc / k
 
 

@@ -28,8 +28,6 @@ from scipy.optimize import brentq
 
 __all__ = [
     "ChebBasis",
-    "CoeffVector",
-    "GeneralizedEigResult",
     "build_basis",
     "solve_generalized_symmetric",
     "find_root_bracketed",
@@ -67,7 +65,9 @@ class ChebBasis:
     ``node_tables[d][q, j]`` is the d-th derivative of phi_j at quadrature
     node q; ``wall_tables[d][s, j]`` the same at the wall x2 = -1 (s = 0)
     and x2 = +1 (s = 1).  ``cheb_coeffs[j]`` holds the raw Chebyshev-T
-    coefficients of phi_j (length size + 2).
+    coefficients of phi_j (length size + 2), so the trial function with
+    coefficient vector v is the series ``numpy.polynomial.Chebyshev(v @
+    cheb_coeffs)``.
     """
 
     size: int
@@ -76,44 +76,6 @@ class ChebBasis:
     node_tables: list = field(repr=False)
     wall_tables: list = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
-
-    def to_chebyshev(self, coeffs: np.ndarray) -> np.ndarray:
-        """Raw Chebyshev-T coefficients of sum_j coeffs[j] * phi_j."""
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape[-1] != self.size:
-            raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape[-1]}")
-        return coeffs @ self.cheb_coeffs
-
-    def evaluate(self, coeffs: np.ndarray, x, deriv: int = 0) -> np.ndarray:
-        """Evaluate sum_j coeffs[j] * phi_j (or a derivative) at points x."""
-        if not 0 <= deriv <= MAX_DERIVATIVE + 2:
-            raise ValueError(f"derivative order {deriv} not supported")
-        series = self.to_chebyshev(coeffs)
-        if deriv:
-            series = C.chebder(series, deriv)
-        return C.chebval(np.asarray(x, dtype=float), series)
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """Coefficients of a function in a ChebBasis trial space."""
-
-    coeffs: np.ndarray
-    basis: ChebBasis
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.shape != (self.basis.size,):
-            raise ValueError(
-                f"coefficient vector of length {arr.shape} does not match basis size {self.basis.size}"
-            )
-        object.__setattr__(self, "coeffs", arr)
-
-    def __call__(self, x, deriv: int = 0):
-        return self.basis.evaluate(self.coeffs, x, deriv)
-
-    def to_chebyshev(self) -> np.ndarray:
-        return self.basis.to_chebyshev(self.coeffs)
 
 
 def build_basis(N: int) -> ChebBasis:
@@ -157,18 +119,6 @@ def build_basis(N: int) -> ChebBasis:
     )
 
 
-@dataclass(frozen=True)
-class GeneralizedEigResult:
-    """Solution of a symmetric-definite pencil B v = lambda A v.
-
-    ``eigenvalues`` are sorted descending; ``eigenvectors[:, i]`` belongs to
-    ``eigenvalues[i]`` and the columns are A-orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _fix_signs(vectors: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     """Deterministic sign convention: first significant entry positive."""
     out = np.array(vectors)
@@ -182,11 +132,13 @@ def _fix_signs(vectors: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     return out
 
 
-def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray) -> GeneralizedEigResult:
+def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
     """All eigenpairs of B v = lambda A v, B symmetric, A symmetric positive definite.
 
-    B may be indefinite.  Eigenvalues are returned in descending order with
-    A-orthonormal eigenvectors and a deterministic sign convention.
+    B may be indefinite.  Returns ``(eigenvalues, eigenvectors)``: the
+    eigenvalues in descending order, and ``eigenvectors[:, i]`` belonging to
+    ``eigenvalues[i]``, the columns A-orthonormal, each signed so that its
+    first significant entry is positive.
     """
     B = np.asarray(B, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -204,7 +156,7 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray) -> GeneralizedEigR
         )
     w, V = linalg.eigh(B, A)
     order = np.argsort(w)[::-1]  # descending, stable for exact ties
-    return GeneralizedEigResult(eigenvalues=w[order], eigenvectors=_fix_signs(V[:, order]))
+    return w[order], _fix_signs(V[:, order])
 
 
 # ---------------------------------------------------------------------------

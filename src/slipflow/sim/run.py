@@ -110,12 +110,12 @@ class _Recorder:
         """
         st = self.stepper
         phi = st._solve_phi(st._omega)
-        u1, u2 = st._velocity_fields(st._omega, phi)
+        u1, u2 = st.velocity(phi)
         norms = velocity_norms(u1, u2)
         l2, h1, h2 = norms
         bp = boundary_production(u1, st.slip)
         diss = gradient_dissipation(u1, u2, st.mu)
-        visc, adv = st._tendency_split(phi)
+        visc, adv = st.tendency_split(phi)
         v1, v2 = st.tendency_velocity(visc)
         dedt_v = scalar_inner(u1, v1) + scalar_inner(u2, v2)
         if st.cfg.linearized:
@@ -127,7 +127,7 @@ class _Recorder:
         dedt = dedt_v + dedt_a
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
-        return (u1, u2), norms, st._cfl(phi)
+        return (u1, u2), norms, st.cfl_number(phi)
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)

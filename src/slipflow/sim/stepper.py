@@ -295,9 +295,14 @@ class ChannelStepper:
         coeffs[0] = cheb_coeffs_from_values(self._omega[0].real[None, :], axis=1)[0]
         return SpectralField2D(coeffs, self.L)
 
-    def velocity(self):
-        """(u1, u2) as coefficient-space fields."""
-        return self._velocity_fields(self._omega, self._solve_phi(self._omega))
+    def velocity(self, phi: np.ndarray | None = None):
+        """(u1, u2) as coefficient-space fields.
+
+        ``phi`` passes the state's streamfunction rows if already solved.
+        """
+        if phi is None:
+            phi = self._solve_phi(self._omega)
+        return self._velocity_fields(self._omega, phi)
 
     # -- pseudospectral products ----------------------------------------
 
@@ -374,15 +379,14 @@ class ChannelStepper:
 
     # -- safety estimates -------------------------------------------------
 
-    def cfl_number(self) -> float:
+    def cfl_number(self, phi: np.ndarray | None = None) -> float:
         """Advective CFL of the current state at the configured dt.
 
-        Uses the largest |u1| and |u2| on the product grid.
+        Uses the largest |u1| and |u2| on the product grid; ``phi`` as in
+        ``velocity``.
         """
-        return self._cfl(self._solve_phi(self._omega))
-
-    def _cfl(self, phi: np.ndarray) -> float:
-        """``cfl_number`` given the state's streamfunction rows phi."""
+        if phi is None:
+            phi = self._solve_phi(self._omega)
         u1, u2 = self._velocity_nodes(phi, self._omega[0])
         m1 = float(np.abs(self._to_phys(u1)).max(initial=0.0))
         m2 = float(np.abs(self._to_phys(u2)).max(initial=0.0))
@@ -399,16 +403,15 @@ class ChannelStepper:
 
     # -- instantaneous tendencies (for the energy budget) -----------------
 
-    def tendency_split(self):
+    def tendency_split(self, phi: np.ndarray | None = None):
         """Viscous and advective tendency rows of the semi-discrete system.
 
         Returns (visc, adv) shaped like the state: rows n >= 1 give
-        d omega_n/dt contributions, row 0 gives d ubar/dt contributions.
+        d omega_n/dt contributions, row 0 gives d ubar/dt contributions;
+        ``phi`` as in ``velocity``.
         """
-        return self._tendency_split(self._solve_phi(self._omega))
-
-    def _tendency_split(self, phi: np.ndarray):
-        """``tendency_split`` given the state's streamfunction rows phi."""
+        if phi is None:
+            phi = self._solve_phi(self._omega)
         w = self._omega
         visc = self.mu * (w @ self.D2.T - (self.kappa**2)[:, None] * w)
         visc[0] = self.mu * (w[0].real @ self.D2.T)

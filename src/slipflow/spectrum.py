@@ -108,7 +108,6 @@ MARGINAL_TOL = 1e-8
 class DeterminantTrace:
     """Positive roots of det(I - K(lambda)), ascending, and the marginal branch count."""
 
-    problem: ModeProblem
     roots: np.ndarray
     marginal: int
 
@@ -160,9 +159,9 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
 
 def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
     """All eigenpairs of the pencil, descending, A-normalized, signs fixed."""
-    res = solve_generalized_symmetric(pencil.B, pencil.A)
+    lams, V = solve_generalized_symmetric(pencil.B, pencil.A)
     n_refine = min(pencil.basis.size // 2, 16)
-    lams, V = _refine_leading_pairs(pencil, res.eigenvalues, res.eigenvectors, n_refine)
+    lams, V = _refine_leading_pairs(pencil, lams, V, n_refine)
     return Spectrum(
         problem=pencil.problem,
         eigenvalues=lams,
@@ -287,6 +286,16 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0
 # ---------------------------------------------------------------------------
 
 
+# Taylor coefficients a_n = 2^(2n) B_2n / (2n)! of x coth x = 1 + sum_n a_n x^(2n)
+_XCOTHX_TAYLOR = (
+    1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
+    4 / 18243225, -3617 / 162820783125, 87734 / 38979295480125,
+    -349222 / 1531329465290625, 310732 / 13447856940643125,
+    -472728182 / 201919571963756521875,
+)
+_ODD_SERIES_M = 0.5
+
+
 def _wall_responses(lam: float, k: float, mu: float):
     """Even and odd wall responses (e, o) of the mode equation at rate lam >= 0.
 
@@ -297,16 +306,27 @@ def _wall_responses(lam: float, k: float, mu: float):
     through 1 - e^{-2x} so that nothing overflows, and with
     h1(m) - h1(k) carried by (e^{-2k} - e^{-2m}) / (m - k) = e^{-2k}
     (1 - e^{-2(m-k)}) / (m - k), whose limit 2 e^{-2k} at lam = 0 (m = k) is
-    exact.  The odd part loses about eps / k^2 to cancellation for small k
-    (1e-13 relative at k = 0.05).
+    exact.  That form of the odd part loses about eps / m^2 to cancellation,
+    so for m <= 1/2 it is summed instead as (h(m) - h(k)) / (m^2 - k^2) =
+    sum_n a_n s_n with h = x coth x = 1 + sum_n a_n x^(2n) and
+    s_n = (m^(2n) - k^(2n)) / (m^2 - k^2), a sum of positive terms; twelve
+    terms reach roundoff, and above m = 1/2 the direct form is at roundoff too.
     """
     d = lam / (mu * (math.sqrt(k * k + lam / mu) + k))  # m - k, without cancellation
     m = k + d
     om, ok = -math.expm1(-2.0 * m), -math.expm1(-2.0 * k)  # tanh x = om / (2 - om)
     gap = math.exp(-2.0 * k) * (-math.expm1(-2.0 * d) / d if d > 0.0 else 2.0)
     even = om / (2.0 - om) + 2.0 * k * gap / ((2.0 - om) * (2.0 - ok))
-    odd = (2.0 - om) / om - 2.0 * k * gap / (om * ok)
     scale = mu * (m + k)
+    if m <= _ODD_SERIES_M:
+        msq, ksq = k * k + lam / mu, k * k
+        s, kpow, odd = 0.0, 1.0, 0.0
+        for a in _XCOTHX_TAYLOR:
+            s = msq * s + kpow  # s_n = m^2 s_(n-1) + k^(2(n-1))
+            kpow *= ksq
+            odd += a * s
+        return even / scale, odd / mu
+    odd = (2.0 - om) / om - 2.0 * k * gap / (om * ok)
     return even / scale, odd / scale
 
 
@@ -376,7 +396,7 @@ def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
         if abs(det) > 1e-10 * max(1.0, operator_eigenvalues(lam, problem)[0]):
             raise FloatingPointError(f"root {lam!r} leaves det(I - K) = {det:g}")
     marginal = sum(abs(top - 1.0) < MARGINAL_TOL for top in kappa0)
-    return DeterminantTrace(problem=problem, roots=np.array(sorted(roots)), marginal=marginal)
+    return DeterminantTrace(roots=np.array(sorted(roots)), marginal=marginal)
 
 
 def oracle_agreement(spectrum: Spectrum):

@@ -336,3 +336,20 @@ def test_pyproject_version_is_the_package_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == slipflow.__version__
+
+
+def test_every_exported_name_resolves_once():
+    import importlib
+    import pkgutil
+
+    checked = 0
+    for info in pkgutil.walk_packages(slipflow.__path__, "slipflow."):
+        module = importlib.import_module(info.name)
+        names = getattr(module, "__all__", None)
+        if names is None:
+            continue
+        checked += 1
+        assert len(names) == len(set(names)), info.name
+        missing = [n for n in names if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
+    assert checked >= 13

@@ -101,7 +101,7 @@ def _mu_c_full_pencil(k, slip, basis):
     # the reference: top eigenvalue of the full N x N pencil (R, E)
     R = boundary_form(slip, basis)
     E = energy_form(k, basis)
-    return max(solve_generalized_symmetric(R, E).eigenvalues[0], 0.0)
+    return max(solve_generalized_symmetric(R, E)[0][0], 0.0)
 
 
 @pytest.mark.parametrize("k", PENCIL_KS)

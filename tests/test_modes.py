@@ -53,7 +53,7 @@ def test_psi_is_minus_phi_prime_over_k(basis48):
     packet = _packet(basis48)
     mode = packet.modes[0]
     x = np.linspace(-1.0, 1.0, 11)
-    assert np.allclose(mode.psi(x), -mode.phi(x, 1) / 1.0, atol=1e-12)
+    assert np.allclose(mode.psi(x), -mode.phi.deriv()(x) / 1.0, atol=1e-12)
 
 
 def test_packet_ordering_and_top_lambda(basis48):

@@ -20,7 +20,8 @@ from slipflow.sim import (
     run,
     write_checkpoint,
 )
-from slipflow.sim.run import CHECKPOINT_HEADER_BYTES, CHECKPOINT_MAGIC
+from slipflow.sim.run import CHECKPOINT_HEADER_BYTES, CHECKPOINT_MAGIC, _Recorder
+from slipflow.sim.stepper import ChannelStepper
 from slipflow.sim.field import SpectralField2D, cgl_nodes, cheb_coeffs_from_values
 
 
@@ -81,6 +82,30 @@ class TestDiagnostics:
         arr = np.loadtxt(path, delimiter=",", skiprows=1)
         assert arr.shape == (result.diagnostics.times.size, 6)
         np.testing.assert_array_equal(arr[:, 1], result.diagnostics.energy_rate)
+
+    def test_record_solves_the_state_once_through_public_methods(
+        self, channel, basis48, monkeypatch
+    ):
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
+        stepper = ChannelStepper(SimConfig(channel=channel, M=8, P=56, dt=1.0e-3), field)
+        phi = stepper._solve_phi(stepper._omega)
+        for given, default in zip(stepper.velocity(phi), stepper.velocity()):
+            np.testing.assert_array_equal(given.coefficients, default.coefficients)
+        assert stepper.cfl_number(phi) == stepper.cfl_number() > 0.0
+        for given, default in zip(stepper.tendency_split(phi), stepper.tendency_split()):
+            np.testing.assert_array_equal(given, default)
+            assert np.abs(given).max() > 0.0
+
+        solve = stepper._solve_phi
+        state_solves = []
+
+        def counting(omega):
+            state_solves.append(omega is stepper._omega)
+            return solve(omega)
+
+        monkeypatch.setattr(stepper, "_solve_phi", counting)
+        _Recorder(stepper).record()
+        assert sum(state_solves) == 1
 
 
 class TestCheckpointing:

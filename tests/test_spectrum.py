@@ -190,6 +190,49 @@ def test_operator_branches_do_not_increase(k):
         assert np.all(kappa[:, 0] >= kappa[:, 1])
 
 
+# (k, lam / (mu k^2), e, o) at mu = 0.5, from a 50-digit mpmath evaluation of
+# e = (m tanh m - k tanh k)/lam and o = (m coth m - k coth k)/lam, or of
+# their lam -> 0 limits (h'(k) / (2 k mu), h = x tanh x or x coth x)
+WALL_RESPONSES_MU = 0.5
+WALL_RESPONSES = (
+    (0.0001, 0.0, 1.9999999866666667, 0.6666666657777778),
+    (0.0001, 0.01, 1.9999999866, 0.6666666657733333),
+    (0.0001, 1.0, 1.9999999800000001, 0.6666666653333333),
+    (0.0001, 100.0, 1.9999993200002748, 0.6666666213333377),
+    (0.0001, 10000.0, 1.9999333226673588, 0.6666622213756737),
+    (0.001, 0.0, 1.9999986666674667, 0.6666665777777905),
+    (0.001, 0.01, 1.999998660000808, 0.6666665773333461),
+    (0.001, 1.0, 1.9999980000018667, 0.666666533333363),
+    (0.001, 100.0, 1.9999320027473544, 0.6666621333769435),
+    (0.001, 10000.0, 1.9933585671236196, 0.666222556317731),
+    (0.01, 0.0, 1.999866674666235, 0.6666577779047602),
+    (0.01, 0.01, 1.9998660080798285, 0.6666577334615899),
+    (0.01, 1.0, 1.9998000186650478, 0.6666533336296233),
+    (0.01, 100.0, 1.9932273628053319, 0.6662137689991351),
+    (0.01, 10000.0, 1.523106472974456, 0.6260628017997425),
+    (0.05, 0.0, 1.9966716599291674, 0.6664445237830772),
+    (0.05, 0.01, 1.9966550433274728, 0.666443413467863),
+    (0.05, 1.0, 1.995011641421904, 0.666333518419364),
+    (0.05, 100.0, 1.8455795804177657, 0.6555991883272639),
+    (0.05, 10000.0, 0.3997838640436008, 0.3199896491931317),
+    (0.5, 0.0, 1.710682047485947, 0.6452124506461364),
+    (0.5, 0.01, 1.7094301360878743, 0.6451089192692212),
+    (0.5, 1.0, 1.5957600572821515, 0.6350909028870969),
+    (0.5, 100.0, 0.3834756148228424, 0.3154716150265256),
+    (0.5, 10000.0, 0.039817153087098496, 0.03913641858450704),
+)
+
+
+@pytest.mark.parametrize("k,ratio,even,odd", WALL_RESPONSES)
+def test_wall_responses_against_extended_precision(k, ratio, even, odd):
+    from slipflow.spectrum import _wall_responses
+
+    lam = ratio * WALL_RESPONSES_MU * k * k
+    e, o = _wall_responses(lam, k, WALL_RESPONSES_MU)
+    assert abs(e - even) <= 1e-13 * even
+    assert abs(o - odd) <= 1e-13 * odd
+
+
 @pytest.mark.parametrize("k", BENCHMARK_KS)
 @pytest.mark.parametrize("xi", BENCHMARK_SLIPS + ((0.5, 3.0),))
 def test_root_count_is_branches_above_one(k, xi):
