@@ -107,9 +107,19 @@ class _Recorder:
         The state's streamfunction is solved once and shared by every
         quantity; returns the velocity (u1, u2), its norms (l2, h1, h2) and
         the advective CFL number.
+
+        A linearized state's rows decouple, so every row after its last live
+        one is exactly zero in the streamfunction, the velocity, the viscous
+        tendency and that tendency's velocity.  The record then works on the
+        prefix of rows 0 .. b-1 ending with that row (b >= 1, so the mean row
+        stays): the prefix fields have the same norms, wall traces and inner
+        products as the full ones, and (u1, u2) come back with b rows.
         """
         st = self.stepper
-        phi = st._solve_phi(st._omega)
+        omega = st._omega
+        if st.cfg.linearized:
+            omega = omega[: max(st._live_rows().stop, 1)]
+        phi = st._solve_phi(omega)
         u1, u2 = st.velocity(phi)
         norms = velocity_norms(u1, u2)
         l2, h1, h2 = norms
@@ -119,11 +129,11 @@ class _Recorder:
         v1, v2 = st.tendency_velocity(visc)
         dedt_v = scalar_inner(u1, v1) + scalar_inner(u2, v2)
         if st.cfg.linearized:
-            dedt_a = 0.0
+            dedt_a = nlf = 0.0
         else:
             a1, a2 = st.tendency_velocity(adv)
             dedt_a = scalar_inner(u1, a1) + scalar_inner(u2, a2)
-        nlf = -dedt_a
+            nlf = -dedt_a
         dedt = dedt_v + dedt_a
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))

@@ -29,7 +29,13 @@ P Chebyshev coefficients.  A step runs no DCT, only the x1 FFTs.
 A linearized stepper has no advection, so its Fourier rows decouple and a
 row that is zero stays exactly zero.  Its step solves no streamfunction and
 applies the explicit part and T only to the span of rows that hold a
-nonzero entry (for a one-mode packet, a single row).
+nonzero entry (for a one-mode packet, a single row).  Its diagnostics work
+on the prefix of rows 0 .. b-1 that ends with the last live row: every
+later row of the streamfunction, the velocity, the viscous tendency and
+that tendency's velocity is exactly zero, and the first b rows of a field
+are still a field (row n is still mode n), so norms and inner products of
+the prefix equal those of the full rows.  The methods below take their b
+from the row count of the array they are given.
 
 The streamfunction is never stored: it is reconstructed from the vorticity
 at the start of every nonlinear step, so the trajectory is a pure function
@@ -267,16 +273,20 @@ class ChannelStepper:
         return np.ascontiguousarray(state)
 
     def _solve_phi(self, omega: np.ndarray) -> np.ndarray:
-        """Poisson-Dirichlet streamfunction node values from vorticity rows."""
+        """Poisson-Dirichlet streamfunction node values from vorticity rows.
+
+        ``omega`` holds the first b >= 1 rows of a state, all of them or a
+        prefix; row n is solved with K[n-1] either way.
+        """
         phi = np.zeros_like(omega)
-        phi[1:] = _apply(self._K, omega[1:])
+        phi[1:] = _apply(self._K[: omega.shape[0] - 1], omega[1:])
         return phi
 
     def _velocity_nodes(self, phi: np.ndarray, mean_row: np.ndarray):
         """(u1, u2) node values of streamfunction rows; u1 row 0 is ``mean_row``."""
         u1 = phi @ self.D.T
         u1[0] = mean_row
-        u2 = -(1j * self.kappa)[:, None] * phi
+        u2 = -(1j * self.kappa[: phi.shape[0]])[:, None] * phi
         u2[0] = 0.0
         return u1, u2
 
@@ -298,18 +308,20 @@ class ChannelStepper:
     def velocity(self, phi: np.ndarray | None = None):
         """(u1, u2) as coefficient-space fields.
 
-        ``phi`` passes the state's streamfunction rows if already solved.
+        ``phi`` passes the state's streamfunction rows if already solved;
+        on a linearized stepper it may hold only the first b rows, up to the
+        last live one, and the fields then have those b rows.
         """
         if phi is None:
             phi = self._solve_phi(self._omega)
-        return self._velocity_fields(self._omega, phi)
+        return self._velocity_fields(self._omega[: phi.shape[0]], phi)
 
     # -- pseudospectral products ----------------------------------------
 
     def _to_phys(self, rows: np.ndarray) -> np.ndarray:
-        """Real values on the padded product grid of node-value rows."""
+        """Real values on the padded product grid of the first node-value rows."""
         spec = np.zeros((self._n1 // 2 + 1, self.cfg.P), dtype=complex)
-        spec[: self.cfg.M + 1] = rows
+        spec[: rows.shape[0]] = rows
         return (np.fft.irfft(spec, n=self._n1, axis=0) * self._n1) @ self._pad.T
 
     def _from_phys(self, vals: np.ndarray) -> np.ndarray:
@@ -319,8 +331,6 @@ class ChannelStepper:
     def _advection(self, phi: np.ndarray) -> np.ndarray:
         """Advection rows: n >= 1 carry u . grad omega at the nodes,
         row 0 carries +d2 mean(u1 u2) (the negated mean-flow forcing)."""
-        if self.cfg.linearized:
-            return np.zeros_like(self._omega)
         u1, u2 = self._velocity_nodes(phi, self._omega[0])
         wtot = self._omega.copy()
         wtot[0] = -(self._omega[0].real @ self.D.T)
@@ -406,15 +416,18 @@ class ChannelStepper:
     def tendency_split(self, phi: np.ndarray | None = None):
         """Viscous and advective tendency rows of the semi-discrete system.
 
-        Returns (visc, adv) shaped like the state: rows n >= 1 give
+        Returns (visc, adv) shaped like ``phi``: rows n >= 1 give
         d omega_n/dt contributions, row 0 gives d ubar/dt contributions;
-        ``phi`` as in ``velocity``.
+        ``phi`` as in ``velocity``.  A linearized stepper has no advective
+        tendency, so its adv is zero.
         """
         if phi is None:
             phi = self._solve_phi(self._omega)
-        w = self._omega
-        visc = self.mu * (w @ self.D2.T - (self.kappa**2)[:, None] * w)
+        w = self._omega[: phi.shape[0]]
+        visc = self.mu * (w @ self.D2.T - (self.kappa[: w.shape[0]] ** 2)[:, None] * w)
         visc[0] = self.mu * (w[0].real @ self.D2.T)
+        if self.cfg.linearized:
+            return visc, np.zeros_like(w)
         return visc, -self._advection(phi)
 
     def tendency_velocity(self, rows: np.ndarray):

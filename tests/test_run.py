@@ -22,7 +22,14 @@ from slipflow.sim import (
 )
 from slipflow.sim.run import CHECKPOINT_HEADER_BYTES, CHECKPOINT_MAGIC, _Recorder
 from slipflow.sim.stepper import ChannelStepper
-from slipflow.sim.field import SpectralField2D, cgl_nodes, cheb_coeffs_from_values
+from slipflow.sim.energy import boundary_production, gradient_dissipation
+from slipflow.sim.field import (
+    SpectralField2D,
+    cgl_nodes,
+    cheb_coeffs_from_values,
+    scalar_inner,
+    velocity_norms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +64,14 @@ class TestDiagnostics:
         rates = result.diagnostics.growth_rate_estimate
         assert rates[-1] == pytest.approx(lam, rel=1.0e-3)
 
-    def test_linearized_run_has_zero_nonlinear_flux(self, growing_run):
+    def test_linearized_run_has_zero_nonlinear_flux(self, growing_run, tmp_path):
         result, _, _ = growing_run
         flux = result.diagnostics.nonlinear_flux
-        scale = result.diagnostics.dissipation.max()
-        assert np.abs(flux).max() <= 1.0e-10 * scale
+        assert (flux == 0.0).all()
+        assert not np.signbit(flux).any()
+        path = energy_to_csv(result.diagnostics, tmp_path / "energy.csv")
+        column = [line.split(",")[4] for line in path.read_text().splitlines()[1:]]
+        assert set(column) == {"0"}
 
     def test_diagnostics_csv_round_trips(self, growing_run, tmp_path):
         result, _, _ = growing_run
@@ -106,6 +116,118 @@ class TestDiagnostics:
         monkeypatch.setattr(stepper, "_solve_phi", counting)
         _Recorder(stepper).record()
         assert sum(state_solves) == 1
+
+    def test_linearized_record_solves_a_prefix_once_through_public_methods(
+        self, channel, basis48, monkeypatch
+    ):
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=1.0e-3, linearized=True)
+        stepper = ChannelStepper(cfg, field)
+        assert stepper._live_rows() == slice(1, 2)
+
+        solve = stepper._solve_phi
+        state_solves = []
+
+        def counting(omega):
+            if np.shares_memory(omega, stepper._omega):
+                state_solves.append(omega.shape)
+            return solve(omega)
+
+        monkeypatch.setattr(stepper, "_solve_phi", counting)
+        calls = dict.fromkeys(
+            ("velocity", "cfl_number", "tendency_split", "tendency_velocity"), 0
+        )
+        for name in calls:
+            def counted(*args, _name=name, _method=getattr(stepper, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(stepper, name, counted)
+        _Recorder(stepper).record()
+        assert state_solves == [(2, 56)]
+        assert calls == dict.fromkeys(calls, 1)
+
+
+def _linearized_stepper(channel, live, M=8, P=32):
+    """Linearized stepper whose nonzero streamfunction rows are ``live``.
+
+    Each row is a random decaying series, made to vanish at both walls for
+    n >= 1; three steps then bring the state onto the slip conditions.
+    """
+    rng = np.random.default_rng(len(live) + 10 * max(live))
+    amp = 1.0e-2 * np.exp(-0.5 * np.arange(P))
+    rows = np.zeros((M + 1, P), dtype=complex)
+    for n in live:
+        c = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) * amp
+        if n == 0:
+            c = c.real
+        else:
+            top, bot = c.sum(), (c * (-1.0) ** np.arange(P)).sum()
+            c[0] -= 0.5 * (top + bot)
+            c[1] -= 0.5 * (top - bot)
+        rows[n] = c
+    cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, linearized=True)
+    stepper = ChannelStepper(cfg, SpectralField2D(rows, channel.L))
+    for _ in range(3):
+        stepper.step()
+    return stepper
+
+
+def _full_row_record(stepper):
+    """The record's quantities from the stepper's public methods on all M+1 rows."""
+    phi = stepper._solve_phi(stepper._omega)
+    u1, u2 = stepper.velocity(phi)
+    l2, h1, h2 = velocity_norms(u1, u2)
+    bp = boundary_production(u1, stepper.slip)
+    diss = gradient_dissipation(u1, u2, stepper.mu)
+    visc, adv = stepper.tendency_split(phi)
+    assert not adv.any()
+    v1, v2 = stepper.tendency_velocity(visc)
+    dedt = scalar_inner(u1, v1) + scalar_inner(u2, v2)
+    resid = abs(dedt - bp + diss)
+    return (l2, h1, h2, bp, diss, dedt, resid), stepper.cfl_number(phi), (u1, u2)
+
+
+class TestLinearizedPrefixRecord:
+    """A linearized record works on rows 0 .. b-1 and matches the full rows."""
+
+    @pytest.mark.parametrize(
+        "live", [(1,), (1, 3), (0, 2)], ids=["row1", "rows1and3", "mean_row"]
+    )
+    def test_prefix_record_matches_full_rows(self, channel, live):
+        stepper = _linearized_stepper(channel, live)
+        b = max(live) + 1
+        assert stepper._live_rows() == slice(min(live), b)
+        rec = _Recorder(stepper)
+        (u1, u2), _, cfl = rec.record()
+        _, l2, h1, h2, bp, diss, nlf, dedt, resid = rec.rows[-1]
+        want, want_cfl, full = _full_row_record(stepper)
+
+        assert u1.M + 1 == u2.M + 1 == b
+        for got, ref in zip((u1, u2), full):
+            scale = np.abs(ref.coefficients).max()
+            assert not ref.coefficients[b:].any()
+            assert np.abs(got.coefficients - ref.coefficients[:b]).max() <= 1.0e-14 * scale
+        for name, got, ref in zip(("l2", "h1", "h2", "bp", "diss", "dedt"),
+                                  (l2, h1, h2, bp, diss, dedt), want):
+            tol = 1.0e-11 if name == "h2" else 1.0e-12
+            assert abs(got - ref) <= tol * abs(ref), name
+        assert abs(resid - want[-1]) <= 1.0e-12 * diss
+        assert nlf == 0.0 and not np.signbit(nlf)
+        assert cfl == want_cfl == stepper.cfl_number() > 0.0
+
+    def test_all_zero_state_records_zeros(self, channel):
+        M, P = 8, 32
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, linearized=True)
+        zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), channel.L)
+        stepper = ChannelStepper(cfg, zero)
+        assert stepper._live_rows() == slice(0, 0)
+        rec = _Recorder(stepper)
+        _, norms, cfl = rec.record()
+        assert norms == (0.0, 0.0, 0.0)
+        assert cfl == 0.0
+        assert rec.rows[-1] == (0.0,) * 9
+        assert not np.signbit(rec.rows[-1]).any()
 
 
 class TestCheckpointing:

@@ -254,7 +254,10 @@ class _PerModeReference(ChannelStepper):
 
     def step(self):
         cfg = self.cfg
-        adv = self._advection(self._solve_phi(self._omega))
+        if cfg.linearized:
+            adv = np.zeros_like(self._omega)
+        else:
+            adv = self._advection(self._solve_phi(self._omega))
         adv_x = 1.5 * adv - 0.5 * self._n_prev if self._have_history else adv
         w = self._omega
         rhs = (w + self._alpha * (w @ self.D2.T - (self.kappa**2)[:, None] * w)
