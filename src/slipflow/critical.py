@@ -21,10 +21,10 @@ max(xi)/2k), and tends to its supremum
 
     mu_c(Xi) = (xi_+ + xi_- + sqrt(xi_+^2 - xi_+ xi_- + xi_-^2)) / 3
 
-as k -> 0.  Three evaluation branches keep the formula accurate everywhere:
-a Taylor branch for small k (the numerator suffers catastrophic cancellation
-below k ~ 0.05), the direct formula in the middle, and a scaled-exponential
-branch for k > 20 (sinh^2(2k) overflows doubles near k ~ 177).
+as k -> 0.  The threshold is computed as mu kappa_1(0), with kappa_1 the top
+eigenvalue of the rank-2 slip operator K of ``spectrum.operator_eigenvalues``:
+the same quantity as the formula above, but built from the wall responses,
+which neither cancel at small k nor overflow at large k.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .model import ChannelConfig, SlipPair
+from .model import ChannelConfig, ModeProblem, SlipPair
 from .numerics import ChebBasis, NotPositiveDefiniteError, energy_form
+from .spectrum import operator_eigenvalues
 
 __all__ = [
     "mu_c_closed_form",
@@ -45,84 +46,12 @@ __all__ = [
     "critical_wavenumber",
     "CriticalCurve",
     "critical_curve",
-    "MAX_CLOSED_FORM_K",
-    "SCALED_BRANCH_K",
-    "SERIES_BRANCH_K",
 ]
-
-SERIES_BRANCH_K = 0.04
-SCALED_BRANCH_K = 20.0
-MAX_CLOSED_FORM_K = 300.0
-
-
-def _mu_c_series(k: float, sig: float, dif: float) -> float:
-    # Nondimensionalize the cancellation-prone combinations by their leading
-    # powers.  With x = 2k:
-    #   sinh(2k)cosh(2k) - 2k = (sinh(4k) - 4k)/2          ~ (4k)^3/12
-    #   sinh(2k) - 2k cosh(2k) = -(x^3/3)(1 + x^2/10 + ...)
-    #   sinh^2(2k) - 4k^2      = (x^4/3)(1 + 2x^2/15 + ...)
-    x = 2.0 * k
-    y = 4.0 * k
-    y2, x2 = y * y, x * x
-    P = 0.5 * y ** 3 * (1.0 / 6 + y2 * (1.0 / 120 + y2 * (1.0 / 5040 + y2 / 362880)))
-    Q = -(x ** 3) * (1.0 / 3 + x2 * (1.0 / 30 + x2 * (1.0 / 840 + x2 / 45360)))
-    G = x ** 4 * (1.0 / 3 + x2 * (2.0 / 45 + x2 * (1.0 / 315 + x2 * 2.0 / 14175)))
-    s2 = math.sinh(x) ** 2
-    num = P * sig + math.sqrt(Q * Q * sig * sig + s2 * G * dif * dif)
-    return num / (4.0 * k * s2)
-
-
-def _mu_c_direct(k: float, sig: float, dif: float) -> float:
-    s = math.sinh(2.0 * k)
-    c = math.cosh(2.0 * k)
-    P = s * c - 2.0 * k
-    Q = s - 2.0 * k * c
-    G = s * s - 4.0 * k * k
-    num = P * sig + math.sqrt(Q * Q * sig * sig + s * s * G * dif * dif)
-    return num / (4.0 * k * s * s)
-
-
-def _mu_c_scaled(k: float, sig: float, dif: float) -> float:
-    # Same formula with e^{4k} factored out of the numerator and denominator:
-    # with E = e^{-4k}, S = 1 - E, C = 1 + E (so sinh2k = e^{2k} S/2 etc.)
-    E = math.exp(-4.0 * k)
-    S = -math.expm1(-4.0 * k)
-    Cc = 1.0 + E
-    quarter_s2 = 0.25 * S * S
-    num = (0.25 * S * Cc - 2.0 * k * E) * sig + math.sqrt(
-        E * (0.5 * S - k * Cc) ** 2 * sig * sig
-        + quarter_s2 * (quarter_s2 - 4.0 * k * k * E) * dif * dif
-    )
-    return num / (k * S * S)
-
-
-def _mu_c_any_k(k: float, slip: SlipPair) -> float:
-    sig = slip.xi_plus + slip.xi_minus
-    dif = slip.xi_plus - slip.xi_minus
-    if sig == 0.0:
-        return 0.0
-    if k < SERIES_BRANCH_K:
-        return _mu_c_series(k, sig, dif)
-    if k <= SCALED_BRANCH_K:
-        return _mu_c_direct(k, sig, dif)
-    return _mu_c_scaled(k, sig, dif)
 
 
 def mu_c_closed_form(k: float, slip: SlipPair) -> float:
-    """Critical viscosity of wavenumber k, evaluated from the closed form.
-
-    Raises for k > 300: far into the regime where only the exponentially
-    scaled branch is meaningful, and indistinguishable at double precision
-    from the asymptote max(xi_minus, xi_plus) / (2 k).
-    """
-    if not k > 0.0:
-        raise ValueError(f"k: must be > 0, got {k}")
-    if k > MAX_CLOSED_FORM_K:
-        raise ValueError(
-            f"k = {k:g} > {MAX_CLOSED_FORM_K:g}: hyperbolic overflow risk; "
-            "use the asymptote max(xi)/(2k) at such wavenumbers"
-        )
-    return _mu_c_any_k(k, slip)
+    """Critical viscosity of wavenumber k: mu kappa_1(0) of the slip operator K."""
+    return operator_eigenvalues(0.0, ModeProblem(k=k, mu=1.0, slip=slip))[0]
 
 
 def mu_c_variational(k: float, slip: SlipPair, basis: ChebBasis) -> float:
@@ -162,23 +91,23 @@ def mu_c_global(slip: SlipPair) -> float:
     return (xp + xm + math.sqrt(xp * xp - xp * xm + xm * xm)) / 3.0
 
 
-def critical_wavenumber(config: ChannelConfig, slip: SlipPair):
-    """Largest lattice wavenumber k = n/L unstable at the config's viscosity.
+def critical_wavenumber(config: ChannelConfig):
+    """Largest lattice wavenumber k = n/L unstable at the config's viscosity and slip.
 
     Returns None if already the smallest lattice wavenumber 1/L is stable
     (mu >= mu_c there).  Exploits strict decrease of mu_c in k: doubling
     search for a stable index, then bisection for the last unstable one.
     """
-    mu, L = config.mu, config.L
-    if not mu < _mu_c_any_k(1.0 / L, slip):
+    mu, L, slip = config.mu, config.L, config.slip
+    if not mu < mu_c_closed_form(1.0 / L, slip):
         return None
     lo = 1  # highest index known unstable
     hi = 2
-    while mu < _mu_c_any_k(hi / L, slip):
+    while mu < mu_c_closed_form(hi / L, slip):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mu < _mu_c_any_k(mid / L, slip):
+        if mu < mu_c_closed_form(mid / L, slip):
             lo = mid
         else:
             hi = mid

@@ -41,6 +41,14 @@ class TestCritical:
         assert len(manifest["config_digest"]) == 64
         assert int(manifest["config_digest"], 16) >= 0
 
+    def test_large_wavenumbers_reach_the_asymptote(self, tmp_path):
+        rc = run_cli("--out", tmp_path, "critical", "--xi", "0", "3",
+                     "--k", "1", "10000", "--points", "5")
+        assert rc == 0
+        k, mu_c = map(float, (tmp_path / "critical.csv").read_text().splitlines()[-2].split(","))
+        assert k == 1e4
+        assert abs(mu_c - 1.5e-4) <= 1e-15 * 1.5e-4  # max(xi) / (2 k)
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -46,13 +46,20 @@ def test_large_k_decay():
     assert mu_c_closed_form(50.0, slip) < 0.02 * mu_c_global(slip)
 
 
+@pytest.mark.parametrize("k", [300.0, 500.0, 1e4, 1e6])
+def test_large_k_reaches_asymptote(k):
+    for slip in (SlipPair(1.0, 1.0), SlipPair(0.0, 3.0), SlipPair(10.0, 0.1), SlipPair(0.5, 3.0)):
+        ratio = mu_c_closed_form(k, slip) * 2.0 * k / max(slip.xi_minus, slip.xi_plus)
+        assert abs(ratio - 1.0) <= 1e-15, slip
+
+
 def test_zero_slip_gives_zero_threshold():
     assert mu_c_closed_form(1.0, SlipPair(0.0, 0.0)) == 0.0
     assert mu_c_global(SlipPair(0.0, 0.0)) == 0.0
 
 
 @given(
-    k=st.floats(min_value=0.05, max_value=50.0),
+    k=st.floats(min_value=0.05, max_value=1e4),
     xm=st.floats(min_value=0.0, max_value=5.0),
     xp=st.floats(min_value=0.01, max_value=5.0),
 )
@@ -64,7 +71,7 @@ def test_mu_c_positive_and_below_global(k, xm, xp):
 
 
 @given(
-    k=st.floats(min_value=0.05, max_value=30.0),
+    k=st.floats(min_value=0.05, max_value=1e4),
     step=st.floats(min_value=0.01, max_value=2.0),
     xm=st.floats(min_value=0.0, max_value=4.0),
     xp=st.floats(min_value=0.05, max_value=4.0),
@@ -168,7 +175,7 @@ def test_variational_usage_errors(basis64, monkeypatch):
 def test_critical_wavenumber_bisection():
     slip = SlipPair(1.0, 1.0)
     config = ChannelConfig(L=1.0, mu=0.5, slip=slip)
-    kc = critical_wavenumber(config, slip)
+    kc = critical_wavenumber(config)
     assert kc == 1.0
     assert mu_c_closed_form(kc, slip) > config.mu
     assert mu_c_closed_form(kc + 1.0, slip) < config.mu
@@ -177,7 +184,7 @@ def test_critical_wavenumber_bisection():
 def test_critical_wavenumber_long_channel():
     slip = SlipPair(1.0, 1.0)
     config = ChannelConfig(L=10.0, mu=0.2, slip=slip)
-    kc = critical_wavenumber(config, slip)
+    kc = critical_wavenumber(config)
     assert kc is not None
     assert mu_c_closed_form(kc, slip) > 0.2
     assert mu_c_closed_form(kc + 0.1, slip) < 0.2
@@ -185,7 +192,7 @@ def test_critical_wavenumber_long_channel():
 
 def test_critical_wavenumber_stable_channel():
     slip = SlipPair(1.0, 1.0)
-    assert critical_wavenumber(ChannelConfig(L=1.0, mu=1.5, slip=slip), slip) is None
+    assert critical_wavenumber(ChannelConfig(L=1.0, mu=1.5, slip=slip)) is None
 
 
 def test_critical_curve_monotone():

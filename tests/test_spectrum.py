@@ -162,16 +162,36 @@ def test_determinant_sign_change_at_root(basis64):
 OPERATOR_SLIPS = ((1.0, 1.0), (0.0, 3.0), (10.0, 0.1), (0.5, 3.0))
 
 
-@pytest.mark.parametrize("k", [0.05, 0.5, 4.0, 16.0, 60.0])
+# k -> mu_c(k) for each slip pair of OPERATOR_SLIPS, rounded to doubles from a
+# 50-digit mpmath 1.3.0 evaluation (mp.dps = 50) of the textbook closed form
+#   mu_c = [(sinh2k cosh2k - 2k) sig + sqrt((sinh2k - 2k cosh2k)^2 sig^2
+#           + sinh^2(2k) (sinh^2(2k) - 4k^2) dif^2)] / (4 k sinh^2(2k)),
+# sig = xi_+ + xi_-, dif = xi_+ - xi_-.  The k near 0.04 are where a series
+# and the direct formula used to meet.
+MU_C_REFERENCE = {
+    0.001: (0.9999993333337334, 1.999998933333943, 6.683455381185643, 2.094626204828974),
+    0.0376: (0.9990582922107111, 1.9984932066812156, 6.678404743712744, 2.092947866625017),
+    0.039: (0.9989869246173829, 1.9983790089543785, 6.678021692646877, 2.0928205812031915),
+    0.041: (0.9988804626131864, 1.998208654159092, 6.6774502752862945, 2.0926307037330103),
+    0.05: (0.9983358299645837, 1.9973371377841833, 6.674526970640385, 2.091659328980326),
+    0.5: (0.8553410237429735, 1.7669208735990625, 5.901879290138492, 1.8359633683566587),
+    4.0: (0.12558663780889634, 0.37499873397899, 1.2499960584271894, 0.3750003882441095),
+    16.0: (0.031250000000024536, 0.09375, 0.3125, 0.09375),
+    60.0: (0.008333333333333333, 0.025, 0.08333333333333333, 0.025),
+    300.0: (0.0016666666666666668, 0.005, 0.016666666666666666, 0.005),
+}
+
+
+@pytest.mark.parametrize("k", MU_C_REFERENCE)
 def test_operator_at_zero_gives_mu_c(k):
     from slipflow.critical import mu_c_closed_form
 
-    for xi in OPERATOR_SLIPS:
+    for xi, ref in zip(OPERATOR_SLIPS, MU_C_REFERENCE[k]):
         slip = SlipPair(*xi)
-        mu_c = mu_c_closed_form(k, slip)
-        problem = ModeProblem(k=k, mu=0.5 * mu_c, slip=slip)
+        assert abs(mu_c_closed_form(k, slip) - ref) <= 2e-15 * ref, xi
+        problem = ModeProblem(k=k, mu=0.5 * ref, slip=slip)
         kappa1, kappa2 = operator_eigenvalues(0.0, problem)
-        assert abs(problem.mu * kappa1 - mu_c) <= 1e-12 * mu_c, xi
+        assert abs(problem.mu * kappa1 - ref) <= 2e-15 * ref, xi
         assert 0.0 <= kappa2 <= kappa1
 
 
