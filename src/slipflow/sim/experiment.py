@@ -20,7 +20,10 @@ discretization error of the linear propagator.  The nonlinear branches lock
 the odd-in-x1 symmetry class of the packet (pure imaginary mode rows, zero
 mean flow): the mean-shear diffusion mode grows much faster than the packet
 (rate 2.13 versus 0.47 at the reference configuration), so unlocked roundoff
-seeding would contaminate the long delta = 1e-7 horizon.
+seeding would contaminate the long delta = 1e-7 horizon.  In that class the
+advection is a sine series in x1, so the locked branches form their products
+on half the x1 period with real sine and cosine transforms (see
+``sim.stepper``).
 
 With a single unstable mode the reduced packet is empty and its branch is
 identically zero; the driver then skips the two reduced integrations (zero

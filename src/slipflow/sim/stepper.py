@@ -24,7 +24,15 @@ aliasing in both directions.  The x2 half of the padding is two fixed real
 matrices built with the operators: the pad matrix maps the P node values to
 the ceil(3P/2) padded node values of the same polynomial, and the unpad
 matrix maps padded node values to the P node values of their truncation to
-P Chebyshev coefficients.  A step runs no DCT, only the x1 FFTs.
+P Chebyshev coefficients.  A step transforms only in x1, never in x2.
+
+A locked stepper (see below) forms its products on half the x1 period.
+In the locked class every product in u . grad omega is a sine series in x1,
+so the factors are evaluated by real DST-I and DCT-I transforms at the
+n1/2 - 1 interior points 0 < x1 < pi L of the same padded grid, and the
+product returns through one DST-I; the mean flux mean(u1 u2) is exactly
+zero and is not formed.  The pad and unpad matrices then act on half as
+many x1 points.  The CFL estimate keeps the full-period transforms.
 
 A linearized stepper has no advection, so its Fourier rows decouple and a
 row that is zero stays exactly zero.  Its step solves no streamfunction and
@@ -55,6 +63,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from ..model import ChannelConfig, ValidationError
 from .field import (
@@ -168,6 +177,11 @@ class ChannelStepper:
     its values at the ceil(3P/2) padded CGL nodes (DCT-I, zero-pad, inverse
     DCT-I); ``_unpad`` (P, ceil(3P/2)) takes padded node values to the P
     node values of their first P Chebyshev coefficients.
+
+    With ``cfg.lock_symmetry`` the advection runs on half the x1 period
+    (``_locked_advection``); an unlocked nonlinear stepper, and the CFL
+    estimate of every stepper, use the full-period ``_to_phys`` and
+    ``_from_phys``.
     """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):
@@ -331,6 +345,8 @@ class ChannelStepper:
     def _advection(self, phi: np.ndarray) -> np.ndarray:
         """Advection rows: n >= 1 carry u . grad omega at the nodes,
         row 0 carries +d2 mean(u1 u2) (the negated mean-flow forcing)."""
+        if self.cfg.lock_symmetry:
+            return self._locked_advection(phi)
         u1, u2 = self._velocity_nodes(phi, self._omega[0])
         wtot = self._omega.copy()
         wtot[0] = -(self._omega[0].real @ self.D.T)
@@ -342,6 +358,37 @@ class ChannelStepper:
         # the truncated flux has degree < P, so collocation is exact
         flux = self._from_phys(u1p * u2p)
         adv[0] = flux[0].real @ self.D.T
+        return adv
+
+    def _locked_advection(self, phi: np.ndarray) -> np.ndarray:
+        """``_advection`` of a state in the locked class, on half the x1 period.
+
+        With phi_n = i b_n, omega_n = i c_n and a zero mean row, u1 and
+        d2 omega are sine series in x1 and u2 and d1 omega cosine series.
+        Each product in u . grad omega is then a sine series: its rows are
+        pure imaginary, and mean(u1 u2) = 0 makes row 0 exactly zero.  The
+        factors are evaluated at the interior points j = 1 .. n1/2 - 1 of
+        the padded grid, where a series with rows i s_n takes the values
+        -DST-I(s) and one with real rows a_n (a_0 = 0) the values DCT-I(a),
+        and the product returns through one forward DST-I.
+        """
+        M, n1 = self.cfg.M, self._n1
+        half = n1 // 2
+
+        def sine(s):  # minus the values of the series with rows i s_1 .. i s_M
+            return sfft.dst(s, type=1, n=half - 1, axis=0) @ self._pad.T
+
+        def cosine(a):  # values of the series with real rows a_0 = 0, a_1 .. a_M
+            return sfft.dct(a, type=1, n=half + 1, axis=0)[1:-1] @ self._pad.T
+
+        b, c = phi.imag, self._omega.imag
+        kappa = self.kappa[:, None]
+        # u1 w1 + u2 w2 with u1 = -sine(b'), w1 = -cosine(kappa c),
+        # u2 = cosine(kappa b), w2 = -sine(c')
+        prod = (sine(b[1:] @ self.D.T) * cosine(kappa * c)
+                - cosine(kappa * b) * sine(c[1:] @ self.D.T))
+        adv = np.zeros_like(self._omega)
+        adv.imag[1:] = sfft.dst(prod @ self._unpad.T, type=1, axis=0)[:M] / -n1
         return adv
 
     # -- stepping --------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from conftest import mode_field
 
 from slipflow.model import ChannelConfig, SlipPair, ValidationError
+from slipflow.numerics import build_basis
 from slipflow.sim import (
     SimConfig,
     SimulationBlowupError,
@@ -261,10 +262,13 @@ class TestCheckpointing:
                         linearized=True, diagnostics_stride=10)
         self._assert_restart_bit_exact(field, cfg, tmp_path)
 
-    def test_nonlinear_locked_restart_is_bit_exact(self, channel, basis48, tmp_path):
+    # M = 7 runs the locked advection through DST-I of odd length 2M - 1; the
+    # mode comes from a basis of size P - 2, whose profiles have P coefficients
+    @pytest.mark.parametrize("M, P, N", [(8, 56, 48), (7, 33, 31)], ids=["M8-P56", "M7-P33"])
+    def test_nonlinear_locked_restart_is_bit_exact(self, channel, tmp_path, M, P, N):
         # the AB2 advection history is restored from the checkpoint
-        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
-        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
+        field, _ = mode_field(channel, build_basis(N), M=M, P=P, amplitude=0.05)
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=2.0e-3, t_end=0.1,
                         lock_symmetry=True, diagnostics_stride=10)
         self._assert_restart_bit_exact(field, cfg, tmp_path)
 

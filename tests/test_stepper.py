@@ -487,3 +487,62 @@ class TestPaddedTransforms:
         got, want = stepper._advection(phi), _dct_advection(stepper, phi)
         assert np.abs(got - want).max() <= 1.0e-12 * np.abs(want).max()
         assert np.abs(got[0] - want[0]).max() <= 1.0e-12 * np.abs(want[0]).max()
+
+
+class TestLockedAdvection:
+    """A locked stepper forms its products on half the x1 period."""
+
+    @staticmethod
+    def _stepper(M, P, L=1.0, lock=True, seed=0):
+        channel = ChannelConfig(L=L, mu=0.5, slip=SlipPair(1.0, 1.0))
+        rng = np.random.default_rng(seed)
+        decay = np.exp(-0.3 * np.arange(P))
+        rows = rng.standard_normal((M + 1, P)) * decay
+        rows = 1j * rows if lock else rows + 1j * rng.standard_normal((M + 1, P)) * decay
+        rows[0] = 0.0
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05,
+                        lock_symmetry=lock)
+        return ChannelStepper(cfg, SpectralField2D(rows * 1.0e-2, L))
+
+    @pytest.mark.parametrize("M, P, L", [(2, 16, 1.0), (6, 24, 1.0), (5, 17, 2.0),
+                                         (16, 56, 1.0), (32, 64, 1.0)])
+    def test_matches_dct_path(self, M, P, L):
+        stepper = self._stepper(M, P, L, seed=M + P)
+        phi = stepper._solve_phi(stepper._omega)
+        got, want = stepper._advection(phi), _dct_advection(stepper, phi)
+        assert np.abs(got[1:] - want[1:]).max() <= 1.0e-13 * np.abs(want[1:]).max()
+        assert np.all(got[0] == 0.0)
+        assert np.all(got.real == 0.0)
+
+    @staticmethod
+    def _count_transforms(stepper):
+        calls = {"_to_phys": 0, "_from_phys": 0}
+        for name in calls:
+            method = getattr(stepper, name)
+
+            def counted(x, name=name, method=method):
+                calls[name] += 1
+                return method(x)
+
+            setattr(stepper, name, counted)
+        return calls
+
+    def test_locked_step_runs_no_full_period_transform(self):
+        stepper = self._stepper(6, 24)
+        calls = self._count_transforms(stepper)
+        stepper.step()
+        assert calls == {"_to_phys": 0, "_from_phys": 0}
+
+    def test_unlocked_step_runs_the_full_period_transforms(self):
+        stepper = self._stepper(6, 24, lock=False)
+        calls = self._count_transforms(stepper)
+        stepper.step()
+        assert calls == {"_to_phys": 4, "_from_phys": 2}
+
+    def test_locked_cfl_is_the_general_formula(self):
+        locked = self._stepper(6, 24)
+        for _ in range(3):
+            locked.step()
+        general = self._stepper(6, 24, lock=False)
+        general._omega = locked._omega.copy()
+        assert locked.cfl_number() == general.cfl_number() > 0.0
