@@ -22,7 +22,7 @@ mean flow): the mean-shear diffusion mode grows much faster than the packet
 (rate 2.13 versus 0.47 at the reference configuration), so unlocked roundoff
 seeding would contaminate the long delta = 1e-7 horizon.  In that class the
 advection is a sine series in x1, so the locked branches form their products
-on half the x1 period with real sine and cosine transforms (see
+on half the x1 period with cached real sine and cosine matrices (see
 ``sim.stepper``).
 
 With a single unstable mode the reduced packet is empty and its branch is

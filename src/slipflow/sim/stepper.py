@@ -28,11 +28,16 @@ P Chebyshev coefficients.  A step transforms only in x1, never in x2.
 
 A locked stepper (see below) forms its products on half the x1 period.
 In the locked class every product in u . grad omega is a sine series in x1,
-so the factors are evaluated by real DST-I and DCT-I transforms at the
-n1/2 - 1 interior points 0 < x1 < pi L of the same padded grid, and the
-product returns through one DST-I; the mean flux mean(u1 u2) is exactly
-zero and is not formed.  The pad and unpad matrices then act on half as
-many x1 points.  The CFL estimate keeps the full-period transforms.
+so the factors are evaluated at the n1/2 - 1 interior points
+0 < x1 < pi L of the same padded grid by fixed real sine and cosine
+synthesis matrices, and the product returns through the matching sine
+analysis matrix; the mean flux mean(u1 u2) is exactly zero and is not
+formed.  A locked step is thus a chain of small real matrix products with
+no transform call.  These dense matrices cost O(M^2) per x2 node where a
+fast transform costs O(M log M).  On a 2-vCPU host with one BLAS thread
+the matrix step is still the faster one at M = 128, P = 96 and is not
+faster at M = 256, P = 128, where the DST-I/DCT-I form wins 2 of 3 runs.
+The CFL estimate keeps the full-period transforms.
 
 A linearized stepper has no advection, so its Fourier rows decouple and a
 row that is zero stays exactly zero.  Its step solves no streamfunction and
@@ -63,7 +68,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from ..model import ChannelConfig, ValidationError
 from .field import (
@@ -181,7 +185,14 @@ class ChannelStepper:
     With ``cfg.lock_symmetry`` the advection runs on half the x1 period
     (``_locked_advection``); an unlocked nonlinear stepper, and the CFL
     estimate of every stepper, use the full-period ``_to_phys`` and
-    ``_from_phys``.
+    ``_from_phys``.  The locked products use four more cached matrices,
+    with h = n1/2 - 1 half-period points x1_j = j pi L / (n1/2):
+    ``_pad_with_d`` (P, 2 ceil(3P/2)) is ``[_pad.T | (_pad @ D).T]``, so
+    one product pads node values and their x2 derivative; ``_half_sin``
+    (h, M) holds 2 sin(kappa_n x1_j) and ``_half_cos`` (h, M) holds
+    2 kappa_n cos(kappa_n x1_j), the DST-I and (kappa-weighted) DCT-I
+    syntheses of rows 1 .. M at those points; ``_half_fwd`` (M, h) is
+    ``_half_sin.T / -n1``, the forward DST-I back to rows 1 .. M.
     """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):
@@ -273,6 +284,16 @@ class ChannelStepper:
         self._unpad = cheb_values_from_coeffs(
             cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
         )
+        # locked class: pad fused with d/dx2, and the half-period sine and
+        # cosine series at x1_j = j pi L / (n1/2), j = 1 .. n1/2 - 1, with
+        # n j reduced mod n1 so every angle lies in [0, 2 pi)
+        self._pad_with_d = np.hstack([self._pad.T, (self._pad @ D).T])
+        half = self._n1 // 2
+        angle = (np.pi / half) * (np.outer(np.arange(1, half), np.arange(1, M + 1))
+                                  % self._n1)
+        self._half_sin = 2.0 * np.sin(angle)
+        self._half_cos = 2.0 * np.cos(angle) * self.kappa[1:]
+        self._half_fwd = self._half_sin.T / -self._n1
 
     # -- representation changes ----------------------------------------
 
@@ -369,26 +390,20 @@ class ChannelStepper:
         pure imaginary, and mean(u1 u2) = 0 makes row 0 exactly zero.  The
         factors are evaluated at the interior points j = 1 .. n1/2 - 1 of
         the padded grid, where a series with rows i s_n takes the values
-        -DST-I(s) and one with real rows a_n (a_0 = 0) the values DCT-I(a),
-        and the product returns through one forward DST-I.
+        -``_half_sin`` @ s and one with real rows kappa_n a_n the values
+        ``_half_cos`` @ a, and the product returns through ``_half_fwd``.
+        Every step is a real matrix product.
         """
-        M, n1 = self.cfg.M, self._n1
-        half = n1 // 2
-
-        def sine(s):  # minus the values of the series with rows i s_1 .. i s_M
-            return sfft.dst(s, type=1, n=half - 1, axis=0) @ self._pad.T
-
-        def cosine(a):  # values of the series with real rows a_0 = 0, a_1 .. a_M
-            return sfft.dct(a, type=1, n=half + 1, axis=0)[1:-1] @ self._pad.T
-
-        b, c = phi.imag, self._omega.imag
-        kappa = self.kappa[:, None]
-        # u1 w1 + u2 w2 with u1 = -sine(b'), w1 = -cosine(kappa c),
-        # u2 = cosine(kappa b), w2 = -sine(c')
-        prod = (sine(b[1:] @ self.D.T) * cosine(kappa * c)
-                - cosine(kappa * b) * sine(c[1:] @ self.D.T))
+        M, pp = self.cfg.M, self._pad.shape[0]
+        sine, cosine = self._half_sin, self._half_cos
+        # b, d2 b, c and d2 c at the padded x2 nodes
+        f = np.concatenate([phi.imag[1:], self._omega.imag[1:]]) @ self._pad_with_d
+        b, db, c, dc = f[:M, :pp], f[:M, pp:], f[M:, :pp], f[M:, pp:]
+        # u1 w1 + u2 w2 with u1 = -sine @ b', w1 = -cosine @ c,
+        # u2 = cosine @ b, w2 = -sine @ c'
+        prod = (sine @ db) * (cosine @ c) - (cosine @ b) * (sine @ dc)
         adv = np.zeros_like(self._omega)
-        adv.imag[1:] = sfft.dst(prod @ self._unpad.T, type=1, axis=0)[:M] / -n1
+        adv.imag[1:] = (self._half_fwd @ prod) @ self._unpad.T
         return adv
 
     # -- stepping --------------------------------------------------------

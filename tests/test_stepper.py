@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import dct_coeffs_from_values, dct_values_from_coeffs, mode_field
+from scipy import fft as sfft
 from scipy import linalg as sla
 from scipy.optimize import brentq
 
@@ -505,7 +506,8 @@ class TestLockedAdvection:
         return ChannelStepper(cfg, SpectralField2D(rows * 1.0e-2, L))
 
     @pytest.mark.parametrize("M, P, L", [(2, 16, 1.0), (6, 24, 1.0), (5, 17, 2.0),
-                                         (16, 56, 1.0), (32, 64, 1.0)])
+                                         (3, 23, 0.5), (9, 31, 1.0), (16, 56, 1.0),
+                                         (32, 64, 1.0), (64, 64, 1.0)])
     def test_matches_dct_path(self, M, P, L):
         stepper = self._stepper(M, P, L, seed=M + P)
         phi = stepper._solve_phi(stepper._omega)
@@ -513,6 +515,32 @@ class TestLockedAdvection:
         assert np.abs(got[1:] - want[1:]).max() <= 1.0e-13 * np.abs(want[1:]).max()
         assert np.all(got[0] == 0.0)
         assert np.all(got.real == 0.0)
+
+    @pytest.mark.parametrize("M", [2, 7, 32])
+    def test_cached_matrices_are_the_transforms(self, M):
+        stepper = self._stepper(M, 16)
+        n1 = stepper._n1
+        half = n1 // 2
+        sine = sfft.dst(np.eye(M), type=1, n=half - 1, axis=0)
+        cos_rows = np.zeros((M + 1, M))
+        cos_rows[1:] = np.eye(M)
+        cosine = sfft.dct(cos_rows, type=1, n=half + 1, axis=0)[1:-1]
+        forward = sfft.dst(np.eye(half - 1), type=1, axis=0)[:M] / -n1
+        assert np.abs(stepper._half_sin - sine).max() <= 1.0e-14
+        assert np.abs(stepper._half_cos / stepper.kappa[1:] - cosine).max() <= 1.0e-14
+        assert np.abs(stepper._half_fwd - forward).max() <= 1.0e-14
+
+    def test_locked_step_calls_no_transform(self, monkeypatch):
+        stepper = self._stepper(6, 24)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a locked step called a transform")
+
+        for module, name in ((np.fft, "rfft"), (np.fft, "irfft"),
+                             (sfft, "dst"), (sfft, "dct")):
+            monkeypatch.setattr(module, name, refuse)
+        stepper.step()
+        stepper.tendency_split()
 
     @staticmethod
     def _count_transforms(stepper):
