@@ -110,7 +110,9 @@ def _sim_config(raw: dict, ns, channel):
     """SimConfig from the config's sim section plus command-line overrides.
 
     The keys are the fields of SimConfig besides the channel, each typed
-    like its default; each flag's dest is the field it sets.
+    like its default; each flag's dest is the field it sets.  A value must
+    already have its field's JSON type: true/false for a bool, an integer
+    for an int, any number for a float; a bool is no number.
     """
     from dataclasses import fields
 
@@ -123,12 +125,14 @@ def _sim_config(raw: dict, ns, channel):
         value = getattr(ns, key, None)
         if value is not None:
             merged[key] = value
+    accepted = {bool: bool, int: int, float: (int, float)}
     clean = {}
     for key, value in merged.items():
-        try:
-            clean[key] = kinds[key](value)
-        except (TypeError, ValueError):
+        kind = kinds[key]
+        is_bool = isinstance(value, bool)
+        if is_bool != (kind is bool) or not isinstance(value, accepted[kind]):
             raise ConfigError(f"sim.{key}: bad value {value!r}")
+        clean[key] = kind(value)
     return SimConfig(channel=channel, **clean)
 
 

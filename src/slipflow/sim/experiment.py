@@ -16,14 +16,13 @@ delta * F_N(T^delta) = epsilon0, and verifies with measured constants that
 Each branch is integrated alongside a linearized twin started from the same
 initial data, all four with the same step size, so the recorded difference
 from linear isolates the quadratic (advection) effect rather than the time
-discretization error of the linear propagator.  The nonlinear branches lock
-the odd-in-x1 symmetry class of the packet (pure imaginary mode rows, zero
-mean flow): the mean-shear diffusion mode grows much faster than the packet
-(rate 2.13 versus 0.47 at the reference configuration), so unlocked roundoff
-seeding would contaminate the long delta = 1e-7 horizon.  In that class the
-advection is a sine series in x1, so the locked branches form their products
-on half the x1 period with cached real sine and cosine matrices (see
-``sim.stepper``).
+discretization error of the linear propagator.  Every packet starts in the
+odd-in-x1 symmetry class (pure imaginary mode rows, zero mean flow), so the
+nonlinear branches take the stepper's locked path, whose half-period
+products keep them in the class exactly (see ``sim.stepper``).  That matters:
+the mean-shear diffusion mode grows much faster than the packet (rate 2.13
+versus 0.47 at the reference configuration), so roundoff seeding it would
+contaminate the long delta = 1e-7 horizon.
 
 With a single unstable mode the reduced packet is empty and its branch is
 identically zero; the driver then skips the two reduced integrations (zero
@@ -185,8 +184,8 @@ def _run_one_delta(
     t_run = n_steps * dt
 
     base = replace(sim, t_end=t_run)
-    cfg_nl = replace(base, linearized=False, lock_symmetry=True)
-    cfg_li = replace(base, linearized=True, lock_symmetry=False)
+    cfg_nl = replace(base, linearized=False)
+    cfg_li = replace(base, linearized=True)
 
     full0 = field_from_packet(packet, sim.M, sim.P, sim.channel.L) * delta
     steppers = {

@@ -1,10 +1,9 @@
 """Run driver: time loop, recorded diagnostics, checkpoints, restarts.
 
-Checkpoint format (little endian): a 96-byte header of twelve 8-byte fields,
+Checkpoint format v3 (little endian): an 88-byte header of eleven 8-byte fields,
 
     magic "SLIPSIM1" | version u64 | M u64 | P u64 | L f64 | mu f64
     | xi_minus f64 | xi_plus f64 | t f64 | dt f64 | linearized u64
-    | lock_symmetry u64
 
 followed by the complex state block ((M+1) x P complex128: vorticity rows,
 mean-u1 row 0) and, when the run has taken at least one step, the advection
@@ -12,7 +11,8 @@ history block of the same shape.  Restarting with the same config resumes
 the exact trajectory: the stepper is a pure function of the checkpointed
 data, so diagnostics after the restart are bit-identical to the original
 run's.  A config that differs in any header field is refused, since the
-advection history only continues the scheme it was written by.
+advection history only continues the scheme it was written by.  The
+stepper reads its advection path off the state block (see ``sim.stepper``).
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"SLIPSIM1"
-CHECKPOINT_VERSION = 2
-CHECKPOINT_HEADER_BYTES = 96
-_HEADER_FIELDS = "<QQQddddddQQ"
+CHECKPOINT_VERSION = 3
+CHECKPOINT_HEADER_BYTES = 88
+_HEADER_FIELDS = "<QQQddddddQ"
 
 
 @dataclass
@@ -165,9 +165,14 @@ def run(
     """Advance to t_end, recording diagnostics every diagnostics_stride steps.
 
     Deterministic given (initial, cfg).  Optional checkpoints land in
-    ``out_dir``; on a mid-run failure a truncated-run manifest and the
-    partial diagnostics are written there before the error propagates.
+    ``out_dir`` every ``checkpoint_stride`` >= 1 steps and at the last
+    step; on a mid-run failure a truncated-run manifest and the partial
+    diagnostics are written there before the error propagates.
     """
+    if checkpoint_stride is not None and checkpoint_stride < 1:
+        raise ValidationError(
+            f"checkpoint_stride: must be >= 1, got {checkpoint_stride}"
+        )
     check_boundary_conditions(initial, cfg)
     stepper = ChannelStepper(cfg, initial)
     bound = stepper.stability_bound()
@@ -194,7 +199,7 @@ def run(
                     )
             if (
                 out is not None
-                and checkpoint_stride
+                and checkpoint_stride is not None
                 and (m % checkpoint_stride == 0 or m == cfg.n_steps)
             ):
                 path = out / f"checkpoint_{m:08d}.bin"
@@ -233,7 +238,6 @@ def write_checkpoint(path: str | Path, stepper: ChannelStepper) -> Path:
         stepper.t,
         cfg.dt,
         cfg.linearized,
-        cfg.lock_symmetry,
     )
     assert len(header) == CHECKPOINT_HEADER_BYTES
     path = Path(path)
@@ -250,13 +254,13 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
     raw = Path(path).read_bytes()
     if len(raw) < CHECKPOINT_HEADER_BYTES or raw[:8] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file")
-    version, M, P, L, mu, xi_m, xi_p, t, dt, lin, lock = struct.unpack(
+    version, M, P, L, mu, xi_m, xi_p, t, dt, lin = struct.unpack(
         _HEADER_FIELDS, raw[8:CHECKPOINT_HEADER_BYTES]
     )
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {version}")
     ch = cfg.channel
-    written = (M, P, L, mu, xi_m, xi_p, dt, bool(lin), bool(lock))
+    written = (M, P, L, mu, xi_m, xi_p, dt, bool(lin))
     supplied = (
         cfg.M,
         cfg.P,
@@ -266,13 +270,12 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
         ch.slip.xi_plus,
         cfg.dt,
         cfg.linearized,
-        cfg.lock_symmetry,
     )
     if written != supplied:
         raise ValidationError(
             f"{path}: checkpoint was written for (M={M}, P={P}, L={L:g}, mu={mu:g}, "
-            f"xi=({xi_m:g}, {xi_p:g}), dt={dt:g}, linearized={bool(lin)}, "
-            f"lock_symmetry={bool(lock)}), which differs from the supplied config"
+            f"xi=({xi_m:g}, {xi_p:g}), dt={dt:g}, linearized={bool(lin)}), "
+            "which differs from the supplied config"
         )
     block = (M + 1) * P * np.dtype(complex).itemsize
     body = raw[CHECKPOINT_HEADER_BYTES:]
@@ -280,7 +283,8 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
         raise ValidationError(f"{path}: truncated checkpoint body")
     zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), ch.L)
     stepper = ChannelStepper(cfg, zero)
-    stepper._omega = np.frombuffer(body[:block], dtype=complex).reshape(M + 1, P).copy()
+    state = np.frombuffer(body[:block], dtype=complex).reshape(M + 1, P)
+    stepper._set_state(state.copy())
     if len(body) == 2 * block:
         stepper._n_prev = (
             np.frombuffer(body[block:], dtype=complex).reshape(M + 1, P).copy()

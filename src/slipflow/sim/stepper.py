@@ -55,11 +55,12 @@ at the start of every nonlinear step, so the trajectory is a pure function
 of (omega, advection history) and restarting from a checkpoint reproduces
 the original run bit for bit.
 
-The optional symmetry lock projects the state after every step onto the
-invariant class {phi rows pure imaginary, zero mean flow} (physically:
-u2 even and u1 odd under x1 -> -x1, no mean shear).  The class is exactly
-preserved by the equations; the lock only removes roundoff that would
-otherwise seed the faster-growing mean-shear instability during long runs.
+A state exactly in the invariant class {phi rows pure imaginary, zero mean
+flow} (physically: u2 even and u1 odd under x1 -> -x1, no mean shear) is
+locked, and every mode packet starts there.  The half-period products map
+the class into itself exactly, so a locked run stays in it with no
+projection, and no roundoff seeds the faster-growing mean-shear
+instability of long runs.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ class SimConfig:
     dt: float = 4.0e-3
     t_end: float = 1.0
     linearized: bool = False
-    lock_symmetry: bool = False
     diagnostics_stride: int = 25
 
     def __post_init__(self):
@@ -182,9 +182,11 @@ class ChannelStepper:
     DCT-I); ``_unpad`` (P, ceil(3P/2)) takes padded node values to the P
     node values of their first P Chebyshev coefficients.
 
-    With ``cfg.lock_symmetry`` the advection runs on half the x1 period
-    (``_locked_advection``); an unlocked nonlinear stepper, and the CFL
-    estimate of every stepper, use the full-period ``_to_phys`` and
+    ``_locked`` says whether the state block is exactly in the locked class;
+    ``_set_state`` decides it when the stepper is built or a checkpoint is
+    loaded, never in a step.  A locked stepper runs the advection on half
+    the x1 period (``_locked_advection``); any other nonlinear stepper, and
+    the CFL estimate of every stepper, use the full-period ``_to_phys`` and
     ``_from_phys``.  The locked products use four more cached matrices,
     with h = n1/2 - 1 half-period points x1_j = j pi L / (n1/2):
     ``_pad_with_d`` (P, 2 ceil(3P/2)) is ``[_pad.T | (_pad @ D).T]``, so
@@ -209,11 +211,9 @@ class ChannelStepper:
         self.slip = cfg.channel.slip
         self.t = 0.0
         self._build_operators()
-        self._omega = self._state_from_streamfunction(initial)
+        self._set_state(self._state_from_streamfunction(initial))
         self._n_prev = np.zeros_like(self._omega)
         self._have_history = False
-        if cfg.lock_symmetry:
-            self._lock()
 
     # -- operator setup ------------------------------------------------
 
@@ -307,6 +307,11 @@ class ChannelStepper:
         state[0] = cheb_values_from_coeffs(c[0].real[None, :], axis=1)[0]
         return np.ascontiguousarray(state)
 
+    def _set_state(self, omega: np.ndarray):
+        """Install state rows and pick the advection path their class allows."""
+        self._omega = omega
+        self._locked = not omega[0].any() and not omega[1:].real.any()
+
     def _solve_phi(self, omega: np.ndarray) -> np.ndarray:
         """Poisson-Dirichlet streamfunction node values from vorticity rows.
 
@@ -366,7 +371,7 @@ class ChannelStepper:
     def _advection(self, phi: np.ndarray) -> np.ndarray:
         """Advection rows: n >= 1 carry u . grad omega at the nodes,
         row 0 carries +d2 mean(u1 u2) (the negated mean-flow forcing)."""
-        if self.cfg.lock_symmetry:
+        if self._locked:
             return self._locked_advection(phi)
         u1, u2 = self._velocity_nodes(phi, self._omega[0])
         wtot = self._omega.copy()
@@ -408,10 +413,6 @@ class ChannelStepper:
 
     # -- stepping --------------------------------------------------------
 
-    def _lock(self):
-        self._omega[1:] = 1j * self._omega[1:].imag
-        self._omega[0] = 0.0
-
     def _live_rows(self) -> slice:
         """The span of rows from the first to the last one with a nonzero entry."""
         live = np.flatnonzero(self._omega.view(np.float64).any(axis=1))
@@ -442,8 +443,6 @@ class ChannelStepper:
         self._omega[rows] = _apply(self._T[rows], rhs)
         self._have_history = True
         self.t += cfg.dt
-        if cfg.lock_symmetry:
-            self._lock()
         if not np.isfinite(self._omega).all():
             raise SimulationBlowupError(
                 f"state stopped being finite at t = {self.t:.6g}"

@@ -228,6 +228,17 @@ class TestConfigResolution:
         cfg = _sim_config(raw, SimpleNamespace(), channel)
         assert (cfg.M, cfg.P) == (6, 24)
 
+    def test_sim_values_of_their_json_type_are_accepted(self):
+        from slipflow.cli import _sim_config
+        from slipflow.model import ChannelConfig, apply_env_overrides
+
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        env = {"SLIPFLOW_SIM__LINEARIZED": "true", "SLIPFLOW_SIM__T_END": "2"}
+        raw = apply_env_overrides({"sim": {"M": 8, "dt": 1}}, environ=env)
+        cfg = _sim_config(raw, SimpleNamespace(), channel)
+        assert (cfg.M, cfg.dt, cfg.t_end, cfg.linearized) == (8, 1.0, 2.0, True)
+        assert type(cfg.dt) is float and type(cfg.t_end) is float
+
     def test_env_grid_size_reaches_the_simulation(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SLIPFLOW_SIM__M", "1")  # below SimConfig's minimum
         rc = run_cli("--out", tmp_path, "simulate", "--t-end", "0.01")
@@ -307,6 +318,25 @@ class TestUsageErrors:
                      "--t-end", "0.01")
         assert rc == 2
         assert "cfl_limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("linearized", "false"), ("M", 8.9),
+                                            ("dt", True)])
+    def test_sim_value_of_the_wrong_type_is_refused(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {key: value}}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "simulate",
+                     "--t-end", "0.01")
+        assert rc == 2
+        assert f"sim.{key}: bad value" in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_checkpoint_stride_below_one_is_refused(self, tmp_path, capsys, stride):
+        rc = run_cli("--out", tmp_path, "simulate", "--m", "8", "--p", "56",
+                     "--t-end", "0.02", "--linearized", "--checkpoint-stride", stride)
+        assert rc == 2
+        assert "checkpoint_stride" in capsys.readouterr().err
+        assert not list(tmp_path.glob("checkpoint_*.bin"))
 
     def test_unknown_experiment_key_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

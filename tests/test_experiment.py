@@ -8,6 +8,7 @@ import pytest
 
 from slipflow.model import ChannelConfig, SlipPair, ValidationError
 from slipflow.sim import (
+    ChannelStepper,
     SimConfig,
     SimulationBlowupError,
     run_separation_experiment,
@@ -118,6 +119,27 @@ class TestAcceptanceSweepStructure:
             # with an empty reduced packet the separation series is the norm
             # of the full nonlinear solution, which starts at delta * m0
             assert o.sep_l2[0] > 0.0
+
+
+class TestLockedBranches:
+    def test_packet_branches_never_take_the_full_period(self, monkeypatch):
+        # a packet state is in the locked class, so no branch forms a mean
+        # flux and no roundoff can seed the mean-shear mode
+        calls = []
+        full_period = ChannelStepper._from_phys
+
+        def counted(self, vals):
+            calls.append(vals.shape)
+            return full_period(self, vals)
+
+        monkeypatch.setattr(ChannelStepper, "_from_phys", counted)
+        channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
+        sim = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, diagnostics_stride=25)
+        exp = run_separation_experiment(
+            channel, sim=sim, deltas=(1.0e-3, 1.0e-4), basis_size=48, n_max=12,
+        )
+        assert len(exp.outcomes) == 2
+        assert calls == []
 
 
 class TestValidation:

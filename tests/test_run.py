@@ -244,8 +244,19 @@ class TestCheckpointing:
                          "checkpoint_00000025.bin"]
         assert all(p.exists() for p in result.checkpoints)
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_checkpoint_stride_below_one_is_rejected(self, channel, basis48,
+                                                     tmp_path, stride):
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.02,
+                        linearized=True)
+        with pytest.raises(ValidationError, match="checkpoint_stride"):
+            run(field, cfg, out_dir=tmp_path, checkpoint_stride=stride)
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def _assert_restart_bit_exact(field, cfg, tmp_path):
+        """Resume from step 20 and match the straight run; return the resumed stepper."""
         reference = run(field, cfg, out_dir=tmp_path, checkpoint_stride=20)
         mid = tmp_path / "checkpoint_00000020.bin"
         stepper = read_checkpoint(mid, cfg)
@@ -255,6 +266,7 @@ class TestCheckpointing:
         resumed = stepper.streamfunction()
         assert np.array_equal(resumed.coefficients,
                               reference.final_state.coefficients)
+        return stepper
 
     def test_restart_is_bit_exact(self, channel, basis48, tmp_path):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
@@ -262,15 +274,23 @@ class TestCheckpointing:
                         linearized=True, diagnostics_stride=10)
         self._assert_restart_bit_exact(field, cfg, tmp_path)
 
-    # M = 7 runs the locked advection through DST-I of odd length 2M - 1; the
+    # M = 7 forms the locked products at an odd count 2M - 1 of points; the
     # mode comes from a basis of size P - 2, whose profiles have P coefficients
     @pytest.mark.parametrize("M, P, N", [(8, 56, 48), (7, 33, 31)], ids=["M8-P56", "M7-P33"])
     def test_nonlinear_locked_restart_is_bit_exact(self, channel, tmp_path, M, P, N):
         # the AB2 advection history is restored from the checkpoint
         field, _ = mode_field(channel, build_basis(N), M=M, P=P, amplitude=0.05)
         cfg = SimConfig(channel=channel, M=M, P=P, dt=2.0e-3, t_end=0.1,
-                        lock_symmetry=True, diagnostics_stride=10)
-        self._assert_restart_bit_exact(field, cfg, tmp_path)
+                        diagnostics_stride=10)
+        assert self._assert_restart_bit_exact(field, cfg, tmp_path)._locked
+
+    def test_nonlinear_off_class_restart_is_bit_exact(self, channel, basis48, tmp_path):
+        # the packet shifted in x1 has real mode rows, so it runs on the full period
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
+                        diagnostics_stride=10)
+        shifted = SpectralField2D(field.coefficients * np.exp(0.3j), field.L)
+        assert not self._assert_restart_bit_exact(shifted, cfg, tmp_path)._locked
 
     def test_write_read_checkpoint_preserves_state(self, channel, basis48, tmp_path):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
@@ -296,7 +316,7 @@ class TestCheckpointing:
     def test_read_checkpoint_rejects_truncated_body(self, channel, tmp_path):
         cfg = SimConfig(channel=channel, M=8, P=56)
         header = CHECKPOINT_MAGIC + struct.pack(
-            "<QQQddddddQQ", 2, 8, 56, 1.0, 0.5, 1.0, 1.0, 0.0, cfg.dt, 0, 0
+            "<QQQddddddQ", 3, 8, 56, 1.0, 0.5, 1.0, 1.0, 0.0, cfg.dt, 0
         )
         assert len(header) == CHECKPOINT_HEADER_BYTES
         short = tmp_path / "short.bin"
@@ -317,7 +337,7 @@ class TestCheckpointing:
             read_checkpoint(path, SimConfig(channel=other, M=8, P=56))
 
     @pytest.mark.parametrize(
-        "change", [{"dt": 1.0e-3}, {"linearized": True}, {"lock_symmetry": True}]
+        "change", [{"dt": 1.0e-3}, {"linearized": True}]
     )
     def test_read_checkpoint_rejects_other_scheme(
         self, channel, basis48, tmp_path, change
@@ -341,6 +361,17 @@ class TestCheckpointing:
         old = tmp_path / "v1.bin"
         old.write_bytes(header + b"\x00" * (9 * 56 * 16))
         with pytest.raises(ValidationError, match="unsupported checkpoint version 1"):
+            read_checkpoint(old, cfg)
+
+    def test_read_checkpoint_rejects_version_2(self, channel, tmp_path):
+        # version 2 carried a lock flag in a 96-byte header
+        cfg = SimConfig(channel=channel, M=8, P=56)
+        header = CHECKPOINT_MAGIC + struct.pack(
+            "<QQQddddddQQ", 2, 8, 56, 1.0, 0.5, 1.0, 1.0, 0.0, cfg.dt, 0, 1
+        )
+        old = tmp_path / "v2.bin"
+        old.write_bytes(header + b"\x00" * (9 * 56 * 16))
+        with pytest.raises(ValidationError, match="unsupported checkpoint version 2"):
             read_checkpoint(old, cfg)
 
 

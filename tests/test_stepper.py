@@ -156,6 +156,20 @@ class TestAnalyticRates:
         assert abs(order - 2.0) < 0.3
 
 
+def _count_transforms(stepper):
+    """Count the stepper's full-period ``_to_phys`` and ``_from_phys`` calls."""
+    calls = {"_to_phys": 0, "_from_phys": 0}
+    for name in calls:
+        method = getattr(stepper, name)
+
+        def counted(x, name=name, method=method):
+            calls[name] += 1
+            return method(x)
+
+        setattr(stepper, name, counted)
+    return calls
+
+
 class TestInvariantsPreserved:
     def test_reality_and_boundary_conditions_hold_after_run(self, channel, basis48):
         field, _ = mode_field(channel, basis48, amplitude=0.05)
@@ -169,12 +183,30 @@ class TestInvariantsPreserved:
         assert max(res) < 1.0e-8 * max(scale, 1.0e-300)
 
     def test_symmetry_lock_pins_the_invariant_class(self, channel, basis48):
+        # a packet starts in the class, so it steps on the half period alone
         field, _ = mode_field(channel, basis48, amplitude=0.05)
         cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4,
-                        lock_symmetry=True, diagnostics_stride=1000)
+                        diagnostics_stride=1000)
+        stepper = ChannelStepper(cfg, field)
+        calls = _count_transforms(stepper)
+        for _ in range(3):
+            stepper.step()
+        assert calls == {"_to_phys": 0, "_from_phys": 0}
         final = run(field, cfg).final_state
         assert np.all(final.coefficients[0] == 0.0)
         assert np.all(final.coefficients[1:].real == 0.0)
+
+    @pytest.mark.parametrize("entry", [(1, 0), (0, 0)], ids=["real-entry", "mean-row"])
+    def test_state_off_the_class_takes_the_full_period(self, channel, basis48, entry):
+        field, _ = mode_field(channel, basis48, amplitude=0.05)
+        coeffs = field.coefficients.copy()
+        coeffs[entry] += 1.0e-30
+        cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4)
+        stepper = ChannelStepper(cfg, SpectralField2D(coeffs, channel.L))
+        calls = _count_transforms(stepper)
+        for _ in range(3):
+            stepper.step()
+        assert calls == {"_to_phys": 12, "_from_phys": 6}
 
 
 class TestPureStepFunction:
@@ -276,8 +308,6 @@ class _PerModeReference(ChannelStepper):
         new[0] = sla.lu_solve(self.mean_lu, b0)
         self._omega, self._n_prev, self._have_history = new, adv, True
         self.t += cfg.dt
-        if cfg.lock_symmetry:
-            self._lock()
 
 
 class TestStackedOperators:
@@ -296,7 +326,7 @@ class TestStackedOperators:
             rows[0] = 0.0
         field = SpectralField2D(rows, channel.L)
         cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05,
-                        linearized=linearized, lock_symmetry=not linearized)
+                        linearized=linearized)
         stacked = ChannelStepper(cfg, field)
         reference = _PerModeReference(cfg, field)
         for _ in range(50):
@@ -494,15 +524,17 @@ class TestLockedAdvection:
     """A locked stepper forms its products on half the x1 period."""
 
     @staticmethod
-    def _stepper(M, P, L=1.0, lock=True, seed=0):
+    def _stepper(M, P, L=1.0, in_class=True, seed=0):
         channel = ChannelConfig(L=L, mu=0.5, slip=SlipPair(1.0, 1.0))
         rng = np.random.default_rng(seed)
         decay = np.exp(-0.3 * np.arange(P))
         rows = rng.standard_normal((M + 1, P)) * decay
-        rows = 1j * rows if lock else rows + 1j * rng.standard_normal((M + 1, P)) * decay
+        if in_class:
+            rows = 1j * rows
+        else:
+            rows = rows + 1j * rng.standard_normal((M + 1, P)) * decay
         rows[0] = 0.0
-        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05,
-                        lock_symmetry=lock)
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05)
         return ChannelStepper(cfg, SpectralField2D(rows * 1.0e-2, L))
 
     @pytest.mark.parametrize("M, P, L", [(2, 16, 1.0), (6, 24, 1.0), (5, 17, 2.0),
@@ -542,28 +574,15 @@ class TestLockedAdvection:
         stepper.step()
         stepper.tendency_split()
 
-    @staticmethod
-    def _count_transforms(stepper):
-        calls = {"_to_phys": 0, "_from_phys": 0}
-        for name in calls:
-            method = getattr(stepper, name)
-
-            def counted(x, name=name, method=method):
-                calls[name] += 1
-                return method(x)
-
-            setattr(stepper, name, counted)
-        return calls
-
     def test_locked_step_runs_no_full_period_transform(self):
         stepper = self._stepper(6, 24)
-        calls = self._count_transforms(stepper)
+        calls = _count_transforms(stepper)
         stepper.step()
         assert calls == {"_to_phys": 0, "_from_phys": 0}
 
     def test_unlocked_step_runs_the_full_period_transforms(self):
-        stepper = self._stepper(6, 24, lock=False)
-        calls = self._count_transforms(stepper)
+        stepper = self._stepper(6, 24, in_class=False)
+        calls = _count_transforms(stepper)
         stepper.step()
         assert calls == {"_to_phys": 4, "_from_phys": 2}
 
@@ -571,6 +590,6 @@ class TestLockedAdvection:
         locked = self._stepper(6, 24)
         for _ in range(3):
             locked.step()
-        general = self._stepper(6, 24, lock=False)
+        general = self._stepper(6, 24, in_class=False)
         general._omega = locked._omega.copy()
         assert locked.cfl_number() == general.cfl_number() > 0.0
