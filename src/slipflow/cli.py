@@ -110,50 +110,77 @@ def _sim_config(raw: dict, ns, channel):
     """SimConfig from the config's sim section plus command-line overrides.
 
     The keys are the fields of SimConfig besides the channel, each typed
-    like its default; each flag's dest is the field it sets.  A value must
-    already have its field's JSON type: true/false for a bool, an integer
-    for an int, any number for a float; a bool is no number.
+    like its default (see ``_given_values``).
     """
     from dataclasses import fields
 
-    from .model import ConfigError
     from .sim import SimConfig
 
     kinds = {f.name: type(f.default) for f in fields(SimConfig) if f.name != "channel"}
-    merged = dict(_section(raw, "sim", kinds))
-    for key in kinds:
-        value = getattr(ns, key, None)
-        if value is not None:
-            merged[key] = value
-    accepted = {bool: bool, int: int, float: (int, float)}
-    clean = {}
-    for key, value in merged.items():
-        kind = kinds[key]
-        is_bool = isinstance(value, bool)
-        if is_bool != (kind is bool) or not isinstance(value, accepted[kind]):
-            raise ConfigError(f"sim.{key}: bad value {value!r}")
-        clean[key] = kind(value)
-    return SimConfig(channel=channel, **clean)
+    return SimConfig(channel=channel, **_given_values(raw, ns, "sim", kinds))
 
 
 def _experiment_settings(raw: dict, ns) -> dict:
-    """Keywords of run_separation_experiment: its defaults <- config <- flags."""
+    """Keywords of run_separation_experiment: its defaults <- config <- flags.
+
+    Each given value is checked against its keyword's annotation, as
+    ``_sim_config`` checks the sim section.
+    """
     import inspect
 
     from .sim import run_separation_experiment
 
-    params = inspect.signature(run_separation_experiment).parameters
-    settings = {
-        key: p.default for key, p in params.items()
-        if key not in ("channel", "sim", "out_dir")
-    }
-    settings.update(_section(raw, "experiment", settings))
-    for key in settings:
+    signature = inspect.signature(run_separation_experiment, eval_str=True)
+    params = {key: p for key, p in signature.parameters.items()
+              if key not in ("channel", "sim", "out_dir")}
+    settings = {key: p.default for key, p in params.items()}
+    kinds = {key: p.annotation for key, p in params.items()}
+    settings.update(_given_values(raw, ns, "experiment", kinds))
+    return settings
+
+
+def _given_values(raw: dict, ns, section: str, kinds: dict) -> dict:
+    """The config section's values overlaid with the flags, each cast to its kind.
+
+    ``kinds`` maps each key to bool, int, float, Sequence[...] of one of
+    them, or either made optional with ``| None``; each flag's dest is the
+    key it sets.  A value must already have its kind's JSON type: true/false
+    for a bool, an integer for an int, any number for a float, an array for
+    a sequence, null for None; a bool is no number.
+    """
+    from collections.abc import Sequence
+    from typing import get_args, get_origin
+
+    from .model import ConfigError
+
+    scalars = {bool: bool, int: int, float: (int, float)}
+
+    def cast(value, kind):
+        options = get_args(kind)
+        if type(None) in options:
+            if value is None:
+                return None
+            kind = next(a for a in options if a is not type(None))
+        if get_origin(kind) is Sequence and isinstance(value, list):
+            return [cast(v, get_args(kind)[0]) for v in value]
+        if kind in scalars and isinstance(value, scalars[kind]) and (
+            isinstance(value, bool) == (kind is bool)
+        ):
+            return kind(value)
+        raise TypeError
+
+    given = dict(_section(raw, section, kinds))
+    for key in kinds:
         value = getattr(ns, key, None)
         if value is not None:
-            settings[key] = value
-    settings["deltas"] = [float(d) for d in settings["deltas"]]
-    return settings
+            given[key] = value
+    clean = {}
+    for key, value in given.items():
+        try:
+            clean[key] = cast(value, kinds[key])
+        except TypeError:
+            raise ConfigError(f"{section}.{key}: bad value {value!r}") from None
+    return clean
 
 
 def _config_digest(payload: dict) -> str:

@@ -27,9 +27,9 @@ import numpy as np
 from ..model import SlipPair, ValidationError
 from .field import (
     SpectralField2D,
-    _gram_forms,
     _kappa_sq,
     _sq_l2,
+    _velocity_forms,
     divergence_max,
     velocity_from_streamfunction,
 )
@@ -55,8 +55,13 @@ def boundary_production(u1: SpectralField2D, slip: SlipPair) -> float:
 
 def gradient_dissipation(u1: SpectralField2D, u2: SpectralField2D, mu: float) -> float:
     """mu times the squared L2 norm of the full velocity gradient."""
-    q0, q1 = _gram_forms(u1, u1, (0, 1)) + _gram_forms(u2, u2, (0, 1))
-    return mu * float(_kappa_sq(u1) @ q0 + q1.sum())
+    return _dissipation(_velocity_forms(u1, u2, (0, 1)), u1.L, mu)
+
+
+def _dissipation(q: np.ndarray, L: float, mu: float) -> float:
+    """``gradient_dissipation`` from the velocity's per-mode forms (q0, q1, ...)."""
+    q0, q1 = q[0], q[1]
+    return mu * float(_kappa_sq(q0.size, L) @ q0 + q1.sum())
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -339,14 +340,14 @@ def _fit_slope(outcomes) -> float:
 def run_separation_experiment(
     channel: ChannelConfig,
     sim: SimConfig | None = None,
-    deltas=(1.0e-5, 1.0e-6, 1.0e-7),
+    deltas: Sequence[float] = (1.0e-5, 1.0e-6, 1.0e-7),
     *,
     epsilon0: float | None = None,
     delta0: float = 0.02,
     basis_size: int = 48,
     n_max: int = 8,
     packet_count: int | None = None,
-    coefficients=None,
+    coefficients: Sequence[float] | None = None,
     out_dir=None,
 ) -> SeparationExperiment:
     """Run the full delta sweep and return the completed experiment record.

@@ -228,58 +228,76 @@ def field_from_values(vals: np.ndarray, M: int, P: int, L: float) -> SpectralFie
     return SpectralField2D(rows[:, :P], L)
 
 
-def _kappa_sq(f: SpectralField2D) -> np.ndarray:
-    """Squared x1 wavenumbers n / L of the stored rows."""
-    return (np.arange(f.M + 1) / f.L) ** 2
+def _kappa_sq(rows: int, L: float) -> np.ndarray:
+    """Squared x1 wavenumbers n / L of the first ``rows`` Fourier rows."""
+    return (np.arange(rows) / L) ** 2
 
 
-def _gram_forms(f: SpectralField2D, g: SpectralField2D, orders) -> np.ndarray:
-    """Per-mode L2 inner products of the order-th x2 derivatives of f and g.
+def _gram_forms(rows: np.ndarray, L: float, orders, other: np.ndarray | None = None):
+    """Per-mode L2 inner products of the order-th x2 derivatives of field stacks.
 
-    Row k, column n holds the channel integral of the mode-n part of
-    Re d2^k f conj(d2^k g), counting mode -n with mode n, so a row sums to
-    the exact inner product and weighting it by kappa_n^2 adds one x1
-    derivative to both fields.  Each order costs one real matmul with its
-    Gram matrix, on the fields' coefficients viewed as interleaved floats.
-    Returns shape (len(orders), M + 1).
+    ``rows`` holds the coefficient rows of one field or a stack of them,
+    shape (..., M + 1, P); ``other`` (default ``rows``) holds a stack of
+    fields with at least as many axes that broadcasts against it.  Entry
+    [i, ..., n] is the channel integral of the mode-n part of
+    Re d2^k f conj(d2^k g) for k = orders[i], counting mode -n with mode n,
+    so a sum over n is the exact inner product and weighting by kappa_n^2
+    adds one x1 derivative to both fields.  The Gram matrices of all orders
+    go through one real matmul with ``rows``, on the coefficients laid out
+    Chebyshev index first and viewed as interleaved floats.  Returns shape
+    (len(orders), *stack, M + 1).
     """
-    f._check_compatible(g)
-    a = np.ascontiguousarray(f.coefficients.T).view(np.float64)
-    b = a if g is f else np.ascontiguousarray(g.coefficients.T).view(np.float64)
-    weights = np.full(f.M + 1, 4.0 * math.pi * f.L)
-    weights[0] = 2.0 * math.pi * f.L
-    out = np.empty((len(orders), f.M + 1))
-    for i, order in enumerate(orders):
-        q = (a * (_gram_matrix(f.P, order) @ b)).sum(axis=0)
-        out[i] = weights * (q[0::2] + q[1::2])
-    return out
+    M1, P = rows.shape[-2:]
+    a = np.ascontiguousarray(np.moveaxis(rows, -1, 0), dtype=complex).view(np.float64)
+    b = a if other is None else np.ascontiguousarray(
+        np.moveaxis(other, -1, 0), dtype=complex).view(np.float64)
+    # the stacks broadcast behind the leading (order, Chebyshev) axes
+    lead = (len(orders), P) + (1,) * (b.ndim - a.ndim) + a.shape[1:]
+    gram = np.concatenate([_gram_matrix(P, order) for order in orders])
+    ga = (gram @ a.reshape(P, -1)).reshape(lead)
+    q = (ga * b).sum(axis=1)
+    weights = np.full(M1, 4.0 * math.pi * L)
+    weights[0] = 2.0 * math.pi * L
+    return weights * (q[..., 0::2] + q[..., 1::2])
 
 
-def _sq_l2(field: SpectralField2D) -> float:
-    """Exact squared L2 norm over the channel."""
-    return float(_gram_forms(field, field, (0,)).sum())
+def _velocity_forms(u1: SpectralField2D, u2: SpectralField2D, orders) -> np.ndarray:
+    """``_gram_forms`` of a velocity pair, components summed: (len(orders), M + 1)."""
+    u1._check_compatible(u2)
+    pair = np.stack([u1.coefficients, u2.coefficients])
+    return _gram_forms(pair, u1.L, orders).sum(axis=1)
 
 
-def scalar_inner(f: SpectralField2D, g: SpectralField2D) -> float:
-    """Exact L2 inner product of two real fields."""
-    return float(_gram_forms(f, g, (0,)).sum())
-
-
-def scalar_norms(field: SpectralField2D):
-    """(l2, h1, h2) of one scalar field; h2 uses the full multi-index sum."""
-    q0, q1, q2 = _gram_forms(field, field, (0, 1, 2))
-    k2 = _kappa_sq(field)
+def _sobolev_norms(q: np.ndarray, L: float):
+    """(l2, h1, h2) from per-mode forms (q0, q1, q2); h2 uses the full
+    multi-index sum."""
+    q0, q1, q2 = q
+    k2 = _kappa_sq(q0.size, L)
     sq = q0.sum()
     sq1 = sq + k2 @ q0 + q1.sum()
     sq2 = sq1 + (k2 * k2) @ q0 + k2 @ q1 + q2.sum()
     return math.sqrt(sq), math.sqrt(sq1), math.sqrt(sq2)
 
 
+def _sq_l2(field: SpectralField2D) -> float:
+    """Exact squared L2 norm over the channel."""
+    return float(_gram_forms(field.coefficients, field.L, (0,)).sum())
+
+
+def scalar_inner(f: SpectralField2D, g: SpectralField2D) -> float:
+    """Exact L2 inner product of two real fields."""
+    f._check_compatible(g)
+    return float(_gram_forms(f.coefficients, f.L, (0,), g.coefficients).sum())
+
+
+def scalar_norms(field: SpectralField2D):
+    """(l2, h1, h2) of one scalar field; h2 uses the full multi-index sum."""
+    return _sobolev_norms(_gram_forms(field.coefficients, field.L, (0, 1, 2)), field.L)
+
+
 def velocity_norms(u1: SpectralField2D, u2: SpectralField2D):
     """(l2, h1, h2) of the velocity pair, components summed in quadrature."""
-    a = scalar_norms(u1)
-    b = scalar_norms(u2)
-    return tuple(math.sqrt(x * x + y * y) for x, y in zip(a, b))
+    return _sobolev_norms(_velocity_forms(u1, u2, (0, 1, 2)), u1.L)
 
 
 def velocity_from_streamfunction(phi: SpectralField2D):

@@ -25,11 +25,12 @@ import numpy as np
 
 from ..model import ValidationError
 from ..output import write_csv, write_json
-from .energy import boundary_production, gradient_dissipation
+from .energy import _dissipation, boundary_production
 from .field import (
     SpectralField2D,
-    scalar_inner,
-    velocity_norms,
+    _gram_forms,
+    _sobolev_norms,
+    cheb_coeffs_from_values,
 )
 from .stepper import (
     ChannelStepper,
@@ -104,9 +105,17 @@ class _Recorder:
     def record(self):
         """Append the diagnostics row of the stepper's current state.
 
-        The state's streamfunction is solved once and shared by every
-        quantity; returns the velocity (u1, u2), its norms (l2, h1, h2) and
-        the advective CFL number.
+        One pass over the state: its streamfunction is solved once, and the
+        velocity rows of the state, of the viscous tendency and (nonlinear
+        runs only) of the advective tendency are stacked, transformed to
+        Chebyshev coefficients once and go through each Gram matrix once
+        (``_gram_forms`` of the state's velocity against the stack).  The
+        norms, the dissipation and both energy rates are read off those
+        shared forms by the same formulas as ``velocity_norms``,
+        ``gradient_dissipation`` and ``scalar_inner``.  Returns the
+        velocity (u1, u2), its norms (l2, h1, h2) and the advective CFL
+        number (``cfl_number``, on the closed half period when the state
+        is locked).
 
         A linearized state's rows decouple, so every row after its last live
         one is exactly zero in the streamfunction, the velocity, the viscous
@@ -120,24 +129,29 @@ class _Recorder:
         if st.cfg.linearized:
             omega = omega[: max(st._live_rows().stop, 1)]
         phi = st._solve_phi(omega)
-        u1, u2 = st.velocity(phi)
-        norms = velocity_norms(u1, u2)
-        l2, h1, h2 = norms
-        bp = boundary_production(u1, st.slip)
-        diss = gradient_dissipation(u1, u2, st.mu)
         visc, adv = st.tendency_split(phi)
-        v1, v2 = st.tendency_velocity(visc)
-        dedt_v = scalar_inner(u1, v1) + scalar_inner(u2, v2)
+        rows = [omega, visc] if st.cfg.linearized else [omega, visc, adv]
+        phis = np.stack([phi] + [st._solve_phi(r) for r in rows[1:]])
+        u1, u2 = st._velocity_nodes(phis, np.stack([r[0] for r in rows]))
+        # axes (state / visc / adv, component, mode, Chebyshev)
+        coeffs = cheb_coeffs_from_values(np.stack([u1, u2], axis=1), axis=-1)
+        q = _gram_forms(coeffs[0], st.L, (0, 1, 2), other=coeffs)
+        q_state = q[:, 0].sum(axis=1)  # the velocity's forms, components summed
+        norms = _sobolev_norms(q_state, st.L)
+        l2, h1, h2 = norms
+        u = SpectralField2D(coeffs[0, 0], st.L), SpectralField2D(coeffs[0, 1], st.L)
+        bp = boundary_production(u[0], st.slip)
+        diss = _dissipation(q_state, st.L, st.mu)
+        dedt_v = float(q[0, 1].sum())
         if st.cfg.linearized:
             dedt_a = nlf = 0.0
         else:
-            a1, a2 = st.tendency_velocity(adv)
-            dedt_a = scalar_inner(u1, a1) + scalar_inner(u2, a2)
+            dedt_a = float(q[0, 2].sum())
             nlf = -dedt_a
         dedt = dedt_v + dedt_a
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
-        return (u1, u2), norms, st.cfl_number(phi)
+        return u, norms, st.cfl_number(phi)
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)

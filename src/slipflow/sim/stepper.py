@@ -37,7 +37,10 @@ no transform call.  These dense matrices cost O(M^2) per x2 node where a
 fast transform costs O(M log M).  On a 2-vCPU host with one BLAS thread
 the matrix step is still the faster one at M = 128, P = 96 and is not
 faster at M = 256, P = 128, where the DST-I/DCT-I form wins 2 of 3 runs.
-The CFL estimate keeps the full-period transforms.
+The CFL estimate of a locked state is matrix products too: in the class u1
+is a sine and u2 a cosine series in x1, so every sample value of the padded
+grid is taken at one of the points 0 <= x1 <= pi L, where the same cached
+synthesis matrices (the cosine one with both end points) evaluate them.
 
 A linearized stepper has no advection, so its Fourier rows decouple and a
 row that is zero stays exactly zero.  Its step solves no streamfunction and
@@ -184,16 +187,19 @@ class ChannelStepper:
 
     ``_locked`` says whether the state block is exactly in the locked class;
     ``_set_state`` decides it when the stepper is built or a checkpoint is
-    loaded, never in a step.  A locked stepper runs the advection on half
-    the x1 period (``_locked_advection``); any other nonlinear stepper, and
-    the CFL estimate of every stepper, use the full-period ``_to_phys`` and
-    ``_from_phys``.  The locked products use four more cached matrices,
-    with h = n1/2 - 1 half-period points x1_j = j pi L / (n1/2):
+    loaded, never in a step.  A locked stepper runs the advection and the
+    CFL estimate on half the x1 period (``_locked_advection``,
+    ``cfl_number``); any other stepper uses the full-period ``_to_phys``
+    and ``_from_phys``.  The locked paths use five more cached matrices,
+    with the points x1_j = j pi L / (n1/2), j = 0 .. n1/2, of which the
+    h = n1/2 - 1 interior ones carry the products:
     ``_pad_with_d`` (P, 2 ceil(3P/2)) is ``[_pad.T | (_pad @ D).T]``, so
     one product pads node values and their x2 derivative; ``_half_sin``
     (h, M) holds 2 sin(kappa_n x1_j) and ``_half_cos`` (h, M) holds
     2 kappa_n cos(kappa_n x1_j), the DST-I and (kappa-weighted) DCT-I
-    syntheses of rows 1 .. M at those points; ``_half_fwd`` (M, h) is
+    syntheses of rows 1 .. M at the interior points; ``_closed_cos``
+    (h + 2, M) is the same cosine synthesis at every point j = 0 .. n1/2,
+    with ``_half_cos`` its interior rows; ``_half_fwd`` (M, h) is
     ``_half_sin.T / -n1``, the forward DST-I back to rows 1 .. M.
     """
 
@@ -284,15 +290,17 @@ class ChannelStepper:
         self._unpad = cheb_values_from_coeffs(
             cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
         )
-        # locked class: pad fused with d/dx2, and the half-period sine and
-        # cosine series at x1_j = j pi L / (n1/2), j = 1 .. n1/2 - 1, with
-        # n j reduced mod n1 so every angle lies in [0, 2 pi)
+        # locked class: pad fused with d/dx2, and the sine and cosine series
+        # at x1_j = j pi L / (n1/2), j = 0 .. n1/2, with n j reduced mod n1
+        # so every angle lies in [0, 2 pi); the products use the interior
+        # points j = 1 .. n1/2 - 1, the CFL estimate the closed half period
         self._pad_with_d = np.hstack([self._pad.T, (self._pad @ D).T])
         half = self._n1 // 2
-        angle = (np.pi / half) * (np.outer(np.arange(1, half), np.arange(1, M + 1))
+        angle = (np.pi / half) * (np.outer(np.arange(half + 1), np.arange(1, M + 1))
                                   % self._n1)
-        self._half_sin = 2.0 * np.sin(angle)
-        self._half_cos = 2.0 * np.cos(angle) * self.kappa[1:]
+        self._half_sin = 2.0 * np.sin(angle[1:-1])
+        self._closed_cos = 2.0 * np.cos(angle) * self.kappa[1:]
+        self._half_cos = self._closed_cos[1:-1]
         self._half_fwd = self._half_sin.T / -self._n1
 
     # -- representation changes ----------------------------------------
@@ -323,11 +331,14 @@ class ChannelStepper:
         return phi
 
     def _velocity_nodes(self, phi: np.ndarray, mean_row: np.ndarray):
-        """(u1, u2) node values of streamfunction rows; u1 row 0 is ``mean_row``."""
+        """(u1, u2) node values of streamfunction rows; u1 row 0 is ``mean_row``.
+
+        Leading axes of ``phi`` and ``mean_row`` stack independent fields.
+        """
         u1 = phi @ self.D.T
-        u1[0] = mean_row
-        u2 = -(1j * self.kappa[: phi.shape[0]])[:, None] * phi
-        u2[0] = 0.0
+        u1[..., 0, :] = mean_row
+        u2 = -(1j * self.kappa[: phi.shape[-2]])[:, None] * phi
+        u2[..., 0, :] = 0.0
         return u1, u2
 
     def _velocity_fields(self, rows: np.ndarray, phi: np.ndarray):
@@ -454,13 +465,30 @@ class ChannelStepper:
         """Advective CFL of the current state at the configured dt.
 
         Uses the largest |u1| and |u2| on the product grid; ``phi`` as in
-        ``velocity``.
+        ``velocity``.  A locked state reads them off the closed half period
+        j = 0 .. n1/2, which holds every sample value of the full one: u1 is
+        a sine series in x1 (odd about x1 = 0 and x1 = pi L, so zero at both
+        ends, where ``initial=0.0`` stands in for it) and u2 a cosine series
+        (even about both).  Its rows 1 .. b-1 are padded in x2 by
+        ``_pad_with_d``, then synthesized by the first b-1 columns of
+        ``_half_sin`` and ``_closed_cos``: the same padded grid points as the
+        full period, with no transform.  Any other state transforms the full
+        period with ``_to_phys``.
         """
         if phi is None:
             phi = self._solve_phi(self._omega)
-        u1, u2 = self._velocity_nodes(phi, self._omega[0])
-        m1 = float(np.abs(self._to_phys(u1)).max(initial=0.0))
-        m2 = float(np.abs(self._to_phys(u2)).max(initial=0.0))
+        if self._locked:
+            # phi_n = i b_n: u1 has rows i (D b)_n and u2 rows kappa_n b_n
+            pp = self._pad.shape[0]
+            f = phi.imag[1:] @ self._pad_with_d
+            n = f.shape[0]
+            u1 = self._half_sin[:, :n] @ f[:, pp:]
+            u2 = self._closed_cos[:, :n] @ f[:, :pp]
+        else:
+            u1, u2 = self._velocity_nodes(phi, self._omega[0])
+            u1, u2 = self._to_phys(u1), self._to_phys(u2)
+        m1 = float(np.abs(u1).max(initial=0.0))
+        m2 = float(np.abs(u2).max(initial=0.0))
         dx1 = 2.0 * math.pi * self.L / self._n1
         dx2_min = abs(self.x2[0] - self.x2[1])
         return self.cfg.dt * (m1 / dx1 + m2 / dx2_min)

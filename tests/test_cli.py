@@ -345,6 +345,17 @@ class TestUsageErrors:
         assert rc == 2
         assert "out_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("deltas", "1e-3"), ("delta0", True),
+                                            ("packet_count", 2.5)])
+    def test_experiment_value_of_the_wrong_type_is_refused(self, tmp_path, capsys,
+                                                           key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"viscosity": 0.1, "experiment": {key: value}}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "experiment")
+        assert rc == 2
+        assert f"experiment.{key}: bad value" in capsys.readouterr().err
+        assert not (tmp_path / "experiment_manifest.json").exists()
+
 
 class TestModuleInvocation:
     def test_python_dash_m_entry_point(self, tmp_path):

@@ -127,39 +127,43 @@ class TestDiagnostics:
         assert stepper._live_rows() == slice(1, 2)
 
         solve = stepper._solve_phi
-        state_solves = []
+        state_solves, other_solves = [], []
 
         def counting(omega):
-            if np.shares_memory(omega, stepper._omega):
-                state_solves.append(omega.shape)
+            shared = np.shares_memory(omega, stepper._omega)
+            (state_solves if shared else other_solves).append(omega.shape)
             return solve(omega)
 
         monkeypatch.setattr(stepper, "_solve_phi", counting)
-        calls = dict.fromkeys(
-            ("velocity", "cfl_number", "tendency_split", "tendency_velocity"), 0
-        )
-        for name in calls:
-            def counted(*args, _name=name, _method=getattr(stepper, name)):
-                calls[_name] += 1
-                return _method(*args)
+        given = {}
+        for name in ("cfl_number", "tendency_split"):
+            def seen(phi, _name=name, _method=getattr(stepper, name)):
+                given[_name] = phi
+                return _method(phi)
 
-            monkeypatch.setattr(stepper, name, counted)
+            monkeypatch.setattr(stepper, name, seen)
         _Recorder(stepper).record()
         assert state_solves == [(2, 56)]
-        assert calls == dict.fromkeys(calls, 1)
+        assert other_solves == [(2, 56)]  # the viscous tendency's streamfunction
+        assert given["cfl_number"] is given["tendency_split"]
+        assert given["cfl_number"].shape == (2, 56)
 
 
-def _linearized_stepper(channel, live, M=8, P=32):
+def _linearized_stepper(channel, live, M=8, P=32, locked=False):
     """Linearized stepper whose nonzero streamfunction rows are ``live``.
 
     Each row is a random decaying series, made to vanish at both walls for
     n >= 1; three steps then bring the state onto the slip conditions.
+    ``locked`` keeps only the imaginary parts, so the state is in the
+    locked class when row 0 is not live.
     """
     rng = np.random.default_rng(len(live) + 10 * max(live))
     amp = 1.0e-2 * np.exp(-0.5 * np.arange(P))
     rows = np.zeros((M + 1, P), dtype=complex)
     for n in live:
         c = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) * amp
+        if locked:
+            c = 1j * c.imag
         if n == 0:
             c = c.real
         else:
@@ -175,18 +179,42 @@ def _linearized_stepper(channel, live, M=8, P=32):
 
 
 def _full_row_record(stepper):
-    """The record's quantities from the stepper's public methods on all M+1 rows."""
+    """The record's row from the stepper's public methods on all M+1 rows."""
     phi = stepper._solve_phi(stepper._omega)
     u1, u2 = stepper.velocity(phi)
     l2, h1, h2 = velocity_norms(u1, u2)
     bp = boundary_production(u1, stepper.slip)
     diss = gradient_dissipation(u1, u2, stepper.mu)
     visc, adv = stepper.tendency_split(phi)
-    assert not adv.any()
     v1, v2 = stepper.tendency_velocity(visc)
     dedt = scalar_inner(u1, v1) + scalar_inner(u2, v2)
-    resid = abs(dedt - bp + diss)
-    return (l2, h1, h2, bp, diss, dedt, resid), stepper.cfl_number(phi), (u1, u2)
+    if stepper.cfg.linearized:
+        assert not adv.any()
+        nlf = 0.0
+    else:
+        a1, a2 = stepper.tendency_velocity(adv)
+        nlf = -(scalar_inner(u1, a1) + scalar_inner(u2, a2))
+        dedt -= nlf
+    resid = abs(dedt - bp + diss + nlf)
+    row = (stepper.t, l2, h1, h2, bp, diss, nlf, dedt, resid)
+    return row, stepper.cfl_number(phi), (u1, u2)
+
+
+def _assert_record_matches(got, want):
+    """Nine record fields against the reference row.
+
+    t is exact; l2, h1, bp, diss and dedt agree to 1e-12 relative and h2 to
+    1e-11.  nlf and resid cancel to roundoff, so they agree to 1e-12 of
+    the dissipation, the scale of the energy rates.
+    """
+    diss = want[5]
+    assert got[0] == want[0]
+    for name, g, w in zip(("l2", "h1", "h2", "bp", "diss"), got[1:6], want[1:6]):
+        tol = 1.0e-11 if name == "h2" else 1.0e-12
+        assert abs(g - w) <= tol * abs(w), name
+    assert abs(got[7] - want[7]) <= 1.0e-12 * abs(want[7]), "dedt"
+    for name, i in (("nlf", 6), ("resid", 8)):
+        assert abs(got[i] - want[i]) <= 1.0e-12 * diss, name
 
 
 class TestLinearizedPrefixRecord:
@@ -197,11 +225,22 @@ class TestLinearizedPrefixRecord:
     )
     def test_prefix_record_matches_full_rows(self, channel, live):
         stepper = _linearized_stepper(channel, live)
+        assert not stepper._locked
+        self._check_prefix_record(stepper, live)
+
+    @pytest.mark.parametrize("live", [(1,), (1, 3)], ids=["row1", "rows1and3"])
+    def test_locked_prefix_record_matches_full_rows(self, channel, live):
+        # the CFL then reads the closed half period, on b - 1 matrix columns
+        stepper = _linearized_stepper(channel, live, locked=True)
+        assert stepper._locked
+        self._check_prefix_record(stepper, live)
+
+    @staticmethod
+    def _check_prefix_record(stepper, live):
         b = max(live) + 1
         assert stepper._live_rows() == slice(min(live), b)
         rec = _Recorder(stepper)
         (u1, u2), _, cfl = rec.record()
-        _, l2, h1, h2, bp, diss, nlf, dedt, resid = rec.rows[-1]
         want, want_cfl, full = _full_row_record(stepper)
 
         assert u1.M + 1 == u2.M + 1 == b
@@ -209,11 +248,8 @@ class TestLinearizedPrefixRecord:
             scale = np.abs(ref.coefficients).max()
             assert not ref.coefficients[b:].any()
             assert np.abs(got.coefficients - ref.coefficients[:b]).max() <= 1.0e-14 * scale
-        for name, got, ref in zip(("l2", "h1", "h2", "bp", "diss", "dedt"),
-                                  (l2, h1, h2, bp, diss, dedt), want):
-            tol = 1.0e-11 if name == "h2" else 1.0e-12
-            assert abs(got - ref) <= tol * abs(ref), name
-        assert abs(resid - want[-1]) <= 1.0e-12 * diss
+        _assert_record_matches(rec.rows[-1], want)
+        nlf = rec.rows[-1][6]
         assert nlf == 0.0 and not np.signbit(nlf)
         assert cfl == want_cfl == stepper.cfl_number() > 0.0
 
@@ -229,6 +265,32 @@ class TestLinearizedPrefixRecord:
         assert cfl == 0.0
         assert rec.rows[-1] == (0.0,) * 9
         assert not np.signbit(rec.rows[-1]).any()
+
+
+class TestNonlinearRecord:
+    """The one-pass record of a nonlinear state matches the public functions."""
+
+    @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
+    def test_record_matches_full_rows(self, channel, basis48, locked):
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
+        if not locked:
+            # the packet shifted in x1 has real mode rows
+            field = SpectralField2D(field.coefficients * np.exp(0.3j), field.L)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3)
+        stepper = ChannelStepper(cfg, field)
+        for _ in range(5):
+            stepper.step()
+        assert stepper._locked == locked
+        rec = _Recorder(stepper)
+        (u1, u2), norms, cfl = rec.record()
+        want, want_cfl, full = _full_row_record(stepper)
+
+        for got, ref in zip((u1, u2), full):
+            scale = np.abs(ref.coefficients).max()
+            assert np.abs(got.coefficients - ref.coefficients).max() <= 1.0e-14 * scale
+        _assert_record_matches(rec.rows[-1], want)
+        assert norms == rec.rows[-1][1:4]
+        assert cfl == want_cfl > 0.0
 
 
 class TestCheckpointing:
