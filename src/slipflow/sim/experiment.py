@@ -54,8 +54,7 @@ from ..modes import (
     reduced_packet,
 )
 from .field import (
-    SpectralField2D,
-    _sq_l2,
+    _gram_forms,
     field_from_packet,
     velocity_from_streamfunction,
     velocity_norms,
@@ -151,13 +150,26 @@ class SeparationExperiment:
         )
 
 
-def _zero_velocity(M: int, P: int, L: float):
-    z = SpectralField2D(np.zeros((M + 1, P), dtype=complex), L)
-    return z, z
+def _velocity(stepper: ChannelStepper):
+    """The stepper's velocity on the rows its diagnostics read (``_diagnostic_rows``)."""
+    return stepper.velocity(stepper._solve_phi(stepper._diagnostic_rows()))
 
 
-def _diff_l2(a, b) -> float:
-    return math.sqrt(_sq_l2(a[0] - b[0]) + _sq_l2(a[1] - b[1]))
+def _l2_of_differences(pairs, M: int) -> np.ndarray:
+    """L2 norms of velocity differences a - b, all in one Gram pass.
+
+    ``pairs`` holds (a, b) with a and b (u1, u2) field pairs of at most
+    M + 1 rows, the rows a field lacks being zero (a linearized velocity on
+    its live-row prefix); b is None for the zero velocity.
+    """
+    u = pairs[0][0][0]
+    diffs = np.zeros((len(pairs), 2, M + 1, u.P), dtype=complex)
+    for diff, (a, b) in zip(diffs, pairs):
+        for d, f in zip(diff, a):
+            d[: f.M + 1] = f.coefficients
+        for d, f in zip(diff, b or ()):
+            d[: f.M + 1] -= f.coefficients
+    return np.sqrt(_gram_forms(diffs, u.L, (0,))[0].sum(axis=(1, 2)))
 
 
 def _gate(times, lhs, rhs) -> GateReport:
@@ -198,7 +210,6 @@ def _run_one_delta(
         red0 = field_from_packet(reduced, sim.M, sim.P, sim.channel.L) * delta
         steppers["nr"] = ChannelStepper(cfg_nl, red0)
         steppers["lr"] = ChannelStepper(cfg_li, red0)
-    zero_pair = _zero_velocity(sim.M, sim.P, sim.channel.L)
 
     recorder = _Recorder(steppers["nf"])
     stride = sim.diagnostics_stride
@@ -206,28 +217,23 @@ def _run_one_delta(
 
     def record(m: int):
         u_nf, (l2_nf, _, h2_nf), cfl = recorder.record()
-        u_lf = steppers["lf"].velocity()
+        u_lf = _velocity(steppers["lf"])
         if reduced_active:
-            u_nr, u_lr = steppers["nr"].velocity(), steppers["lr"].velocity()
+            u_nr, u_lr = steppers["nr"].velocity(), _velocity(steppers["lr"])
             l2_nr, _, h2_nr = velocity_norms(*u_nr)
+            sep, linpred, d_full, d_red = _l2_of_differences(
+                [(u_nf, u_nr), (u_lf, u_lr), (u_nf, u_lf), (u_nr, u_lr)], sim.M
+            )
         else:
-            u_nr = u_lr = zero_pair
-            l2_nr = h2_nr = 0.0
+            # the reduced branches are exactly zero: the separation is the
+            # full branch's own norm and the linear prediction its twin's
+            l2_nr = h2_nr = d_red = 0.0
+            d_full, linpred = _l2_of_differences([(u_nf, u_lf), (u_lf, None)], sim.M)
+            sep = l2_nf
         t = steppers["nf"].t
         f_t = delta * packet_envelope_value(packet, t)
         rec_steps.append(m)
-        rows.append(
-            (
-                t,
-                _diff_l2(u_nf, u_nr),
-                _diff_l2(u_lf, u_lr),
-                _diff_l2(u_nf, u_lf),
-                _diff_l2(u_nr, u_lr) if reduced_active else 0.0,
-                f_t,
-                l2_nf + l2_nr,
-                h2_nf + h2_nr,
-            )
-        )
+        rows.append((t, sep, linpred, d_full, d_red, f_t, l2_nf + l2_nr, h2_nf + h2_nr))
         if cfl > 1.0:
             raise SimulationBlowupError(
                 f"advective CFL exceeded 1 at t = {t:.6g}"

@@ -125,9 +125,7 @@ class _Recorder:
         products as the full ones, and (u1, u2) come back with b rows.
         """
         st = self.stepper
-        omega = st._omega
-        if st.cfg.linearized:
-            omega = omega[: max(st._live_rows().stop, 1)]
+        omega = st._diagnostic_rows()
         phi = st._solve_phi(omega)
         visc, adv = st.tendency_split(phi)
         rows = [omega, visc] if st.cfg.linearized else [omega, visc, adv]

@@ -12,6 +12,10 @@ Prognostic variables, per Fourier mode n in x1:
     That transfer is a precomputed 2x2 influence matrix per mode (Kleiser &
     Schumann 1980).  The update is linear in the explicit part, so it is
     composed once into one real P x P operator per mode (see ChannelStepper).
+    The operators depend only on (M, P, L, mu, xi_-, xi_+, dt): they are
+    built once per configuration, shared read-only by every stepper that has
+    it (the branches of an experiment, a stepper read from a checkpoint),
+    and a small cache keeps the last few configurations.
   * n = 0: the x1-mean of u1, advanced by Crank-Nicolson diffusion with the
     Robin slip rows mu u' = +xi_+ u (top) and mu u' = -xi_- u (bottom)
     replacing the wall equations, forced by -d2 mean(u1 u2).  Its
@@ -33,7 +37,10 @@ so the factors are evaluated at the n1/2 - 1 interior points
 synthesis matrices, and the product returns through the matching sine
 analysis matrix; the mean flux mean(u1 u2) is exactly zero and is not
 formed.  A locked step is thus a chain of small real matrix products with
-no transform call.  These dense matrices cost O(M^2) per x2 node where a
+no transform call, and it runs in real arithmetic end to end: the state,
+streamfunction and advection rows are i times real rows, the operators are
+real, so the step advances the imaginary block alone and never forms the
+zero real parts.  These dense matrices cost O(M^2) per x2 node where a
 fast transform costs O(M log M).  On a 2-vCPU host with one BLAS thread
 the matrix step is still the faster one at M = 128, P = 96 and is not
 faster at M = 256, P = 128, where the DST-I/DCT-I form wins 2 of 3 runs.
@@ -68,6 +75,7 @@ instability of long runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,8 +173,99 @@ def _apply(ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return y.view(complex).reshape(x.shape)
 
 
+@functools.lru_cache(maxsize=4)
+def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
+               xi_plus: float, dt: float) -> dict:
+    """The operators of one stepper configuration, by ChannelStepper attribute name.
+
+    Built once per configuration and shared by every stepper that has it,
+    so every array is read-only.  An ill-conditioned influence matrix raises
+    InfluenceConditioningError, and a raise is not cached, so each
+    construction of such a stepper raises.
+    """
+    x2 = cgl_nodes(P)
+    D = cheb_diff_matrix(P)
+    D2 = D @ D
+    kappa = np.arange(M + 1) / L
+    alpha = 0.5 * mu * dt
+
+    # slip functionals acting on a streamfunction node vector
+    slip_plus = mu * D2[0] - xi_plus * D[0]
+    slip_minus = mu * D2[-1] + xi_minus * D[-1]
+
+    eye = np.eye(P)
+    # Per-mode Poisson-Dirichlet (K, modes 1..M) and Crank-Nicolson
+    # Helmholtz (A, modes 0..M) matrices with identity wall rows, except
+    # the mean mode's Robin rows; zeroing the wall columns of their
+    # inverses folds in the zeroed wall rows of every right-hand side.
+    K = D2 - (kappa[1:] ** 2)[:, None, None] * eye
+    A = eye - alpha * np.concatenate([D2[None], K])
+    for mat in (A, K):
+        mat[:, 0], mat[:, -1] = eye[0], eye[-1]
+    A[0, 0] = mu * D[0] - xi_plus * eye[0]
+    A[0, -1] = mu * D[-1] + xi_minus * eye[-1]
+    # each matrix is dropped once inverted and T is formed in place, so
+    # at most three (M, P, P) arrays are live during the build
+    a_inv = np.linalg.inv(A)
+    del A
+    og = a_inv[1:, :, [0, -1]]  # unit omega wall values through the solve
+    a_inv[:, :, [0, -1]] = 0.0
+    k_inv = np.linalg.inv(K)
+    del K
+    k_inv *= -1.0
+    k_inv[:, :, [0, -1]] = 0.0
+    S = np.stack([slip_plus, slip_minus])
+    SK = S @ k_inv
+    G = SK @ og
+    finite = np.isfinite(G).all(axis=(1, 2))
+    cond = np.full(M, np.inf)
+    cond[finite] = np.linalg.cond(G[finite])
+    bad = cond > INFLUENCE_COND_MAX
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InfluenceConditioningError(
+            f"influence matrix for mode n = {i + 1} is ill-conditioned "
+            f"(cond = {cond[i]:.3g} > {INFLUENCE_COND_MAX:g})"
+        )
+    # new[n] = T[n] @ rhs[n]: Helmholtz solve, then the wall-omega
+    # correction that zeroes the slip functionals of its streamfunction
+    a_inv[1:] -= og @ np.linalg.solve(G, SK @ a_inv[1:])
+
+    # product grid padded against quadratic aliasing in x1 and x2
+    n1 = max(4 * M, 8)
+    p_pad = math.ceil(3 * P / 2)
+    pad_coeffs = np.zeros((p_pad, P))
+    pad_coeffs[:P] = cheb_coeffs_from_values(eye, axis=0)
+    pad = cheb_values_from_coeffs(pad_coeffs, axis=0)
+    unpad = cheb_values_from_coeffs(
+        cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
+    )
+    # locked class: pad fused with d/dx2, and the sine and cosine series
+    # at x1_j = j pi L / (n1/2), j = 0 .. n1/2, with n j reduced mod n1
+    # so every angle lies in [0, 2 pi); the products use the interior
+    # points j = 1 .. n1/2 - 1, the CFL estimate the closed half period
+    half = n1 // 2
+    angle = (np.pi / half) * (np.outer(np.arange(half + 1), np.arange(1, M + 1)) % n1)
+    half_sin = 2.0 * np.sin(angle[1:-1])
+    closed_cos = 2.0 * np.cos(angle) * kappa[1:]
+    ops = {
+        "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
+        "_slip_plus": slip_plus, "_slip_minus": slip_minus,
+        "_explicit_base": eye + alpha * D2,  # row form handles kappa in step
+        "_T": a_inv, "_K": k_inv,
+        "_n1": n1, "_pad": pad, "_unpad": unpad,
+        "_pad_with_d": np.hstack([pad.T, (pad @ D).T]),
+        "_half_sin": half_sin, "_closed_cos": closed_cos,
+        "_half_cos": closed_cos[1:-1], "_half_fwd": half_sin.T / -n1,
+    }
+    for value in ops.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return ops
+
+
 class ChannelStepper:
-    """Time stepper owning the stacked per-mode operators and the state.
+    """Time stepper over the stacked per-mode operators, owning the state.
 
     ``_T`` (M+1, P, P) maps the explicit right-hand side row n to the new
     state row, ``new[n] = T[n] @ rhs[n]``.  With Z zeroing the two wall
@@ -185,14 +284,21 @@ class ChannelStepper:
     DCT-I); ``_unpad`` (P, ceil(3P/2)) takes padded node values to the P
     node values of their first P Chebyshev coefficients.
 
+    The operators come from ``_operators``, one read-only build per
+    (M, P, L, mu, xi_-, xi_+, dt) shared by every stepper of that
+    configuration; the state ``_omega`` and history ``_n_prev`` are the
+    stepper's own.
+
     ``_locked`` says whether the state block is exactly in the locked class;
     ``_set_state`` decides it when the stepper is built or a checkpoint is
-    loaded, never in a step.  A locked stepper runs the advection and the
-    CFL estimate on half the x1 period (``_locked_advection``,
-    ``cfl_number``); any other stepper uses the full-period ``_to_phys``
-    and ``_from_phys``.  The locked paths use five more cached matrices,
-    with the points x1_j = j pi L / (n1/2), j = 0 .. n1/2, of which the
-    h = n1/2 - 1 interior ones carry the products:
+    loaded, never in a step.  A locked stepper steps the imaginary parts of
+    its rows in real arithmetic (``_locked_step``) and runs the advection
+    and the CFL estimate on half the x1 period (``_locked_advection``,
+    ``cfl_number``); any other stepper steps complex rows and uses the
+    full-period ``_to_phys`` and ``_from_phys``.  The locked paths use five
+    more cached matrices, with the points x1_j = j pi L / (n1/2),
+    j = 0 .. n1/2, of which the h = n1/2 - 1 interior ones carry the
+    products:
     ``_pad_with_d`` (P, 2 ceil(3P/2)) is ``[_pad.T | (_pad @ D).T]``, so
     one product pads node values and their x2 derivative; ``_half_sin``
     (h, M) holds 2 sin(kappa_n x1_j) and ``_half_cos`` (h, M) holds
@@ -224,84 +330,9 @@ class ChannelStepper:
     # -- operator setup ------------------------------------------------
 
     def _build_operators(self):
-        cfg = self.cfg
-        M, P = cfg.M, cfg.P
-        self.x2 = cgl_nodes(P)
-        D = cheb_diff_matrix(P)
-        D2 = D @ D
-        self.D, self.D2 = D, D2
-        self.kappa = np.arange(M + 1) / self.L
-        alpha = 0.5 * self.mu * cfg.dt
-        xi_m, xi_p = self.slip.xi_minus, self.slip.xi_plus
-
-        # slip functionals acting on a streamfunction node vector
-        self._slip_plus = self.mu * D2[0] - xi_p * D[0]
-        self._slip_minus = self.mu * D2[-1] + xi_m * D[-1]
-
-        eye = np.eye(P)
-        self._explicit_base = eye + alpha * D2  # row form handles kappa below
-        self._alpha = alpha
-
-        # Per-mode Poisson-Dirichlet (K, modes 1..M) and Crank-Nicolson
-        # Helmholtz (A, modes 0..M) matrices with identity wall rows, except
-        # the mean mode's Robin rows; zeroing the wall columns of their
-        # inverses folds in the zeroed wall rows of every right-hand side.
-        K = D2 - (self.kappa[1:] ** 2)[:, None, None] * eye
-        A = eye - alpha * np.concatenate([D2[None], K])
-        for mat in (A, K):
-            mat[:, 0], mat[:, -1] = eye[0], eye[-1]
-        A[0, 0] = self.mu * D[0] - xi_p * eye[0]
-        A[0, -1] = self.mu * D[-1] + xi_m * eye[-1]
-        # each matrix is dropped once inverted and T is formed in place, so
-        # at most three (M, P, P) arrays are live during the build
-        a_inv = np.linalg.inv(A)
-        del A
-        og = a_inv[1:, :, [0, -1]]  # unit omega wall values through the solve
-        a_inv[:, :, [0, -1]] = 0.0
-        k_inv = np.linalg.inv(K)
-        del K
-        k_inv *= -1.0
-        k_inv[:, :, [0, -1]] = 0.0
-        S = np.stack([self._slip_plus, self._slip_minus])
-        SK = S @ k_inv
-        G = SK @ og
-        finite = np.isfinite(G).all(axis=(1, 2))
-        cond = np.full(M, np.inf)
-        cond[finite] = np.linalg.cond(G[finite])
-        bad = cond > INFLUENCE_COND_MAX
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InfluenceConditioningError(
-                f"influence matrix for mode n = {i + 1} is ill-conditioned "
-                f"(cond = {cond[i]:.3g} > {INFLUENCE_COND_MAX:g})"
-            )
-        # new[n] = T[n] @ rhs[n]: Helmholtz solve, then the wall-omega
-        # correction that zeroes the slip functionals of its streamfunction
-        a_inv[1:] -= og @ np.linalg.solve(G, SK @ a_inv[1:])
-        self._T = a_inv
-        self._K = k_inv
-
-        # product grid padded against quadratic aliasing in x1 and x2
-        self._n1 = max(4 * M, 8)
-        p_pad = math.ceil(3 * P / 2)
-        pad_coeffs = np.zeros((p_pad, P))
-        pad_coeffs[:P] = cheb_coeffs_from_values(eye, axis=0)
-        self._pad = cheb_values_from_coeffs(pad_coeffs, axis=0)
-        self._unpad = cheb_values_from_coeffs(
-            cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
-        )
-        # locked class: pad fused with d/dx2, and the sine and cosine series
-        # at x1_j = j pi L / (n1/2), j = 0 .. n1/2, with n j reduced mod n1
-        # so every angle lies in [0, 2 pi); the products use the interior
-        # points j = 1 .. n1/2 - 1, the CFL estimate the closed half period
-        self._pad_with_d = np.hstack([self._pad.T, (self._pad @ D).T])
-        half = self._n1 // 2
-        angle = (np.pi / half) * (np.outer(np.arange(half + 1), np.arange(1, M + 1))
-                                  % self._n1)
-        self._half_sin = 2.0 * np.sin(angle[1:-1])
-        self._closed_cos = 2.0 * np.cos(angle) * self.kappa[1:]
-        self._half_cos = self._closed_cos[1:-1]
-        self._half_fwd = self._half_sin.T / -self._n1
+        cfg, slip = self.cfg, self.slip
+        vars(self).update(_operators(cfg.M, cfg.P, self.L, self.mu,
+                                     slip.xi_minus, slip.xi_plus, cfg.dt))
 
     # -- representation changes ----------------------------------------
 
@@ -319,6 +350,14 @@ class ChannelStepper:
         """Install state rows and pick the advection path their class allows."""
         self._omega = omega
         self._locked = not omega[0].any() and not omega[1:].real.any()
+
+    def _diagnostic_rows(self) -> np.ndarray:
+        """The state rows diagnostics read: all M+1, or on a linearized
+        stepper the prefix of rows 0 .. b-1 ending with the last live row
+        (b >= 1, so the mean row stays)."""
+        if self.cfg.linearized:
+            return self._omega[: max(self._live_rows().stop, 1)]
+        return self._omega
 
     def _solve_phi(self, omega: np.ndarray) -> np.ndarray:
         """Poisson-Dirichlet streamfunction node values from vorticity rows.
@@ -343,11 +382,10 @@ class ChannelStepper:
 
     def _velocity_fields(self, rows: np.ndarray, phi: np.ndarray):
         """(u1, u2) coefficient fields of state-shaped rows with streamfunction phi."""
-        u1, u2 = self._velocity_nodes(phi, rows[0])
-        return (
-            SpectralField2D(cheb_coeffs_from_values(u1, axis=1), self.L),
-            SpectralField2D(cheb_coeffs_from_values(u2, axis=1), self.L),
-        )
+        # both components go through one transform, laid out as in a record
+        nodes = np.stack(self._velocity_nodes(phi, rows[0]))
+        u = cheb_coeffs_from_values(nodes, axis=-1)
+        return SpectralField2D(u[0], self.L), SpectralField2D(u[1], self.L)
 
     def streamfunction(self) -> SpectralField2D:
         """Public state: streamfunction rows plus the mean-u1 row."""
@@ -383,7 +421,9 @@ class ChannelStepper:
         """Advection rows: n >= 1 carry u . grad omega at the nodes,
         row 0 carries +d2 mean(u1 u2) (the negated mean-flow forcing)."""
         if self._locked:
-            return self._locked_advection(phi)
+            adv = np.zeros_like(self._omega)
+            adv.imag[1:] = self._locked_advection(phi.imag[1:], self._omega.imag[1:])
+            return adv
         u1, u2 = self._velocity_nodes(phi, self._omega[0])
         wtot = self._omega.copy()
         wtot[0] = -(self._omega[0].real @ self.D.T)
@@ -397,30 +437,30 @@ class ChannelStepper:
         adv[0] = flux[0].real @ self.D.T
         return adv
 
-    def _locked_advection(self, phi: np.ndarray) -> np.ndarray:
-        """``_advection`` of a state in the locked class, on half the x1 period.
+    def _locked_advection(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Advection of a locked state on half the x1 period, as a real block.
 
-        With phi_n = i b_n, omega_n = i c_n and a zero mean row, u1 and
-        d2 omega are sine series in x1 and u2 and d1 omega cosine series.
-        Each product in u . grad omega is then a sine series: its rows are
-        pure imaginary, and mean(u1 u2) = 0 makes row 0 exactly zero.  The
-        factors are evaluated at the interior points j = 1 .. n1/2 - 1 of
-        the padded grid, where a series with rows i s_n takes the values
-        -``_half_sin`` @ s and one with real rows kappa_n a_n the values
-        ``_half_cos`` @ a, and the product returns through ``_half_fwd``.
-        Every step is a real matrix product.
+        ``b`` and ``c`` are the real (M, P) blocks of a locked state's rows
+        1 .. M: phi_n = i b_n and omega_n = i c_n, and the mean row is zero.
+        Then u1 and d2 omega are sine series in x1 and u2 and d1 omega
+        cosine series.  Each product in u . grad omega is a sine series, so
+        the advection rows 1 .. M are i a_n and returned as the real block
+        a, and mean(u1 u2) = 0 makes row 0 exactly zero.  The factors are
+        evaluated at the interior points j = 1 .. n1/2 - 1 of the padded
+        grid, where a series with rows i s_n takes the values -``_half_sin``
+        @ s and one with real rows kappa_n a_n the values ``_half_cos`` @ a,
+        and the product returns through ``_half_fwd``.  Every step is a real
+        matrix product.
         """
         M, pp = self.cfg.M, self._pad.shape[0]
         sine, cosine = self._half_sin, self._half_cos
         # b, d2 b, c and d2 c at the padded x2 nodes
-        f = np.concatenate([phi.imag[1:], self._omega.imag[1:]]) @ self._pad_with_d
+        f = np.concatenate([b, c]) @ self._pad_with_d
         b, db, c, dc = f[:M, :pp], f[:M, pp:], f[M:, :pp], f[M:, pp:]
         # u1 w1 + u2 w2 with u1 = -sine @ b', w1 = -cosine @ c,
         # u2 = cosine @ b, w2 = -sine @ c'
         prod = (sine @ db) * (cosine @ c) - (cosine @ b) * (sine @ dc)
-        adv = np.zeros_like(self._omega)
-        adv.imag[1:] = (self._half_fwd @ prod) @ self._unpad.T
-        return adv
+        return (self._half_fwd @ prod) @ self._unpad.T
 
     # -- stepping --------------------------------------------------------
 
@@ -436,28 +476,63 @@ class ChannelStepper:
 
         A linearized step reads neither the streamfunction nor the advection
         (both would be zero), and its rows decouple, so a row that is zero
-        stays exactly zero: only the span of live rows is advanced.
+        stays exactly zero: only the span of live rows is advanced.  A
+        locked step works on real arrays alone (``_locked_step``).
         """
         cfg = self.cfg
-        rows = self._live_rows() if cfg.linearized else slice(None)
-        w = self._omega[rows]
-        rhs = _apply(self._explicit_base, w)
-        rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
-        if not cfg.linearized:
-            adv = self._advection(self._solve_phi(self._omega))
-            if self._have_history:
-                adv_x = 1.5 * adv - 0.5 * self._n_prev
-            else:
-                adv_x = adv
-            rhs -= cfg.dt * adv_x
-            self._n_prev = adv
-        self._omega[rows] = _apply(self._T[rows], rhs)
+        if self._locked:
+            new = self._locked_step()
+        else:
+            rows = self._live_rows() if cfg.linearized else slice(None)
+            w = self._omega[rows]
+            rhs = _apply(self._explicit_base, w)
+            rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
+            if not cfg.linearized:
+                adv = self._advection(self._solve_phi(self._omega))
+                if self._have_history:
+                    adv_x = 1.5 * adv - 0.5 * self._n_prev
+                else:
+                    adv_x = adv
+                rhs -= cfg.dt * adv_x
+                self._n_prev = adv
+            self._omega[rows] = _apply(self._T[rows], rhs)
+            new = self._omega
         self._have_history = True
         self.t += cfg.dt
-        if not np.isfinite(self._omega).all():
+        if not np.isfinite(new).all():
             raise SimulationBlowupError(
                 f"state stopped being finite at t = {self.t:.6g}"
             )
+
+    def _locked_step(self) -> np.ndarray:
+        """The step of a locked state, on the imaginary parts of its rows.
+
+        The state rows are i c_n, the streamfunction rows i b_n with
+        b = K c, and the advection rows i a_n; the operators are real, so
+        the real parts and row 0 stay exactly zero and are never formed.
+        The step advances rows 1 .. M, or the live span on a linearized
+        stepper: c becomes T (c E^T - alpha kappa^2 c - dt AB2(a)), every
+        per-mode product a stacked real (..., P, 1) matmul.  The AB2 history
+        a is kept in the imaginary parts of rows 1 .. M of ``_n_prev``, the
+        block a checkpoint stores.  Returns the new block of c, the only
+        part of the state that can stop being finite.
+        """
+        cfg = self.cfg
+        rows = self._live_rows() if cfg.linearized else slice(1, None)
+        c = np.ascontiguousarray(self._omega.imag[rows])
+        rhs = c @ self._explicit_base.T
+        rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * c
+        if not cfg.linearized:
+            adv = self._locked_advection((self._K @ c[..., None])[..., 0], c)
+            history = self._n_prev.imag[1:]
+            if self._have_history:
+                rhs -= cfg.dt * (1.5 * adv - 0.5 * history)
+            else:
+                rhs -= cfg.dt * adv
+            history[...] = adv
+        new = (self._T[rows] @ rhs[..., None])[..., 0]
+        self._omega.imag[rows] = new
+        return new
 
     # -- safety estimates -------------------------------------------------
 

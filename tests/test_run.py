@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import mode_field
+from conftest import CFL_ULPS, mode_field
 
 from slipflow.model import ChannelConfig, SlipPair, ValidationError
 from slipflow.numerics import build_basis
@@ -251,7 +251,10 @@ class TestLinearizedPrefixRecord:
         _assert_record_matches(rec.rows[-1], want)
         nlf = rec.rows[-1][6]
         assert nlf == 0.0 and not np.signbit(nlf)
-        assert cfl == want_cfl == stepper.cfl_number() > 0.0
+        # the prefix and the full rows reach different BLAS kernels (a locked
+        # CFL multiplies b - 1 columns, not M), so they may sit ulps apart
+        assert abs(cfl - want_cfl) <= CFL_ULPS * np.spacing(want_cfl)
+        assert want_cfl == stepper.cfl_number() > 0.0
 
     def test_all_zero_state_records_zeros(self, channel):
         M, P = 8, 32

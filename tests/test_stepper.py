@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dct_coeffs_from_values, dct_values_from_coeffs, mode_field
+from conftest import CFL_ULPS, dct_coeffs_from_values, dct_values_from_coeffs, mode_field
 from scipy import fft as sfft
 from scipy import linalg as sla
 from scipy.optimize import brentq
@@ -26,6 +26,7 @@ from slipflow.sim.field import (
     slip_residuals,
 )
 from slipflow.sim.run import read_checkpoint, write_checkpoint
+from slipflow.sim.stepper import _apply
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +427,99 @@ class TestLinearizedStep:
                               straight.streamfunction().coefficients)
 
 
+class _ComplexLockedStep(ChannelStepper):
+    """A locked stepper that steps complex rows through ``_apply``, as an unlocked one does."""
+
+    def _locked_step(self):
+        cfg = self.cfg
+        rows = self._live_rows() if cfg.linearized else slice(None)
+        w = self._omega[rows]
+        rhs = _apply(self._explicit_base, w)
+        rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
+        if not cfg.linearized:
+            adv = self._advection(self._solve_phi(self._omega))
+            rhs -= cfg.dt * (1.5 * adv - 0.5 * self._n_prev if self._have_history else adv)
+            self._n_prev = adv
+        self._omega[rows] = _apply(self._T[rows], rhs)
+        return self._omega
+
+
+def _locked_rows(M, P, seed):
+    """A random decaying state in the locked class: imaginary rows, zero mean row."""
+    rng = np.random.default_rng(seed)
+    rows = 1.0e-2j * rng.standard_normal((M + 1, P)) * np.exp(-0.3 * np.arange(P))
+    rows[0] = 0.0
+    return rows
+
+
+class TestRealLockedStep:
+    """A locked step runs on the imaginary block alone and matches the complex rows."""
+
+    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
+    @pytest.mark.parametrize("M, P, L", [(6, 24, 1.0), (16, 56, 1.0), (32, 64, 1.0)])
+    def test_matches_the_complex_path(self, M, P, L, linearized):
+        channel = ChannelConfig(L=L, mu=0.5, slip=SlipPair(1.0, 1.0))
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.2,
+                        linearized=linearized)
+        # rows 1, M - 1 and M start at zero, so a linearized step has a span
+        dead = [0, 1, M - 1, M]
+        rows = _locked_rows(M, P, seed=M + P)
+        rows[dead] = 0.0
+        field = SpectralField2D(rows, L)
+        real, ref = ChannelStepper(cfg, field), _ComplexLockedStep(cfg, field)
+        assert real._locked and ref._locked
+        for _ in range(200):
+            real.step()
+            ref.step()
+        for got, want in ((real._omega, ref._omega), (real._n_prev, ref._n_prev)):
+            assert np.abs(got - want).max() <= 1.0e-12 * np.abs(want).max(initial=0.0)
+        for block in (real._omega, real._n_prev):
+            assert not block.real.any()
+            assert not block[0].any()
+        assert real._n_prev.any() != linearized
+        assert real._omega[dead].any() != linearized
+
+
+class TestSharedOperators:
+    """Steppers of one configuration share one read-only build of the operators."""
+
+    @staticmethod
+    def _cfg(**kwargs):
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        return SimConfig(**{"channel": channel, "M": 6, "P": 24, "dt": 1.0e-3,
+                            "t_end": 0.1, **kwargs})
+
+    def test_equal_configurations_share_one_build(self):
+        zero = SpectralField2D(np.zeros((7, 24), dtype=complex), 1.0)
+        first = ChannelStepper(self._cfg(), zero)
+        # the linearized flag and t_end are not part of the operators
+        second = ChannelStepper(self._cfg(linearized=True, t_end=0.5), zero)
+        assert second._T is first._T and second._K is first._K
+        other = ChannelStepper(self._cfg(dt=2.0e-3), zero)
+        assert other._T is not first._T and other._K is not first._K
+        assert np.abs(other._T - first._T).max() > 0.0
+
+    def test_cached_operators_are_read_only(self):
+        stepper = ChannelStepper(self._cfg(), SpectralField2D(_locked_rows(6, 24, 1), 1.0))
+        state = {"_omega", "_n_prev"}
+        ops = {k: v for k, v in vars(stepper).items()
+               if isinstance(v, np.ndarray) and k not in state}
+        assert {"_T", "_K", "_explicit_base", "_pad_with_d", "_half_cos"} <= set(ops)
+        assert not any(v.flags.writeable for v in ops.values())
+        with pytest.raises(ValueError, match="read-only"):
+            stepper._T[1, 0, 0] = stepper._T[1, 0, 0]
+        # the state is the stepper's own and stays writable
+        stepper.step()
+        assert stepper._omega.flags.writeable
+
+    def test_ill_conditioned_configuration_raises_on_every_construction(self, channel):
+        zero = SpectralField2D(np.zeros((3, 24), dtype=complex), channel.L)
+        near = SimConfig(channel=channel, M=2, P=24, dt=4.293719, t_end=4.293719)
+        for _ in range(2):
+            with pytest.raises(InfluenceConditioningError, match="mode n = 1"):
+                ChannelStepper(near, zero)
+
+
 def _dct_to_phys(stepper, rows):
     """Padded product-grid values by DCT-I, zero-pad, inverse DCT-I, irfft."""
     M, P, n1 = stepper.cfg.M, stepper.cfg.P, stepper._n1
@@ -596,14 +690,6 @@ class TestLockedAdvection:
         want = general.cfl_number()
         assert want > 0.0
         assert abs(locked.cfl_number() - want) <= CFL_ULPS * np.spacing(want)
-
-
-# Largest distance, in ulps of the full-period value, between the locked CFL
-# and the full-period formula.  Each side sums its series in its own order
-# and lands within about 6 ulps of a long-double evaluation.  Measured over
-# every prefix: at most 8 ulps on the test states below, 11 on 500 random
-# locked states at the same grids.
-CFL_ULPS = 16
 
 
 def _full_period_cfl(stepper, phi):
