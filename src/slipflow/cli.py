@@ -432,6 +432,15 @@ def _build_parser() -> argparse.ArgumentParser:
     chan.add_argument("--xi", type=float, nargs=2, metavar=("XI_MINUS", "XI_PLUS"),
                       help="slip coefficients at the lower and upper wall")
 
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--m", dest="M", type=int, default=None,
+                      help="Fourier modes in x1")
+    grid.add_argument("--p", dest="P", type=int, default=None,
+                      help="Chebyshev points in x2")
+    grid.add_argument("--dt", type=float, default=None, help="time step")
+    grid.add_argument("--stride", dest="diagnostics_stride", metavar="STRIDE", type=int,
+                      default=None, help="diagnostics stride in steps")
+
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("critical", parents=[chan],
@@ -466,26 +475,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar=("N1", "N2"), help="sampling grid (default 64 65)")
     p.add_argument("--basis", type=int, default=48)
 
-    p = sub.add_parser("simulate", parents=[chan],
+    p = sub.add_parser("simulate", parents=[chan, grid],
                        help="time-step the nonlinear or linearized equations")
     p.add_argument("--k", type=float, default=None,
                    help="packet wavenumber of the initial data (default 1/L)")
     p.add_argument("--amplitude", type=float, default=1.0e-3,
                    help="initial data amplitude (default 1e-3)")
     p.add_argument("--basis", type=int, default=48)
-    p.add_argument("--m", dest="M", type=int, default=None, help="Fourier modes in x1")
-    p.add_argument("--p", dest="P", type=int, default=None,
-                   help="Chebyshev points in x2")
-    p.add_argument("--dt", type=float, default=None, help="time step")
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--stride", dest="diagnostics_stride", metavar="STRIDE", type=int,
-                   default=None, help="diagnostics stride in steps")
     p.add_argument("--linearized", action="store_true", default=None,
                    help="drop the nonlinear term")
     p.add_argument("--checkpoint-stride", dest="checkpoint_stride", type=int,
                    default=None, help="steps between checkpoints (default: final only)")
 
-    p = sub.add_parser("experiment", parents=[chan],
+    p = sub.add_parser("experiment", parents=[chan, grid],
                        help="two-solution separation experiment over a delta sweep")
     p.add_argument("--deltas", type=float, nargs="+", default=None,
                    help="amplitudes (default 1e-5 1e-6 1e-7)")
@@ -496,11 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--count", dest="packet_count", metavar="COUNT", type=int,
                    default=None, help="packet size cap")
-    p.add_argument("--m", dest="M", type=int, default=None)
-    p.add_argument("--p", dest="P", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--stride", dest="diagnostics_stride", metavar="STRIDE", type=int,
-                   default=None)
 
     sub.add_parser("verify",
                    help="run the deterministic property suites, write a JSON report")

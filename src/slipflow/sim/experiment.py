@@ -150,11 +150,6 @@ class SeparationExperiment:
         )
 
 
-def _velocity(stepper: ChannelStepper):
-    """The stepper's velocity on the rows its diagnostics read (``_diagnostic_rows``)."""
-    return stepper.velocity(stepper._solve_phi(stepper._diagnostic_rows()))
-
-
 def _l2_of_differences(pairs, M: int) -> np.ndarray:
     """L2 norms of velocity differences a - b, all in one Gram pass.
 
@@ -216,10 +211,13 @@ def _run_one_delta(
     rec_steps, rows = [], []
 
     def record(m: int):
+        # at m = 0 each linear twin holds its nonlinear branch's initial
+        # data, so it takes that branch's velocity and d_from_linear is 0
         u_nf, (l2_nf, _, h2_nf), cfl = recorder.record()
-        u_lf = _velocity(steppers["lf"])
+        u_lf = steppers["lf"].velocity() if m else u_nf
         if reduced_active:
-            u_nr, u_lr = steppers["nr"].velocity(), _velocity(steppers["lr"])
+            u_nr = steppers["nr"].velocity()
+            u_lr = steppers["lr"].velocity() if m else u_nr
             l2_nr, _, h2_nr = velocity_norms(*u_nr)
             sep, linpred, d_full, d_red = _l2_of_differences(
                 [(u_nf, u_nr), (u_lf, u_lr), (u_nf, u_lf), (u_nr, u_lr)], sim.M

@@ -11,8 +11,10 @@ history block of the same shape.  Restarting with the same config resumes
 the exact trajectory: the stepper is a pure function of the checkpointed
 data, so diagnostics after the restart are bit-identical to the original
 run's.  A config that differs in any header field is refused, since the
-advection history only continues the scheme it was written by.  The
-stepper reads its advection path off the state block (see ``sim.stepper``).
+advection history only continues the scheme it was written by.  The blocks
+come from ``ChannelStepper._blocks``; reading them back installs them in a
+fresh stepper (``ChannelStepper._install``), which fixes the part of the
+state its steps advance from the state block (see ``sim.stepper``).
 """
 
 from __future__ import annotations
@@ -117,12 +119,14 @@ class _Recorder:
         number (``cfl_number``, on the closed half period when the state
         is locked).
 
-        A linearized state's rows decouple, so every row after its last live
-        one is exactly zero in the streamfunction, the velocity, the viscous
-        tendency and that tendency's velocity.  The record then works on the
-        prefix of rows 0 .. b-1 ending with that row (b >= 1, so the mean row
-        stays): the prefix fields have the same norms, wall traces and inner
-        products as the full ones, and (u1, u2) come back with b rows.
+        The record works on the rows 0 .. b-1 the stepper's diagnostics
+        read (``_diagnostic_rows``), b the end of its box: all M+1 rows of
+        a nonlinear state, and on a linearized one the prefix ending with
+        its last live row (b >= 1, so the mean row stays).  Every later row
+        is exactly zero in the streamfunction, the velocity, the viscous
+        tendency and that tendency's velocity, so the prefix fields have
+        the same norms, wall traces and inner products as the full ones,
+        and (u1, u2) come back with b rows.
         """
         st = self.stepper
         omega = st._diagnostic_rows()
@@ -255,9 +259,8 @@ def write_checkpoint(path: str | Path, stepper: ChannelStepper) -> Path:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(stepper._omega).tobytes())
-        if stepper._have_history:
-            fh.write(np.ascontiguousarray(stepper._n_prev).tobytes())
+        for block in stepper._blocks():
+            fh.write(block.tobytes())
     return path
 
 
@@ -295,13 +298,7 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
         raise ValidationError(f"{path}: truncated checkpoint body")
     zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), ch.L)
     stepper = ChannelStepper(cfg, zero)
-    state = np.frombuffer(body[:block], dtype=complex).reshape(M + 1, P)
-    stepper._set_state(state.copy())
-    if len(body) == 2 * block:
-        stepper._n_prev = (
-            np.frombuffer(body[block:], dtype=complex).reshape(M + 1, P).copy()
-        )
-        stepper._have_history = True
+    stepper._install(*np.frombuffer(body, dtype=complex).reshape(-1, M + 1, P))
     stepper.t = t
     return stepper
 

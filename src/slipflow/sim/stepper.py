@@ -30,35 +30,31 @@ the ceil(3P/2) padded node values of the same polynomial, and the unpad
 matrix maps padded node values to the P node values of their truncation to
 P Chebyshev coefficients.  A step transforms only in x1, never in x2.
 
-A locked stepper (see below) forms its products on half the x1 period.
-In the locked class every product in u . grad omega is a sine series in x1,
-so the factors are evaluated at the n1/2 - 1 interior points
-0 < x1 < pi L of the same padded grid by fixed real sine and cosine
-synthesis matrices, and the product returns through the matching sine
-analysis matrix; the mean flux mean(u1 u2) is exactly zero and is not
-formed.  A locked step is thus a chain of small real matrix products with
-no transform call, and it runs in real arithmetic end to end: the state,
-streamfunction and advection rows are i times real rows, the operators are
-real, so the step advances the imaginary block alone and never forms the
-zero real parts.  These dense matrices cost O(M^2) per x2 node where a
-fast transform costs O(M log M).  On a 2-vCPU host with one BLAS thread
-the matrix step is still the faster one at M = 128, P = 96 and is not
-faster at M = 256, P = 128, where the DST-I/DCT-I form wins 2 of 3 runs.
-The CFL estimate of a locked state is matrix products too: in the class u1
-is a sine and u2 a cosine series in x1, so every sample value of the padded
-grid is taken at one of the points 0 <= x1 <= pi L, where the same cached
-synthesis matrices (the cosine one with both end points) evaluate them.
+The state and the AB2 advection history are real (2, M+1, P) arrays, the
+real and the imaginary parts of the rows.  Building the stepper or loading
+a checkpoint fixes, once, the box of the state that can be nonzero,
+(components, rows): the imaginary plane alone for a locked state (see
+below), else both; the live span of rows (first to last nonzero one) on a
+linearized stepper, whose rows decouple so that a zero row stays zero,
+rows 1 .. M on a locked nonlinear one, else all rows.  A step advances the
+box alone, by stacked real matmuls.  The diagnostics read rows 0 .. b-1, b
+the end of the box: every later row of each field they form is zero, and
+the first b rows of a field are still a field (row n is still mode n), with
+the same norms and inner products.  The methods below take their b from
+the row count of the array they are given.
 
-A linearized stepper has no advection, so its Fourier rows decouple and a
-row that is zero stays exactly zero.  Its step solves no streamfunction and
-applies the explicit part and T only to the span of rows that hold a
-nonzero entry (for a one-mode packet, a single row).  Its diagnostics work
-on the prefix of rows 0 .. b-1 that ends with the last live row: every
-later row of the streamfunction, the velocity, the viscous tendency and
-that tendency's velocity is exactly zero, and the first b rows of a field
-are still a field (row n is still mode n), so norms and inner products of
-the prefix equal those of the full rows.  The methods below take their b
-from the row count of the array they are given.
+A locked box forms its advection on half the x1 period: in the class every
+product in u . grad omega is a sine series in x1, so the factors are
+evaluated at the n1/2 - 1 interior points 0 < x1 < pi L of the padded grid
+by fixed real sine and cosine synthesis matrices and return through the
+sine analysis matrix, with no transform call; the mean flux mean(u1 u2) is
+exactly zero and is not formed.  The dense matrices cost O(M^2) per x2 node
+where a fast transform costs O(M log M); on a 2-vCPU host with one BLAS
+thread they still win at M = 128, P = 96, and at M = 256, P = 128 the
+DST-I/DCT-I form wins 2 of 3 runs.  The locked CFL estimate applies the
+same matrices on the closed half period 0 <= x1 <= pi L, which holds every
+sample value of the full one.  Any other box advects and estimates the CFL
+number on the full period, by x1 FFTs of complex rows.
 
 The streamfunction is never stored: it is reconstructed from the vorticity
 at the start of every nonlinear step, so the trajectory is a pure function
@@ -160,17 +156,22 @@ def cheb_diff_matrix(P: int) -> np.ndarray:
     return D
 
 
-def _apply(ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row n of complex ``rows`` through real operator ``ops[n]``, as one matmul.
+def _planes(rows: np.ndarray) -> np.ndarray:
+    """The real (2, ...) planes of complex ``rows``, real parts then imaginary
+    parts, in C order (a box's products then make the same BLAS calls
+    whatever the layout of ``rows``)."""
+    return np.ascontiguousarray(np.stack([rows.real, rows.imag]))
 
-    A single (P, P) ``ops`` is applied to every row.
 
-    The rows are viewed as (M, P, 2) floats, so the real and imaginary parts
-    share the product and nothing is upcast to complex.
+def _complex(planes: np.ndarray) -> np.ndarray:
+    """Complex rows of real (2, ...) ``planes``, the inverse of ``_planes``.
+
+    The parts are assigned, not added, so every bit (signed zeros included)
+    is the one stored.
     """
-    x = np.ascontiguousarray(rows, dtype=complex)
-    y = ops @ x.view(np.float64).reshape(*x.shape, 2)
-    return y.view(complex).reshape(x.shape)
+    rows = np.empty(planes.shape[1:], dtype=complex)
+    rows.real, rows.imag = planes
+    return rows
 
 
 @functools.lru_cache(maxsize=4)
@@ -214,8 +215,10 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     del K
     k_inv *= -1.0
     k_inv[:, :, [0, -1]] = 0.0
+    # block 0 is zero: the mean row has no streamfunction
+    k_inv = np.concatenate([np.zeros((1, P, P)), k_inv])
     S = np.stack([slip_plus, slip_minus])
-    SK = S @ k_inv
+    SK = S @ k_inv[1:]
     G = SK @ og
     finite = np.isfinite(G).all(axis=(1, 2))
     cond = np.full(M, np.inf)
@@ -274,10 +277,10 @@ class ChannelStepper:
     the wall-omega Green columns and S the two slip functionals,
     T[n] = Ainv - og G^-1 S Kinv Ainv with the influence matrix G = S Kinv og
     for n >= 1.  The mean row's A has the two Robin rows as its wall rows
-    and no influence correction, so T[0] = Ainv.  ``_K`` (M, P, P) holds
-    Kinv, so ``phi[n] = K[n-1] @ omega[n]``.  A G whose condition number
-    exceeds INFLUENCE_COND_MAX raises InfluenceConditioningError when the
-    operators are built.
+    and no influence correction, so T[0] = Ainv.  ``_K`` (M+1, P, P) holds
+    Kinv for n >= 1 and zero for the mean row, so ``phi[n] = K[n] @ omega[n]``.
+    A G whose condition number exceeds INFLUENCE_COND_MAX raises
+    InfluenceConditioningError when the operators are built.
 
     ``_pad`` (ceil(3P/2), P) takes the P CGL node values of a polynomial to
     its values at the ceil(3P/2) padded CGL nodes (DCT-I, zero-pad, inverse
@@ -286,17 +289,12 @@ class ChannelStepper:
 
     The operators come from ``_operators``, one read-only build per
     (M, P, L, mu, xi_-, xi_+, dt) shared by every stepper of that
-    configuration; the state ``_omega`` and history ``_n_prev`` are the
-    stepper's own.
-
-    ``_locked`` says whether the state block is exactly in the locked class;
-    ``_set_state`` decides it when the stepper is built or a checkpoint is
-    loaded, never in a step.  A locked stepper steps the imaginary parts of
-    its rows in real arithmetic (``_locked_step``) and runs the advection
-    and the CFL estimate on half the x1 period (``_locked_advection``,
-    ``cfl_number``); any other stepper steps complex rows and uses the
-    full-period ``_to_phys`` and ``_from_phys``.  The locked paths use five
-    more cached matrices, with the points x1_j = j pi L / (n1/2),
+    configuration.  The state planes ``_state``, the history planes
+    ``_history`` and the box ``_box`` are the stepper's own and set by
+    ``_install`` alone; readers get complex rows from ``_rows`` and
+    ``_blocks``.  A locked box (``_locked``) advects and estimates the CFL
+    number on half the x1 period (``_locked_advection``, ``cfl_number``)
+    with five more cached matrices, at the points x1_j = j pi L / (n1/2),
     j = 0 .. n1/2, of which the h = n1/2 - 1 interior ones carry the
     products:
     ``_pad_with_d`` (P, 2 ceil(3P/2)) is ``[_pad.T | (_pad @ D).T]``, so
@@ -323,9 +321,7 @@ class ChannelStepper:
         self.slip = cfg.channel.slip
         self.t = 0.0
         self._build_operators()
-        self._set_state(self._state_from_streamfunction(initial))
-        self._n_prev = np.zeros_like(self._omega)
-        self._have_history = False
+        self._install(self._state_from_streamfunction(initial))
 
     # -- operator setup ------------------------------------------------
 
@@ -344,29 +340,52 @@ class ChannelStepper:
         omega_c = -(_chebder_rows(c, 2) - (self.kappa**2)[:, None] * c)
         state = cheb_values_from_coeffs(omega_c, axis=1)
         state[0] = cheb_values_from_coeffs(c[0].real[None, :], axis=1)[0]
-        return np.ascontiguousarray(state)
+        return state
 
-    def _set_state(self, omega: np.ndarray):
-        """Install state rows and pick the advection path their class allows."""
-        self._omega = omega
-        self._locked = not omega[0].any() and not omega[1:].real.any()
+    def _install(self, state: np.ndarray, history: np.ndarray | None = None):
+        """Store complex state rows, and the AB2 history of a stepper that has
+        stepped, as real planes, and fix the box (see the module docstring).
+        A locked box takes plane 1 by index, so it is a 2-D view."""
+        self._state = _planes(state)
+        self._have_history = history is not None
+        self._history = (np.zeros_like(self._state) if history is None
+                         else _planes(history))
+        locked = not self._state[0].any() and not self._state[1, 0].any()
+        if self.cfg.linearized:
+            live = np.flatnonzero(self._state.any(axis=(0, 2)))
+            rows = slice(int(live[0]), int(live[-1]) + 1) if live.size else slice(0, 0)
+        else:
+            rows = slice(1 if locked else 0, self.cfg.M + 1)
+        self._box = (1 if locked else slice(None), rows)
+
+    @property
+    def _locked(self) -> bool:
+        """Whether the state is in the locked class: the box is its imaginary plane."""
+        return self._box[0] == 1
+
+    def _rows(self, b: int | None = None) -> np.ndarray:
+        """Complex state rows 0 .. b-1 (all rows by default)."""
+        return _complex(self._state[:, :b])
+
+    def _blocks(self) -> list:
+        """The complex blocks a checkpoint stores: the state rows, then the
+        AB2 history once the stepper has stepped (``_install`` takes them back)."""
+        planes = [self._state, self._history] if self._have_history else [self._state]
+        return [_complex(p) for p in planes]
 
     def _diagnostic_rows(self) -> np.ndarray:
-        """The state rows diagnostics read: all M+1, or on a linearized
-        stepper the prefix of rows 0 .. b-1 ending with the last live row
-        (b >= 1, so the mean row stays)."""
-        if self.cfg.linearized:
-            return self._omega[: max(self._live_rows().stop, 1)]
-        return self._omega
+        """The complex state rows diagnostics read: rows 0 .. b-1, b the end
+        of the box (b >= 1, so the mean row stays)."""
+        return self._rows(max(self._box[1].stop, 1))
 
     def _solve_phi(self, omega: np.ndarray) -> np.ndarray:
-        """Poisson-Dirichlet streamfunction node values from vorticity rows.
-
-        ``omega`` holds the first b >= 1 rows of a state, all of them or a
-        prefix; row n is solved with K[n-1] either way.
-        """
+        """Poisson-Dirichlet streamfunction node values of the first b >= 1
+        complex vorticity rows of a state, row n solved with K[n].  The rows
+        are viewed as (b-1, P, 2) floats, so both parts share one product."""
         phi = np.zeros_like(omega)
-        phi[1:] = _apply(self._K[: omega.shape[0] - 1], omega[1:])
+        x = np.ascontiguousarray(omega[1:])
+        y = self._K[1: omega.shape[0]] @ x.view(np.float64).reshape(*x.shape, 2)
+        phi[1:] = y.view(complex).reshape(x.shape)
         return phi
 
     def _velocity_nodes(self, phi: np.ndarray, mean_row: np.ndarray):
@@ -389,21 +408,20 @@ class ChannelStepper:
 
     def streamfunction(self) -> SpectralField2D:
         """Public state: streamfunction rows plus the mean-u1 row."""
-        phi = self._solve_phi(self._omega)
+        omega = self._rows()
+        phi = self._solve_phi(omega)
         coeffs = cheb_coeffs_from_values(phi, axis=1)
-        coeffs[0] = cheb_coeffs_from_values(self._omega[0].real[None, :], axis=1)[0]
+        coeffs[0] = cheb_coeffs_from_values(omega[0].real[None, :], axis=1)[0]
         return SpectralField2D(coeffs, self.L)
 
     def velocity(self, phi: np.ndarray | None = None):
-        """(u1, u2) as coefficient-space fields.
-
-        ``phi`` passes the state's streamfunction rows if already solved;
-        on a linearized stepper it may hold only the first b rows, up to the
-        last live one, and the fields then have those b rows.
-        """
+        """(u1, u2) as coefficient-space fields with the rows of ``phi``, the
+        state's streamfunction rows if already solved (all of them or the
+        first b); by default the rows the diagnostics read."""
+        omega = self._diagnostic_rows() if phi is None else self._rows(phi.shape[0])
         if phi is None:
-            phi = self._solve_phi(self._omega)
-        return self._velocity_fields(self._omega[: phi.shape[0]], phi)
+            phi = self._solve_phi(omega)
+        return self._velocity_fields(omega, phi)
 
     # -- pseudospectral products ----------------------------------------
 
@@ -417,16 +435,18 @@ class ChannelStepper:
         """Node-value rows of padded product-grid values, truncated to (M+1, P)."""
         return np.fft.rfft(vals @ self._unpad.T, axis=0)[: self.cfg.M + 1] / self._n1
 
-    def _advection(self, phi: np.ndarray) -> np.ndarray:
-        """Advection rows: n >= 1 carry u . grad omega at the nodes,
-        row 0 carries +d2 mean(u1 u2) (the negated mean-flow forcing)."""
+    def _advection(self, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Advection of the box, from the box of the streamfunction planes
+        ``phi`` and of the state planes ``w``: rows n >= 1 carry u . grad omega
+        at the nodes, row 0 carries +d2 mean(u1 u2) (the negated mean-flow
+        forcing).  A locked box goes to ``_locked_advection``; any other box
+        (both planes, all rows) forms its products on the full x1 period."""
         if self._locked:
-            adv = np.zeros_like(self._omega)
-            adv.imag[1:] = self._locked_advection(phi.imag[1:], self._omega.imag[1:])
-            return adv
-        u1, u2 = self._velocity_nodes(phi, self._omega[0])
-        wtot = self._omega.copy()
-        wtot[0] = -(self._omega[0].real @ self.D.T)
+            return self._locked_advection(phi, w)
+        phi, omega = _complex(phi), _complex(w)
+        u1, u2 = self._velocity_nodes(phi, omega[0])
+        wtot = omega.copy()
+        wtot[0] = -(omega[0].real @ self.D.T)
         w1 = (1j * self.kappa)[:, None] * wtot
         w2 = wtot @ self.D.T
         u1p = self._to_phys(u1)
@@ -435,7 +455,7 @@ class ChannelStepper:
         # the truncated flux has degree < P, so collocation is exact
         flux = self._from_phys(u1p * u2p)
         adv[0] = flux[0].real @ self.D.T
-        return adv
+        return _planes(adv)
 
     def _locked_advection(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Advection of a locked state on half the x1 period, as a real block.
@@ -464,83 +484,39 @@ class ChannelStepper:
 
     # -- stepping --------------------------------------------------------
 
-    def _live_rows(self) -> slice:
-        """The span of rows from the first to the last one with a nonzero entry."""
-        live = np.flatnonzero(self._omega.view(np.float64).any(axis=1))
-        if live.size == 0:
-            return slice(0, 0)
-        return slice(int(live[0]), int(live[-1]) + 1)
-
     def step(self):
-        """Advance one dt (Euler-weight bootstrap on the very first step).
-
-        A linearized step reads neither the streamfunction nor the advection
-        (both would be zero), and its rows decouple, so a row that is zero
-        stays exactly zero: only the span of live rows is advanced.  A
-        locked step works on real arrays alone (``_locked_step``).
-        """
-        cfg = self.cfg
-        if self._locked:
-            new = self._locked_step()
-        else:
-            rows = self._live_rows() if cfg.linearized else slice(None)
-            w = self._omega[rows]
-            rhs = _apply(self._explicit_base, w)
-            rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
-            if not cfg.linearized:
-                adv = self._advection(self._solve_phi(self._omega))
-                if self._have_history:
-                    adv_x = 1.5 * adv - 0.5 * self._n_prev
-                else:
-                    adv_x = adv
-                rhs -= cfg.dt * adv_x
-                self._n_prev = adv
-            self._omega[rows] = _apply(self._T[rows], rhs)
-            new = self._omega
+        """Advance the box x of the state one dt, x <- T (x E^T - alpha kappa^2 x
+        - dt AB2(adv)), with the AB2 history in the same box of ``_history``
+        (Euler weights on the very first step).  A linearized step forms no
+        streamfunction and no advection (both would be zero)."""
+        cfg, box = self.cfg, self._box
+        rows = box[1]
+        x = self._state[box]
+        rhs = x @ self._explicit_base.T
+        rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * x
+        if not cfg.linearized:
+            adv = self._advection((self._K[rows] @ x[..., None])[..., 0], x)
+            if self._have_history:
+                rhs -= cfg.dt * (1.5 * adv - 0.5 * self._history[box])
+            else:
+                rhs -= cfg.dt * adv
+            self._history[box] = adv
+        self._state[box] = (self._T[rows] @ rhs[..., None])[..., 0]
         self._have_history = True
         self.t += cfg.dt
-        if not np.isfinite(new).all():
+        if not np.isfinite(self._state[box]).all():
             raise SimulationBlowupError(
                 f"state stopped being finite at t = {self.t:.6g}"
             )
-
-    def _locked_step(self) -> np.ndarray:
-        """The step of a locked state, on the imaginary parts of its rows.
-
-        The state rows are i c_n, the streamfunction rows i b_n with
-        b = K c, and the advection rows i a_n; the operators are real, so
-        the real parts and row 0 stay exactly zero and are never formed.
-        The step advances rows 1 .. M, or the live span on a linearized
-        stepper: c becomes T (c E^T - alpha kappa^2 c - dt AB2(a)), every
-        per-mode product a stacked real (..., P, 1) matmul.  The AB2 history
-        a is kept in the imaginary parts of rows 1 .. M of ``_n_prev``, the
-        block a checkpoint stores.  Returns the new block of c, the only
-        part of the state that can stop being finite.
-        """
-        cfg = self.cfg
-        rows = self._live_rows() if cfg.linearized else slice(1, None)
-        c = np.ascontiguousarray(self._omega.imag[rows])
-        rhs = c @ self._explicit_base.T
-        rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * c
-        if not cfg.linearized:
-            adv = self._locked_advection((self._K @ c[..., None])[..., 0], c)
-            history = self._n_prev.imag[1:]
-            if self._have_history:
-                rhs -= cfg.dt * (1.5 * adv - 0.5 * history)
-            else:
-                rhs -= cfg.dt * adv
-            history[...] = adv
-        new = (self._T[rows] @ rhs[..., None])[..., 0]
-        self._omega.imag[rows] = new
-        return new
 
     # -- safety estimates -------------------------------------------------
 
     def cfl_number(self, phi: np.ndarray | None = None) -> float:
         """Advective CFL of the current state at the configured dt.
 
-        Uses the largest |u1| and |u2| on the product grid; ``phi`` as in
-        ``velocity``.  A locked state reads them off the closed half period
+        Uses the largest |u1| and |u2| on the product grid; ``phi`` holds
+        the state's streamfunction rows, all of them (the default) or the
+        first b.  A locked state reads them off the closed half period
         j = 0 .. n1/2, which holds every sample value of the full one: u1 is
         a sine series in x1 (odd about x1 = 0 and x1 = pi L, so zero at both
         ends, where ``initial=0.0`` stands in for it) and u2 a cosine series
@@ -551,7 +527,7 @@ class ChannelStepper:
         period with ``_to_phys``.
         """
         if phi is None:
-            phi = self._solve_phi(self._omega)
+            phi = self._solve_phi(self._rows())
         if self._locked:
             # phi_n = i b_n: u1 has rows i (D b)_n and u2 rows kappa_n b_n
             pp = self._pad.shape[0]
@@ -560,7 +536,7 @@ class ChannelStepper:
             u1 = self._half_sin[:, :n] @ f[:, pp:]
             u2 = self._closed_cos[:, :n] @ f[:, :pp]
         else:
-            u1, u2 = self._velocity_nodes(phi, self._omega[0])
+            u1, u2 = self._velocity_nodes(phi, self._rows(1)[0])
             u1, u2 = self._to_phys(u1), self._to_phys(u2)
         m1 = float(np.abs(u1).max(initial=0.0))
         m2 = float(np.abs(u2).max(initial=0.0))
@@ -580,19 +556,22 @@ class ChannelStepper:
     def tendency_split(self, phi: np.ndarray | None = None):
         """Viscous and advective tendency rows of the semi-discrete system.
 
-        Returns (visc, adv) shaped like ``phi``: rows n >= 1 give
+        Returns complex (visc, adv) shaped like ``phi``: rows n >= 1 give
         d omega_n/dt contributions, row 0 gives d ubar/dt contributions;
-        ``phi`` as in ``velocity``.  A linearized stepper has no advective
-        tendency, so its adv is zero.
+        ``phi`` as in ``cfl_number``.  A linearized stepper has no
+        advective tendency, so its adv is zero; a nonlinear one needs all
+        rows of ``phi``.
         """
         if phi is None:
-            phi = self._solve_phi(self._omega)
-        w = self._omega[: phi.shape[0]]
+            phi = self._solve_phi(self._rows())
+        w = self._rows(phi.shape[0])
         visc = self.mu * (w @ self.D2.T - (self.kappa[: w.shape[0]] ** 2)[:, None] * w)
         visc[0] = self.mu * (w[0].real @ self.D2.T)
         if self.cfg.linearized:
             return visc, np.zeros_like(w)
-        return visc, -self._advection(phi)
+        adv = np.zeros_like(self._state)
+        adv[self._box] = self._advection(_planes(phi)[self._box], self._state[self._box])
+        return visc, -_complex(adv)
 
     def tendency_velocity(self, rows: np.ndarray):
         """Velocity-space image of tendency rows (same mapping as the state)."""

@@ -66,7 +66,8 @@ class TestSmokeSweep:
             assert o.steps[-1] == n_steps
             assert o.t_final == pytest.approx(n_steps * 1.0e-3, rel=1.0e-12)
             assert o.t_final >= o.t_delta - 1.0e-12
-            # identical initial data for the nonlinear and linearized twins
+            # identical initial data: at t = 0 each linear twin takes its
+            # nonlinear branch's velocity, so the distance is exactly zero
             assert o.d_from_linear_full[0] == 0.0
             assert o.d_from_linear_reduced[0] == 0.0
             # delta * F_N starts below epsilon0 and crosses it at t_delta

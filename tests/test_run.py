@@ -99,7 +99,7 @@ class TestDiagnostics:
     ):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
         stepper = ChannelStepper(SimConfig(channel=channel, M=8, P=56, dt=1.0e-3), field)
-        phi = stepper._solve_phi(stepper._omega)
+        phi = stepper._solve_phi(stepper._rows())
         for given, default in zip(stepper.velocity(phi), stepper.velocity()):
             np.testing.assert_array_equal(given.coefficients, default.coefficients)
         assert stepper.cfl_number(phi) == stepper.cfl_number() > 0.0
@@ -111,7 +111,7 @@ class TestDiagnostics:
         state_solves = []
 
         def counting(omega):
-            state_solves.append(omega is stepper._omega)
+            state_solves.append(np.array_equal(omega, stepper._rows()))
             return solve(omega)
 
         monkeypatch.setattr(stepper, "_solve_phi", counting)
@@ -124,14 +124,14 @@ class TestDiagnostics:
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=1.0e-3, linearized=True)
         stepper = ChannelStepper(cfg, field)
-        assert stepper._live_rows() == slice(1, 2)
+        assert stepper._box == (1, slice(1, 2))
 
         solve = stepper._solve_phi
         state_solves, other_solves = [], []
 
         def counting(omega):
-            shared = np.shares_memory(omega, stepper._omega)
-            (state_solves if shared else other_solves).append(omega.shape)
+            state = np.array_equal(omega, stepper._rows(omega.shape[0]))
+            (state_solves if state else other_solves).append(omega.shape)
             return solve(omega)
 
         monkeypatch.setattr(stepper, "_solve_phi", counting)
@@ -180,7 +180,7 @@ def _linearized_stepper(channel, live, M=8, P=32, locked=False):
 
 def _full_row_record(stepper):
     """The record's row from the stepper's public methods on all M+1 rows."""
-    phi = stepper._solve_phi(stepper._omega)
+    phi = stepper._solve_phi(stepper._rows())
     u1, u2 = stepper.velocity(phi)
     l2, h1, h2 = velocity_norms(u1, u2)
     bp = boundary_production(u1, stepper.slip)
@@ -238,7 +238,7 @@ class TestLinearizedPrefixRecord:
     @staticmethod
     def _check_prefix_record(stepper, live):
         b = max(live) + 1
-        assert stepper._live_rows() == slice(min(live), b)
+        assert stepper._box[1] == slice(min(live), b)
         rec = _Recorder(stepper)
         (u1, u2), _, cfl = rec.record()
         want, want_cfl, full = _full_row_record(stepper)
@@ -261,7 +261,7 @@ class TestLinearizedPrefixRecord:
         cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, linearized=True)
         zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), channel.L)
         stepper = ChannelStepper(cfg, zero)
-        assert stepper._live_rows() == slice(0, 0)
+        assert stepper._box == (1, slice(0, 0))
         rec = _Recorder(stepper)
         _, norms, cfl = rec.record()
         assert norms == (0.0, 0.0, 0.0)
@@ -294,6 +294,50 @@ class TestNonlinearRecord:
         _assert_record_matches(rec.rows[-1], want)
         assert norms == rec.rows[-1][1:4]
         assert cfl == want_cfl > 0.0
+
+
+def _packet_stepper(channel, basis48, locked, linearized, M=8, P=56):
+    """A stepper on the k = 1 packet, or on the packet shifted in x1 (real
+    mode rows, so off the locked class) when ``locked`` is False."""
+    field, _ = mode_field(channel, basis48, M=M, P=P, amplitude=0.05)
+    if not locked:
+        field = SpectralField2D(field.coefficients * np.exp(0.3j), field.L)
+    cfg = SimConfig(channel=channel, M=M, P=P, dt=2.0e-3, t_end=0.2,
+                    linearized=linearized)
+    return ChannelStepper(cfg, field), cfg
+
+
+class TestStateBox:
+    """The box a step advances is fixed once, when the state is installed."""
+
+    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
+    @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
+    def test_box_is_fixed_at_install_and_read_back(self, channel, basis48, tmp_path,
+                                                   monkeypatch, locked, linearized):
+        installs = []
+        install = ChannelStepper._install
+
+        def counting(self, *blocks):
+            installs.append(len(blocks))
+            return install(self, *blocks)
+
+        monkeypatch.setattr(ChannelStepper, "_install", counting)
+        stepper, cfg = _packet_stepper(channel, basis48, locked, linearized)
+        box = stepper._box
+        # the packet is mode 1 alone, so a linearized box is row 1
+        rows = slice(1, 2) if linearized else slice(1 if locked else 0, cfg.M + 1)
+        assert box == (1 if locked else slice(None), rows)
+        assert stepper._locked == locked
+        rec = _Recorder(stepper)
+        for m in range(1, 51):
+            stepper.step()
+            if m % 10 == 0:
+                rec.record()
+        assert installs == [1]
+        assert stepper._box is box
+        clone = read_checkpoint(write_checkpoint(tmp_path / "mid.bin", stepper), cfg)
+        assert clone._box == box
+        assert installs == [1, 1, 2]  # the clone's zero state, then the two blocks
 
 
 class TestCheckpointing:
@@ -370,6 +414,37 @@ class TestCheckpointing:
         assert clone.t == stepper.t
         assert np.array_equal(clone.streamfunction().coefficients,
                               stepper.streamfunction().coefficients)
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
+    @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
+    def test_checkpoint_rewrites_byte_for_byte(self, channel, basis48, tmp_path,
+                                               locked, linearized, steps):
+        # the state and history planes survive a read exactly, signed zeros included
+        stepper, cfg = _packet_stepper(channel, basis48, locked, linearized)
+        for _ in range(steps):
+            stepper.step()
+        first = write_checkpoint(tmp_path / "first.bin", stepper)
+        clone = read_checkpoint(first, cfg)
+        second = write_checkpoint(tmp_path / "second.bin", clone)
+        assert first.read_bytes() == second.read_bytes()
+        blocks = 1 if steps == 0 else 2
+        size = CHECKPOINT_HEADER_BYTES + blocks * (cfg.M + 1) * cfg.P * 16
+        assert len(first.read_bytes()) == size
+
+    def test_checkpoint_keeps_signed_zeros(self, channel, basis48, tmp_path):
+        # -0.0 real parts leave a state locked, and a read keeps their sign bits
+        stepper, cfg = _packet_stepper(channel, basis48, True, False)
+        stepper.step()
+        state, history = stepper._blocks()
+        state.real = history.real = -0.0
+        stepper._install(state, history)
+        assert stepper._locked
+        first = write_checkpoint(tmp_path / "first.bin", stepper)
+        second = write_checkpoint(tmp_path / "second.bin", read_checkpoint(first, cfg))
+        assert first.read_bytes() == second.read_bytes()
+        body = np.frombuffer(first.read_bytes()[CHECKPOINT_HEADER_BYTES:], dtype=complex)
+        assert np.signbit(body.real).all()
 
     def test_read_checkpoint_rejects_garbage(self, channel, tmp_path):
         cfg = SimConfig(channel=channel, M=8, P=56)

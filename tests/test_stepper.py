@@ -26,7 +26,6 @@ from slipflow.sim.field import (
     slip_residuals,
 )
 from slipflow.sim.run import read_checkpoint, write_checkpoint
-from slipflow.sim.stepper import _apply
 
 
 @pytest.fixture(scope="module")
@@ -288,12 +287,13 @@ class _PerModeReference(ChannelStepper):
 
     def step(self):
         cfg = self.cfg
+        w = self._rows()
         if cfg.linearized:
-            adv = np.zeros_like(self._omega)
+            adv = np.zeros_like(w)
         else:
-            adv = self._advection(self._solve_phi(self._omega))
-        adv_x = 1.5 * adv - 0.5 * self._n_prev if self._have_history else adv
-        w = self._omega
+            adv = _advection_rows(self, self._solve_phi(w))
+        blocks = self._blocks()  # the history block once the reference has stepped
+        adv_x = 1.5 * adv - 0.5 * blocks[1] if len(blocks) == 2 else adv
         rhs = (w + self._alpha * (w @ self.D2.T - (self.kappa**2)[:, None] * w)
                - cfg.dt * adv_x)
         new = np.empty_like(w)
@@ -307,7 +307,7 @@ class _PerModeReference(ChannelStepper):
         b0 = rhs[0].real.copy()
         b0[0] = b0[-1] = 0.0
         new[0] = sla.lu_solve(self.mean_lu, b0)
-        self._omega, self._n_prev, self._have_history = new, adv, True
+        self._install(new, adv)
         self.t += cfg.dt
 
 
@@ -333,8 +333,8 @@ class TestStackedOperators:
         for _ in range(50):
             stacked.step()
             reference.step()
-        scale = np.abs(reference._omega).max()
-        assert np.abs(stacked._omega - reference._omega).max() <= 1.0e-10 * scale
+        scale = np.abs(reference._rows()).max()
+        assert np.abs(stacked._rows() - reference._rows()).max() <= 1.0e-10 * scale
         got = stacked.streamfunction().coefficients
         want = reference.streamfunction().coefficients
         assert np.abs(got - want).max() <= 1.0e-10 * np.abs(want).max()
@@ -356,11 +356,11 @@ class TestStackedOperators:
             stacked.step()
             reference.step()
         # the mean row is forced by the advective flux, not only diffused
-        assert np.abs(stacked._n_prev[0]).max() > 1.0e-6 * np.abs(stacked._omega).max()
-        scale = np.abs(reference._omega).max()
-        assert np.abs(stacked._omega - reference._omega).max() <= 1.0e-10 * scale
-        mean = reference._omega[0]
-        assert np.abs(stacked._omega[0] - mean).max() <= 1.0e-10 * np.abs(mean).max()
+        assert np.abs(stacked._history[:, 0]).max() > 1.0e-6 * np.abs(stacked._state).max()
+        scale = np.abs(reference._rows()).max()
+        assert np.abs(stacked._rows() - reference._rows()).max() <= 1.0e-10 * scale
+        mean = reference._rows()[0]
+        assert np.abs(stacked._rows()[0] - mean).max() <= 1.0e-10 * np.abs(mean).max()
 
 
 class TestLinearizedStep:
@@ -383,8 +383,9 @@ class TestLinearizedStep:
     def test_step_never_solves_the_streamfunction(self):
         _, _, stepper = self._stepper((1, 3))
         calls = []
-        solve = stepper._solve_phi
+        solve, advection = stepper._solve_phi, stepper._advection
         stepper._solve_phi = lambda omega: calls.append(1) or solve(omega)
+        stepper._advection = lambda phi, w: calls.append(2) or advection(phi, w)
         for _ in range(5):
             stepper.step()
         assert calls == []
@@ -394,14 +395,14 @@ class TestLinearizedStep:
         for _ in range(200):
             stepper.step()
         dead = [0, 2, 4, 5, 6]
-        assert np.all(stepper._omega[dead] == 0.0)
-        assert (np.abs(stepper._omega[[1, 3]]).max(axis=1) > 0.0).all()
-        assert np.all(stepper._n_prev == 0.0)
+        assert np.all(stepper._state[:, dead] == 0.0)
+        assert (np.abs(stepper._rows()[[1, 3]]).max(axis=1) > 0.0).all()
+        assert np.all(stepper._history == 0.0)
 
     def test_zero_state_stays_zero(self):
         _, _, stepper = self._stepper(())
         stepper.step()
-        assert np.all(stepper._omega == 0.0)
+        assert np.all(stepper._state == 0.0)
 
     def test_live_rows_match_per_mode_reference(self):
         cfg, field, stepper = self._stepper((1, 3))
@@ -409,8 +410,8 @@ class TestLinearizedStep:
         for _ in range(100):
             stepper.step()
             reference.step()
-        scale = np.abs(reference._omega).max()
-        assert np.abs(stepper._omega - reference._omega).max() <= 1.0e-10 * scale
+        scale = np.abs(reference._rows()).max()
+        assert np.abs(stepper._rows() - reference._rows()).max() <= 1.0e-10 * scale
 
     def test_mid_run_checkpoint_resumes_bit_exactly(self, tmp_path):
         cfg, _, straight = self._stepper((1, 3))
@@ -422,26 +423,48 @@ class TestLinearizedStep:
             straight.step()
             resumed.step()
         assert resumed.t == straight.t
-        assert np.array_equal(resumed._omega, straight._omega)
+        assert np.array_equal(resumed._rows(), straight._rows())
         assert np.array_equal(resumed.streamfunction().coefficients,
                               straight.streamfunction().coefficients)
 
 
-class _ComplexLockedStep(ChannelStepper):
-    """A locked stepper that steps complex rows through ``_apply``, as an unlocked one does."""
+def _apply(ops, rows):
+    """Row n of complex ``rows`` through real operator ``ops[n]``, as one matmul.
 
-    def _locked_step(self):
+    A single (P, P) ``ops`` is applied to every row.  The rows are viewed
+    as (M, P, 2) floats, so the real and imaginary parts share the product.
+    """
+    x = np.ascontiguousarray(rows, dtype=complex)
+    y = ops @ x.view(np.float64).reshape(*x.shape, 2)
+    return y.view(complex).reshape(x.shape)
+
+
+def _advection_rows(stepper, phi):
+    """The complex advection rows of the stepper's state with streamfunction ``phi``."""
+    return -stepper.tendency_split(phi)[1]
+
+
+class _ComplexLockedStep(ChannelStepper):
+    """A stepper that steps complex rows through ``_apply``: all of them, or
+    on a linearized stepper the rows of its box, with the advection rows of
+    the whole state."""
+
+    def step(self):
         cfg = self.cfg
-        rows = self._live_rows() if cfg.linearized else slice(None)
-        w = self._omega[rows]
+        rows = self._box[1] if cfg.linearized else slice(None)
+        omega = self._rows()
+        w = omega[rows]
         rhs = _apply(self._explicit_base, w)
         rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
+        history = np.zeros_like(omega)
         if not cfg.linearized:
-            adv = self._advection(self._solve_phi(self._omega))
-            rhs -= cfg.dt * (1.5 * adv - 0.5 * self._n_prev if self._have_history else adv)
-            self._n_prev = adv
-        self._omega[rows] = _apply(self._T[rows], rhs)
-        return self._omega
+            history = _advection_rows(self, self._solve_phi(omega))
+            blocks = self._blocks()
+            ab2 = 1.5 * history - 0.5 * blocks[1] if len(blocks) == 2 else history
+            rhs -= cfg.dt * ab2
+        omega[rows] = _apply(self._T[rows], rhs)
+        self._install(omega, history)
+        self.t += cfg.dt
 
 
 def _locked_rows(M, P, seed):
@@ -471,13 +494,14 @@ class TestRealLockedStep:
         for _ in range(200):
             real.step()
             ref.step()
-        for got, want in ((real._omega, ref._omega), (real._n_prev, ref._n_prev)):
+        assert len(real._blocks()) == len(ref._blocks()) == 2
+        for got, want in zip(real._blocks(), ref._blocks()):
             assert np.abs(got - want).max() <= 1.0e-12 * np.abs(want).max(initial=0.0)
-        for block in (real._omega, real._n_prev):
-            assert not block.real.any()
-            assert not block[0].any()
-        assert real._n_prev.any() != linearized
-        assert real._omega[dead].any() != linearized
+        for planes in (real._state, real._history):
+            assert not planes[0].any()
+            assert not planes[1, 0].any()
+        assert real._history.any() != linearized
+        assert real._state[:, dead].any() != linearized
 
 
 class TestSharedOperators:
@@ -501,7 +525,7 @@ class TestSharedOperators:
 
     def test_cached_operators_are_read_only(self):
         stepper = ChannelStepper(self._cfg(), SpectralField2D(_locked_rows(6, 24, 1), 1.0))
-        state = {"_omega", "_n_prev"}
+        state = {"_state", "_history"}
         ops = {k: v for k, v in vars(stepper).items()
                if isinstance(v, np.ndarray) and k not in state}
         assert {"_T", "_K", "_explicit_base", "_pad_with_d", "_half_cos"} <= set(ops)
@@ -510,7 +534,7 @@ class TestSharedOperators:
             stepper._T[1, 0, 0] = stepper._T[1, 0, 0]
         # the state is the stepper's own and stays writable
         stepper.step()
-        assert stepper._omega.flags.writeable
+        assert stepper._state.flags.writeable
 
     def test_ill_conditioned_configuration_raises_on_every_construction(self, channel):
         zero = SpectralField2D(np.zeros((3, 24), dtype=complex), channel.L)
@@ -541,9 +565,9 @@ def _dct_from_phys(stepper, vals):
 
 def _dct_advection(stepper, phi):
     """The advection rows with the DCT transforms and a chebder mean flux."""
-    u1, u2 = stepper._velocity_nodes(phi, stepper._omega[0])
-    wtot = stepper._omega.copy()
-    wtot[0] = -(stepper._omega[0].real @ stepper.D.T)
+    u1, u2 = stepper._velocity_nodes(phi, stepper._rows(1)[0])
+    wtot = stepper._rows()
+    wtot[0] = -(wtot[0].real @ stepper.D.T)
     w1 = (1j * stepper.kappa)[:, None] * wtot
     w2 = wtot @ stepper.D.T
     u1p, u2p = _dct_to_phys(stepper, u1), _dct_to_phys(stepper, u2)
@@ -608,8 +632,8 @@ class TestPaddedTransforms:
                 + 1j * rng.standard_normal((M + 1, P))) * decay
         rows[0] = rng.standard_normal(P) * decay
         stepper = self._stepper(P, rows)
-        phi = stepper._solve_phi(stepper._omega)
-        got, want = stepper._advection(phi), _dct_advection(stepper, phi)
+        phi = stepper._solve_phi(stepper._rows())
+        got, want = _advection_rows(stepper, phi), _dct_advection(stepper, phi)
         assert np.abs(got - want).max() <= 1.0e-12 * np.abs(want).max()
         assert np.abs(got[0] - want[0]).max() <= 1.0e-12 * np.abs(want[0]).max()
 
@@ -636,8 +660,8 @@ class TestLockedAdvection:
                                          (32, 64, 1.0), (64, 64, 1.0)])
     def test_matches_dct_path(self, M, P, L):
         stepper = self._stepper(M, P, L, seed=M + P)
-        phi = stepper._solve_phi(stepper._omega)
-        got, want = stepper._advection(phi), _dct_advection(stepper, phi)
+        phi = stepper._solve_phi(stepper._rows())
+        got, want = _advection_rows(stepper, phi), _dct_advection(stepper, phi)
         assert np.abs(got[1:] - want[1:]).max() <= 1.0e-13 * np.abs(want[1:]).max()
         assert np.all(got[0] == 0.0)
         assert np.all(got.real == 0.0)
@@ -686,7 +710,7 @@ class TestLockedAdvection:
         for _ in range(3):
             locked.step()
         general = self._stepper(6, 24, in_class=False)
-        general._omega = locked._omega.copy()
+        general._state = locked._state.copy()
         want = general.cfl_number()
         assert want > 0.0
         assert abs(locked.cfl_number() - want) <= CFL_ULPS * np.spacing(want)
@@ -698,7 +722,7 @@ def _full_period_cfl(stepper, phi):
     dt (max |u1| / dx1 + max |u2| / dx2_min), dx1 = 2 pi L / n1 and dx2_min
     the CGL spacing next to a wall.
     """
-    u1, u2 = stepper._velocity_nodes(phi, stepper._omega[0])
+    u1, u2 = stepper._velocity_nodes(phi, stepper._rows(1)[0])
     m1 = np.abs(stepper._to_phys(u1)).max(initial=0.0)
     m2 = np.abs(stepper._to_phys(u2)).max(initial=0.0)
     x2 = cgl_nodes(stepper.cfg.P)
@@ -714,7 +738,7 @@ class TestLockedCfl:
     def test_matches_the_full_period_on_every_prefix(self, M, P, L):
         stepper = TestLockedAdvection._stepper(M, P, L, seed=M + P)
         assert stepper._locked
-        phi = stepper._solve_phi(stepper._omega)
+        phi = stepper._solve_phi(stepper._rows())
         for b in range(1, M + 2):
             got, want = stepper.cfl_number(phi[:b]), _full_period_cfl(stepper, phi[:b])
             assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
@@ -734,8 +758,8 @@ class TestLockedCfl:
         cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3)
         stepper = ChannelStepper(cfg, SpectralField2D(rows, L))
         assert stepper._locked
-        phi = stepper._solve_phi(stepper._omega)
-        u2 = stepper._to_phys(stepper._velocity_nodes(phi, stepper._omega[0])[1])
+        phi = stepper._solve_phi(stepper._rows())
+        u2 = stepper._to_phys(stepper._velocity_nodes(phi, stepper._rows(1)[0])[1])
         peak = np.abs(u2).max(axis=1)
         j = 0 if end == "start" else stepper._n1 // 2
         assert np.argmax(peak) == j
