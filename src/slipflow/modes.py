@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .model import LatticeSweep, ModeProblem
-from .numerics import ChebBasis, find_root_bracketed
+from .model import LatticeSweep, ModeProblem, ValidationError
+from .numerics import ChebBasis, find_root_bracketed, slip_defects, wall_values
 from .spectrum import Spectrum, assemble, solve_spectrum
 
 __all__ = [
@@ -174,8 +174,9 @@ def mode_residuals(mode: NormalMode):
 
     Returns (line1, line2, wall, slip): the L2 norms over [-1, 1] of the two
     momentum lines, max |phi(+/-1)|, and the larger slip defect
-    |mu psi'(+/-1) -/+ xi_{+/-} psi(+/-1)|.  The quadrature is Gauss-Legendre
-    with four points more than the trial basis size.
+    |mu psi'(+/-1) -/+ xi_{+/-} psi(+/-1)| (``slip_defects`` of u1 = psi).
+    The quadrature is Gauss-Legendre with four points more than the trial
+    basis size.
     """
     prob = mode.problem
     k, mu, lam = prob.k, prob.mu, mode.lam
@@ -183,11 +184,9 @@ def mode_residuals(mode: NormalMode):
     x, w = np.polynomial.legendre.leggauss(phi.coef.size + 2)
     r1 = lam * psi(x) - k * pi(x) + mu * (k * k * psi(x) - psi.deriv(2)(x))
     r2 = lam * phi(x) + pi.deriv()(x) + mu * (k * k * phi(x) - phi.deriv(2)(x))
-    wall = max(abs(float(phi(1.0))), abs(float(phi(-1.0))))
-    slip_p = abs(mu * psi.deriv()(1.0) - prob.slip.xi_plus * psi(1.0))
-    slip_m = abs(mu * psi.deriv()(-1.0) + prob.slip.xi_minus * psi(-1.0))
-    return (math.sqrt(float(w @ r1**2)), math.sqrt(float(w @ r2**2)), wall,
-            float(max(slip_p, slip_m)))
+    wall = float(np.abs(wall_values(phi.coef)).max())
+    slip = float(slip_defects(psi.coef, mu, prob.slip).max())
+    return math.sqrt(float(w @ r1**2)), math.sqrt(float(w @ r2**2)), wall, slip
 
 
 def modes_from_spectrum(spectrum: Spectrum, count: int | None = None):
@@ -214,8 +213,10 @@ def build_packet(
     exists.  A wavenumber has at most two unstable modes: B = R - mu E adds
     the rank <= 2 slip boundary form R to a negative definite form, so B has
     at most two positive eigenvalues, and by Sylvester's law of inertia so
-    has the pencil B v = lambda A v.
+    has the pencil B v = lambda A v.  A ``count`` below 1 is refused.
     """
+    if count is not None and count < 1:
+        raise ValidationError(f"count: must be >= 1, got {count}")
     modes = modes_from_spectrum(spectrum, count)
     if coefficients is None:
         coefficients = np.ones(len(modes))

@@ -14,6 +14,11 @@ at most 2N + 6).
 Derivative values of the basis are tabulated once, up to fourth order, at
 the quadrature nodes and at the walls; assembly and residual evaluation are
 then plain weighted matrix products.
+
+Every wall check, of eigenfunctions (u1 = phi'), modes (u1 = psi) and DNS
+fields (their u1 rows), goes through ``wall_values`` (values at x = -1, +1)
+and ``slip_defects`` (|mu u1' -/+ xi_{+/-} u1| there), which take
+Chebyshev-T series along the last axis with any leading shape.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ __all__ = [
     "solve_generalized_symmetric",
     "find_root_bracketed",
     "boundary_form",
+    "wall_values",
+    "slip_defects",
     "energy_form",
     "gram_form",
     "NonSymmetricError",
@@ -122,13 +129,11 @@ def build_basis(N: int) -> ChebBasis:
 def _fix_signs(vectors: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     """Deterministic sign convention: first significant entry positive."""
     out = np.array(vectors)
-    for i in range(out.shape[1]):
-        v = out[:, i]
-        big = np.abs(v) > threshold * np.abs(v).max()
-        if not big.any():
-            continue
-        if v[np.argmax(big)] < 0:
-            out[:, i] = -v
+    mag = np.abs(out)
+    # a zero column has no significant entry; argmax then picks its 0, kept
+    first = np.argmax(mag > threshold * mag.max(axis=0), axis=0)
+    flip = out[first, np.arange(out.shape[1])] < 0
+    out[:, flip] = -out[:, flip]
     return out
 
 
@@ -193,6 +198,23 @@ def energy_form(k: float, basis: ChebBasis) -> np.ndarray:
 def gram_form(k: float, basis: ChebBasis) -> np.ndarray:
     """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of the pencil."""
     return _weighted_gram([(1, 1.0), (0, k * k)], basis)
+
+
+def wall_values(coeffs: np.ndarray) -> np.ndarray:
+    """Values at x = -1 ([0]) and x = +1 ([1]) of series along the last axis:
+    the products of ``coeffs`` with (-1)^j and with ones."""
+    n = np.shape(coeffs)[-1]
+    return np.stack([coeffs @ (-1.0) ** np.arange(n), coeffs @ np.ones(n)])
+
+
+def slip_defects(u1: np.ndarray, mu: float, slip) -> np.ndarray:
+    """|mu u1'(-1) + xi_minus u1(-1)| ([0]) and |mu u1'(+1) - xi_plus u1(+1)|
+    ([1]) of series along the last axis.  T_j'(+/-1) = (+/-1)^(j+1) j^2, so
+    the slopes are +/- the wall values of the series j^2 c_j."""
+    u1 = np.asarray(u1)
+    xi = np.array([slip.xi_minus, slip.xi_plus]).reshape((2,) + (1,) * (u1.ndim - 1))
+    slopes = wall_values(u1 * np.arange(u1.shape[-1]) ** 2.0)
+    return np.abs(mu * slopes - xi * wall_values(u1))
 
 
 def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> float:

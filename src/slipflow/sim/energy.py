@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import SlipPair, ValidationError
+from ..numerics import wall_values
 from .field import (
     SpectralField2D,
     _kappa_sq,
@@ -48,8 +49,7 @@ def boundary_production(u1: SpectralField2D, slip: SlipPair) -> float:
     wts = np.full(u1.M + 1, 2.0)
     wts[0] = 1.0
     circ = 2.0 * math.pi * u1.L
-    top = float(wts @ np.abs(u1.wall_values(1)) ** 2)
-    bot = float(wts @ np.abs(u1.wall_values(-1)) ** 2)
+    bot, top = (float(wts @ np.abs(trace) ** 2) for trace in wall_values(u1.coefficients))
     return circ * (slip.xi_plus * top + slip.xi_minus * bot)
 
 
@@ -94,8 +94,7 @@ def energy_inequality_check(
         raise ValidationError(
             f"velocity is not divergence free: max divergence {div:.3e}"
         )
-    wall_leak = float(np.abs(u2.wall_values(1)).max(initial=0.0))
-    wall_leak = max(wall_leak, float(np.abs(u2.wall_values(-1)).max(initial=0.0)))
+    wall_leak = float(np.abs(wall_values(u2.coefficients)).max(initial=0.0))
     if wall_leak > 1.0e-8 * scale:
         raise ValidationError(f"u2 does not vanish at the walls: {wall_leak:.3e}")
     mean_size = float(np.abs(u1.coefficients[0]).max(initial=0.0))

@@ -27,6 +27,10 @@ contaminate the long delta = 1e-7 horizon.
 With a single unstable mode the reduced packet is empty and its branch is
 identically zero; the driver then skips the two reduced integrations (zero
 is an exact fixed point) and records exact zeros instead.
+
+Each nonlinear branch starts and records through the checks of a run
+(``sim.run``): a refused start takes no step and is that delta's recorded
+ValidationError, and a CFL number above 1 its SimulationBlowupError.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .field import (
     velocity_from_streamfunction,
     velocity_norms,
 )
-from .run import _Recorder, diagnostics_to_csv
+from .run import _Recorder, _start, diagnostics_to_csv
 from .stepper import (
     ChannelStepper,
     InfluenceConditioningError,
@@ -196,14 +200,12 @@ def _run_one_delta(
     cfg_li = replace(base, linearized=True)
 
     full0 = field_from_packet(packet, sim.M, sim.P, sim.channel.L) * delta
-    steppers = {
-        "nf": ChannelStepper(cfg_nl, full0),
-        "lf": ChannelStepper(cfg_li, full0),
-    }
+    # a linear twin holds its branch's checked initial data
+    steppers = {"nf": _start(full0, cfg_nl), "lf": ChannelStepper(cfg_li, full0)}
     reduced_active = reduced.count > 0
     if reduced_active:
         red0 = field_from_packet(reduced, sim.M, sim.P, sim.channel.L) * delta
-        steppers["nr"] = ChannelStepper(cfg_nl, red0)
+        steppers["nr"] = _start(red0, cfg_nl)
         steppers["lr"] = ChannelStepper(cfg_li, red0)
 
     recorder = _Recorder(steppers["nf"])
@@ -213,7 +215,7 @@ def _run_one_delta(
     def record(m: int):
         # at m = 0 each linear twin holds its nonlinear branch's initial
         # data, so it takes that branch's velocity and d_from_linear is 0
-        u_nf, (l2_nf, _, h2_nf), cfl = recorder.record()
+        u_nf, (l2_nf, _, h2_nf), _ = recorder.record()
         u_lf = steppers["lf"].velocity() if m else u_nf
         if reduced_active:
             u_nr = steppers["nr"].velocity()
@@ -232,10 +234,6 @@ def _run_one_delta(
         f_t = delta * packet_envelope_value(packet, t)
         rec_steps.append(m)
         rows.append((t, sep, linpred, d_full, d_red, f_t, l2_nf + l2_nr, h2_nf + h2_nr))
-        if cfl > 1.0:
-            raise SimulationBlowupError(
-                f"advective CFL exceeded 1 at t = {t:.6g}"
-            )
 
     record(0)
     for m in range(1, n_steps + 1):
@@ -244,15 +242,7 @@ def _run_one_delta(
         if m % stride == 0 or m == n_steps:
             record(m)
 
-    arr = np.array(rows)
-    times = arr[:, 0]
-    sep = arr[:, 1]
-    linpred = arr[:, 2]
-    d_full = arr[:, 3]
-    d_red = arr[:, 4]
-    delta_f = arr[:, 5]
-    l2_sum = arr[:, 6]
-    h2_sum = arr[:, 7]
+    times, sep, linpred, d_full, d_red, delta_f, l2_sum, h2_sum = np.array(rows).T
 
     gate_h2 = _gate(times, h2_sum, np.full_like(h2_sum, 2.0 * c1 * delta0))
     gate_l2 = _gate(times, l2_sum, 3.0 * c1 * delta_f)
@@ -358,10 +348,10 @@ def run_separation_experiment(
 
     Preconditions: the configuration must be unstable (mu below the global
     critical viscosity) and every delta must satisfy delta * F_N(0) <
-    epsilon0.  A failure inside one delta run (blow-up, CFL loss) is
-    recorded in that outcome's ``error`` field; the remaining deltas still
-    run.  When ``out_dir`` is given the per-delta series, diagnostics, and
-    manifests are written there.
+    epsilon0.  A refused start or a failure inside one delta run (blow-up,
+    CFL loss) is recorded in that outcome's ``error`` field; the remaining
+    deltas still run.  When ``out_dir`` is given the per-delta series,
+    diagnostics, and manifests are written there.
     """
     mu_threshold = mu_c_global(channel.slip)
     if not channel.mu < mu_threshold:

@@ -34,8 +34,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 from scipy import fft as sfft
 
-from ..model import ValidationError
+from ..model import SlipPair, ValidationError
 from ..modes import ModePacket, packet_streamfunction_profile
+from ..numerics import slip_defects, wall_values
 
 __all__ = [
     "SpectralField2D",
@@ -51,6 +52,7 @@ __all__ = [
     "field_from_mode_profile",
     "field_from_packet",
     "slip_residuals",
+    "relative_boundary_residual",
 ]
 
 
@@ -203,16 +205,6 @@ class SpectralField2D:
         spec[: self.M + 1] = rows_at_nodes
         return np.fft.irfft(spec, n=n1, axis=0) * n1
 
-    def wall_values(self, wall: int) -> np.ndarray:
-        """Complex mode values at a wall: wall = +1 (x2 = 1) or -1 (x2 = -1)."""
-        if wall == 1:
-            basis = np.ones(self.P)
-        elif wall == -1:
-            basis = (-1.0) ** np.arange(self.P)
-        else:
-            raise ValueError("wall must be +1 or -1")
-        return self.coefficients @ basis
-
 
 def field_from_values(vals: np.ndarray, M: int, P: int, L: float) -> SpectralField2D:
     """Forward transform from samples on (n1 uniform) x (CGL of vals' width).
@@ -359,31 +351,22 @@ def field_from_packet(packet: ModePacket, M: int, P: int, L: float) -> SpectralF
     return field_from_mode_profile(profile, n_mode=n_mode, M=M, P=P, L=L)
 
 
-def slip_residuals(phi: SpectralField2D, mu: float, xi_minus: float, xi_plus: float):
+def slip_residuals(phi: SpectralField2D, mu: float, slip: SlipPair):
     """Boundary-condition residuals of a streamfunction-convention field.
 
-    Returns (dirichlet, slip_minus, slip_plus, mean_minus, mean_plus): the
-    max over modes n >= 1 of |phi|, |mu phi'' -+ xi phi'| at the walls, and
-    the mean-flow Robin residuals |mu ubar' -+ xi ubar|.
+    Returns (dirichlet, slip_minus, slip_plus): the max over modes n >= 1 of
+    |phi| at the walls, and the max over all rows of the ``slip_defects`` at
+    x2 = -1 and +1 of the u1 rows, phi' for n >= 1 and the mean flow row 0.
     """
     c = phi.coefficients
-    d1 = _chebder_rows(c)
-    d2 = _chebder_rows(c, 2)
-    plus = np.ones(phi.P)
-    minus = (-1.0) ** np.arange(phi.P)
-    dir_res = 0.0
-    slip_m = slip_p = 0.0
-    for rows, sign in ((plus, 1), (minus, -1)):
-        vals = c[1:] @ rows
-        dp = d1[1:] @ rows
-        dpp = d2[1:] @ rows
-        dir_res = max(dir_res, float(np.abs(vals).max(initial=0.0)))
-        if sign == 1:
-            slip_p = float(np.abs(mu * dpp - xi_plus * dp).max(initial=0.0))
-        else:
-            slip_m = float(np.abs(mu * dpp + xi_minus * dp).max(initial=0.0))
-    ubar = c[0].real
-    du = C.chebder(ubar)
-    mean_p = abs(mu * C.chebval(1.0, du) - xi_plus * C.chebval(1.0, ubar))
-    mean_m = abs(mu * C.chebval(-1.0, du) + xi_minus * C.chebval(-1.0, ubar))
-    return dir_res, slip_m, slip_p, mean_m, mean_p
+    u1 = _chebder_rows(c)
+    u1[0] = c[0]
+    dirichlet = float(np.abs(wall_values(c[1:])).max(initial=0.0))
+    slip_m, slip_p = slip_defects(u1, mu, slip).max(axis=1)
+    return dirichlet, float(slip_m), float(slip_p)
+
+
+def relative_boundary_residual(phi: SpectralField2D, mu: float, slip: SlipPair) -> float:
+    """The largest ``slip_residuals`` entry over the field's size max(1, max |c|)."""
+    scale = max(1.0, float(np.abs(phi.coefficients).max(initial=0.0)))
+    return max(slip_residuals(phi, mu, slip)) / scale

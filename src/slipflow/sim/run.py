@@ -1,5 +1,10 @@
 """Run driver: time loop, recorded diagnostics, checkpoints, restarts.
 
+A run, and each branch of the separation experiment, starts through
+``_start``: initial data that break the wall conditions, or a dt above the
+stability bound (CFL_LIMIT), raise ValidationError.  ``_Recorder.record``
+raises SimulationBlowupError when a record's advective CFL number exceeds 1.
+
 Checkpoint format v3 (little endian): an 88-byte header of eleven 8-byte fields,
 
     magic "SLIPSIM1" | version u64 | M u64 | P u64 | L f64 | mu f64
@@ -117,7 +122,8 @@ class _Recorder:
         ``gradient_dissipation`` and ``scalar_inner``.  Returns the
         velocity (u1, u2), its norms (l2, h1, h2) and the advective CFL
         number (``cfl_number``, on the closed half period when the state
-        is locked).
+        is locked).  A number above 1 raises SimulationBlowupError once the
+        row is appended, so a failed run's diagnostics end with that row.
 
         The record works on the rows 0 .. b-1 the stepper's diagnostics
         read (``_diagnostic_rows``), b the end of its box: all M+1 rows of
@@ -153,7 +159,10 @@ class _Recorder:
         dedt = dedt_v + dedt_a
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
-        return u, norms, st.cfl_number(phi)
+        cfl = st.cfl_number(phi)
+        if cfl > 1.0:
+            raise SimulationBlowupError(f"advective CFL exceeded 1 at t = {st.t:.6g}")
+        return u, norms, cfl
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)
@@ -170,6 +179,21 @@ class _Recorder:
             energy_rate=arr[:, 7],
             energy_residual=arr[:, 8],
         )
+
+
+def _start(initial: SpectralField2D, cfg: SimConfig) -> ChannelStepper:
+    """The stepper of a run from ``initial``, refused with ValidationError
+    when the start breaks the wall conditions (``check_boundary_conditions``)
+    or when cfg.dt exceeds the ``stability_bound`` of the initial data."""
+    check_boundary_conditions(initial, cfg)
+    stepper = ChannelStepper(cfg, initial)
+    bound = stepper.stability_bound()
+    if cfg.dt > bound:
+        raise ValidationError(
+            f"dt = {cfg.dt:g} exceeds the advective stability bound {bound:g} "
+            "estimated from the initial data"
+        )
+    return stepper
 
 
 def run(
@@ -189,14 +213,7 @@ def run(
         raise ValidationError(
             f"checkpoint_stride: must be >= 1, got {checkpoint_stride}"
         )
-    check_boundary_conditions(initial, cfg)
-    stepper = ChannelStepper(cfg, initial)
-    bound = stepper.stability_bound()
-    if cfg.dt > bound:
-        raise ValidationError(
-            f"dt = {cfg.dt:g} exceeds the advective stability bound {bound:g} "
-            "estimated from the initial data"
-        )
+    stepper = _start(initial, cfg)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -206,13 +223,8 @@ def run(
     try:
         for m in range(1, cfg.n_steps + 1):
             stepper.step()
-            at_record = m % cfg.diagnostics_stride == 0 or m == cfg.n_steps
-            if at_record:
-                _, _, cfl = rec.record()
-                if cfl > 1.0:
-                    raise SimulationBlowupError(
-                        f"advective CFL exceeded 1 at t = {stepper.t:.6g}"
-                    )
+            if m % cfg.diagnostics_stride == 0 or m == cfg.n_steps:
+                rec.record()
             if (
                 out is not None
                 and checkpoint_stride is not None

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 from scipy import linalg
 
 from .model import ModeProblem
@@ -51,6 +52,7 @@ from .numerics import (
     energy_form,
     find_root_bracketed,
     gram_form,
+    slip_defects,
     solve_generalized_symmetric,
 )
 
@@ -160,8 +162,7 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
 def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
     """All eigenpairs of the pencil, descending, A-normalized, signs fixed."""
     lams, V = solve_generalized_symmetric(pencil.B, pencil.A)
-    n_refine = min(pencil.basis.size // 2, 16)
-    lams, V = _refine_leading_pairs(pencil, lams, V, n_refine)
+    lams, V = _refine_leading_pairs(pencil, lams, V, resolved_count(pencil))
     return Spectrum(
         problem=pencil.problem,
         eigenvalues=lams,
@@ -171,8 +172,9 @@ def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
     )
 
 
-def resolved_count(spectrum: Spectrum) -> int:
-    """How many leading modes the residual quality gates apply to.
+def resolved_count(spectrum: Spectrum | AssembledPencil) -> int:
+    """How many leading modes ``solve_spectrum`` refines and the residual
+    quality gates apply to, for a spectrum or the pencil it is solved from.
 
     The top min(size/2, 16) of the descending spectrum: the trailing discrete
     modes of any Galerkin method are discretization artifacts and are not
@@ -187,7 +189,7 @@ def spectrum_residuals(spectrum: Spectrum):
     Returns (strong, bc_minus, bc_plus): the L2 norm of
     lambda (k^2 phi - phi'') + mu (phi'''' - 2 k^2 phi'' + k^4 phi) and the
     absolute slip-condition defects |mu phi''(-1) + xi_- phi'(-1)| and
-    |mu phi''(+1) - xi_+ phi'(+1)| per mode.
+    |mu phi''(+1) - xi_+ phi'(+1)| per mode (``slip_defects`` of u1 = phi').
     """
     basis = spectrum.basis
     prob = spectrum.problem
@@ -198,9 +200,7 @@ def spectrum_residuals(spectrum: Spectrum):
         vals[4] - 2.0 * k2 * vals[2] + k2 * k2 * vals[0]
     )
     strong = np.sqrt(np.maximum(spectrum.basis.quad_weights @ (r * r), 0.0))
-    wall = [basis.wall_tables[d] @ V for d in range(3)]
-    bc_minus = np.abs(mu * wall[2][0] + prob.slip.xi_minus * wall[1][0])
-    bc_plus = np.abs(mu * wall[2][1] - prob.slip.xi_plus * wall[1][1])
+    bc_minus, bc_plus = slip_defects(C.chebder(V.T @ basis.cheb_coeffs, axis=1), mu, prob.slip)
     return strong, bc_minus, bc_plus
 
 

@@ -46,6 +46,7 @@ from .sim.field import (
     divergence_max,
     field_from_packet,
     field_from_values,
+    relative_boundary_residual,
     scalar_norms,
     velocity_from_streamfunction,
 )
@@ -373,11 +374,7 @@ def check_run_invariants(battery: _Battery) -> PropertyCheck:
     result = run(field * 1.0e-2, cfg)
     final = result.final_state
     reality = final.reality_defect
-    from .sim.field import slip_residuals
-
-    res = slip_residuals(final, channel.mu, channel.slip.xi_minus, channel.slip.xi_plus)
-    scale = max(1.0, float(np.abs(final.coefficients).max()))
-    bc = max(res) / scale
+    bc = relative_boundary_residual(final, channel.mu, channel.slip)
     l2 = result.diagnostics.l2_norm
     resid = result.diagnostics.energy_residual
     energy_ratio = float(np.max(resid / (1.0e-6 * l2**2)))

@@ -136,6 +136,18 @@ class TestModes:
         assert "error:" in capsys.readouterr().err
 
 
+class TestPacketCount:
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["modes"],
+        ["experiment", "--m", "16", "--p", "56", "--dt", "1e-3", "--deltas", "1e-3"],
+    ], ids=["modes", "experiment"])
+    def test_count_below_one_is_refused(self, tmp_path, capsys, command, count):
+        rc = run_cli("--out", tmp_path, *command, "--count", count)
+        assert rc == 2
+        assert f"error: count: must be >= 1, got {count}" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_smoke_run_writes_diagnostics(self, tmp_path):
         rc = run_cli("--out", tmp_path, "simulate", "--mu", "0.5",

@@ -6,14 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from slipflow.model import ChannelConfig, SlipPair, ValidationError
+from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
+from slipflow.modes import build_packet
 from slipflow.sim import (
     ChannelStepper,
     SimConfig,
     SimulationBlowupError,
+    field_from_packet,
+    run,
     run_separation_experiment,
     write_experiment_outputs,
 )
+from slipflow.spectrum import assemble, solve_spectrum
 from slipflow.sim import experiment as experiment_mod
 from slipflow.sim.experiment import delta_dir_name
 
@@ -208,3 +212,37 @@ class TestFailureIsolation:
         assert not (failed_dir / "separation.csv").exists()
         ok_dir = tmp_path / delta_dir_name(1.0e-4)
         assert (ok_dir / "separation.csv").exists()
+
+
+class TestBranchStart:
+    """The branches start and record through run()'s checks."""
+
+    CHANNEL = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+
+    def test_dt_above_the_stability_bound_is_a_recorded_refusal(self, basis48, monkeypatch):
+        sim = SimConfig(channel=self.CHANNEL, M=16, P=56, dt=0.2)
+        steps = []
+        real_step = ChannelStepper.step
+        monkeypatch.setattr(ChannelStepper, "step", lambda st: steps.append(st) or real_step(st))
+        exp = run_separation_experiment(self.CHANNEL, sim=sim, deltas=(1.0e-2,))
+        (outcome,) = exp.outcomes
+        assert steps == []
+        assert not outcome.ok and not exp.verdict
+        problem = ModeProblem(k=exp.k, mu=0.5, slip=self.CHANNEL.slip)
+        packet = build_packet(solve_spectrum(assemble(problem, basis48)))
+        with pytest.raises(ValidationError) as refused:
+            run(field_from_packet(packet, 16, 56, 1.0) * 1.0e-2, sim)
+        assert outcome.error == f"ValidationError: {refused.value}"
+        assert outcome.error.startswith(
+            "ValidationError: dt = 0.2 exceeds the advective stability bound 0.0961889 "
+        )
+
+    def test_cfl_above_one_at_a_record_ends_the_delta(self, monkeypatch):
+        sim = SimConfig(channel=self.CHANNEL, M=8, P=56, dt=4.0e-3, diagnostics_stride=5)
+        # zero CFL at the start (no stability bound), 2 from the first step on
+        monkeypatch.setattr(ChannelStepper, "cfl_number",
+                            lambda st, phi=None: 2.0 if st.t > 0.0 else 0.0)
+        exp = run_separation_experiment(self.CHANNEL, sim=sim, deltas=(1.0e-3,))
+        assert exp.outcomes[0].error == (
+            "SimulationBlowupError: advective CFL exceeded 1 at t = 0.02"
+        )

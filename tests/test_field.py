@@ -12,7 +12,7 @@ from slipflow.modes import (
     build_packet,
     sample_packet_field,
 )
-from slipflow.numerics import build_basis
+from slipflow.numerics import wall_values
 from slipflow.sim import (
     SpectralField2D,
     cgl_nodes,
@@ -112,18 +112,35 @@ def test_velocity_from_streamfunction_is_divergence_free(basis48):
     u1, u2 = velocity_from_streamfunction(phi)
     assert divergence_max(u1, u2) <= 1e-10 * max(1.0, np.abs(u1.coefficients).max())
     # impermeability at the walls
-    assert np.abs(u2.wall_values(1)).max() <= 1e-10
-    assert np.abs(u2.wall_values(-1)).max() <= 1e-10
+    assert np.abs(wall_values(u2.coefficients)).max() <= 1e-10
 
 
 def test_slip_residuals_of_eigenmode_profile(basis48):
     channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
     phi, _ = mode_field(channel, basis48, M=8, P=56)
-    res = slip_residuals(phi, 0.5, 1.0, 1.0)
+    res = slip_residuals(phi, 0.5, SlipPair(1.0, 1.0))
     assert max(res) <= 1e-8
     # wrong slip coefficients must show up in the residual
-    res_bad = slip_residuals(phi, 0.5, 5.0, 5.0)
+    res_bad = slip_residuals(phi, 0.5, SlipPair(5.0, 5.0))
     assert max(res_bad) > 1e-3
+
+
+def test_slip_residuals_include_the_mean_row(basis48):
+    # the mean flow cosh(a x2) with a tanh a = xi / mu meets the Robin slip rows
+    channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    a = 1.0
+    for _ in range(60):
+        a = 2.0 / math.tanh(a)  # fixed point of a tanh a = xi / mu = 2
+    phi, _ = mode_field(channel, basis48, M=8, P=64)
+    mean = np.zeros((9, 64), dtype=complex)
+    mean[0] = cheb_coeffs_from_values(np.cosh(a * cgl_nodes(64)))
+    wrong = SlipPair(1.0, 2.0)
+    for field in (phi + SpectralField2D(mean, 1.0), SpectralField2D(mean, 1.0)):
+        assert max(slip_residuals(field, 0.5, channel.slip)) <= 1e-8
+        dirichlet, slip_m, slip_p = slip_residuals(field, 0.5, wrong)
+        assert dirichlet <= 1e-10
+        assert slip_m <= 1e-8
+        assert slip_p > 1e-3
 
 
 def test_field_from_mode_profile_guards():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import standard_cases
 
-from slipflow.model import LatticeSweep, ModeProblem, SlipPair
+from slipflow.model import LatticeSweep, ModeProblem, SlipPair, ValidationError
 from slipflow.modes import (
     Grid2D,
     ModePacket,
@@ -94,6 +94,13 @@ def test_packet_keeps_every_unstable_mode(k, mu, slip, basis48):
     packet = build_packet(spectrum)
     assert packet.count == spectrum.positive_count
     assert np.array_equal(packet.lambdas, spectrum.eigenvalues[: packet.count][::-1])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_build_packet_refuses_a_count_below_one(basis48, count):
+    spec = solve_spectrum(assemble(ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)), basis48))
+    with pytest.raises(ValidationError, match=f"count: must be >= 1, got {count}"):
+        build_packet(spec, count=count)
 
 
 def test_modes_from_spectrum_caps_at_positive_count(basis48):

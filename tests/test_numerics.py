@@ -6,18 +6,23 @@ import numpy as np
 import numpy.polynomial.chebyshev as C
 import pytest
 
-from slipflow.model import SlipPair
+from slipflow.model import ModeProblem, SlipPair
+from slipflow.modes import build_packet
 from slipflow.numerics import (
     BracketError,
     NonSymmetricError,
     NotPositiveDefiniteError,
+    _fix_signs,
     boundary_form,
     build_basis,
     energy_form,
     find_root_bracketed,
     gram_form,
+    slip_defects,
     solve_generalized_symmetric,
+    wall_values,
 )
+from slipflow.spectrum import assemble, resolved_count, solve_spectrum
 
 
 def test_basis_vanishes_at_walls(basis32):
@@ -83,6 +88,57 @@ def test_sign_convention_deterministic():
     assert np.array_equal(V, np.eye(3))
     _, again = solve_generalized_symmetric(B, np.eye(3))
     assert np.array_equal(V, again)
+
+
+def test_fix_signs_matches_the_column_by_column_rule():
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((12, 6))
+    V[:3, 1] = 1.0e-12  # below the threshold: the first significant entry is row 3
+    V[:, 2] = 0.0  # nothing significant: left as it is
+    V[0, 4] = -0.0
+    expected = np.array(V)
+    for col in expected.T:
+        big = np.abs(col) > 1e-8 * np.abs(col).max()
+        if big.any() and col[np.argmax(big)] < 0:
+            col[:] = -col
+    assert _fix_signs(V).tobytes() == expected.tobytes()
+
+
+def test_wall_values_match_chebval_on_stacked_complex_series():
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((3, 2, 12)) + 1j * rng.standard_normal((3, 2, 12))
+    minus, plus = wall_values(c)
+    assert minus.shape == plus.shape == (3, 2)
+    cols = np.moveaxis(c, -1, 0)
+    assert np.allclose(minus, C.chebval(-1.0, cols), rtol=0.0, atol=1e-13)
+    assert np.allclose(plus, C.chebval(1.0, cols), rtol=0.0, atol=1e-13)
+
+
+class TestSlipDefectsFlagAWrongPair:
+    """The slip condition is right for SlipPair(1, 1); a wrong xi at one wall
+    shows up at that wall alone."""
+
+    RIGHT = SlipPair(1.0, 1.0)
+
+    @pytest.fixture(scope="class")
+    def spectrum(self, basis48):
+        return solve_spectrum(assemble(ModeProblem(k=1.0, mu=0.5, slip=self.RIGHT), basis48))
+
+    def test_galerkin_eigenfunction_columns(self, spectrum):
+        n = resolved_count(spectrum)
+        dphi = C.chebder(spectrum.coefficients[:, :n].T @ spectrum.basis.cheb_coeffs, axis=1)
+        assert slip_defects(dphi, 0.5, self.RIGHT).shape == (2, n)
+        assert slip_defects(dphi, 0.5, self.RIGHT).max() < 1e-8
+        minus, plus = slip_defects(dphi, 0.5, SlipPair(1.0, 2.0))
+        assert minus.max() < 1e-8
+        assert plus.max() > 1e-3
+
+    def test_normal_mode_psi(self, spectrum):
+        psi = build_packet(spectrum).modes[-1].psi.coef
+        assert slip_defects(psi, 0.5, self.RIGHT).max() < 1e-8
+        minus, plus = slip_defects(psi, 0.5, SlipPair(2.0, 1.0))
+        assert minus > 1e-3
+        assert plus < 1e-8
 
 
 def test_boundary_form_rank_and_psd(basis32):

@@ -177,8 +177,7 @@ class TestInvariantsPreserved:
                         diagnostics_stride=1000)
         final = run(field, cfg).final_state
         assert final.reality_defect < 1.0e-15
-        res = slip_residuals(final, channel.mu, channel.slip.xi_minus,
-                             channel.slip.xi_plus)
+        res = slip_residuals(final, channel.mu, channel.slip)
         scale = np.abs(final.coefficients).max()
         assert max(res) < 1.0e-8 * max(scale, 1.0e-300)
 
