@@ -17,11 +17,22 @@ Configuration resolution, lowest to highest precedence: built-in defaults
 SLIPFLOW_* environment variables (SLIPFLOW_VISCOSITY=0.2,
 SLIPFLOW_SLIP__XI_PLUS=2 for nested keys), then command-line flags.  The
 "sim" section takes the fields of SimConfig and the "experiment" section
-the keywords of run_separation_experiment, with their defaults; any other
+the keywords of run_separation_experiment (deltas, epsilon0, delta0,
+basis_size, n_max, packet_count), each typed by its annotation; any other
 key is refused (exit code 2).
 
+Exit codes: 0 success, 1 a failed check or run (oracle mismatch, blow-up, a
+falsified experiment verdict), 2 a usage error: a bad configuration, a
+wavenumber with no growing mode, or an experiment whose every delta was
+refused at its start (its outputs and manifests are still written).  A
+channel whose fundamental wavenumber 1/L is stable (mu >= mu_c(1/L)) is
+stable at every lattice wavenumber; `experiment` then reports the stable
+regime and exits 0 without simulating.
+
 Every command writes a run_manifest.json carrying a sha256 digest of the
-fully resolved configuration.  Rerunning an identical invocation
+resolved configuration (defaults, file, environment and channel flags)
+together with the subcommand's parsed flags and --seed; --out, --threads
+and the --config path are left out.  Rerunning an identical invocation
 reproduces every output file byte for byte (floats are printed with 17
 significant digits); wall-clock timings go to stderr, never into files.
 """
@@ -107,51 +118,30 @@ def _section(raw: dict, name: str, keys) -> dict:
 
 
 def _sim_config(raw: dict, ns, channel):
-    """SimConfig from the config's sim section plus command-line overrides.
-
-    The keys are the fields of SimConfig besides the channel, each typed
-    like its default (see ``_given_values``).
-    """
-    from dataclasses import fields
-
+    """SimConfig from the config's sim section plus command-line overrides."""
     from .sim import SimConfig
 
-    kinds = {f.name: type(f.default) for f in fields(SimConfig) if f.name != "channel"}
-    return SimConfig(channel=channel, **_given_values(raw, ns, "sim", kinds))
+    return SimConfig(channel=channel, **_settings(raw, ns, "sim", SimConfig))
 
 
-def _experiment_settings(raw: dict, ns) -> dict:
-    """Keywords of run_separation_experiment: its defaults <- config <- flags.
+def _settings(raw: dict, ns, section: str, target) -> dict:
+    """Keywords of ``target`` from the config section, overlaid with the flags.
 
-    Each given value is checked against its keyword's annotation, as
-    ``_sim_config`` checks the sim section.
+    The keys are the parameters of ``target`` but channel, sim and out_dir,
+    and each flag's dest is the key it sets.  A value must already have the
+    JSON type of its parameter's annotation (bool, int, float, a Sequence of
+    one, or either ``| None``): true/false, an integer, any number, an array,
+    null; a bool is no number.  Keys not given keep ``target``'s defaults.
     """
     import inspect
-
-    from .sim import run_separation_experiment
-
-    signature = inspect.signature(run_separation_experiment, eval_str=True)
-    params = {key: p for key, p in signature.parameters.items()
-              if key not in ("channel", "sim", "out_dir")}
-    settings = {key: p.default for key, p in params.items()}
-    kinds = {key: p.annotation for key, p in params.items()}
-    settings.update(_given_values(raw, ns, "experiment", kinds))
-    return settings
-
-
-def _given_values(raw: dict, ns, section: str, kinds: dict) -> dict:
-    """The config section's values overlaid with the flags, each cast to its kind.
-
-    ``kinds`` maps each key to bool, int, float, Sequence[...] of one of
-    them, or either made optional with ``| None``; each flag's dest is the
-    key it sets.  A value must already have its kind's JSON type: true/false
-    for a bool, an integer for an int, any number for a float, an array for
-    a sequence, null for None; a bool is no number.
-    """
     from collections.abc import Sequence
     from typing import get_args, get_origin
 
     from .model import ConfigError
+
+    params = inspect.signature(target, eval_str=True).parameters
+    kinds = {key: p.annotation for key, p in params.items()
+             if key not in ("channel", "sim", "out_dir")}
 
     scalars = {bool: bool, int: int, float: (int, float)}
 
@@ -183,24 +173,32 @@ def _given_values(raw: dict, ns, section: str, kinds: dict) -> dict:
     return clean
 
 
-def _config_digest(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# global and channel flags: the output place and thread count change no
+# result, and the config file and channel flags are folded into the config
+_NOT_DIGESTED = ("config", "out", "threads", "length", "mu", "xi")
+
+
+def _config_digest(raw: dict, ns) -> str:
+    """sha256 of the resolved config and the subcommand's parsed flags."""
+    args = {key: value for key, value in vars(ns).items() if key not in _NOT_DIGESTED}
+    canon = json.dumps({"config": raw, "args": args}, sort_keys=True,
+                       separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, digest: str, outputs) -> None:
-    from .output import write_json
+def _packet(ns, channel, count=None):
+    """The unstable packet at --k (default: the fundamental 1/L), Galerkin size --basis."""
+    from .model import ModeProblem
+    from .modes import build_packet
+    from .numerics import build_basis
+    from .spectrum import assemble, solve_spectrum
 
-    manifest = {
-        "command": command,
-        "config_digest": digest,
-        "tool_version": TOOL_VERSION,
-        "outputs": list(outputs),
-    }
-    write_json(out / "run_manifest.json", manifest)
+    k = ns.k if ns.k is not None else 1.0 / channel.L
+    problem = ModeProblem(k=k, mu=channel.mu, slip=channel.slip)
+    return build_packet(solve_spectrum(assemble(problem, build_basis(ns.basis))), count=count)
 
 
-def _cmd_critical(ns, out, channel):
+def _cmd_critical(ns, out, channel, raw):
     from .critical import critical_curve, mu_c_global
     from .output import csv_row, fmt, write_lines
 
@@ -212,11 +210,10 @@ def _cmd_critical(ns, out, channel):
     write_lines(out / "critical.csv", lines)
     print(f"critical: {ns.points} samples on [{k_min:g}, {k_max:g}], "
           f"mu_c_global = {mu_global:.12g}")
-    args = {"k_min": k_min, "k_max": k_max, "points": ns.points}
-    return 0, ["critical.csv"], args
+    return 0, ["critical.csv"]
 
 
-def _cmd_spectrum(ns, out, channel):
+def _cmd_spectrum(ns, out, channel, raw):
     from .model import ModeProblem
     from .numerics import build_basis
     from .output import write_csv, write_json
@@ -237,11 +234,10 @@ def _cmd_spectrum(ns, out, channel):
     ok = n_gal == n_oracle and max_rel <= 1.0e-6
     print(f"spectrum: k = {ns.k:g}, positive count {n_gal} (oracle {n_oracle}), "
           f"max relative mismatch {max_rel:.3e} -> {'ok' if ok else 'MISMATCH'}")
-    args = {"k": ns.k, "basis": ns.basis}
-    return (0 if ok else 1), ["spectrum.csv", "spectrum_report.json"], args
+    return (0 if ok else 1), ["spectrum.csv", "spectrum_report.json"]
 
 
-def _cmd_dispersion(ns, out, channel):
+def _cmd_dispersion(ns, out, channel, raw):
     from .critical import mu_c_closed_form
     from .model import LatticeSweep
     from .numerics import build_basis
@@ -259,31 +255,15 @@ def _cmd_dispersion(ns, out, channel):
     best_k, best_lam, _ = max(rows, key=lambda row: row[1])
     print(f"dispersion: {ns.n_max} lattice wavenumbers, "
           f"max lambda1 = {best_lam:.12g} at k = {best_k:g}")
-    args = {"n_max": ns.n_max, "basis": ns.basis}
-    return 0, ["dispersion.csv"], args
+    return 0, ["dispersion.csv"]
 
 
-def _cmd_modes(ns, out, channel):
-    from .model import ModeProblem, ValidationError
-    from .modes import (
-        Grid2D,
-        build_packet,
-        default_epsilon0,
-        escape_time,
-        sample_packet_field,
-    )
-    from .numerics import build_basis
+def _cmd_modes(ns, out, channel, raw):
+    from .modes import Grid2D, default_epsilon0, escape_time, sample_packet_field
     from .output import write_csv, write_json
-    from .spectrum import assemble, solve_spectrum
 
-    k = ns.k if ns.k is not None else 1.0 / channel.L
-    problem = ModeProblem(k=k, mu=channel.mu, slip=channel.slip)
-    spectrum = solve_spectrum(assemble(problem, build_basis(ns.basis)))
-    packet = build_packet(spectrum, count=ns.count)
-    if packet.count == 0:
-        raise ValidationError(
-            f"no unstable modes at k = {k:g}, mu = {channel.mu:g}; nothing to export"
-        )
+    packet = _packet(ns, channel, count=ns.count)
+    k = packet.modes[0].problem.k
     n1, n2 = ns.grid
     grid = Grid2D(n1=n1, n2=n2, L=channel.L)
     u1, u2, q = sample_packet_field(packet, ns.t, grid)
@@ -308,33 +288,14 @@ def _cmd_modes(ns, out, channel):
     write_json(out / "packet.json", manifest)
     print(f"modes: {packet.count} unstable mode(s) at k = {k:g}, "
           f"T_delta({ns.delta:g}) = {t_delta:.12g}")
-    args = {
-        "k": k,
-        "count": ns.count,
-        "delta": ns.delta,
-        "t": ns.t,
-        "grid": [n1, n2],
-        "basis": ns.basis,
-    }
-    return 0, ["modes.csv", "packet.json"], args
+    return 0, ["modes.csv", "packet.json"]
 
 
 def _cmd_simulate(ns, out, channel, raw):
-    from .model import ModeProblem, ValidationError
-    from .modes import build_packet
-    from .numerics import build_basis
     from .sim import diagnostics_to_csv, energy_to_csv, field_from_packet, run
-    from .spectrum import assemble, solve_spectrum
 
     cfg = _sim_config(raw, ns, channel)
-    k = ns.k if ns.k is not None else 1.0 / channel.L
-    problem = ModeProblem(k=k, mu=channel.mu, slip=channel.slip)
-    packet = build_packet(solve_spectrum(assemble(problem, build_basis(ns.basis))))
-    if packet.count == 0:
-        raise ValidationError(
-            f"no unstable modes at k = {k:g}, mu = {channel.mu:g}; "
-            "choose initial data differently"
-        )
+    packet = _packet(ns, channel)
     initial = field_from_packet(packet, cfg.M, cfg.P, channel.L) * ns.amplitude
     stride = ns.checkpoint_stride if ns.checkpoint_stride is not None else cfg.n_steps
     result = run(initial, cfg, out_dir=out, checkpoint_stride=stride)
@@ -346,35 +307,21 @@ def _cmd_simulate(ns, out, channel, raw):
     print(f"simulate: {cfg.n_steps} steps to t = {diag.times[-1]:g}, "
           f"final l2 = {diag.l2_norm[-1]:.12g}, "
           f"growth rate estimate = {diag.growth_rate_estimate[-1]:.12g}")
-    args = {
-        "k": k,
-        "amplitude": ns.amplitude,
-        "basis": ns.basis,
-        "sim": {
-            "M": cfg.M,
-            "P": cfg.P,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "linearized": cfg.linearized,
-            "diagnostics_stride": cfg.diagnostics_stride,
-        },
-        "checkpoint_stride": stride,
-    }
-    return 0, outputs, args
+    return 0, outputs
 
 
 def _cmd_experiment(ns, out, channel, raw):
-    from .critical import mu_c_global
+    from .critical import critical_wavenumber, mu_c_closed_form
     from .sim import run_separation_experiment, write_experiment_outputs
 
-    threshold = mu_c_global(channel.slip)
-    if not channel.mu < threshold:
-        print(f"stable regime: viscosity {channel.mu:g} is not below the "
-              f"critical viscosity {threshold:.12g}; no simulation to run")
-        args = {"stable_regime": True}
-        return 0, [], args
+    if critical_wavenumber(channel) is None:
+        threshold = mu_c_closed_form(1.0 / channel.L, channel.slip)
+        print(f"stable regime: viscosity {channel.mu:g} is not below the critical "
+              f"viscosity {threshold:.12g} of the fundamental wavenumber "
+              f"1/L = {1.0 / channel.L:g}; no simulation to run")
+        return 0, []
     cfg = _sim_config(raw, ns, channel)
-    settings = _experiment_settings(raw, ns)
+    settings = _settings(raw, ns, "experiment", run_separation_experiment)
     exp = run_separation_experiment(channel, sim=cfg, **settings)
     written = write_experiment_outputs(exp, out)
     outputs = [p.relative_to(out).as_posix() for p in written]
@@ -388,17 +335,13 @@ def _cmd_experiment(ns, out, channel, raw):
     print(f"experiment: slope = {exp.slope:.6g} (want 2 +- 0.2), "
           f"escape spacing ok = {exp.escape_ok}, "
           f"verdict = {'PASS' if exp.verdict else 'FAIL'}")
-    args = {key: value for key, value in settings.items() if key != "coefficients"}
-    args["sim"] = {
-        "M": cfg.M,
-        "P": cfg.P,
-        "dt": cfg.dt,
-        "diagnostics_stride": cfg.diagnostics_stride,
-    }
-    return (0 if exp.verdict else 1), outputs, args
+    if all(o.refused for o in exp.outcomes):
+        print("error: every delta was refused at its start", file=sys.stderr)
+        return 2, outputs
+    return (0 if exp.verdict else 1), outputs
 
 
-def _cmd_verify(ns, out):
+def _cmd_verify(ns, out, channel, raw):
     from .output import write_json
     from .verification import verification_report
 
@@ -409,7 +352,18 @@ def _cmd_verify(ns, out):
         print(f"{status}  {check['name']}  (margin = {check['margin']:.3e})")
     print("verify: all properties passed" if report["all_passed"]
           else "verify: FAILURES present")
-    return (0 if report["all_passed"] else 1), ["verify_report.json"], {"seed": ns.seed}
+    return (0 if report["all_passed"] else 1), ["verify_report.json"]
+
+
+_HANDLERS = {
+    "critical": _cmd_critical,
+    "spectrum": _cmd_spectrum,
+    "dispersion": _cmd_dispersion,
+    "modes": _cmd_modes,
+    "simulate": _cmd_simulate,
+    "experiment": _cmd_experiment,
+    "verify": _cmd_verify,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -521,28 +475,16 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     from .model import ConfigError, channel_from_config
+    from .output import write_json
     from .sim import InfluenceConditioningError, SimulationBlowupError
 
     t0 = time.perf_counter()
     try:
         raw = _resolve_raw(ns)
         t_setup = time.perf_counter() - t0
-        if ns.command == "verify":
-            rc, outputs, args = _cmd_verify(ns, out)
-        else:
-            channel = channel_from_config(raw)
-            if ns.command == "critical":
-                rc, outputs, args = _cmd_critical(ns, out, channel)
-            elif ns.command == "spectrum":
-                rc, outputs, args = _cmd_spectrum(ns, out, channel)
-            elif ns.command == "dispersion":
-                rc, outputs, args = _cmd_dispersion(ns, out, channel)
-            elif ns.command == "modes":
-                rc, outputs, args = _cmd_modes(ns, out, channel)
-            elif ns.command == "simulate":
-                rc, outputs, args = _cmd_simulate(ns, out, channel, raw)
-            else:
-                rc, outputs, args = _cmd_experiment(ns, out, channel, raw)
+        # verify builds its own channels and reads no channel config
+        channel = None if ns.command == "verify" else channel_from_config(raw)
+        rc, outputs = _HANDLERS[ns.command](ns, out, channel, raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -557,8 +499,12 @@ def main(argv=None) -> int:
     t_cmd = time.perf_counter() - t0 - t_setup
     print(f"timings: setup {t_setup:.3f} s, {ns.command} {t_cmd:.3f} s",
           file=sys.stderr)
-    payload = {"command": ns.command, "seed": ns.seed, "config": raw, "args": args}
-    _write_manifest(out, ns.command, _config_digest(payload), outputs)
+    write_json(out / "run_manifest.json", {
+        "command": ns.command,
+        "config_digest": _config_digest(raw, ns),
+        "tool_version": TOOL_VERSION,
+        "outputs": list(outputs),
+    })
     return rc
 
 

@@ -213,11 +213,18 @@ def build_packet(
     exists.  A wavenumber has at most two unstable modes: B = R - mu E adds
     the rank <= 2 slip boundary form R to a negative definite form, so B has
     at most two positive eigenvalues, and by Sylvester's law of inertia so
-    has the pencil B v = lambda A v.  A ``count`` below 1 is refused.
+    has the pencil B v = lambda A v.  A ``count`` below 1 is refused, and so
+    is a spectrum with no positive growth rate.
     """
     if count is not None and count < 1:
         raise ValidationError(f"count: must be >= 1, got {count}")
     modes = modes_from_spectrum(spectrum, count)
+    if not modes:
+        problem = spectrum.problem
+        raise ValidationError(
+            f"no unstable mode at k = {problem.k:g}, mu = {problem.mu:g}: "
+            "the spectrum has no positive growth rate"
+        )
     if coefficients is None:
         coefficients = np.ones(len(modes))
     coefficients = np.asarray(coefficients, dtype=float)

@@ -3,7 +3,8 @@
 Floats are printed with 17 significant digits, enough to round-trip every
 double exactly, so reruns reproduce each CSV byte for byte and a reader
 recovers the stored values bit for bit.  JSON is indented by two spaces
-with sorted keys and ends in a newline.
+with sorted keys and ends in a newline; a non-finite float (a quantity a
+failed run never measured) is written as null.
 
 Standard library only: the command-line module imports it before numpy is
 loaded.
@@ -12,6 +13,7 @@ loaded.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 __all__ = ["fmt", "csv_row", "write_lines", "write_csv", "write_json"]
@@ -41,8 +43,19 @@ def write_csv(path, header: str, rows) -> Path:
     return write_lines(path, [header, *(csv_row(row) for row in rows)])
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def write_json(path, obj) -> Path:
-    """Indented, key-sorted JSON with a trailing newline."""
+    """Indented, key-sorted JSON with a trailing newline; NaN and +-inf as null."""
     path = Path(path)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_finite(obj), indent=2, sort_keys=True) + "\n")
     return path

@@ -122,8 +122,7 @@ def random_solenoidal_field(rng, M: int, P: int, L: float):
     amp = np.exp(-0.35 * np.arange(P))
     for n in range(1, M + 1):
         c = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) * amp
-        top = c.sum()
-        bot = (c * (-1.0) ** np.arange(P)).sum()
+        bot, top = wall_values(c)
         c[0] -= 0.5 * (top + bot)
         c[1] -= 0.5 * (top - bot)
         rows[n] = c

@@ -26,11 +26,18 @@ contaminate the long delta = 1e-7 horizon.
 
 With a single unstable mode the reduced packet is empty and its branch is
 identically zero; the driver then skips the two reduced integrations (zero
-is an exact fixed point) and records exact zeros instead.
+is an exact fixed point) and records exact zeros instead.  Both unit packets
+are embedded once per sweep and scaled by each delta.
 
-Each nonlinear branch starts and records through the checks of a run
+The sweep is refused (ValidationError) when the 2 pi L-periodic channel is
+stable, i.e. mu >= mu_c(1/L) (``critical.critical_wavenumber`` is None), and
+``modes.build_packet`` refuses a wavenumber with no growing mode.  Each
+nonlinear branch starts and records through the checks of a run
 (``sim.run``): a refused start takes no step and is that delta's recorded
-ValidationError, and a CFL number above 1 its SimulationBlowupError.
+ValidationError (``DeltaOutcome.refused``), and a CFL number above 1 its
+SimulationBlowupError.  A failed delta is ``DeltaOutcome(delta, error=...)``:
+its measured fields keep their defaults, NaN and empty series, which the
+manifests write as null.
 """
 
 from __future__ import annotations
@@ -38,14 +45,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from ..model import ChannelConfig, LatticeSweep, ModeProblem, ValidationError
 from ..output import csv_row, write_csv, write_json, write_lines
-from ..critical import mu_c_global
+from ..critical import critical_wavenumber
 from ..numerics import build_basis
 from ..spectrum import assemble, solve_spectrum
 from ..modes import (
@@ -80,7 +87,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateReport:
     """Outcome of one monitored inequality over the recorded times."""
 
@@ -89,29 +96,40 @@ class GateReport:
     max_ratio: float
 
 
+_NOT_MEASURED = GateReport(False, None, math.nan)
+
+
+def _no_series():
+    return field(default_factory=lambda: np.zeros(0))
+
+
 @dataclass
 class DeltaOutcome:
-    """Everything measured for one value of delta."""
+    """Everything measured for one value of delta.
+
+    The defaults are a failed delta's record, ``DeltaOutcome(delta,
+    error=...)``: nothing measured, every gate failed.
+    """
 
     delta: float
-    t_delta: float
-    t_final: float
-    steps: np.ndarray
-    times: np.ndarray
-    sep_l2: np.ndarray
-    linear_prediction: np.ndarray
-    d_from_linear_full: np.ndarray
-    d_from_linear_reduced: np.ndarray
-    delta_f: np.ndarray
-    gate_h2: GateReport
-    gate_l2: GateReport
-    separation: float
-    bound: float
-    separation_ok: bool
-    c2: float
-    c3: float
-    c4: float
-    m0: float
+    t_delta: float = math.nan
+    t_final: float = math.nan
+    steps: np.ndarray = _no_series()
+    times: np.ndarray = _no_series()
+    sep_l2: np.ndarray = _no_series()
+    linear_prediction: np.ndarray = _no_series()
+    d_from_linear_full: np.ndarray = _no_series()
+    d_from_linear_reduced: np.ndarray = _no_series()
+    delta_f: np.ndarray = _no_series()
+    gate_h2: GateReport = _NOT_MEASURED
+    gate_l2: GateReport = _NOT_MEASURED
+    separation: float = math.nan
+    bound: float = math.nan
+    separation_ok: bool = False
+    c2: float = math.nan
+    c3: float = math.nan
+    c4: float = math.nan
+    m0: float = math.nan
     diagnostics: object = None
     error: str | None = None
 
@@ -123,6 +141,11 @@ class DeltaOutcome:
             and self.gate_l2.held
             and self.separation_ok
         )
+
+    @property
+    def refused(self) -> bool:
+        """The run was refused at its start: a usage error, not a measurement."""
+        return self.error is not None and self.error.startswith("ValidationError:")
 
 
 @dataclass
@@ -182,31 +205,30 @@ def _gate(times, lhs, rhs) -> GateReport:
 def _run_one_delta(
     delta: float,
     packet: ModePacket,
-    reduced: ModePacket,
+    units: tuple,
     sim: SimConfig,
     epsilon0: float,
     c1: float,
     delta0: float,
 ) -> DeltaOutcome:
+    """One delta's four branches; ``units`` holds the embedded unit packet
+    and reduced packet (None when the reduced packet is empty)."""
     lam_top = packet.top_lambda
     c_top = abs(float(packet.coefficients[-1]))
     t_delta = escape_time(packet, delta, epsilon0)
-    dt = sim.dt
-    n_steps = int(math.ceil(t_delta / dt - 1.0e-12))
-    t_run = n_steps * dt
+    n_steps = int(math.ceil(t_delta / sim.dt - 1.0e-12))
+    cfg = replace(sim, t_end=n_steps * sim.dt, linearized=False)
+    twin = replace(cfg, linearized=True)
 
-    base = replace(sim, t_end=t_run)
-    cfg_nl = replace(base, linearized=False)
-    cfg_li = replace(base, linearized=True)
-
-    full0 = field_from_packet(packet, sim.M, sim.P, sim.channel.L) * delta
+    unit_full, unit_reduced = units
+    full0 = unit_full * delta
     # a linear twin holds its branch's checked initial data
-    steppers = {"nf": _start(full0, cfg_nl), "lf": ChannelStepper(cfg_li, full0)}
-    reduced_active = reduced.count > 0
+    steppers = {"nf": _start(full0, cfg), "lf": ChannelStepper(twin, full0)}
+    reduced_active = unit_reduced is not None
     if reduced_active:
-        red0 = field_from_packet(reduced, sim.M, sim.P, sim.channel.L) * delta
-        steppers["nr"] = _start(red0, cfg_nl)
-        steppers["lr"] = ChannelStepper(cfg_li, red0)
+        red0 = unit_reduced * delta
+        steppers["nr"] = _start(red0, cfg)
+        steppers["lr"] = ChannelStepper(twin, red0)
 
     recorder = _Recorder(steppers["nf"])
     stride = sim.diagnostics_stride
@@ -279,56 +301,22 @@ def _run_one_delta(
     )
 
 
-def _failed_outcome(delta: float, message: str) -> DeltaOutcome:
-    empty = np.array([])
-    gate = GateReport(False, None, math.nan)
-    return DeltaOutcome(
-        delta=delta,
-        t_delta=math.nan,
-        t_final=math.nan,
-        steps=empty,
-        times=empty,
-        sep_l2=empty,
-        linear_prediction=empty,
-        d_from_linear_full=empty,
-        d_from_linear_reduced=empty,
-        delta_f=empty,
-        gate_h2=gate,
-        gate_l2=gate,
-        separation=math.nan,
-        bound=math.nan,
-        separation_ok=False,
-        c2=math.nan,
-        c3=math.nan,
-        c4=math.nan,
-        m0=math.nan,
-        error=message,
-    )
-
-
-def _fit_slope(outcomes) -> float:
-    """Slope of log(d_from_linear_full) vs log(delta) at a shared fixed time."""
+def _fit_slope(outcomes, stride: int) -> float:
+    """Slope of log(d_from_linear_full) vs log(delta) at a shared fixed time,
+    the last record step, a multiple of ``stride``, that every delta reached."""
     done = [o for o in outcomes if o.error is None]
     if len(done) < 2:
         return math.nan
-    stride_steps = [int(o.steps[1]) for o in done if o.steps.size > 1]
-    if not stride_steps:
+    row = min(int(o.steps[-1]) for o in done) // stride
+    if row <= 0:
         return math.nan
-    m_fix = min(int(o.steps[-1]) for o in done)
-    m_fix = (m_fix // stride_steps[0]) * stride_steps[0]
-    if m_fix <= 0:
+    # each delta records every stride-th step up to its last step, so record
+    # ``row`` is step row * stride in every outcome
+    d = [float(o.d_from_linear_full[row]) for o in done]
+    if min(d) <= 0.0:
         return math.nan
-    xs, ys = [], []
-    for o in done:
-        idx = np.nonzero(o.steps == m_fix)[0]
-        if idx.size == 0:
-            return math.nan
-        d = float(o.d_from_linear_full[idx[0]])
-        if d <= 0.0:
-            return math.nan
-        xs.append(math.log(o.delta))
-        ys.append(math.log(d))
-    return float(np.polyfit(xs, ys, 1)[0])
+    xs = [math.log(o.delta) for o in done]
+    return float(np.polyfit(xs, [math.log(v) for v in d], 1)[0])
 
 
 def run_separation_experiment(
@@ -341,23 +329,22 @@ def run_separation_experiment(
     basis_size: int = 48,
     n_max: int = 8,
     packet_count: int | None = None,
-    coefficients: Sequence[float] | None = None,
     out_dir=None,
 ) -> SeparationExperiment:
     """Run the full delta sweep and return the completed experiment record.
 
-    Preconditions: the configuration must be unstable (mu below the global
-    critical viscosity) and every delta must satisfy delta * F_N(0) <
-    epsilon0.  A refused start or a failure inside one delta run (blow-up,
-    CFL loss) is recorded in that outcome's ``error`` field; the remaining
-    deltas still run.  When ``out_dir`` is given the per-delta series,
-    diagnostics, and manifests are written there.
+    Preconditions: the channel must be unstable (mu below mu_c(1/L), the
+    critical viscosity of its fundamental wavenumber) and every delta must
+    satisfy delta * F_N(0) < epsilon0.  A refused start or a failure inside
+    one delta run (blow-up, CFL loss) is recorded in that outcome's
+    ``error`` field; the remaining deltas still run.  When ``out_dir`` is
+    given the per-delta series, diagnostics, and manifests are written there.
     """
-    mu_threshold = mu_c_global(channel.slip)
-    if not channel.mu < mu_threshold:
+    if critical_wavenumber(channel) is None:
         raise ValidationError(
             f"stable regime: viscosity {channel.mu:g} is not below the critical "
-            f"viscosity {mu_threshold:g}; no instability to measure"
+            f"viscosity of the fundamental wavenumber 1/L = {1.0 / channel.L:g}; "
+            "no instability to measure"
         )
     if sim is None:
         sim = SimConfig(channel=channel)
@@ -374,12 +361,7 @@ def run_separation_experiment(
     cap_lambda, k_star = compute_capital_lambda(sweep, basis)
     problem = ModeProblem(k=k_star, mu=channel.mu, slip=channel.slip)
     spectrum = solve_spectrum(assemble(problem, basis))
-    packet = build_packet(spectrum, count=packet_count, coefficients=coefficients)
-    if packet.count == 0:
-        raise ValidationError(
-            f"no unstable mode at k = {k_star:g} despite mu < mu_c; "
-            "increase the basis size"
-        )
+    packet = build_packet(spectrum, count=packet_count)
     keep = packet.lambdas > 0.5 * cap_lambda
     if not keep.all():
         warnings.warn(
@@ -394,9 +376,11 @@ def run_separation_experiment(
     reduced = reduced_packet(packet)
 
     unit_full = field_from_packet(packet, sim.M, sim.P, channel.L)
-    u1, u2 = velocity_from_streamfunction(unit_full)
-    l2_0, _, h2_0 = velocity_norms(u1, u2)
-    c1 = h2_0
+    units = (
+        unit_full,
+        field_from_packet(reduced, sim.M, sim.P, channel.L) if reduced.count else None,
+    )
+    _, _, c1 = velocity_norms(*velocity_from_streamfunction(unit_full))
     if epsilon0 is None:
         epsilon0 = default_epsilon0(packet, channel.L)
     f0 = packet_envelope_value(packet, 0.0)
@@ -411,7 +395,7 @@ def run_separation_experiment(
     for d in deltas:
         try:
             outcomes.append(
-                _run_one_delta(d, packet, reduced, sim, epsilon0, c1, delta0)
+                _run_one_delta(d, packet, units, sim, epsilon0, c1, delta0)
             )
         except (
             SimulationBlowupError,
@@ -419,10 +403,10 @@ def run_separation_experiment(
             ValidationError,
             FloatingPointError,
         ) as exc:
-            outcomes.append(_failed_outcome(d, f"{type(exc).__name__}: {exc}"))
+            outcomes.append(DeltaOutcome(d, error=f"{type(exc).__name__}: {exc}"))
 
-    slope = _fit_slope(outcomes)
-    slope_ok = bool(abs(slope - 2.0) <= 0.2) if math.isfinite(slope) else False
+    slope = _fit_slope(outcomes, sim.diagnostics_stride)
+    slope_ok = bool(abs(slope - 2.0) <= 0.2)  # False for a NaN slope
 
     lam_top = packet.top_lambda
     expected = math.log(10.0) / lam_top
@@ -462,35 +446,24 @@ def run_separation_experiment(
     return exp
 
 
-def _gate_dict(g: GateReport) -> dict:
-    return {
-        "held": g.held,
-        "first_violation_time": g.first_violation_time,
-        "max_ratio": None if math.isnan(g.max_ratio) else g.max_ratio,
-    }
-
-
 def _outcome_manifest(o: DeltaOutcome, exp: SeparationExperiment) -> dict:
-    def num(x):
-        return None if (isinstance(x, float) and math.isnan(x)) else x
-
     return {
         "delta": o.delta,
         "epsilon0": exp.epsilon0,
-        "t_delta": num(o.t_delta),
-        "t_final": num(o.t_final),
-        "gate_h2": _gate_dict(o.gate_h2),
-        "gate_l2": _gate_dict(o.gate_l2),
+        "t_delta": o.t_delta,
+        "t_final": o.t_final,
+        "gate_h2": asdict(o.gate_h2),
+        "gate_l2": asdict(o.gate_l2),
         "constants": {
             "c1": exp.c1,
-            "c2": num(o.c2),
-            "c3": num(o.c3),
-            "c4": num(o.c4),
-            "m0": num(o.m0),
+            "c2": o.c2,
+            "c3": o.c3,
+            "c4": o.c4,
+            "m0": o.m0,
             "delta0": exp.delta0,
         },
-        "separation": num(o.separation),
-        "bound": num(o.bound),
+        "separation": o.separation,
+        "bound": o.bound,
         "separation_ok": o.separation_ok,
         "verdict": o.ok,
         "error": o.error,
@@ -544,7 +517,7 @@ def write_experiment_outputs(exp: SeparationExperiment, out_dir) -> list:
         "delta0": exp.delta0,
         "c1": exp.c1,
         "deltas": list(exp.deltas),
-        "slope": None if math.isnan(exp.slope) else exp.slope,
+        "slope": exp.slope,
         "slope_ok": exp.slope_ok,
         "escape_increments": list(exp.escape_increments),
         "escape_expected": exp.escape_expected,

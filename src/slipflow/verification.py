@@ -1,8 +1,10 @@
 """Self-contained property suite: every module invariant as a named check.
 
-Each check returns a PropertyCheck with a worst-case margin, defined as the
-measured quantity divided by its allowance, so margin <= 1 means pass with
-room and the margin field quantifies how much.  Checks that are pure
+Each check returns (passed, margin, detail), the margin being the worst
+case of the measured quantity divided by its allowance, so margin <= 1
+means pass with room and the margin field quantifies how much; the check
+table ``_CHECKS`` names each check once and ``verify_all`` makes the
+PropertyCheck records.  Checks that are pure
 yes/no questions (bit-exact restarts, count agreement) report margin 0 on
 success and 2 on failure.
 
@@ -78,14 +80,15 @@ class PropertyCheck:
     detail: dict
 
 
-def _check(name, margin, detail=None, passed=None) -> PropertyCheck:
+def _check(margin, detail=None, passed=None) -> tuple:
+    """(passed, margin, detail) of one check; ``_CHECKS`` gives its name."""
     margin = float(margin)
     if passed is None:
         passed = bool(margin <= 1.0)
-    return PropertyCheck(name=name, passed=passed, margin=margin, detail=detail or {})
+    return passed, margin, detail or {}
 
 
-def check_critical_closed_form(battery: _Battery) -> PropertyCheck:
+def check_critical_closed_form(battery: _Battery) -> tuple:
     """Equal-slip identity, argument symmetry, small-k and large-k limits."""
     worst = 0.0
     detail = {}
@@ -108,10 +111,10 @@ def check_critical_closed_form(battery: _Battery) -> PropertyCheck:
         worst = max(worst, large)
         detail[f"small_k_rel_{pair.xi_minus:g}_{pair.xi_plus:g}"] = small
         detail[f"large_k_ratio_{pair.xi_minus:g}_{pair.xi_plus:g}"] = large * 0.02
-    return _check("critical_closed_form", worst, detail)
+    return _check(worst, detail)
 
 
-def check_critical_monotone(battery: _Battery) -> PropertyCheck:
+def check_critical_monotone(battery: _Battery) -> tuple:
     """mu_c(k) strictly decreases in k for every sampled slip pair."""
     ks = np.geomspace(0.05, 60.0, 60)
     worst = 0.0
@@ -119,10 +122,10 @@ def check_critical_monotone(battery: _Battery) -> PropertyCheck:
         vals = np.array([critical.mu_c_closed_form(k, pair) for k in ks])
         if np.any(np.diff(vals) >= 0.0):
             worst = 2.0
-    return _check("critical_monotone_decrease", worst, {"grid_points": ks.size})
+    return _check(worst, {"grid_points": ks.size})
 
 
-def check_critical_variational(battery: _Battery) -> PropertyCheck:
+def check_critical_variational(battery: _Battery) -> tuple:
     """Closed form versus the variational threshold on a small grid."""
     basis = battery.basis64
     worst = 0.0
@@ -131,10 +134,10 @@ def check_critical_variational(battery: _Battery) -> PropertyCheck:
             closed = critical.mu_c_closed_form(k, pair)
             var = critical.mu_c_variational(k, pair, basis)
             worst = max(worst, abs(var - closed) / closed / 1.0e-6)
-    return _check("critical_variational_agreement", worst, {"tolerance": 1.0e-6})
+    return _check(worst, {"tolerance": 1.0e-6})
 
 
-def check_spectrum_oracle(battery: _Battery) -> PropertyCheck:
+def check_spectrum_oracle(battery: _Battery) -> tuple:
     """Positive Galerkin eigenvalues match determinant roots, same count."""
     basis = battery.basis64
     worst = 0.0
@@ -156,10 +159,10 @@ def check_spectrum_oracle(battery: _Battery) -> PropertyCheck:
     if n_gal != 0 or n_oracle != 0:
         worst = 2.0
     detail["cases"] = len(cases) + 1
-    return _check("spectrum_oracle_agreement", worst, detail)
+    return _check(worst, detail)
 
 
-def check_sign_flip(battery: _Battery) -> PropertyCheck:
+def check_sign_flip(battery: _Battery) -> tuple:
     """lambda_1 changes sign across the critical viscosity."""
     basis = battery.basis48
     worst = 0.0
@@ -170,10 +173,10 @@ def check_sign_flip(battery: _Battery) -> PropertyCheck:
             hi = solve_spectrum(assemble(ModeProblem(k=k, mu=1.1 * mu_c, slip=pair), basis)).lambda1
             if not (lo > 0.0 > hi):
                 worst = 2.0
-    return _check("sign_flip_at_threshold", worst, {"k_values": [0.5, 1.0, 4.0]})
+    return _check(worst, {"k_values": [0.5, 1.0, 4.0]})
 
 
-def check_eigenfunction_quality(battery: _Battery) -> PropertyCheck:
+def check_eigenfunction_quality(battery: _Battery) -> tuple:
     """Strong-form residuals, boundary residuals, normalization, orthogonality."""
     spec = solve_spectrum(assemble(_REFERENCE, battery.basis64))
     nres = resolved_count(spec)
@@ -192,10 +195,10 @@ def check_eigenfunction_quality(battery: _Battery) -> PropertyCheck:
         "norm_defect": norm_defect,
         "orthogonality_defect": ortho,
     }
-    return _check("eigenfunction_quality", worst, detail)
+    return _check(worst, detail)
 
 
-def check_mode_triple(battery: _Battery) -> PropertyCheck:
+def check_mode_triple(battery: _Battery) -> tuple:
     """The lifted (psi, phi, pi) triple satisfies the mode system and slip."""
     worst = 0.0
     detail = {}
@@ -203,10 +206,10 @@ def check_mode_triple(battery: _Battery) -> PropertyCheck:
         l1, l2, wall_phi, slip = mode_residuals(mode)
         worst = max(worst, l1 / 1.0e-7, l2 / 1.0e-7, wall_phi / 1.0e-10, slip / 1.0e-8)
         detail[f"lambda_{mode.lam:.6f}"] = {"line1": l1, "line2": l2}
-    return _check("mode_triple_residuals", worst, detail)
+    return _check(worst, detail)
 
 
-def check_escape_time(battery: _Battery) -> PropertyCheck:
+def check_escape_time(battery: _Battery) -> tuple:
     """Closed form for one mode, defining equation for two, monotone in delta."""
     packet = build_packet(battery.reference)
     lam = packet.top_lambda
@@ -228,10 +231,10 @@ def check_escape_time(battery: _Battery) -> PropertyCheck:
     worst = max(worst, ident / 1.0e-12)
     detail = {"single_mode_rel": abs(t1 - exact) / exact, "defining_residual": resid,
               "l2_identity_rel": ident}
-    return _check("escape_time", worst, detail)
+    return _check(worst, detail)
 
 
-def check_field_norms(battery: _Battery) -> PropertyCheck:
+def check_field_norms(battery: _Battery) -> tuple:
     """Quadrature-exact norms: analytic value, Parseval, divergence-free curl."""
     import scipy.fft
 
@@ -269,7 +272,7 @@ def check_field_norms(battery: _Battery) -> PropertyCheck:
     div = divergence_max(u1, u2)
     worst = max(worst, div / 1.0e-10)
     detail = {"analytic_rel": rel, "parseval_rel": pars, "divergence": div}
-    return _check("field_norms", worst, detail)
+    return _check(worst, detail)
 
 
 def _fastest_mode_packet(battery: _Battery):
@@ -277,7 +280,7 @@ def _fastest_mode_packet(battery: _Battery):
     return build_packet(battery.reference, count=1)
 
 
-def check_linearized_growth(battery: _Battery) -> PropertyCheck:
+def check_linearized_growth(battery: _Battery) -> tuple:
     """The linearized stepper reproduces the top eigenvalue growth rate."""
     packet = _fastest_mode_packet(battery)
     field = field_from_packet(packet, 8, 56, 1.0)
@@ -289,11 +292,11 @@ def check_linearized_growth(battery: _Battery) -> PropertyCheck:
     times, l2 = result.diagnostics.times, result.diagnostics.l2_norm
     slope = float(np.polyfit(times, np.log(l2), 1)[0])
     rel = abs(slope - lam) / lam
-    return _check("linearized_growth", rel / 1.0e-2,
+    return _check(rel / 1.0e-2,
                   {"fitted": slope, "eigenvalue": lam, "rel_error": rel})
 
 
-def check_mean_robin_rate(battery: _Battery) -> PropertyCheck:
+def check_mean_robin_rate(battery: _Battery) -> tuple:
     """Mean-flow diffusion reproduces the analytic Robin eigenmode rate."""
     from scipy.optimize import brentq
 
@@ -311,11 +314,11 @@ def check_mean_robin_rate(battery: _Battery) -> PropertyCheck:
     times, l2 = result.diagnostics.times, result.diagnostics.l2_norm
     slope = float(np.polyfit(times, np.log(l2), 1)[0])
     rel = abs(slope - rate) / rate
-    return _check("mean_robin_rate", rel / 1.0e-4,
+    return _check(rel / 1.0e-4,
                   {"fitted": slope, "analytic": rate, "rel_error": rel})
 
 
-def check_energy_fuzz(battery: _Battery) -> PropertyCheck:
+def check_energy_fuzz(battery: _Battery) -> tuple:
     """Random solenoidal fields obey the sharp energy inequality."""
     sweep = LatticeSweep(L=1.0, mu=0.5, slip=_STD_SLIP, n_max=8)
     lam_cap, _ = compute_capital_lambda(sweep, battery.basis48)
@@ -332,11 +335,11 @@ def check_energy_fuzz(battery: _Battery) -> PropertyCheck:
     chk = energy_inequality_check(u1, u2, 0.5, _STD_SLIP, lam_cap)
     eq_rel = abs(chk.lhs / chk.norm_sq - packet.top_lambda) / packet.top_lambda
     margin = max(worst, eq_rel / 1.0e-6, 0.0 if holds_all else 2.0)
-    return _check("energy_inequality_fuzz", margin,
+    return _check(margin,
                   {"fields": 25, "worst_ratio": worst, "mode_equality_rel": eq_rel})
 
 
-def check_checkpoint_roundtrip(battery: _Battery) -> PropertyCheck:
+def check_checkpoint_roundtrip(battery: _Battery) -> tuple:
     """Step, checkpoint mid-way, resume: bit-identical final state."""
     import tempfile
     from pathlib import Path
@@ -362,10 +365,10 @@ def check_checkpoint_roundtrip(battery: _Battery) -> PropertyCheck:
         resumed.t == straight.t
     )
     margin = 0.0 if same else 2.0
-    return _check("checkpoint_roundtrip", margin, {"bit_identical": bool(same)})
+    return _check(margin, {"bit_identical": bool(same)})
 
 
-def check_run_invariants(battery: _Battery) -> PropertyCheck:
+def check_run_invariants(battery: _Battery) -> tuple:
     """Nonlinear run preserves reality, boundary conditions, energy budget."""
     field = field_from_packet(_fastest_mode_packet(battery), 8, 56, 1.0)
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
@@ -381,42 +384,27 @@ def check_run_invariants(battery: _Battery) -> PropertyCheck:
     worst = max(reality / 1.0e-12, bc / 1.0e-8, energy_ratio)
     detail = {"reality_defect": reality, "bc_residual": bc,
               "energy_worst_ratio": energy_ratio}
-    return _check("run_invariants", worst, detail)
+    return _check(worst, detail)
 
 
 _CHECKS = (
-    check_critical_closed_form,
-    check_critical_monotone,
-    check_critical_variational,
-    check_spectrum_oracle,
-    check_sign_flip,
-    check_eigenfunction_quality,
-    check_mode_triple,
-    check_escape_time,
-    check_field_norms,
-    check_linearized_growth,
-    check_mean_robin_rate,
-    check_energy_fuzz,
-    check_checkpoint_roundtrip,
-    check_run_invariants,
+    ("critical_closed_form", check_critical_closed_form),
+    ("critical_monotone_decrease", check_critical_monotone),
+    ("critical_variational_agreement", check_critical_variational),
+    ("spectrum_oracle_agreement", check_spectrum_oracle),
+    ("sign_flip_at_threshold", check_sign_flip),
+    ("eigenfunction_quality", check_eigenfunction_quality),
+    ("mode_triple_residuals", check_mode_triple),
+    ("escape_time", check_escape_time),
+    ("field_norms", check_field_norms),
+    ("linearized_growth", check_linearized_growth),
+    ("mean_robin_rate", check_mean_robin_rate),
+    ("energy_inequality_fuzz", check_energy_fuzz),
+    ("checkpoint_roundtrip", check_checkpoint_roundtrip),
+    ("run_invariants", check_run_invariants),
 )
 
-CHECK_NAMES = (
-    "critical_closed_form",
-    "critical_monotone_decrease",
-    "critical_variational_agreement",
-    "spectrum_oracle_agreement",
-    "sign_flip_at_threshold",
-    "eigenfunction_quality",
-    "mode_triple_residuals",
-    "escape_time",
-    "field_norms",
-    "linearized_growth",
-    "mean_robin_rate",
-    "energy_inequality_fuzz",
-    "checkpoint_roundtrip",
-    "run_invariants",
-)
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def verify_all(seed: int = 0):
@@ -428,7 +416,7 @@ def verify_all(seed: int = 0):
         basis64=build_basis(64),
         reference=solve_spectrum(assemble(_REFERENCE, basis48)),
     )
-    return [f(battery) for f in _CHECKS]
+    return [PropertyCheck(name, *check(battery)) for name, check in _CHECKS]
 
 
 def verification_report(seed: int = 0) -> dict:

@@ -194,6 +194,56 @@ class TestExperimentCommand:
         assert manifest["outputs"] == []
 
 
+    def test_stable_fundamental_wavenumber_is_the_stable_regime(self, tmp_path, capsys):
+        # mu = 0.5 is below mu_c_global = 1 but above mu_c(5) = 0.1001, and
+        # 5 = 1/L is the smallest wavenumber of the 2 pi L-periodic channel
+        rc = run_cli("--out", tmp_path, "experiment", "--mu", "0.5", "--length", "0.2")
+        assert rc == 0
+        assert "stable regime" in capsys.readouterr().out
+        assert read_manifest(tmp_path)["outputs"] == []
+
+    def test_every_delta_refused_at_its_start_is_a_usage_error(self, tmp_path, capsys):
+        grid = ["experiment", "--mu", "0.5", "--m", "16", "--p", "56"]
+        rc = run_cli("--out", tmp_path / "a", *grid, "--dt", "0.2", "--deltas", "1e-2")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "FAILED: ValidationError: dt = 0.2 exceeds" in captured.out
+        assert "every delta was refused at its start" in captured.err
+        manifest = json.loads((tmp_path / "a" / "delta_1e-02" / "manifest.json").read_text())
+        assert manifest["error"].startswith("ValidationError")
+        assert (tmp_path / "a" / "experiment_manifest.json").exists()
+        assert "summary.csv" in read_manifest(tmp_path / "a")["outputs"]
+        # dt = 0.1 is above the stability bound 0.096 of delta = 1e-2 only: a
+        # sweep with a completed delta keeps its failed verdict's exit code
+        rc = run_cli("--out", tmp_path / "b", *grid, "--dt", "0.1",
+                     "--deltas", "1e-2", "1e-5")
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.count("FAILED: ValidationError") == 1
+        assert "verdict = pass" in out and "verdict = FAIL" in out
+
+
+class TestNoGrowingMode:
+    def test_every_command_reports_the_packet_refusal(self, tmp_path, capsys, monkeypatch):
+        import slipflow.critical
+        from slipflow.sim import experiment
+
+        # let the experiment past its lattice test, as an unresolved basis
+        # would, so that its packet meets a spectrum with no growing mode
+        monkeypatch.setattr(slipflow.critical, "critical_wavenumber", lambda channel: 1.0)
+        monkeypatch.setattr(experiment, "critical_wavenumber", lambda channel: 1.0)
+        errors = []
+        for command in (["modes"], ["simulate", "--t-end", "0.01"],
+                        ["experiment", "--m", "16", "--p", "56"]):
+            rc = run_cli("--out", tmp_path / command[0], command[0], "--mu", "2.0",
+                         *command[1:])
+            assert rc == 2, command
+            errors.append(capsys.readouterr().err)
+        expected = ("error: no unstable mode at k = 1, mu = 2: "
+                    "the spectrum has no positive growth rate\n")
+        assert errors == [expected] * 3
+
+
 class TestConfigResolution:
     def test_config_file_sets_the_channel(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -264,6 +314,25 @@ class TestConfigResolution:
                 "--points", "3")
         assert (read_manifest(a)["config_digest"]
                 != read_manifest(b)["config_digest"])
+
+
+    def test_digest_repeats_and_tracks_flags_and_sim_values(self, tmp_path):
+        def digest(name, *args, sim=None):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"sim": sim or {}}))
+            assert run_cli("--config", cfg, "--out", tmp_path / name, *args) == 0
+            return read_manifest(tmp_path / name)["config_digest"]
+
+        critical = ["critical", "--k", "1", "2", "--points"]
+        assert digest("a", *critical, "3") == digest("b", *critical, "3")
+        assert digest("c", *critical, "3") != digest("d", *critical, "4")
+        simulate = ["simulate", "--p", "56", "--dt", "2e-3", "--t-end", "0.01",
+                    "--linearized"]
+        assert (digest("e", *simulate, sim={"M": 8})
+                != digest("f", *simulate, sim={"M": 10}))
+        # a stable-regime experiment runs nothing, but its flags still count
+        stable = ["experiment", "--mu", "2.0", "--deltas"]
+        assert digest("g", *stable, "1e-3") != digest("h", *stable, "1e-4")
 
 
 class TestUsageErrors:
@@ -356,6 +425,13 @@ class TestUsageErrors:
         rc = run_cli("--config", cfg, "--out", tmp_path, "experiment")
         assert rc == 2
         assert "out_dir" in capsys.readouterr().err
+
+    def test_coefficients_is_not_an_experiment_setting(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"viscosity": 0.1, "experiment": {"coefficients": [1]}}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "experiment")
+        assert rc == 2
+        assert "experiment: unknown keys ['coefficients']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("deltas", "1e-3"), ("delta0", True),
                                             ("packet_count", 2.5)])

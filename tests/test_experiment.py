@@ -10,6 +10,7 @@ from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
 from slipflow.modes import build_packet
 from slipflow.sim import (
     ChannelStepper,
+    DeltaOutcome,
     SimConfig,
     SimulationBlowupError,
     field_from_packet,
@@ -174,6 +175,26 @@ class TestValidation:
             run_separation_experiment(
                 channel, deltas=(1.0e-4,), epsilon0=1.0e-6, delta0=0.02
             )
+
+
+class TestFailedOutcome:
+    def test_defaults_are_a_failed_delta(self):
+        o = DeltaOutcome(1.0e-3, error="SimulationBlowupError: advective CFL exceeded 1")
+        assert not o.ok and not o.refused
+        for gate in (o.gate_h2, o.gate_l2):
+            assert not gate.held and gate.first_violation_time is None
+            assert math.isnan(gate.max_ratio)
+        assert not o.separation_ok and math.isnan(o.separation)
+        assert o.steps.size == 0 and o.times.size == 0
+        assert DeltaOutcome(1.0e-3, error="ValidationError: dt = 0.2 exceeds").refused
+
+
+class TestStableLattice:
+    def test_stable_fundamental_wavenumber_is_refused(self):
+        # mu = 0.5 < mu_c_global = 1, but mu_c(1/L) = mu_c(5) = 0.1001
+        channel = ChannelConfig(L=0.2, mu=0.5, slip=SlipPair(1.0, 1.0))
+        with pytest.raises(ValidationError, match="stable regime"):
+            run_separation_experiment(channel)
 
 
 class TestFailureIsolation:

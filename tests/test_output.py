@@ -66,3 +66,10 @@ def test_json_is_sorted_indented_and_newline_terminated(tmp_path):
     assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
     keys = [line.split('"')[1] for line in text.splitlines() if line.strip().startswith('"')]
     assert keys == ["a", "y", "z", "b"]
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    obj = {"nan": float("nan"), "list": [1.0, float("inf")], "nested": {"t": (float("-inf"), 2)}}
+    text = write_json(tmp_path / "n.json", obj).read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text) == {"nan": None, "list": [1.0, None], "nested": {"t": [None, 2]}}
