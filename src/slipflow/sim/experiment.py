@@ -17,9 +17,9 @@ Each branch is integrated alongside a linearized twin started from the same
 initial data, all four with the same step size, so the recorded difference
 from linear isolates the quadratic (advection) effect rather than the time
 discretization error of the linear propagator.  Every packet starts in the
-odd-in-x1 symmetry class (pure imaginary mode rows, zero mean flow), so the
-nonlinear branches take the stepper's locked path, whose half-period
-products keep them in the class exactly (see ``sim.stepper``).  That matters:
+odd-in-x1 symmetry class (pure imaginary mode rows, zero mean flow), the
+one class the nonlinear stepper takes, and its half-period products keep
+the branches in it exactly (see ``sim.stepper``).  That matters:
 the mean-shear diffusion mode grows much faster than the packet (rate 2.13
 versus 0.47 at the reference configuration), so roundoff seeding it would
 contaminate the long delta = 1e-7 horizon.
@@ -33,11 +33,12 @@ The sweep is refused (ValidationError) when the 2 pi L-periodic channel is
 stable, i.e. mu >= mu_c(1/L) (``critical.critical_wavenumber`` is None), and
 ``modes.build_packet`` refuses a wavenumber with no growing mode.  Each
 nonlinear branch starts and records through the checks of a run
-(``sim.run``): a refused start takes no step and is that delta's recorded
-ValidationError (``DeltaOutcome.refused``), and a CFL number above 1 its
-SimulationBlowupError.  A failed delta is ``DeltaOutcome(delta, error=...)``:
-its measured fields keep their defaults, NaN and empty series, which the
-manifests write as null.
+(``sim.run``), and its start is also refused when the CFL number of the
+linear prediction at t_final exceeds 1.  A refused start takes no step and
+is that delta's recorded ValidationError (``DeltaOutcome.refused``); a CFL
+number above 1 at a record is its SimulationBlowupError.  A failed delta
+is ``DeltaOutcome(delta, error=...)``: its measured fields keep their
+defaults, NaN and empty series, which the manifests write as null.
 """
 
 from __future__ import annotations
@@ -222,8 +223,19 @@ def _run_one_delta(
 
     unit_full, unit_reduced = units
     full0 = unit_full * delta
+    nf = _start(full0, cfg)
+    # refuse a dt whose CFL number at the linear prediction for t_final,
+    # embedded like the initial data, passes the record's abort threshold 1
+    grown = ModePacket(packet.modes, packet.coefficients * np.exp(packet.lambdas * cfg.t_end))
+    predicted = field_from_packet(grown, sim.M, sim.P, sim.channel.L) * delta
+    cfl = nf.cfl_number(nf._solve_phi(nf._state_from_streamfunction(predicted)))
+    if cfl > 1.0:
+        raise ValidationError(
+            f"dt = {cfg.dt:g} exceeds the advective stability bound {cfg.dt / cfl:g} "
+            f"estimated from the linear prediction at t = {cfg.t_end:g}"
+        )
     # a linear twin holds its branch's checked initial data
-    steppers = {"nf": _start(full0, cfg), "lf": ChannelStepper(twin, full0)}
+    steppers = {"nf": nf, "lf": ChannelStepper(twin, full0)}
     reduced_active = unit_reduced is not None
     if reduced_active:
         red0 = unit_reduced * delta

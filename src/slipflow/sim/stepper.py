@@ -18,8 +18,9 @@ Prognostic variables, per Fourier mode n in x1:
     and a small cache keeps the last few configurations.
   * n = 0: the x1-mean of u1, advanced by Crank-Nicolson diffusion with the
     Robin slip rows mu u' = +xi_+ u (top) and mu u' = -xi_- u (bottom)
-    replacing the wall equations, forced by -d2 mean(u1 u2).  Its
-    Crank-Nicolson inverse is operator 0 of the same per-mode stack.
+    replacing the wall equations, unforced: only a linearized state has a
+    mean flow (see below).  Its Crank-Nicolson inverse is operator 0 of the
+    same per-mode stack.
 
 Advection uses second-order Adams-Bashforth extrapolation (first step:
 plain Euler weights), evaluated pseudospectrally on a grid padded to 4M
@@ -28,33 +29,34 @@ aliasing in both directions.  The x2 half of the padding is two fixed real
 matrices built with the operators: the pad matrix maps the P node values to
 the ceil(3P/2) padded node values of the same polynomial, and the unpad
 matrix maps padded node values to the P node values of their truncation to
-P Chebyshev coefficients.  A step transforms only in x1, never in x2.
+P Chebyshev coefficients.  The x1 half is the sine and cosine table below.
 
 The state and the AB2 advection history are real (2, M+1, P) arrays, the
 real and the imaginary parts of the rows.  Building the stepper or loading
 a checkpoint fixes, once, the box of the state that can be nonzero,
 (components, rows): the imaginary plane alone for a locked state (see
 below), else both; the live span of rows (first to last nonzero one) on a
-linearized stepper, whose rows decouple so that a zero row stays zero,
-rows 1 .. M on a locked nonlinear one, else all rows.  A step advances the
-box alone, by stacked real matmuls.  The diagnostics read rows 0 .. b-1, b
-the end of the box: every later row of each field they form is zero, and
-the first b rows of a field are still a field (row n is still mode n), with
-the same norms and inner products.  The methods below take their b from
-the row count of the array they are given.
+linearized stepper, whose rows decouple so that a zero row stays zero, and
+rows 1 .. M on a nonlinear one.  A step advances the box alone, by stacked
+real matmuls.  The diagnostics read rows 0 .. b-1, b the end of the box:
+every later row of each field they form is zero, and the first b rows of a
+field are still a field (row n is still mode n), with the same norms and
+inner products.  The methods below take their b from the row count of the
+array they are given.
 
-A locked box forms its advection on half the x1 period: in the class every
-product in u . grad omega is a sine series in x1, so the factors are
+A nonlinear box forms its advection on half the x1 period: in the class
+every product in u . grad omega is a sine series in x1, so the factors are
 evaluated at the n1/2 - 1 interior points 0 < x1 < pi L of the padded grid
 by fixed real sine and cosine synthesis matrices and return through the
 sine analysis matrix, with no transform call; the mean flux mean(u1 u2) is
 exactly zero and is not formed.  The dense matrices cost O(M^2) per x2 node
 where a fast transform costs O(M log M); on a 2-vCPU host with one BLAS
 thread they still win at M = 128, P = 96, and at M = 256, P = 128 the
-DST-I/DCT-I form wins 2 of 3 runs.  The locked CFL estimate applies the
-same matrices on the closed half period 0 <= x1 <= pi L, which holds every
-sample value of the full one.  Any other box advects and estimates the CFL
-number on the full period, by x1 FFTs of complex rows.
+DST-I/DCT-I form wins 2 of 3 runs.  They are row slices of one sine and
+cosine table over the padded x1 period.  The locked CFL estimate applies
+them on the closed half period 0 <= x1 <= pi L, which holds every sample
+value of the full one; a linearized state off the class reads its CFL
+number off the whole table.  The stepper calls no FFT.
 
 The streamfunction is never stored: it is reconstructed from the vorticity
 at the start of every nonlinear step, so the trajectory is a pure function
@@ -66,7 +68,8 @@ flow} (physically: u2 even and u1 odd under x1 -> -x1, no mean shear) is
 locked, and every mode packet starts there.  The half-period products map
 the class into itself exactly, so a locked run stays in it with no
 projection, and no roundoff seeds the faster-growing mean-shear
-instability of long runs.
+instability of long runs.  The constructor and a checkpoint read refuse a
+nonlinear state outside the class with ValidationError.
 """
 
 from __future__ import annotations
@@ -243,14 +246,15 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     unpad = cheb_values_from_coeffs(
         cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
     )
-    # locked class: pad fused with d/dx2, and the sine and cosine series
-    # at x1_j = j pi L / (n1/2), j = 0 .. n1/2, with n j reduced mod n1
-    # so every angle lies in [0, 2 pi); the products use the interior
-    # points j = 1 .. n1/2 - 1, the CFL estimate the closed half period
+    # x1 synthesis at x1_j = j pi L / (n1/2), j = 0 .. n1 - 1: 2 sin and
+    # 2 cos of kappa_n x1_j, n = 1 .. M, with n j reduced mod n1 so every
+    # angle lies in [0, 2 pi).  A locked state takes row slices: its
+    # products the interior points j = 1 .. n1/2 - 1 of the half period,
+    # its CFL estimate the closed half period j = 0 .. n1/2
     half = n1 // 2
-    angle = (np.pi / half) * (np.outer(np.arange(half + 1), np.arange(1, M + 1)) % n1)
-    half_sin = 2.0 * np.sin(angle[1:-1])
-    closed_cos = 2.0 * np.cos(angle) * kappa[1:]
+    angle = (np.pi / half) * (np.outer(np.arange(n1), np.arange(1, M + 1)) % n1)
+    sin, cos = 2.0 * np.sin(angle), 2.0 * np.cos(angle)
+    closed_cos = cos[: half + 1] * kappa[1:]
     ops = {
         "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
         "_slip_plus": slip_plus, "_slip_minus": slip_minus,
@@ -258,8 +262,9 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
         "_T": a_inv, "_K": k_inv,
         "_n1": n1, "_pad": pad, "_unpad": unpad,
         "_pad_with_d": np.hstack([pad.T, (pad @ D).T]),
-        "_half_sin": half_sin, "_closed_cos": closed_cos,
-        "_half_cos": closed_cos[1:-1], "_half_fwd": half_sin.T / -n1,
+        "_sin": sin, "_cos": cos, "_half_sin": sin[1:half],
+        "_closed_cos": closed_cos, "_half_cos": closed_cos[1:-1],
+        "_half_fwd": sin[1:half].T / -n1,
     }
     for value in ops.values():
         if isinstance(value, np.ndarray):
@@ -291,20 +296,22 @@ class ChannelStepper:
     (M, P, L, mu, xi_-, xi_+, dt) shared by every stepper of that
     configuration.  The state planes ``_state``, the history planes
     ``_history`` and the box ``_box`` are the stepper's own and set by
-    ``_install`` alone; readers get complex rows from ``_rows`` and
-    ``_blocks``.  A locked box (``_locked``) advects and estimates the CFL
-    number on half the x1 period (``_locked_advection``, ``cfl_number``)
-    with five more cached matrices, at the points x1_j = j pi L / (n1/2),
-    j = 0 .. n1/2, of which the h = n1/2 - 1 interior ones carry the
-    products:
-    ``_pad_with_d`` (P, 2 ceil(3P/2)) is ``[_pad.T | (_pad @ D).T]``, so
-    one product pads node values and their x2 derivative; ``_half_sin``
-    (h, M) holds 2 sin(kappa_n x1_j) and ``_half_cos`` (h, M) holds
-    2 kappa_n cos(kappa_n x1_j), the DST-I and (kappa-weighted) DCT-I
-    syntheses of rows 1 .. M at the interior points; ``_closed_cos``
-    (h + 2, M) is the same cosine synthesis at every point j = 0 .. n1/2,
-    with ``_half_cos`` its interior rows; ``_half_fwd`` (M, h) is
-    ``_half_sin.T / -n1``, the forward DST-I back to rows 1 .. M.
+    ``_install`` alone, which refuses a nonlinear state outside the locked
+    class; readers get complex rows from ``_rows`` and ``_blocks``.
+
+    The x1 synthesis is one table at x1_j = j pi L / (n1/2), j = 0 .. n1-1:
+    ``_sin`` and ``_cos`` (n1, M) hold 2 sin(kappa_n x1_j) and
+    2 cos(kappa_n x1_j), n = 1 .. M.  A locked box (``_locked``) advects and
+    estimates the CFL number on its rows j = 0 .. n1/2 (``_advection``,
+    ``cfl_number``), the h = n1/2 - 1 interior ones carrying the products:
+    ``_half_sin`` (h, M) is ``_sin[1 : h+1]``, the DST-I synthesis of rows
+    1 .. M; ``_closed_cos`` (h + 2, M) is ``_cos[: h+2]`` times kappa_n and
+    ``_half_cos`` its interior rows, the kappa-weighted DCT-I synthesis;
+    ``_half_fwd`` (M, h) is ``_half_sin.T / -n1``, the forward DST-I back to
+    rows 1 .. M; and ``_pad_with_d`` (P, 2 ceil(3P/2)) is
+    ``[_pad.T | (_pad @ D).T]``, so one product pads node values and their
+    x2 derivative.  A linearized state off the class reads its CFL number
+    off the whole table (``_full_period``).
     """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):
@@ -345,17 +352,21 @@ class ChannelStepper:
     def _install(self, state: np.ndarray, history: np.ndarray | None = None):
         """Store complex state rows, and the AB2 history of a stepper that has
         stepped, as real planes, and fix the box (see the module docstring).
-        A locked box takes plane 1 by index, so it is a 2-D view."""
-        self._state = _planes(state)
+        A locked box takes plane 1 by index, so it is a 2-D view.  A
+        nonlinear state outside the locked class raises ValidationError."""
+        planes = _planes(state)
+        locked = not planes[0].any() and not planes[1, 0].any()
+        if not (locked or self.cfg.linearized):
+            raise ValidationError("a nonlinear state must lie in the odd-in-x1 class "
+                                  "(pure imaginary mode rows, zero mean flow)")
+        self._state = planes
         self._have_history = history is not None
-        self._history = (np.zeros_like(self._state) if history is None
-                         else _planes(history))
-        locked = not self._state[0].any() and not self._state[1, 0].any()
+        self._history = np.zeros_like(planes) if history is None else _planes(history)
         if self.cfg.linearized:
-            live = np.flatnonzero(self._state.any(axis=(0, 2)))
+            live = np.flatnonzero(planes.any(axis=(0, 2)))
             rows = slice(int(live[0]), int(live[-1]) + 1) if live.size else slice(0, 0)
         else:
-            rows = slice(1 if locked else 0, self.cfg.M + 1)
+            rows = slice(1, self.cfg.M + 1)
         self._box = (1 if locked else slice(None), rows)
 
     @property
@@ -425,42 +436,10 @@ class ChannelStepper:
 
     # -- pseudospectral products ----------------------------------------
 
-    def _to_phys(self, rows: np.ndarray) -> np.ndarray:
-        """Real values on the padded product grid of the first node-value rows."""
-        spec = np.zeros((self._n1 // 2 + 1, self.cfg.P), dtype=complex)
-        spec[: rows.shape[0]] = rows
-        return (np.fft.irfft(spec, n=self._n1, axis=0) * self._n1) @ self._pad.T
+    def _advection(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Advection of a nonlinear box on half the x1 period, as a real block.
 
-    def _from_phys(self, vals: np.ndarray) -> np.ndarray:
-        """Node-value rows of padded product-grid values, truncated to (M+1, P)."""
-        return np.fft.rfft(vals @ self._unpad.T, axis=0)[: self.cfg.M + 1] / self._n1
-
-    def _advection(self, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Advection of the box, from the box of the streamfunction planes
-        ``phi`` and of the state planes ``w``: rows n >= 1 carry u . grad omega
-        at the nodes, row 0 carries +d2 mean(u1 u2) (the negated mean-flow
-        forcing).  A locked box goes to ``_locked_advection``; any other box
-        (both planes, all rows) forms its products on the full x1 period."""
-        if self._locked:
-            return self._locked_advection(phi, w)
-        phi, omega = _complex(phi), _complex(w)
-        u1, u2 = self._velocity_nodes(phi, omega[0])
-        wtot = omega.copy()
-        wtot[0] = -(omega[0].real @ self.D.T)
-        w1 = (1j * self.kappa)[:, None] * wtot
-        w2 = wtot @ self.D.T
-        u1p = self._to_phys(u1)
-        u2p = self._to_phys(u2)
-        adv = self._from_phys(u1p * self._to_phys(w1) + u2p * self._to_phys(w2))
-        # the truncated flux has degree < P, so collocation is exact
-        flux = self._from_phys(u1p * u2p)
-        adv[0] = flux[0].real @ self.D.T
-        return _planes(adv)
-
-    def _locked_advection(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Advection of a locked state on half the x1 period, as a real block.
-
-        ``b`` and ``c`` are the real (M, P) blocks of a locked state's rows
+        ``b`` and ``c`` are the real (M, P) blocks of the state's rows
         1 .. M: phi_n = i b_n and omega_n = i c_n, and the mean row is zero.
         Then u1 and d2 omega are sine series in x1 and u2 and d1 omega
         cosine series.  Each product in u . grad omega is a sine series, so
@@ -481,6 +460,13 @@ class ChannelStepper:
         # u2 = cosine @ b, w2 = -sine @ c'
         prod = (sine @ db) * (cosine @ c) - (cosine @ b) * (sine @ dc)
         return (self._half_fwd @ prod) @ self._unpad.T
+
+    def _full_period(self, rows: np.ndarray) -> np.ndarray:
+        """Real values on the whole padded product grid of complex node-value
+        rows r_0, r: padded in x2, then Re r_0 + _cos @ Re r - _sin @ Im r."""
+        p = rows @ self._pad.T
+        n = p.shape[0] - 1
+        return p[0].real + self._cos[:, :n] @ p[1:].real - self._sin[:, :n] @ p[1:].imag
 
     # -- stepping --------------------------------------------------------
 
@@ -523,8 +509,8 @@ class ChannelStepper:
         (even about both).  Its rows 1 .. b-1 are padded in x2 by
         ``_pad_with_d``, then synthesized by the first b-1 columns of
         ``_half_sin`` and ``_closed_cos``: the same padded grid points as the
-        full period, with no transform.  Any other state transforms the full
-        period with ``_to_phys``.
+        full period.  Any other state (a linearized one) is synthesized on
+        the whole period by ``_full_period``.
         """
         if phi is None:
             phi = self._solve_phi(self._rows())
@@ -537,7 +523,7 @@ class ChannelStepper:
             u2 = self._closed_cos[:, :n] @ f[:, :pp]
         else:
             u1, u2 = self._velocity_nodes(phi, self._rows(1)[0])
-            u1, u2 = self._to_phys(u1), self._to_phys(u2)
+            u1, u2 = self._full_period(u1), self._full_period(u2)
         m1 = float(np.abs(u1).max(initial=0.0))
         m2 = float(np.abs(u2).max(initial=0.0))
         dx1 = 2.0 * math.pi * self.L / self._n1

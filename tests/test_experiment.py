@@ -128,24 +128,20 @@ class TestAcceptanceSweepStructure:
 
 
 class TestLockedBranches:
-    def test_packet_branches_never_take_the_full_period(self, monkeypatch):
-        # a packet state is in the locked class, so no branch forms a mean
-        # flux and no roundoff can seed the mean-shear mode
-        calls = []
-        full_period = ChannelStepper._from_phys
-
-        def counted(self, vals):
-            calls.append(vals.shape)
-            return full_period(self, vals)
-
-        monkeypatch.setattr(ChannelStepper, "_from_phys", counted)
+    def test_packet_branches_never_take_the_full_period(self):
+        # a packet state is in the locked class, so every nonlinear branch
+        # starts (a state off the class is refused) and steps on the half
+        # period, where no mean flux forms and no roundoff can seed the
+        # mean-shear mode
         channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
         sim = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, diagnostics_stride=25)
         exp = run_separation_experiment(
             channel, sim=sim, deltas=(1.0e-3, 1.0e-4), basis_size=48, n_max=12,
         )
-        assert len(exp.outcomes) == 2
-        assert calls == []
+        assert [o.error for o in exp.outcomes] == [None, None]
+        for o in exp.outcomes:
+            assert o.steps[-1] > 0
+            assert (o.diagnostics.nonlinear_flux != 0.0).any()
 
 
 class TestValidation:
@@ -256,6 +252,23 @@ class TestBranchStart:
         assert outcome.error == f"ValidationError: {refused.value}"
         assert outcome.error.startswith(
             "ValidationError: dt = 0.2 exceeds the advective stability bound 0.0961889 "
+        )
+
+    def test_cfl_predicted_above_one_is_a_recorded_refusal(self, monkeypatch):
+        # delta = 1e-5 starts below the stability bound at dt = 0.2, but its
+        # linear prediction at t_final reads CFL 1.18: without the refusal it
+        # stepped to t = 16.2 and lost the CFL bound there
+        sim = SimConfig(channel=self.CHANNEL, M=16, P=56, dt=0.2)
+        steps = []
+        real_step = ChannelStepper.step
+        monkeypatch.setattr(ChannelStepper, "step", lambda st: steps.append(st) or real_step(st))
+        exp = run_separation_experiment(self.CHANNEL, sim=sim, deltas=(1.0e-5,))
+        (outcome,) = exp.outcomes
+        assert steps == []
+        assert outcome.refused
+        assert outcome.error == (
+            "ValidationError: dt = 0.2 exceeds the advective stability bound 0.169378 "
+            "estimated from the linear prediction at t = 16.2"
         )
 
     def test_cfl_above_one_at_a_record_ends_the_delta(self, monkeypatch):

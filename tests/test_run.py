@@ -273,17 +273,13 @@ class TestLinearizedPrefixRecord:
 class TestNonlinearRecord:
     """The one-pass record of a nonlinear state matches the public functions."""
 
-    @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
-    def test_record_matches_full_rows(self, channel, basis48, locked):
+    def test_record_matches_full_rows(self, channel, basis48):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
-        if not locked:
-            # the packet shifted in x1 has real mode rows
-            field = SpectralField2D(field.coefficients * np.exp(0.3j), field.L)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3)
         stepper = ChannelStepper(cfg, field)
         for _ in range(5):
             stepper.step()
-        assert stepper._locked == locked
+        assert stepper._locked
         rec = _Recorder(stepper)
         (u1, u2), norms, cfl = rec.record()
         want, want_cfl, full = _full_row_record(stepper)
@@ -298,7 +294,8 @@ class TestNonlinearRecord:
 
 def _packet_stepper(channel, basis48, locked, linearized, M=8, P=56):
     """A stepper on the k = 1 packet, or on the packet shifted in x1 (real
-    mode rows, so off the locked class) when ``locked`` is False."""
+    mode rows, so off the locked class) when ``locked`` is False; only a
+    linearized stepper takes a state off the class."""
     field, _ = mode_field(channel, basis48, M=M, P=P, amplitude=0.05)
     if not locked:
         field = SpectralField2D(field.coefficients * np.exp(0.3j), field.L)
@@ -307,11 +304,16 @@ def _packet_stepper(channel, basis48, locked, linearized, M=8, P=56):
     return ChannelStepper(cfg, field), cfg
 
 
+# (locked, linearized) of the states a stepper takes: a nonlinear one is locked
+_BOXES = [pytest.param(True, False, id="locked-nonlinear"),
+          pytest.param(True, True, id="locked-linearized"),
+          pytest.param(False, True, id="unlocked-linearized")]
+
+
 class TestStateBox:
     """The box a step advances is fixed once, when the state is installed."""
 
-    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
-    @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
+    @pytest.mark.parametrize("locked, linearized", _BOXES)
     def test_box_is_fixed_at_install_and_read_back(self, channel, basis48, tmp_path,
                                                    monkeypatch, locked, linearized):
         installs = []
@@ -325,7 +327,7 @@ class TestStateBox:
         stepper, cfg = _packet_stepper(channel, basis48, locked, linearized)
         box = stepper._box
         # the packet is mode 1 alone, so a linearized box is row 1
-        rows = slice(1, 2) if linearized else slice(1 if locked else 0, cfg.M + 1)
+        rows = slice(1, 2) if linearized else slice(1, cfg.M + 1)
         assert box == (1 if locked else slice(None), rows)
         assert stepper._locked == locked
         rec = _Recorder(stepper)
@@ -393,13 +395,17 @@ class TestCheckpointing:
                         diagnostics_stride=10)
         assert self._assert_restart_bit_exact(field, cfg, tmp_path)._locked
 
-    def test_nonlinear_off_class_restart_is_bit_exact(self, channel, basis48, tmp_path):
-        # the packet shifted in x1 has real mode rows, so it runs on the full period
-        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
-        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
-                        diagnostics_stride=10)
-        shifted = SpectralField2D(field.coefficients * np.exp(0.3j), field.L)
-        assert not self._assert_restart_bit_exact(shifted, cfg, tmp_path)._locked
+    def test_nonlinear_off_class_checkpoint_is_refused(self, channel, basis48, tmp_path):
+        # a nonlinear checkpoint whose blocks are the packet shifted in x1
+        # (real mode rows) holds a state the nonlinear step cannot advance
+        stepper, cfg = _packet_stepper(channel, basis48, True, False)
+        stepper.step()
+        path = write_checkpoint(tmp_path / "locked.bin", stepper)
+        raw = path.read_bytes()
+        body = np.frombuffer(raw[CHECKPOINT_HEADER_BYTES:], dtype=complex) * np.exp(0.3j)
+        path.write_bytes(raw[:CHECKPOINT_HEADER_BYTES] + body.tobytes())
+        with pytest.raises(ValidationError, match="odd-in-x1"):
+            read_checkpoint(path, cfg)
 
     def test_write_read_checkpoint_preserves_state(self, channel, basis48, tmp_path):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
@@ -416,8 +422,7 @@ class TestCheckpointing:
                               stepper.streamfunction().coefficients)
 
     @pytest.mark.parametrize("steps", [0, 3])
-    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
-    @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
+    @pytest.mark.parametrize("locked, linearized", _BOXES)
     def test_checkpoint_rewrites_byte_for_byte(self, channel, basis48, tmp_path,
                                                locked, linearized, steps):
         # the state and history planes survive a read exactly, signed zeros included

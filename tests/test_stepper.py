@@ -120,8 +120,10 @@ class TestAnalyticRates:
         rows = np.zeros((5, P), dtype=complex)
         rows[0] = np.cosh(a * cgl_nodes(P))
         field = SpectralField2D(cheb_coeffs_from_values(rows, axis=1), 1.0)
+        # a pure mean flow has exactly zero advection, so the linearized
+        # run has the nonlinear dynamics
         cfg = SimConfig(channel=channel, M=4, P=P, dt=5.0e-4, t_end=0.1,
-                        diagnostics_stride=20)
+                        linearized=True, diagnostics_stride=20)
         diag = run(field, cfg).diagnostics
         rate = (math.log(diag.l2_norm[-1]) - math.log(diag.l2_norm[0])) / (
             diag.times[-1] - diag.times[0]
@@ -156,17 +158,11 @@ class TestAnalyticRates:
         assert abs(order - 2.0) < 0.3
 
 
-def _count_transforms(stepper):
-    """Count the stepper's full-period ``_to_phys`` and ``_from_phys`` calls."""
-    calls = {"_to_phys": 0, "_from_phys": 0}
-    for name in calls:
-        method = getattr(stepper, name)
-
-        def counted(x, name=name, method=method):
-            calls[name] += 1
-            return method(x)
-
-        setattr(stepper, name, counted)
+def _count_full_period(stepper):
+    """Count the stepper's whole-period x1 syntheses (``_full_period`` calls)."""
+    calls = []
+    method = stepper._full_period
+    stepper._full_period = lambda rows: calls.append(rows.shape) or method(rows)
     return calls
 
 
@@ -187,25 +183,28 @@ class TestInvariantsPreserved:
         cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4,
                         diagnostics_stride=1000)
         stepper = ChannelStepper(cfg, field)
-        calls = _count_transforms(stepper)
         for _ in range(3):
             stepper.step()
-        assert calls == {"_to_phys": 0, "_from_phys": 0}
+        assert stepper._locked
         final = run(field, cfg).final_state
         assert np.all(final.coefficients[0] == 0.0)
         assert np.all(final.coefficients[1:].real == 0.0)
 
     @pytest.mark.parametrize("entry", [(1, 0), (0, 0)], ids=["real-entry", "mean-row"])
-    def test_state_off_the_class_takes_the_full_period(self, channel, basis48, entry):
+    def test_state_off_the_class_is_refused(self, channel, basis48, entry):
         field, _ = mode_field(channel, basis48, amplitude=0.05)
         coeffs = field.coefficients.copy()
         coeffs[entry] += 1.0e-30
         cfg = SimConfig(channel=channel, M=16, P=56, dt=4.0e-3, t_end=0.4)
-        stepper = ChannelStepper(cfg, SpectralField2D(coeffs, channel.L))
-        calls = _count_transforms(stepper)
-        for _ in range(3):
-            stepper.step()
-        assert calls == {"_to_phys": 12, "_from_phys": 6}
+        off = SpectralField2D(coeffs, channel.L)
+        with pytest.raises(ValidationError, match="odd-in-x1"):
+            ChannelStepper(cfg, off)
+        with pytest.raises(ValidationError, match="odd-in-x1"):
+            run(off, cfg)
+        # the linearized stepper takes any state
+        stepper = ChannelStepper(replace(cfg, linearized=True), off)
+        stepper.step()
+        assert not stepper._locked
 
 
 class TestPureStepFunction:
@@ -337,29 +336,6 @@ class TestStackedOperators:
         got = stacked.streamfunction().coefficients
         want = reference.streamfunction().coefficients
         assert np.abs(got - want).max() <= 1.0e-10 * np.abs(want).max()
-
-    @pytest.mark.parametrize("xi", [(1.0, 1.0), (0.0, 3.0), (10.0, 0.1)])
-    def test_unlocked_nonlinear_mean_row_matches(self, xi):
-        M, P = 6, 24
-        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(*xi))
-        rng = np.random.default_rng(11)
-        decay = np.exp(-0.4 * np.arange(P))
-        rows = (rng.standard_normal((M + 1, P))
-                + 1j * rng.standard_normal((M + 1, P))) * decay * 1.0e-3
-        rows[0] = rng.standard_normal(P) * decay * 1.0e-3
-        field = SpectralField2D(rows, channel.L)
-        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05)
-        stacked = ChannelStepper(cfg, field)
-        reference = _PerModeReference(cfg, field)
-        for _ in range(50):
-            stacked.step()
-            reference.step()
-        # the mean row is forced by the advective flux, not only diffused
-        assert np.abs(stacked._history[:, 0]).max() > 1.0e-6 * np.abs(stacked._state).max()
-        scale = np.abs(reference._rows()).max()
-        assert np.abs(stacked._rows() - reference._rows()).max() <= 1.0e-10 * scale
-        mean = reference._rows()[0]
-        assert np.abs(stacked._rows()[0] - mean).max() <= 1.0e-10 * np.abs(mean).max()
 
 
 class TestLinearizedStep:
@@ -583,15 +559,32 @@ def _dct_advection(stepper, phi):
     return adv
 
 
+def _fft_to_phys(stepper, rows):
+    """Padded product-grid values of the first node-value rows on the full
+    x1 period: irfft, then the stepper's ``_pad``."""
+    n1 = stepper._n1
+    spec = np.zeros((n1 // 2 + 1, stepper.cfg.P), dtype=complex)
+    spec[: rows.shape[0]] = rows
+    return (np.fft.irfft(spec, n=n1, axis=0) * n1) @ stepper._pad.T
+
+
+def _fft_from_phys(stepper, vals):
+    """Node-value rows (M+1, P) of padded product-grid values: the
+    stepper's ``_unpad``, then rfft."""
+    n1 = stepper._n1
+    return np.fft.rfft(vals @ stepper._unpad.T, axis=0)[: stepper.cfg.M + 1] / n1
+
+
 def _transform_mismatch(stepper, rng):
-    """Largest relative difference of the matrix maps from the DCT path."""
+    """Largest relative difference of the pad and unpad matrices, composed
+    with x1 FFTs, from the DCT path."""
     M, P, n1 = stepper.cfg.M, stepper.cfg.P, stepper._n1
     rows = rng.standard_normal((M + 1, P)) + 1j * rng.standard_normal((M + 1, P))
     rows[0] = rows[0].real
     vals = rng.standard_normal((n1, math.ceil(3 * P / 2)))
     worst = 0.0
-    for got, want in ((stepper._to_phys(rows), _dct_to_phys(stepper, rows)),
-                      (stepper._from_phys(vals), _dct_from_phys(stepper, vals))):
+    for got, want in ((_fft_to_phys(stepper, rows), _dct_to_phys(stepper, rows)),
+                      (_fft_from_phys(stepper, vals), _dct_from_phys(stepper, vals))):
         worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
     return worst
 
@@ -600,13 +593,10 @@ class TestPaddedTransforms:
     """The pad and unpad matrices against the DCT-I composition they replace."""
 
     @staticmethod
-    def _stepper(P, rows=None):
+    def _stepper(P):
         channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
-        M = 6
-        if rows is None:
-            rows = np.zeros((M + 1, P), dtype=complex)
-        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05)
-        return ChannelStepper(cfg, SpectralField2D(rows, channel.L))
+        cfg = SimConfig(channel=channel, M=6, P=P, dt=1.0e-3, t_end=0.05)
+        return ChannelStepper(cfg, SpectralField2D(np.zeros((7, P), dtype=complex), 1.0))
 
     @pytest.mark.parametrize("P", [24, 56, 64])
     def test_matrices_match_dct_path(self, P):
@@ -622,36 +612,26 @@ class TestPaddedTransforms:
         stepper._pad = stepper._pad * (1.0 + 1.0e-9 * rng.standard_normal(stepper._pad.shape))
         assert _transform_mismatch(stepper, np.random.default_rng(P)) > 1.0e-13
 
-    @pytest.mark.parametrize("P", [24, 56])
-    def test_advection_matches_dct_path(self, P):
-        M = 6
-        rng = np.random.default_rng(P + 2)
-        decay = np.exp(-0.3 * np.arange(P))
-        rows = (rng.standard_normal((M + 1, P))
-                + 1j * rng.standard_normal((M + 1, P))) * decay
-        rows[0] = rng.standard_normal(P) * decay
-        stepper = self._stepper(P, rows)
-        phi = stepper._solve_phi(stepper._rows())
-        got, want = _advection_rows(stepper, phi), _dct_advection(stepper, phi)
-        assert np.abs(got - want).max() <= 1.0e-12 * np.abs(want).max()
-        assert np.abs(got[0] - want[0]).max() <= 1.0e-12 * np.abs(want[0]).max()
-
 
 class TestLockedAdvection:
     """A locked stepper forms its products on half the x1 period."""
 
     @staticmethod
     def _stepper(M, P, L=1.0, in_class=True, seed=0):
+        """A random decaying state: in the locked class on a nonlinear
+        stepper, or off it (real parts and a mean row) on a linearized one."""
         channel = ChannelConfig(L=L, mu=0.5, slip=SlipPair(1.0, 1.0))
         rng = np.random.default_rng(seed)
         decay = np.exp(-0.3 * np.arange(P))
         rows = rng.standard_normal((M + 1, P)) * decay
         if in_class:
             rows = 1j * rows
+            rows[0] = 0.0
         else:
             rows = rows + 1j * rng.standard_normal((M + 1, P)) * decay
-        rows[0] = 0.0
-        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05)
+            rows[0] = rows[0].real
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.05,
+                        linearized=not in_class)
         return ChannelStepper(cfg, SpectralField2D(rows * 1.0e-2, L))
 
     @pytest.mark.parametrize("M, P, L", [(2, 16, 1.0), (6, 24, 1.0), (5, 17, 2.0),
@@ -679,11 +659,30 @@ class TestLockedAdvection:
         assert np.abs(stepper._half_cos / stepper.kappa[1:] - cosine).max() <= 1.0e-14
         assert np.abs(stepper._half_fwd - forward).max() <= 1.0e-14
 
+    @pytest.mark.parametrize("M", [2, 7, 32])
+    def test_locked_matrices_are_slices_of_one_table(self, M):
+        stepper = self._stepper(M, 16)
+        n1 = stepper._n1
+        half = n1 // 2
+        # the table is the x1 synthesis of unit rows 1 .. M on the full period
+        unit = np.zeros((half + 1, M), dtype=complex)
+        unit[1 : M + 1] = np.eye(M)
+        assert np.abs(stepper._cos - np.fft.irfft(unit, n=n1, axis=0) * n1).max() <= 1.0e-14
+        assert np.abs(stepper._sin + np.fft.irfft(1j * unit, n=n1, axis=0) * n1).max() <= 1.0e-14
+        for got, want in ((stepper._half_sin, stepper._sin[1:half]),
+                          (stepper._closed_cos, stepper._cos[: half + 1] * stepper.kappa[1:]),
+                          (stepper._half_cos, stepper._closed_cos[1:-1]),
+                          (stepper._half_fwd, stepper._sin[1:half].T / -n1)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_locked_step_calls_no_transform(self, monkeypatch):
         stepper = self._stepper(6, 24)
+        # a linearized state off the class reads its CFL off the whole period
+        off = self._stepper(6, 24, in_class=False)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a locked step or CFL called a transform")
+            raise AssertionError("a step or a CFL estimate called a transform")
 
         for module, name in ((np.fft, "rfft"), (np.fft, "irfft"),
                              (sfft, "dst"), (sfft, "dct")):
@@ -691,39 +690,40 @@ class TestLockedAdvection:
         stepper.step()
         stepper.tendency_split()
         assert stepper.cfl_number() > 0.0
+        off.step()
+        off.tendency_split()
+        assert off.cfl_number() > 0.0
 
     def test_locked_step_runs_no_full_period_transform(self):
         stepper = self._stepper(6, 24)
-        calls = _count_transforms(stepper)
+        calls = _count_full_period(stepper)
         stepper.step()
-        assert calls == {"_to_phys": 0, "_from_phys": 0}
-
-    def test_unlocked_step_runs_the_full_period_transforms(self):
-        stepper = self._stepper(6, 24, in_class=False)
-        calls = _count_transforms(stepper)
-        stepper.step()
-        assert calls == {"_to_phys": 4, "_from_phys": 2}
+        assert stepper.cfl_number() > 0.0
+        assert calls == []
 
     def test_locked_cfl_is_the_general_formula(self):
         locked = self._stepper(6, 24)
         for _ in range(3):
             locked.step()
+        # a linearized stepper off the class, with a zero mean row, reads the
+        # CFL number of any streamfunction rows off the whole period
         general = self._stepper(6, 24, in_class=False)
-        general._state = locked._state.copy()
-        want = general.cfl_number()
+        general._state[:, 0] = 0.0
+        assert not general._locked
+        want = general.cfl_number(locked._solve_phi(locked._rows()))
         assert want > 0.0
         assert abs(locked.cfl_number() - want) <= CFL_ULPS * np.spacing(want)
 
 
 def _full_period_cfl(stepper, phi):
-    """The CFL formula on the whole padded grid of n1 = 4M points, by ``_to_phys``.
+    """The CFL formula on the whole padded grid of n1 = 4M points, by ``_fft_to_phys``.
 
     dt (max |u1| / dx1 + max |u2| / dx2_min), dx1 = 2 pi L / n1 and dx2_min
     the CGL spacing next to a wall.
     """
     u1, u2 = stepper._velocity_nodes(phi, stepper._rows(1)[0])
-    m1 = np.abs(stepper._to_phys(u1)).max(initial=0.0)
-    m2 = np.abs(stepper._to_phys(u2)).max(initial=0.0)
+    m1 = np.abs(_fft_to_phys(stepper, u1)).max(initial=0.0)
+    m2 = np.abs(_fft_to_phys(stepper, u2)).max(initial=0.0)
     x2 = cgl_nodes(stepper.cfg.P)
     dx1 = 2.0 * math.pi * stepper.L / max(4 * stepper.cfg.M, 8)
     return stepper.cfg.dt * (m1 / dx1 + m2 / (x2[0] - x2[1]))
@@ -742,6 +742,32 @@ class TestLockedCfl:
             got, want = stepper.cfl_number(phi[:b]), _full_period_cfl(stepper, phi[:b])
             assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
 
+    @pytest.mark.parametrize("M, P, L", [(2, 16, 1.0), (6, 24, 1.0), (5, 17, 2.0),
+                                         (16, 56, 1.0), (32, 64, 1.0)])
+    def test_off_class_linearized_cfl_matches_the_full_period_on_every_prefix(self, M, P, L):
+        stepper = TestLockedAdvection._stepper(M, P, L, in_class=False, seed=M + P)
+        assert not stepper._locked and stepper._rows(1)[0].any()
+        phi = stepper._solve_phi(stepper._rows())
+        for b in range(1, M + 2):
+            got, want = stepper.cfl_number(phi[:b]), _full_period_cfl(stepper, phi[:b])
+            assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
+
+    def test_mean_flow_cfl_matches_the_full_period(self):
+        # the mean-flow state of verify's mean_robin_rate check: u1 = cosh(a x2)
+        mu, xi, P = 0.5, 1.0, 64
+        a = brentq(lambda s: s * math.tanh(s) - xi / mu, 1.0e-8, 50.0)
+        rows = np.zeros((3, P), dtype=complex)
+        rows[0] = cheb_coeffs_from_values(np.cosh(a * cgl_nodes(P)))
+        channel = ChannelConfig(L=1.0, mu=mu, slip=SlipPair(xi, xi))
+        cfg = SimConfig(channel=channel, M=2, P=P, dt=1.0e-3, linearized=True)
+        stepper = ChannelStepper(cfg, SpectralField2D(rows, 1.0))
+        assert not stepper._locked
+        phi = stepper._solve_phi(stepper._rows())
+        for b in range(1, 4):
+            got, want = stepper.cfl_number(phi[:b]), _full_period_cfl(stepper, phi[:b])
+            assert want > 0.0
+            assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
+
     @pytest.mark.parametrize("end", ["start", "middle"])
     def test_reads_both_ends_of_the_half_period(self, end):
         # phi_n = i g / kappa_n on rows 1 and 2 with g = 1 - x2^2 gives
@@ -758,7 +784,7 @@ class TestLockedCfl:
         stepper = ChannelStepper(cfg, SpectralField2D(rows, L))
         assert stepper._locked
         phi = stepper._solve_phi(stepper._rows())
-        u2 = stepper._to_phys(stepper._velocity_nodes(phi, stepper._rows(1)[0])[1])
+        u2 = _fft_to_phys(stepper, stepper._velocity_nodes(phi, stepper._rows(1)[0])[1])
         peak = np.abs(u2).max(axis=1)
         j = 0 if end == "start" else stepper._n1 // 2
         assert np.argmax(peak) == j
@@ -766,10 +792,11 @@ class TestLockedCfl:
         want = _full_period_cfl(stepper, phi)
         assert abs(stepper.cfl_number(phi) - want) <= CFL_ULPS * np.spacing(want)
 
-    @pytest.mark.parametrize("in_class, to_phys", [(True, 0), (False, 2)],
+    @pytest.mark.parametrize("in_class, full", [(True, 0), (False, 2)],
                              ids=["locked", "unlocked"])
-    def test_only_an_unlocked_cfl_transforms_the_full_period(self, in_class, to_phys):
+    def test_only_an_unlocked_cfl_transforms_the_full_period(self, in_class, full):
+        # unlocked: a linearized state off the class
         stepper = TestLockedAdvection._stepper(6, 24, in_class=in_class)
-        calls = _count_transforms(stepper)
+        calls = _count_full_period(stepper)
         assert stepper.cfl_number() > 0.0
-        assert calls == {"_to_phys": to_phys, "_from_phys": 0}
+        assert len(calls) == full
