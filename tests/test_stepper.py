@@ -539,24 +539,18 @@ def _dct_from_phys(stepper, vals):
 
 
 def _dct_advection(stepper, phi):
-    """The advection rows with the DCT transforms and a chebder mean flux."""
+    """The u . grad omega rows 1 .. M of a state with no mean flow, with the
+    DCT transforms."""
     u1, u2 = stepper._velocity_nodes(phi, stepper._rows(1)[0])
-    wtot = stepper._rows()
-    wtot[0] = -(wtot[0].real @ stepper.D.T)
-    w1 = (1j * stepper.kappa)[:, None] * wtot
-    w2 = wtot @ stepper.D.T
+    omega = stepper._rows()
+    w1 = (1j * stepper.kappa)[:, None] * omega
+    w2 = omega @ stepper.D.T
     u1p, u2p = _dct_to_phys(stepper, u1), _dct_to_phys(stepper, u2)
     adv = _dct_from_phys(
         stepper,
         u1p * _dct_to_phys(stepper, w1) + u2p * _dct_to_phys(stepper, w2),
     )
-    flux = _dct_from_phys(stepper, u1p * u2p)
-    flux_c = dct_coeffs_from_values(flux[0].real[None, :], axis=1)[0]
-    dflux = np.zeros(stepper.cfg.P)
-    der = np.polynomial.chebyshev.chebder(flux_c)
-    dflux[: der.size] = der
-    adv[0] = dct_values_from_coeffs(dflux[None, :], axis=1)[0]
-    return adv
+    return adv[1:]
 
 
 def _fft_to_phys(stepper, rows):
@@ -641,7 +635,7 @@ class TestLockedAdvection:
         stepper = self._stepper(M, P, L, seed=M + P)
         phi = stepper._solve_phi(stepper._rows())
         got, want = _advection_rows(stepper, phi), _dct_advection(stepper, phi)
-        assert np.abs(got[1:] - want[1:]).max() <= 1.0e-13 * np.abs(want[1:]).max()
+        assert np.abs(got[1:] - want).max() <= 1.0e-13 * np.abs(want).max()
         assert np.all(got[0] == 0.0)
         assert np.all(got.real == 0.0)
 
