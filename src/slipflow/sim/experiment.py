@@ -33,10 +33,11 @@ The sweep is refused (ValidationError) when the 2 pi L-periodic channel is
 stable, i.e. mu >= mu_c(1/L) (``critical.critical_wavenumber`` is None), and
 ``modes.build_packet`` refuses a wavenumber with no growing mode.  Each
 nonlinear branch starts and records through the checks of a run
-(``sim.run``), and its start is also refused when the CFL number of the
-linear prediction at t_final exceeds 1.  A refused start takes no step and
-is that delta's recorded ValidationError (``DeltaOutcome.refused``); a CFL
-number above 1 at a record is its SimulationBlowupError.  A failed delta
+(``sim.run``), the full one's start is also refused when the CFL number of
+the linear prediction at t_final exceeds 1, and the twins have no CFL
+bound.  A refused start takes no step and is that delta's recorded
+ValidationError (``DeltaOutcome.refused``); a CFL number above 1 in either
+nonlinear branch at a record is its SimulationBlowupError.  A failed delta
 is ``DeltaOutcome(delta, error=...)``: its measured fields keep their
 defaults, NaN and empty series, which the manifests write as null.
 """
@@ -71,7 +72,7 @@ from .field import (
     velocity_from_streamfunction,
     velocity_norms,
 )
-from .run import _Recorder, _start, diagnostics_to_csv
+from .run import _abort_past_cfl_one, _Recorder, _start, diagnostics_to_csv
 from .stepper import (
     ChannelStepper,
     InfluenceConditioningError,
@@ -249,10 +250,13 @@ def _run_one_delta(
     def record(m: int):
         # at m = 0 each linear twin holds its nonlinear branch's initial
         # data, so it takes that branch's velocity and d_from_linear is 0
-        u_nf, (l2_nf, _, h2_nf), _ = recorder.record()
+        u_nf, (l2_nf, _, h2_nf) = recorder.record()
         u_lf = steppers["lf"].velocity() if m else u_nf
         if reduced_active:
-            u_nr = steppers["nr"].velocity()
+            nr = steppers["nr"]
+            phi_nr = nr._solve_phi(nr._rows())
+            u_nr = nr.velocity(phi_nr)
+            _abort_past_cfl_one(nr, phi_nr)
             u_lr = steppers["lr"].velocity() if m else u_nr
             l2_nr, _, h2_nr = velocity_norms(*u_nr)
             sep, linpred, d_full, d_red = _l2_of_differences(

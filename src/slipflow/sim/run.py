@@ -1,9 +1,11 @@
 """Run driver: time loop, recorded diagnostics, checkpoints, restarts.
 
 A run, and each branch of the separation experiment, starts through
-``_start``: initial data that break the wall conditions, or a dt above the
-stability bound (CFL_LIMIT), raise ValidationError.  ``_Recorder.record``
-raises SimulationBlowupError when a record's advective CFL number exceeds 1.
+``_start``: initial data that break the wall conditions raise
+ValidationError, and so does a nonlinear start with dt above the advective
+stability bound (CFL_LIMIT).  ``_abort_past_cfl_one`` ends a nonlinear run
+with SimulationBlowupError at a record whose CFL number exceeds 1.  A
+linearized run has no advection, so it has no CFL bound.
 
 Checkpoint format v3 (little endian): an 88-byte header of eleven 8-byte fields,
 
@@ -40,6 +42,7 @@ from .field import (
     cheb_coeffs_from_values,
 )
 from .stepper import (
+    CFL_LIMIT,
     ChannelStepper,
     SimConfig,
     SimulationBlowupError,
@@ -120,10 +123,9 @@ class _Recorder:
         norms, the dissipation and both energy rates are read off those
         shared forms by the same formulas as ``velocity_norms``,
         ``gradient_dissipation`` and ``scalar_inner``.  Returns the
-        velocity (u1, u2), its norms (l2, h1, h2) and the advective CFL
-        number (``cfl_number``, on the closed half period when the state
-        is locked).  A number above 1 raises SimulationBlowupError once the
-        row is appended, so a failed run's diagnostics end with that row.
+        velocity (u1, u2) and its norms (l2, h1, h2).  On a nonlinear
+        stepper the row is appended before ``_abort_past_cfl_one`` reads
+        the CFL number, so a failed run's diagnostics end with that row.
 
         The record works on the rows 0 .. b-1 the stepper's diagnostics
         read (``_diagnostic_rows``), b the end of its box: all M+1 rows of
@@ -159,10 +161,8 @@ class _Recorder:
         dedt = dedt_v + dedt_a
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
-        cfl = st.cfl_number(phi)
-        if cfl > 1.0:
-            raise SimulationBlowupError(f"advective CFL exceeded 1 at t = {st.t:.6g}")
-        return u, norms, cfl
+        _abort_past_cfl_one(st, phi)
+        return u, norms
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)
@@ -181,17 +181,24 @@ class _Recorder:
         )
 
 
+def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray | None = None):
+    """Raise SimulationBlowupError when a nonlinear stepper's CFL number
+    (``cfl_number``, of streamfunction rows ``phi``) exceeds 1."""
+    if not stepper.cfg.linearized and stepper.cfl_number(phi) > 1.0:
+        raise SimulationBlowupError(f"advective CFL exceeded 1 at t = {stepper.t:.6g}")
+
+
 def _start(initial: SpectralField2D, cfg: SimConfig) -> ChannelStepper:
     """The stepper of a run from ``initial``, refused with ValidationError
     when the start breaks the wall conditions (``check_boundary_conditions``)
-    or when cfg.dt exceeds the ``stability_bound`` of the initial data."""
+    or when a nonlinear run's initial CFL number exceeds CFL_LIMIT."""
     check_boundary_conditions(initial, cfg)
     stepper = ChannelStepper(cfg, initial)
-    bound = stepper.stability_bound()
-    if cfg.dt > bound:
+    cfl = 0.0 if cfg.linearized else stepper.cfl_number()
+    if cfl > CFL_LIMIT:
         raise ValidationError(
-            f"dt = {cfg.dt:g} exceeds the advective stability bound {bound:g} "
-            "estimated from the initial data"
+            f"dt = {cfg.dt:g} exceeds the advective stability bound "
+            f"{cfg.dt * CFL_LIMIT / cfl:g} estimated from the initial data"
         )
     return stepper
 

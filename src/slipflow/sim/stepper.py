@@ -53,10 +53,10 @@ exactly zero and is not formed.  The dense matrices cost O(M^2) per x2 node
 where a fast transform costs O(M log M); on a 2-vCPU host with one BLAS
 thread they still win at M = 128, P = 96, and at M = 256, P = 128 the
 DST-I/DCT-I form wins 2 of 3 runs.  They are row slices of one sine and
-cosine table over the padded x1 period.  The locked CFL estimate applies
-them on the closed half period 0 <= x1 <= pi L, which holds every sample
-value of the full one; a linearized state off the class reads its CFL
-number off the whole table.  The stepper calls no FFT.
+cosine table over the closed half period 0 <= x1 <= pi L, which holds
+every sample value of the full one, and the CFL estimate applies them
+there.  It bounds the advection, so only nonlinear runs read it, and it
+refuses a state outside the locked class.  The stepper calls no FFT.
 
 The streamfunction is never stored: it is reconstructed from the vorticity
 at the start of every nonlinear step, so the trajectory is a pure function
@@ -113,7 +113,7 @@ class InfluenceConditioningError(RuntimeError):
 # at dt = 4.293719 it reads 8.7e8.
 INFLUENCE_COND_MAX = 1.0e8
 
-# Largest advective CFL number a run may start from (see stability_bound).
+# Largest advective CFL number a nonlinear run may start from (see sim.run._start).
 CFL_LIMIT = 0.3
 
 
@@ -246,15 +246,14 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     unpad = cheb_values_from_coeffs(
         cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
     )
-    # x1 synthesis at x1_j = j pi L / (n1/2), j = 0 .. n1 - 1: 2 sin and
+    # x1 synthesis at x1_j = j pi L / (n1/2), j = 0 .. n1/2: 2 sin and
     # 2 cos of kappa_n x1_j, n = 1 .. M, with n j reduced mod n1 so every
-    # angle lies in [0, 2 pi).  A locked state takes row slices: its
-    # products the interior points j = 1 .. n1/2 - 1 of the half period,
-    # its CFL estimate the closed half period j = 0 .. n1/2
+    # angle lies in [0, 2 pi).  The products take the interior points
+    # j = 1 .. n1/2 - 1 of the half period, the CFL estimate all of them
     half = n1 // 2
-    angle = (np.pi / half) * (np.outer(np.arange(n1), np.arange(1, M + 1)) % n1)
+    angle = (np.pi / half) * (np.outer(np.arange(half + 1), np.arange(1, M + 1)) % n1)
     sin, cos = 2.0 * np.sin(angle), 2.0 * np.cos(angle)
-    closed_cos = cos[: half + 1] * kappa[1:]
+    closed_cos = cos * kappa[1:]
     ops = {
         "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
         "_slip_plus": slip_plus, "_slip_minus": slip_minus,
@@ -262,9 +261,8 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
         "_T": a_inv, "_K": k_inv,
         "_n1": n1, "_pad": pad, "_unpad": unpad,
         "_pad_with_d": np.hstack([pad.T, (pad @ D).T]),
-        "_sin": sin, "_cos": cos, "_half_sin": sin[1:half],
-        "_closed_cos": closed_cos, "_half_cos": closed_cos[1:-1],
-        "_half_fwd": sin[1:half].T / -n1,
+        "_half_sin": sin[1:half], "_closed_cos": closed_cos,
+        "_half_cos": closed_cos[1:-1], "_half_fwd": sin[1:half].T / -n1,
     }
     for value in ops.values():
         if isinstance(value, np.ndarray):
@@ -299,19 +297,18 @@ class ChannelStepper:
     ``_install`` alone, which refuses a nonlinear state outside the locked
     class; readers get complex rows from ``_rows`` and ``_blocks``.
 
-    The x1 synthesis is one table at x1_j = j pi L / (n1/2), j = 0 .. n1-1:
-    ``_sin`` and ``_cos`` (n1, M) hold 2 sin(kappa_n x1_j) and
-    2 cos(kappa_n x1_j), n = 1 .. M.  A locked box (``_locked``) advects and
-    estimates the CFL number on its rows j = 0 .. n1/2 (``_advection``,
-    ``cfl_number``), the h = n1/2 - 1 interior ones carrying the products:
-    ``_half_sin`` (h, M) is ``_sin[1 : h+1]``, the DST-I synthesis of rows
-    1 .. M; ``_closed_cos`` (h + 2, M) is ``_cos[: h+2]`` times kappa_n and
+    The x1 synthesis is one table of 2 sin(kappa_n x1_j) and
+    2 cos(kappa_n x1_j), n = 1 .. M, at x1_j = j pi L / (n1/2),
+    j = 0 .. n1/2, the closed half period.  A locked box (``_locked``)
+    advects on its h = n1/2 - 1 interior rows and estimates the CFL number
+    on all of them (``_advection``, ``cfl_number``): ``_half_sin`` (h, M) is
+    the sine table's interior rows, the DST-I synthesis of rows 1 .. M;
+    ``_closed_cos`` (h + 2, M) is the cosine table times kappa_n and
     ``_half_cos`` its interior rows, the kappa-weighted DCT-I synthesis;
     ``_half_fwd`` (M, h) is ``_half_sin.T / -n1``, the forward DST-I back to
     rows 1 .. M; and ``_pad_with_d`` (P, 2 ceil(3P/2)) is
     ``[_pad.T | (_pad @ D).T]``, so one product pads node values and their
-    x2 derivative.  A linearized state off the class reads its CFL number
-    off the whole table (``_full_period``).
+    x2 derivative.
     """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):
@@ -461,13 +458,6 @@ class ChannelStepper:
         prod = (sine @ db) * (cosine @ c) - (cosine @ b) * (sine @ dc)
         return (self._half_fwd @ prod) @ self._unpad.T
 
-    def _full_period(self, rows: np.ndarray) -> np.ndarray:
-        """Real values on the whole padded product grid of complex node-value
-        rows r_0, r: padded in x2, then Re r_0 + _cos @ Re r - _sin @ Im r."""
-        p = rows @ self._pad.T
-        n = p.shape[0] - 1
-        return p[0].real + self._cos[:, :n] @ p[1:].real - self._sin[:, :n] @ p[1:].imag
-
     # -- stepping --------------------------------------------------------
 
     def step(self):
@@ -501,41 +491,30 @@ class ChannelStepper:
         """Advective CFL of the current state at the configured dt.
 
         Uses the largest |u1| and |u2| on the product grid; ``phi`` holds
-        the state's streamfunction rows, all of them (the default) or the
-        first b.  A locked state reads them off the closed half period
-        j = 0 .. n1/2, which holds every sample value of the full one: u1 is
-        a sine series in x1 (odd about x1 = 0 and x1 = pi L, so zero at both
-        ends, where ``initial=0.0`` stands in for it) and u2 a cosine series
-        (even about both).  Its rows 1 .. b-1 are padded in x2 by
-        ``_pad_with_d``, then synthesized by the first b-1 columns of
+        the state's M+1 streamfunction rows (solved by default).  They are
+        read off the closed half period j = 0 .. n1/2, which holds every
+        sample value of the full one: u1 is a sine series in x1 (odd about
+        x1 = 0 and x1 = pi L, so zero at both ends, where ``initial=0.0``
+        stands in for it) and u2 a cosine series (even about both).  Rows
+        1 .. M are padded in x2 by ``_pad_with_d``, then synthesized by
         ``_half_sin`` and ``_closed_cos``: the same padded grid points as the
-        full period.  Any other state (a linearized one) is synthesized on
-        the whole period by ``_full_period``.
+        full period.  A state outside the locked class raises ValueError.
         """
+        if not self._locked:
+            raise ValueError("the CFL number is read only for a state in the "
+                             "odd-in-x1 class (pure imaginary mode rows, zero mean flow)")
         if phi is None:
             phi = self._solve_phi(self._rows())
-        if self._locked:
-            # phi_n = i b_n: u1 has rows i (D b)_n and u2 rows kappa_n b_n
-            pp = self._pad.shape[0]
-            f = phi.imag[1:] @ self._pad_with_d
-            n = f.shape[0]
-            u1 = self._half_sin[:, :n] @ f[:, pp:]
-            u2 = self._closed_cos[:, :n] @ f[:, :pp]
-        else:
-            u1, u2 = self._velocity_nodes(phi, self._rows(1)[0])
-            u1, u2 = self._full_period(u1), self._full_period(u2)
+        # phi_n = i b_n: u1 has rows i (D b)_n and u2 rows kappa_n b_n
+        pp = self._pad.shape[0]
+        f = phi.imag[1:] @ self._pad_with_d
+        u1 = self._half_sin @ f[:, pp:]
+        u2 = self._closed_cos @ f[:, :pp]
         m1 = float(np.abs(u1).max(initial=0.0))
         m2 = float(np.abs(u2).max(initial=0.0))
         dx1 = 2.0 * math.pi * self.L / self._n1
         dx2_min = abs(self.x2[0] - self.x2[1])
         return self.cfg.dt * (m1 / dx1 + m2 / dx2_min)
-
-    def stability_bound(self) -> float:
-        """Largest dt with advective CFL <= CFL_LIMIT at the current state."""
-        cfl = self.cfl_number()
-        if cfl == 0.0:
-            return math.inf
-        return self.cfg.dt * CFL_LIMIT / cfl
 
     # -- instantaneous tendencies (for the energy budget) -----------------
 
@@ -544,9 +523,10 @@ class ChannelStepper:
 
         Returns complex (visc, adv) shaped like ``phi``: rows n >= 1 give
         d omega_n/dt contributions, row 0 gives d ubar/dt contributions;
-        ``phi`` as in ``cfl_number``.  A linearized stepper has no
-        advective tendency, so its adv is zero; a nonlinear one needs all
-        rows of ``phi``.
+        ``phi`` holds the state's streamfunction rows, all of them (solved
+        by default) or the first b.  A linearized stepper has no advective
+        tendency, so its adv is zero; a nonlinear one needs all rows of
+        ``phi``.
         """
         if phi is None:
             phi = self._solve_phi(self._rows())

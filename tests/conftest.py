@@ -16,11 +16,11 @@ STANDARD_SLIP_PAIRS = (SlipPair(1.0, 1.0), SlipPair(0.5, 3.0))
 STANDARD_KS = (0.5, 1.0, 2.0)
 
 # Largest distance, in ulps, between two CFL estimates of one state that sum
-# in different orders: the locked half-period CFL against the full-period
-# formula, or a locked CFL read on a row prefix against the full rows.  Each
-# side lands within about 6 ulps of a long-double evaluation.  Measured over
-# every prefix: at most 8 ulps on the states of test_stepper.py, 11 on 500
-# random locked states at the same grids.
+# in different orders: the stepper's CFL on the closed half period against
+# the test reference on the full period.  Each side lands within about 6
+# ulps of a long-double evaluation.  Measured over every row prefix (the
+# later rows zero): at most 8 ulps on the states of test_stepper.py, 11 on
+# 500 random locked states at the same grids.
 CFL_ULPS = 16
 
 

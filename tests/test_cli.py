@@ -12,7 +12,8 @@ import pytest
 import slipflow
 from slipflow.cli import main
 from slipflow.critical import mu_c_global
-from slipflow.model import SlipPair
+from slipflow.model import ModeProblem, SlipPair
+from slipflow.spectrum import assemble, solve_spectrum
 
 
 def run_cli(*args):
@@ -166,11 +167,27 @@ class TestSimulate:
     def test_blowup_maps_to_exit_code_one(self, tmp_path, capsys):
         rc = run_cli("--out", tmp_path, "simulate", "--mu", "0.1",
                      "--amplitude", "0.5", "--m", "16", "--p", "56",
-                     "--dt", "1e-3", "--t-end", "1.0", "--stride", "10",
-                     "--linearized")
+                     "--dt", "1e-3", "--t-end", "1.0", "--stride", "10")
         assert rc == 1
-        assert "run failed:" in capsys.readouterr().err
+        assert "run failed: SimulationBlowupError: advective CFL exceeded 1 at t = 0.15" \
+            in capsys.readouterr().err
         assert (tmp_path / "failure_manifest.json").exists()
+
+    def test_linearized_run_has_no_cfl_bound(self, tmp_path, capsys, basis48):
+        # the linear growth carries this state far past CFL 1, which bounds
+        # only the advection of a nonlinear run
+        rc = run_cli("--out", tmp_path, "simulate", "--linearized", "--mu", "0.1",
+                     "--m", "16", "--p", "56", "--dt", "1e-3", "--t-end", "1.5")
+        assert rc == 0
+        assert "run failed" not in capsys.readouterr().err
+        assert not (tmp_path / "failure_manifest.json").exists()
+        diag = np.loadtxt(tmp_path / "diagnostics.csv", delimiter=",", skiprows=1)
+        assert diag[-1, 0] == pytest.approx(1.5, rel=1.0e-12)
+        # the packet's second mode (lambda_2 = 7.27 against lambda_1 = 8.53)
+        # still holds the estimate 3.5e-3 below lambda_1 at t = 1.5
+        problem = ModeProblem(k=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
+        lam = solve_spectrum(assemble(problem, basis48)).lambda1
+        assert diag[-1, 6] == pytest.approx(lam, rel=5.0e-3)
 
 
 class TestVerify:

@@ -280,3 +280,21 @@ class TestBranchStart:
         assert exp.outcomes[0].error == (
             "SimulationBlowupError: advective CFL exceeded 1 at t = 0.02"
         )
+
+    def test_cfl_above_one_in_the_reduced_branch_ends_the_delta(self, monkeypatch):
+        # mu = 0.1 has two growing modes, so the reduced branch runs; after
+        # the start it alone reads CFL 2 (started: full, then reduced)
+        channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
+        sim = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, diagnostics_stride=25)
+        started = []
+        start = experiment_mod._start
+        monkeypatch.setattr(experiment_mod, "_start",
+                            lambda *args: started.append(start(*args)) or started[-1])
+        monkeypatch.setattr(ChannelStepper, "cfl_number",
+                            lambda st, phi=None: 2.0 if st.t > 0.0 and st is started[1] else 0.0)
+        exp = run_separation_experiment(channel, sim=sim, deltas=(1.0e-3,),
+                                        basis_size=48, n_max=12)
+        assert len(started) == 2
+        assert exp.outcomes[0].error == (
+            "SimulationBlowupError: advective CFL exceeded 1 at t = 0.025"
+        )

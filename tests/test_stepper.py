@@ -69,7 +69,6 @@ class TestStepperBasics:
             stepper.step()
         assert np.all(stepper.streamfunction().coefficients == 0.0)
         assert stepper.cfl_number() == 0.0
-        assert stepper.stability_bound() == math.inf
 
     def test_rejects_mismatched_initial_field(self, channel):
         cfg = SimConfig(channel=channel, M=4, P=24)
@@ -156,14 +155,6 @@ class TestAnalyticRates:
         fine = scalar_norms(finals[2.0e-3] - finals[1.0e-3])[0]
         order = math.log2(coarse / fine)
         assert abs(order - 2.0) < 0.3
-
-
-def _count_full_period(stepper):
-    """Count the stepper's whole-period x1 syntheses (``_full_period`` calls)."""
-    calls = []
-    method = stepper._full_period
-    stepper._full_period = lambda rows: calls.append(rows.shape) or method(rows)
-    return calls
 
 
 class TestInvariantsPreserved:
@@ -658,21 +649,24 @@ class TestLockedAdvection:
         stepper = self._stepper(M, 16)
         n1 = stepper._n1
         half = n1 // 2
-        # the table is the x1 synthesis of unit rows 1 .. M on the full period
+        # the table is the x1 synthesis of unit rows 1 .. M on the closed
+        # half period, rows j = 0 .. n1/2 of the full-period irfft
         unit = np.zeros((half + 1, M), dtype=complex)
         unit[1 : M + 1] = np.eye(M)
-        assert np.abs(stepper._cos - np.fft.irfft(unit, n=n1, axis=0) * n1).max() <= 1.0e-14
-        assert np.abs(stepper._sin + np.fft.irfft(1j * unit, n=n1, axis=0) * n1).max() <= 1.0e-14
-        for got, want in ((stepper._half_sin, stepper._sin[1:half]),
-                          (stepper._closed_cos, stepper._cos[: half + 1] * stepper.kappa[1:]),
-                          (stepper._half_cos, stepper._closed_cos[1:-1]),
-                          (stepper._half_fwd, stepper._sin[1:half].T / -n1)):
+        cos = (np.fft.irfft(unit, n=n1, axis=0) * n1)[: half + 1]
+        sin = -(np.fft.irfft(1j * unit, n=n1, axis=0) * n1)[: half + 1]
+        assert stepper._closed_cos.shape == (half + 1, M)
+        assert np.abs(stepper._closed_cos / stepper.kappa[1:] - cos).max() <= 1.0e-14
+        assert stepper._half_sin.shape == (half - 1, M)
+        assert np.abs(stepper._half_sin - sin[1:half]).max() <= 1.0e-14
+        for got, want in ((stepper._half_cos, stepper._closed_cos[1:-1]),
+                          (stepper._half_fwd, stepper._half_sin.T / -n1)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_locked_step_calls_no_transform(self, monkeypatch):
         stepper = self._stepper(6, 24)
-        # a linearized state off the class reads its CFL off the whole period
+        # a linearized state off the class steps the same matrices
         off = self._stepper(6, 24, in_class=False)
 
         def refuse(*args, **kwargs):
@@ -686,25 +680,13 @@ class TestLockedAdvection:
         assert stepper.cfl_number() > 0.0
         off.step()
         off.tendency_split()
-        assert off.cfl_number() > 0.0
-
-    def test_locked_step_runs_no_full_period_transform(self):
-        stepper = self._stepper(6, 24)
-        calls = _count_full_period(stepper)
-        stepper.step()
-        assert stepper.cfl_number() > 0.0
-        assert calls == []
 
     def test_locked_cfl_is_the_general_formula(self):
         locked = self._stepper(6, 24)
         for _ in range(3):
             locked.step()
-        # a linearized stepper off the class, with a zero mean row, reads the
-        # CFL number of any streamfunction rows off the whole period
-        general = self._stepper(6, 24, in_class=False)
-        general._state[:, 0] = 0.0
-        assert not general._locked
-        want = general.cfl_number(locked._solve_phi(locked._rows()))
+        # the CFL formula on the whole period, after steps
+        want = _full_period_cfl(locked, locked._solve_phi(locked._rows()))
         assert want > 0.0
         assert abs(locked.cfl_number() - want) <= CFL_ULPS * np.spacing(want)
 
@@ -729,38 +711,22 @@ class TestLockedCfl:
     @pytest.mark.parametrize("M, P, L", [(2, 16, 1.0), (6, 24, 1.0), (5, 17, 2.0),
                                          (16, 56, 1.0), (32, 64, 1.0)])
     def test_matches_the_full_period_on_every_prefix(self, M, P, L):
+        # the streamfunction rows 0 .. b-1 of the state, the later rows zero
         stepper = TestLockedAdvection._stepper(M, P, L, seed=M + P)
         assert stepper._locked
         phi = stepper._solve_phi(stepper._rows())
         for b in range(1, M + 2):
-            got, want = stepper.cfl_number(phi[:b]), _full_period_cfl(stepper, phi[:b])
+            prefix = np.zeros_like(phi)
+            prefix[:b] = phi[:b]
+            got, want = stepper.cfl_number(prefix), _full_period_cfl(stepper, prefix)
             assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
 
-    @pytest.mark.parametrize("M, P, L", [(2, 16, 1.0), (6, 24, 1.0), (5, 17, 2.0),
-                                         (16, 56, 1.0), (32, 64, 1.0)])
-    def test_off_class_linearized_cfl_matches_the_full_period_on_every_prefix(self, M, P, L):
-        stepper = TestLockedAdvection._stepper(M, P, L, in_class=False, seed=M + P)
-        assert not stepper._locked and stepper._rows(1)[0].any()
-        phi = stepper._solve_phi(stepper._rows())
-        for b in range(1, M + 2):
-            got, want = stepper.cfl_number(phi[:b]), _full_period_cfl(stepper, phi[:b])
-            assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
-
-    def test_mean_flow_cfl_matches_the_full_period(self):
-        # the mean-flow state of verify's mean_robin_rate check: u1 = cosh(a x2)
-        mu, xi, P = 0.5, 1.0, 64
-        a = brentq(lambda s: s * math.tanh(s) - xi / mu, 1.0e-8, 50.0)
-        rows = np.zeros((3, P), dtype=complex)
-        rows[0] = cheb_coeffs_from_values(np.cosh(a * cgl_nodes(P)))
-        channel = ChannelConfig(L=1.0, mu=mu, slip=SlipPair(xi, xi))
-        cfg = SimConfig(channel=channel, M=2, P=P, dt=1.0e-3, linearized=True)
-        stepper = ChannelStepper(cfg, SpectralField2D(rows, 1.0))
+    def test_cfl_of_a_state_off_the_class_is_refused(self):
+        # only a linearized stepper holds such a state, and it has no CFL bound
+        stepper = TestLockedAdvection._stepper(6, 24, in_class=False)
         assert not stepper._locked
-        phi = stepper._solve_phi(stepper._rows())
-        for b in range(1, 4):
-            got, want = stepper.cfl_number(phi[:b]), _full_period_cfl(stepper, phi[:b])
-            assert want > 0.0
-            assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
+        with pytest.raises(ValueError, match="odd-in-x1"):
+            stepper.cfl_number()
 
     @pytest.mark.parametrize("end", ["start", "middle"])
     def test_reads_both_ends_of_the_half_period(self, end):
@@ -785,12 +751,3 @@ class TestLockedCfl:
         assert np.delete(peak, j).max() < 0.95 * peak[j]
         want = _full_period_cfl(stepper, phi)
         assert abs(stepper.cfl_number(phi) - want) <= CFL_ULPS * np.spacing(want)
-
-    @pytest.mark.parametrize("in_class, full", [(True, 0), (False, 2)],
-                             ids=["locked", "unlocked"])
-    def test_only_an_unlocked_cfl_transforms_the_full_period(self, in_class, full):
-        # unlocked: a linearized state off the class
-        stepper = TestLockedAdvection._stepper(6, 24, in_class=in_class)
-        calls = _count_full_period(stepper)
-        assert stepper.cfl_number() > 0.0
-        assert len(calls) == full
