@@ -23,13 +23,14 @@ Chebyshev-T series along the last axis with any leading shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import legendre
 from scipy import linalg
-from scipy.optimize import brentq
 
 __all__ = [
     "ChebBasis",
@@ -65,9 +66,12 @@ class BracketError(ValueError):
     """A root bracket does not actually bracket a sign change."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ChebBasis:
     """Tabulated wall-clamped Chebyshev basis of dimension ``size``.
+
+    Bases compare and hash by identity, so one basis is one cache key of
+    ``energy_form`` and ``gram_form``.
 
     ``node_tables[d][q, j]`` is the d-th derivative of phi_j at quadrature
     node q; ``wall_tables[d][s, j]`` the same at the wall x2 = -1 (s = 0)
@@ -171,13 +175,15 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
 
 
 def _weighted_gram(k_even_powers, basis: ChebBasis) -> np.ndarray:
-    """Sum of c_d * int(phi_i^(d) phi_j^(d)) over (d, c_d) pairs."""
+    """Sum of c_d * int(phi_i^(d) phi_j^(d)) over (d, c_d) pairs, read-only."""
     w = basis.quad_weights[:, None]
     M = np.zeros((basis.size, basis.size))
     for d, c in k_even_powers:
         T = basis.node_tables[d]
         M += c * (T * w).T @ T
-    return 0.5 * (M + M.T)  # kill roundoff asymmetry
+    M = 0.5 * (M + M.T)  # kill roundoff asymmetry
+    M.flags.writeable = False
+    return M
 
 
 def boundary_form(slip, basis: ChebBasis) -> np.ndarray:
@@ -190,13 +196,22 @@ def boundary_form(slip, basis: ChebBasis) -> np.ndarray:
     return slip.xi_minus * np.outer(dm, dm) + slip.xi_plus * np.outer(dp, dp)
 
 
+@lru_cache(maxsize=8)
 def energy_form(k: float, basis: ChebBasis) -> np.ndarray:
-    """E_ij = int(phi_i'' phi_j'' + 2 k^2 phi_i' phi_j' + k^4 phi_i phi_j), SPD."""
+    """E_ij = int(phi_i'' phi_j'' + 2 k^2 phi_i' phi_j' + k^4 phi_i phi_j), SPD.
+
+    Cached for the last few (k, basis) pairs, so the pencil, the Lanczos
+    path and the mu_c quotient of one wavenumber share one read-only array.
+    """
     return _weighted_gram([(2, 1.0), (1, 2.0 * k * k), (0, k ** 4)], basis)
 
 
+@lru_cache(maxsize=8)
 def gram_form(k: float, basis: ChebBasis) -> np.ndarray:
-    """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of the pencil."""
+    """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of the pencil.
+
+    Cached and read-only like ``energy_form``.
+    """
     return _weighted_gram([(1, 1.0), (0, k * k)], basis)
 
 
@@ -221,7 +236,8 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Root of a continuous scalar function inside a sign-changing bracket.
 
     Requires lo < hi and f(lo) * f(hi) <= 0; returns x with the final
-    bracket width below ``tol`` (plus relative machine slack).
+    bracket width below ``tol`` plus 4 eps |x|, found by Brent's method
+    (``_brent``).
     """
     if not lo < hi:
         raise BracketError(f"invalid bracket: lo = {lo} must be < hi = {hi}")
@@ -230,6 +246,52 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         return float(lo)
     if fhi == 0.0:
         return float(hi)
-    if np.sign(flo) == np.sign(fhi):
+    if not np.sign(flo) * np.sign(fhi) < 0.0:  # also refuses a NaN end
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo) = {flo:g}, f(hi) = {fhi:g}")
-    return float(brentq(f, lo, hi, xtol=tol))
+    return _brent(f, float(lo), float(hi), float(flo), float(fhi), tol)
+
+
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
+    """Brent's method on a bracket with f(xpre), f(xcur) nonzero and of opposite sign.
+
+    The steps of scipy's ``brentq`` (Brent 1973, "Algorithms for Minimization
+    without Derivatives", ch. 4) at its default rtol = 4 eps and 100
+    iterations: inverse quadratic or secant steps when they shrink the
+    bracket fast enough, bisection otherwise.  Raises RuntimeError when it
+    does not converge and ValueError when f returns NaN.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"f({xcur!r}) is NaN; the root search cannot continue")
+    raise RuntimeError(f"no convergence in {_BRENT_MAXITER} iterations, last x = {xcur!r}")

@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy import fft as sfft
 
 from ..model import SlipPair, ValidationError
 from ..modes import ModePacket, packet_streamfunction_profile
@@ -63,19 +62,25 @@ def cgl_nodes(P: int) -> np.ndarray:
     return np.cos(math.pi * np.arange(P) / (P - 1))
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized type-I DCT along axis 0 (``scipy.fft.dct(x, type=1, axis=0)``):
+    the real FFT of the even extension x_0 .. x_(P-1), x_(P-2) .. x_1."""
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]]), axis=0).real
+
+
 @lru_cache(maxsize=32)
 def _cheb_transform_matrix(P: int, to_values: bool) -> np.ndarray:
     """(P, P) map from CGL node values to Chebyshev-T coefficients, or back.
 
-    Built once per P from the type-I DCT of the identity.
+    Built once per P from the type-I DCT of the identity, ``_dct1``.
     """
     scale = np.ones(P)
     if to_values:
         scale[[0, -1]] = 2.0
-        out = 0.5 * sfft.dct(np.diag(scale), type=1, axis=0)
+        out = 0.5 * _dct1(np.diag(scale))
     else:
         scale[[0, -1]] = 0.5
-        out = scale[:, None] * sfft.dct(np.eye(P), type=1, axis=0) / (P - 1)
+        out = scale[:, None] * _dct1(np.eye(P)) / (P - 1)
     out.flags.writeable = False
     return out
 

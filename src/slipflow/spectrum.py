@@ -29,11 +29,14 @@ do not increase with lambda, so each branch with kappa_i(0) > 1 crosses 1
 exactly once: there are at most two growth rates, and mu kappa_1(0) is
 mu_c(k).  Second, lambda_1 equals the maximum of the Rayleigh quotient
 B_k(phi,phi) / int((phi')^2 + k^2 phi^2), computed here by Lanczos iteration
-with full reorthogonalization and a Sturm-sequence bisection.  The whitened
-operator L^-1 B L^-T (A = L L^T) is formed once per call, so each Lanczos
-step is one matrix-vector product.  The path factors A itself and calls no
-dense eigensolver, so it shares no factorization or eigensolver with the
-dense solve.
+from one random start, with full reorthogonalization, a restart at each
+invariant subspace and a Sturm-sequence bisection.  The whitened operator
+L^-1 B L^-T (A = L L^T) is formed once per call, so each Lanczos step is
+one matrix-vector product.  The path factors A itself and calls no dense
+eigensolver, so it shares no factorization or eigensolver with the dense
+solve.  It does share the assembled forms: ``energy_form`` and ``gram_form``
+are cached per (k, basis), so the pencil, the Lanczos path and the mu_c
+quotient of one wavenumber read one E and one A.
 """
 
 from __future__ import annotations
@@ -238,47 +241,62 @@ def _largest_tridiagonal_eigenvalue(alpha: np.ndarray, beta: np.ndarray) -> floa
     return float(top[0])
 
 
+def _lanczos_top_eigenvalue(W: np.ndarray, rng: np.random.Generator) -> float:
+    """Largest eigenvalue of the symmetric W by n = size Lanczos steps.
+
+    Full reorthogonalization (two passes) keeps the n Lanczos vectors
+    orthonormal.  A step whose new direction vanishes (b below 1e-14
+    max(|alpha_j|, 1)) has found an invariant subspace; the run then
+    restarts from a fresh random vector, orthogonalized twice against the
+    vectors so far, with beta_j = 0.  The n x n tridiagonal T is therefore
+    orthogonally similar to W for every start, and its largest eigenvalue,
+    by Sturm bisection, is the top eigenvalue of W.
+    """
+    n = W.shape[0]
+    Q = np.empty((n, n))  # Lanczos vectors by rows
+    alpha = np.empty(n)
+    beta = np.empty(n - 1)
+    w = rng.standard_normal(n)
+    b = math.sqrt(w @ w)
+    for j in range(n):
+        Q[j] = q = w / b
+        w = W @ q
+        alpha[j] = q @ w
+        if j + 1 == n:
+            break
+        Qj = Q[: j + 1]
+        w -= (Qj @ w) @ Qj  # full reorthogonalization
+        w -= (Qj @ w) @ Qj
+        b = math.sqrt(w @ w)
+        if b < 1e-14 * max(abs(alpha[j]), 1.0):
+            beta[j] = 0.0
+            w = rng.standard_normal(n)
+            w -= (Qj @ w) @ Qj
+            w -= (Qj @ w) @ Qj
+            b = math.sqrt(w @ w)
+        else:
+            beta[j] = b
+    return _largest_tridiagonal_eigenvalue(alpha, beta)
+
+
 def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0) -> float:
     """Maximum of the Rayleigh quotient B_k(phi,phi)/int((phi')^2+k^2 phi^2).
 
     Independent of the dense pencil solver: the quotient is maximized by
-    Lanczos iterations (random start, full reorthogonalization) on the
-    A-whitened operator W = L^-1 B L^-T, with the tridiagonal maximum
+    Lanczos iterations (one random start, full reorthogonalization, a
+    restart at each invariant subspace, see ``_lanczos_top_eigenvalue``) on
+    the A-whitened operator W = L^-1 B L^-T, with the tridiagonal maximum
     extracted by Sturm bisection.  W is formed once from the Cholesky factor
     A = L L^T by two triangular solves on matrices, so a Lanczos step is one
     matrix-vector product; no eigensolver of the dense path is involved.
-    Two random starts guard against an unlucky start vector.
+    The Lanczos basis spans the whole space, so the maximum does not depend
+    on the start beyond roundoff.
     """
     pencil = assemble(problem, basis)
-    n = basis.size
     L = linalg.cholesky(pencil.A, lower=True)
     X = linalg.solve_triangular(L, pencil.B, lower=True)  # L^-1 B
     W = linalg.solve_triangular(L, X.T, lower=True)  # L^-1 B L^-T, B symmetric
-
-    rng = np.random.default_rng(seed)
-    best = -math.inf
-    for _ in range(2):
-        q = rng.standard_normal(n)
-        q /= np.linalg.norm(q)
-        Q = np.empty((n, n))  # Lanczos vectors by rows
-        alpha = np.empty(n)
-        beta = np.empty(n)
-        m = 0
-        for j in range(n):
-            Q[j] = q
-            w = W @ q
-            alpha[j] = q @ w
-            Qj = Q[: j + 1]
-            w -= (Qj @ w) @ Qj  # full reorthogonalization
-            w -= (Qj @ w) @ Qj
-            m = j + 1
-            b = math.sqrt(w @ w)
-            if j + 1 == n or b < 1e-14 * max(abs(alpha[j]), 1.0):
-                break
-            beta[j] = b
-            q = w / b
-        best = max(best, _largest_tridiagonal_eigenvalue(alpha[:m], beta[: max(m - 1, 0)]))
-    return float(best)
+    return _lanczos_top_eigenvalue(W, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,19 @@ class TestModuleInvocation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_scipy_optimize_fft_and_special_unloaded(self):
+        # the root finder and the DCT are numpy code; these three scipy
+        # subpackages add to every command's start-up time
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import slipflow.sim, slipflow.cli, sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'fft'], "
+             "['scipy', 'special'])))"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")

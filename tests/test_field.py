@@ -301,6 +301,17 @@ def test_gram_matrices_are_cached_read_only():
 
 # -- matrix Chebyshev transforms against scipy's DCT-I ----------------------
 
+def test_transform_matrices_are_scipy_dct_of_the_identity():
+    eps = np.finfo(float).eps
+    for P in range(4, 200):
+        eye = np.eye(P)
+        for got, want in ((field_module._cheb_transform_matrix(P, False),
+                           dct_coeffs_from_values(eye, axis=0)),
+                          (field_module._cheb_transform_matrix(P, True),
+                           dct_values_from_coeffs(eye, axis=0))):
+            assert np.abs(got - want).max() <= 4.0 * eps * np.abs(want).max(), P
+
+
 @pytest.mark.parametrize("P", [16, 24, 64, 96])
 @pytest.mark.parametrize("layout", ["axis1", "axis0", "1d"])
 @pytest.mark.parametrize("dtype", [float, complex])

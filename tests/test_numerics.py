@@ -160,6 +160,25 @@ def test_forms_closed_form_entries(basis32):
     assert np.linalg.eigvalsh(E).min() > 0.0
 
 
+def test_forms_are_cached_read_only_per_basis(basis32):
+    for form in (energy_form, gram_form):
+        M = form(1.3, basis32)
+        assert M is form(1.3, basis32)
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    # bases are keys by identity: an equal basis built twice is two keys
+    first, second = build_basis(48), build_basis(48)
+    assert energy_form(1.3, first) is not energy_form(1.3, second)
+    assert np.array_equal(energy_form(1.3, first), energy_form(1.3, second))
+
+
+def test_find_root_bracketed_refuses_nan_values():
+    with pytest.raises(BracketError):
+        find_root_bracketed(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        find_root_bracketed(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0)
+
+
 def test_find_root_bracketed():
     root = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0)
     assert abs(root - math.sqrt(2.0)) < 1e-11

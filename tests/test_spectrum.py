@@ -7,6 +7,7 @@ from conftest import standard_cases
 from slipflow.model import ModeProblem, SlipPair
 from slipflow.numerics import build_basis
 from slipflow.spectrum import (
+    _lanczos_top_eigenvalue,
     assemble,
     characteristic_determinant,
     determinant_roots,
@@ -141,6 +142,78 @@ def test_lambda1_variational_keeps_digits_near_mu_c(k, xi, basis96):
     for seed in (0, 1, 2, 3, 11):
         lam_v = lambda1_variational(problem, basis96, seed=seed)
         assert abs(lam_v - lam_g) <= 1e-8 * abs(lam_g), seed
+
+
+class _StartAt:
+    """A generator whose first draw is ``start``; later draws are random."""
+
+    def __init__(self, start):
+        self.start = np.array(start, dtype=float)
+        self.rng = np.random.default_rng(0)
+        self.draws = 0
+
+    def standard_normal(self, n):
+        self.draws += 1
+        return self.start if self.draws == 1 else self.rng.standard_normal(n)
+
+
+def test_lanczos_restarts_from_an_eigenvector_of_a_repeated_eigenvalue():
+    # e_2 spans an invariant subspace of diag(5, 1, ..., 1): the first step
+    # breaks down, and the restarts must still reach the eigenvalue 5
+    n = 40
+    start = np.zeros(n)
+    start[1] = 1.0
+    rng = _StartAt(start)
+    top = _lanczos_top_eigenvalue(np.diag([5.0] + [1.0] * (n - 1)), rng)
+    assert abs(top - 5.0) <= 1e-14 * 5.0
+    assert rng.draws > 2
+
+
+def test_lanczos_restarts_from_a_repeated_eigenspace():
+    # the start lies in the eigenspace of the double eigenvalue 3, which is
+    # invariant: one restart must reach the eigenvalue 7
+    n = 40
+    X = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))[0]
+    lam = np.concatenate([[7.0, 3.0, 3.0], np.linspace(-2.0, 2.0, n - 3)])
+    W = (X * lam) @ X.T
+    rng = _StartAt(X[:, 1] + 2.0 * X[:, 2])
+    top = _lanczos_top_eigenvalue(0.5 * (W + W.T), rng)
+    assert abs(top - 7.0) <= 1e-14 * 7.0
+    assert rng.draws == 2
+
+
+def test_find_root_bracketed_is_scipy_brentq_on_the_benchmark_grid(basis48, monkeypatch):
+    # every determinant root of the benchmark grid and every escape time
+    from scipy.optimize import brentq
+
+    from slipflow.critical import mu_c_closed_form
+    from slipflow.modes import build_packet, escape_time
+    from slipflow.numerics import find_root_bracketed
+
+    roots = []
+
+    def checked(f, lo, hi, tol=1e-12):
+        root = find_root_bracketed(f, lo, hi, tol)
+        assert root == brentq(f, lo, hi, xtol=tol)
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr("slipflow.spectrum.find_root_bracketed", checked)
+    monkeypatch.setattr("slipflow.modes.find_root_bracketed", checked)
+    for k in BENCHMARK_KS:
+        for xi in BENCHMARK_SLIPS:
+            slip = SlipPair(*xi)
+            mu_c = mu_c_closed_form(k, slip)
+            for f in BENCHMARK_FRACTIONS:
+                determinant_roots(ModeProblem(k=k, mu=f * mu_c, slip=slip))
+    count = len(roots)
+    assert count == 98
+    for mu in (0.5, 0.1):
+        problem = ModeProblem(k=1.0, mu=mu, slip=SlipPair(1.0, 1.0))
+        packet = build_packet(solve_spectrum(assemble(problem, basis48)))
+        for delta in (1e-3, 1e-5, 1e-7):
+            escape_time(packet, delta, 2e-2)
+    assert len(roots) == count + 6
 
 
 def test_characteristic_determinant_requires_positive_lambda():
