@@ -158,12 +158,15 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
         if np.abs(M - M.T).max() > 1e-12 * scale:
             raise NonSymmetricError(f"matrix {name} is not symmetric to relative 1e-12")
     try:
-        linalg.cholesky(A, lower=True)
+        w, V = linalg.eigh(B, A)  # factors A itself
     except linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "mass matrix is not positive definite; the trial basis or assembly is broken"
-        )
-    w, V = linalg.eigh(B, A)
+        try:
+            linalg.cholesky(A, lower=True)
+        except linalg.LinAlgError:
+            raise NotPositiveDefiniteError(
+                "mass matrix is not positive definite; the trial basis or assembly is broken"
+            ) from None
+        raise
     order = np.argsort(w)[::-1]  # descending, stable for exact ties
     return w[order], _fix_signs(V[:, order])
 

@@ -15,7 +15,13 @@ Weak form: lambda * int(phi' theta' + k^2 phi theta) equals the bilinear form
 
 for all wall-vanishing theta; the slip conditions are natural.  Projected on
 the trial basis this is the symmetric pencil B v = lambda A v with B = R -
-mu E indefinite and A the SPD Gram form, solved densely.
+mu E indefinite and A the SPD Gram form, solved densely.  The leading pairs
+then take one correction step: their residual is formed from B and A
+themselves, where the dense solver's backward error shows in full, and is
+corrected through the computed eigenbasis, which squares that error for
+O(N^2) work per pair and factors no shifted pencil.  A pair keeps its dense
+value when the step does not strictly lower its residual or, at an exact
+eigenvalue tie, gives no finite correction.
 
 Two independent cross-checks are provided.  First, the operator method of
 Lafitte & Nguyen: lambda >= 0 is a growth rate exactly when 1 is an
@@ -34,15 +40,17 @@ invariant subspace and a Sturm-sequence bisection.  The whitened operator
 L^-1 B L^-T (A = L L^T) is formed once per call, so each Lanczos step is
 one matrix-vector product.  The path factors A itself and calls no dense
 eigensolver, so it shares no factorization or eigensolver with the dense
-solve.  It does share the assembled forms: ``energy_form`` and ``gram_form``
-are cached per (k, basis), so the pencil, the Lanczos path and the mu_c
-quotient of one wavenumber read one E and one A.
+solve.  It does share the assembled pencil: ``assemble`` is cached per
+(problem, basis) and ``energy_form`` and ``gram_form`` per (k, basis), so
+the dense solve, the Lanczos path and the mu_c quotient of one wavenumber
+read one B, one E and one A.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -117,47 +125,67 @@ class DeterminantTrace:
     marginal: int
 
 
+@lru_cache(maxsize=8)
 def assemble(problem: ModeProblem, basis: ChebBasis) -> AssembledPencil:
-    """Assemble B = R - mu E and the Gram form A for the problem's wavenumber."""
+    """Assemble B = R - mu E and the Gram form A for the problem's wavenumber.
+
+    Cached for the last few (problem, basis) pairs like ``energy_form``, so
+    the dense solve and the Lanczos path of one check share one read-only
+    pencil.
+    """
     k = problem.k
-    R = boundary_form(problem.slip, basis)
-    E = energy_form(k, basis)
-    return AssembledPencil(B=R - problem.mu * E, A=gram_form(k, basis), problem=problem, basis=basis)
+    B = boundary_form(problem.slip, basis) - problem.mu * energy_form(k, basis)
+    B.flags.writeable = False
+    return AssembledPencil(B=B, A=gram_form(k, basis), problem=problem, basis=basis)
 
 
 def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarray, count: int):
-    """One inverse-iteration / Rayleigh-quotient step on the leading pairs.
+    """One stacked correction step on the leading pairs, through the dense eigenbasis.
 
-    The dense solve leaves a backward error of order eps * ||B|| per pair,
-    which the strong-form residual inherits through the fourth derivative.
-    Solving (B - lambda A) y = A v once per pair and taking the Rayleigh
-    quotient of the A-normalized result squares that error.  A refined pair
-    replaces the original only when its pencil residual strictly improves,
-    so the step can never degrade a converged pair.
+    The dense solve returns pairs (w, V) that are exact for a nearby pencil
+    (B + dB, A + dA) with |dB| of order eps ||B||, and the strong-form
+    residual inherits that backward error through the fourth derivative.
+    For the leading pairs X = V[:, :n] with eigenvalues lambda_j, the
+    residual R = B X - A X diag(lambda) is formed from B and A themselves:
+    in the computed coordinates it would read zero, here it carries the
+    backward error in full.  Since V^T (B + dB) V = diag(w) and
+    V^T (A + dA) V = I, B - lambda_j A = V^-T (diag(w) - lambda_j) V^-1
+    - (dB - lambda_j dA), so the Newton correction of pair j,
+    -V [(V^T r_j) / (w_i - lambda_j)] with its own entry i = j dropped, is
+    exact but for dB and dA acting on a correction that is itself of their
+    order.  The corrected pair's error is therefore of order the squared
+    backward error over the eigenvalue gaps, as after one inverse-iteration
+    step, for O(N^2) work per pair instead of an O(N^3) factorization.  Each
+    corrected column is A-normalized and its Rayleigh quotient taken.
+
+    A pair is replaced only when its pencil residual strictly falls, so the
+    step never degrades a converged pair, and a replaced vector keeps the
+    sign with y^T A v >= 0.  An exact tie w_i = lambda_j (i != j) divides
+    by zero: the correction is not finite and the dense pair stays, with no
+    floating-point warning.
     """
     A, B = pencil.A, pencil.B
-    lams = lams.copy()
-    V = V.copy()
-    for j in range(min(count, lams.size)):
-        lam = lams[j]
-        v = V[:, j]
-        Av = A @ v
-        r_old = np.linalg.norm(B @ v - lam * Av)
-        try:
-            y = np.linalg.solve(B - lam * A, Av)
-        except np.linalg.LinAlgError:
-            continue
-        nrm = float(y @ (A @ y))
-        if not (np.isfinite(nrm) and nrm > 0.0):
-            continue
-        y = y / math.sqrt(nrm)
-        lam_new = float(y @ (B @ y))
-        r_new = np.linalg.norm(B @ y - lam_new * (A @ y))
-        if r_new < r_old:
-            if float(y @ Av) < 0.0:
-                y = -y
-            lams[j] = lam_new
-            V[:, j] = y
+    n = min(count, lams.size)
+    X, lam = V[:, :n], lams[:n]
+    AX = A @ X
+    R = B @ X - AX * lam
+    gap = lams[:, None] - lam
+    gap[np.arange(n), np.arange(n)] = np.inf  # a pair does not correct itself
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Y = X - V @ ((V.T @ R) / gap)
+        AY = A @ Y
+        norm2 = np.einsum("ij,ij->j", Y, AY)
+        scale = np.sqrt(norm2)
+        Y, AY = Y / scale, AY / scale
+        BY = B @ Y
+        lam_new = np.einsum("ij,ij->j", Y, BY)
+        r_new = np.linalg.norm(BY - AY * lam_new, axis=0)
+    # NaN compares False, so a non-finite correction keeps the dense pair
+    better = np.flatnonzero(np.isfinite(norm2) & (norm2 > 0.0) & (r_new < np.linalg.norm(R, axis=0)))
+    Y = Y[:, better]
+    Y *= np.where(np.einsum("ij,ij->j", Y, AX[:, better]) < 0.0, -1.0, 1.0)
+    lams, V = lams.copy(), V.copy()
+    lams[better], V[:, better] = lam_new[better], Y
     order = np.argsort(-lams, kind="stable")
     return lams[order], V[:, order]
 

@@ -82,6 +82,27 @@ def test_generalized_eig_rejects_bad_input():
         solve_generalized_symmetric(np.eye(3), np.eye(2))
 
 
+def test_generalized_eig_factors_the_mass_side_once(monkeypatch):
+    # eigh(B, A) factors A itself; a separate Cholesky runs only to classify a failure
+    from scipy import linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a separate Cholesky factorization ran")
+
+    monkeypatch.setattr("scipy.linalg.cholesky", forbidden)
+    w, _ = solve_generalized_symmetric(np.diag([3.0, 1.0]), np.diag([1.0, 2.0]))
+    assert np.allclose(w, [3.0, 0.5], rtol=1e-15, atol=0.0)
+    monkeypatch.undo()
+
+    def no_convergence(*args, **kwargs):
+        raise linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr("scipy.linalg.eigh", no_convergence)
+    with pytest.raises(linalg.LinAlgError) as info:
+        solve_generalized_symmetric(np.eye(2), np.eye(2))
+    assert not isinstance(info.value, NotPositiveDefiniteError)
+
+
 def test_sign_convention_deterministic():
     B = np.diag([3.0, 2.0, 1.0])
     _, V = solve_generalized_symmetric(B, np.eye(3))

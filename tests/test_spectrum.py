@@ -1,13 +1,19 @@
 """Galerkin spectrum against the rank-2 slip-operator oracle and the Lanczos path."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from conftest import standard_cases
 
 from slipflow.model import ModeProblem, SlipPair
-from slipflow.numerics import build_basis
+from slipflow.numerics import build_basis, solve_generalized_symmetric
 from slipflow.spectrum import (
+    AssembledPencil,
+    Spectrum,
     _lanczos_top_eigenvalue,
+    _refine_leading_pairs,
     assemble,
     characteristic_determinant,
     determinant_roots,
@@ -106,6 +112,113 @@ def test_lambda1_variational_calls_no_dense_eigensolver(basis64, monkeypatch):
 BENCHMARK_KS = (0.05, 0.5, 1.0, 4.0, 16.0)
 BENCHMARK_SLIPS = ((1.0, 1.0), (0.0, 3.0), (10.0, 0.1))
 BENCHMARK_FRACTIONS = (1.0e-3, 1.0e-2, 0.1, 0.5, 0.999)
+
+
+def test_assemble_is_cached_and_read_only(basis32):
+    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    pencil = assemble(problem, basis32)
+    assert pencil is assemble(ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)), basis32)
+    for M in (pencil.B, pencil.A):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
+def _lu_refined(pencil, lams, V, count):
+    """Reference: one LU inverse-iteration / Rayleigh-quotient step per leading pair."""
+    A, B = pencil.A, pencil.B
+    lams, V = lams.copy(), V.copy()
+    for j in range(min(count, lams.size)):
+        v = V[:, j]
+        Av = A @ v
+        y = np.linalg.solve(B - lams[j] * A, Av)
+        y = y / math.sqrt(y @ (A @ y))
+        lam = float(y @ (B @ y))
+        if np.linalg.norm(B @ y - lam * (A @ y)) < np.linalg.norm(B @ v - lams[j] * Av):
+            lams[j], V[:, j] = lam, y if y @ Av >= 0.0 else -y
+    order = np.argsort(-lams, kind="stable")
+    return lams[order], V[:, order]
+
+
+@pytest.mark.parametrize("k", BENCHMARK_KS)
+@pytest.mark.parametrize("xi", BENCHMARK_SLIPS)
+def test_refinement_matches_lu_inverse_iteration_on_benchmark_grid(k, xi, basis48):
+    # the stacked step through the dense eigenbasis against one LU solve per
+    # pair: residuals within 1.5x, eigenvalues to 1e-12 relative or, when an
+    # eigenvalue is small beside the pencil, to the roundoff of one Rayleigh
+    # quotient, eps |v|^T |B| |v|, which either path carries
+    from slipflow.critical import mu_c_closed_form
+
+    slip = SlipPair(*xi)
+    mu_c = mu_c_closed_form(k, slip)
+    for f in BENCHMARK_FRACTIONS:
+        problem = ModeProblem(k=k, mu=f * mu_c, slip=slip)
+        pencil = assemble(problem, basis48)
+        spec = solve_spectrum(pencil)
+        n = resolved_count(spec)
+        lams, V = _lu_refined(pencil, *solve_generalized_symmetric(pencil.B, pencil.A), n)
+        reference = Spectrum(problem, lams, V, int(np.count_nonzero(lams > 0.0)), basis48)
+        strong = spectrum_residuals(spec)[0][:n]
+        assert np.all(strong <= 1.5 * spectrum_residuals(reference)[0][:n]), f
+        assert spec.positive_count == reference.positive_count
+        pos = slice(reference.positive_count)
+        absV = np.abs(V[:, pos])
+        roundoff = np.finfo(float).eps * np.einsum("ij,ij->j", absV, np.abs(pencil.B) @ absV)
+        gap = np.abs(spec.eigenvalues[pos] - lams[pos])
+        assert np.all(gap <= np.maximum(1e-12 * np.abs(lams[pos]), roundoff)), f
+
+
+def _diagonal_pencil(diagonal):
+    n = len(diagonal)
+    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    return AssembledPencil(B=np.diag(diagonal), A=np.eye(n), problem=problem, basis=build_basis(n))
+
+
+def test_refinement_keeps_exactly_tied_pairs_without_warning():
+    # (diag, I) with exact eigenvalues, so equal entries are exact ties, and
+    # vectors off by 1e-7
+    lams = np.array([5.0, 5.0, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0])
+    V = np.eye(8) + 1e-7 * np.random.default_rng(3).standard_normal((8, 8))
+    pencil = _diagonal_pencil(lams)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refined, W = _refine_leading_pairs(pencil, lams, V, 4)
+    # the tie w_0 = w_1 makes both corrections non-finite: the dense pairs stay
+    assert np.array_equal(refined[:2], lams[:2])
+    assert np.array_equal(W[:, :2], V[:, :2])
+    # the untied pairs are corrected to far below the perturbation, signs kept
+    residual = np.linalg.norm(pencil.B @ W[:, 2:4] - W[:, 2:4] * refined[2:4], axis=0)
+    assert residual.max() <= 1e-12
+    assert np.all(np.einsum("ij,ij->j", W[:, 2:4], V[:, 2:4]) > 0.0)
+
+
+def test_refinement_keeps_a_pair_whose_residual_does_not_fall():
+    # pair 0 leans 1e-6 towards e_1, and pair 1 states 3.75 for the eigenvalue
+    # 3: the correction of pair 0 divides by the wrong gap and triples its
+    # residual, so pair 0 stays; pair 1's own correction lowers its residual
+    eps = 1e-6
+    lams = np.array([4.0, 3.75, 2.0, 1.0])
+    V = np.eye(4)
+    V[1, 0] = eps
+    pencil = _diagonal_pencil([4.0, 3.0, 2.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refined, W = _refine_leading_pairs(pencil, lams, V, 2)
+    assert refined[0] == lams[0]
+    assert np.array_equal(W[:, 0], V[:, 0])
+    assert abs(refined[1] - 3.0) <= 1e-10
+
+
+def test_solve_spectrum_factors_no_shifted_pencil(basis64, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the refinement factored a shifted pencil")
+
+    monkeypatch.setattr("numpy.linalg.solve", forbidden)
+    monkeypatch.setattr("scipy.linalg.lu_factor", forbidden)
+    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    spectrum = solve_spectrum(assemble(problem, basis64))
+    n_gal, n_oracle, rel = oracle_agreement(spectrum)
+    assert n_gal == n_oracle >= 1
+    assert rel <= 1e-8
 
 
 @pytest.mark.parametrize("k", BENCHMARK_KS)
