@@ -46,11 +46,19 @@ __all__ = [
 
 def boundary_production(u1: SpectralField2D, slip: SlipPair) -> float:
     """xi-weighted squared wall traces of u1, integrated over x1."""
-    wts = np.full(u1.M + 1, 2.0)
+    return _production(u1.coefficients, u1.L, slip)
+
+
+def _production(rows: np.ndarray, L: float, slip: SlipPair) -> float:
+    """``boundary_production`` of u1 Chebyshev rows (..., M + 1, P): complex
+    rows, or the real and imaginary planes of them stacked on a leading axis,
+    whose squared wall traces are summed."""
+    traces = wall_values(rows)
+    sq = (np.abs(traces) ** 2).reshape(2, -1, traces.shape[-1]).sum(axis=1)
+    wts = np.full(sq.shape[-1], 2.0)
     wts[0] = 1.0
-    circ = 2.0 * math.pi * u1.L
-    bot, top = (float(wts @ np.abs(trace) ** 2) for trace in wall_values(u1.coefficients))
-    return circ * (slip.xi_plus * top + slip.xi_minus * bot)
+    bot, top = sq @ wts
+    return 2.0 * math.pi * L * float(slip.xi_plus * top + slip.xi_minus * bot)
 
 
 def gradient_dissipation(u1: SpectralField2D, u2: SpectralField2D, mu: float) -> float:

@@ -17,6 +17,10 @@ quantity is a per-mode quadratic form with a cached (P, P) Gram matrix
 G_k[i, j] = int T_i^(k) T_j^(k) dx2, integrated by P-point Gauss-Legendre
 quadrature, which is exact for the degree <= 2P - 2 integrands; an x1
 derivative is a kappa_n^2 weight on the mode's form.  The norms are exact.
+A diagnostics record (``sim.run``) forms the same per-mode forms without
+building fields: the stepper's fixed maps take streamfunction node rows to
+velocity coefficients and apply G0, G1 and G2 stacked side by side, and the
+record reads its norms through ``_sobolev_norms`` like ``velocity_norms``.
 
 Streamfunction convention used by the solver: a field interpreted as a
 streamfunction carries the perturbation streamfunction in rows n >= 1 and
@@ -230,6 +234,14 @@ def _kappa_sq(rows: int, L: float) -> np.ndarray:
     return (np.arange(rows) / L) ** 2
 
 
+def _mode_weights(rows: int, L: float) -> np.ndarray:
+    """Channel integral of the first ``rows`` Fourier rows' forms over x1:
+    2 pi L for the mean row, 4 pi L for n >= 1, which count mode -n too."""
+    weights = np.full(rows, 4.0 * math.pi * L)
+    weights[0] = 2.0 * math.pi * L
+    return weights
+
+
 def _gram_forms(rows: np.ndarray, L: float, orders, other: np.ndarray | None = None):
     """Per-mode L2 inner products of the order-th x2 derivatives of field stacks.
 
@@ -253,9 +265,7 @@ def _gram_forms(rows: np.ndarray, L: float, orders, other: np.ndarray | None = N
     gram = np.concatenate([_gram_matrix(P, order) for order in orders])
     ga = (gram @ a.reshape(P, -1)).reshape(lead)
     q = (ga * b).sum(axis=1)
-    weights = np.full(M1, 4.0 * math.pi * L)
-    weights[0] = 2.0 * math.pi * L
-    return weights * (q[..., 0::2] + q[..., 1::2])
+    return _mode_weights(M1, L) * (q[..., 0::2] + q[..., 1::2])
 
 
 def _velocity_forms(u1: SpectralField2D, u2: SpectralField2D, orders) -> np.ndarray:

@@ -34,18 +34,14 @@ import numpy as np
 
 from ..model import ValidationError
 from ..output import write_csv, write_json
-from .energy import _dissipation, boundary_production
-from .field import (
-    SpectralField2D,
-    _gram_forms,
-    _sobolev_norms,
-    cheb_coeffs_from_values,
-)
+from .energy import _dissipation, _production
+from .field import SpectralField2D, _kappa_sq, _mode_weights, _sobolev_norms
 from .stepper import (
     CFL_LIMIT,
     ChannelStepper,
     SimConfig,
     SimulationBlowupError,
+    _complex,
     check_boundary_conditions,
 )
 
@@ -111,58 +107,98 @@ class _Recorder:
     def __init__(self, stepper: ChannelStepper):
         self.stepper = stepper
         self.rows = []
+        # per-mode weights of the u1 forms and of the u2 / (-i kappa_n) forms
+        M1, L = stepper.cfg.M + 1, stepper.L
+        w = _mode_weights(M1, L)
+        self._weights = np.stack([w, w * _kappa_sq(M1, L)], axis=-1)
 
     def record(self):
         """Append the diagnostics row of the stepper's current state.
 
-        One pass over the state: its streamfunction is solved once, and the
-        velocity rows of the state, of the viscous tendency and (nonlinear
-        runs only) of the advective tendency are stacked, transformed to
-        Chebyshev coefficients once and go through each Gram matrix once
-        (``_gram_forms`` of the state's velocity against the stack).  The
-        norms, the dissipation and both energy rates are read off those
-        shared forms by the same formulas as ``velocity_norms``,
-        ``gradient_dissipation`` and ``scalar_inner``.  Returns the
-        velocity (u1, u2) and its norms (l2, h1, h2).  On a nonlinear
+        One pass over the real state planes of the rows 0 .. b-1 the
+        diagnostics read, b the end of the stepper's box: all M+1 rows of a
+        nonlinear state, and on a linearized one the prefix ending with its
+        last live row (b >= 1, so the mean row stays).  Every later row is
+        exactly zero in the streamfunction, the velocity, the viscous
+        tendency and that tendency's velocity, so the prefix has the same
+        norms, wall traces and inner products as the full rows.  A locked
+        state reads its imaginary plane alone, the real one being zero.
+
+        The state rows, the viscous tendency rows and (nonlinear runs only)
+        the advective tendency rows are stacked and their rows n >= 1
+        solved for the streamfunction in one stacked product
+        (``_solve_planes``; a nonlinear record solves the state first,
+        since its advection needs it).  One product with ``_coeff_map``
+        takes the stack to the Chebyshev coefficients of u1 and of
+        u2 / (-i kappa_n), and one product with ``_gram_stack`` applies
+        G0, G1 and G2 to the state's.  Two contractions give the state's
+        per-mode forms q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k and b_k the
+        G_k forms of the two coefficient rows, and its G0 cross forms with
+        each tendency.  ``_sobolev_norms``, ``_dissipation`` and the wall
+        trace formula of ``boundary_production`` read the norms, the
+        dissipation and the production off them.
+
+        The Gram matrices act on the coefficients, not folded into one
+        node-space form V^T G_k V per quantity: that folding moves h2 by
+        1e-7 to 1e-6 relative to the per-field functions (``velocity_norms``,
+        ``scalar_inner``), where the coefficient form stays within 1e-11 of
+        them.  Against a long-double evaluation with exact Chebyshev maps
+        and Gram matrices, the per-field h2 and the record's h2 both read
+        1e-11 to 3e-11 off, so neither is the more accurate.
+
+        Returns the velocity (u1, u2) as b-row fields built from the same
+        coefficient rows, and its norms (l2, h1, h2).  On a nonlinear
         stepper the row is appended before ``_abort_past_cfl_one`` reads
         the CFL number, so a failed run's diagnostics end with that row.
-
-        The record works on the rows 0 .. b-1 the stepper's diagnostics
-        read (``_diagnostic_rows``), b the end of its box: all M+1 rows of
-        a nonlinear state, and on a linearized one the prefix ending with
-        its last live row (b >= 1, so the mean row stays).  Every later row
-        is exactly zero in the streamfunction, the velocity, the viscous
-        tendency and that tendency's velocity, so the prefix fields have
-        the same norms, wall traces and inner products as the full ones,
-        and (u1, u2) come back with b rows.
         """
         st = self.stepper
-        omega = st._diagnostic_rows()
-        phi = st._solve_phi(omega)
-        visc, adv = st.tendency_split(phi)
-        rows = [omega, visc] if st.cfg.linearized else [omega, visc, adv]
-        phis = np.stack([phi] + [st._solve_phi(r) for r in rows[1:]])
-        u1, u2 = st._velocity_nodes(phis, np.stack([r[0] for r in rows]))
-        # axes (state / visc / adv, component, mode, Chebyshev)
-        coeffs = cheb_coeffs_from_values(np.stack([u1, u2], axis=1), axis=-1)
-        q = _gram_forms(coeffs[0], st.L, (0, 1, 2), other=coeffs)
-        q_state = q[:, 0].sum(axis=1)  # the velocity's forms, components summed
-        norms = _sobolev_norms(q_state, st.L)
+        P = st.cfg.P
+        b = st._diagnostic_end
+        x = st._state[1:, :b] if st._locked else st._state[:, :b]
+        # the state, viscous and (nonlinear) advective tendency planes
+        stack = np.zeros((2 if st.cfg.linearized else 3,) + x.shape)
+        stack[0] = x
+        visc = stack[1]
+        np.matmul(x, st.D2.T, out=visc)
+        visc -= (st.kappa[:b] ** 2)[:, None] * x
+        visc *= st.mu
+        if st.cfg.linearized:
+            st._solve_planes(stack)
+        else:
+            phi = stack[0]
+            st._solve_planes(stack[:1])
+            # the advective tendency rows are -i a_n, a from _advection
+            stack[2, 0, 1:] = -st._advection(phi[0, 1:], x[0, 1:])
+            st._solve_planes(stack[1:])
+        # axes (state / visc / adv, plane, row, u1 or u2 / (-i kappa), Chebyshev)
+        c = stack @ st._coeff_map
+        # the mean row is u1 itself; its other half is weighted by kappa_0 = 0
+        c[..., 0, :P] = c[..., 0, P:]
+        c = c.reshape(*c.shape[:-1], 2, P)
+        s = c[0]
+        sg = (s @ st._gram_stack).reshape(*s.shape[:-1], 3, P)
+        w = self._weights[:b]
+        q = np.einsum("pnckj,pncj,nc->kn", sg, s, w)
+        rates = np.einsum("pncj,tpncj,nc->t", sg[..., 0, :], c[1:], w)
+        norms = _sobolev_norms(q, st.L)
         l2, h1, h2 = norms
-        u = SpectralField2D(coeffs[0, 0], st.L), SpectralField2D(coeffs[0, 1], st.L)
-        bp = boundary_production(u[0], st.slip)
-        diss = _dissipation(q_state, st.L, st.mu)
-        dedt_v = float(q[0, 1].sum())
+        bp = _production(s[..., 0, :], st.L, st.slip)
+        diss = _dissipation(q, st.L, st.mu)
+        dedt_v = float(rates[0])
         if st.cfg.linearized:
             dedt_a = nlf = 0.0
         else:
-            dedt_a = float(q[0, 2].sum())
-            nlf = -dedt_a
+            dedt_a = float(rates[1])
+            nlf = -dedt_a + 0.0  # +0.0, not -0.0, when dedt_a is zero
         dedt = dedt_v + dedt_a
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
-        _abort_past_cfl_one(st, phi)
-        return u, norms
+        if not st.cfg.linearized:
+            _abort_past_cfl_one(st, 1j * phi[0])  # cfl_number reads phi.imag
+        rows = 1j * s[0] if st._locked else _complex(s)
+        u1 = SpectralField2D(rows[:, 0], st.L)
+        u2 = SpectralField2D(-1j * st.kappa[:b, None] * rows[:, 1], st.L)
+        return (u1, u2), norms
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)
@@ -213,12 +249,18 @@ def run(
 
     Deterministic given (initial, cfg).  Optional checkpoints land in
     ``out_dir`` every ``checkpoint_stride`` >= 1 steps and at the last
-    step; on a mid-run failure a truncated-run manifest and the partial
-    diagnostics are written there before the error propagates.
+    step, so a stride without an ``out_dir`` is refused with
+    ValidationError; on a mid-run failure a truncated-run manifest and the
+    partial diagnostics are written to ``out_dir`` before the error
+    propagates.
     """
     if checkpoint_stride is not None and checkpoint_stride < 1:
         raise ValidationError(
             f"checkpoint_stride: must be >= 1, got {checkpoint_stride}"
+        )
+    if checkpoint_stride is not None and out_dir is None:
+        raise ValidationError(
+            "checkpoint_stride: checkpoints need an out_dir, got out_dir=None"
         )
     stepper = _start(initial, cfg)
     out = Path(out_dir) if out_dir is not None else None
@@ -232,10 +274,8 @@ def run(
             stepper.step()
             if m % cfg.diagnostics_stride == 0 or m == cfg.n_steps:
                 rec.record()
-            if (
-                out is not None
-                and checkpoint_stride is not None
-                and (m % checkpoint_stride == 0 or m == cfg.n_steps)
+            if checkpoint_stride is not None and (
+                m % checkpoint_stride == 0 or m == cfg.n_steps
             ):
                 path = out / f"checkpoint_{m:08d}.bin"
                 write_checkpoint(path, stepper)

@@ -83,6 +83,8 @@ import numpy as np
 from ..model import ChannelConfig, ValidationError
 from .field import (
     SpectralField2D,
+    _cheb_transform_matrix,
+    _gram_matrix,
     cgl_nodes,
     cheb_coeffs_from_values,
     cheb_values_from_coeffs,
@@ -254,6 +256,7 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     angle = (np.pi / half) * (np.outer(np.arange(half + 1), np.arange(1, M + 1)) % n1)
     sin, cos = 2.0 * np.sin(angle), 2.0 * np.cos(angle)
     closed_cos = cos * kappa[1:]
+    C = _cheb_transform_matrix(P, False)
     ops = {
         "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
         "_slip_plus": slip_plus, "_slip_minus": slip_minus,
@@ -263,6 +266,8 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
         "_pad_with_d": np.hstack([pad.T, (pad @ D).T]),
         "_half_sin": sin[1:half], "_closed_cos": closed_cos,
         "_half_cos": closed_cos[1:-1], "_half_fwd": sin[1:half].T / -n1,
+        "_coeff_map": np.hstack([(C @ D).T, C.T]),
+        "_gram_stack": np.hstack([_gram_matrix(P, k) for k in (0, 1, 2)]),
     }
     for value in ops.values():
         if isinstance(value, np.ndarray):
@@ -309,6 +314,15 @@ class ChannelStepper:
     rows 1 .. M; and ``_pad_with_d`` (P, 2 ceil(3P/2)) is
     ``[_pad.T | (_pad @ D).T]``, so one product pads node values and their
     x2 derivative.
+
+    The diagnostics record (``sim.run``) reads two more fixed maps.  With C
+    the (P, P) node-to-Chebyshev-coefficient matrix, ``_coeff_map`` (P, 2P)
+    is ``[(C D).T | C.T]``: a streamfunction node row times it gives the
+    Chebyshev coefficients of u1 = d2 phi and of phi = u2 / (-i kappa_n),
+    and the mean row, u1 itself, reads its coefficients off the second
+    half.  ``_gram_stack`` (P, 3P) is ``[G0 | G1 | G2]``, the Gram matrices
+    of ``sim.field`` side by side, so one product applies all three to
+    coefficient rows.
     """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):
@@ -381,10 +395,15 @@ class ChannelStepper:
         planes = [self._state, self._history] if self._have_history else [self._state]
         return [_complex(p) for p in planes]
 
+    @property
+    def _diagnostic_end(self) -> int:
+        """b, the end of the rows 0 .. b-1 diagnostics read: the end of the
+        box, and at least 1, so the mean row stays."""
+        return max(self._box[1].stop, 1)
+
     def _diagnostic_rows(self) -> np.ndarray:
-        """The complex state rows diagnostics read: rows 0 .. b-1, b the end
-        of the box (b >= 1, so the mean row stays)."""
-        return self._rows(max(self._box[1].stop, 1))
+        """The complex state rows diagnostics read, 0 .. ``_diagnostic_end`` - 1."""
+        return self._rows(self._diagnostic_end)
 
     def _solve_phi(self, omega: np.ndarray) -> np.ndarray:
         """Poisson-Dirichlet streamfunction node values of the first b >= 1
@@ -395,6 +414,13 @@ class ChannelStepper:
         y = self._K[1: omega.shape[0]] @ x.view(np.float64).reshape(*x.shape, 2)
         phi[1:] = y.view(complex).reshape(x.shape)
         return phi
+
+    def _solve_planes(self, rows: np.ndarray):
+        """Replace rows n >= 1 of real (..., b, P) state-shaped planes, b >= 1,
+        by their streamfunction rows, each solved with K[n] in one stacked
+        product; row 0 (the mean row, which ``_coeff_map`` reads as u1
+        itself) is kept as it is."""
+        rows[..., 1:, :] = (self._K[1: rows.shape[-2]] @ rows[..., 1:, :, None])[..., 0]
 
     def _velocity_nodes(self, phi: np.ndarray, mean_row: np.ndarray):
         """(u1, u2) node values of streamfunction rows; u1 row 0 is ``mean_row``.

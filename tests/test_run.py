@@ -94,9 +94,7 @@ class TestDiagnostics:
         assert arr.shape == (result.diagnostics.times.size, 6)
         np.testing.assert_array_equal(arr[:, 1], result.diagnostics.energy_rate)
 
-    def test_record_solves_the_state_once_through_public_methods(
-        self, channel, basis48, monkeypatch
-    ):
+    def test_record_solves_the_state_once(self, channel, basis48, monkeypatch):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
         stepper = ChannelStepper(SimConfig(channel=channel, M=8, P=56, dt=1.0e-3), field)
         phi = stepper._solve_phi(stepper._rows())
@@ -107,51 +105,61 @@ class TestDiagnostics:
             np.testing.assert_array_equal(given, default)
             assert np.abs(given).max() > 0.0
 
-        solve = stepper._solve_phi
-        state_solves = []
-
-        def counting(omega):
-            state_solves.append(np.array_equal(omega, stepper._rows()))
-            return solve(omega)
-
-        monkeypatch.setattr(stepper, "_solve_phi", counting)
+        solved = _count_solves(stepper, monkeypatch)
         _Recorder(stepper).record()
-        assert sum(state_solves) == 1
+        # the locked state's imaginary plane: once alone for the advection,
+        # then its two tendencies
+        state = stepper._state[1:]
+        fields = [f for rows in solved for f in rows.reshape(-1, *state.shape)]
+        assert [rows.shape for rows in solved] == [(1, 1, 9, 56), (2, 1, 9, 56)]
+        assert sum(np.array_equal(f, state) for f in fields) == 1
 
-    def test_linearized_record_solves_a_prefix_once_through_public_methods(
+    def test_linearized_record_reads_the_prefix_and_solves_the_state_once(
         self, channel, basis48, monkeypatch
     ):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=1.0e-3, linearized=True)
         stepper = ChannelStepper(cfg, field)
         assert stepper._box == (1, slice(1, 2))
+        rec = _Recorder(stepper)
+        rec.record()
 
-        solve = stepper._solve_phi
-        state_solves, other_solves = [], []
-
-        def counting(omega):
-            state = np.array_equal(omega, stepper._rows(omega.shape[0]))
-            (state_solves if state else other_solves).append(omega.shape)
-            return solve(omega)
-
-        monkeypatch.setattr(stepper, "_solve_phi", counting)
-        given = []
-        tendency_split = stepper.tendency_split
-        monkeypatch.setattr(stepper, "tendency_split",
-                            lambda phi: given.append(phi) or tendency_split(phi))
-        _Recorder(stepper).record()
-        assert state_solves == [(2, 56)]
-        assert other_solves == [(2, 56)]  # the viscous tendency's streamfunction
-        assert [phi.shape for phi in given] == [(2, 56)]
+        # a locked prefix record reads rows 0 .. 1 of the imaginary plane alone
+        prefix = stepper._state[1:, :2].copy()
+        stepper._state[0] = np.nan
+        stepper._state[:, 2:] = np.nan
+        solved = _count_solves(stepper, monkeypatch)
+        rec.record()
+        assert rec.rows[1] == rec.rows[0]
+        assert [rows.shape for rows in solved] == [(2, 1, 2, 56)]
+        np.testing.assert_array_equal(solved[0][0], prefix)
 
 
-def _linearized_stepper(channel, live, M=8, P=32, locked=False):
-    """Linearized stepper whose nonzero streamfunction rows are ``live``.
+def _count_solves(stepper, monkeypatch):
+    """The list of copies of the arrays each later ``_solve_planes`` call is
+    given, before it solves them in place; the complex ``_solve_phi`` must
+    not be called."""
+    solve, solved = stepper._solve_planes, []
+
+    def counting(rows):
+        solved.append(rows.copy())
+        return solve(rows)
+
+    def refuse(omega):
+        raise AssertionError("the record solved complex rows")
+
+    monkeypatch.setattr(stepper, "_solve_planes", counting)
+    monkeypatch.setattr(stepper, "_solve_phi", refuse)
+    return solved
+
+
+def _random_stepper(channel, live, M=8, P=32, locked=False, linearized=True):
+    """Stepper whose nonzero streamfunction rows are ``live``.
 
     Each row is a random decaying series, made to vanish at both walls for
     n >= 1; three steps then bring the state onto the slip conditions.
     ``locked`` keeps only the imaginary parts, so the state is in the
-    locked class when row 0 is not live.
+    locked class when row 0 is not live, as a nonlinear state must be.
     """
     rng = np.random.default_rng(len(live) + 10 * max(live))
     amp = 1.0e-2 * np.exp(-0.5 * np.arange(P))
@@ -167,7 +175,7 @@ def _linearized_stepper(channel, live, M=8, P=32, locked=False):
             c[0] -= 0.5 * (top + bot)
             c[1] -= 0.5 * (top - bot)
         rows[n] = c
-    cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, linearized=True)
+    cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, linearized=linearized)
     stepper = ChannelStepper(cfg, SpectralField2D(rows, channel.L))
     for _ in range(3):
         stepper.step()
@@ -213,51 +221,63 @@ def _assert_record_matches(got, want):
         assert abs(got[i] - want[i]) <= 1.0e-12 * diss, name
 
 
+def _check_record(stepper):
+    """The record of the stepper's state against ``_full_row_record``: its
+    velocity has the b rows the diagnostics read, each within 1e-14 of the
+    largest full-row coefficient, and its row matches the reference's."""
+    b = stepper._diagnostic_end
+    rec = _Recorder(stepper)
+    (u1, u2), norms = rec.record()
+    want, full = _full_row_record(stepper)
+
+    assert u1.M + 1 == u2.M + 1 == b
+    for got, ref in zip((u1, u2), full):
+        scale = np.abs(ref.coefficients).max()
+        assert not ref.coefficients[b:].any()
+        assert np.abs(got.coefficients - ref.coefficients[:b]).max() <= 1.0e-14 * scale
+    _assert_record_matches(rec.rows[-1], want)
+    assert norms == rec.rows[-1][1:4]
+    return rec.rows[-1]
+
+
 class TestLinearizedPrefixRecord:
     """A linearized record works on rows 0 .. b-1 and matches the full rows."""
 
     @pytest.mark.parametrize(
-        "live", [(1,), (1, 3), (0, 2)], ids=["row1", "rows1and3", "mean_row"]
+        "live", [(1,), (1, 3), (0, 2), (0,)],
+        ids=["row1", "rows1and3", "mean_row", "mean_row_only"],
     )
     def test_prefix_record_matches_full_rows(self, channel, live):
-        stepper = _linearized_stepper(channel, live)
+        stepper = _random_stepper(channel, live)
         assert not stepper._locked
         self._check_prefix_record(stepper, live)
 
     @pytest.mark.parametrize("live", [(1,), (1, 3)], ids=["row1", "rows1and3"])
     def test_locked_prefix_record_matches_full_rows(self, channel, live):
-        stepper = _linearized_stepper(channel, live, locked=True)
+        stepper = _random_stepper(channel, live, locked=True)
         assert stepper._locked
         self._check_prefix_record(stepper, live)
 
     @staticmethod
     def _check_prefix_record(stepper, live):
-        b = max(live) + 1
-        assert stepper._box[1] == slice(min(live), b)
-        rec = _Recorder(stepper)
-        (u1, u2), _ = rec.record()
-        want, full = _full_row_record(stepper)
-
-        assert u1.M + 1 == u2.M + 1 == b
-        for got, ref in zip((u1, u2), full):
-            scale = np.abs(ref.coefficients).max()
-            assert not ref.coefficients[b:].any()
-            assert np.abs(got.coefficients - ref.coefficients[:b]).max() <= 1.0e-14 * scale
-        _assert_record_matches(rec.rows[-1], want)
-        nlf = rec.rows[-1][6]
+        assert stepper._box[1] == slice(min(live), max(live) + 1)
+        nlf = _check_record(stepper)[6]
         assert nlf == 0.0 and not np.signbit(nlf)
 
     def test_all_zero_state_records_zeros(self, channel):
+        # a linearized zero state has an empty box and reads the mean row; a
+        # nonlinear one has all its rows and an exactly zero advection
         M, P = 8, 32
-        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, linearized=True)
         zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), channel.L)
-        stepper = ChannelStepper(cfg, zero)
-        assert stepper._box == (1, slice(0, 0))
-        rec = _Recorder(stepper)
-        _, norms = rec.record()
-        assert norms == (0.0, 0.0, 0.0)
-        assert rec.rows[-1] == (0.0,) * 9
-        assert not np.signbit(rec.rows[-1]).any()
+        for linearized, rows in ((True, slice(0, 0)), (False, slice(1, M + 1))):
+            cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, linearized=linearized)
+            stepper = ChannelStepper(cfg, zero)
+            assert stepper._box == (1, rows)
+            rec = _Recorder(stepper)
+            _, norms = rec.record()
+            assert norms == (0.0, 0.0, 0.0)
+            assert rec.rows[-1] == (0.0,) * 9
+            assert not np.signbit(rec.rows[-1]).any()
 
 
 class TestNonlinearRecord:
@@ -270,15 +290,32 @@ class TestNonlinearRecord:
         for _ in range(5):
             stepper.step()
         assert stepper._locked
-        rec = _Recorder(stepper)
-        (u1, u2), norms = rec.record()
-        want, full = _full_row_record(stepper)
+        _check_record(stepper)
 
-        for got, ref in zip((u1, u2), full):
-            scale = np.abs(ref.coefficients).max()
-            assert np.abs(got.coefficients - ref.coefficients).max() <= 1.0e-14 * scale
-        _assert_record_matches(rec.rows[-1], want)
-        assert norms == rec.rows[-1][1:4]
+    def test_acceptance_grid_record_matches_full_rows(self, channel, basis48):
+        field, _ = mode_field(channel, basis48, M=32, P=64, amplitude=0.05)
+        stepper = ChannelStepper(SimConfig(channel=channel, M=32, P=64, dt=2.0e-3), field)
+        for _ in range(5):
+            stepper.step()
+        assert stepper._locked
+        _check_record(stepper)
+
+
+class TestSmallGridRecord:
+    """At M = 2, P = 17 and strongly unequal walls the record still matches."""
+
+    @pytest.mark.parametrize("xi", [(0.0, 3.0), (10.0, 0.1)], ids=["xi0-3", "xi10-0.1"])
+    @pytest.mark.parametrize(
+        "live, locked, linearized",
+        [((0, 1, 2), False, True), ((1, 2), True, False)],
+        ids=["linearized", "locked-nonlinear"],
+    )
+    def test_record_matches_full_rows(self, xi, live, locked, linearized):
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(*xi))
+        stepper = _random_stepper(channel, live, M=2, P=17, locked=locked,
+                                  linearized=linearized)
+        assert stepper._locked == locked
+        _check_record(stepper)
 
 
 def _packet_stepper(channel, basis48, locked, linearized, M=8, P=56):
@@ -352,6 +389,18 @@ class TestCheckpointing:
                         linearized=True)
         with pytest.raises(ValidationError, match="checkpoint_stride"):
             run(field, cfg, out_dir=tmp_path, checkpoint_stride=stride)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_stride_without_out_dir_is_rejected(self, channel, basis48,
+                                                           tmp_path, monkeypatch):
+        # there is nowhere to write the checkpoints, so the run is refused
+        # before it steps rather than returning an empty checkpoint list
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.02,
+                        linearized=True)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="checkpoint_stride.*out_dir"):
+            run(field, cfg, checkpoint_stride=5)
         assert list(tmp_path.iterdir()) == []
 
     @staticmethod

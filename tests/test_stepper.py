@@ -484,7 +484,8 @@ class TestSharedOperators:
         first = ChannelStepper(self._cfg(), zero)
         # the linearized flag and t_end are not part of the operators
         second = ChannelStepper(self._cfg(linearized=True, t_end=0.5), zero)
-        assert second._T is first._T and second._K is first._K
+        for name in ("_T", "_K", "_coeff_map", "_gram_stack"):
+            assert getattr(second, name) is getattr(first, name)
         other = ChannelStepper(self._cfg(dt=2.0e-3), zero)
         assert other._T is not first._T and other._K is not first._K
         assert np.abs(other._T - first._T).max() > 0.0
@@ -494,7 +495,8 @@ class TestSharedOperators:
         state = {"_state", "_history"}
         ops = {k: v for k, v in vars(stepper).items()
                if isinstance(v, np.ndarray) and k not in state}
-        assert {"_T", "_K", "_explicit_base", "_pad_with_d", "_half_cos"} <= set(ops)
+        assert {"_T", "_K", "_explicit_base", "_pad_with_d", "_half_cos",
+                "_coeff_map", "_gram_stack"} <= set(ops)
         assert not any(v.flags.writeable for v in ops.values())
         with pytest.raises(ValueError, match="read-only"):
             stepper._T[1, 0, 0] = stepper._T[1, 0, 0]
