@@ -218,11 +218,19 @@ def gram_form(k: float, basis: ChebBasis) -> np.ndarray:
     return _weighted_gram([(1, 1.0), (0, k * k)], basis)
 
 
+@lru_cache(maxsize=16)
+def _wall_signs(n: int) -> np.ndarray:
+    """Read-only (2, n) table of T_j(-1) = (-1)^j and T_j(+1) = 1."""
+    signs = np.stack([(-1.0) ** np.arange(n), np.ones(n)])
+    signs.flags.writeable = False
+    return signs
+
+
 def wall_values(coeffs: np.ndarray) -> np.ndarray:
     """Values at x = -1 ([0]) and x = +1 ([1]) of series along the last axis:
-    the products of ``coeffs`` with (-1)^j and with ones."""
-    n = np.shape(coeffs)[-1]
-    return np.stack([coeffs @ (-1.0) ** np.arange(n), coeffs @ np.ones(n)])
+    the products of ``coeffs`` with (-1)^j and with ones (``_wall_signs``)."""
+    bottom, top = _wall_signs(np.shape(coeffs)[-1])
+    return np.stack([coeffs @ bottom, coeffs @ top])
 
 
 def slip_defects(u1: np.ndarray, mu: float, slip) -> np.ndarray:

@@ -67,7 +67,7 @@ from ..modes import (
     reduced_packet,
 )
 from .field import (
-    _gram_forms,
+    _sobolev_norms,
     field_from_packet,
     velocity_from_streamfunction,
     velocity_norms,
@@ -179,23 +179,6 @@ class SeparationExperiment:
         )
 
 
-def _l2_of_differences(pairs, M: int) -> np.ndarray:
-    """L2 norms of velocity differences a - b, all in one Gram pass.
-
-    ``pairs`` holds (a, b) with a and b (u1, u2) field pairs of at most
-    M + 1 rows, the rows a field lacks being zero (a linearized velocity on
-    its live-row prefix); b is None for the zero velocity.
-    """
-    u = pairs[0][0][0]
-    diffs = np.zeros((len(pairs), 2, M + 1, u.P), dtype=complex)
-    for diff, (a, b) in zip(diffs, pairs):
-        for d, f in zip(diff, a):
-            d[: f.M + 1] = f.coefficients
-        for d, f in zip(diff, b or ()):
-            d[: f.M + 1] -= f.coefficients
-    return np.sqrt(_gram_forms(diffs, u.L, (0,))[0].sum(axis=(1, 2)))
-
-
 def _gate(times, lhs, rhs) -> GateReport:
     ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0.0)
     bad = np.nonzero(lhs > rhs)[0]
@@ -229,7 +212,7 @@ def _run_one_delta(
     # embedded like the initial data, passes the record's abort threshold 1
     grown = ModePacket(packet.modes, packet.coefficients * np.exp(packet.lambdas * cfg.t_end))
     predicted = field_from_packet(grown, sim.M, sim.P, sim.channel.L) * delta
-    cfl = nf.cfl_number(nf._solve_phi(nf._state_from_streamfunction(predicted)))
+    cfl = nf.cfl_number(nf._solve_planes(nf._state_from_streamfunction(predicted).imag))
     if cfl > 1.0:
         raise ValidationError(
             f"dt = {cfg.dt:g} exceeds the advective stability bound {cfg.dt / cfl:g} "
@@ -248,26 +231,34 @@ def _run_one_delta(
     rec_steps, rows = [], []
 
     def record(m: int):
-        # at m = 0 each linear twin holds its nonlinear branch's initial
-        # data, so it takes that branch's velocity and d_from_linear is 0
-        u_nf, (l2_nf, _, h2_nf) = recorder.record()
-        u_lf = steppers["lf"].velocity() if m else u_nf
+        # nf, nr, lf, lr: a twin holds its branch's class, so each branch has
+        # the full one's coefficient planes (p, M+1, 2, P) or their first rows
+        c_nf, (l2_nf, _, h2_nf) = recorder.record()
+        u = np.zeros((4,) + c_nf.shape)
+        u[0] = c_nf
+        for i, name in ((1, "nr"), (2, "lf"), (3, "lr")):
+            st = steppers.get(name)
+            if st is None or (m == 0 and i >= 2):
+                continue
+            x = st._solve_planes(st._diagnostic_planes())
+            if name == "nr":
+                _abort_past_cfl_one(st, x[0])
+            u[i, :, : x.shape[1]] = st._velocity_coeffs(x)
+        if m == 0:
+            # each linear twin holds its nonlinear branch's initial data, so
+            # it takes that branch's velocity and d_from_linear is 0
+            u[2:] = u[:2]
+        # sep, the linear prediction, d_full and d_red, then nr itself; a
+        # one-mode packet's reduced branches are exactly zero
+        fields = np.concatenate([u[[0, 2, 0, 1]] - u[[1, 3, 2, 3]], u[1:2]])
+        _, q = recorder._forms(fields if reduced_active else fields[:3])
+        dist = np.sqrt(q[:, 0].sum(axis=-1))
+        sep, linpred, d_full = dist[:3]
         if reduced_active:
-            nr = steppers["nr"]
-            phi_nr = nr._solve_phi(nr._rows())
-            u_nr = nr.velocity(phi_nr)
-            _abort_past_cfl_one(nr, phi_nr)
-            u_lr = steppers["lr"].velocity() if m else u_nr
-            l2_nr, _, h2_nr = velocity_norms(*u_nr)
-            sep, linpred, d_full, d_red = _l2_of_differences(
-                [(u_nf, u_nr), (u_lf, u_lr), (u_nf, u_lf), (u_nr, u_lr)], sim.M
-            )
+            d_red = dist[3]
+            l2_nr, _, h2_nr = _sobolev_norms(q[4], sim.channel.L)
         else:
-            # the reduced branches are exactly zero: the separation is the
-            # full branch's own norm and the linear prediction its twin's
             l2_nr = h2_nr = d_red = 0.0
-            d_full, linpred = _l2_of_differences([(u_nf, u_lf), (u_lf, None)], sim.M)
-            sep = l2_nf
         t = steppers["nf"].t
         f_t = delta * packet_envelope_value(packet, t)
         rec_steps.append(m)
@@ -350,11 +341,12 @@ def run_separation_experiment(
     """Run the full delta sweep and return the completed experiment record.
 
     Preconditions: the channel must be unstable (mu below mu_c(1/L), the
-    critical viscosity of its fundamental wavenumber) and every delta must
-    satisfy delta * F_N(0) < epsilon0.  A refused start or a failure inside
-    one delta run (blow-up, CFL loss) is recorded in that outcome's
-    ``error`` field; the remaining deltas still run.  When ``out_dir`` is
-    given the per-delta series, diagnostics, and manifests are written there.
+    critical viscosity of its fundamental wavenumber), every delta must
+    satisfy delta * F_N(0) < epsilon0, and no two may share a
+    ``delta_dir_name``.  A refused start or a failure inside one delta run
+    (blow-up, CFL loss) is recorded in that outcome's ``error`` field; the
+    remaining deltas still run.  When ``out_dir`` is given the per-delta
+    series, diagnostics, and manifests are written there.
     """
     if critical_wavenumber(channel) is None:
         raise ValidationError(
@@ -371,6 +363,12 @@ def run_separation_experiment(
     deltas = tuple(float(d) for d in deltas)
     if any(not 0.0 < d < delta0 for d in deltas):
         raise ValidationError(f"every delta must lie in (0, delta0 = {delta0:g})")
+    # each delta writes to its own directory, and a repeated delta has no slope
+    names = [delta_dir_name(d) for d in deltas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValidationError(f"deltas {deltas[names.index(name)]:g} and "
+                                  f"{deltas[i]:g} share the output directory {name}")
 
     basis = build_basis(basis_size)
     sweep = LatticeSweep(L=channel.L, mu=channel.mu, slip=channel.slip, n_max=n_max)

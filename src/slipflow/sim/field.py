@@ -17,10 +17,11 @@ quantity is a per-mode quadratic form with a cached (P, P) Gram matrix
 G_k[i, j] = int T_i^(k) T_j^(k) dx2, integrated by P-point Gauss-Legendre
 quadrature, which is exact for the degree <= 2P - 2 integrands; an x1
 derivative is a kappa_n^2 weight on the mode's form.  The norms are exact.
-A diagnostics record (``sim.run``) forms the same per-mode forms without
-building fields: the stepper's fixed maps take streamfunction node rows to
-velocity coefficients and apply G0, G1 and G2 stacked side by side, and the
-record reads its norms through ``_sobolev_norms`` like ``velocity_norms``.
+A diagnostics record (``sim.run``) and the separation experiment form the
+same per-mode forms without building fields: the stepper's one velocity map
+takes streamfunction node rows to velocity coefficients and G0, G1 and G2
+stacked side by side apply to them (or to their differences), and the norms
+are read through ``_sobolev_norms`` like ``velocity_norms``.
 
 Streamfunction convention used by the solver: a field interpreted as a
 streamfunction carries the perturbation streamfunction in rows n >= 1 and

@@ -41,7 +41,6 @@ from .stepper import (
     ChannelStepper,
     SimConfig,
     SimulationBlowupError,
-    _complex,
     check_boundary_conditions,
 )
 
@@ -125,18 +124,20 @@ class _Recorder:
         state reads its imaginary plane alone, the real one being zero.
 
         The state rows, the viscous tendency rows and (nonlinear runs only)
-        the advective tendency rows are stacked and their rows n >= 1
-        solved for the streamfunction in one stacked product
+        the advective tendency rows (``_tendency_planes``, as in
+        ``tendency_split``) are stacked and their rows n >= 1 solved for
+        the streamfunction in one stacked product
         (``_solve_planes``; a nonlinear record solves the state first,
-        since its advection needs it).  One product with ``_coeff_map``
-        takes the stack to the Chebyshev coefficients of u1 and of
-        u2 / (-i kappa_n), and one product with ``_gram_stack`` applies
-        G0, G1 and G2 to the state's.  Two contractions give the state's
-        per-mode forms q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k and b_k the
-        G_k forms of the two coefficient rows, and its G0 cross forms with
-        each tendency.  ``_sobolev_norms``, ``_dissipation`` and the wall
-        trace formula of ``boundary_production`` read the norms, the
-        dissipation and the production off them.
+        since its advection needs it).  ``_velocity_coeffs``, one product
+        with ``_coeff_map``, takes the stack to the Chebyshev coefficients
+        of u1 and of u2 / (-i kappa_n), and ``_forms``, one product with
+        ``_gram_stack``, applies G0, G1 and G2 to the state's and contracts
+        them to its per-mode forms q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k
+        and b_k the G_k forms of the two coefficient rows.  One more
+        contraction gives its G0 cross forms with each tendency.
+        ``_sobolev_norms``, ``_dissipation`` and the wall trace formula of
+        ``boundary_production`` read the norms, the dissipation and the
+        production off them.
 
         The Gram matrices act on the coefficients, not folded into one
         node-space form V^T G_k V per quantity: that folding moves h2 by
@@ -146,40 +147,31 @@ class _Recorder:
         and Gram matrices, the per-field h2 and the record's h2 both read
         1e-11 to 3e-11 off, so neither is the more accurate.
 
-        Returns the velocity (u1, u2) as b-row fields built from the same
-        coefficient rows, and its norms (l2, h1, h2).  On a nonlinear
+        Returns the state's velocity coefficient planes, (p, b, 2, P) as
+        ``_velocity_coeffs`` lays them out (p = 1, the imaginary plane, for
+        a locked state), and its norms (l2, h1, h2).  On a nonlinear
         stepper the row is appended before ``_abort_past_cfl_one`` reads
-        the CFL number, so a failed run's diagnostics end with that row.
+        the CFL number of the solved imaginary plane, so a failed run's
+        diagnostics end with that row.
         """
         st = self.stepper
-        P = st.cfg.P
-        b = st._diagnostic_end
-        x = st._state[1:, :b] if st._locked else st._state[:, :b]
+        x = st._diagnostic_planes()
         # the state, viscous and (nonlinear) advective tendency planes
         stack = np.zeros((2 if st.cfg.linearized else 3,) + x.shape)
         stack[0] = x
-        visc = stack[1]
-        np.matmul(x, st.D2.T, out=visc)
-        visc -= (st.kappa[:b] ** 2)[:, None] * x
-        visc *= st.mu
         if st.cfg.linearized:
+            st._tendency_planes(x, None, stack[1:])
             st._solve_planes(stack)
         else:
             phi = stack[0]
             st._solve_planes(stack[:1])
-            # the advective tendency rows are -i a_n, a from _advection
-            stack[2, 0, 1:] = -st._advection(phi[0, 1:], x[0, 1:])
+            st._tendency_planes(x, phi, stack[1:])
             st._solve_planes(stack[1:])
         # axes (state / visc / adv, plane, row, u1 or u2 / (-i kappa), Chebyshev)
-        c = stack @ st._coeff_map
-        # the mean row is u1 itself; its other half is weighted by kappa_0 = 0
-        c[..., 0, :P] = c[..., 0, P:]
-        c = c.reshape(*c.shape[:-1], 2, P)
+        c = st._velocity_coeffs(stack)
         s = c[0]
-        sg = (s @ st._gram_stack).reshape(*s.shape[:-1], 3, P)
-        w = self._weights[:b]
-        q = np.einsum("pnckj,pncj,nc->kn", sg, s, w)
-        rates = np.einsum("pncj,tpncj,nc->t", sg[..., 0, :], c[1:], w)
+        sg, q = self._forms(s)
+        rates = np.einsum("pncj,tpncj,nc->t", sg[..., 0, :], c[1:], self._weights[: s.shape[1]])
         norms = _sobolev_norms(q, st.L)
         l2, h1, h2 = norms
         bp = _production(s[..., 0, :], st.L, st.slip)
@@ -194,11 +186,17 @@ class _Recorder:
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
         if not st.cfg.linearized:
-            _abort_past_cfl_one(st, 1j * phi[0])  # cfl_number reads phi.imag
-        rows = 1j * s[0] if st._locked else _complex(s)
-        u1 = SpectralField2D(rows[:, 0], st.L)
-        u2 = SpectralField2D(-1j * st.kappa[:b, None] * rows[:, 1], st.L)
-        return (u1, u2), norms
+            _abort_past_cfl_one(st, phi[0])
+        return s, norms
+
+    def _forms(self, c: np.ndarray):
+        """G0, G1 and G2 applied to coefficient planes c (..., p, b, 2, P) by
+        one product with ``_gram_stack``, (..., p, b, 2, 3, P), and the
+        per-mode forms q (..., 3, b) of each field of the stack."""
+        P = c.shape[-1]
+        g = (c.reshape(-1, P) @ self.stepper._gram_stack).reshape(*c.shape[:-1], 3, P)
+        w = self._weights[: c.shape[-3]]
+        return g, np.einsum("...pnckj,...pncj,nc->...kn", g, c, w)
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)
@@ -217,9 +215,9 @@ class _Recorder:
         )
 
 
-def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray | None = None):
+def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray):
     """Raise SimulationBlowupError when a nonlinear stepper's CFL number
-    (``cfl_number``, of streamfunction rows ``phi``) exceeds 1."""
+    (``cfl_number``, of the solved imaginary plane ``phi``) exceeds 1."""
     if not stepper.cfg.linearized and stepper.cfl_number(phi) > 1.0:
         raise SimulationBlowupError(f"advective CFL exceeded 1 at t = {stepper.t:.6g}")
 

@@ -61,7 +61,10 @@ refuses a state outside the locked class.  The stepper calls no FFT.
 The streamfunction is never stored: it is reconstructed from the vorticity
 at the start of every nonlinear step, so the trajectory is a pure function
 of (omega, advection history) and restarting from a checkpoint reproduces
-the original run bit for bit.
+the original run bit for bit.  Every streamfunction and velocity reported
+(the methods below, ``sim.run``'s record, the separation experiment) comes
+from one solve of real planes, ``_solve_planes``, and one coefficient map,
+``_velocity_coeffs``.
 
 A state exactly in the invariant class {phi rows pure imaginary, zero mean
 flow} (physically: u2 even and u1 odd under x1 -> -x1, no mean shear) is
@@ -315,9 +318,9 @@ class ChannelStepper:
     ``[_pad.T | (_pad @ D).T]``, so one product pads node values and their
     x2 derivative.
 
-    The diagnostics record (``sim.run``) reads two more fixed maps.  With C
-    the (P, P) node-to-Chebyshev-coefficient matrix, ``_coeff_map`` (P, 2P)
-    is ``[(C D).T | C.T]``: a streamfunction node row times it gives the
+    Every reported quantity reads two more fixed maps.  With C the (P, P)
+    node-to-Chebyshev-coefficient matrix, ``_coeff_map`` (P, 2P) is
+    ``[(C D).T | C.T]``: a streamfunction node row times it gives the
     Chebyshev coefficients of u1 = d2 phi and of phi = u2 / (-i kappa_n),
     and the mean row, u1 itself, reads its coefficients off the second
     half.  ``_gram_stack`` (P, 3P) is ``[G0 | G1 | G2]``, the Gram matrices
@@ -385,9 +388,9 @@ class ChannelStepper:
         """Whether the state is in the locked class: the box is its imaginary plane."""
         return self._box[0] == 1
 
-    def _rows(self, b: int | None = None) -> np.ndarray:
-        """Complex state rows 0 .. b-1 (all rows by default)."""
-        return _complex(self._state[:, :b])
+    def _rows(self) -> np.ndarray:
+        """The complex state rows."""
+        return _complex(self._state)
 
     def _blocks(self) -> list:
         """The complex blocks a checkpoint stores: the state rows, then the
@@ -395,67 +398,41 @@ class ChannelStepper:
         planes = [self._state, self._history] if self._have_history else [self._state]
         return [_complex(p) for p in planes]
 
-    @property
-    def _diagnostic_end(self) -> int:
-        """b, the end of the rows 0 .. b-1 diagnostics read: the end of the
-        box, and at least 1, so the mean row stays."""
-        return max(self._box[1].stop, 1)
+    def _diagnostic_planes(self) -> np.ndarray:
+        """A copy of the real planes (p, b, P) of the rows 0 .. b-1
+        diagnostics read, b the end of the box and at least 1, so the mean
+        row stays: the imaginary plane alone (p = 1) for a locked state, the
+        real one being zero, else both."""
+        planes = self._state[1:] if self._locked else self._state
+        return planes[:, : max(self._box[1].stop, 1)].copy()
 
-    def _diagnostic_rows(self) -> np.ndarray:
-        """The complex state rows diagnostics read, 0 .. ``_diagnostic_end`` - 1."""
-        return self._rows(self._diagnostic_end)
-
-    def _solve_phi(self, omega: np.ndarray) -> np.ndarray:
-        """Poisson-Dirichlet streamfunction node values of the first b >= 1
-        complex vorticity rows of a state, row n solved with K[n].  The rows
-        are viewed as (b-1, P, 2) floats, so both parts share one product."""
-        phi = np.zeros_like(omega)
-        x = np.ascontiguousarray(omega[1:])
-        y = self._K[1: omega.shape[0]] @ x.view(np.float64).reshape(*x.shape, 2)
-        phi[1:] = y.view(complex).reshape(x.shape)
-        return phi
-
-    def _solve_planes(self, rows: np.ndarray):
+    def _solve_planes(self, rows: np.ndarray) -> np.ndarray:
         """Replace rows n >= 1 of real (..., b, P) state-shaped planes, b >= 1,
         by their streamfunction rows, each solved with K[n] in one stacked
-        product; row 0 (the mean row, which ``_coeff_map`` reads as u1
-        itself) is kept as it is."""
+        product, and return the planes; row 0 (the mean row, which
+        ``_coeff_map`` reads as u1 itself) is kept as it is."""
         rows[..., 1:, :] = (self._K[1: rows.shape[-2]] @ rows[..., 1:, :, None])[..., 0]
+        return rows
 
-    def _velocity_nodes(self, phi: np.ndarray, mean_row: np.ndarray):
-        """(u1, u2) node values of streamfunction rows; u1 row 0 is ``mean_row``.
-
-        Leading axes of ``phi`` and ``mean_row`` stack independent fields.
-        """
-        u1 = phi @ self.D.T
-        u1[..., 0, :] = mean_row
-        u2 = -(1j * self.kappa[: phi.shape[-2]])[:, None] * phi
-        u2[..., 0, :] = 0.0
-        return u1, u2
-
-    def _velocity_fields(self, rows: np.ndarray, phi: np.ndarray):
-        """(u1, u2) coefficient fields of state-shaped rows with streamfunction phi."""
-        # both components go through one transform, laid out as in a record
-        nodes = np.stack(self._velocity_nodes(phi, rows[0]))
-        u = cheb_coeffs_from_values(nodes, axis=-1)
-        return SpectralField2D(u[0], self.L), SpectralField2D(u[1], self.L)
+    def _velocity_coeffs(self, rows: np.ndarray) -> np.ndarray:
+        """The (..., b, 2, P) Chebyshev coefficients of u1 and of
+        u2 / (-i kappa_n) of solved real planes (..., b, P), by one product
+        with ``_coeff_map``.  Row 0 is the mean row, u1 itself, in both
+        halves; its second half is weighted by kappa_0 = 0."""
+        P = self.cfg.P
+        c = rows @ self._coeff_map
+        c[..., 0, :P] = c[..., 0, P:]
+        return c.reshape(*c.shape[:-1], 2, P)
 
     def streamfunction(self) -> SpectralField2D:
-        """Public state: streamfunction rows plus the mean-u1 row."""
-        omega = self._rows()
-        phi = self._solve_phi(omega)
-        coeffs = cheb_coeffs_from_values(phi, axis=1)
-        coeffs[0] = cheb_coeffs_from_values(omega[0].real[None, :], axis=1)[0]
-        return SpectralField2D(coeffs, self.L)
+        """Public state: streamfunction rows plus the mean-u1 row, the C^T
+        half of ``_coeff_map`` applied to the solved state planes."""
+        phi = self._solve_planes(self._state.copy())
+        return SpectralField2D(_complex(phi @ self._coeff_map[:, self.cfg.P:]), self.L)
 
-    def velocity(self, phi: np.ndarray | None = None):
-        """(u1, u2) as coefficient-space fields with the rows of ``phi``, the
-        state's streamfunction rows if already solved (all of them or the
-        first b); by default the rows the diagnostics read."""
-        omega = self._diagnostic_rows() if phi is None else self._rows(phi.shape[0])
-        if phi is None:
-            phi = self._solve_phi(omega)
-        return self._velocity_fields(omega, phi)
+    def velocity(self):
+        """(u1, u2) of the state as coefficient-space fields."""
+        return self.tendency_velocity(self._rows())
 
     # -- pseudospectral products ----------------------------------------
 
@@ -517,7 +494,8 @@ class ChannelStepper:
         """Advective CFL of the current state at the configured dt.
 
         Uses the largest |u1| and |u2| on the product grid; ``phi`` holds
-        the state's M+1 streamfunction rows (solved by default).  They are
+        the imaginary plane of the state's M+1 streamfunction rows, real
+        (M+1, P) rows b_n of phi_n = i b_n (solved by default).  They are
         read off the closed half period j = 0 .. n1/2, which holds every
         sample value of the full one: u1 is a sine series in x1 (odd about
         x1 = 0 and x1 = pi L, so zero at both ends, where ``initial=0.0``
@@ -530,10 +508,10 @@ class ChannelStepper:
             raise ValueError("the CFL number is read only for a state in the "
                              "odd-in-x1 class (pure imaginary mode rows, zero mean flow)")
         if phi is None:
-            phi = self._solve_phi(self._rows())
+            phi = self._solve_planes(self._state[1].copy())
         # phi_n = i b_n: u1 has rows i (D b)_n and u2 rows kappa_n b_n
         pp = self._pad.shape[0]
-        f = phi.imag[1:] @ self._pad_with_d
+        f = phi[1:] @ self._pad_with_d
         u1 = self._half_sin @ f[:, pp:]
         u2 = self._closed_cos @ f[:, :pp]
         m1 = float(np.abs(u1).max(initial=0.0))
@@ -544,30 +522,41 @@ class ChannelStepper:
 
     # -- instantaneous tendencies (for the energy budget) -----------------
 
-    def tendency_split(self, phi: np.ndarray | None = None):
+    def _tendency_planes(self, x: np.ndarray, phi: np.ndarray | None, out: np.ndarray):
+        """Write the viscous tendency planes of real state planes ``x``
+        (p, b, P) into out[0] and, given the solved planes ``phi`` of a
+        nonlinear (so locked, p = 1) state, the advective ones, -i a_n with
+        a from ``_advection``, into out[1], zeroed, whose row 0 stays zero."""
+        visc = out[0]
+        np.matmul(x, self.D2.T, out=visc)
+        visc -= (self.kappa[: x.shape[-2]] ** 2)[:, None] * x
+        visc *= self.mu
+        if phi is not None:
+            out[1, 0, 1:] = -self._advection(phi[0, 1:], x[0, 1:])
+
+    def tendency_split(self):
         """Viscous and advective tendency rows of the semi-discrete system.
 
-        Returns complex (visc, adv) shaped like ``phi``: rows n >= 1 give
-        d omega_n/dt contributions, row 0 gives d ubar/dt contributions;
-        ``phi`` holds the state's streamfunction rows, all of them (solved
-        by default) or the first b.  A linearized stepper has no advective
-        tendency, so its adv is zero; a nonlinear one needs all rows of
-        ``phi``.
+        Returns complex (visc, adv), M+1 rows each: rows n >= 1 give
+        d omega_n/dt contributions, row 0 gives d ubar/dt contributions.  A
+        linearized stepper has no advective tendency, so its adv is zero.
         """
-        if phi is None:
-            phi = self._solve_phi(self._rows())
-        w = self._rows(phi.shape[0])
-        visc = self.mu * (w @ self.D2.T - (self.kappa[: w.shape[0]] ** 2)[:, None] * w)
-        visc[0] = self.mu * (w[0].real @ self.D2.T)
+        x = self._state
+        out = np.zeros((2,) + x.shape)
         if self.cfg.linearized:
-            return visc, np.zeros_like(w)
-        adv = np.zeros_like(self._state)
-        adv[self._box] = self._advection(_planes(phi)[self._box], self._state[self._box])
-        return visc, -_complex(adv)
+            self._tendency_planes(x, None, out)
+        else:
+            # a nonlinear state is locked: its imaginary plane alone
+            self._tendency_planes(x[1:], self._solve_planes(x[1:].copy()), out[:, 1:])
+        return _complex(out[0]), _complex(out[1])
 
     def tendency_velocity(self, rows: np.ndarray):
-        """Velocity-space image of tendency rows (same mapping as the state)."""
-        return self._velocity_fields(rows, self._solve_phi(rows))
+        """(u1, u2) coefficient fields of complex state-shaped rows (b, P),
+        the state's own or tendency rows: their real planes solved by
+        ``_solve_planes`` and mapped by ``_velocity_coeffs``."""
+        c = _complex(self._velocity_coeffs(self._solve_planes(_planes(rows))))
+        u2 = -1j * self.kappa[: rows.shape[0], None] * c[:, 1]
+        return SpectralField2D(c[:, 0], self.L), SpectralField2D(u2, self.L)
 
 
 def check_boundary_conditions(state: SpectralField2D, cfg: SimConfig):

@@ -8,6 +8,7 @@ shared between the experiment tests and the acceptance gate.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from slipflow.model import ChannelConfig, SlipPair
@@ -74,6 +75,35 @@ def dct_values_from_coeffs(coeffs, axis=-1):
     edges[axis] = [0, P - 1]
     d[tuple(edges)] *= 2.0
     return 0.5 * fft.dct(d, type=1, axis=axis)
+
+
+def solve_streamfunction(stepper, rows=None):
+    """Streamfunction node rows of complex state-shaped rows (the stepper's
+    state by default), row n solved with the stepper's K[n], mode by mode;
+    row 0, the mean row, has no streamfunction and reads zero."""
+    rows = stepper._rows() if rows is None else rows
+    return np.einsum("nij,nj->ni", stepper._K[: rows.shape[0]], rows)
+
+
+def velocity_nodes(stepper, phi, mean_row):
+    """(u1, u2) node values of streamfunction rows ``phi``: u1 = D phi on the
+    node values, with ``mean_row`` as row 0, and u2 = -i kappa_n phi."""
+    u1 = phi @ stepper.D.T
+    u1[0] = mean_row
+    u2 = -1j * stepper.kappa[: phi.shape[0], None] * phi
+    u2[0] = 0.0
+    return u1, u2
+
+
+def node_velocity(stepper, rows):
+    """(u1, u2) coefficient fields of complex state-shaped rows, the
+    reference for the stepper's coefficient map: ``solve_streamfunction``,
+    ``velocity_nodes`` and the DCT-I of ``dct_coeffs_from_values``."""
+    from slipflow.sim.field import SpectralField2D
+
+    nodes = velocity_nodes(stepper, solve_streamfunction(stepper, rows), rows[0])
+    return tuple(SpectralField2D(dct_coeffs_from_values(u, axis=1), stepper.L)
+                 for u in nodes)
 
 
 def mode_field(channel, basis, M=16, P=56, amplitude=1.0):

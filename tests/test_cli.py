@@ -239,6 +239,16 @@ class TestExperimentCommand:
         assert out.count("FAILED: ValidationError") == 1
         assert "verdict = pass" in out and "verdict = FAIL" in out
 
+    def test_deltas_sharing_a_directory_are_a_usage_error(self, tmp_path, capsys):
+        # 1e-2 and 1.2e-2 both format as delta_1e-02: the sweep is refused
+        # before it runs, rather than writing one delta over the other
+        rc = run_cli("--out", tmp_path, "experiment", "--mu", "0.5", "--m", "8",
+                     "--p", "56", "--dt", "4e-3", "--deltas", "1e-2", "1.2e-2")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: deltas 0.01 and 0.012 share the output directory delta_1e-02\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNoGrowingMode:
     def test_every_command_reports_the_packet_refusal(self, tmp_path, capsys, monkeypatch):

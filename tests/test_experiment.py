@@ -16,11 +16,14 @@ from slipflow.sim import (
     field_from_packet,
     run,
     run_separation_experiment,
+    velocity_from_streamfunction,
+    velocity_norms,
     write_experiment_outputs,
 )
 from slipflow.spectrum import assemble, solve_spectrum
 from slipflow.sim import experiment as experiment_mod
 from slipflow.sim.experiment import delta_dir_name
+from slipflow.sim.run import _Recorder
 
 
 class TestSmokeSweep:
@@ -112,6 +115,58 @@ class TestSmokeSweep:
             assert (tmp_path / rel).read_bytes() == (out / rel).read_bytes()
 
 
+class TestRecordReference:
+    def test_record_matches_the_per_field_functions(self, monkeypatch):
+        # one record of the two-mode sweep against each branch's
+        # streamfunction() through velocity_from_streamfunction and
+        # velocity_norms, differences formed on the fields
+        channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
+        sim = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, diagnostics_stride=25)
+        steppers, states, nr_norms = [], [], []
+        init, record = ChannelStepper.__init__, _Recorder.record
+
+        def tracking(st, *args):
+            init(st, *args)
+            steppers.append(st)
+
+        def snapshot(rec):
+            states.append([st.streamfunction() for st in steppers])
+            return record(rec)
+
+        norms = experiment_mod._sobolev_norms
+        monkeypatch.setattr(ChannelStepper, "__init__", tracking)
+        monkeypatch.setattr(_Recorder, "record", snapshot)
+        monkeypatch.setattr(experiment_mod, "_sobolev_norms",
+                            lambda q, L: nr_norms.append(norms(q, L)) or nr_norms[-1])
+        exp = run_separation_experiment(channel, sim=sim, deltas=(1.0e-3,),
+                                        basis_size=48, n_max=12)
+        (o,) = exp.outcomes
+        assert o.error is None
+        assert len(steppers) == 4 and len(states) == len(nr_norms) == o.times.size
+        assert o.d_from_linear_full[0] == 0.0
+        assert o.d_from_linear_reduced[0] == 0.0
+
+        # the branches were built nf, lf, nr, lr
+        nf, lf, nr, lr = (velocity_from_streamfunction(f) for f in states[-1])
+
+        def distance(a, b):
+            return velocity_norms(a[0] - b[0], a[1] - b[1])[0]
+
+        l2_nr, _, h2_nr = velocity_norms(*nr)
+        want = (distance(nf, nr), distance(lf, lr), distance(nf, lf), distance(nr, lr),
+                l2_nr, h2_nr)
+        got = (o.sep_l2[-1], o.linear_prediction[-1], o.d_from_linear_full[-1],
+               o.d_from_linear_reduced[-1], nr_norms[-1][0], nr_norms[-1][2])
+        # h2 to 1e-11, as in the run record tests: the reference differentiates
+        # the streamfunction's Chebyshev coefficients, which amplifies their
+        # roundoff, so the two h2 evaluations differ by about 6e-12 and
+        # neither is the more accurate (see sim.run._Recorder.record)
+        names = ("sep", "linear_prediction", "d_full", "d_red", "l2_nr", "h2_nr")
+        for name, g, w in zip(names, got, want):
+            tol = 1.0e-11 if name == "h2_nr" else 1.0e-12
+            assert abs(g - w) <= tol * w, name
+
+
 class TestAcceptanceSweepStructure:
     def test_single_mode_packet_and_verdict(self, acceptance_experiment):
         exp, _, _ = acceptance_experiment
@@ -163,6 +218,17 @@ class TestValidation:
             run_separation_experiment(channel, deltas=())
         with pytest.raises(ValidationError, match="delta0"):
             run_separation_experiment(channel, deltas=(0.5,), delta0=0.02)
+
+    @pytest.mark.parametrize("deltas", [(1.0e-2, 1.2e-2), (1.0e-2, 1.0e-2)],
+                             ids=["same-name", "repeated"])
+    def test_rejects_deltas_sharing_a_directory(self, deltas, tmp_path):
+        # both would write delta_1e-02/, the later one over the earlier
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        a, b = (f"{d:g}" for d in deltas)
+        with pytest.raises(ValidationError, match=f"deltas {a} and {b} share the "
+                                                  "output directory delta_1e-02"):
+            run_separation_experiment(channel, deltas=deltas, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_delta_at_or_past_escape(self):
         # delta * F_N(0) >= epsilon0 leaves no positive escape time

@@ -13,6 +13,7 @@ from slipflow.numerics import (
     NonSymmetricError,
     NotPositiveDefiniteError,
     _fix_signs,
+    _wall_signs,
     boundary_form,
     build_basis,
     energy_form,
@@ -133,6 +134,17 @@ def test_wall_values_match_chebval_on_stacked_complex_series():
     cols = np.moveaxis(c, -1, 0)
     assert np.allclose(minus, C.chebval(-1.0, cols), rtol=0.0, atol=1e-13)
     assert np.allclose(plus, C.chebval(1.0, cols), rtol=0.0, atol=1e-13)
+
+
+def test_wall_values_share_one_read_only_sign_table():
+    # the cached table gives the bits of the products with freshly built signs
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal((2, 5, 17))
+    got = wall_values(c)
+    assert got.tobytes() == np.stack([c @ (-1.0) ** np.arange(17), c @ np.ones(17)]).tobytes()
+    signs = _wall_signs(17)
+    assert _wall_signs(17) is signs
+    assert not signs.flags.writeable
 
 
 class TestSlipDefectsFlagAWrongPair:

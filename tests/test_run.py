@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import mode_field
+from conftest import mode_field, node_velocity
 
 from slipflow.model import ChannelConfig, SlipPair, ValidationError
 from slipflow.numerics import build_basis
@@ -97,13 +97,10 @@ class TestDiagnostics:
     def test_record_solves_the_state_once(self, channel, basis48, monkeypatch):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
         stepper = ChannelStepper(SimConfig(channel=channel, M=8, P=56, dt=1.0e-3), field)
-        phi = stepper._solve_phi(stepper._rows())
-        for given, default in zip(stepper.velocity(phi), stepper.velocity()):
-            np.testing.assert_array_equal(given.coefficients, default.coefficients)
+        # the CFL number of the solved imaginary plane, as the record gives it
+        phi = stepper._solve_planes(stepper._state[1].copy())
         assert stepper.cfl_number(phi) == stepper.cfl_number() > 0.0
-        for given, default in zip(stepper.tendency_split(phi), stepper.tendency_split()):
-            np.testing.assert_array_equal(given, default)
-            assert np.abs(given).max() > 0.0
+        assert all(np.abs(rows).max() > 0.0 for rows in stepper.tendency_split())
 
         solved = _count_solves(stepper, monkeypatch)
         _Recorder(stepper).record()
@@ -137,19 +134,14 @@ class TestDiagnostics:
 
 def _count_solves(stepper, monkeypatch):
     """The list of copies of the arrays each later ``_solve_planes`` call is
-    given, before it solves them in place; the complex ``_solve_phi`` must
-    not be called."""
+    given, before it solves them in place."""
     solve, solved = stepper._solve_planes, []
 
     def counting(rows):
         solved.append(rows.copy())
         return solve(rows)
 
-    def refuse(omega):
-        raise AssertionError("the record solved complex rows")
-
     monkeypatch.setattr(stepper, "_solve_planes", counting)
-    monkeypatch.setattr(stepper, "_solve_phi", refuse)
     return solved
 
 
@@ -183,20 +175,21 @@ def _random_stepper(channel, live, M=8, P=32, locked=False, linearized=True):
 
 
 def _full_row_record(stepper):
-    """The record's row from the stepper's public methods on all M+1 rows."""
-    phi = stepper._solve_phi(stepper._rows())
-    u1, u2 = stepper.velocity(phi)
+    """The record's row on all M+1 rows from the per-field functions, with
+    the velocities of the state and of ``tendency_split``'s rows built in
+    node space (``conftest.node_velocity``), not by the stepper's map."""
+    u1, u2 = node_velocity(stepper, stepper._rows())
     l2, h1, h2 = velocity_norms(u1, u2)
     bp = boundary_production(u1, stepper.slip)
     diss = gradient_dissipation(u1, u2, stepper.mu)
-    visc, adv = stepper.tendency_split(phi)
-    v1, v2 = stepper.tendency_velocity(visc)
+    visc, adv = stepper.tendency_split()
+    v1, v2 = node_velocity(stepper, visc)
     dedt = scalar_inner(u1, v1) + scalar_inner(u2, v2)
     if stepper.cfg.linearized:
         assert not adv.any()
         nlf = 0.0
     else:
-        a1, a2 = stepper.tendency_velocity(adv)
+        a1, a2 = node_velocity(stepper, adv)
         nlf = -(scalar_inner(u1, a1) + scalar_inner(u2, a2))
         dedt -= nlf
     resid = abs(dedt - bp + diss + nlf)
@@ -223,18 +216,22 @@ def _assert_record_matches(got, want):
 
 def _check_record(stepper):
     """The record of the stepper's state against ``_full_row_record``: its
-    velocity has the b rows the diagnostics read, each within 1e-14 of the
-    largest full-row coefficient, and its row matches the reference's."""
-    b = stepper._diagnostic_end
+    velocity coefficient planes have the b rows the diagnostics read, the
+    imaginary plane alone for a locked state, each velocity coefficient
+    within 1e-14 of the largest full-row one, and its row matches the
+    reference's."""
+    b = max(stepper._box[1].stop, 1)
     rec = _Recorder(stepper)
-    (u1, u2), norms = rec.record()
+    c, norms = rec.record()
     want, full = _full_row_record(stepper)
 
-    assert u1.M + 1 == u2.M + 1 == b
-    for got, ref in zip((u1, u2), full):
+    assert c.shape == (1 if stepper._locked else 2, b, 2, stepper.cfg.P)
+    rows = 1j * c[0] if stepper._locked else c[0] + 1j * c[1]
+    velocity = (rows[:, 0], -1j * stepper.kappa[:b, None] * rows[:, 1])
+    for got, ref in zip(velocity, full):
         scale = np.abs(ref.coefficients).max()
         assert not ref.coefficients[b:].any()
-        assert np.abs(got.coefficients - ref.coefficients[:b]).max() <= 1.0e-14 * scale
+        assert np.abs(got - ref.coefficients[:b]).max() <= 1.0e-14 * scale
     _assert_record_matches(rec.rows[-1], want)
     assert norms == rec.rows[-1][1:4]
     return rec.rows[-1]
@@ -366,6 +363,25 @@ class TestStateBox:
         clone = read_checkpoint(write_checkpoint(tmp_path / "mid.bin", stepper), cfg)
         assert clone._box == box
         assert installs == [1, 1, 2]  # the clone's zero state, then the two blocks
+
+
+class TestPublicVelocity:
+    """velocity() and tendency_velocity() read the record's coefficient map."""
+
+    @pytest.mark.parametrize("locked, linearized", _BOXES)
+    def test_matches_the_node_space_reference(self, channel, basis48, locked, linearized):
+        stepper, _ = _packet_stepper(channel, basis48, locked, linearized)
+        for _ in range(5):
+            stepper.step()
+        visc, adv = stepper.tendency_split()
+        pairs = [(stepper.velocity(), stepper._rows()), (stepper.tendency_velocity(visc), visc)]
+        if not linearized:
+            pairs.append((stepper.tendency_velocity(adv), adv))
+        for fields, rows in pairs:
+            for got, want in zip(fields, node_velocity(stepper, rows)):
+                scale = np.abs(want.coefficients).max()
+                assert got.M == want.M == stepper.cfg.M and scale > 0.0
+                assert np.abs(got.coefficients - want.coefficients).max() <= 1.0e-14 * scale
 
 
 class TestCheckpointing:

@@ -5,7 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import CFL_ULPS, dct_coeffs_from_values, dct_values_from_coeffs, mode_field
+from conftest import (
+    CFL_ULPS,
+    dct_coeffs_from_values,
+    dct_values_from_coeffs,
+    mode_field,
+    solve_streamfunction,
+    velocity_nodes,
+)
 from scipy import fft as sfft
 from scipy import linalg as sla
 from scipy.optimize import brentq
@@ -268,7 +275,7 @@ class _PerModeReference(ChannelStepper):
         rhs[0] = rhs[-1] = 0.0
         return sla.lu_solve(klu, rhs)
 
-    def _solve_phi(self, omega):
+    def _poisson_rows(self, omega):
         phi = np.zeros_like(omega)
         for n, (_, klu, _, _) in enumerate(self.ref, start=1):
             phi[n] = self._poisson(klu, omega[n])
@@ -280,7 +287,7 @@ class _PerModeReference(ChannelStepper):
         if cfg.linearized:
             adv = np.zeros_like(w)
         else:
-            adv = _advection_rows(self, self._solve_phi(w))
+            adv = _advection_rows(self, self._poisson_rows(w))
         blocks = self._blocks()  # the history block once the reference has stepped
         adv_x = 1.5 * adv - 0.5 * blocks[1] if len(blocks) == 2 else adv
         rhs = (w + self._alpha * (w @ self.D2.T - (self.kappa**2)[:, None] * w)
@@ -349,8 +356,8 @@ class TestLinearizedStep:
     def test_step_never_solves_the_streamfunction(self):
         _, _, stepper = self._stepper((1, 3))
         calls = []
-        solve, advection = stepper._solve_phi, stepper._advection
-        stepper._solve_phi = lambda omega: calls.append(1) or solve(omega)
+        solve, advection = stepper._solve_planes, stepper._advection
+        stepper._solve_planes = lambda rows: calls.append(1) or solve(rows)
         stepper._advection = lambda phi, w: calls.append(2) or advection(phi, w)
         for _ in range(5):
             stepper.step()
@@ -406,8 +413,12 @@ def _apply(ops, rows):
 
 
 def _advection_rows(stepper, phi):
-    """The complex advection rows of the stepper's state with streamfunction ``phi``."""
-    return -stepper.tendency_split(phi)[1]
+    """The complex advection rows of the stepper's locked state with
+    streamfunction rows ``phi``: i a_n in rows 1 .. M, a from ``_advection``,
+    and a zero mean row."""
+    adv = np.zeros((stepper.cfg.M + 1, stepper.cfg.P), dtype=complex)
+    adv[1:] = 1j * stepper._advection(phi.imag[1:], stepper._rows().imag[1:])
+    return adv
 
 
 class _ComplexLockedStep(ChannelStepper):
@@ -424,7 +435,7 @@ class _ComplexLockedStep(ChannelStepper):
         rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
         history = np.zeros_like(omega)
         if not cfg.linearized:
-            history = _advection_rows(self, self._solve_phi(omega))
+            history = _advection_rows(self, solve_streamfunction(self, omega))
             blocks = self._blocks()
             ab2 = 1.5 * history - 0.5 * blocks[1] if len(blocks) == 2 else history
             rhs -= cfg.dt * ab2
@@ -534,7 +545,7 @@ def _dct_from_phys(stepper, vals):
 def _dct_advection(stepper, phi):
     """The u . grad omega rows 1 .. M of a state with no mean flow, with the
     DCT transforms."""
-    u1, u2 = stepper._velocity_nodes(phi, stepper._rows(1)[0])
+    u1, u2 = velocity_nodes(stepper, phi, stepper._rows()[0])
     omega = stepper._rows()
     w1 = (1j * stepper.kappa)[:, None] * omega
     w2 = omega @ stepper.D.T
@@ -626,8 +637,9 @@ class TestLockedAdvection:
                                          (32, 64, 1.0), (64, 64, 1.0)])
     def test_matches_dct_path(self, M, P, L):
         stepper = self._stepper(M, P, L, seed=M + P)
-        phi = stepper._solve_phi(stepper._rows())
-        got, want = _advection_rows(stepper, phi), _dct_advection(stepper, phi)
+        # the public tendency against the DCT path on the reference solve
+        got = -stepper.tendency_split()[1]
+        want = _dct_advection(stepper, solve_streamfunction(stepper))
         assert np.abs(got[1:] - want).max() <= 1.0e-13 * np.abs(want).max()
         assert np.all(got[0] == 0.0)
         assert np.all(got.real == 0.0)
@@ -688,7 +700,7 @@ class TestLockedAdvection:
         for _ in range(3):
             locked.step()
         # the CFL formula on the whole period, after steps
-        want = _full_period_cfl(locked, locked._solve_phi(locked._rows()))
+        want = _full_period_cfl(locked, solve_streamfunction(locked))
         assert want > 0.0
         assert abs(locked.cfl_number() - want) <= CFL_ULPS * np.spacing(want)
 
@@ -699,7 +711,7 @@ def _full_period_cfl(stepper, phi):
     dt (max |u1| / dx1 + max |u2| / dx2_min), dx1 = 2 pi L / n1 and dx2_min
     the CGL spacing next to a wall.
     """
-    u1, u2 = stepper._velocity_nodes(phi, stepper._rows(1)[0])
+    u1, u2 = velocity_nodes(stepper, phi, stepper._rows()[0])
     m1 = np.abs(_fft_to_phys(stepper, u1)).max(initial=0.0)
     m2 = np.abs(_fft_to_phys(stepper, u2)).max(initial=0.0)
     x2 = cgl_nodes(stepper.cfg.P)
@@ -716,11 +728,11 @@ class TestLockedCfl:
         # the streamfunction rows 0 .. b-1 of the state, the later rows zero
         stepper = TestLockedAdvection._stepper(M, P, L, seed=M + P)
         assert stepper._locked
-        phi = stepper._solve_phi(stepper._rows())
+        phi = solve_streamfunction(stepper)
         for b in range(1, M + 2):
             prefix = np.zeros_like(phi)
             prefix[:b] = phi[:b]
-            got, want = stepper.cfl_number(prefix), _full_period_cfl(stepper, prefix)
+            got, want = stepper.cfl_number(prefix.imag), _full_period_cfl(stepper, prefix)
             assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
 
     def test_cfl_of_a_state_off_the_class_is_refused(self):
@@ -745,11 +757,11 @@ class TestLockedCfl:
         cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3)
         stepper = ChannelStepper(cfg, SpectralField2D(rows, L))
         assert stepper._locked
-        phi = stepper._solve_phi(stepper._rows())
-        u2 = _fft_to_phys(stepper, stepper._velocity_nodes(phi, stepper._rows(1)[0])[1])
+        phi = solve_streamfunction(stepper)
+        u2 = _fft_to_phys(stepper, velocity_nodes(stepper, phi, stepper._rows()[0])[1])
         peak = np.abs(u2).max(axis=1)
         j = 0 if end == "start" else stepper._n1 // 2
         assert np.argmax(peak) == j
         assert np.delete(peak, j).max() < 0.95 * peak[j]
         want = _full_period_cfl(stepper, phi)
-        assert abs(stepper.cfl_number(phi) - want) <= CFL_ULPS * np.spacing(want)
+        assert abs(stepper.cfl_number(phi.imag) - want) <= CFL_ULPS * np.spacing(want)
