@@ -35,6 +35,8 @@ together with the subcommand's parsed flags and --seed; --out, --threads
 and the --config path are left out.  Rerunning an identical invocation
 reproduces every output file byte for byte (floats are printed with 17
 significant digits); wall-clock timings go to stderr, never into files.
+`simulate` adds to its manifest, and prints, the rate its Crank-Nicolson
+steps realize for the packet's top rate and the relative gap between them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -291,6 +294,17 @@ def _cmd_modes(ns, out, channel, raw):
     return 0, ["modes.csv", "packet.json"]
 
 
+def _crank_nicolson_rate(lam: float, dt: float) -> tuple:
+    """The rate a Crank-Nicolson run realizes for a mode of rate ``lam``,
+    ln|(1 + lam dt/2) / (1 - lam dt/2)| / dt, and its relative gap to
+    ``lam``; both are inf at lam dt = 2, where the step map has a pole."""
+    h = 0.5 * lam * dt
+    if h == 1.0:
+        return math.inf, math.inf
+    lam_run = math.log(abs((1.0 + h) / (1.0 - h))) / dt
+    return lam_run, lam_run / lam - 1.0
+
+
 def _cmd_simulate(ns, out, channel, raw):
     from .sim import diagnostics_to_csv, energy_to_csv, field_from_packet, run
 
@@ -307,7 +321,13 @@ def _cmd_simulate(ns, out, channel, raw):
     print(f"simulate: {cfg.n_steps} steps to t = {diag.times[-1]:g}, "
           f"final l2 = {diag.l2_norm[-1]:.12g}, "
           f"growth rate estimate = {diag.growth_rate_estimate[-1]:.12g}")
-    return 0, outputs
+    lam = packet.top_lambda
+    lam_run, gap = _crank_nicolson_rate(lam, cfg.dt)
+    print(f"simulate: Crank-Nicolson at dt = {cfg.dt:g} realizes the top rate "
+          f"lambda = {lam:.12g} as lambda_run = {lam_run:.12g} "
+          f"(relative gap {gap:.3e})")
+    rate = {"lambda": lam, "lambda_run": lam_run, "relative_gap": gap}
+    return 0, outputs, {"crank_nicolson_rate": rate}
 
 
 def _cmd_experiment(ns, out, channel, raw):
@@ -484,7 +504,8 @@ def main(argv=None) -> int:
         t_setup = time.perf_counter() - t0
         # verify builds its own channels and reads no channel config
         channel = None if ns.command == "verify" else channel_from_config(raw)
-        rc, outputs = _HANDLERS[ns.command](ns, out, channel, raw)
+        # a handler returns (exit code, outputs) and may add manifest fields
+        rc, outputs, *fields = _HANDLERS[ns.command](ns, out, channel, raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -504,6 +525,7 @@ def main(argv=None) -> int:
         "config_digest": _config_digest(raw, ns),
         "tool_version": TOOL_VERSION,
         "outputs": list(outputs),
+        **(fields[0] if fields else {}),
     })
     return rc
 

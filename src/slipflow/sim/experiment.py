@@ -16,7 +16,14 @@ delta * F_N(T^delta) = epsilon0, and verifies with measured constants that
 Each branch is integrated alongside a linearized twin started from the same
 initial data, all four with the same step size, so the recorded difference
 from linear isolates the quadratic (advection) effect rather than the time
-discretization error of the linear propagator.  Every packet starts in the
+discretization error of the linear propagator.  Every delta starts first,
+in the given order; then one loop over the step index m advances the
+nonlinear branches of every running delta in one group step
+(``ChannelStepper.step``) and their linear twins in another, and each delta
+records at its own m % stride == 0 or m == n_steps and leaves the loop
+after its last step.  The group step makes each branch's products of a
+lone step, so a delta's series do not depend on which deltas share its
+sweep, bit for bit.  Every packet starts in the
 odd-in-x1 symmetry class (pure imaginary mode rows, zero mean flow), the
 one class the nonlinear stepper takes, and its half-period products keep
 the branches in it exactly (see ``sim.stepper``).  That matters:
@@ -37,7 +44,9 @@ nonlinear branch starts and records through the checks of a run
 the linear prediction at t_final exceeds 1, and the twins have no CFL
 bound.  A refused start takes no step and is that delta's recorded
 ValidationError (``DeltaOutcome.refused``); a CFL number above 1 in either
-nonlinear branch at a record is its SimulationBlowupError.  A failed delta
+nonlinear branch at a record is its SimulationBlowupError, and so is a
+branch whose state stops being finite in a group step, which ends its own
+delta only: the others keep stepping.  A failed delta
 is ``DeltaOutcome(delta, error=...)``: its measured fields keep their
 defaults, NaN and empty series, which the manifests write as null.
 """
@@ -187,53 +196,68 @@ def _gate(times, lhs, rhs) -> GateReport:
     return GateReport(True, None, float(ratio.max()))
 
 
-def _run_one_delta(
-    delta: float,
-    packet: ModePacket,
-    units: tuple,
-    sim: SimConfig,
-    epsilon0: float,
-    c1: float,
-    delta0: float,
-) -> DeltaOutcome:
-    """One delta's four branches; ``units`` holds the embedded unit packet
-    and reduced packet (None when the reduced packet is empty)."""
-    lam_top = packet.top_lambda
-    c_top = abs(float(packet.coefficients[-1]))
-    t_delta = escape_time(packet, delta, epsilon0)
-    n_steps = int(math.ceil(t_delta / sim.dt - 1.0e-12))
-    cfg = replace(sim, t_end=n_steps * sim.dt, linearized=False)
-    twin = replace(cfg, linearized=True)
+# the failures that end one delta and become its recorded error
+_FAILURES = (
+    SimulationBlowupError,
+    InfluenceConditioningError,
+    ValidationError,
+    FloatingPointError,
+)
 
-    unit_full, unit_reduced = units
-    full0 = unit_full * delta
-    nf = _start(full0, cfg)
-    # refuse a dt whose CFL number at the linear prediction for t_final,
-    # embedded like the initial data, passes the record's abort threshold 1
-    grown = ModePacket(packet.modes, packet.coefficients * np.exp(packet.lambdas * cfg.t_end))
-    predicted = field_from_packet(grown, sim.M, sim.P, sim.channel.L) * delta
-    cfl = nf.cfl_number(nf._solve_planes(nf._state_from_streamfunction(predicted).imag))
-    if cfl > 1.0:
-        raise ValidationError(
-            f"dt = {cfg.dt:g} exceeds the advective stability bound {cfg.dt / cfl:g} "
-            f"estimated from the linear prediction at t = {cfg.t_end:g}"
-        )
-    # a linear twin holds its branch's checked initial data
-    steppers = {"nf": nf, "lf": ChannelStepper(twin, full0)}
-    reduced_active = unit_reduced is not None
-    if reduced_active:
-        red0 = unit_reduced * delta
-        steppers["nr"] = _start(red0, cfg)
-        steppers["lr"] = ChannelStepper(twin, red0)
 
-    recorder = _Recorder(steppers["nf"])
-    stride = sim.diagnostics_stride
-    rec_steps, rows = [], []
+def _failed(delta: float, exc: Exception) -> DeltaOutcome:
+    return DeltaOutcome(delta, error=f"{type(exc).__name__}: {exc}")
 
-    def record(m: int):
+
+class _DeltaRun:
+    """One delta's four branches, started and recorded at step 0 on
+    construction; the sweep steps them (``branches``) and calls ``record``
+    and, after the last step, ``outcome``.  ``units`` holds the embedded
+    unit packet and reduced packet (None when the reduced packet is empty)."""
+
+    def __init__(self, delta: float, packet: ModePacket, units: tuple, sim: SimConfig,
+                 epsilon0: float, c1: float, delta0: float):
+        self.delta, self.packet, self.sim = delta, packet, sim
+        self.epsilon0, self.c1, self.delta0 = epsilon0, c1, delta0
+        self.t_delta = escape_time(packet, delta, epsilon0)
+        self.n_steps = int(math.ceil(self.t_delta / sim.dt - 1.0e-12))
+        cfg = replace(sim, t_end=self.n_steps * sim.dt, linearized=False)
+        twin = replace(cfg, linearized=True)
+
+        unit_full, unit_reduced = units
+        full0 = unit_full * delta
+        nf = _start(full0, cfg)
+        # refuse a dt whose CFL number at the linear prediction for t_final,
+        # embedded like the initial data, passes the record's abort threshold 1
+        grown = ModePacket(packet.modes,
+                           packet.coefficients * np.exp(packet.lambdas * cfg.t_end))
+        predicted = field_from_packet(grown, sim.M, sim.P, sim.channel.L) * delta
+        cfl = nf.cfl_number(nf._solve_planes(nf._state_from_streamfunction(predicted).imag))
+        if cfl > 1.0:
+            raise ValidationError(
+                f"dt = {cfg.dt:g} exceeds the advective stability bound {cfg.dt / cfl:g} "
+                f"estimated from the linear prediction at t = {cfg.t_end:g}"
+            )
+        # a linear twin holds its branch's checked initial data
+        self.steppers = {"nf": nf, "lf": ChannelStepper(twin, full0)}
+        self.reduced_active = unit_reduced is not None
+        if self.reduced_active:
+            red0 = unit_reduced * delta
+            self.steppers["nr"] = _start(red0, cfg)
+            self.steppers["lr"] = ChannelStepper(twin, red0)
+        self.recorder = _Recorder(nf)
+        self.rec_steps, self.rows = [], []
+        self.record(0)
+
+    def branches(self, linearized: bool) -> list:
+        """The nonlinear branches (nf, nr) or their linear twins (lf, lr)."""
+        return [st for st in self.steppers.values() if st.cfg.linearized == linearized]
+
+    def record(self, m: int):
         # nf, nr, lf, lr: a twin holds its branch's class, so each branch has
         # the full one's coefficient planes (p, M+1, 2, P) or their first rows
-        c_nf, (l2_nf, _, h2_nf) = recorder.record()
+        steppers, sim = self.steppers, self.sim
+        c_nf, (l2_nf, _, h2_nf) = self.recorder.record()
         u = np.zeros((4,) + c_nf.shape)
         u[0] = c_nf
         for i, name in ((1, "nr"), (2, "lf"), (3, "lr")):
@@ -251,61 +275,95 @@ def _run_one_delta(
         # sep, the linear prediction, d_full and d_red, then nr itself; a
         # one-mode packet's reduced branches are exactly zero
         fields = np.concatenate([u[[0, 2, 0, 1]] - u[[1, 3, 2, 3]], u[1:2]])
-        _, q = recorder._forms(fields if reduced_active else fields[:3])
+        _, q = self.recorder._forms(fields if self.reduced_active else fields[:3])
         dist = np.sqrt(q[:, 0].sum(axis=-1))
         sep, linpred, d_full = dist[:3]
-        if reduced_active:
+        if self.reduced_active:
             d_red = dist[3]
             l2_nr, _, h2_nr = _sobolev_norms(q[4], sim.channel.L)
         else:
             l2_nr = h2_nr = d_red = 0.0
         t = steppers["nf"].t
-        f_t = delta * packet_envelope_value(packet, t)
-        rec_steps.append(m)
-        rows.append((t, sep, linpred, d_full, d_red, f_t, l2_nf + l2_nr, h2_nf + h2_nr))
+        f_t = self.delta * packet_envelope_value(self.packet, t)
+        self.rec_steps.append(m)
+        self.rows.append((t, sep, linpred, d_full, d_red, f_t, l2_nf + l2_nr, h2_nf + h2_nr))
 
-    record(0)
-    for m in range(1, n_steps + 1):
-        for st in steppers.values():
-            st.step()
-        if m % stride == 0 or m == n_steps:
-            record(m)
+    def outcome(self) -> DeltaOutcome:
+        delta, packet, epsilon0, t_delta = self.delta, self.packet, self.epsilon0, self.t_delta
+        lam_top = packet.top_lambda
+        c_top = abs(float(packet.coefficients[-1]))
+        times, sep, linpred, d_full, d_red, delta_f, l2_sum, h2_sum = np.array(self.rows).T
 
-    times, sep, linpred, d_full, d_red, delta_f, l2_sum, h2_sum = np.array(rows).T
+        gate_h2 = _gate(times, h2_sum, np.full_like(h2_sum, 2.0 * self.c1 * self.delta0))
+        gate_l2 = _gate(times, l2_sum, 3.0 * self.c1 * delta_f)
 
-    gate_h2 = _gate(times, h2_sum, np.full_like(h2_sum, 2.0 * c1 * delta0))
-    gate_l2 = _gate(times, l2_sum, 3.0 * c1 * delta_f)
+        separation = float(sep[-1])
+        t_final = float(times[-1])
+        bound = 0.5 * delta * c_top * math.exp(lam_top * t_final)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c2 = float(np.max(h2_sum / delta_f))
+            c3_candidates = np.maximum(d_full, d_red)[delta_f > 0.0]
+            c3 = float(np.max(c3_candidates / delta_f[delta_f > 0.0] ** 2))
+        c4 = epsilon0 / (delta * c_top * math.exp(lam_top * t_delta))
+        return DeltaOutcome(
+            delta=delta,
+            t_delta=t_delta,
+            t_final=t_final,
+            steps=np.array(self.rec_steps),
+            times=times,
+            sep_l2=sep,
+            linear_prediction=linpred,
+            d_from_linear_full=d_full,
+            d_from_linear_reduced=d_red,
+            delta_f=delta_f,
+            gate_h2=gate_h2,
+            gate_l2=gate_l2,
+            separation=separation,
+            bound=bound,
+            separation_ok=bool(separation >= bound),
+            c2=c2,
+            c3=c3,
+            c4=c4,
+            m0=separation / epsilon0,
+            diagnostics=self.recorder.finish(),
+        )
 
-    separation = float(sep[-1])
-    t_final = float(times[-1])
-    bound = 0.5 * delta * c_top * math.exp(lam_top * t_final)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c2 = float(np.max(h2_sum / delta_f))
-        c3_candidates = np.maximum(d_full, d_red)[delta_f > 0.0]
-        c3 = float(np.max(c3_candidates / delta_f[delta_f > 0.0] ** 2))
-    c4 = epsilon0 / (delta * c_top * math.exp(lam_top * t_delta))
-    return DeltaOutcome(
-        delta=delta,
-        t_delta=t_delta,
-        t_final=t_final,
-        steps=np.array(rec_steps),
-        times=times,
-        sep_l2=sep,
-        linear_prediction=linpred,
-        d_from_linear_full=d_full,
-        d_from_linear_reduced=d_red,
-        delta_f=delta_f,
-        gate_h2=gate_h2,
-        gate_l2=gate_l2,
-        separation=separation,
-        bound=bound,
-        separation_ok=bool(separation >= bound),
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        m0=separation / epsilon0,
-        diagnostics=recorder.finish(),
-    )
+
+def _step_sweep(live: dict, outcomes: list, stride: int):
+    """Step the started deltas ``live`` (index -> _DeltaRun) to their last
+    steps, filling ``outcomes`` by index.  Each step m advances the
+    nonlinear branches of every live delta in one group step and their
+    linear twins in another (``ChannelStepper.step``); then each delta
+    records at its own m % stride == 0 or m == n_steps and leaves after its
+    last step.  A failure ends its own delta only: a group step's
+    SimulationBlowupError the deltas of the branches it names (a
+    FloatingPointError, which names none, every delta of the group), a
+    record's failure its delta."""
+    m = 0
+    while live:
+        m += 1
+        for linearized in (False, True):
+            group = [st for run in live.values() for st in run.branches(linearized)]
+            if not group:
+                continue
+            try:
+                group[0].step(*group[1:])
+            except (SimulationBlowupError, FloatingPointError) as exc:
+                hit = getattr(exc, "steppers", group)
+                for i, run in list(live.items()):
+                    if any(st in hit for st in run.steppers.values()):
+                        outcomes[i] = _failed(run.delta, exc)
+                        del live[i]
+        for i, run in list(live.items()):
+            try:
+                if m % stride == 0 or m == run.n_steps:
+                    run.record(m)
+                if m == run.n_steps:
+                    outcomes[i] = run.outcome()
+                    del live[i]
+            except _FAILURES as exc:
+                outcomes[i] = _failed(run.delta, exc)
+                del live[i]
 
 
 def _fit_slope(outcomes, stride: int) -> float:
@@ -405,19 +463,14 @@ def run_separation_experiment(
                 f"{epsilon0:g}; the escape time is not positive"
             )
 
-    outcomes = []
-    for d in deltas:
+    # every delta starts, in order, before the sweep steps them together
+    outcomes, live = [None] * len(deltas), {}
+    for i, d in enumerate(deltas):
         try:
-            outcomes.append(
-                _run_one_delta(d, packet, units, sim, epsilon0, c1, delta0)
-            )
-        except (
-            SimulationBlowupError,
-            InfluenceConditioningError,
-            ValidationError,
-            FloatingPointError,
-        ) as exc:
-            outcomes.append(DeltaOutcome(d, error=f"{type(exc).__name__}: {exc}"))
+            live[i] = _DeltaRun(d, packet, units, sim, epsilon0, c1, delta0)
+        except _FAILURES as exc:
+            outcomes[i] = _failed(d, exc)
+    _step_sweep(live, outcomes, sim.diagnostics_stride)
 
     slope = _fit_slope(outcomes, sim.diagnostics_stride)
     slope_ok = bool(abs(slope - 2.0) <= 0.2)  # False for a NaN slope

@@ -38,7 +38,13 @@ a checkpoint fixes, once, the box of the state that can be nonzero,
 below), else both; the live span of rows (first to last nonzero one) on a
 linearized stepper, whose rows decouple so that a zero row stays zero, and
 rows 1 .. M on a nonlinear one.  A step advances the box alone, by stacked
-real matmuls.  The diagnostics read rows 0 .. b-1, b the end of the box:
+real matmuls.  One call may step a group of steppers that share the
+operator set, the ``linearized`` flag, the box and whether they have an
+AB2 history (the branches of a separation sweep): their boxes lie on a
+leading branch axis and every product broadcasts over it, making for each
+branch the BLAS call of a lone step, so each advances bit for bit as it
+would alone.  A lone step is the one-branch group.  The diagnostics read
+rows 0 .. b-1, b the end of the box:
 every later row of each field they form is zero, and the first b rows of a
 field are still a field (row n is still mode n), with the same norms and
 inner products.  The methods below take their b from the row count of the
@@ -105,7 +111,15 @@ __all__ = [
 
 
 class SimulationBlowupError(RuntimeError):
-    """Raised when the state stops being finite or the CFL bound is lost."""
+    """Raised when the state stops being finite or the CFL bound is lost.
+
+    ``steppers`` holds the steppers of a step whose state stopped being
+    finite, and is empty for a lost CFL bound.
+    """
+
+    def __init__(self, message: str, steppers: tuple = ()):
+        super().__init__(message)
+        self.steppers = steppers
 
 
 class InfluenceConditioningError(RuntimeError):
@@ -180,6 +194,15 @@ def _complex(planes: np.ndarray) -> np.ndarray:
     rows = np.empty(planes.shape[1:], dtype=complex)
     rows.real, rows.imag = planes
     return rows
+
+
+def _boxes(planes: list, box: tuple) -> np.ndarray:
+    """The ``box`` of each of a group's ``planes`` on a leading branch axis:
+    a view of a lone stepper's box, else a stacked copy (the group step
+    writes its results back)."""
+    if len(planes) == 1:
+        return planes[0][box][None]
+    return np.stack([p[box] for p in planes])
 
 
 @functools.lru_cache(maxsize=4)
@@ -304,6 +327,13 @@ class ChannelStepper:
     ``_history`` and the box ``_box`` are the stepper's own and set by
     ``_install`` alone, which refuses a nonlinear state outside the locked
     class; readers get complex rows from ``_rows`` and ``_blocks``.
+
+    ``step(*others)`` advances this stepper and ``others`` in one group
+    step.  Steppers may share a step when they share the operator set (one
+    build), the ``linearized`` flag, the box and whether they have an AB2
+    history; ``step`` refuses any other group with ValueError.  Each product
+    broadcasts over the group's leading branch axis instead of forming one
+    wider product, so a branch's result does not depend on the others.
 
     The x1 synthesis is one table of 2 sin(kappa_n x1_j) and
     2 cos(kappa_n x1_j), n = 1 .. M, at x1_j = j pi L / (n1/2),
@@ -454,8 +484,9 @@ class ChannelStepper:
         M, pp = self.cfg.M, self._pad.shape[0]
         sine, cosine = self._half_sin, self._half_cos
         # b, d2 b, c and d2 c at the padded x2 nodes
-        f = np.concatenate([b, c]) @ self._pad_with_d
-        b, db, c, dc = f[:M, :pp], f[:M, pp:], f[M:, :pp], f[M:, pp:]
+        f = np.concatenate([b, c], axis=-2) @ self._pad_with_d
+        b, db = f[..., :M, :pp], f[..., :M, pp:]
+        c, dc = f[..., M:, :pp], f[..., M:, pp:]
         # u1 w1 + u2 w2 with u1 = -sine @ b', w1 = -cosine @ c,
         # u2 = cosine @ b, w2 = -sine @ c'
         prod = (sine @ db) * (cosine @ c) - (cosine @ b) * (sine @ dc)
@@ -463,29 +494,44 @@ class ChannelStepper:
 
     # -- stepping --------------------------------------------------------
 
-    def step(self):
+    def step(self, *others: ChannelStepper):
         """Advance the box x of the state one dt, x <- T (x E^T - alpha kappa^2 x
         - dt AB2(adv)), with the AB2 history in the same box of ``_history``
         (Euler weights on the very first step).  A linearized step forms no
-        streamfunction and no advection (both would be zero)."""
+        streamfunction and no advection (both would be zero).
+
+        ``others`` join the step as one group (see the class docstring); a
+        lone stepper is the one-branch group, its box a view with no copy.
+        Every branch steps; then SimulationBlowupError names in ``steppers``
+        those whose state stopped being finite."""
+        group = (self, *others)
+        for st in others:
+            if (st._T is not self._T or st.cfg.linearized != self.cfg.linearized
+                    or st._box != self._box or st._have_history != self._have_history):
+                raise ValueError("steppers in one step must share the operators, the "
+                                 "linearized flag, the box and the AB2 history")
         cfg, box = self.cfg, self._box
         rows = box[1]
-        x = self._state[box]
+        x = _boxes([st._state for st in group], box)
         rhs = x @ self._explicit_base.T
         rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * x
         if not cfg.linearized:
             adv = self._advection((self._K[rows] @ x[..., None])[..., 0], x)
             if self._have_history:
-                rhs -= cfg.dt * (1.5 * adv - 0.5 * self._history[box])
+                rhs -= cfg.dt * (1.5 * adv - 0.5 * _boxes([st._history for st in group], box))
             else:
                 rhs -= cfg.dt * adv
-            self._history[box] = adv
-        self._state[box] = (self._T[rows] @ rhs[..., None])[..., 0]
-        self._have_history = True
-        self.t += cfg.dt
-        if not np.isfinite(self._state[box]).all():
+            for st, a in zip(group, adv):
+                st._history[box] = a
+        new = (self._T[rows] @ rhs[..., None])[..., 0]
+        for st, s in zip(group, new):
+            st._state[box] = s
+            st._have_history = True
+            st.t += cfg.dt
+        if not np.isfinite(new).all():
+            bad = tuple(st for st, s in zip(group, new) if not np.isfinite(s).all())
             raise SimulationBlowupError(
-                f"state stopped being finite at t = {self.t:.6g}"
+                f"state stopped being finite at t = {bad[0].t:.6g}", bad
             )
 
     # -- safety estimates -------------------------------------------------

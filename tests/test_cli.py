@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, config resolution, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,37 @@ class TestSimulate:
         problem = ModeProblem(k=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
         lam = solve_spectrum(assemble(problem, basis48)).lambda1
         assert diag[-1, 6] == pytest.approx(lam, rel=5.0e-3)
+
+
+class TestCrankNicolsonRate:
+    def test_simulate_states_the_rate_its_run_realizes(self, tmp_path, capsys):
+        # lambda dt = 0.70 at the default dt: the run grows at
+        # ln|(1 + lambda dt/2) / (1 - lambda dt/2)| / dt, 4.35% above lambda
+        rc = run_cli("--out", tmp_path, "simulate", "--mu", "0.05", "--xi", "0", "3",
+                     "--linearized", "--t-end", "0.1")
+        assert rc == 0
+        rate = read_manifest(tmp_path)["crank_nicolson_rate"]
+        diag = np.loadtxt(tmp_path / "diagnostics.csv", delimiter=",", skiprows=1)
+        assert rate["lambda"] == pytest.approx(173.77217436, rel=1.0e-10)
+        assert abs(rate["lambda_run"] / diag[-1, 6] - 1.0) <= 1.0e-8
+        assert rate["relative_gap"] == rate["lambda_run"] / rate["lambda"] - 1.0
+        assert 0.0434 < rate["relative_gap"] < 0.0436
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("simulate: 25 steps to t = 0.1, final l2 = 132854.626222, "
+                            "growth rate estimate = 181.324011095")
+        assert lines[1] == (
+            "simulate: Crank-Nicolson at dt = 0.004 realizes the top rate lambda = "
+            f"{rate['lambda']:.12g} as lambda_run = {rate['lambda_run']:.12g} "
+            "(relative gap 4.346e-02)"
+        )
+
+    def test_rate_is_infinite_at_the_pole(self):
+        from slipflow.cli import _crank_nicolson_rate
+
+        assert _crank_nicolson_rate(8.0, 0.25) == (math.inf, math.inf)
+        lam_run, gap = _crank_nicolson_rate(8.0, 0.5)  # past the pole: g = -3
+        assert lam_run == pytest.approx(2.0 * math.log(3.0), rel=1.0e-15)
+        assert gap == pytest.approx(lam_run / 8.0 - 1.0, rel=1.0e-15)
 
 
 class TestVerify:

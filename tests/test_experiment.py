@@ -264,16 +264,25 @@ class TestFailureIsolation:
         channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
         sim = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3,
                         diagnostics_stride=25)
-        real = experiment_mod._run_one_delta
-        calls = []
+        # the second delta alone, the reference for its outputs in the sweep
+        run_separation_experiment(channel, sim=sim, deltas=(1.0e-4,), basis_size=48,
+                                  n_max=12, out_dir=tmp_path / "alone")
+        calls, started = [], []
+        escape, start, real_step = (experiment_mod.escape_time, experiment_mod._start,
+                                    ChannelStepper.step)
+        monkeypatch.setattr(experiment_mod, "escape_time",
+                            lambda packet, d, eps: calls.append(d) or escape(packet, d, eps))
+        monkeypatch.setattr(experiment_mod, "_start",
+                            lambda *args: started.append(start(*args)) or started[-1])
 
-        def flaky(delta, *args, **kwargs):
-            calls.append(delta)
-            if len(calls) == 1:
-                raise SimulationBlowupError("advective CFL exceeded 1 at t = 1")
-            return real(delta, *args, **kwargs)
+        def poisoned(st, *others):
+            # a NaN in the first delta's full branch (started first) before
+            # step 101, mid-sweep: that delta runs 318 steps, the second 603
+            if not st.cfg.linearized and round(st.t / sim.dt) == 100:
+                started[0]._state[1, 1, 0] = math.nan
+            return real_step(st, *others)
 
-        monkeypatch.setattr(experiment_mod, "_run_one_delta", flaky)
+        monkeypatch.setattr(ChannelStepper, "step", poisoned)
         exp = run_separation_experiment(
             channel, sim=sim, deltas=(1.0e-3, 1.0e-4), basis_size=48, n_max=12,
             out_dir=tmp_path,
@@ -282,6 +291,7 @@ class TestFailureIsolation:
         first, second = exp.outcomes
         assert first.error is not None
         assert first.error.startswith("SimulationBlowupError")
+        assert first.error == "SimulationBlowupError: state stopped being finite at t = 0.101"
         assert not first.ok
         assert second.error is None
         assert second.ok
@@ -295,6 +305,11 @@ class TestFailureIsolation:
         assert not (failed_dir / "separation.csv").exists()
         ok_dir = tmp_path / delta_dir_name(1.0e-4)
         assert (ok_dir / "separation.csv").exists()
+        # the failed delta shared its steps with the second, whose outputs
+        # are the ones it writes alone, byte for byte
+        for name in ("separation.csv", "diagnostics.csv", "manifest.json"):
+            alone = tmp_path / "alone" / delta_dir_name(1.0e-4) / name
+            assert (ok_dir / name).read_bytes() == alone.read_bytes(), name
 
 
 class TestBranchStart:

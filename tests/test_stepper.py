@@ -22,6 +22,7 @@ from slipflow.sim import (
     ChannelStepper,
     InfluenceConditioningError,
     SimConfig,
+    SimulationBlowupError,
     check_boundary_conditions,
     run,
 )
@@ -479,6 +480,73 @@ class TestRealLockedStep:
             assert not planes[1, 0].any()
         assert real._history.any() != linearized
         assert real._state[:, dead].any() != linearized
+
+
+class TestGroupStep:
+    """One step of a group of steppers advances each one bit for bit as its
+    lone step does, from the first (Euler) step on."""
+
+    @staticmethod
+    def _steppers(M, P, B, linearized, seed):
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        cfg = SimConfig(channel=channel, M=M, P=P, dt=1.0e-3, t_end=0.1,
+                        linearized=linearized)
+        fields = []
+        for i in range(B):
+            rows = _locked_rows(M, P, seed=seed + i)
+            if linearized:
+                rows[[1, 2, M - 1, M]] = 0.0  # live rows 3 .. M - 2
+            fields.append(SpectralField2D(rows, 1.0))
+        return [ChannelStepper(cfg, f) for f in fields]
+
+    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "twins"])
+    @pytest.mark.parametrize("B", [2, 3, 4])
+    @pytest.mark.parametrize("M, P", [(16, 56), (32, 64)])
+    def test_matches_lone_steps(self, M, P, B, linearized):
+        group = self._steppers(M, P, B, linearized, seed=M + P)
+        lone = self._steppers(M, P, B, linearized, seed=M + P)
+        if linearized:
+            assert group[0]._box[1] == slice(3, M - 1)
+        for _ in range(4):
+            group[0].step(*group[1:])
+            for st in lone:
+                st.step()
+            for g, one in zip(group, lone):
+                assert g.t == one.t and g._have_history
+                assert np.array_equal(g._state, one._state)
+                assert np.array_equal(g._history, one._history)
+        assert group[0]._history.any() != linearized
+
+    def test_non_finite_branch_is_named(self):
+        group = self._steppers(16, 56, 3, False, seed=5)
+        group[1]._state[1, 1, 0] = np.nan
+        with pytest.raises(SimulationBlowupError,
+                           match="state stopped being finite at t = 0.001") as err:
+            group[0].step(*group[1:])
+        assert err.value.steppers == (group[1],)
+        # every branch stepped
+        assert all(st.t == 1.0e-3 for st in group)
+
+    @pytest.mark.parametrize("other", ["linearized", "box", "operators", "history"])
+    def test_mixed_group_is_refused(self, other):
+        first = self._steppers(16, 56, 1, other == "box", seed=1)[0]
+        if other == "linearized":
+            second = self._steppers(16, 56, 1, True, seed=2)[0]
+        elif other == "box":
+            rows = _locked_rows(16, 56, seed=2)
+            rows[[1, 16]] = 0.0
+            second = ChannelStepper(first.cfg, SpectralField2D(rows, 1.0))
+        elif other == "operators":
+            second = ChannelStepper(replace(first.cfg, dt=2.0e-3),
+                                    SpectralField2D(_locked_rows(16, 56, 2), 1.0))
+        else:
+            second = self._steppers(16, 56, 1, False, seed=2)[0]
+            second.step()
+        before = [st._state.copy() for st in (first, second)]
+        with pytest.raises(ValueError, match="must share the operators"):
+            first.step(second)
+        for st, state in zip((first, second), before):
+            assert np.array_equal(st._state, state)
 
 
 class TestSharedOperators:
