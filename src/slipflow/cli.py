@@ -37,6 +37,9 @@ reproduces every output file byte for byte (floats are printed with 17
 significant digits); wall-clock timings go to stderr, never into files.
 `simulate` adds to its manifest, and prints, the rate its Crank-Nicolson
 steps realize for the packet's top rate and the relative gap between them.
+`simulate` and `experiment` add `influence_cond_max`, the largest 2-norm
+condition number of the stepper's per-mode influence matrices (null when
+their build refused them as ill-conditioned).
 """
 
 from __future__ import annotations
@@ -305,6 +308,17 @@ def _crank_nicolson_rate(lam: float, dt: float) -> tuple:
     return lam_run, lam_run / lam - 1.0
 
 
+def _influence_cond_max(cfg) -> float | None:
+    """The largest per-mode influence-matrix condition number of ``cfg``'s
+    operators, None when their build refuses them as ill-conditioned."""
+    from .sim import InfluenceConditioningError, influence_condition
+
+    try:
+        return float(influence_condition(cfg).max())
+    except InfluenceConditioningError:
+        return None
+
+
 def _cmd_simulate(ns, out, channel, raw):
     from .sim import diagnostics_to_csv, energy_to_csv, field_from_packet, run
 
@@ -327,7 +341,8 @@ def _cmd_simulate(ns, out, channel, raw):
           f"lambda = {lam:.12g} as lambda_run = {lam_run:.12g} "
           f"(relative gap {gap:.3e})")
     rate = {"lambda": lam, "lambda_run": lam_run, "relative_gap": gap}
-    return 0, outputs, {"crank_nicolson_rate": rate}
+    return 0, outputs, {"crank_nicolson_rate": rate,
+                        "influence_cond_max": _influence_cond_max(cfg)}
 
 
 def _cmd_experiment(ns, out, channel, raw):
@@ -355,10 +370,11 @@ def _cmd_experiment(ns, out, channel, raw):
     print(f"experiment: slope = {exp.slope:.6g} (want 2 +- 0.2), "
           f"escape spacing ok = {exp.escape_ok}, "
           f"verdict = {'PASS' if exp.verdict else 'FAIL'}")
+    health = {"influence_cond_max": _influence_cond_max(cfg)}
     if all(o.refused for o in exp.outcomes):
         print("error: every delta was refused at its start", file=sys.stderr)
-        return 2, outputs
-    return (0 if exp.verdict else 1), outputs
+        return 2, outputs, health
+    return (0 if exp.verdict else 1), outputs, health
 
 
 def _cmd_verify(ns, out, channel, raw):

@@ -264,10 +264,11 @@ class _DeltaRun:
             st = steppers.get(name)
             if st is None or (m == 0 and i >= 2):
                 continue
-            x = st._solve_planes(st._diagnostic_planes())
+            x = st._diagnostic_planes()
+            phi = st._solve_planes(x)
             if name == "nr":
-                _abort_past_cfl_one(st, x[0])
-            u[i, :, : x.shape[1]] = st._velocity_coeffs(x)
+                _abort_past_cfl_one(st, phi[0])
+            u[i, :, : x.shape[1]] = st._velocity_coeffs(x, phi)
         if m == 0:
             # each linear twin holds its nonlinear branch's initial data, so
             # it takes that branch's velocity and d_from_linear is 0

@@ -125,16 +125,17 @@ class _Recorder:
 
         The state rows, the viscous tendency rows and (nonlinear runs only)
         the advective tendency rows (``_tendency_planes``, as in
-        ``tendency_split``) are stacked and their rows n >= 1 solved for
-        the streamfunction in one stacked product
-        (``_solve_planes``; a nonlinear record solves the state first,
-        since its advection needs it).  ``_velocity_coeffs``, one product
-        with ``_coeff_map``, takes the stack to the Chebyshev coefficients
-        of u1 and of u2 / (-i kappa_n), and ``_forms``, one product with
-        ``_gram_stack``, applies G0, G1 and G2 to the state's and contracts
-        them to its per-mode forms q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k
-        and b_k the G_k forms of the two coefficient rows.  One more
-        contraction gives its G0 cross forms with each tendency.
+        ``tendency_split``) are stacked and solved for the streamfunction in
+        the eigenbasis, one product and one diagonal (``_solve_planes``; a
+        nonlinear record solves the state first, since its advection needs
+        it).  ``_velocity_coeffs``, one product with ``_coeff_map``, takes
+        the solved stack (its mean row read off the state planes) to the
+        Chebyshev coefficients of u1 and of u2 / (-i kappa_n), and
+        ``_forms``, one product with ``_gram_stack``, applies G0, G1 and G2
+        to the state's and contracts them to its per-mode forms
+        q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k and b_k the G_k forms of
+        the two coefficient rows.  One more contraction gives its G0 cross
+        forms with each tendency.
         ``_sobolev_norms``, ``_dissipation`` and the wall trace formula of
         ``boundary_production`` read the norms, the dissipation and the
         production off them.
@@ -161,14 +162,13 @@ class _Recorder:
         stack[0] = x
         if st.cfg.linearized:
             st._tendency_planes(x, None, stack[1:])
-            st._solve_planes(stack)
+            phi = st._solve_planes(stack)
         else:
-            phi = stack[0]
-            st._solve_planes(stack[:1])
-            st._tendency_planes(x, phi, stack[1:])
-            st._solve_planes(stack[1:])
+            state_phi = st._solve_planes(stack[:1])
+            st._tendency_planes(x, state_phi[0], stack[1:])
+            phi = np.concatenate([state_phi, st._solve_planes(stack[1:])])
         # axes (state / visc / adv, plane, row, u1 or u2 / (-i kappa), Chebyshev)
-        c = st._velocity_coeffs(stack)
+        c = st._velocity_coeffs(stack, phi)
         s = c[0]
         sg, q = self._forms(s)
         rates = np.einsum("pncj,tpncj,nc->t", sg[..., 0, :], c[1:], self._weights[: s.shape[1]])
@@ -186,7 +186,7 @@ class _Recorder:
         resid = abs(dedt - bp + diss + nlf)
         self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
         if not st.cfg.linearized:
-            _abort_past_cfl_one(st, phi[0])
+            _abort_past_cfl_one(st, phi[0, 0])
         return s, norms
 
     def _forms(self, c: np.ndarray):
@@ -217,7 +217,8 @@ class _Recorder:
 
 def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray):
     """Raise SimulationBlowupError when a nonlinear stepper's CFL number
-    (``cfl_number``, of the solved imaginary plane ``phi``) exceeds 1."""
+    (``cfl_number``, of the solved imaginary plane ``phi``, ``_solve_planes``)
+    exceeds 1."""
     if not stepper.cfg.linearized and stepper.cfl_number(phi) > 1.0:
         raise SimulationBlowupError(f"advective CFL exceeded 1 at t = {stepper.t:.6g}")
 

@@ -12,6 +12,12 @@ Prognostic variables, per Fourier mode n in x1:
     That transfer is a precomputed 2x2 influence matrix per mode (Kleiser &
     Schumann 1980).  The update is linear in the explicit part, so it is
     composed once into one real P x P operator per mode (see ChannelStepper).
+    The streamfunction itself is solved by matrix diagonalization (Haidvogel
+    & Zang 1979): the interior D^2 with Dirichlet rows is V diag(lam) V^-1
+    with real, negative, distinct lam (Gottlieb & Lustman 1983) and
+    cond(V) about 2.3 at P = 64, so -(D^2 - kappa_n^2)^-1 is one product
+    with V^-1 shared by every mode, a per-mode diagonal, and V, which is
+    folded into every map that reads the streamfunction.
     The operators depend only on (M, P, L, mu, xi_-, xi_+, dt): they are
     built once per configuration, shared read-only by every stepper that has
     it (the branches of an experiment, a stepper read from a checkpoint),
@@ -67,9 +73,11 @@ refuses a state outside the locked class.  The stepper calls no FFT.
 The streamfunction is never stored: it is reconstructed from the vorticity
 at the start of every nonlinear step, so the trajectory is a pure function
 of (omega, advection history) and restarting from a checkpoint reproduces
-the original run bit for bit.  Every streamfunction and velocity reported
-(the methods below, ``sim.run``'s record, the separation experiment) comes
-from one solve of real planes, ``_solve_planes``, and one coefficient map,
+the original run bit for bit.  It is never formed at the nodes either: the
+step, the CFL estimate and every streamfunction and velocity reported (the
+methods below, ``sim.run``'s record, the separation experiment) come from
+one solve of real planes into the eigenbasis, ``_solve_planes``, and read
+it through maps with V folded in, ``_advection``'s pad and
 ``_velocity_coeffs``.
 
 A state exactly in the invariant class {phi rows pure imaginary, zero mean
@@ -107,6 +115,7 @@ __all__ = [
     "InfluenceConditioningError",
     "check_boundary_conditions",
     "cheb_diff_matrix",
+    "influence_condition",
 ]
 
 
@@ -205,6 +214,48 @@ def _boxes(planes: list, box: tuple) -> np.ndarray:
     return np.stack([p[box] for p in planes])
 
 
+def _dirichlet_eigenbasis(A: np.ndarray):
+    """Eigenvalues lam and eigenvectors V, V^-1 of the interior Chebyshev D2
+    with Dirichlet rows, A = V diag(lam) V^-1.
+
+    A is centrosymmetric (J A J = A, J the flip, up to roundoff), so the
+    orthonormal even and odd vectors Q split it into two half-size blocks,
+    each decomposed by one ``eig``; the even-odd coupling Q^T A Q leaves is
+    roundoff and is dropped.  The eigenvalues are real, negative and
+    distinct (Gottlieb & Lustman 1983), so ``eig`` returns real arrays.
+    """
+    n = A.shape[0]
+    m, e = n // 2, n - n // 2  # odd and even vector counts
+    j = np.arange(m)
+    Q = np.zeros((n, n))
+    Q[j, j] = Q[n - 1 - j, j] = Q[j, e + j] = math.sqrt(0.5)
+    Q[n - 1 - j, e + j] = -math.sqrt(0.5)
+    if n % 2:
+        Q[m, m] = 1.0
+    B = Q.T @ A @ Q
+    lam, V, V_inv = np.empty(n), np.zeros((n, n)), np.zeros((n, n))
+    for half in (slice(0, e), slice(e, n)):
+        w, v = np.linalg.eig(B[half, half])
+        if np.iscomplexobj(w):
+            raise RuntimeError("the Dirichlet D2 has a complex eigenvalue pair")
+        lam[half], V[half, half], V_inv[half, half] = w, v, np.linalg.inv(v)
+    return lam, Q @ V, V_inv @ Q.T
+
+
+def _operator_set(cfg: SimConfig) -> dict:
+    """The shared read-only operators of ``cfg`` (``_operators``)."""
+    slip = cfg.channel.slip
+    return _operators(cfg.M, cfg.P, cfg.channel.L, cfg.channel.mu,
+                      slip.xi_minus, slip.xi_plus, cfg.dt)
+
+
+def influence_condition(cfg: SimConfig) -> np.ndarray:
+    """The 2-norm condition numbers (M,) of the influence matrices of modes
+    1 .. M of ``cfg``'s operators, read-only; building them raises
+    InfluenceConditioningError past INFLUENCE_COND_MAX."""
+    return _operator_set(cfg)["_influence_cond"]
+
+
 @functools.lru_cache(maxsize=4)
 def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
                xi_plus: float, dt: float) -> dict:
@@ -226,30 +277,32 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     slip_minus = mu * D2[-1] + xi_minus * D[-1]
 
     eye = np.eye(P)
-    # Per-mode Poisson-Dirichlet (K, modes 1..M) and Crank-Nicolson
-    # Helmholtz (A, modes 0..M) matrices with identity wall rows, except
-    # the mean mode's Robin rows; zeroing the wall columns of their
-    # inverses folds in the zeroed wall rows of every right-hand side.
-    K = D2 - (kappa[1:] ** 2)[:, None, None] * eye
-    A = eye - alpha * np.concatenate([D2[None], K])
-    for mat in (A, K):
-        mat[:, 0], mat[:, -1] = eye[0], eye[-1]
+    # Per-mode Helmholtz operators H = D2 - kappa_n^2 (modes 0..M) and the
+    # Crank-Nicolson matrices A = I - alpha H with identity wall rows,
+    # except the mean mode's Robin rows; zeroing the wall columns of A^-1
+    # folds in the zeroed wall rows of every right-hand side.
+    H = D2 - (kappa**2)[:, None, None] * eye
+    A = eye - alpha * H
+    A[:, 0], A[:, -1] = eye[0], eye[-1]
     A[0, 0] = mu * D[0] - xi_plus * eye[0]
     A[0, -1] = mu * D[-1] + xi_minus * eye[-1]
-    # each matrix is dropped once inverted and T is formed in place, so
-    # at most three (M, P, P) arrays are live during the build
+    # each matrix is dropped once solved and T is formed in place, so at
+    # most three (M+1, P, P) arrays are live during the build
     a_inv = np.linalg.inv(A)
     del A
     og = a_inv[1:, :, [0, -1]]  # unit omega wall values through the solve
     a_inv[:, :, [0, -1]] = 0.0
+    # The slip rows S Kinv of the Poisson-Dirichlet inverse Kinv = -K^-1 Z,
+    # K = H with identity wall rows, from the inverse of K.  Slip rows from
+    # the eigenbasis below, or from one solve with K^T, lose up to two
+    # digits to cancellation in S phi (see TestExtendedPrecision).
+    K = H[1:]
+    K[:, 0], K[:, -1] = eye[0], eye[-1]
     k_inv = np.linalg.inv(K)
-    del K
-    k_inv *= -1.0
+    del H, K
     k_inv[:, :, [0, -1]] = 0.0
-    # block 0 is zero: the mean row has no streamfunction
-    k_inv = np.concatenate([np.zeros((1, P, P)), k_inv])
-    S = np.stack([slip_plus, slip_minus])
-    SK = S @ k_inv[1:]
+    SK = np.stack([slip_plus, slip_minus]) @ -k_inv
+    del k_inv
     G = SK @ og
     finite = np.isfinite(G).all(axis=(1, 2))
     cond = np.full(M, np.inf)
@@ -265,6 +318,18 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     # correction that zeroes the slip functionals of its streamfunction
     a_inv[1:] -= og @ np.linalg.solve(G, SK @ a_inv[1:])
 
+    # The Poisson-Dirichlet solve in the shared eigenbasis of the interior
+    # D2 (Haidvogel & Zang 1979): the eigen-coordinates V^-1 omega_int of a
+    # node row are one product with V^-T embedded with zero wall rows, the
+    # solve is the per-mode diagonal -1 / (lam - kappa_n^2) (zero on the
+    # mean row), and every map that reads the streamfunction takes
+    # eigen-coordinates, V folded into it
+    lam, V, V_inv = _dirichlet_eigenbasis(D2[1:-1, 1:-1])
+    to_eig = np.zeros((P, P - 2))
+    to_eig[1:-1] = V_inv.T
+    eig_solve = np.zeros((M + 1, P - 2))
+    eig_solve[1:] = -1.0 / (lam - (kappa[1:] ** 2)[:, None])
+
     # product grid padded against quadratic aliasing in x1 and x2
     n1 = max(4 * M, 8)
     p_pad = math.ceil(3 * P / 2)
@@ -274,6 +339,7 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     unpad = cheb_values_from_coeffs(
         cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
     )
+    pad_with_d = np.hstack([pad.T, (pad @ D).T])
     # x1 synthesis at x1_j = j pi L / (n1/2), j = 0 .. n1/2: 2 sin and
     # 2 cos of kappa_n x1_j, n = 1 .. M, with n j reduced mod n1 so every
     # angle lies in [0, 2 pi).  The products take the interior points
@@ -287,12 +353,13 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
         "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
         "_slip_plus": slip_plus, "_slip_minus": slip_minus,
         "_explicit_base": eye + alpha * D2,  # row form handles kappa in step
-        "_T": a_inv, "_K": k_inv,
+        "_T": a_inv, "_influence_cond": cond,
+        "_to_eig": to_eig, "_eig_solve": eig_solve,
         "_n1": n1, "_pad": pad, "_unpad": unpad,
-        "_pad_with_d": np.hstack([pad.T, (pad @ D).T]),
+        "_pad_with_d": pad_with_d, "_phi_pad": V.T @ pad_with_d[1:-1],
         "_half_sin": sin[1:half], "_closed_cos": closed_cos,
         "_half_cos": closed_cos[1:-1], "_half_fwd": sin[1:half].T / -n1,
-        "_coeff_map": np.hstack([(C @ D).T, C.T]),
+        "_coeff_map": V.T @ np.hstack([(C @ D).T, C.T])[1:-1], "_node_coeffs": C.T,
         "_gram_stack": np.hstack([_gram_matrix(P, k) for k in (0, 1, 2)]),
     }
     for value in ops.values():
@@ -302,7 +369,7 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
 
 
 class ChannelStepper:
-    """Time stepper over the stacked per-mode operators, owning the state.
+    """Time stepper over the per-mode operators, owning the state.
 
     ``_T`` (M+1, P, P) maps the explicit right-hand side row n to the new
     state row, ``new[n] = T[n] @ rhs[n]``.  With Z zeroing the two wall
@@ -310,11 +377,23 @@ class ChannelStepper:
     Kinv = -K^-1 Z for the Poisson-Dirichlet matrix K, og = A^-1 [e_0, e_P-1]
     the wall-omega Green columns and S the two slip functionals,
     T[n] = Ainv - og G^-1 S Kinv Ainv with the influence matrix G = S Kinv og
-    for n >= 1.  The mean row's A has the two Robin rows as its wall rows
-    and no influence correction, so T[0] = Ainv.  ``_K`` (M+1, P, P) holds
-    Kinv for n >= 1 and zero for the mean row, so ``phi[n] = K[n] @ omega[n]``.
-    A G whose condition number exceeds INFLUENCE_COND_MAX raises
-    InfluenceConditioningError when the operators are built.
+    for n >= 1; S Kinv comes from the dense inverse of K.  The mean row's A
+    has the two Robin rows as its wall rows and no influence correction, so
+    T[0] = Ainv.  ``_T`` is the one per-mode (M+1, P, P) stack.  A G whose
+    condition number exceeds INFLUENCE_COND_MAX raises
+    InfluenceConditioningError when the operators are built; the condition
+    numbers of modes 1 .. M are kept as ``_influence_cond`` (M,).
+
+    The streamfunction is solved in the eigenbasis of the interior D2,
+    D2_int = V diag(lam) V^-1 (Haidvogel & Zang 1979), taken from its
+    centrosymmetric even and odd halves.  ``_to_eig`` (P, P-2) is V^-T with
+    zero wall rows, so a node row times it gives the eigen-coordinates
+    V^-1 omega_int, and ``_eig_solve`` (M+1, P-2) is the diagonal
+    -1 / (lam - kappa_n^2), zero on the mean row:
+    ``phi[n] = (omega[n] @ _to_eig) * _eig_solve[n]`` (``_solve_planes``)
+    are the eigen-coordinates of the streamfunction, whose node values are
+    V phi[n] inside and zero at the walls.  No map reads node values of
+    phi: V is folded into each.
 
     ``_pad`` (ceil(3P/2), P) takes the P CGL node values of a polynomial to
     its values at the ceil(3P/2) padded CGL nodes (DCT-I, zero-pad, inverse
@@ -344,17 +423,19 @@ class ChannelStepper:
     ``_closed_cos`` (h + 2, M) is the cosine table times kappa_n and
     ``_half_cos`` its interior rows, the kappa-weighted DCT-I synthesis;
     ``_half_fwd`` (M, h) is ``_half_sin.T / -n1``, the forward DST-I back to
-    rows 1 .. M; and ``_pad_with_d`` (P, 2 ceil(3P/2)) is
-    ``[_pad.T | (_pad @ D).T]``, so one product pads node values and their
-    x2 derivative.
+    rows 1 .. M; ``_pad_with_d`` (P, 2 ceil(3P/2)) is
+    ``[_pad.T | (_pad @ D).T]``, so one product pads node values of omega
+    and their x2 derivative, and ``_phi_pad`` (P-2, 2 ceil(3P/2)) is
+    ``V.T @ _pad_with_d[1:-1]``, the same for the eigen-coordinates of phi.
 
-    Every reported quantity reads two more fixed maps.  With C the (P, P)
-    node-to-Chebyshev-coefficient matrix, ``_coeff_map`` (P, 2P) is
-    ``[(C D).T | C.T]``: a streamfunction node row times it gives the
-    Chebyshev coefficients of u1 = d2 phi and of phi = u2 / (-i kappa_n),
-    and the mean row, u1 itself, reads its coefficients off the second
-    half.  ``_gram_stack`` (P, 3P) is ``[G0 | G1 | G2]``, the Gram matrices
-    of ``sim.field`` side by side, so one product applies all three to
+    Every reported quantity reads three more fixed maps.  With C the (P, P)
+    node-to-Chebyshev-coefficient matrix, ``_coeff_map`` (P-2, 2P) is
+    ``V.T @ [(C D).T | C.T][1:-1]``: the eigen-coordinates of a
+    streamfunction row times it give the Chebyshev coefficients of
+    u1 = d2 phi and of phi = u2 / (-i kappa_n).  The mean row, u1 itself,
+    reads its coefficients through ``_node_coeffs`` (P, P), C.T.
+    ``_gram_stack`` (P, 3P) is ``[G0 | G1 | G2]``, the Gram matrices of
+    ``sim.field`` side by side, so one product applies all three to
     coefficient rows.
     """
 
@@ -377,9 +458,7 @@ class ChannelStepper:
     # -- operator setup ------------------------------------------------
 
     def _build_operators(self):
-        cfg, slip = self.cfg, self.slip
-        vars(self).update(_operators(cfg.M, cfg.P, self.L, self.mu,
-                                     slip.xi_minus, slip.xi_plus, cfg.dt))
+        vars(self).update(_operator_set(self.cfg))
 
     # -- representation changes ----------------------------------------
 
@@ -429,36 +508,40 @@ class ChannelStepper:
         return [_complex(p) for p in planes]
 
     def _diagnostic_planes(self) -> np.ndarray:
-        """A copy of the real planes (p, b, P) of the rows 0 .. b-1
-        diagnostics read, b the end of the box and at least 1, so the mean
-        row stays: the imaginary plane alone (p = 1) for a locked state, the
-        real one being zero, else both."""
+        """The real planes (p, b, P) of the rows 0 .. b-1 diagnostics read,
+        a view, b the end of the box and at least 1, so the mean row stays:
+        the imaginary plane alone (p = 1) for a locked state, the real one
+        being zero, else both."""
         planes = self._state[1:] if self._locked else self._state
-        return planes[:, : max(self._box[1].stop, 1)].copy()
+        return planes[:, : max(self._box[1].stop, 1)]
 
-    def _solve_planes(self, rows: np.ndarray) -> np.ndarray:
-        """Replace rows n >= 1 of real (..., b, P) state-shaped planes, b >= 1,
-        by their streamfunction rows, each solved with K[n] in one stacked
-        product, and return the planes; row 0 (the mean row, which
-        ``_coeff_map`` reads as u1 itself) is kept as it is."""
-        rows[..., 1:, :] = (self._K[1: rows.shape[-2]] @ rows[..., 1:, :, None])[..., 0]
-        return rows
+    def _solve_planes(self, planes: np.ndarray, rows: slice | None = None) -> np.ndarray:
+        """The streamfunction of real state-shaped planes (..., b, P) in the
+        eigenbasis, (..., b, P-2): one product with ``_to_eig`` and the
+        diagonal ``_eig_solve`` of each row's mode.  The planes hold the
+        state rows ``rows``, 0 .. b-1 by default; a mean row reads zero
+        (it has no streamfunction)."""
+        solve = self._eig_solve[: planes.shape[-2]] if rows is None else self._eig_solve[rows]
+        return (planes @ self._to_eig) * solve
 
-    def _velocity_coeffs(self, rows: np.ndarray) -> np.ndarray:
+    def _velocity_coeffs(self, planes: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """The (..., b, 2, P) Chebyshev coefficients of u1 and of
-        u2 / (-i kappa_n) of solved real planes (..., b, P), by one product
-        with ``_coeff_map``.  Row 0 is the mean row, u1 itself, in both
-        halves; its second half is weighted by kappa_0 = 0."""
+        u2 / (-i kappa_n) of real state-shaped planes (..., b, P) with
+        solved rows ``phi`` (``_solve_planes``), by one product with
+        ``_coeff_map``.  Row 0 is the mean row, u1 itself, in both halves
+        (the coefficients of its node values, ``_node_coeffs``); its second
+        half is weighted by kappa_0 = 0."""
         P = self.cfg.P
-        c = rows @ self._coeff_map
-        c[..., 0, :P] = c[..., 0, P:]
+        c = phi @ self._coeff_map
+        c[..., 0, :P] = c[..., 0, P:] = planes[..., 0, :] @ self._node_coeffs
         return c.reshape(*c.shape[:-1], 2, P)
 
     def streamfunction(self) -> SpectralField2D:
-        """Public state: streamfunction rows plus the mean-u1 row, the C^T
-        half of ``_coeff_map`` applied to the solved state planes."""
-        phi = self._solve_planes(self._state.copy())
-        return SpectralField2D(_complex(phi @ self._coeff_map[:, self.cfg.P:]), self.L)
+        """Public state: streamfunction rows plus the mean-u1 row, the
+        second half of ``_velocity_coeffs`` of the state planes."""
+        x = self._state
+        return SpectralField2D(_complex(self._velocity_coeffs(x, self._solve_planes(x))[..., 1, :]),
+                               self.L)
 
     def velocity(self):
         """(u1, u2) of the state as coefficient-space fields."""
@@ -469,8 +552,10 @@ class ChannelStepper:
     def _advection(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Advection of a nonlinear box on half the x1 period, as a real block.
 
-        ``b`` and ``c`` are the real (M, P) blocks of the state's rows
-        1 .. M: phi_n = i b_n and omega_n = i c_n, and the mean row is zero.
+        ``b`` (..., M, P-2) and ``c`` (..., M, P) are the real blocks of the
+        state's rows 1 .. M: phi_n = i b_n in the eigenbasis
+        (``_solve_planes``) and omega_n = i c_n at the nodes, and the mean
+        row is zero.
         Then u1 and d2 omega are sine series in x1 and u2 and d1 omega
         cosine series.  Each product in u . grad omega is a sine series, so
         the advection rows 1 .. M are i a_n and returned as the real block
@@ -481,12 +566,12 @@ class ChannelStepper:
         and the product returns through ``_half_fwd``.  Every step is a real
         matrix product.
         """
-        M, pp = self.cfg.M, self._pad.shape[0]
+        pp = self._pad.shape[0]
         sine, cosine = self._half_sin, self._half_cos
         # b, d2 b, c and d2 c at the padded x2 nodes
-        f = np.concatenate([b, c], axis=-2) @ self._pad_with_d
-        b, db = f[..., :M, :pp], f[..., :M, pp:]
-        c, dc = f[..., M:, :pp], f[..., M:, pp:]
+        fb, fc = b @ self._phi_pad, c @ self._pad_with_d
+        b, db = fb[..., :pp], fb[..., pp:]
+        c, dc = fc[..., :pp], fc[..., pp:]
         # u1 w1 + u2 w2 with u1 = -sine @ b', w1 = -cosine @ c,
         # u2 = cosine @ b, w2 = -sine @ c'
         prod = (sine @ db) * (cosine @ c) - (cosine @ b) * (sine @ dc)
@@ -516,7 +601,7 @@ class ChannelStepper:
         rhs = x @ self._explicit_base.T
         rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * x
         if not cfg.linearized:
-            adv = self._advection((self._K[rows] @ x[..., None])[..., 0], x)
+            adv = self._advection(self._solve_planes(x, rows), x)
             if self._have_history:
                 rhs -= cfg.dt * (1.5 * adv - 0.5 * _boxes([st._history for st in group], box))
             else:
@@ -541,12 +626,13 @@ class ChannelStepper:
 
         Uses the largest |u1| and |u2| on the product grid; ``phi`` holds
         the imaginary plane of the state's M+1 streamfunction rows, real
-        (M+1, P) rows b_n of phi_n = i b_n (solved by default).  They are
+        (M+1, P-2) rows b_n of phi_n = i b_n in the eigenbasis
+        (``_solve_planes`` of the state's, by default).  They are
         read off the closed half period j = 0 .. n1/2, which holds every
         sample value of the full one: u1 is a sine series in x1 (odd about
         x1 = 0 and x1 = pi L, so zero at both ends, where ``initial=0.0``
         stands in for it) and u2 a cosine series (even about both).  Rows
-        1 .. M are padded in x2 by ``_pad_with_d``, then synthesized by
+        1 .. M are padded in x2 by ``_phi_pad``, then synthesized by
         ``_half_sin`` and ``_closed_cos``: the same padded grid points as the
         full period.  A state outside the locked class raises ValueError.
         """
@@ -554,10 +640,10 @@ class ChannelStepper:
             raise ValueError("the CFL number is read only for a state in the "
                              "odd-in-x1 class (pure imaginary mode rows, zero mean flow)")
         if phi is None:
-            phi = self._solve_planes(self._state[1].copy())
+            phi = self._solve_planes(self._state[1])
         # phi_n = i b_n: u1 has rows i (D b)_n and u2 rows kappa_n b_n
         pp = self._pad.shape[0]
-        f = phi[1:] @ self._pad_with_d
+        f = phi[1:] @ self._phi_pad
         u1 = self._half_sin @ f[:, pp:]
         u2 = self._closed_cos @ f[:, :pp]
         m1 = float(np.abs(u1).max(initial=0.0))
@@ -593,14 +679,15 @@ class ChannelStepper:
             self._tendency_planes(x, None, out)
         else:
             # a nonlinear state is locked: its imaginary plane alone
-            self._tendency_planes(x[1:], self._solve_planes(x[1:].copy()), out[:, 1:])
+            self._tendency_planes(x[1:], self._solve_planes(x[1:]), out[:, 1:])
         return _complex(out[0]), _complex(out[1])
 
     def tendency_velocity(self, rows: np.ndarray):
         """(u1, u2) coefficient fields of complex state-shaped rows (b, P),
         the state's own or tendency rows: their real planes solved by
         ``_solve_planes`` and mapped by ``_velocity_coeffs``."""
-        c = _complex(self._velocity_coeffs(self._solve_planes(_planes(rows))))
+        x = _planes(rows)
+        c = _complex(self._velocity_coeffs(x, self._solve_planes(x)))
         u2 = -1j * self.kappa[: rows.shape[0], None] * c[:, 1]
         return SpectralField2D(c[:, 0], self.L), SpectralField2D(u2, self.L)
 

@@ -79,10 +79,17 @@ def dct_values_from_coeffs(coeffs, axis=-1):
 
 def solve_streamfunction(stepper, rows=None):
     """Streamfunction node rows of complex state-shaped rows (the stepper's
-    state by default), row n solved with the stepper's K[n], mode by mode;
-    row 0, the mean row, has no streamfunction and reads zero."""
+    state by default): the stepper's own solve, ``_solve_planes``, taken
+    from its eigenbasis to the interior nodes by V^T, the inverse of the
+    interior block of ``_to_eig`` (V^-T); the wall values are zero.  Row 0,
+    the mean row, has no streamfunction and reads zero."""
+    from slipflow.sim.stepper import _complex, _planes
+
     rows = stepper._rows() if rows is None else rows
-    return np.einsum("nij,nj->ni", stepper._K[: rows.shape[0]], rows)
+    phi = np.zeros(rows.shape, dtype=complex)
+    eig = _complex(stepper._solve_planes(_planes(rows)))
+    phi[:, 1:-1] = eig @ np.linalg.inv(stepper._to_eig[1:-1])
+    return phi
 
 
 def velocity_nodes(stepper, phi, mean_row):

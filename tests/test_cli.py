@@ -13,7 +13,8 @@ import pytest
 import slipflow
 from slipflow.cli import main
 from slipflow.critical import mu_c_global
-from slipflow.model import ModeProblem, SlipPair
+from slipflow.model import ChannelConfig, ModeProblem, SlipPair
+from slipflow.sim import SimConfig
 from slipflow.spectrum import assemble, solve_spectrum
 
 
@@ -220,6 +221,43 @@ class TestCrankNicolsonRate:
         lam_run, gap = _crank_nicolson_rate(8.0, 0.5)  # past the pole: g = -3
         assert lam_run == pytest.approx(2.0 * math.log(3.0), rel=1.0e-15)
         assert gap == pytest.approx(lam_run / 8.0 - 1.0, rel=1.0e-15)
+
+
+class TestSolverHealth:
+    """``simulate`` and ``experiment`` write the largest condition number of
+    the stepper's per-mode influence matrices to their run manifest."""
+
+    def test_acceptance_configuration_is_well_conditioned(self, tmp_path):
+        from slipflow.sim import influence_condition
+
+        # the acceptance channel and grid: mu = 0.5, M = 32, P = 64, dt = 4e-3
+        rc = run_cli("--out", tmp_path, "simulate", "--linearized", "--t-end", "8e-3")
+        assert rc == 0
+        got = read_manifest(tmp_path)["influence_cond_max"]
+        cfg = SimConfig(channel=ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)))
+        cond = influence_condition(cfg)
+        assert cond.shape == (32,) and not cond.flags.writeable
+        assert got == float(cond.max())
+        assert 1.0 < got < 1.0e3
+
+    def test_experiment_manifest_names_its_grid(self, tmp_path):
+        from slipflow.sim import influence_condition
+
+        # a sweep refused at its start has still built its operators
+        rc = run_cli("--out", tmp_path, "experiment", "--mu", "0.5", "--m", "16",
+                     "--p", "56", "--dt", "0.2", "--deltas", "1e-2")
+        assert rc == 2
+        cfg = SimConfig(channel=ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)),
+                        M=16, P=56, dt=0.2)
+        assert read_manifest(tmp_path)["influence_cond_max"] == float(
+            influence_condition(cfg).max())
+
+    def test_refused_build_reads_null(self):
+        from slipflow.cli import _influence_cond_max
+
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        near = SimConfig(channel=channel, M=2, P=24, dt=4.293719, t_end=4.293719)
+        assert _influence_cond_max(near) is None
 
 
 class TestVerify:

@@ -34,6 +34,7 @@ from slipflow.sim.field import (
     slip_residuals,
 )
 from slipflow.sim.run import read_checkpoint, write_checkpoint
+from slipflow.sim.stepper import _complex, _planes
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +289,7 @@ class _PerModeReference(ChannelStepper):
         if cfg.linearized:
             adv = np.zeros_like(w)
         else:
-            adv = _advection_rows(self, self._poisson_rows(w))
+            adv = _advection_rows(self, self._poisson_rows(w) @ self._to_eig)
         blocks = self._blocks()  # the history block once the reference has stepped
         adv_x = 1.5 * adv - 0.5 * blocks[1] if len(blocks) == 2 else adv
         rhs = (w + self._alpha * (w @ self.D2.T - (self.kappa**2)[:, None] * w)
@@ -335,6 +336,132 @@ class TestStackedOperators:
         got = stacked.streamfunction().coefficients
         want = reference.streamfunction().coefficients
         assert np.abs(got - want).max() <= 1.0e-10 * np.abs(want).max()
+
+
+def _solve_long(A, B):
+    """X with A[n] @ X[n] = B[n] for stacked A (m, k, k) and B (m, k, r), by
+    Gaussian elimination with partial pivoting in np.longdouble."""
+    A = np.array(A, dtype=np.longdouble)
+    X = np.array(B, dtype=np.longdouble)
+    m, k = A.shape[:2]
+    stack = np.arange(m)
+    for j in range(k):
+        p = j + np.argmax(np.abs(A[:, j:, j]), axis=1)
+        for arr in (A, X):
+            row = arr[stack, p].copy()
+            arr[stack, p] = arr[:, j]
+            arr[:, j] = row
+        f = A[:, j + 1:, j:j + 1] / A[:, j:j + 1, j:j + 1]
+        A[:, j + 1:, j:] -= f * A[:, j:j + 1, j:]
+        X[:, j + 1:] -= f * X[:, j:j + 1]
+    for j in range(k - 1, -1, -1):
+        X[:, j] = (X[:, j] - (A[:, j:j + 1, j + 1:] @ X[:, j + 1:])[:, 0]) / A[:, j, j:j + 1]
+    return X
+
+
+def _mode_error(got, want):
+    """The largest per-mode relative error, max_n |got_n - want_n| / |want_n|
+    in the max norm over the rows n of the last two axes."""
+    want = np.asarray(want, dtype=np.longdouble)
+    err = np.abs(got - want).max(axis=-1) / np.abs(want).max(axis=-1)
+    return float(err.max())
+
+
+def _coupled_system(st, n):
+    """The (2P, 2P) system of mode n >= 1 of a Crank-Nicolson step whose
+    unknowns are (omega, phi): Helmholtz rows and Poisson rows inside, then
+    phi = 0 and the two slip functionals of phi at the walls.  The
+    right-hand side is the explicit part in the interior Helmholtz rows."""
+    P = st.cfg.P
+    eye, inner = np.eye(P), slice(1, P - 1)
+    H = st.D2 - st.kappa[n] ** 2 * eye
+    system = np.zeros((2 * P, 2 * P))
+    system[inner, :P] = (eye - st._alpha * H)[inner]
+    system[P + 1:2 * P - 1, :P] = eye[inner]
+    system[P + 1:2 * P - 1, P:] = H[inner]
+    system[[0, P - 1, P, 2 * P - 1], P:] = [eye[0], eye[-1], st._slip_plus, st._slip_minus]
+    return system
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+class TestExtendedPrecision:
+    """The solve, one nonlinear step and a linear run at M = 32, P = 64
+    against a long-double reference on the same double operators: Gaussian
+    elimination for the Poisson-Dirichlet solve, and for a step the coupled
+    system of each mode (``_coupled_system``).
+
+    The bounds sit between the stepper and slip rows S K^-1 built another
+    way, whose errors grow by cancellation in S phi.  On these states the
+    nonlinear step reads 2.2e-13 and 2.0e-13 off for the two slip pairs and
+    the linear run 7.1e-14.  With slip rows from the eigenbasis they read
+    1.2e-12, 1.2e-12 and 8.5e-12; from a solve with K^T in place of the
+    inverse of K, 8.7e-13, 2.7e-12 and 8.1e-13."""
+
+    M, P = 32, 64
+
+    def _stepper(self, xi=(1.0, 1.0), linearized=False):
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(*xi))
+        cfg = SimConfig(channel=channel, M=self.M, P=self.P, dt=4.0e-3, t_end=0.1,
+                        linearized=linearized)
+        rows = _locked_rows(self.M, self.P, 2)
+        if linearized:
+            rows[2:] = 0.0
+        return ChannelStepper(cfg, SpectralField2D(rows, 1.0))
+
+    def _poisson_long(self, st, omega):
+        """Node rows 1 .. M of phi, (D2 - kappa_n^2) phi = -omega inside and
+        phi = 0 at the walls, in long double."""
+        H = st.D2[1:-1, 1:-1] - (st.kappa[1:] ** 2)[:, None, None] * np.eye(self.P - 2)
+        phi = np.zeros((self.M, self.P), dtype=np.longdouble)
+        phi[:, 1:-1] = _solve_long(H, -omega[1:, 1:-1, None])[..., 0]
+        return phi
+
+    def test_solve_matches_long_double(self):
+        st = self._stepper()
+        omega = st._state[1]
+        want = self._poisson_long(st, omega) @ st._node_coeffs.astype(np.longdouble)
+        # the reported streamfunction: the solve, then the folded coefficient map
+        got = st._velocity_coeffs(omega, st._solve_planes(omega))[1:, 1]
+        assert _mode_error(got, want) <= 1.0e-12
+
+    @pytest.mark.parametrize("xi", [(1.0, 1.0), (0.0, 3.0)])
+    def test_step_matches_long_double(self, xi):
+        st = self._stepper(xi)
+        P, ld = self.P, np.longdouble
+        omega = st._state[1].astype(ld)
+        # the advection of the padded products, as ``_advection`` forms it
+        pp = st._pad.shape[0]
+        fb = self._poisson_long(st, st._state[1]) @ st._pad_with_d.astype(ld)
+        fc = omega[1:] @ st._pad_with_d.astype(ld)
+        sine, cosine = st._half_sin.astype(ld), st._half_cos.astype(ld)
+        prod = ((sine @ fb[:, pp:]) * (cosine @ fc[:, :pp])
+                - (cosine @ fb[:, :pp]) * (sine @ fc[:, pp:]))
+        adv = (st._half_fwd.astype(ld) @ prod) @ st._unpad.T.astype(ld)
+        rhs = (omega[1:] @ st._explicit_base.T.astype(ld)
+               - ld(st._alpha) * (st.kappa[1:, None] ** 2) * omega[1:] - ld(st.cfg.dt) * adv)
+        b = np.zeros((self.M, 2 * P, 1), dtype=ld)
+        b[:, 1:P - 1, 0] = rhs[:, 1:-1]
+        system = np.stack([_coupled_system(st, n) for n in range(1, self.M + 1)])
+        want = _solve_long(system, b)[:, :P, 0]
+        st.step()
+        assert _mode_error(st._state[1, 1:], want) <= 5.0e-13
+
+    def test_linear_run_matches_long_double(self):
+        # 25 steps of the one live row: T's error accumulates along its
+        # growing direction
+        st = self._stepper((0.0, 3.0), linearized=True)
+        P, ld = self.P, np.longdouble
+        assert st._box == (1, slice(1, 2))
+        select = np.zeros((2 * P, P - 2))
+        select[1:P - 1] = np.eye(P - 2)
+        step = _solve_long(_coupled_system(st, 1)[None], select[None])[0, :P]
+        explicit = (st._explicit_base - st._alpha * st.kappa[1] ** 2 * np.eye(P))[1:-1]
+        want = st._state[1, 1].astype(ld)
+        for _ in range(25):
+            want = step @ (explicit.astype(ld) @ want)
+            st.step()
+        assert _mode_error(st._state[1, 1], want) <= 5.0e-13
 
 
 class TestLinearizedStep:
@@ -415,8 +542,8 @@ def _apply(ops, rows):
 
 def _advection_rows(stepper, phi):
     """The complex advection rows of the stepper's locked state with
-    streamfunction rows ``phi``: i a_n in rows 1 .. M, a from ``_advection``,
-    and a zero mean row."""
+    streamfunction rows ``phi`` in the eigenbasis (``_solve_planes``): i a_n
+    in rows 1 .. M, a from ``_advection``, and a zero mean row."""
     adv = np.zeros((stepper.cfg.M + 1, stepper.cfg.P), dtype=complex)
     adv[1:] = 1j * stepper._advection(phi.imag[1:], stepper._rows().imag[1:])
     return adv
@@ -436,7 +563,7 @@ class _ComplexLockedStep(ChannelStepper):
         rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * w
         history = np.zeros_like(omega)
         if not cfg.linearized:
-            history = _advection_rows(self, solve_streamfunction(self, omega))
+            history = _advection_rows(self, _complex(self._solve_planes(_planes(omega))))
             blocks = self._blocks()
             ab2 = 1.5 * history - 0.5 * blocks[1] if len(blocks) == 2 else history
             rhs -= cfg.dt * ab2
@@ -563,10 +690,11 @@ class TestSharedOperators:
         first = ChannelStepper(self._cfg(), zero)
         # the linearized flag and t_end are not part of the operators
         second = ChannelStepper(self._cfg(linearized=True, t_end=0.5), zero)
-        for name in ("_T", "_K", "_coeff_map", "_gram_stack"):
+        for name in ("_T", "_to_eig", "_eig_solve", "_phi_pad", "_coeff_map",
+                     "_gram_stack", "_influence_cond"):
             assert getattr(second, name) is getattr(first, name)
         other = ChannelStepper(self._cfg(dt=2.0e-3), zero)
-        assert other._T is not first._T and other._K is not first._K
+        assert other._T is not first._T and other._eig_solve is not first._eig_solve
         assert np.abs(other._T - first._T).max() > 0.0
 
     def test_cached_operators_are_read_only(self):
@@ -574,7 +702,8 @@ class TestSharedOperators:
         state = {"_state", "_history"}
         ops = {k: v for k, v in vars(stepper).items()
                if isinstance(v, np.ndarray) and k not in state}
-        assert {"_T", "_K", "_explicit_base", "_pad_with_d", "_half_cos",
+        assert {"_T", "_to_eig", "_eig_solve", "_phi_pad", "_node_coeffs",
+                "_influence_cond", "_explicit_base", "_pad_with_d", "_half_cos",
                 "_coeff_map", "_gram_stack"} <= set(ops)
         assert not any(v.flags.writeable for v in ops.values())
         with pytest.raises(ValueError, match="read-only"):
@@ -582,6 +711,18 @@ class TestSharedOperators:
         # the state is the stepper's own and stays writable
         stepper.step()
         assert stepper._state.flags.writeable
+
+    def test_one_per_mode_matrix_stack(self):
+        # the Poisson solve is the shared eigenbasis and a per-mode diagonal,
+        # so the Crank-Nicolson/influence stack T is the one (M+1, P, P) array
+        M, P = 6, 24
+        stepper = ChannelStepper(self._cfg(), SpectralField2D(_locked_rows(M, P, 1), 1.0))
+        stacks = [k for k, v in vars(stepper).items()
+                  if isinstance(v, np.ndarray) and v.ndim == 3 and v.shape[-2:] == (P, P)]
+        assert stacks == ["_T"] and stepper._T.shape == (M + 1, P, P)
+        assert stepper._to_eig.shape == (P, P - 2)
+        assert stepper._eig_solve.shape == (M + 1, P - 2)
+        assert not stepper._to_eig[[0, -1]].any() and not stepper._eig_solve[0].any()
 
     def test_ill_conditioned_configuration_raises_on_every_construction(self, channel):
         zero = SpectralField2D(np.zeros((3, 24), dtype=complex), channel.L)
@@ -797,10 +938,11 @@ class TestLockedCfl:
         stepper = TestLockedAdvection._stepper(M, P, L, seed=M + P)
         assert stepper._locked
         phi = solve_streamfunction(stepper)
+        eig = stepper._solve_planes(stepper._state[1])
         for b in range(1, M + 2):
-            prefix = np.zeros_like(phi)
-            prefix[:b] = phi[:b]
-            got, want = stepper.cfl_number(prefix.imag), _full_period_cfl(stepper, prefix)
+            prefix, eig_prefix = np.zeros_like(phi), np.zeros_like(eig)
+            prefix[:b], eig_prefix[:b] = phi[:b], eig[:b]
+            got, want = stepper.cfl_number(eig_prefix), _full_period_cfl(stepper, prefix)
             assert abs(got - want) <= CFL_ULPS * np.spacing(want), b
 
     def test_cfl_of_a_state_off_the_class_is_refused(self):
@@ -832,4 +974,4 @@ class TestLockedCfl:
         assert np.argmax(peak) == j
         assert np.delete(peak, j).max() < 0.95 * peak[j]
         want = _full_period_cfl(stepper, phi)
-        assert abs(stepper.cfl_number(phi.imag) - want) <= CFL_ULPS * np.spacing(want)
+        assert abs(stepper.cfl_number() - want) <= CFL_ULPS * np.spacing(want)
