@@ -201,12 +201,8 @@ def modes_from_spectrum(spectrum: Spectrum, count: int | None = None):
     return out
 
 
-def build_packet(
-    spectrum: Spectrum,
-    count: int | None = None,
-    coefficients=None,
-) -> ModePacket:
-    """Packet of the unstable modes of one wavenumber (c_j = 1 by default).
+def build_packet(spectrum: Spectrum, count: int | None = None) -> ModePacket:
+    """Packet of the unstable modes of one wavenumber, every c_j = 1.
 
     Uses all positive growth rates when ``count`` is None; fewer positive
     modes than requested is not an error, the packet simply carries what
@@ -225,14 +221,7 @@ def build_packet(
             f"no unstable mode at k = {problem.k:g}, mu = {problem.mu:g}: "
             "the spectrum has no positive growth rate"
         )
-    if coefficients is None:
-        coefficients = np.ones(len(modes))
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.size != len(modes):
-        raise ValueError(
-            f"{coefficients.size} coefficients for a packet of {len(modes)} modes"
-        )
-    return ModePacket(modes=modes, coefficients=coefficients)
+    return ModePacket(modes=modes, coefficients=np.ones(len(modes)))
 
 
 def reduced_packet(packet: ModePacket) -> ModePacket:

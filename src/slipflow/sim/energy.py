@@ -15,6 +15,9 @@ mu v'(+-1) = +-xi v(+-1) has growth rates above every lattice rate (for
 example 2.1328 and 1.8336 at mu = 0.5, xi = 1, versus a lattice maximum of
 0.4658), so the random-field generator here excludes the mean row and the
 check rejects inputs that carry one.
+
+Production reads wall traces of real u1 coefficient planes and dissipation
+the forms of ``sim.field._forms``, for fields here and in each ``sim.run`` record.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from ..model import SlipPair, ValidationError
 from ..numerics import wall_values
 from .field import (
     SpectralField2D,
+    _field_forms,
     _kappa_sq,
+    _planes,
     _sq_l2,
-    _velocity_forms,
     divergence_max,
     velocity_from_streamfunction,
 )
@@ -46,15 +50,14 @@ __all__ = [
 
 def boundary_production(u1: SpectralField2D, slip: SlipPair) -> float:
     """xi-weighted squared wall traces of u1, integrated over x1."""
-    return _production(u1.coefficients, u1.L, slip)
+    return _production(_planes(u1.coefficients), u1.L, slip)
 
 
-def _production(rows: np.ndarray, L: float, slip: SlipPair) -> float:
-    """``boundary_production`` of u1 Chebyshev rows (..., M + 1, P): complex
-    rows, or the real and imaginary planes of them stacked on a leading axis,
-    whose squared wall traces are summed."""
-    traces = wall_values(rows)
-    sq = (np.abs(traces) ** 2).reshape(2, -1, traces.shape[-1]).sum(axis=1)
+def _production(planes: np.ndarray, L: float, slip: SlipPair) -> float:
+    """``boundary_production`` of the real planes (p, rows, P) of u1
+    Chebyshev rows 0 .. rows-1 (``sim.field._planes``), whose squared wall
+    traces are summed over p."""
+    sq = (wall_values(planes) ** 2).sum(axis=1)
     wts = np.full(sq.shape[-1], 2.0)
     wts[0] = 1.0
     bot, top = sq @ wts
@@ -63,11 +66,12 @@ def _production(rows: np.ndarray, L: float, slip: SlipPair) -> float:
 
 def gradient_dissipation(u1: SpectralField2D, u2: SpectralField2D, mu: float) -> float:
     """mu times the squared L2 norm of the full velocity gradient."""
-    return _dissipation(_velocity_forms(u1, u2, (0, 1)), u1.L, mu)
+    return _dissipation(_field_forms((u1, u2)), u1.L, mu)
 
 
 def _dissipation(q: np.ndarray, L: float, mu: float) -> float:
-    """``gradient_dissipation`` from the velocity's per-mode forms (q0, q1, ...)."""
+    """``gradient_dissipation`` from the velocity's per-mode forms (q0, q1, ...)
+    (``sim.field._forms``)."""
     q0, q1 = q[0], q[1]
     return mu * float(_kappa_sq(q0.size, L) @ q0 + q1.sum())
 

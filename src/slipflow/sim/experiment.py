@@ -76,7 +76,9 @@ from ..modes import (
     reduced_packet,
 )
 from .field import (
+    _forms,
     _sobolev_norms,
+    _velocity_weights,
     field_from_packet,
     velocity_from_streamfunction,
     velocity_norms,
@@ -276,7 +278,8 @@ class _DeltaRun:
         # sep, the linear prediction, d_full and d_red, then nr itself; a
         # one-mode packet's reduced branches are exactly zero
         fields = np.concatenate([u[[0, 2, 0, 1]] - u[[1, 3, 2, 3]], u[1:2]])
-        _, q = self.recorder._forms(fields if self.reduced_active else fields[:3])
+        w = _velocity_weights(sim.M + 1, sim.channel.L)
+        _, q = _forms(fields if self.reduced_active else fields[:3], w)
         dist = np.sqrt(q[:, 0].sum(axis=-1))
         sep, linpred, d_full = dist[:3]
         if self.reduced_active:

@@ -12,16 +12,19 @@ row 0 having zero imaginary part.
 Physical x2 nodes are the P Chebyshev-Gauss-Lobatto points in descending
 order (node 0 at x2 = +1, node P-1 at x2 = -1).  Node/coefficient
 transforms apply a cached real (P, P) matrix, the type-I DCT of the
-identity, so they are exact for the represented polynomials.  Every L2
-quantity is a per-mode quadratic form with a cached (P, P) Gram matrix
+identity, so they are exact for the represented polynomials.
+
+Every L2 quantity (the norms below, the energy terms of ``sim.energy``, each
+record of ``sim.run`` and the experiment's distances) comes from one
+quadratic-form engine, ``_forms``, on real coefficient planes (``_planes``)
+laid out (..., plane, mode, component, P).  One product with the cached
+``_gram_stack`` [G0 | G1 | G2] applies the Gram matrices
 G_k[i, j] = int T_i^(k) T_j^(k) dx2, integrated by P-point Gauss-Legendre
-quadrature, which is exact for the degree <= 2P - 2 integrands; an x1
-derivative is a kappa_n^2 weight on the mode's form.  The norms are exact.
-A diagnostics record (``sim.run``) and the separation experiment form the
-same per-mode forms without building fields: the stepper's one velocity map
-takes streamfunction node rows to velocity coefficients and G0, G1 and G2
-stacked side by side apply to them (or to their differences), and the norms
-are read through ``_sobolev_norms`` like ``velocity_norms``.
+quadrature, exact for the degree <= 2P - 2 integrands, and one contraction
+with per-mode weights gives each mode's forms; an x1 derivative is a
+kappa_n^2 weight, so the norms are exact.  A record and the experiment pass
+the stepper's velocity coefficients (``_velocity_weights``) and build no
+fields.
 
 Streamfunction convention used by the solver: a field interpreted as a
 streamfunction carries the perturbation streamfunction in rows n >= 1 and
@@ -235,45 +238,65 @@ def _kappa_sq(rows: int, L: float) -> np.ndarray:
     return (np.arange(rows) / L) ** 2
 
 
-def _mode_weights(rows: int, L: float) -> np.ndarray:
-    """Channel integral of the first ``rows`` Fourier rows' forms over x1:
-    2 pi L for the mean row, 4 pi L for n >= 1, which count mode -n too."""
-    weights = np.full(rows, 4.0 * math.pi * L)
-    weights[0] = 2.0 * math.pi * L
-    return weights
+def _planes(rows: np.ndarray) -> np.ndarray:
+    """The real (2, ...) planes of complex ``rows``, real parts then imaginary
+    parts, in C order (a box's products then make the same BLAS calls
+    whatever the layout of ``rows``)."""
+    return np.ascontiguousarray(np.stack([rows.real, rows.imag]))
 
 
-def _gram_forms(rows: np.ndarray, L: float, orders, other: np.ndarray | None = None):
-    """Per-mode L2 inner products of the order-th x2 derivatives of field stacks.
+@lru_cache(maxsize=32)
+def _gram_stack(P: int) -> np.ndarray:
+    """(P, 3P) ``[G0 | G1 | G2]``, the ``_gram_matrix`` of each order side by
+    side: the matrices are symmetric, so one product of coefficient rows with
+    it applies all three."""
+    out = np.hstack([_gram_matrix(P, k) for k in (0, 1, 2)])
+    out.flags.writeable = False
+    return out
 
-    ``rows`` holds the coefficient rows of one field or a stack of them,
-    shape (..., M + 1, P); ``other`` (default ``rows``) holds a stack of
-    fields with at least as many axes that broadcasts against it.  Entry
-    [i, ..., n] is the channel integral of the mode-n part of
-    Re d2^k f conj(d2^k g) for k = orders[i], counting mode -n with mode n,
-    so a sum over n is the exact inner product and weighting by kappa_n^2
-    adds one x1 derivative to both fields.  The Gram matrices of all orders
-    go through one real matmul with ``rows``, on the coefficients laid out
-    Chebyshev index first and viewed as interleaved floats.  Returns shape
-    (len(orders), *stack, M + 1).
+
+def _forms(c: np.ndarray, weights: np.ndarray, other: np.ndarray | None = None):
+    """G0, G1 and G2 applied to real coefficient planes ``c`` (..., p, n, j, P)
+    by one product with ``_gram_stack``, g (..., p, n, j, 3, P), and the
+    per-mode forms q (..., 3, n), q[k, n] the sum over the planes p and
+    components j of weights[n, j] <G_k c[p, n, j], other[p, n, j]>.
+
+    ``other`` (default ``c``) is a stack of planes that broadcasts against
+    ``c``, and ``weights`` (n', j), n' >= n, weights the rows of each
+    component; with the w_n of ``_velocity_weights`` a sum over n is the
+    exact channel inner product.
     """
-    M1, P = rows.shape[-2:]
-    a = np.ascontiguousarray(np.moveaxis(rows, -1, 0), dtype=complex).view(np.float64)
-    b = a if other is None else np.ascontiguousarray(
-        np.moveaxis(other, -1, 0), dtype=complex).view(np.float64)
-    # the stacks broadcast behind the leading (order, Chebyshev) axes
-    lead = (len(orders), P) + (1,) * (b.ndim - a.ndim) + a.shape[1:]
-    gram = np.concatenate([_gram_matrix(P, order) for order in orders])
-    ga = (gram @ a.reshape(P, -1)).reshape(lead)
-    q = (ga * b).sum(axis=1)
-    return _mode_weights(M1, L) * (q[..., 0::2] + q[..., 1::2])
+    P = c.shape[-1]
+    g = (c.reshape(-1, P) @ _gram_stack(P)).reshape(*c.shape[:-1], 3, P)
+    w = weights[: c.shape[-3]]
+    return g, np.einsum("...pnckj,...pncj,nc->...kn", g, c if other is None else other, w)
 
 
-def _velocity_forms(u1: SpectralField2D, u2: SpectralField2D, orders) -> np.ndarray:
-    """``_gram_forms`` of a velocity pair, components summed: (len(orders), M + 1)."""
-    u1._check_compatible(u2)
-    pair = np.stack([u1.coefficients, u2.coefficients])
-    return _gram_forms(pair, u1.L, orders).sum(axis=1)
+@lru_cache(maxsize=32)
+def _velocity_weights(rows: int, L: float) -> np.ndarray:
+    """(rows, 2) weights of the forms of u1 and of u2 / (-i kappa_n) rows
+    (``ChannelStepper._velocity_coeffs``): w_n and w_n kappa_n^2, w_n the
+    channel integral of row n's forms over x1, 2 pi L for the mean row and
+    4 pi L for n >= 1, which count mode -n too."""
+    w = np.full(rows, 4.0 * math.pi * L)
+    w[0] = 2.0 * math.pi * L
+    out = np.stack([w, w * _kappa_sq(rows, L)], axis=-1)
+    out.flags.writeable = False
+    return out
+
+
+def _field_forms(fields: tuple, other: tuple | None = None) -> np.ndarray:
+    """``_forms`` q (3, M + 1) of compatible fields taken as the components
+    of one stack, summed over them; ``other``, a like tuple, gives their
+    cross forms with its fields."""
+    for f in fields[1:] + (other or ()):
+        fields[0]._check_compatible(f)
+
+    def planes(fs):
+        return None if fs is None else _planes(np.stack([f.coefficients for f in fs], axis=1))
+
+    w = _velocity_weights(fields[0].M + 1, fields[0].L)[:, [0] * len(fields)]
+    return _forms(planes(fields), w, planes(other))[1]
 
 
 def _sobolev_norms(q: np.ndarray, L: float):
@@ -289,23 +312,22 @@ def _sobolev_norms(q: np.ndarray, L: float):
 
 def _sq_l2(field: SpectralField2D) -> float:
     """Exact squared L2 norm over the channel."""
-    return float(_gram_forms(field.coefficients, field.L, (0,)).sum())
+    return float(_field_forms((field,))[0].sum())
 
 
 def scalar_inner(f: SpectralField2D, g: SpectralField2D) -> float:
     """Exact L2 inner product of two real fields."""
-    f._check_compatible(g)
-    return float(_gram_forms(f.coefficients, f.L, (0,), g.coefficients).sum())
+    return float(_field_forms((f,), (g,))[0].sum())
 
 
 def scalar_norms(field: SpectralField2D):
     """(l2, h1, h2) of one scalar field; h2 uses the full multi-index sum."""
-    return _sobolev_norms(_gram_forms(field.coefficients, field.L, (0, 1, 2)), field.L)
+    return _sobolev_norms(_field_forms((field,)), field.L)
 
 
 def velocity_norms(u1: SpectralField2D, u2: SpectralField2D):
     """(l2, h1, h2) of the velocity pair, components summed in quadrature."""
-    return _sobolev_norms(_velocity_forms(u1, u2, (0, 1, 2)), u1.L)
+    return _sobolev_norms(_field_forms((u1, u2)), u1.L)
 
 
 def velocity_from_streamfunction(phi: SpectralField2D):

@@ -35,7 +35,7 @@ import numpy as np
 from ..model import ValidationError
 from ..output import write_csv, write_json
 from .energy import _dissipation, _production
-from .field import SpectralField2D, _kappa_sq, _mode_weights, _sobolev_norms
+from .field import SpectralField2D, _forms, _sobolev_norms, _velocity_weights
 from .stepper import (
     CFL_LIMIT,
     ChannelStepper,
@@ -106,10 +106,6 @@ class _Recorder:
     def __init__(self, stepper: ChannelStepper):
         self.stepper = stepper
         self.rows = []
-        # per-mode weights of the u1 forms and of the u2 / (-i kappa_n) forms
-        M1, L = stepper.cfg.M + 1, stepper.L
-        w = _mode_weights(M1, L)
-        self._weights = np.stack([w, w * _kappa_sq(M1, L)], axis=-1)
 
     def record(self):
         """Append the diagnostics row of the stepper's current state.
@@ -131,22 +127,24 @@ class _Recorder:
         it).  ``_velocity_coeffs``, one product with ``_coeff_map``, takes
         the solved stack (its mean row read off the state planes) to the
         Chebyshev coefficients of u1 and of u2 / (-i kappa_n), and
-        ``_forms``, one product with ``_gram_stack``, applies G0, G1 and G2
-        to the state's and contracts them to its per-mode forms
+        ``sim.field._forms``, the package's one quadratic-form engine,
+        applies G0, G1 and G2 to the state's by one product with
+        ``_gram_stack`` and contracts them to its per-mode forms
         q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k and b_k the G_k forms of
-        the two coefficient rows.  One more contraction gives its G0 cross
-        forms with each tendency.
-        ``_sobolev_norms``, ``_dissipation`` and the wall trace formula of
-        ``boundary_production`` read the norms, the dissipation and the
+        the two coefficient rows (``_velocity_weights``).  One more
+        contraction gives its G0 cross forms with each tendency.
+        ``_sobolev_norms``, ``_dissipation`` and ``_production``, the wall
+        traces of the u1 planes, read the norms, the dissipation and the
         production off them.
 
         The Gram matrices act on the coefficients, not folded into one
         node-space form V^T G_k V per quantity: that folding moves h2 by
         1e-7 to 1e-6 relative to the per-field functions (``velocity_norms``,
-        ``scalar_inner``), where the coefficient form stays within 1e-11 of
-        them.  Against a long-double evaluation with exact Chebyshev maps
-        and Gram matrices, the per-field h2 and the record's h2 both read
-        1e-11 to 3e-11 off, so neither is the more accurate.
+        ``scalar_inner``).  Those apply the same engine to coefficients
+        differentiated from the streamfunction's own, and the record stays
+        within 1e-11 of them.  Against a long-double evaluation with exact
+        Chebyshev maps and Gram matrices, the per-field h2 and the record's
+        h2 both read 1e-11 to 3e-11 off, so neither is the more accurate.
 
         Returns the state's velocity coefficient planes, (p, b, 2, P) as
         ``_velocity_coeffs`` lays them out (p = 1, the imaginary plane, for
@@ -170,8 +168,9 @@ class _Recorder:
         # axes (state / visc / adv, plane, row, u1 or u2 / (-i kappa), Chebyshev)
         c = st._velocity_coeffs(stack, phi)
         s = c[0]
-        sg, q = self._forms(s)
-        rates = np.einsum("pncj,tpncj,nc->t", sg[..., 0, :], c[1:], self._weights[: s.shape[1]])
+        w = _velocity_weights(st.cfg.M + 1, st.L)
+        sg, q = _forms(s, w)
+        rates = np.einsum("pncj,tpncj,nc->t", sg[..., 0, :], c[1:], w[: s.shape[1]])
         norms = _sobolev_norms(q, st.L)
         l2, h1, h2 = norms
         bp = _production(s[..., 0, :], st.L, st.slip)
@@ -188,15 +187,6 @@ class _Recorder:
         if not st.cfg.linearized:
             _abort_past_cfl_one(st, phi[0, 0])
         return s, norms
-
-    def _forms(self, c: np.ndarray):
-        """G0, G1 and G2 applied to coefficient planes c (..., p, b, 2, P) by
-        one product with ``_gram_stack``, (..., p, b, 2, 3, P), and the
-        per-mode forms q (..., 3, b) of each field of the stack."""
-        P = c.shape[-1]
-        g = (c.reshape(-1, P) @ self.stepper._gram_stack).reshape(*c.shape[:-1], 3, P)
-        w = self._weights[: c.shape[-3]]
-        return g, np.einsum("...pnckj,...pncj,nc->...kn", g, c, w)
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)

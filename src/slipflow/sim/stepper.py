@@ -101,7 +101,7 @@ from ..model import ChannelConfig, ValidationError
 from .field import (
     SpectralField2D,
     _cheb_transform_matrix,
-    _gram_matrix,
+    _planes,
     cgl_nodes,
     cheb_coeffs_from_values,
     cheb_values_from_coeffs,
@@ -185,13 +185,6 @@ def cheb_diff_matrix(P: int) -> np.ndarray:
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
     return D
-
-
-def _planes(rows: np.ndarray) -> np.ndarray:
-    """The real (2, ...) planes of complex ``rows``, real parts then imaginary
-    parts, in C order (a box's products then make the same BLAS calls
-    whatever the layout of ``rows``)."""
-    return np.ascontiguousarray(np.stack([rows.real, rows.imag]))
 
 
 def _complex(planes: np.ndarray) -> np.ndarray:
@@ -360,7 +353,6 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
         "_half_sin": sin[1:half], "_closed_cos": closed_cos,
         "_half_cos": closed_cos[1:-1], "_half_fwd": sin[1:half].T / -n1,
         "_coeff_map": V.T @ np.hstack([(C @ D).T, C.T])[1:-1], "_node_coeffs": C.T,
-        "_gram_stack": np.hstack([_gram_matrix(P, k) for k in (0, 1, 2)]),
     }
     for value in ops.values():
         if isinstance(value, np.ndarray):
@@ -428,15 +420,13 @@ class ChannelStepper:
     and their x2 derivative, and ``_phi_pad`` (P-2, 2 ceil(3P/2)) is
     ``V.T @ _pad_with_d[1:-1]``, the same for the eigen-coordinates of phi.
 
-    Every reported quantity reads three more fixed maps.  With C the (P, P)
+    Every reported quantity reads two more fixed maps.  With C the (P, P)
     node-to-Chebyshev-coefficient matrix, ``_coeff_map`` (P-2, 2P) is
     ``V.T @ [(C D).T | C.T][1:-1]``: the eigen-coordinates of a
     streamfunction row times it give the Chebyshev coefficients of
     u1 = d2 phi and of phi = u2 / (-i kappa_n).  The mean row, u1 itself,
-    reads its coefficients through ``_node_coeffs`` (P, P), C.T.
-    ``_gram_stack`` (P, 3P) is ``[G0 | G1 | G2]``, the Gram matrices of
-    ``sim.field`` side by side, so one product applies all three to
-    coefficient rows.
+    reads its coefficients through ``_node_coeffs`` (P, P), C.T.  The
+    quadratic forms of those coefficients come from ``sim.field._forms``.
     """
 
     def __init__(self, cfg: SimConfig, initial: SpectralField2D):

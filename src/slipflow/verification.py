@@ -24,7 +24,7 @@ import numpy as np
 
 from . import critical
 from .model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair
-from .numerics import ChebBasis, build_basis
+from .numerics import ChebBasis, build_basis, find_root_bracketed
 from .spectrum import (
     Spectrum,
     assemble,
@@ -44,6 +44,7 @@ from .modes import (
 )
 from .sim.field import (
     SpectralField2D,
+    cgl_nodes,
     cheb_coeffs_from_values,
     divergence_max,
     field_from_packet,
@@ -298,15 +299,12 @@ def check_linearized_growth(battery: _Battery) -> tuple:
 
 def check_mean_robin_rate(battery: _Battery) -> tuple:
     """Mean-flow diffusion reproduces the analytic Robin eigenmode rate."""
-    from scipy.optimize import brentq
-
     mu, xi = 0.5, 1.0
-    a = brentq(lambda s: s * math.tanh(s) - xi / mu, 1.0e-8, 50.0)
+    a = find_root_bracketed(lambda s: s * math.tanh(s) - xi / mu, 1.0e-8, 50.0)
     rate = mu * a * a
     P = 64
-    x = np.cos(math.pi * np.arange(P) / (P - 1))
     rows = np.zeros((3, P), dtype=complex)
-    rows[0] = cheb_coeffs_from_values(np.cosh(a * x))
+    rows[0] = cheb_coeffs_from_values(np.cosh(a * cgl_nodes(P)))
     channel = ChannelConfig(L=1.0, mu=mu, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=2, P=P, dt=1.0e-3, t_end=0.05,
                     linearized=True, diagnostics_stride=10)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
+from slipflow.numerics import build_basis
 from slipflow.modes import build_packet
 from slipflow.sim import (
     ChannelStepper,
@@ -257,6 +258,28 @@ class TestStableLattice:
         channel = ChannelConfig(L=0.2, mu=0.5, slip=SlipPair(1.0, 1.0))
         with pytest.raises(ValidationError, match="stable regime"):
             run_separation_experiment(channel)
+
+
+class TestSlowModeDrop:
+    def test_mode_at_or_below_half_lambda_is_dropped(self):
+        # k* = 1 has two unstable modes, rates 1.152 and 2.855 = Lambda, and
+        # the quadratic error bound needs 2 lambda_j > Lambda: the slow one goes
+        channel = ChannelConfig(L=1.0, mu=0.2356, slip=SlipPair(1.0, 1.0))
+        problem = ModeProblem(k=1.0, mu=channel.mu, slip=channel.slip)
+        full = build_packet(solve_spectrum(assemble(problem, build_basis(16))))
+        assert full.count == 2
+        sim = SimConfig(channel=channel, M=4, P=18, dt=2.0e-3, diagnostics_stride=10)
+        with pytest.warns(RuntimeWarning, match="growth rate <= Lambda/2"):
+            exp = run_separation_experiment(channel, sim=sim, deltas=(1.0e-2,),
+                                            basis_size=16)
+        assert exp.k == 1.0
+        assert full.lambdas[0] <= 0.5 * exp.capital_lambda < full.lambdas[1]
+        assert exp.lambdas.size == 1
+        assert exp.lambdas[0] == full.top_lambda
+        (outcome,) = exp.outcomes
+        assert outcome.error is None
+        # the one-mode packet's reduced branch is identically zero
+        assert not outcome.d_from_linear_reduced.any()
 
 
 class TestFailureIsolation:

@@ -10,6 +10,7 @@ from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
 from slipflow.modes import (
     Grid2D,
     build_packet,
+    packet_l2_norm,
     sample_packet_field,
 )
 from slipflow.numerics import wall_values
@@ -187,6 +188,19 @@ def test_field_from_packet_embeds_two_mode_packet(basis48):
         field_from_packet(packet, M=1, P=56, L=L)
 
 
+@pytest.mark.parametrize("mu,M,P", [(0.5, 32, 64), (0.1, 16, 56)])
+def test_embedded_packet_l2_matches_the_packet_quadrature(basis48, mu, M, P):
+    # the experiment takes epsilon0 from packet_l2_norm and C1 from the
+    # Gram forms of the embedded field: two independent paths to one norm
+    from slipflow.spectrum import assemble, solve_spectrum
+
+    problem = ModeProblem(k=1.0, mu=mu, slip=SlipPair(1.0, 1.0))
+    packet = build_packet(solve_spectrum(assemble(problem, basis48)))
+    l2, _, _ = velocity_norms(*velocity_from_streamfunction(field_from_packet(packet, M, P, 1.0)))
+    want = packet_l2_norm(packet, 1.0)
+    assert abs(l2 - want) <= 1.0e-13 * want
+
+
 def test_values_rejects_undersampling():
     f = _sin_parabola_field(M=8)
     with pytest.raises(ValueError):
@@ -289,6 +303,8 @@ def test_perturbed_gram_matrix_is_caught(order, monkeypatch):
         return G * (1.0 + noise) if k == order else G
 
     monkeypatch.setattr(field_module, "_gram_matrix", perturbed)
+    # the cached stack would keep the exact matrices: build it afresh instead
+    monkeypatch.setattr(field_module, "_gram_stack", field_module._gram_stack.__wrapped__)
     assert _gram_mismatch(P) > 1.0e-13
 
 
@@ -297,6 +313,11 @@ def test_gram_matrices_are_cached_read_only():
     assert G is field_module._gram_matrix(24, 1)
     with pytest.raises(ValueError):
         G[0, 0] = 1.0
+    stack = field_module._gram_stack(24)
+    assert stack is field_module._gram_stack(24)
+    np.testing.assert_array_equal(stack[:, 24:48], G)
+    with pytest.raises(ValueError):
+        stack[0, 0] = 1.0
 
 
 # -- matrix Chebyshev transforms against scipy's DCT-I ----------------------

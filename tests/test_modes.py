@@ -77,7 +77,7 @@ def test_build_packet_coefficients(basis48):
     spectrum = solve_spectrum(assemble(ModeProblem(k=1.0, mu=0.1, slip=STD_SLIP), basis48))
     packet = build_packet(spectrum)
     assert np.all(packet.coefficients == 1.0)
-    packet2 = build_packet(spectrum, count=1, coefficients=[0.5])
+    packet2 = ModePacket(modes=build_packet(spectrum, count=1).modes, coefficients=np.array([0.5]))
     assert packet2.count == 1
     assert packet2.coefficients[0] == 0.5
     # count=1 keeps the fastest mode

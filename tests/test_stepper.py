@@ -691,7 +691,7 @@ class TestSharedOperators:
         # the linearized flag and t_end are not part of the operators
         second = ChannelStepper(self._cfg(linearized=True, t_end=0.5), zero)
         for name in ("_T", "_to_eig", "_eig_solve", "_phi_pad", "_coeff_map",
-                     "_gram_stack", "_influence_cond"):
+                     "_influence_cond"):
             assert getattr(second, name) is getattr(first, name)
         other = ChannelStepper(self._cfg(dt=2.0e-3), zero)
         assert other._T is not first._T and other._eig_solve is not first._eig_solve
@@ -704,7 +704,7 @@ class TestSharedOperators:
                if isinstance(v, np.ndarray) and k not in state}
         assert {"_T", "_to_eig", "_eig_solve", "_phi_pad", "_node_coeffs",
                 "_influence_cond", "_explicit_base", "_pad_with_d", "_half_cos",
-                "_coeff_map", "_gram_stack"} <= set(ops)
+                "_coeff_map"} <= set(ops)
         assert not any(v.flags.writeable for v in ops.values())
         with pytest.raises(ValueError, match="read-only"):
             stepper._T[1, 0, 0] = stepper._T[1, 0, 0]
