@@ -7,10 +7,11 @@ simulate (time stepping with diagnostics), experiment (two-solution
 separation sweep), verify (deterministic property suites).
 
 Importing this module loads only the standard library and the package
-root, which imports no submodule; numpy, scipy and the compute modules
-load lazily inside the handlers.  That lets the global --threads flag pin
-the BLAS/OpenMP thread pools through the usual environment variables,
-which only works while numpy is not yet imported, i.e. in a fresh process.
+root, which imports no submodule; numpy and the compute modules load
+lazily inside the handlers, and no command imports scipy.  That lets the
+global --threads flag pin the BLAS/OpenMP thread pools through the usual
+environment variables, which only works while numpy is not yet imported,
+i.e. in a fresh process.
 
 Configuration resolution, lowest to highest precedence: built-in defaults
 (period_length 1, viscosity 0.5, slip 1/1), the --config JSON file,

@@ -24,7 +24,10 @@ max(xi)/2k), and tends to its supremum
 as k -> 0.  The threshold is computed as mu kappa_1(0), with kappa_1 the top
 eigenvalue of the rank-2 slip operator K of ``spectrum.operator_eigenvalues``:
 the same quantity as the formula above, but built from the wall responses,
-which neither cancel at small k nor overflow at large k.
+which neither cancel at small k nor overflow at large k.  Its cross-check
+``mu_c_variational`` maximizes the quotient on the trial space through the
+cached inverse Cholesky factor of the energy form
+(``numerics.inverse_cholesky``).
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .model import ChannelConfig, ModeProblem, SlipPair
-from .numerics import ChebBasis, NotPositiveDefiniteError, energy_form
+from .numerics import ChebBasis, energy_form, inverse_cholesky
 from .spectrum import operator_eigenvalues
 
 __all__ = [
@@ -62,10 +64,11 @@ def mu_c_variational(k: float, slip: SlipPair, basis: ChebBasis) -> float:
     the wall slopes phi_j'(-1), phi_j'(+1) and Xi = diag(xi_minus, xi_plus).
     With E = L L^T and Z = L^-1 D Xi^(1/2), the pencil has the eigenvalues
     of L^-1 R L^-T = Z Z^T, and the nonzero eigenvalues of Z Z^T are those of
-    the 2x2 matrix Z^T Z = Xi^(1/2) D^T E^-1 D Xi^(1/2).  So one Cholesky
-    factorization, one triangular solve against two columns and one 2x2
-    eigenvalue give the maximum exactly, with no iterative optimizer and no
-    N x N eigensolve.
+    the 2x2 matrix Z^T Z = Xi^(1/2) D^T E^-1 D Xi^(1/2).  So the factor L^-1
+    (``inverse_cholesky``, cached with the read-only E of ``energy_form``),
+    one product with two columns and one 2x2 eigenvalue give the maximum
+    exactly, with no iterative optimizer and no N x N eigensolve.  An E that
+    is not positive definite raises ``NotPositiveDefiniteError``.
     Nondecreasing in the basis size (nested Galerkin spaces) and converging
     to mu_c_closed_form from below.
     """
@@ -73,14 +76,8 @@ def mu_c_variational(k: float, slip: SlipPair, basis: ChebBasis) -> float:
         raise ValueError(f"k: must be > 0, got {k}")
     if basis.size < 8:
         raise ValueError(f"basis size must be >= 8 for the quotient maximum, got {basis.size}")
-    try:
-        L = linalg.cholesky(energy_form(k, basis), lower=True)
-    except linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "energy form is not positive definite; the trial basis or assembly is broken"
-        )
     sqrt_xi = np.sqrt([slip.xi_minus, slip.xi_plus])
-    Z = linalg.solve_triangular(L, basis.wall_tables[1].T * sqrt_xi, lower=True)
+    Z = inverse_cholesky(energy_form(k, basis)) @ (basis.wall_tables[1].T * sqrt_xi)
     top = np.linalg.eigvalsh(Z.T @ Z)[-1]
     return float(max(top, 0.0))
 

@@ -15,6 +15,13 @@ Derivative values of the basis are tabulated once, up to fourth order, at
 the quadrature nodes and at the walls; assembly and residual evaluation are
 then plain weighted matrix products.
 
+Every symmetric pencil B v = lambda A v is reduced to a standard one the
+way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened
+W = L^-1 B L^-T.  ``inverse_cholesky`` keeps L^-1 of each read-only form
+(``gram_form`` and ``energy_form`` return such arrays), so the dense solve,
+the Lanczos path and the mu_c quotient of one wavenumber factor each form
+once.  Everything here is numpy; the package needs no scipy at run time.
+
 Every wall check, of eigenfunctions (u1 = phi'), modes (u1 = psi) and DNS
 fields (their u1 rows), goes through ``wall_values`` (values at x = -1, +1)
 and ``slip_defects`` (|mu u1' -/+ xi_{+/-} u1| there), which take
@@ -24,18 +31,20 @@ Chebyshev-T series along the last axis with any leading shape.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import legendre
-from scipy import linalg
 
 __all__ = [
     "ChebBasis",
     "build_basis",
     "solve_generalized_symmetric",
+    "inverse_cholesky",
+    "whiten",
     "find_root_bracketed",
     "boundary_form",
     "wall_values",
@@ -141,13 +150,81 @@ def _fix_signs(vectors: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     return out
 
 
+# id(A) -> (weak reference to A, read-only L^-1), oldest first; as many
+# entries as the gram_form and energy_form caches hold arrays together
+_INVERSE_FACTORS: dict = {}
+_INVERSE_FACTORS_SIZE = 16
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the nonsingular lower-triangular L, lower-triangular.
+
+    Blocked by halves, [[L11, 0], [L21, L22]]^-1 = [[X11, 0],
+    [-X22 L21 X11, X22]] with Xii = Lii^-1, down to blocks of at most 32
+    rows inverted densely: numpy has no triangular solver, and its dense
+    inverse costs about twice the two half-size inverses and products at
+    N = 96.
+    """
+    n = L.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = X11 = _lower_inverse(L[:h, :h])
+    out[h:, h:] = X22 = _lower_inverse(L[h:, h:])
+    out[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
+    return out
+
+
+def inverse_cholesky(A: np.ndarray) -> np.ndarray:
+    """L^-1 of the symmetric positive definite A = L L^T, read-only.
+
+    L comes from ``np.linalg.cholesky`` and its inverse from
+    ``_lower_inverse``.  An A that is read-only and owns its data, as the
+    cached ``gram_form`` and ``energy_form`` arrays are, is taken as
+    immutable: its factor is kept for the last few such arrays, keyed by
+    identity and held no longer than A lives, so every caller reading one
+    form shares one factorization.  Raises ``NotPositiveDefiniteError`` when
+    A is not positive definite.
+    """
+    key = id(A)
+    entry = _INVERSE_FACTORS.get(key)
+    if entry is not None and entry[0]() is A:
+        return entry[1]
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite; the trial basis or assembly is broken"
+        ) from None
+    inv = _lower_inverse(L)
+    inv.flags.writeable = False
+    if not A.flags.writeable and A.flags.owndata:
+        if len(_INVERSE_FACTORS) >= _INVERSE_FACTORS_SIZE:
+            del _INVERSE_FACTORS[next(iter(_INVERSE_FACTORS))]
+        _INVERSE_FACTORS[key] = (weakref.ref(A), inv)
+    return inv
+
+
+def whiten(B: np.ndarray, A: np.ndarray):
+    """The standard form of the pencil (B, A): ``(W, L^-1)`` with
+    W = L^-1 B L^-T symmetric and L^-1 from ``inverse_cholesky(A)``."""
+    inv = inverse_cholesky(A)
+    W = inv @ B @ inv.T
+    return 0.5 * (W + W.T), inv
+
+
 def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
     """All eigenpairs of B v = lambda A v, B symmetric, A symmetric positive definite.
 
     B may be indefinite.  Returns ``(eigenvalues, eigenvectors)``: the
     eigenvalues in descending order, and ``eigenvectors[:, i]`` belonging to
     ``eigenvalues[i]``, the columns A-orthonormal, each signed so that its
-    first significant entry is positive.
+    first significant entry is positive.  The steps are those of LAPACK's
+    ``sygvd``: W = L^-1 B L^-T (``whiten``), W = Y diag(w) Y^T by
+    ``np.linalg.eigh``, V = L^-T Y.  A that is not positive definite raises
+    ``NotPositiveDefiniteError``; a failure of the eigensolver itself
+    propagates as ``np.linalg.LinAlgError``.
     """
     B = np.asarray(B, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -157,18 +234,10 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
         scale = np.abs(M).max() or 1.0
         if np.abs(M - M.T).max() > 1e-12 * scale:
             raise NonSymmetricError(f"matrix {name} is not symmetric to relative 1e-12")
-    try:
-        w, V = linalg.eigh(B, A)  # factors A itself
-    except linalg.LinAlgError:
-        try:
-            linalg.cholesky(A, lower=True)
-        except linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                "mass matrix is not positive definite; the trial basis or assembly is broken"
-            ) from None
-        raise
+    W, inv = whiten(B, A)
+    w, Y = np.linalg.eigh(W)
     order = np.argsort(w)[::-1]  # descending, stable for exact ties
-    return w[order], _fix_signs(V[:, order])
+    return w[order], _fix_signs(inv.T @ Y[:, order])
 
 
 # ---------------------------------------------------------------------------

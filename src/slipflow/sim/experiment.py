@@ -169,6 +169,7 @@ class SeparationExperiment:
     k: float
     capital_lambda: float
     lambdas: np.ndarray
+    dropped_lambdas: np.ndarray  # packet rates with 2 lambda_j <= Lambda, left out
     coefficients: np.ndarray
     epsilon0: float
     delta0: float
@@ -439,13 +440,14 @@ def run_separation_experiment(
     spectrum = solve_spectrum(assemble(problem, basis))
     packet = build_packet(spectrum, count=packet_count)
     keep = packet.lambdas > 0.5 * cap_lambda
-    if not keep.all():
+    idx = int(np.argmax(keep))  # rates ascend, so the kept modes are a tail
+    dropped = packet.lambdas[:idx]
+    if idx:
         warnings.warn(
             "dropping packet modes with growth rate <= Lambda/2; the quadratic "
             "error bound requires 2*lambda_j > Lambda",
             RuntimeWarning,
         )
-        idx = int(np.nonzero(keep)[0][0])
         packet = ModePacket(
             modes=packet.modes[idx:], coefficients=packet.coefficients[idx:]
         )
@@ -500,6 +502,7 @@ def run_separation_experiment(
         k=k_star,
         capital_lambda=cap_lambda,
         lambdas=packet.lambdas,
+        dropped_lambdas=dropped,
         coefficients=np.asarray(packet.coefficients, dtype=float),
         epsilon0=float(epsilon0),
         delta0=float(delta0),
@@ -583,6 +586,7 @@ def write_experiment_outputs(exp: SeparationExperiment, out_dir) -> list:
         "k": exp.k,
         "capital_lambda": exp.capital_lambda,
         "lambdas": list(exp.lambdas),
+        "dropped_lambdas": list(exp.dropped_lambdas),
         "coefficients": list(exp.coefficients),
         "epsilon0": exp.epsilon0,
         "delta0": exp.delta0,

@@ -35,15 +35,16 @@ do not increase with lambda, so each branch with kappa_i(0) > 1 crosses 1
 exactly once: there are at most two growth rates, and mu kappa_1(0) is
 mu_c(k).  Second, lambda_1 equals the maximum of the Rayleigh quotient
 B_k(phi,phi) / int((phi')^2 + k^2 phi^2), computed here by Lanczos iteration
-from one random start, with full reorthogonalization, a restart at each
-invariant subspace and a Sturm-sequence bisection.  The whitened operator
-L^-1 B L^-T (A = L L^T) is formed once per call, so each Lanczos step is
-one matrix-vector product.  The path factors A itself and calls no dense
-eigensolver, so it shares no factorization or eigensolver with the dense
-solve.  It does share the assembled pencil: ``assemble`` is cached per
-(problem, basis) and ``energy_form`` and ``gram_form`` per (k, basis), so
-the dense solve, the Lanczos path and the mu_c quotient of one wavenumber
-read one B, one E and one A.
+from one random start, with full reorthogonalization and a restart at each
+invariant subspace; the top eigenvalue of the n x n tridiagonal is taken by
+``np.linalg.eigvalsh``.  The whitened operator W = L^-1 B L^-T (A = L L^T) is
+formed once per call, so each Lanczos step is one matrix-vector product.
+The path runs no dense eigensolve of W, so it shares no eigensolver with the
+dense solve.  It does share the assembled pencil and its factor: ``assemble``
+is cached per (problem, basis), ``energy_form`` and ``gram_form`` per
+(k, basis), and ``inverse_cholesky`` per read-only form, so the dense solve,
+the Lanczos path and the mu_c quotient of one wavenumber read one B, one E
+and one A, and factor A and E once each.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy import linalg
 
 from .model import ModeProblem
 from .numerics import (
@@ -65,6 +65,7 @@ from .numerics import (
     gram_form,
     slip_defects,
     solve_generalized_symmetric,
+    whiten,
 )
 
 __all__ = [
@@ -248,25 +249,25 @@ def gram_defects(spectrum: Spectrum, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Independent variational path for lambda_1: Lanczos + Sturm bisection.
+# Independent variational path for lambda_1: Lanczos on the whitened pencil.
 # ---------------------------------------------------------------------------
 
 
 def _largest_tridiagonal_eigenvalue(alpha: np.ndarray, beta: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric tridiagonal matrix by Sturm bisection.
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    ``alpha`` and off-diagonal ``beta``, by ``np.linalg.eigvalsh`` of the
+    n x n matrix.
 
-    LAPACK's stebz bisects with the smallest absolute tolerance it accepts,
-    so the eigenvalue keeps its digits even when it is small beside the
-    Gershgorin bound of the whole matrix.
+    Its error is of order eps times the norm of T, the order of the error
+    with which the whitened W, and so T, is formed.  Just below mu_c, where
+    lambda_1 is small beside that norm, the gap to the refined Galerkin
+    lambda_1 at N = 96 and mu = 0.999 mu_c reads at most 4.4e-9 relative
+    over the cases and start seeds of
+    ``test_lambda1_variational_keeps_digits_near_mu_c`` (bound 1e-8); a
+    Sturm bisection to the smallest tolerance read 3.3e-9 there.
     """
-    n = alpha.size
-    if n == 1:
-        return float(alpha[0])
-    top = linalg.eigh_tridiagonal(
-        alpha, beta, eigvals_only=True, select="i", select_range=(n - 1, n - 1),
-        lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
-    )
-    return float(top[0])
+    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return float(np.linalg.eigvalsh(T)[-1])
 
 
 def _lanczos_top_eigenvalue(W: np.ndarray, rng: np.random.Generator) -> float:
@@ -277,8 +278,8 @@ def _lanczos_top_eigenvalue(W: np.ndarray, rng: np.random.Generator) -> float:
     max(|alpha_j|, 1)) has found an invariant subspace; the run then
     restarts from a fresh random vector, orthogonalized twice against the
     vectors so far, with beta_j = 0.  The n x n tridiagonal T is therefore
-    orthogonally similar to W for every start, and its largest eigenvalue,
-    by Sturm bisection, is the top eigenvalue of W.
+    orthogonally similar to W for every start, and its largest eigenvalue
+    (``_largest_tridiagonal_eigenvalue``) is the top eigenvalue of W.
     """
     n = W.shape[0]
     Q = np.empty((n, n))  # Lanczos vectors by rows
@@ -313,17 +314,16 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0
     Independent of the dense pencil solver: the quotient is maximized by
     Lanczos iterations (one random start, full reorthogonalization, a
     restart at each invariant subspace, see ``_lanczos_top_eigenvalue``) on
-    the A-whitened operator W = L^-1 B L^-T, with the tridiagonal maximum
-    extracted by Sturm bisection.  W is formed once from the Cholesky factor
-    A = L L^T by two triangular solves on matrices, so a Lanczos step is one
-    matrix-vector product; no eigensolver of the dense path is involved.
-    The Lanczos basis spans the whole space, so the maximum does not depend
-    on the start beyond roundoff.
+    the A-whitened operator W = L^-1 B L^-T, with the maximum of the n x n
+    tridiagonal taken by a symmetric eigenvalue routine.  W is formed once
+    by ``whiten`` from the cached factor L^-1 (A = L L^T) that the dense
+    solve of the same pencil also reads, so a Lanczos step is one
+    matrix-vector product and no dense eigensolve of W is involved.  The
+    Lanczos basis spans the whole space, so the maximum does not depend on
+    the start beyond roundoff.
     """
     pencil = assemble(problem, basis)
-    L = linalg.cholesky(pencil.A, lower=True)
-    X = linalg.solve_triangular(L, pencil.B, lower=True)  # L^-1 B
-    W = linalg.solve_triangular(L, X.T, lower=True)  # L^-1 B L^-T, B symmetric
+    W, _ = whiten(pencil.B, pencil.A)
     return _lanczos_top_eigenvalue(W, np.random.default_rng(seed))
 
 

@@ -236,9 +236,12 @@ def check_escape_time(battery: _Battery) -> tuple:
 
 
 def check_field_norms(battery: _Battery) -> tuple:
-    """Quadrature-exact norms: analytic value, Parseval, divergence-free curl."""
-    import scipy.fft
+    """Quadrature-exact norms: analytic value, Parseval, divergence-free curl.
 
+    The Parseval reference interpolates the grid values by an explicit
+    cosine sum (the type-I DCT written out), not by the transforms of
+    ``sim.field``, so it shares no code with the norms it checks.
+    """
     P, M, L = 32, 8, 1.0
     rows = np.zeros((M + 1, P), dtype=complex)
     # sin(x1)(1 - x2^2): profile (1 - x^2) = 0.5 T0 - 0.5 T2, sin rows carry
@@ -257,9 +260,13 @@ def check_field_norms(battery: _Battery) -> tuple:
     grid = g.values(n1=4 * M)
     gl_x, gl_w = np.polynomial.legendre.leggauss(P + 2)
     interp = np.polynomial.chebyshev.chebvander(gl_x, P - 1)
-    coeffs = scipy.fft.dct(grid, type=1, axis=1) / (P - 1)
-    coeffs[:, 0] *= 0.5
-    coeffs[:, -1] *= 0.5
+    # c_j = (2 / (P - 1)) sum_n w_n g_n cos(pi j n / (P - 1)), with w_n = 1/2
+    # at both ends and 1 inside; c_0 and c_(P-1) are halved as well
+    j = np.arange(P)
+    cosines = np.cos(math.pi * np.outer(j, j) / (P - 1))
+    cosines[:, [0, -1]] *= 0.5
+    coeffs = grid @ cosines.T * (2.0 / (P - 1))
+    coeffs[:, [0, -1]] *= 0.5
     phys = interp @ coeffs.T
     direct = math.sqrt(float(gl_w @ (phys**2).mean(axis=1)) * 2.0 * math.pi * L)
     lib = scalar_norms(g)[0]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,8 +207,14 @@ class TestCrankNicolsonRate:
         assert rate["relative_gap"] == rate["lambda_run"] / rate["lambda"] - 1.0
         assert 0.0434 < rate["relative_gap"] < 0.0436
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == ("simulate: 25 steps to t = 0.1, final l2 = 132854.626222, "
-                            "growth rate estimate = 181.324011095")
+        # the printed digits are compared as numbers: the final l2 sits about
+        # 1e-12 (relative) from a rounding boundary of its sixth decimal, and
+        # roundoff-level changes to the packet profile move it by up to that
+        head = re.fullmatch(r"simulate: 25 steps to t = 0\.1, final l2 = (\S+), "
+                            r"growth rate estimate = (\S+)", lines[0])
+        assert head is not None, lines[0]
+        assert float(head[1]) == pytest.approx(132854.626222, rel=1.0e-9)
+        assert float(head[2]) == pytest.approx(181.324011095, rel=1.0e-9)
         assert lines[1] == (
             "simulate: Crank-Nicolson at dt = 0.004 realizes the top rate lambda = "
             f"{rate['lambda']:.12g} as lambda_run = {rate['lambda_run']:.12g} "
@@ -576,6 +583,32 @@ class TestModuleInvocation:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # numpy is the one runtime dependency: with every scipy import made to
+        # fail, the modules import and spectrum, critical and a short
+        # linearized simulate succeed, and no scipy module gets loaded
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import slipflow.cli, slipflow.sim, slipflow.spectrum, slipflow.critical\n"
+            "import slipflow.verification\n"
+            "out = sys.argv[1]\n"
+            "codes = [slipflow.cli.main(['--out', out + '/' + argv[0]] + argv) for argv in (\n"
+            "    ['spectrum', '--k', '1', '--mu', '0.3'],\n"
+            "    ['critical', '--k', '0.5', '2', '--points', '3'],\n"
+            "    ['simulate', '--linearized', '--m', '8', '--p', '24', '--basis', '16',\n"
+            "     '--t-end', '0.02'])]\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'scipy' and sys.modules[m] is not None)\n"
+            "print(codes, loaded)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+        for name in ("spectrum", "critical", "simulate"):
+            assert (tmp_path / name / "run_manifest.json").exists()
 
 
 def test_pyproject_version_is_the_package_version():

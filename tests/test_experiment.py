@@ -92,6 +92,7 @@ class TestSmokeSweep:
         assert manifest["escape_ok"] is False
         assert manifest["k"] == 1.0
         assert len(manifest["lambdas"]) == 2
+        assert manifest["dropped_lambdas"] == []
         assert manifest["channel"]["viscosity"] == 0.1
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "delta,T_delta,separation,bound,verdict"
@@ -261,7 +262,7 @@ class TestStableLattice:
 
 
 class TestSlowModeDrop:
-    def test_mode_at_or_below_half_lambda_is_dropped(self):
+    def test_mode_at_or_below_half_lambda_is_dropped(self, tmp_path):
         # k* = 1 has two unstable modes, rates 1.152 and 2.855 = Lambda, and
         # the quadratic error bound needs 2 lambda_j > Lambda: the slow one goes
         channel = ChannelConfig(L=1.0, mu=0.2356, slip=SlipPair(1.0, 1.0))
@@ -271,11 +272,16 @@ class TestSlowModeDrop:
         sim = SimConfig(channel=channel, M=4, P=18, dt=2.0e-3, diagnostics_stride=10)
         with pytest.warns(RuntimeWarning, match="growth rate <= Lambda/2"):
             exp = run_separation_experiment(channel, sim=sim, deltas=(1.0e-2,),
-                                            basis_size=16)
+                                            basis_size=16, out_dir=tmp_path)
         assert exp.k == 1.0
         assert full.lambdas[0] <= 0.5 * exp.capital_lambda < full.lambdas[1]
         assert exp.lambdas.size == 1
         assert exp.lambdas[0] == full.top_lambda
+        # the dropped rate is recorded, not only warned about
+        assert exp.dropped_lambdas.tolist() == [full.lambdas[0]]
+        manifest = json.loads((tmp_path / "experiment_manifest.json").read_text())
+        assert manifest["lambdas"] == [full.top_lambda]
+        assert manifest["dropped_lambdas"] == [full.lambdas[0]]
         (outcome,) = exp.outcomes
         assert outcome.error is None
         # the one-mode packet's reduced branch is identically zero

@@ -13,12 +13,14 @@ from slipflow.numerics import (
     NonSymmetricError,
     NotPositiveDefiniteError,
     _fix_signs,
+    _lower_inverse,
     _wall_signs,
     boundary_form,
     build_basis,
     energy_form,
     find_root_bracketed,
     gram_form,
+    inverse_cholesky,
     slip_defects,
     solve_generalized_symmetric,
     wall_values,
@@ -84,24 +86,67 @@ def test_generalized_eig_rejects_bad_input():
 
 
 def test_generalized_eig_factors_the_mass_side_once(monkeypatch):
-    # eigh(B, A) factors A itself; a separate Cholesky runs only to classify a failure
-    from scipy import linalg
+    # the dense solve and the Lanczos path of one pencil read one read-only
+    # Gram form, and its Cholesky factor is computed once for both
+    from slipflow.spectrum import lambda1_variational
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a separate Cholesky factorization ran")
+    calls = []
+    cholesky = np.linalg.cholesky
 
-    monkeypatch.setattr("scipy.linalg.cholesky", forbidden)
+    def counted(A):
+        calls.append(A)
+        return cholesky(A)
+
+    monkeypatch.setattr("numpy.linalg.cholesky", counted)
     w, _ = solve_generalized_symmetric(np.diag([3.0, 1.0]), np.diag([1.0, 2.0]))
     assert np.allclose(w, [3.0, 0.5], rtol=1e-15, atol=0.0)
+    assert len(calls) == 1
+    calls.clear()
+    basis = build_basis(20)  # a fresh basis: its forms are not cached yet
+    problem = ModeProblem(k=0.7, mu=0.3, slip=SlipPair(1.0, 2.0))
+    pencil = assemble(problem, basis)
+    lam_g = solve_spectrum(pencil).lambda1
+    lam_v = lambda1_variational(problem, basis)
+    assert len(calls) == 1 and calls[0] is pencil.A
+    assert abs(lam_v - lam_g) <= 1e-8 * abs(lam_g)
     monkeypatch.undo()
 
+    # a failure of the eigensolver itself is not a mass-side failure
     def no_convergence(*args, **kwargs):
-        raise linalg.LinAlgError("no convergence")
+        raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr("scipy.linalg.eigh", no_convergence)
-    with pytest.raises(linalg.LinAlgError) as info:
+    monkeypatch.setattr("numpy.linalg.eigh", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError) as info:
         solve_generalized_symmetric(np.eye(2), np.eye(2))
     assert not isinstance(info.value, NotPositiveDefiniteError)
+
+
+@pytest.mark.parametrize("N", [20, 48, 65, 96])
+def test_lower_inverse_matches_a_triangular_solve(N):
+    # the blocked inverse against LAPACK's triangular solve, on the Cholesky
+    # factors of the two forms the package inverts
+    from scipy.linalg import solve_triangular
+
+    basis = build_basis(N)
+    for form in (gram_form(0.05, basis), energy_form(0.05, basis)):
+        L = np.linalg.cholesky(form)
+        inv = _lower_inverse(L)
+        assert np.array_equal(inv, np.tril(inv))
+        ref = solve_triangular(L, np.eye(N), lower=True)
+        assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(inv @ L - np.eye(N)).max() <= 1e-13
+
+
+def test_inverse_cholesky_is_cached_for_read_only_forms_only():
+    basis = build_basis(12)
+    A = gram_form(0.3, basis)
+    inv = inverse_cholesky(A)
+    assert inverse_cholesky(A) is inv and not inv.flags.writeable
+    assert np.abs(inv @ A @ inv.T - np.eye(12)).max() <= 1e-13
+    copy = np.array(A)  # writeable: may change, so never served from the cache
+    assert inverse_cholesky(copy) is not inverse_cholesky(copy)
+    with pytest.raises(NotPositiveDefiniteError):
+        inverse_cholesky(-np.eye(3))
 
 
 def test_sign_convention_deterministic():
