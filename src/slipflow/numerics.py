@@ -13,7 +13,15 @@ at most 2N + 6).
 
 Derivative values of the basis are tabulated once, up to fourth order, at
 the quadrature nodes and at the walls; assembly and residual evaluation are
-then plain weighted matrix products.
+then plain weighted matrix products.  The coefficient rows are written in
+closed form, (1 - x**2) T_j = T_j / 2 - (T_{j+2} + T_{|j-2|}) / 4, and each
+derivative series is one product with ``chebder_map``, the integer matrix of
+d/dx on Chebyshev-T coefficients, which is the package's one derivative map
+(the DNS builds its own from it).  Every series entry is a dyadic rational
+with few bits, so the tables' series are exact, not rounded.  Each basis
+also carries its k-independent Gram blocks G_d = int(phi^(d) phi^(d)),
+d = 0, 1, 2, so ``gram_form`` and ``energy_form`` at one more k are sums
+of three scaled blocks.
 
 Every symmetric pencil B v = lambda A v is reduced to a standard one the
 way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened
@@ -42,6 +50,7 @@ from numpy.polynomial import legendre
 __all__ = [
     "ChebBasis",
     "build_basis",
+    "chebder_map",
     "solve_generalized_symmetric",
     "inverse_cholesky",
     "whiten",
@@ -58,9 +67,6 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE = 4
-
-# (1 - x**2) in the Chebyshev-T basis: (T0 - T2) / 2
-_WALL_FACTOR = np.array([0.5, 0.0, -0.5])
 
 
 class NonSymmetricError(ValueError):
@@ -87,7 +93,10 @@ class ChebBasis:
     and x2 = +1 (s = 1).  ``cheb_coeffs[j]`` holds the raw Chebyshev-T
     coefficients of phi_j (length size + 2), so the trial function with
     coefficient vector v is the series ``numpy.polynomial.Chebyshev(v @
-    cheb_coeffs)``.
+    cheb_coeffs)``.  ``gram_blocks[d]`` is the read-only Gram matrix
+    int(phi_i^(d) phi_j^(d)), d = 0, 1, 2, formed from the node tables and
+    the quadrature weights whenever a basis is made, so a basis built from
+    tables of another trial space has its own.
     """
 
     size: int
@@ -96,6 +105,54 @@ class ChebBasis:
     node_tables: list = field(repr=False)
     wall_tables: list = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
+    gram_blocks: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        w = self.quad_weights[:, None]
+        blocks = []
+        for T in self.node_tables[:3]:
+            G = (T * w).T @ T
+            G = 0.5 * (G + G.T)  # kill roundoff asymmetry
+            G.flags.writeable = False
+            blocks.append(G)
+        self.gram_blocks = tuple(blocks)
+
+
+@lru_cache(maxsize=32)
+def chebder_map(n: int) -> np.ndarray:
+    """Read-only (n-1, n) matrix taking the Chebyshev-T coefficients of a
+    degree n-1 series to those of its derivative.
+
+    Column j holds T_j' = sum of 2 j T_i over i < j with j - i odd, the
+    i = 0 term halved.  Every entry is an integer, so applied to series of
+    dyadic rationals whose values stay below 2**53 the products are exact.
+    An entry depends on (i, j) alone, so the map of a shorter length m is
+    the leading (m-1, m) block.
+    """
+    i = np.arange(n - 1)[:, None]
+    j = np.arange(n)[None, :]
+    D = np.where((i < j) & ((j - i) % 2 == 1), 2.0 * j, 0.0)
+    D[0] *= 0.5
+    D.flags.writeable = False
+    return D
+
+
+def _basis_series(N: int):
+    """Yield the Chebyshev-T series of phi_j^(d), d = 0 .. MAX_DERIVATIVE, as
+    (N, N+2-d) row arrays: phi_j = (1 - x**2) T_j = T_j / 2 - (T_{j+2} +
+    T_{|j-2|}) / 4, then one product with a leading block of
+    ``chebder_map(N + 2)`` per order."""
+    j = np.arange(N)
+    series = np.zeros((N, N + 2))
+    series[j, j] = 0.5
+    series[j, j + 2] = -0.25
+    series[j, np.abs(j - 2)] -= 0.25  # j = 0: T_2 twice; j = 1: -T_1 / 4
+    D = chebder_map(N + 2)
+    yield series
+    for _ in range(MAX_DERIVATIVE):
+        m = series.shape[1]
+        series = series @ D[: m - 1, :m].T
+        yield series
 
 
 def build_basis(N: int) -> ChebBasis:
@@ -104,27 +161,18 @@ def build_basis(N: int) -> ChebBasis:
         raise ValueError(f"basis size must be an integer >= 4, got {N}")
     N = int(N)
 
-    coeff_rows = np.zeros((N, N + 2))
-    for j in range(N):
-        unit = np.zeros(j + 1)
-        unit[j] = 1.0
-        cj = C.chebmul(_WALL_FACTOR, unit)  # degree j + 2
-        coeff_rows[j, : cj.size] = cj
-
     nodes, weights = legendre.leggauss(N + 4)
-
-    # Vandermonde of T_0 .. T_{N+1} at the quadrature nodes and the walls,
-    # one per derivative order; tables follow by a single matmul each.
+    # Vandermonde of T_0 .. T_{N+1} at the quadrature nodes and the walls;
+    # the table of each derivative order is one matmul with its leading columns
+    node_vander = C.chebvander(nodes, N + 1)
+    wall_vander = C.chebvander(np.array([-1.0, 1.0]), N + 1)
     node_tables, wall_tables = [], []
-    walls = np.array([-1.0, 1.0])
-    series = coeff_rows
-    for _ in range(MAX_DERIVATIVE + 1):
-        deg = series.shape[1] - 1
-        node_tables.append(C.chebvander(nodes, deg) @ series.T)
-        wall_tables.append(C.chebvander(walls, deg) @ series.T)
-        series = np.array([C.chebder(row, 1) for row in series])[:, : max(series.shape[1] - 1, 1)]
-        if series.shape[1] < 1:
-            series = np.zeros((N, 1))
+    for d, series in enumerate(_basis_series(N)):
+        cols = series.shape[1]
+        node_tables.append(node_vander[:, :cols] @ series.T)
+        wall_tables.append(wall_vander[:, :cols] @ series.T)
+        if d == 0:
+            coeff_rows = series
 
     for arr in (nodes, weights, coeff_rows, *node_tables, *wall_tables):
         arr.flags.writeable = False
@@ -246,18 +294,6 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _weighted_gram(k_even_powers, basis: ChebBasis) -> np.ndarray:
-    """Sum of c_d * int(phi_i^(d) phi_j^(d)) over (d, c_d) pairs, read-only."""
-    w = basis.quad_weights[:, None]
-    M = np.zeros((basis.size, basis.size))
-    for d, c in k_even_powers:
-        T = basis.node_tables[d]
-        M += c * (T * w).T @ T
-    M = 0.5 * (M + M.T)  # kill roundoff asymmetry
-    M.flags.writeable = False
-    return M
-
-
 def boundary_form(slip, basis: ChebBasis) -> np.ndarray:
     """R_ij = xi_minus phi_i'(-1) phi_j'(-1) + xi_plus phi_i'(1) phi_j'(1).
 
@@ -274,17 +310,24 @@ def energy_form(k: float, basis: ChebBasis) -> np.ndarray:
 
     Cached for the last few (k, basis) pairs, so the pencil, the Lanczos
     path and the mu_c quotient of one wavenumber share one read-only array.
+    It is G2 + 2 k^2 G1 + k^4 G0 on the basis's ``gram_blocks``.
     """
-    return _weighted_gram([(2, 1.0), (1, 2.0 * k * k), (0, k ** 4)], basis)
+    G0, G1, G2 = basis.gram_blocks
+    E = G2 + (2.0 * k * k) * G1 + k ** 4 * G0
+    E.flags.writeable = False
+    return E
 
 
 @lru_cache(maxsize=8)
 def gram_form(k: float, basis: ChebBasis) -> np.ndarray:
     """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of the pencil.
 
-    Cached and read-only like ``energy_form``.
+    Cached and read-only like ``energy_form``: G1 + k^2 G0.
     """
-    return _weighted_gram([(1, 1.0), (0, k * k)], basis)
+    G0, G1, _ = basis.gram_blocks
+    A = G1 + (k * k) * G0
+    A.flags.writeable = False
+    return A
 
 
 @lru_cache(maxsize=16)

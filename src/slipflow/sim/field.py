@@ -43,7 +43,7 @@ from numpy.polynomial import chebyshev as C
 
 from ..model import SlipPair, ValidationError
 from ..modes import ModePacket, packet_streamfunction_profile
-from ..numerics import slip_defects, wall_values
+from ..numerics import chebder_map, slip_defects, wall_values
 
 __all__ = [
     "SpectralField2D",
@@ -119,8 +119,12 @@ def cheb_values_from_coeffs(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _chebder_matrix(P: int, order: int) -> np.ndarray:
-    """(P, P) map from Chebyshev coefficients to those of the order-th derivative."""
-    der = C.chebder(np.eye(P), order)
+    """(P, P) map from Chebyshev coefficients to those of the order-th
+    derivative: the product of ``order`` exact ``chebder_map`` steps, zero
+    padded to P rows."""
+    der = np.eye(P)
+    for _ in range(order):
+        der = chebder_map(der.shape[0]) @ der
     out = np.zeros((P, P))
     out[: der.shape[0]] = der
     out.flags.writeable = False

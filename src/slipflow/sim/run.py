@@ -276,7 +276,7 @@ def run(
                 "status": "failed",
                 "error": f"{type(exc).__name__}: {exc}",
                 "t_reached": stepper.t,
-                "steps_completed": int(round(stepper.t / cfg.dt)),
+                "steps_completed": stepper.steps,
             }
             write_json(out / "failure_manifest.json", manifest)
         raise
@@ -347,7 +347,8 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
     zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), ch.L)
     stepper = ChannelStepper(cfg, zero)
     stepper._install(*np.frombuffer(body, dtype=complex).reshape(-1, M + 1, P))
-    stepper.t = t
+    stepper.steps = round(t / dt)
+    stepper.t = stepper.steps * dt
     return stepper
 
 

@@ -405,6 +405,8 @@ class ChannelStepper:
     history; ``step`` refuses any other group with ValueError.  Each product
     broadcasts over the group's leading branch axis instead of forming one
     wider product, so a branch's result does not depend on the others.
+    Each step counts in ``steps`` and sets ``t = steps * dt``, so the clock
+    gathers no rounding from repeated sums.
 
     The x1 synthesis is one table of 2 sin(kappa_n x1_j) and
     2 cos(kappa_n x1_j), n = 1 .. M, at x1_j = j pi L / (n1/2),
@@ -441,6 +443,7 @@ class ChannelStepper:
         self.L = cfg.channel.L
         self.mu = cfg.channel.mu
         self.slip = cfg.channel.slip
+        self.steps = 0
         self.t = 0.0
         self._build_operators()
         self._install(self._state_from_streamfunction(initial))
@@ -602,7 +605,8 @@ class ChannelStepper:
         for st, s in zip(group, new):
             st._state[box] = s
             st._have_history = True
-            st.t += cfg.dt
+            st.steps += 1
+            st.t = st.steps * cfg.dt
         if not np.isfinite(new).all():
             bad = tuple(st for st, s in zip(group, new) if not np.isfinite(s).all())
             raise SimulationBlowupError(

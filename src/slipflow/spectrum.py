@@ -54,12 +54,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .model import ModeProblem
 from .numerics import (
     ChebBasis,
     boundary_form,
+    chebder_map,
     energy_form,
     find_root_bracketed,
     gram_form,
@@ -232,7 +232,8 @@ def spectrum_residuals(spectrum: Spectrum):
         vals[4] - 2.0 * k2 * vals[2] + k2 * k2 * vals[0]
     )
     strong = np.sqrt(np.maximum(spectrum.basis.quad_weights @ (r * r), 0.0))
-    bc_minus, bc_plus = slip_defects(C.chebder(V.T @ basis.cheb_coeffs, axis=1), mu, prob.slip)
+    series = V.T @ basis.cheb_coeffs
+    bc_minus, bc_plus = slip_defects(series @ chebder_map(series.shape[1]).T, mu, prob.slip)
     return strong, bc_minus, bc_plus
 
 

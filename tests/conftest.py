@@ -126,6 +126,37 @@ def mode_field(channel, basis, M=16, P=56, amplitude=1.0):
     return field * amplitude, spectrum.lambda1
 
 
+def exact_chebder(coeffs):
+    """Chebyshev-T coefficients of the derivative in exact rationals
+    (``fractions.Fraction``): c'_(k-1) = c'_(k+1) + 2 k c_k downward from
+    the top, then c'_0 halved; one entry fewer than ``coeffs``."""
+    from fractions import Fraction
+
+    n = len(coeffs)
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        out[k - 1] = out[k + 1] + 2 * k * coeffs[k]
+    out[0] /= 2
+    return out[: n - 1]
+
+
+def lopsided_basis(basis):
+    """The trial space {phi_0 + phi_1, phi_2, ..., phi_{N-1}} of ``basis``:
+    not mapped onto itself by x2 -> -x2, so the two walls are told apart."""
+    from slipflow.numerics import ChebBasis
+
+    M = np.eye(basis.size)[:, 1:]
+    M[0, 0] = 1.0
+    return ChebBasis(
+        size=basis.size - 1,
+        quad_nodes=basis.quad_nodes,
+        quad_weights=basis.quad_weights,
+        node_tables=[T @ M for T in basis.node_tables],
+        wall_tables=[T @ M for T in basis.wall_tables],
+        cheb_coeffs=M.T @ basis.cheb_coeffs,
+    )
+
+
 @pytest.fixture(scope="session")
 def basis32():
     from slipflow.numerics import build_basis

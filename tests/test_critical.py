@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lopsided_basis
 from slipflow.critical import (
     critical_curve,
     critical_wavenumber,
@@ -14,7 +15,6 @@ from slipflow.critical import (
 )
 from slipflow.model import ChannelConfig, SlipPair
 from slipflow.numerics import (
-    ChebBasis,
     NotPositiveDefiniteError,
     boundary_form,
     build_basis,
@@ -128,25 +128,11 @@ def test_variational_nondecreasing_in_basis_size(k, slip, pencil_bases):
         assert fine >= coarse * (1.0 - 1e-12)
 
 
-def _lopsided_basis(basis):
-    # trial space {phi_0 + phi_1, phi_2, ..., phi_{N-1}}: not mapped onto itself
-    # by x2 -> -x2, so the two walls are told apart and xi_- / xi_+ cannot trade
-    # places unnoticed (on the full wall-clamped space, mu_c is swap-symmetric)
-    M = np.eye(basis.size)[:, 1:]
-    M[0, 0] = 1.0
-    return ChebBasis(
-        size=basis.size - 1,
-        quad_nodes=basis.quad_nodes,
-        quad_weights=basis.quad_weights,
-        node_tables=[T @ M for T in basis.node_tables],
-        wall_tables=[T @ M for T in basis.wall_tables],
-        cheb_coeffs=M.T @ basis.cheb_coeffs,
-    )
-
-
 @pytest.mark.parametrize("k", PENCIL_KS)
 def test_variational_matches_full_pencil_on_lopsided_space(k, pencil_bases):
-    basis = _lopsided_basis(pencil_bases[16])
+    # on the full wall-clamped space mu_c is swap-symmetric, so only a
+    # lopsided space tells xi_- and xi_+ apart
+    basis = lopsided_basis(pencil_bases[16])
     slip, swapped = SlipPair(0.0, 3.0), SlipPair(3.0, 0.0)
     ref = _mu_c_full_pencil(k, slip, basis)
     assert abs(_mu_c_full_pencil(k, swapped, basis) - ref) > 1e-6 * ref

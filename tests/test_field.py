@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dct_coeffs_from_values, dct_values_from_coeffs, mode_field
+from conftest import dct_coeffs_from_values, dct_values_from_coeffs, exact_chebder, mode_field
 
 from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
 from slipflow.modes import (
@@ -240,6 +240,23 @@ def test_chebder_rows_matches_numpy_chebder(P, order):
     got = _chebder_rows(rows, order)
     assert got.shape == rows.shape
     assert np.abs(got - want).max() <= 1.0e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_chebder_matrix_is_exact(order):
+    # every column against the derivative in exact rationals
+    from fractions import Fraction
+
+    from slipflow.sim.field import _chebder_matrix
+
+    P = 64
+    D = _chebder_matrix(P, order)
+    assert not D.flags.writeable
+    for j in range(P):
+        col = [Fraction(int(i == j)) for i in range(P)]
+        for _ in range(order):
+            col = exact_chebder(col)
+        assert [Fraction(v) for v in D[:, j]] == col + [Fraction(0)] * order, j
 
 
 # -- Gram-matrix norms against the Gauss-Legendre projection ----------------

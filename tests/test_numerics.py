@@ -1,22 +1,27 @@
 """Wall-clamped Chebyshev basis, quadratic forms, and the pencil solver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.chebyshev as C
 import pytest
 
+from conftest import exact_chebder, lopsided_basis
 from slipflow.model import ModeProblem, SlipPair
 from slipflow.modes import build_packet
 from slipflow.numerics import (
     BracketError,
     NonSymmetricError,
+    MAX_DERIVATIVE,
     NotPositiveDefiniteError,
+    _basis_series,
     _fix_signs,
     _lower_inverse,
     _wall_signs,
     boundary_form,
     build_basis,
+    chebder_map,
     energy_form,
     find_root_bracketed,
     gram_form,
@@ -40,6 +45,49 @@ def test_basis_derivative_tables_match_chebder(basis32):
         direct = C.chebval(basis32.quad_nodes, C.chebder(series, d))
         table = basis32.node_tables[d] @ c
         assert np.allclose(table, direct, rtol=1e-10, atol=1e-8)
+
+
+def test_basis_series_are_exact_chebyshev_derivatives():
+    # exact rationals: phi_j = (T_0 - T_2) / 2 * T_j by the product rule
+    # T_a T_b = (T_(a+b) + T_|a-b|) / 2, then the downward recurrence
+    N = 96
+    series = list(_basis_series(N))
+    for j in range(N):
+        exact = [Fraction(0)] * (N + 2)
+        for a, c in ((0, Fraction(1, 2)), (2, Fraction(-1, 2))):
+            exact[a + j] += c / 2
+            exact[abs(a - j)] += c / 2
+        for d in range(MAX_DERIVATIVE + 1):
+            assert [Fraction(v) for v in series[d][j]] == exact, (j, d)
+            exact = exact_chebder(exact)
+
+
+def test_chebder_map_is_cached_read_only_and_nested():
+    # the basis differentiates every order with leading blocks of one map
+    D = chebder_map(7)
+    assert D.shape == (6, 7) and D is chebder_map(7)
+    assert not D.flags.writeable
+    assert np.array_equal(chebder_map(98)[:6, :7], D)
+
+
+@pytest.mark.parametrize("k", [0.05, 1.0, 16.0])
+@pytest.mark.parametrize("lopsided", [False, True], ids=["basis", "lopsided"])
+def test_forms_equal_their_quadrature_sums(k, lopsided, basis48):
+    # the forms at k from the basis's Gram blocks against the weighted
+    # quadrature sum of each form's own integrand at that k
+    basis = lopsided_basis(basis48) if lopsided else basis48
+    w = basis.quad_weights[:, None]
+
+    def quadrature(*terms):
+        return sum(c * (basis.node_tables[d] * w).T @ basis.node_tables[d] for d, c in terms)
+
+    for got, want in (
+        (gram_form(k, basis), quadrature((1, 1.0), (0, k * k))),
+        (energy_form(k, basis), quadrature((2, 1.0), (1, 2.0 * k * k), (0, k ** 4))),
+    ):
+        assert got.shape == (basis.size, basis.size)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert all(not G.flags.writeable for G in basis.gram_blocks)
 
 
 def test_quadrature_exact_for_polynomials(basis32):

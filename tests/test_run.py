@@ -433,6 +433,23 @@ class TestCheckpointing:
                               reference.final_state.coefficients)
         return stepper
 
+    def test_clock_is_the_step_count_times_dt(self, channel, basis48, tmp_path):
+        # repeated sums of dt = 2e-3 leave m dt from step 10 on; the stepper
+        # counts its steps, and a checkpoint carries the count
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
+                        linearized=True, diagnostics_stride=1)
+        stepper, summed = ChannelStepper(cfg, field), 0.0
+        for m in range(1, 51):
+            stepper.step()
+            summed += cfg.dt
+            assert stepper.steps == m and stepper.t == m * cfg.dt
+        assert summed != stepper.t
+        clone = read_checkpoint(write_checkpoint(tmp_path / "s.bin", stepper), cfg)
+        assert clone.steps == 50 and clone.t == stepper.t
+        times = run(field, cfg).diagnostics.times
+        assert np.array_equal(times, np.arange(51) * cfg.dt)
+
     def test_restart_is_bit_exact(self, channel, basis48, tmp_path):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
         cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
