@@ -16,8 +16,10 @@ the quadrature nodes and at the walls; assembly and residual evaluation are
 then plain weighted matrix products.  The coefficient rows are written in
 closed form, (1 - x**2) T_j = T_j / 2 - (T_{j+2} + T_{|j-2|}) / 4, and each
 derivative series is one product with ``chebder_map``, the integer matrix of
-d/dx on Chebyshev-T coefficients, which is the package's one derivative map
-(the DNS builds its own from it).  Every series entry is a dyadic rational
+d/dx on Chebyshev-T coefficients.  It is the package's one coefficient-space
+derivative map: the DNS's ``sim.field._chebder_matrix`` is built from it.
+The stepper's node-space collocation matrix ``sim.stepper.cheb_diff_matrix``
+is not (see there).  Every series entry is a dyadic rational
 with few bits, so the tables' series are exact, not rounded.  Each basis
 also carries its k-independent Gram blocks G_d = int(phi^(d) phi^(d)),
 d = 0, 1, 2, so ``gram_form`` and ``energy_form`` at one more k are sums

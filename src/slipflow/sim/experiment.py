@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -223,7 +223,8 @@ class _DeltaRun:
         self.delta, self.packet, self.sim = delta, packet, sim
         self.epsilon0, self.c1, self.delta0 = epsilon0, c1, delta0
         self.t_delta = escape_time(packet, delta, epsilon0)
-        self.n_steps = int(math.ceil(self.t_delta / sim.dt - 1.0e-12))
+        # SimConfig's step count: one step when T^delta is below dt
+        self.n_steps = replace(sim, t_end=max(self.t_delta, sim.dt)).n_steps
         cfg = replace(sim, t_end=self.n_steps * sim.dt, linearized=False)
         twin = replace(cfg, linearized=True)
 
@@ -576,28 +577,19 @@ def write_experiment_outputs(exp: SeparationExperiment, out_dir) -> list:
         numbers = csv_row((o.delta, o.t_delta, o.separation, o.bound))
         lines.append(numbers + "," + ("true" if o.ok else "false"))
     written.append(write_lines(out / "summary.csv", lines))
+    # every field but the outcomes as plain Python data (output.py imports
+    # no numpy), the channel by its config keys, and the verdict
     manifest = {
-        "channel": {
-            "period_length": exp.channel.L,
-            "viscosity": exp.channel.mu,
-            "xi_minus": exp.channel.slip.xi_minus,
-            "xi_plus": exp.channel.slip.xi_plus,
-        },
-        "k": exp.k,
-        "capital_lambda": exp.capital_lambda,
-        "lambdas": list(exp.lambdas),
-        "dropped_lambdas": list(exp.dropped_lambdas),
-        "coefficients": list(exp.coefficients),
-        "epsilon0": exp.epsilon0,
-        "delta0": exp.delta0,
-        "c1": exp.c1,
-        "deltas": list(exp.deltas),
-        "slope": exp.slope,
-        "slope_ok": exp.slope_ok,
-        "escape_increments": list(exp.escape_increments),
-        "escape_expected": exp.escape_expected,
-        "escape_ok": exp.escape_ok,
-        "verdict": exp.verdict,
+        f.name: np.asarray(getattr(exp, f.name)).tolist()
+        for f in fields(exp)
+        if f.name not in ("channel", "outcomes")
     }
+    manifest["channel"] = {
+        "period_length": exp.channel.L,
+        "viscosity": exp.channel.mu,
+        "xi_minus": exp.channel.slip.xi_minus,
+        "xi_plus": exp.channel.slip.xi_plus,
+    }
+    manifest["verdict"] = exp.verdict
     written.append(write_json(out / "experiment_manifest.json", manifest))
     return written

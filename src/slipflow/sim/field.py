@@ -136,19 +136,17 @@ def _chebder_rows(rows: np.ndarray, order: int = 1) -> np.ndarray:
     return rows @ _chebder_matrix(rows.shape[1], order).T
 
 
-@lru_cache(maxsize=32)
 def _gram_matrix(P: int, order: int) -> np.ndarray:
     """(P, P) Gram matrix int T_i^(order) T_j^(order) dx2 over [-1, 1].
 
     B holds the order-th derivatives of T_0..T_(P-1) at the P Gauss-Legendre
     nodes x with weights w, and G = B^T diag(w) B is exact for these
-    degree <= 2P - 2 integrands.
+    degree <= 2P - 2 integrands.  Not cached: ``_gram_stack``, its one
+    caller, is.
     """
     x, w = np.polynomial.legendre.leggauss(P)
     B = C.chebvander(x, P - 1) @ _chebder_matrix(P, order)
-    out = B.T @ (w[:, None] * B)
-    out.flags.writeable = False
-    return out
+    return B.T @ (w[:, None] * B)
 
 
 @dataclass

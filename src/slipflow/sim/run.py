@@ -7,17 +7,15 @@ stability bound (CFL_LIMIT).  ``_abort_past_cfl_one`` ends a nonlinear run
 with SimulationBlowupError at a record whose CFL number exceeds 1.  A
 linearized run has no advection, so it has no CFL bound.
 
-Checkpoint format v3 (little endian): an 88-byte header of eleven 8-byte fields,
-
-    magic "SLIPSIM1" | version u64 | M u64 | P u64 | L f64 | mu f64
-    | xi_minus f64 | xi_plus f64 | t f64 | dt f64 | linearized u64
-
-followed by the complex state block ((M+1) x P complex128: vorticity rows,
-mean-u1 row 0) and, when the run has taken at least one step, the advection
-history block of the same shape.  Restarting with the same config resumes
-the exact trajectory: the stepper is a pure function of the checkpointed
-data, so diagnostics after the restart are bit-identical to the original
-run's.  A config that differs in any header field is refused, since the
+Checkpoint format v3 (little endian): an 88-byte header, the magic
+"SLIPSIM1" and the ten 8-byte fields of the ``_HEADER`` table (version, M,
+P, L, mu, xi_minus, xi_plus, t, dt, linearized), followed by the complex
+state block ((M+1) x P complex128: vorticity rows, mean-u1 row 0) and, when
+the run has taken at least one step, the advection history block of the
+same shape.  Restarting with the same config resumes the exact trajectory:
+the stepper is a pure function of the checkpointed data, so diagnostics
+after the restart are bit-identical to the original run's.  A config that
+differs in any of the header's eight config fields is refused, since the
 advection history only continues the scheme it was written by.  The blocks
 come from ``ChannelStepper._blocks``; reading them back installs them in a
 fresh stepper (``ChannelStepper._install``), which fixes the part of the
@@ -59,13 +57,32 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"SLIPSIM1"
 CHECKPOINT_VERSION = 3
-CHECKPOINT_HEADER_BYTES = 88
-_HEADER_FIELDS = "<QQQddddddQ"
+
+# the header fields after the magic: (name, struct code, value for a
+# stepper's config and time); all but version and t are the config fields a
+# restart must match
+_HEADER = (
+    ("version", "Q", lambda cfg, t: CHECKPOINT_VERSION),
+    ("M", "Q", lambda cfg, t: cfg.M),
+    ("P", "Q", lambda cfg, t: cfg.P),
+    ("L", "d", lambda cfg, t: cfg.channel.L),
+    ("mu", "d", lambda cfg, t: cfg.channel.mu),
+    ("xi_minus", "d", lambda cfg, t: cfg.channel.slip.xi_minus),
+    ("xi_plus", "d", lambda cfg, t: cfg.channel.slip.xi_plus),
+    ("t", "d", lambda cfg, t: t),
+    ("dt", "d", lambda cfg, t: cfg.dt),
+    ("linearized", "Q", lambda cfg, t: cfg.linearized),
+)
+_HEADER_FORMAT = "<" + "".join(code for _, code, _ in _HEADER)
+_CONFIG_FIELDS = [(name, value) for name, _, value in _HEADER
+                  if name not in ("version", "t")]
+CHECKPOINT_HEADER_BYTES = len(CHECKPOINT_MAGIC) + struct.calcsize(_HEADER_FORMAT)  # 88
 
 
 @dataclass
 class RunDiagnostics:
-    """Per-record scalar series of one run."""
+    """Per-record scalar series of one run: the nine values a record appends,
+    in its order, then the growth rate derived from the l2 series."""
 
     times: np.ndarray
     l2_norm: np.ndarray
@@ -73,10 +90,16 @@ class RunDiagnostics:
     h2_norm: np.ndarray
     boundary_production: np.ndarray
     dissipation: np.ndarray
-    growth_rate_estimate: np.ndarray
     nonlinear_flux: np.ndarray
     energy_rate: np.ndarray
     energy_residual: np.ndarray
+    growth_rate_estimate: np.ndarray
+
+
+# CSV column -> RunDiagnostics field, for the columns named otherwise
+_CSV_FIELDS = {"t": "times", "l2": "l2_norm", "h1": "h1_norm", "h2": "h2_norm",
+               "growth_rate": "growth_rate_estimate", "dEdt": "energy_rate",
+               "residual": "energy_residual"}
 
 
 @dataclass
@@ -190,19 +213,7 @@ class _Recorder:
 
     def finish(self) -> RunDiagnostics:
         arr = np.array(self.rows, dtype=float).reshape(-1, 9)
-        times, l2 = arr[:, 0], arr[:, 1]
-        return RunDiagnostics(
-            times=times,
-            l2_norm=l2,
-            h1_norm=arr[:, 2],
-            h2_norm=arr[:, 3],
-            boundary_production=arr[:, 4],
-            dissipation=arr[:, 5],
-            growth_rate_estimate=_growth_rate(times, l2),
-            nonlinear_flux=arr[:, 6],
-            energy_rate=arr[:, 7],
-            energy_residual=arr[:, 8],
-        )
+        return RunDiagnostics(*arr.T, _growth_rate(arr[:, 0], arr[:, 1]))
 
 
 def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray):
@@ -289,21 +300,9 @@ def run(
 
 def write_checkpoint(path: str | Path, stepper: ChannelStepper) -> Path:
     """Binary state dump allowing a bit-exact restart (same SimConfig)."""
-    cfg = stepper.cfg
     header = CHECKPOINT_MAGIC + struct.pack(
-        _HEADER_FIELDS,
-        CHECKPOINT_VERSION,
-        cfg.M,
-        cfg.P,
-        stepper.L,
-        stepper.mu,
-        stepper.slip.xi_minus,
-        stepper.slip.xi_plus,
-        stepper.t,
-        cfg.dt,
-        cfg.linearized,
+        _HEADER_FORMAT, *(value(stepper.cfg, stepper.t) for _, _, value in _HEADER)
     )
-    assert len(header) == CHECKPOINT_HEADER_BYTES
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -317,34 +316,24 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
     raw = Path(path).read_bytes()
     if len(raw) < CHECKPOINT_HEADER_BYTES or raw[:8] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file")
-    version, M, P, L, mu, xi_m, xi_p, t, dt, lin = struct.unpack(
-        _HEADER_FIELDS, raw[8:CHECKPOINT_HEADER_BYTES]
-    )
-    if version != CHECKPOINT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-    ch = cfg.channel
-    written = (M, P, L, mu, xi_m, xi_p, dt, bool(lin))
-    supplied = (
-        cfg.M,
-        cfg.P,
-        ch.L,
-        ch.mu,
-        ch.slip.xi_minus,
-        ch.slip.xi_plus,
-        cfg.dt,
-        cfg.linearized,
-    )
-    if written != supplied:
+    header = dict(zip((name for name, _, _ in _HEADER),
+                      struct.unpack(_HEADER_FORMAT, raw[8:CHECKPOINT_HEADER_BYTES])))
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValidationError(f"{path}: unsupported checkpoint version {header['version']}")
+    t = header["t"]
+    differs = [name for name, value in _CONFIG_FIELDS if header[name] != value(cfg, t)]
+    if differs:
+        written = ", ".join(f"{name}={header[name]:g}" for name, _ in _CONFIG_FIELDS)
         raise ValidationError(
-            f"{path}: checkpoint was written for (M={M}, P={P}, L={L:g}, mu={mu:g}, "
-            f"xi=({xi_m:g}, {xi_p:g}), dt={dt:g}, linearized={bool(lin)}), "
-            "which differs from the supplied config"
+            f"{path}: checkpoint was written for ({written}), which differs from "
+            f"the supplied config in {', '.join(differs)}"
         )
+    M, P, dt = cfg.M, cfg.P, cfg.dt
     block = (M + 1) * P * np.dtype(complex).itemsize
     body = raw[CHECKPOINT_HEADER_BYTES:]
     if len(body) not in (block, 2 * block):
         raise ValidationError(f"{path}: truncated checkpoint body")
-    zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), ch.L)
+    zero = SpectralField2D(np.zeros((M + 1, P), dtype=complex), cfg.channel.L)
     stepper = ChannelStepper(cfg, zero)
     stepper._install(*np.frombuffer(body, dtype=complex).reshape(-1, M + 1, P))
     stepper.steps = round(t / dt)
@@ -352,31 +341,20 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
     return stepper
 
 
+def _series_to_csv(diag: RunDiagnostics, path: str | Path, header: str) -> Path:
+    """The ``RunDiagnostics`` series of the ``header`` columns (``_CSV_FIELDS``)."""
+    cols = [getattr(diag, _CSV_FIELDS.get(name, name)) for name in header.split(",")]
+    return write_csv(path, header, zip(*cols))
+
+
 def diagnostics_to_csv(diag: RunDiagnostics, path: str | Path) -> Path:
     """Columns: t,l2,h1,h2,boundary_production,dissipation,growth_rate."""
-    cols = (
-        diag.times,
-        diag.l2_norm,
-        diag.h1_norm,
-        diag.h2_norm,
-        diag.boundary_production,
-        diag.dissipation,
-        diag.growth_rate_estimate,
-    )
-    header = "t,l2,h1,h2,boundary_production,dissipation,growth_rate"
-    return write_csv(path, header, zip(*cols))
+    return _series_to_csv(diag, path, "t,l2,h1,h2,boundary_production,dissipation,growth_rate")
 
 
 def energy_to_csv(diag: RunDiagnostics, path: str | Path) -> Path:
     """Energy budget columns: t,dEdt,boundary_production,dissipation,
     nonlinear_flux,residual."""
-    cols = (
-        diag.times,
-        diag.energy_rate,
-        diag.boundary_production,
-        diag.dissipation,
-        diag.nonlinear_flux,
-        diag.energy_residual,
+    return _series_to_csv(
+        diag, path, "t,dEdt,boundary_production,dissipation,nonlinear_flux,residual"
     )
-    header = "t,dEdt,boundary_production,dissipation,nonlinear_flux,residual"
-    return write_csv(path, header, zip(*cols))

@@ -175,7 +175,16 @@ class SimConfig:
 
 
 def cheb_diff_matrix(P: int) -> np.ndarray:
-    """Collocation differentiation matrix on the descending CGL nodes."""
+    """Collocation differentiation matrix on the descending CGL nodes.
+
+    The stepper's wall rows, Helmholtz operators and Dirichlet eigenbasis
+    are built from D and D @ D, so every DNS output bit rests on this
+    matrix; it is not built from ``numerics.chebder_map``.  The node-space
+    D2 that the exact map gives, values <- d2/dx2 <- coefficients, is no
+    less accurate: against a long-double D @ D its largest entry error,
+    relative to the largest entry, reads 1.0e-14 (4.5e-14 for this one) at
+    P = 64 and 1.5e-14 (1.5e-13) at P = 96.
+    """
     x = cgl_nodes(P)
     c = np.ones(P)
     c[0] = c[-1] = 2.0

@@ -1,5 +1,6 @@
 """Separation experiment: sweep structure, gates, outputs, failure isolation."""
 
+import dataclasses
 import json
 import math
 
@@ -108,6 +109,24 @@ class TestSmokeSweep:
                                  "d_from_linear_full,d_from_linear_reduced")
             assert len(series) == o.times.size + 1
             assert (sub / "diagnostics.csv").exists()
+
+    def test_manifest_holds_every_experiment_field(self, smoke_experiment):
+        exp, out = smoke_experiment
+        manifest = json.loads((out / "experiment_manifest.json").read_text())
+        names = {f.name for f in dataclasses.fields(exp)} - {"outcomes"}
+        assert set(manifest) == names | {"verdict"}
+        assert manifest["verdict"] is exp.verdict
+        ch = exp.channel
+        assert manifest["channel"] == {"period_length": ch.L, "viscosity": ch.mu,
+                                       "xi_minus": ch.slip.xi_minus,
+                                       "xi_plus": ch.slip.xi_plus}
+        for name in names - {"channel"}:
+            value = getattr(exp, name)
+            if isinstance(value, (np.ndarray, tuple)):
+                assert manifest[name] == list(value), name
+            else:
+                assert manifest[name] == value, name
+                assert isinstance(manifest[name], bool) == isinstance(value, bool), name
 
     def test_rewriting_outputs_is_deterministic(self, smoke_experiment, tmp_path):
         exp, out = smoke_experiment

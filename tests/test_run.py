@@ -29,6 +29,7 @@ from slipflow.sim.field import (
     cgl_nodes,
     cheb_coeffs_from_values,
     scalar_inner,
+    velocity_from_streamfunction,
     velocity_norms,
 )
 
@@ -44,6 +45,21 @@ def growing_run(channel, basis48):
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.5,
                     linearized=True, diagnostics_stride=10)
     return run(field, cfg), cfg, lam
+
+
+# the RunDiagnostics series of each CSV's columns, in column order
+_DIAGNOSTICS_SERIES = ("times", "l2_norm", "h1_norm", "h2_norm", "boundary_production",
+                       "dissipation", "growth_rate_estimate")
+_ENERGY_SERIES = ("times", "energy_rate", "boundary_production", "dissipation",
+                  "nonlinear_flux", "energy_residual")
+
+
+def _assert_columns_are_series(path, diag, series):
+    """Every column of the CSV at ``path`` is its series, bit for bit."""
+    arr = np.loadtxt(path, delimiter=",", skiprows=1)
+    want = np.column_stack([getattr(diag, name) for name in series])
+    assert arr.shape == want.shape
+    np.testing.assert_array_equal(arr.view(np.uint64), want.view(np.uint64))
 
 
 class TestDiagnostics:
@@ -79,10 +95,7 @@ class TestDiagnostics:
         path = diagnostics_to_csv(result.diagnostics, tmp_path / "diag.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "t,l2,h1,h2,boundary_production,dissipation,growth_rate"
-        arr = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert arr.shape == (result.diagnostics.times.size, 7)
-        np.testing.assert_array_equal(arr[:, 0], result.diagnostics.times)
-        np.testing.assert_array_equal(arr[:, 1], result.diagnostics.l2_norm)
+        _assert_columns_are_series(path, result.diagnostics, _DIAGNOSTICS_SERIES)
 
     def test_energy_csv_round_trips(self, growing_run, tmp_path):
         result, _, _ = growing_run
@@ -90,9 +103,29 @@ class TestDiagnostics:
         lines = path.read_text().splitlines()
         assert lines[0] == ("t,dEdt,boundary_production,dissipation,"
                             "nonlinear_flux,residual")
-        arr = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert arr.shape == (result.diagnostics.times.size, 6)
-        np.testing.assert_array_equal(arr[:, 1], result.diagnostics.energy_rate)
+        _assert_columns_are_series(path, result.diagnostics, _ENERGY_SERIES)
+
+    def test_nonlinear_run_csv_columns_are_its_series(self, channel, basis48, tmp_path):
+        # a nonlinear run, so the nonlinear_flux column is not all zeros
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.05,
+                        diagnostics_stride=5)
+        result = run(field, cfg)
+        diag = result.diagnostics
+        assert (diag.nonlinear_flux != 0.0).any()
+        # each series is the quantity its field names: the residual closes the
+        # budget as recorded, and the last norms are the final state's
+        np.testing.assert_array_equal(
+            diag.energy_residual,
+            np.abs(diag.energy_rate - diag.boundary_production + diag.dissipation
+                   + diag.nonlinear_flux))
+        final = velocity_norms(*velocity_from_streamfunction(result.final_state))
+        np.testing.assert_allclose([diag.l2_norm[-1], diag.h1_norm[-1], diag.h2_norm[-1]],
+                                   final, rtol=1.0e-10)
+        _assert_columns_are_series(diagnostics_to_csv(diag, tmp_path / "diag.csv"),
+                                   diag, _DIAGNOSTICS_SERIES)
+        _assert_columns_are_series(energy_to_csv(diag, tmp_path / "energy.csv"),
+                                   diag, _ENERGY_SERIES)
 
     def test_record_solves_the_state_once(self, channel, basis48, monkeypatch):
         field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.1)
@@ -568,6 +601,31 @@ class TestCheckpointing:
         path = write_checkpoint(tmp_path / "s.bin", stepper)
         with pytest.raises(ValidationError, match="differs"):
             read_checkpoint(path, replace(cfg, **change))
+
+    @pytest.mark.parametrize("name, change", [
+        ("M", {"M": 10}),
+        ("P", {"P": 64}),
+        ("L", {"channel": ChannelConfig(L=2.0, mu=0.5, slip=SlipPair(1.0, 1.0))}),
+        ("mu", {"channel": ChannelConfig(L=1.0, mu=0.25, slip=SlipPair(1.0, 1.0))}),
+        ("xi_minus", {"channel": ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(0.5, 1.0))}),
+        ("xi_plus", {"channel": ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 0.5))}),
+        ("dt", {"dt": 1.0e-3}),
+        ("linearized", {"linearized": True}),
+    ])
+    def test_read_checkpoint_refuses_each_config_field(
+        self, channel, basis48, tmp_path, name, change
+    ):
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0e-3)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1)
+        stepper = ChannelStepper(cfg, field)
+        stepper.step()
+        path = write_checkpoint(tmp_path / "s.bin", stepper)
+        with pytest.raises(ValidationError, match=f"supplied config in {name}$") as err:
+            read_checkpoint(path, replace(cfg, **change))
+        assert "differs" in str(err.value)
+        # the refusal names every config field the checkpoint was written for
+        for field_name in ("M", "P", "L", "mu", "xi_minus", "xi_plus", "dt", "linearized"):
+            assert f"{field_name}=" in str(err.value)
 
     def test_read_checkpoint_rejects_version_1(self, channel, tmp_path):
         cfg = SimConfig(channel=channel, M=8, P=56)
