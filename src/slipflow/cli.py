@@ -40,7 +40,10 @@ significant digits); wall-clock timings go to stderr, never into files.
 steps realize for the packet's top rate and the relative gap between them.
 `simulate` and `experiment` add `influence_cond_max`, the largest 2-norm
 condition number of the stepper's per-mode influence matrices (null when
-their build refused them as ill-conditioned).
+their build refused them as ill-conditioned).  `simulate` also adds
+`record_cfl_max`, the largest CFL number its records read (null on a
+linearized run, which has no CFL bound), and `energy_residual_max`, the
+largest `residual` of its energy.csv.
 """
 
 from __future__ import annotations
@@ -342,8 +345,11 @@ def _cmd_simulate(ns, out, channel, raw):
           f"lambda = {lam:.12g} as lambda_run = {lam_run:.12g} "
           f"(relative gap {gap:.3e})")
     rate = {"lambda": lam, "lambda_run": lam_run, "relative_gap": gap}
+    cfl = result.record_cfl
     return 0, outputs, {"crank_nicolson_rate": rate,
-                        "influence_cond_max": _influence_cond_max(cfg)}
+                        "influence_cond_max": _influence_cond_max(cfg),
+                        "record_cfl_max": float(cfl.max()) if cfl.size else None,
+                        "energy_residual_max": float(diag.energy_residual.max())}
 
 
 def _cmd_experiment(ns, out, channel, raw):

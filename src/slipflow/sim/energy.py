@@ -31,6 +31,7 @@ from ..model import SlipPair, ValidationError
 from ..numerics import wall_values
 from .field import (
     SpectralField2D,
+    _dot,
     _field_forms,
     _kappa_sq,
     _planes,
@@ -50,30 +51,31 @@ __all__ = [
 
 def boundary_production(u1: SpectralField2D, slip: SlipPair) -> float:
     """xi-weighted squared wall traces of u1, integrated over x1."""
-    return _production(_planes(u1.coefficients), u1.L, slip)
+    return float(_production(_planes(u1.coefficients), u1.L, slip))
 
 
-def _production(planes: np.ndarray, L: float, slip: SlipPair) -> float:
-    """``boundary_production`` of the real planes (p, rows, P) of u1
+def _production(planes: np.ndarray, L: float, slip: SlipPair):
+    """``boundary_production`` of the real planes (..., p, rows, P) of u1
     Chebyshev rows 0 .. rows-1 (``sim.field._planes``), whose squared wall
-    traces are summed over p."""
-    sq = (wall_values(planes) ** 2).sum(axis=1)
+    traces are summed over p, one value per index of the leading axes."""
+    sq = (wall_values(planes) ** 2).sum(axis=-2)
     wts = np.full(sq.shape[-1], 2.0)
     wts[0] = 1.0
-    bot, top = sq @ wts
-    return 2.0 * math.pi * L * float(slip.xi_plus * top + slip.xi_minus * bot)
+    # one (2, rows) product per record, bottom then top
+    traces = np.moveaxis(sq, 0, -2) @ wts
+    return 2.0 * math.pi * L * (slip.xi_plus * traces[..., 1] + slip.xi_minus * traces[..., 0])
 
 
 def gradient_dissipation(u1: SpectralField2D, u2: SpectralField2D, mu: float) -> float:
     """mu times the squared L2 norm of the full velocity gradient."""
-    return _dissipation(_field_forms((u1, u2)), u1.L, mu)
+    return float(_dissipation(_field_forms((u1, u2)), u1.L, mu))
 
 
-def _dissipation(q: np.ndarray, L: float, mu: float) -> float:
-    """``gradient_dissipation`` from the velocity's per-mode forms (q0, q1, ...)
-    (``sim.field._forms``)."""
-    q0, q1 = q[0], q[1]
-    return mu * float(_kappa_sq(q0.size, L) @ q0 + q1.sum())
+def _dissipation(q: np.ndarray, L: float, mu: float):
+    """``gradient_dissipation`` from the velocity's per-mode forms q (..., 3, n)
+    (``sim.field._forms``), one value per index of the leading axes."""
+    q0, q1 = q[..., 0, :], q[..., 1, :]
+    return mu * (_dot(q0, _kappa_sq(q.shape[-1], L)) + q1.sum(axis=-1))
 
 
 @dataclass(frozen=True)

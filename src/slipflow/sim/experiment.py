@@ -83,7 +83,7 @@ from .field import (
     velocity_from_streamfunction,
     velocity_norms,
 )
-from .run import _abort_past_cfl_one, _Recorder, _start, diagnostics_to_csv
+from .run import _Recorder, _start, diagnostics_to_csv
 from .stepper import (
     ChannelStepper,
     InfluenceConditioningError,
@@ -212,11 +212,17 @@ def _failed(delta: float, exc: Exception) -> DeltaOutcome:
     return DeltaOutcome(delta, error=f"{type(exc).__name__}: {exc}")
 
 
-class _DeltaRun:
+class _DeltaRun(_Recorder):
     """One delta's four branches, started and recorded at step 0 on
     construction; the sweep steps them (``branches``) and calls ``record``
     and, after the last step, ``outcome``.  ``units`` holds the embedded
-    unit packet and reduced packet (None when the reduced packet is empty)."""
+    unit packet and reduced packet (None when the reduced packet is empty).
+
+    Its records are those of a run (``sim.run._Recorder``) over the
+    branches nf, nr, lf and lr, in that order (nf and lf alone for an empty
+    reduced packet): ``record`` captures their planes, so the CFL aborts of
+    nf and then nr run at once, and ``_evaluate`` turns a block of records
+    into nf's diagnostics and the rows of the separation series."""
 
     def __init__(self, delta: float, packet: ModePacket, units: tuple, sim: SimConfig,
                  epsilon0: float, c1: float, delta0: float):
@@ -243,62 +249,66 @@ class _DeltaRun:
                 f"estimated from the linear prediction at t = {cfg.t_end:g}"
             )
         # a linear twin holds its branch's checked initial data
-        self.steppers = {"nf": nf, "lf": ChannelStepper(twin, full0)}
+        lf = ChannelStepper(twin, full0)
         self.reduced_active = unit_reduced is not None
         if self.reduced_active:
             red0 = unit_reduced * delta
-            self.steppers["nr"] = _start(red0, cfg)
-            self.steppers["lr"] = ChannelStepper(twin, red0)
-        self.recorder = _Recorder(nf)
+            nr = _start(red0, cfg)
+            super().__init__(nf, nr, lf, ChannelStepper(twin, red0))
+        else:
+            super().__init__(nf, lf)
         self.rec_steps, self.rows = [], []
         self.record(0)
 
     def branches(self, linearized: bool) -> list:
         """The nonlinear branches (nf, nr) or their linear twins (lf, lr)."""
-        return [st for st in self.steppers.values() if st.cfg.linearized == linearized]
+        return [st for st in self.steppers if st.cfg.linearized == linearized]
 
     def record(self, m: int):
-        # nf, nr, lf, lr: a twin holds its branch's class, so each branch has
+        """Capture the record of step ``m``."""
+        self.rec_steps.append(m)
+        super().record()
+
+    def _evaluate(self, block: tuple, *others: tuple):
+        # the block is the last n records: nf's diagnostics, then nf, nr, lf,
+        # lr on one axis; a twin holds its branch's class, so each branch has
         # the full one's coefficient planes (p, M+1, 2, P) or their first rows
-        steppers, sim = self.steppers, self.sim
-        c_nf, (l2_nf, _, h2_nf) = self.recorder.record()
-        u = np.zeros((4,) + c_nf.shape)
-        u[0] = c_nf
-        for i, name in ((1, "nr"), (2, "lf"), (3, "lr")):
-            st = steppers.get(name)
-            if st is None or (m == 0 and i >= 2):
-                continue
-            x = st._diagnostic_planes()
-            phi = st._solve_planes(x)
-            if name == "nr":
-                _abort_past_cfl_one(st, phi[0])
-            u[i, :, : x.shape[1]] = st._velocity_coeffs(x, phi)
-        if m == 0:
-            # each linear twin holds its nonlinear branch's initial data, so
-            # it takes that branch's velocity and d_from_linear is 0
-            u[2:] = u[:2]
+        x, sim = block[0], self.sim
+        n = x.shape[0]
+        u = np.zeros((n, 4) + x.shape[1:-1] + (2, sim.P))
+        u[:, 0] = super()._evaluate(block)
+        l2_nf, _, h2_nf = self.values[-1][:3]
+        for i, st, (y, phi) in zip((1, 2, 3) if self.reduced_active else (2,),
+                                   self.steppers[1:], others):
+            phi = st._solve_planes(y) if phi is None else phi
+            u[:, i, :, : y.shape[-2]] = st._velocity_coeffs(y, phi)
+        # at step 0, a delta's first record and so the first of its block,
+        # each linear twin holds its nonlinear branch's initial data, so it
+        # takes that branch's velocity and d_from_linear is 0
+        if self.rec_steps[-n] == 0:
+            u[0, 2:] = u[0, :2]
         # sep, the linear prediction, d_full and d_red, then nr itself; a
         # one-mode packet's reduced branches are exactly zero
-        fields = np.concatenate([u[[0, 2, 0, 1]] - u[[1, 3, 2, 3]], u[1:2]])
+        fields = np.concatenate([u[:, [0, 2, 0, 1]] - u[:, [1, 3, 2, 3]], u[:, 1:2]], axis=1)
         w = _velocity_weights(sim.M + 1, sim.channel.L)
-        _, q = _forms(fields if self.reduced_active else fields[:3], w)
-        dist = np.sqrt(q[:, 0].sum(axis=-1))
-        sep, linpred, d_full = dist[:3]
+        _, q = _forms(fields if self.reduced_active else fields[:, :3], w, lead=1)
+        dist = np.sqrt(q[:, :, 0].sum(axis=-1))
         if self.reduced_active:
-            d_red = dist[3]
-            l2_nr, _, h2_nr = _sobolev_norms(q[4], sim.channel.L)
+            d_red = dist[:, 3]
+            l2_nr, _, h2_nr = _sobolev_norms(q[:, 4], sim.channel.L)
         else:
-            l2_nr = h2_nr = d_red = 0.0
-        t = steppers["nf"].t
-        f_t = self.delta * packet_envelope_value(self.packet, t)
-        self.rec_steps.append(m)
-        self.rows.append((t, sep, linpred, d_full, d_red, f_t, l2_nf + l2_nr, h2_nf + h2_nr))
+            d_red = l2_nr = h2_nr = np.zeros(n)
+        self.rows.append((dist[:, 0], dist[:, 1], dist[:, 2], d_red,
+                          l2_nf + l2_nr, h2_nf + h2_nr))
 
     def outcome(self) -> DeltaOutcome:
         delta, packet, epsilon0, t_delta = self.delta, self.packet, self.epsilon0, self.t_delta
         lam_top = packet.top_lambda
         c_top = abs(float(packet.coefficients[-1]))
-        times, sep, linpred, d_full, d_red, delta_f, l2_sum, h2_sum = np.array(self.rows).T
+        diagnostics = self.finish()
+        times = diagnostics.times
+        delta_f = delta * packet_envelope_value(packet, times)
+        sep, linpred, d_full, d_red, l2_sum, h2_sum = (np.concatenate(c) for c in zip(*self.rows))
 
         gate_h2 = _gate(times, h2_sum, np.full_like(h2_sum, 2.0 * self.c1 * self.delta0))
         gate_l2 = _gate(times, l2_sum, 3.0 * self.c1 * delta_f)
@@ -331,7 +341,7 @@ class _DeltaRun:
             c3=c3,
             c4=c4,
             m0=separation / epsilon0,
-            diagnostics=self.recorder.finish(),
+            diagnostics=diagnostics,
         )
 
 
@@ -357,7 +367,7 @@ def _step_sweep(live: dict, outcomes: list, stride: int):
             except (SimulationBlowupError, FloatingPointError) as exc:
                 hit = getattr(exc, "steppers", group)
                 for i, run in list(live.items()):
-                    if any(st in hit for st in run.steppers.values()):
+                    if any(st in hit for st in run.steppers):
                         outcomes[i] = _failed(run.delta, exc)
                         del live[i]
         for i, run in list(live.items()):

@@ -257,7 +257,8 @@ def _gram_stack(P: int) -> np.ndarray:
     return out
 
 
-def _forms(c: np.ndarray, weights: np.ndarray, other: np.ndarray | None = None):
+def _forms(c: np.ndarray, weights: np.ndarray, other: np.ndarray | None = None,
+           lead: int = 0):
     """G0, G1 and G2 applied to real coefficient planes ``c`` (..., p, n, j, P)
     by one product with ``_gram_stack``, g (..., p, n, j, 3, P), and the
     per-mode forms q (..., 3, n), q[k, n] the sum over the planes p and
@@ -266,10 +267,13 @@ def _forms(c: np.ndarray, weights: np.ndarray, other: np.ndarray | None = None):
     ``other`` (default ``c``) is a stack of planes that broadcasts against
     ``c``, and ``weights`` (n', j), n' >= n, weights the rows of each
     component; with the w_n of ``_velocity_weights`` a sum over n is the
-    exact channel inner product.
+    exact channel inner product.  The first ``lead`` axes of ``c`` index a
+    block of independent records: the product broadcasts over them, so each
+    record makes the one BLAS call it makes alone.
     """
     P = c.shape[-1]
-    g = (c.reshape(-1, P) @ _gram_stack(P)).reshape(*c.shape[:-1], 3, P)
+    rows = c.reshape(*c.shape[:lead], -1, P)
+    g = (rows @ _gram_stack(P)).reshape(*c.shape[:-1], 3, P)
     w = weights[: c.shape[-3]]
     return g, np.einsum("...pnckj,...pncj,nc->...kn", g, c if other is None else other, w)
 
@@ -301,15 +305,22 @@ def _field_forms(fields: tuple, other: tuple | None = None) -> np.ndarray:
     return _forms(planes(fields), w, planes(other))[1]
 
 
+def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot products (...) of the rows of ``a`` (..., n) with ``v`` (n,),
+    each the BLAS dot of one 1-D pair, as ``v @ a`` makes for a lone row (a
+    product of the stacked rows would be one gemv, summed in another order)."""
+    return (a[..., None, :] @ v)[..., 0]
+
+
 def _sobolev_norms(q: np.ndarray, L: float):
-    """(l2, h1, h2) from per-mode forms (q0, q1, q2); h2 uses the full
-    multi-index sum."""
-    q0, q1, q2 = q
-    k2 = _kappa_sq(q0.size, L)
-    sq = q0.sum()
-    sq1 = sq + k2 @ q0 + q1.sum()
-    sq2 = sq1 + (k2 * k2) @ q0 + k2 @ q1 + q2.sum()
-    return math.sqrt(sq), math.sqrt(sq1), math.sqrt(sq2)
+    """(l2, h1, h2) from per-mode forms q (..., 3, n), one value per index of
+    the leading axes; h2 uses the full multi-index sum."""
+    q0, q1, q2 = q[..., 0, :], q[..., 1, :], q[..., 2, :]
+    k2 = _kappa_sq(q.shape[-1], L)
+    sq = q0.sum(axis=-1)
+    sq1 = sq + _dot(q0, k2) + q1.sum(axis=-1)
+    sq2 = sq1 + _dot(q0, k2 * k2) + _dot(q1, k2) + q2.sum(axis=-1)
+    return np.sqrt(sq), np.sqrt(sq1), np.sqrt(sq2)
 
 
 def _sq_l2(field: SpectralField2D) -> float:
@@ -324,12 +335,12 @@ def scalar_inner(f: SpectralField2D, g: SpectralField2D) -> float:
 
 def scalar_norms(field: SpectralField2D):
     """(l2, h1, h2) of one scalar field; h2 uses the full multi-index sum."""
-    return _sobolev_norms(_field_forms((field,)), field.L)
+    return tuple(map(float, _sobolev_norms(_field_forms((field,)), field.L)))
 
 
 def velocity_norms(u1: SpectralField2D, u2: SpectralField2D):
     """(l2, h1, h2) of the velocity pair, components summed in quadrature."""
-    return _sobolev_norms(_field_forms((u1, u2)), u1.L)
+    return tuple(map(float, _sobolev_norms(_field_forms((u1, u2)), u1.L)))
 
 
 def velocity_from_streamfunction(phi: SpectralField2D):

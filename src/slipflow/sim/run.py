@@ -7,14 +7,24 @@ stability bound (CFL_LIMIT).  ``_abort_past_cfl_one`` ends a nonlinear run
 with SimulationBlowupError at a record whose CFL number exceeds 1.  A
 linearized run has no advection, so it has no CFL bound.
 
+A diagnostics record is a capture and a later evaluation (``_Recorder``).
+The capture copies the planes the diagnostics read and, on a nonlinear run,
+solves them and reads their CFL number, so the abort above happens at the
+record that crosses.  The stash is evaluated as one block
+(``_record_block``, over a leading record axis) once it holds a fixed
+16 KiB, which bounds memory at any run length, and at the end of the run or
+after a failure, so a failed run's ``diagnostics_truncated.csv`` ends with
+the record that crossed.  A record's row does not depend on its block.
+
 Checkpoint format v3 (little endian): an 88-byte header, the magic
 "SLIPSIM1" and the ten 8-byte fields of the ``_HEADER`` table (version, M,
 P, L, mu, xi_minus, xi_plus, t, dt, linearized), followed by the complex
 state block ((M+1) x P complex128: vorticity rows, mean-u1 row 0) and, when
 the run has taken at least one step, the advection history block of the
 same shape.  Restarting with the same config resumes the exact trajectory:
-the stepper is a pure function of the checkpointed data, so diagnostics
-after the restart are bit-identical to the original run's.  A config that
+the stepper is a pure function of the checkpointed data, and a record does
+not depend on its block, so diagnostics after the restart are
+bit-identical to the original run's.  A config that
 differs in any of the header's eight config fields is refused, since the
 advection history only continues the scheme it was written by.  The blocks
 come from ``ChannelStepper._blocks``; reading them back installs them in a
@@ -104,9 +114,13 @@ _CSV_FIELDS = {"t": "times", "l2": "l2_norm", "h1": "h1_norm", "h2": "h2_norm",
 
 @dataclass
 class RunResult:
+    """A finished run; ``record_cfl`` holds the CFL number each record of a
+    nonlinear run read, and is empty on a linearized one."""
+
     diagnostics: RunDiagnostics
     final_state: SpectralField2D
     checkpoints: list = field(default_factory=list)
+    record_cfl: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def _growth_rate(times: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -125,103 +139,168 @@ def _growth_rate(times: np.ndarray, l2: np.ndarray) -> np.ndarray:
     return g
 
 
+# the bytes of captured planes a recorder stashes before it evaluates them as
+# one block; the block's intermediates take about twenty times as much, so a
+# larger cap raises the peak memory, and a nonlinear experiment record
+# (planes and solved planes of four branches, 32 KB at M = 16, P = 56)
+# stays a block of one
+_BLOCK_BYTES = 16 * 1024
+
+
+def _record_block(stepper: ChannelStepper, x: np.ndarray, phi: np.ndarray | None):
+    """The diagnostics of a block of records of ``stepper`` from their
+    captured planes x (N, p, b, P) (``_diagnostic_planes``) and, on a
+    nonlinear stepper, their solved planes ``phi`` (``_solve_planes``; None
+    on a linearized one): the eight series (N,) of the records' l2, h1, h2,
+    production, dissipation, nonlinear flux, dE/dt and budget residual, and
+    the velocity coefficient planes (N, p, b, 2, P) of their states, as
+    ``_velocity_coeffs`` lays them out.
+
+    One pass over the leading record axis.  The state planes, the viscous
+    tendency and (nonlinear runs only) the advective tendency planes
+    (``_tendency_planes``, as in ``tendency_split``) are stacked and solved
+    for the streamfunction in the eigenbasis (``_solve_planes``; a nonlinear
+    block's states come solved, since their advection needs them).
+    ``_velocity_coeffs`` takes the solved stack to the Chebyshev
+    coefficients of u1 and of u2 / (-i kappa_n), and ``sim.field._forms``
+    applies G0, G1 and G2 to the states' by one product with
+    ``_gram_stack`` and contracts them to the per-mode forms
+    q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k and b_k the G_k forms of the
+    two coefficient rows (``_velocity_weights``).  One more contraction
+    gives the G0 cross forms with each tendency.  ``_sobolev_norms``,
+    ``_dissipation`` and ``_production``, the wall traces of the u1 planes,
+    read the norms, the dissipation and the production off them.  Every
+    product broadcasts over the record axis, as the group step's do over
+    its branches, and every sum and dot is taken per record, so each record
+    makes the BLAS calls and sums of a block of one: a row does not depend
+    on its block, bit for bit.
+
+    The Gram matrices act on the coefficients, not folded into one
+    node-space form V^T G_k V per quantity: that folding moves h2 by 1e-7 to
+    1e-6 relative to the per-field functions (``velocity_norms``,
+    ``scalar_inner``).  Those apply the same engine to coefficients
+    differentiated from the streamfunction's own, and a record stays within
+    1e-11 of them.  Against a long-double evaluation with exact Chebyshev
+    maps and Gram matrices, the per-field h2 and the record's h2 both read
+    1e-11 to 3e-11 off, so neither is the more accurate.
+    """
+    st = stepper
+    n = x.shape[0]
+    # the state, viscous and (nonlinear) advective tendency planes
+    stack = np.zeros((n, 2 if st.cfg.linearized else 3) + x.shape[1:])
+    stack[:, 0] = x
+    if st.cfg.linearized:
+        st._tendency_planes(x, None, stack[:, 1:])
+        phi = st._solve_planes(stack)
+    else:
+        st._tendency_planes(x, phi, stack[:, 1:])
+        phi = np.concatenate([phi[:, None], st._solve_planes(stack[:, 1:])], axis=1)
+    # axes (record, state / visc / adv, plane, row, u1 or u2 / (-i kappa), Chebyshev)
+    c = st._velocity_coeffs(stack, phi)
+    s = c[:, 0]
+    w = _velocity_weights(st.cfg.M + 1, st.L)
+    sg, q = _forms(s, w, lead=1)
+    rates = np.einsum("...pncj,...tpncj,nc->...t", sg[..., 0, :], c[:, 1:], w[: s.shape[-3]])
+    l2, h1, h2 = _sobolev_norms(q, st.L)
+    bp = _production(s[..., 0, :], st.L, st.slip)
+    diss = _dissipation(q, st.L, st.mu)
+    if st.cfg.linearized:
+        dedt_a = nlf = np.zeros(n)
+    else:
+        dedt_a = rates[:, 1]
+        nlf = -dedt_a + 0.0  # +0.0, not -0.0, when dedt_a is zero
+    dedt = rates[:, 0] + dedt_a
+    resid = np.abs(dedt - bp + diss + nlf)
+    return (l2, h1, h2, bp, diss, nlf, dedt, resid), s
+
+
+def _on_record_axis(arrays: tuple) -> np.ndarray:
+    """``arrays`` stacked on a leading record axis: a view of a lone one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 class _Recorder:
-    def __init__(self, stepper: ChannelStepper):
-        self.stepper = stepper
-        self.rows = []
+    """Diagnostics records of ``steppers``, captured at once and evaluated
+    in blocks; the first stepper's records are the run's.
+
+    ``record`` is the capture: it stashes t and a copy of the real planes
+    each stepper's diagnostics read (``_diagnostic_planes``): the rows
+    0 .. b-1, b the end of the stepper's box, all M+1 rows of a nonlinear
+    state, and on a linearized one the prefix ending with its last live row
+    (b >= 1, so the mean row stays).  Every later row is exactly zero in
+    the streamfunction, the velocity, the viscous tendency and that
+    tendency's velocity, so the prefix has the same norms, wall traces and
+    inner products as the full rows.  A locked state reads its imaginary
+    plane alone, the real one being zero.  A nonlinear stepper's captured
+    planes are solved at once and ``_abort_past_cfl_one`` reads their CFL
+    number (kept in ``cfl``, in capture order), so a CFL failure stops the
+    run at the record that crosses, that record already stashed.
+
+    Once the stash holds ``_BLOCK_BYTES`` (16 KiB) of planes and solved
+    planes, and at ``finish`` (which a failed run calls too), ``evaluate``
+    turns it into one block (``_evaluate``): the first stepper's
+    ``_record_block`` series land in ``values``, one tuple per block.
+    Memory stays bounded whatever the run length, and since a record does
+    not depend on its block, neither does any output.
+    """
+
+    def __init__(self, *steppers: ChannelStepper):
+        self.steppers = steppers
+        self.times, self.cfl, self.values = [], [], []
+        self._stash, self._bytes = [], 0
 
     def record(self):
-        """Append the diagnostics row of the stepper's current state.
+        """Capture the diagnostics record of the steppers' current states."""
+        captured = []
+        for st in self.steppers:
+            x = st._diagnostic_planes().copy()
+            phi = None if st.cfg.linearized else st._solve_planes(x)
+            captured.append((x, phi))
+            self._bytes += x.nbytes + (0 if phi is None else phi.nbytes)
+        self.times.append(self.steppers[0].t)
+        self._stash.append(captured)
+        for st, (_, phi) in zip(self.steppers, captured):
+            if phi is not None:
+                self.cfl.append(_abort_past_cfl_one(st, phi[0]))
+        if self._bytes >= _BLOCK_BYTES:
+            self.evaluate()
 
-        One pass over the real state planes of the rows 0 .. b-1 the
-        diagnostics read, b the end of the stepper's box: all M+1 rows of a
-        nonlinear state, and on a linearized one the prefix ending with its
-        last live row (b >= 1, so the mean row stays).  Every later row is
-        exactly zero in the streamfunction, the velocity, the viscous
-        tendency and that tendency's velocity, so the prefix has the same
-        norms, wall traces and inner products as the full rows.  A locked
-        state reads its imaginary plane alone, the real one being zero.
+    def evaluate(self):
+        """Evaluate the stashed records as one block and empty the stash."""
+        if not self._stash:
+            return
+        # each stepper's planes and solved planes on a leading record axis
+        blocks = []
+        for pairs in zip(*self._stash):
+            xs, phis = zip(*pairs)
+            blocks.append((_on_record_axis(xs),
+                           None if phis[0] is None else _on_record_axis(phis)))
+        self._stash, self._bytes = [], 0
+        self._evaluate(*blocks)
 
-        The state rows, the viscous tendency rows and (nonlinear runs only)
-        the advective tendency rows (``_tendency_planes``, as in
-        ``tendency_split``) are stacked and solved for the streamfunction in
-        the eigenbasis, one product and one diagonal (``_solve_planes``; a
-        nonlinear record solves the state first, since its advection needs
-        it).  ``_velocity_coeffs``, one product with ``_coeff_map``, takes
-        the solved stack (its mean row read off the state planes) to the
-        Chebyshev coefficients of u1 and of u2 / (-i kappa_n), and
-        ``sim.field._forms``, the package's one quadratic-form engine,
-        applies G0, G1 and G2 to the state's by one product with
-        ``_gram_stack`` and contracts them to its per-mode forms
-        q[k, n] = w_n (a_k + kappa_n^2 b_k), a_k and b_k the G_k forms of
-        the two coefficient rows (``_velocity_weights``).  One more
-        contraction gives its G0 cross forms with each tendency.
-        ``_sobolev_norms``, ``_dissipation`` and ``_production``, the wall
-        traces of the u1 planes, read the norms, the dissipation and the
-        production off them.
-
-        The Gram matrices act on the coefficients, not folded into one
-        node-space form V^T G_k V per quantity: that folding moves h2 by
-        1e-7 to 1e-6 relative to the per-field functions (``velocity_norms``,
-        ``scalar_inner``).  Those apply the same engine to coefficients
-        differentiated from the streamfunction's own, and the record stays
-        within 1e-11 of them.  Against a long-double evaluation with exact
-        Chebyshev maps and Gram matrices, the per-field h2 and the record's
-        h2 both read 1e-11 to 3e-11 off, so neither is the more accurate.
-
-        Returns the state's velocity coefficient planes, (p, b, 2, P) as
-        ``_velocity_coeffs`` lays them out (p = 1, the imaginary plane, for
-        a locked state), and its norms (l2, h1, h2).  On a nonlinear
-        stepper the row is appended before ``_abort_past_cfl_one`` reads
-        the CFL number of the solved imaginary plane, so a failed run's
-        diagnostics end with that row.
-        """
-        st = self.stepper
-        x = st._diagnostic_planes()
-        # the state, viscous and (nonlinear) advective tendency planes
-        stack = np.zeros((2 if st.cfg.linearized else 3,) + x.shape)
-        stack[0] = x
-        if st.cfg.linearized:
-            st._tendency_planes(x, None, stack[1:])
-            phi = st._solve_planes(stack)
-        else:
-            state_phi = st._solve_planes(stack[:1])
-            st._tendency_planes(x, state_phi[0], stack[1:])
-            phi = np.concatenate([state_phi, st._solve_planes(stack[1:])])
-        # axes (state / visc / adv, plane, row, u1 or u2 / (-i kappa), Chebyshev)
-        c = st._velocity_coeffs(stack, phi)
-        s = c[0]
-        w = _velocity_weights(st.cfg.M + 1, st.L)
-        sg, q = _forms(s, w)
-        rates = np.einsum("pncj,tpncj,nc->t", sg[..., 0, :], c[1:], w[: s.shape[1]])
-        norms = _sobolev_norms(q, st.L)
-        l2, h1, h2 = norms
-        bp = _production(s[..., 0, :], st.L, st.slip)
-        diss = _dissipation(q, st.L, st.mu)
-        dedt_v = float(rates[0])
-        if st.cfg.linearized:
-            dedt_a = nlf = 0.0
-        else:
-            dedt_a = float(rates[1])
-            nlf = -dedt_a + 0.0  # +0.0, not -0.0, when dedt_a is zero
-        dedt = dedt_v + dedt_a
-        resid = abs(dedt - bp + diss + nlf)
-        self.rows.append((st.t, l2, h1, h2, bp, diss, nlf, dedt, resid))
-        if not st.cfg.linearized:
-            _abort_past_cfl_one(st, phi[0, 0])
-        return s, norms
+    def _evaluate(self, block: tuple, *others: tuple) -> np.ndarray:
+        """Evaluate a block, a pair (planes, solved planes or None) per
+        stepper: append the first stepper's ``_record_block`` series and
+        return its velocity coefficient planes."""
+        values, s = _record_block(self.steppers[0], *block)
+        self.values.append(values)
+        return s
 
     def finish(self) -> RunDiagnostics:
-        arr = np.array(self.rows, dtype=float).reshape(-1, 9)
-        return RunDiagnostics(*arr.T, _growth_rate(arr[:, 0], arr[:, 1]))
+        self.evaluate()
+        series = [np.concatenate(blocks) for blocks in zip(*self.values)] or [np.zeros(0)] * 8
+        times = np.array(self.times, dtype=float)
+        return RunDiagnostics(times, *series, _growth_rate(times, series[0]))
 
 
-def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray):
-    """Raise SimulationBlowupError when a nonlinear stepper's CFL number
-    (``cfl_number``, of the solved imaginary plane ``phi``, ``_solve_planes``)
-    exceeds 1."""
-    if not stepper.cfg.linearized and stepper.cfl_number(phi) > 1.0:
+def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray) -> float:
+    """The CFL number (``cfl_number``) of a nonlinear stepper's solved
+    imaginary plane ``phi`` (``_solve_planes``); SimulationBlowupError when
+    it exceeds 1."""
+    cfl = stepper.cfl_number(phi)
+    if cfl > 1.0:
         raise SimulationBlowupError(f"advective CFL exceeded 1 at t = {stepper.t:.6g}")
+    return cfl
 
 
 def _start(initial: SpectralField2D, cfg: SimConfig) -> ChannelStepper:
@@ -295,6 +374,7 @@ def run(
         diagnostics=rec.finish(),
         final_state=stepper.streamfunction(),
         checkpoints=checkpoints,
+        record_cfl=np.array(rec.cfl),
     )
 
 

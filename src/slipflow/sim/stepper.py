@@ -659,15 +659,16 @@ class ChannelStepper:
 
     def _tendency_planes(self, x: np.ndarray, phi: np.ndarray | None, out: np.ndarray):
         """Write the viscous tendency planes of real state planes ``x``
-        (p, b, P) into out[0] and, given the solved planes ``phi`` of a
-        nonlinear (so locked, p = 1) state, the advective ones, -i a_n with
-        a from ``_advection``, into out[1], zeroed, whose row 0 stays zero."""
-        visc = out[0]
+        (..., p, b, P) into out[..., 0, :, :, :] and, given the solved planes
+        ``phi`` of a nonlinear (so locked, p = 1) state, the advective ones,
+        -i a_n with a from ``_advection``, into out[..., 1, :, :, :], zeroed,
+        whose row 0 stays zero.  Leading axes broadcast, as in ``step``."""
+        visc = out[..., 0, :, :, :]
         np.matmul(x, self.D2.T, out=visc)
         visc -= (self.kappa[: x.shape[-2]] ** 2)[:, None] * x
         visc *= self.mu
         if phi is not None:
-            out[1, 0, 1:] = -self._advection(phi[0, 1:], x[0, 1:])
+            out[..., 1, 0, 1:, :] = -self._advection(phi[..., 0, 1:, :], x[..., 0, 1:, :])
 
     def tendency_split(self):
         """Viscous and advective tendency rows of the semi-discrete system.

@@ -23,7 +23,12 @@ O(N^2) work per pair and factors no shifted pencil.  A pair keeps its dense
 value when the step does not strictly lower its residual or, at an exact
 eigenvalue tie, gives no finite correction.
 
-Two independent cross-checks are provided.  First, the operator method of
+Two checks of the dense solve live here, and the commands run them
+differently: ``slipflow spectrum`` runs the exact oracle, ``slipflow
+verify`` runs the oracle and the mu_c quotient
+(``critical.mu_c_variational``), and only the tier-1 tests and the
+benchmark's ``spectrum`` workload run the Lanczos path
+(``lambda1_variational``).  First, the oracle, the operator method of
 Lafitte & Nguyen: lambda >= 0 is a growth rate exactly when 1 is an
 eigenvalue of a compact self-adjoint operator, and because the slip
 boundary form has rank 2 that operator is the 2x2 matrix
@@ -33,10 +38,11 @@ e = (m tanh m - k tanh k)/lambda and o = (m coth m - k coth k)/lambda give
 G = [[e+o, o-e], [o-e, e+o]] / 2.  The eigenvalues kappa_1 >= kappa_2 of K
 do not increase with lambda, so each branch with kappa_i(0) > 1 crosses 1
 exactly once: there are at most two growth rates, and mu kappa_1(0) is
-mu_c(k).  Second, lambda_1 equals the maximum of the Rayleigh quotient
-B_k(phi,phi) / int((phi')^2 + k^2 phi^2), computed here by Lanczos iteration
-from one random start, with full reorthogonalization and a restart at each
-invariant subspace; the top eigenvalue of the n x n tridiagonal is taken by
+mu_c(k).  Second, the Lanczos path: lambda_1 equals the maximum of the
+Rayleigh quotient B_k(phi,phi) / int((phi')^2 + k^2 phi^2), computed here by
+Lanczos iteration from one random start, with full reorthogonalization and
+a restart at each invariant subspace; the top eigenvalue of the n x n
+tridiagonal is taken by
 ``np.linalg.eigvalsh``.  The whitened operator W = L^-1 B L^-T (A = L L^T) is
 formed once per call, so each Lanczos step is one matrix-vector product.
 The path runs no dense eigensolve of W, so it shares no eigensolver with the
@@ -312,7 +318,11 @@ def _lanczos_top_eigenvalue(W: np.ndarray, rng: np.random.Generator) -> float:
 def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0) -> float:
     """Maximum of the Rayleigh quotient B_k(phi,phi)/int((phi')^2+k^2 phi^2).
 
-    Independent of the dense pencil solver: the quotient is maximized by
+    No command runs this path: ``slipflow spectrum`` checks the dense solve
+    against the exact oracle (``determinant_roots``), ``slipflow verify``
+    against the oracle and the mu_c quotient, and only the tier-1 tests and
+    the benchmark's ``spectrum`` workload call it.  It shares no eigensolver
+    with the dense pencil solve: the quotient is maximized by
     Lanczos iterations (one random start, full reorthogonalization, a
     restart at each invariant subspace, see ``_lanczos_top_eigenvalue``) on
     the A-whitened operator W = L^-1 B L^-T, with the maximum of the n x n

@@ -15,7 +15,7 @@ import slipflow
 from slipflow.cli import main
 from slipflow.critical import mu_c_global
 from slipflow.model import ChannelConfig, ModeProblem, SlipPair
-from slipflow.sim import SimConfig
+from slipflow.sim import ChannelStepper, SimConfig
 from slipflow.spectrum import assemble, solve_spectrum
 
 
@@ -258,6 +258,40 @@ class TestSolverHealth:
                         M=16, P=56, dt=0.2)
         assert read_manifest(tmp_path)["influence_cond_max"] == float(
             influence_condition(cfg).max())
+
+    def test_simulate_manifest_reads_its_records(self, tmp_path, monkeypatch):
+        # record_cfl_max is the largest CFL number the record-time abort
+        # checks read, one per record, and energy_residual_max the largest
+        # residual that energy.csv prints
+        read = []
+        cfl_number = ChannelStepper.cfl_number
+
+        def reading(st, phi=None):
+            read.append((phi is not None, cfl_number(st, phi)))
+            return read[-1][1]
+
+        monkeypatch.setattr(ChannelStepper, "cfl_number", reading)
+        rc = run_cli("--out", tmp_path, "simulate", "--mu", "0.5", "--amplitude", "0.05",
+                     "--m", "16", "--p", "56", "--dt", "2e-3", "--t-end", "0.1",
+                     "--stride", "5")
+        assert rc == 0
+        manifest = read_manifest(tmp_path)
+        # the start's stability check reads the CFL number of the unsolved
+        # state; each of the 11 records reads it off its solved planes
+        at_records = [cfl for solved, cfl in read if solved]
+        assert [solved for solved, _ in read] == [False] + [True] * 11
+        assert manifest["record_cfl_max"] == max(at_records) > 0.0
+        energy = np.loadtxt(tmp_path / "energy.csv", delimiter=",", skiprows=1)
+        assert energy.shape == (11, 6)
+        assert manifest["energy_residual_max"] == energy[:, 5].max() > 0.0
+
+        rc = run_cli("--out", tmp_path / "lin", "simulate", "--mu", "0.5", "--linearized",
+                     "--m", "16", "--p", "56", "--dt", "2e-3", "--t-end", "0.1")
+        assert rc == 0
+        manifest = read_manifest(tmp_path / "lin")
+        assert manifest["record_cfl_max"] is None
+        energy = np.loadtxt(tmp_path / "lin" / "energy.csv", delimiter=",", skiprows=1)
+        assert manifest["energy_residual_max"] == energy[:, 5].max()
 
     def test_refused_build_reads_null(self):
         from slipflow.cli import _influence_cond_max

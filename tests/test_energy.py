@@ -20,6 +20,7 @@ from slipflow.sim import (
     gradient_dissipation,
     random_solenoidal_field,
 )
+from slipflow.sim.energy import _dissipation, _production
 from slipflow.sim.field import (
     SpectralField2D,
     cgl_nodes,
@@ -147,3 +148,19 @@ class TestRejections:
         u1, u2 = velocity_from_streamfunction(phi)
         with pytest.raises(ValidationError, match="walls"):
             energy_inequality_check(u1, u2, channel.mu, channel.slip, 1.0)
+
+
+@pytest.mark.parametrize("p, rows, P", [(1, 9, 17), (2, 17, 32), (1, 33, 64)])
+def test_a_block_of_records_gets_each_records_own_budget_terms(p, rows, P):
+    # production and dissipation of records on a leading axis are those of
+    # each record alone, bit for bit: the wall sums and the dot with the
+    # kappa^2 weights are taken per record; one gemv over all records'
+    # rows rounds these wide-range data differently
+    rng = np.random.default_rng(rows)
+    planes = rng.standard_normal((9, p, rows, P)) * np.exp(3.0 * rng.standard_normal((9, p, rows, 1)))
+    q = np.exp(5.0 * rng.standard_normal((9, 3, rows)))
+    slip = SlipPair(0.7, 2.5)
+    bp, diss = _production(planes, 1.3, slip), _dissipation(q, 1.3, 0.3)
+    for i in range(planes.shape[0]):
+        assert bp[i].view(np.uint64) == np.float64(_production(planes[i], 1.3, slip)).view(np.uint64)
+        assert diss[i].view(np.uint64) == np.float64(_dissipation(q[i], 1.3, 0.3)).view(np.uint64)

@@ -1,6 +1,7 @@
 """Separation experiment: sweep structure, gates, outputs, failure isolation."""
 
 import dataclasses
+import importlib
 import json
 import math
 
@@ -163,7 +164,9 @@ class TestRecordReference:
                                         basis_size=48, n_max=12)
         (o,) = exp.outcomes
         assert o.error is None
-        assert len(steppers) == 4 and len(states) == len(nr_norms) == o.times.size
+        # one call per block of records, one value per record
+        l2_nrs, _, h2_nrs = (np.concatenate(v) for v in zip(*nr_norms))
+        assert len(steppers) == 4 and len(states) == l2_nrs.size == o.times.size
         assert o.d_from_linear_full[0] == 0.0
         assert o.d_from_linear_reduced[0] == 0.0
 
@@ -177,7 +180,7 @@ class TestRecordReference:
         want = (distance(nf, nr), distance(lf, lr), distance(nf, lf), distance(nr, lr),
                 l2_nr, h2_nr)
         got = (o.sep_l2[-1], o.linear_prediction[-1], o.d_from_linear_full[-1],
-               o.d_from_linear_reduced[-1], nr_norms[-1][0], nr_norms[-1][2])
+               o.d_from_linear_reduced[-1], l2_nrs[-1], h2_nrs[-1])
         # h2 to 1e-11, as in the run record tests: the reference differentiates
         # the streamfunction's Chebyshev coefficients, which amplifies their
         # roundoff, so the two h2 evaluations differ by about 6e-12 and
@@ -186,6 +189,26 @@ class TestRecordReference:
         for name, g, w in zip(names, got, want):
             tol = 1.0e-11 if name == "h2_nr" else 1.0e-12
             assert abs(g - w) <= tol * w, name
+
+
+class TestRecordBlocks:
+    @pytest.mark.parametrize("cap", [40 * 1024, math.inf], ids=["two-per-block", "one-block"])
+    def test_rows_do_not_depend_on_the_block(self, smoke_experiment, tmp_path,
+                                             monkeypatch, cap):
+        # the smoke sweep's records stash 31.7 KB each (nf and nr with their
+        # solved planes, the twins' two rows), a block of one under the
+        # 16 KiB cap; two records per block, or every record of a delta in
+        # one block, writes the same bytes
+        exp, out = smoke_experiment
+        monkeypatch.setattr(importlib.import_module("slipflow.sim.run"), "_BLOCK_BYTES", cap)
+        again = run_separation_experiment(exp.channel, sim=SimConfig(
+            channel=exp.channel, M=16, P=56, dt=1.0e-3, diagnostics_stride=25),
+            deltas=exp.deltas, basis_size=48, n_max=12, out_dir=tmp_path)
+        assert [o.times.size for o in again.outcomes] == [14, 26]
+        for d in exp.deltas:
+            for name in ("separation.csv", "diagnostics.csv", "manifest.json"):
+                rel = f"{delta_dir_name(d)}/{name}"
+                assert (tmp_path / rel).read_bytes() == (out / rel).read_bytes(), rel
 
 
 class TestAcceptanceSweepStructure:

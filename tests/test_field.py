@@ -364,3 +364,29 @@ def test_matrix_transforms_match_scipy_dct(P, layout, dtype):
         assert np.abs(got - want).max() <= 1.0e-13 * np.abs(want).max()
     back = cheb_values_from_coeffs(coeffs, axis=axis)
     assert np.abs(back - x).max() <= 1.0e-13 * np.abs(x).max()
+
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("P, rows", [(17, 9), (32, 17), (64, 33)])
+def test_a_block_of_records_gets_each_records_own_forms_and_norms(P, rows):
+    # the forms and norms of records on a leading axis (lead=1) are those
+    # of each record alone, bit for bit: every record gets its own product
+    # with the Gram stack, its own sums and its own dots.  On these data one
+    # product over all the block's rows (at P = 17) and one gemv for the
+    # dots of all records round differently
+    rng = np.random.default_rng(P)
+    c = rng.standard_normal((9, 1, rows, 2, P)) * np.exp(-0.05 * np.arange(P))
+    w = field_module._velocity_weights(rows, 1.0)
+    g, q = field_module._forms(c, w, lead=1)
+    wide = np.exp(5.0 * rng.standard_normal((9, 3, rows)))
+    norms = field_module._sobolev_norms(wide, 1.0)
+    for i in range(c.shape[0]):
+        g_i, q_i = field_module._forms(c[i], w)
+        np.testing.assert_array_equal(_bits(g[i]), _bits(g_i))
+        np.testing.assert_array_equal(_bits(q[i]), _bits(q_i))
+        lone = field_module._sobolev_norms(wide[i], 1.0)
+        assert [_bits(v[i]) for v in norms] == [_bits(v) for v in lone]

@@ -1,9 +1,10 @@
 """Run driver: diagnostics files, checkpointing, restart exactness, failure paths."""
 
+import importlib
 import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from slipflow.sim import (
     run,
     write_checkpoint,
 )
-from slipflow.sim.run import CHECKPOINT_HEADER_BYTES, CHECKPOINT_MAGIC, _Recorder
+from slipflow.sim.run import (
+    CHECKPOINT_HEADER_BYTES,
+    CHECKPOINT_MAGIC,
+    RunDiagnostics,
+    _record_block,
+    _Recorder,
+)
 from slipflow.sim.stepper import ChannelStepper
 from slipflow.sim.energy import boundary_production, gradient_dissipation
 from slipflow.sim.field import (
@@ -47,11 +54,34 @@ def growing_run(channel, basis48):
     return run(field, cfg), cfg, lam
 
 
+# the module, not the function ``run`` the package exports under its name
+run_mod = importlib.import_module("slipflow.sim.run")
+
 # the RunDiagnostics series of each CSV's columns, in column order
 _DIAGNOSTICS_SERIES = ("times", "l2_norm", "h1_norm", "h2_norm", "boundary_production",
                        "dissipation", "growth_rate_estimate")
 _ENERGY_SERIES = ("times", "energy_rate", "boundary_production", "dissipation",
                   "nonlinear_flux", "energy_residual")
+
+
+# the nine series a record appends, in its order
+_RECORD_SERIES = ("times", "l2_norm", "h1_norm", "h2_norm", "boundary_production",
+                  "dissipation", "nonlinear_flux", "energy_rate", "energy_residual")
+
+
+def _record_row(diag, i):
+    """Record ``i`` of ``diag``: its nine values, in the order a record appends them."""
+    return tuple(float(getattr(diag, name)[i]) for name in _RECORD_SERIES)
+
+
+def _assert_same_bits(a, b):
+    """Every series of two RunDiagnostics (or arrays) is equal bit for bit."""
+    pairs = ([(getattr(a, f.name), getattr(b, f.name)) for f in fields(RunDiagnostics)]
+             if isinstance(a, RunDiagnostics) else [(a, b)])
+    for x, y in pairs:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        assert x.shape == y.shape
+        np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def _assert_columns_are_series(path, diag, series):
@@ -136,13 +166,16 @@ class TestDiagnostics:
         assert all(np.abs(rows).max() > 0.0 for rows in stepper.tendency_split())
 
         solved = _count_solves(stepper, monkeypatch)
-        _Recorder(stepper).record()
-        # the locked state's imaginary plane: once alone for the advection,
-        # then its two tendencies
+        rec = _Recorder(stepper)
+        rec.record()
+        rec.finish()
+        # the locked state's imaginary plane: once alone at the capture, for
+        # the CFL number and the advection, then its two tendencies in the
+        # block of the one record
         state = stepper._state[1:]
-        fields = [f for rows in solved for f in rows.reshape(-1, *state.shape)]
-        assert [rows.shape for rows in solved] == [(1, 1, 9, 56), (2, 1, 9, 56)]
-        assert sum(np.array_equal(f, state) for f in fields) == 1
+        planes = [f for rows in solved for f in rows.reshape(-1, *state.shape)]
+        assert [rows.shape for rows in solved] == [(1, 9, 56), (1, 2, 1, 9, 56)]
+        assert sum(np.array_equal(f, state) for f in planes) == 1
 
     def test_linearized_record_reads_the_prefix_and_solves_the_state_once(
         self, channel, basis48, monkeypatch
@@ -153,6 +186,7 @@ class TestDiagnostics:
         assert stepper._box == (1, slice(1, 2))
         rec = _Recorder(stepper)
         rec.record()
+        rec.evaluate()
 
         # a locked prefix record reads rows 0 .. 1 of the imaginary plane alone
         prefix = stepper._state[1:, :2].copy()
@@ -160,9 +194,11 @@ class TestDiagnostics:
         stepper._state[:, 2:] = np.nan
         solved = _count_solves(stepper, monkeypatch)
         rec.record()
-        assert rec.rows[1] == rec.rows[0]
-        assert [rows.shape for rows in solved] == [(2, 1, 2, 56)]
-        np.testing.assert_array_equal(solved[0][0], prefix)
+        with np.errstate(invalid="ignore"):  # both records at one t: a 0/0 growth rate
+            diag = rec.finish()
+        assert _record_row(diag, 1) == _record_row(diag, 0)
+        assert [rows.shape for rows in solved] == [(1, 2, 1, 2, 56)]
+        np.testing.assert_array_equal(solved[0][0, 0], prefix)
 
 
 def _count_solves(stepper, monkeypatch):
@@ -248,14 +284,19 @@ def _assert_record_matches(got, want):
 
 
 def _check_record(stepper):
-    """The record of the stepper's state against ``_full_row_record``: its
-    velocity coefficient planes have the b rows the diagnostics read, the
-    imaginary plane alone for a locked state, each velocity coefficient
-    within 1e-14 of the largest full-row one, and its row matches the
-    reference's."""
+    """The record of the stepper's state against ``_full_row_record``: the
+    velocity coefficient planes its block evaluation gives have the b rows
+    the diagnostics read, the imaginary plane alone for a locked state, each
+    velocity coefficient within 1e-14 of the largest full-row one, and its
+    row matches the reference's."""
     b = max(stepper._box[1].stop, 1)
     rec = _Recorder(stepper)
-    c, norms = rec.record()
+    rec.record()
+    row = _record_row(rec.finish(), -1)
+    x = stepper._diagnostic_planes()[None]
+    values, s = _record_block(stepper, x,
+                              None if stepper.cfg.linearized else stepper._solve_planes(x))
+    c, norms = s[0], tuple(float(v[0]) for v in values[:3])
     want, full = _full_row_record(stepper)
 
     assert c.shape == (1 if stepper._locked else 2, b, 2, stepper.cfg.P)
@@ -265,9 +306,10 @@ def _check_record(stepper):
         scale = np.abs(ref.coefficients).max()
         assert not ref.coefficients[b:].any()
         assert np.abs(got - ref.coefficients[:b]).max() <= 1.0e-14 * scale
-    _assert_record_matches(rec.rows[-1], want)
-    assert norms == rec.rows[-1][1:4]
-    return rec.rows[-1]
+    _assert_record_matches(row, want)
+    assert norms == row[1:4]
+    assert tuple(float(v[0]) for v in values) == row[1:]
+    return row
 
 
 class TestLinearizedPrefixRecord:
@@ -304,10 +346,11 @@ class TestLinearizedPrefixRecord:
             stepper = ChannelStepper(cfg, zero)
             assert stepper._box == (1, rows)
             rec = _Recorder(stepper)
-            _, norms = rec.record()
-            assert norms == (0.0, 0.0, 0.0)
-            assert rec.rows[-1] == (0.0,) * 9
-            assert not np.signbit(rec.rows[-1]).any()
+            rec.record()
+            row = _record_row(rec.finish(), -1)
+            assert row[1:4] == (0.0, 0.0, 0.0)
+            assert row == (0.0,) * 9
+            assert not np.signbit(row).any()
 
 
 class TestNonlinearRecord:
@@ -346,6 +389,101 @@ class TestSmallGridRecord:
                                   linearized=linearized)
         assert stepper._locked == locked
         _check_record(stepper)
+
+
+def _recorded_in_blocks(stepper, records, monkeypatch):
+    """The diagnostics of ``records`` records of ``stepper``, one step apart,
+    evaluated as one block and as one block per record."""
+    monkeypatch.setattr(run_mod, "_BLOCK_BYTES", math.inf)
+    whole, single = _Recorder(stepper), _Recorder(stepper)
+    for m in range(records):
+        if m:
+            stepper.step()
+        whole.record()
+        single.record()
+        single.evaluate()
+    assert not whole.values and len(single.values) == records
+    return whole.finish(), single.finish()
+
+
+class TestBlockIndependence:
+    """A record's row does not depend on the block it is evaluated in."""
+
+    @pytest.mark.parametrize(
+        "live, locked",
+        [((1,), False), ((1, 3), False), ((0, 2), False), ((0,), False),
+         ((1,), True), ((1, 3), True)],
+        ids=["row1", "rows1and3", "mean_row", "mean_row_only",
+             "locked-row1", "locked-rows1and3"],
+    )
+    def test_linearized_rows(self, channel, live, locked, monkeypatch):
+        stepper = _random_stepper(channel, live, locked=locked)
+        assert stepper._locked == locked
+        whole, single = _recorded_in_blocks(stepper, 7, monkeypatch)
+        assert (whole.l2_norm > 0.0).all()
+        _assert_same_bits(whole, single)
+
+    @pytest.mark.parametrize("M, P", [(8, 17), (16, 32)], ids=["M8-P17", "M16-P32"])
+    @pytest.mark.parametrize("linearized", [True, False], ids=["linearized", "nonlinear"])
+    def test_broadband_rows(self, channel, M, P, linearized, monkeypatch):
+        # every row live with comparable sizes, so each sum and dot of a
+        # record adds terms of every size, and an order other than a lone
+        # record's (one gemv of the block's rows, one product of all its
+        # coefficient rows) changes low bits of its row
+        live = tuple(range(0 if linearized else 1, M + 1))
+        stepper = _random_stepper(channel, live, M=M, P=P, locked=not linearized,
+                                  linearized=linearized)
+        whole, single = _recorded_in_blocks(stepper, 9, monkeypatch)
+        if not linearized:
+            assert (whole.nonlinear_flux != 0.0).all()
+        _assert_same_bits(whole, single)
+
+    @pytest.mark.parametrize("linearized", [True, False], ids=["linearized", "nonlinear"])
+    def test_zero_state_rows(self, channel, linearized, monkeypatch):
+        zero = SpectralField2D(np.zeros((9, 32), dtype=complex), channel.L)
+        cfg = SimConfig(channel=channel, M=8, P=32, dt=1.0e-3, linearized=linearized)
+        whole, single = _recorded_in_blocks(ChannelStepper(cfg, zero), 4, monkeypatch)
+        assert not whole.l2_norm.any()
+        _assert_same_bits(whole, single)
+
+    def test_nonlinear_acceptance_grid_run(self, channel, basis48, monkeypatch):
+        # M = 32, P = 64: a record stashes 33 KB, so the default cap already
+        # evaluates one record per block; a cap of inf makes one block
+        field, _ = mode_field(channel, basis48, M=32, P=64, amplitude=0.05)
+        cfg = SimConfig(channel=channel, M=32, P=64, dt=2.0e-3, t_end=0.02,
+                        diagnostics_stride=1)
+        results = []
+        for cap in (0, math.inf):
+            monkeypatch.setattr(run_mod, "_BLOCK_BYTES", cap)
+            results.append(run(field, cfg))
+        one, whole = results
+        assert one.diagnostics.times.size == 11
+        assert (one.diagnostics.nonlinear_flux != 0.0).any()
+        _assert_same_bits(one.diagnostics, whole.diagnostics)
+        _assert_same_bits(one.record_cfl, whole.record_cfl)
+
+    @pytest.mark.parametrize("linearized", [True, False], ids=["linearized", "nonlinear"])
+    def test_resumed_run_rows_equal_the_straight_runs(self, channel, basis48, tmp_path,
+                                                      linearized):
+        # a stepper read back from the step-17 checkpoint records the same
+        # steps as the straight run, whose blocks start at step 0: 19 records
+        # of the linearized run fill the 16 KiB cap and 3 of the nonlinear
+        # one, so the two runs evaluate the records in different blocks
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=0.05)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
+                        linearized=linearized, diagnostics_stride=1)
+        straight = run(field, cfg, out_dir=tmp_path, checkpoint_stride=17)
+        stepper = read_checkpoint(tmp_path / "checkpoint_00000017.bin", cfg)
+        rec = _Recorder(stepper)
+        rec.record()
+        for _ in range(cfg.n_steps - 17):
+            stepper.step()
+            rec.record()
+        resumed = rec.finish()
+        assert len(rec.values) == (2 if linearized else 12)
+        for name in _RECORD_SERIES:
+            _assert_same_bits(getattr(resumed, name), getattr(straight.diagnostics, name)[17:])
+        _assert_same_bits(rec.cfl, straight.record_cfl[17:])
 
 
 def _packet_stepper(channel, basis48, locked, linearized, M=8, P=56):
@@ -691,6 +829,43 @@ class TestFailurePaths:
         truncated = (tmp_path / "diagnostics_truncated.csv").read_text().splitlines()
         assert truncated[0].startswith("t,")
         assert len(truncated) > 2
+
+    def test_cfl_crossing_inside_a_block_ends_the_truncated_rows(self, basis48, tmp_path,
+                                                                 monkeypatch):
+        # the run above at M = 8 and stride 9: a record stashes 7.9 KB, so a
+        # block holds 3 records, and the crossing at t = 0.144 is the second
+        # record of its block.  The truncated rows end with it, one per
+        # record, and are the rows a run of one record per block writes
+        channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
+        field, _ = mode_field(channel, basis48, M=8, P=56, amplitude=1.0)
+        cfg = SimConfig(channel=channel, M=8, P=56, dt=1.0e-3, t_end=1.0,
+                        diagnostics_stride=9)
+        sizes, evaluate = [], _Recorder.evaluate
+
+        def counting(rec):
+            sizes.append(len(rec._stash))
+            return evaluate(rec)
+
+        monkeypatch.setattr(_Recorder, "evaluate", counting)
+        outs = []
+        for cap in (run_mod._BLOCK_BYTES, 0):
+            monkeypatch.setattr(run_mod, "_BLOCK_BYTES", cap)
+            outs.append(tmp_path / f"cap{cap}")
+            sizes.clear()
+            with pytest.raises(SimulationBlowupError,
+                               match="CFL exceeded 1 at t = 0.144$"):
+                run(field, cfg, out_dir=outs[-1])
+            if cap:
+                assert sizes == [3] * 5 + [2]
+        assert sizes == [1] * 17
+        manifest = json.loads((outs[0] / "failure_manifest.json").read_text())
+        assert manifest == {"status": "failed",
+                            "error": "SimulationBlowupError: advective CFL exceeded 1 at t = 0.144",
+                            "t_reached": 144 * cfg.dt, "steps_completed": 144}
+        rows = np.loadtxt(outs[0] / "diagnostics_truncated.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 0], np.arange(17) * 9 * cfg.dt)
+        for name in ("diagnostics_truncated.csv", "failure_manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_failed_run_without_out_dir_writes_nothing(self, basis48, tmp_path,
                                                        monkeypatch):
