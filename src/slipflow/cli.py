@@ -27,8 +27,8 @@ falsified experiment verdict), 2 a usage error: a bad configuration, a
 wavenumber with no growing mode, or an experiment whose every delta was
 refused at its start (its outputs and manifests are still written).  A
 channel whose fundamental wavenumber 1/L is stable (mu >= mu_c(1/L)) is
-stable at every lattice wavenumber; `experiment` then reports the stable
-regime and exits 0 without simulating.
+stable at every lattice wavenumber; `experiment` reads its settings, then
+reports the stable regime and exits 0 without simulating.
 
 Every command writes a run_manifest.json carrying a sha256 digest of the
 resolved configuration (defaults, file, environment and channel flags)
@@ -36,14 +36,13 @@ together with the subcommand's parsed flags and --seed; --out, --threads
 and the --config path are left out.  Rerunning an identical invocation
 reproduces every output file byte for byte (floats are printed with 17
 significant digits); wall-clock timings go to stderr, never into files.
-`simulate` adds to its manifest, and prints, the rate its Crank-Nicolson
-steps realize for the packet's top rate and the relative gap between them.
-`simulate` and `experiment` add `influence_cond_max`, the largest 2-norm
-condition number of the stepper's per-mode influence matrices (null when
-their build refused them as ill-conditioned).  `simulate` also adds
-`record_cfl_max`, the largest CFL number its records read (null on a
-linearized run, which has no CFL bound), and `energy_residual_max`, the
-largest `residual` of its energy.csv.
+`simulate` and `experiment` add the same four solver-health keys, built by
+one owner, `sim.run.solver_health`: `crank_nicolson_rate`, the rate the
+Crank-Nicolson steps realize for the packet's top rate and its relative gap
+(`simulate` prints it); `influence_cond_max`, the largest condition number
+of the stepper's per-mode influence matrices; `record_cfl_max`, the largest
+CFL number a nonlinear record read; and `energy_residual_max`, the largest
+energy-budget residual of a record.  Each is null when nothing was measured.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -301,30 +299,9 @@ def _cmd_modes(ns, out, channel, raw):
     return 0, ["modes.csv", "packet.json"]
 
 
-def _crank_nicolson_rate(lam: float, dt: float) -> tuple:
-    """The rate a Crank-Nicolson run realizes for a mode of rate ``lam``,
-    ln|(1 + lam dt/2) / (1 - lam dt/2)| / dt, and its relative gap to
-    ``lam``; both are inf at lam dt = 2, where the step map has a pole."""
-    h = 0.5 * lam * dt
-    if h == 1.0:
-        return math.inf, math.inf
-    lam_run = math.log(abs((1.0 + h) / (1.0 - h))) / dt
-    return lam_run, lam_run / lam - 1.0
-
-
-def _influence_cond_max(cfg) -> float | None:
-    """The largest per-mode influence-matrix condition number of ``cfg``'s
-    operators, None when their build refuses them as ill-conditioned."""
-    from .sim import InfluenceConditioningError, influence_condition
-
-    try:
-        return float(influence_condition(cfg).max())
-    except InfluenceConditioningError:
-        return None
-
-
 def _cmd_simulate(ns, out, channel, raw):
     from .sim import diagnostics_to_csv, energy_to_csv, field_from_packet, run
+    from .sim.run import solver_health
 
     cfg = _sim_config(raw, ns, channel)
     packet = _packet(ns, channel)
@@ -339,32 +316,25 @@ def _cmd_simulate(ns, out, channel, raw):
     print(f"simulate: {cfg.n_steps} steps to t = {diag.times[-1]:g}, "
           f"final l2 = {diag.l2_norm[-1]:.12g}, "
           f"growth rate estimate = {diag.growth_rate_estimate[-1]:.12g}")
-    lam = packet.top_lambda
-    lam_run, gap = _crank_nicolson_rate(lam, cfg.dt)
+    health = solver_health(cfg, packet.top_lambda, [diag.energy_residual], [result.record_cfl])
+    rate = health["crank_nicolson_rate"]
     print(f"simulate: Crank-Nicolson at dt = {cfg.dt:g} realizes the top rate "
-          f"lambda = {lam:.12g} as lambda_run = {lam_run:.12g} "
-          f"(relative gap {gap:.3e})")
-    rate = {"lambda": lam, "lambda_run": lam_run, "relative_gap": gap}
-    cfl = result.record_cfl
-    return 0, outputs, {"crank_nicolson_rate": rate,
-                        "influence_cond_max": _influence_cond_max(cfg),
-                        "record_cfl_max": float(cfl.max()) if cfl.size else None,
-                        "energy_residual_max": float(diag.energy_residual.max())}
+          f"lambda = {rate['lambda']:.12g} as lambda_run = {rate['lambda_run']:.12g} "
+          f"(relative gap {rate['relative_gap']:.3e})")
+    return 0, outputs, health
 
 
 def _cmd_experiment(ns, out, channel, raw):
-    from .critical import critical_wavenumber, mu_c_closed_form
-    from .sim import run_separation_experiment, write_experiment_outputs
+    from .sim import StableRegimeError, run_separation_experiment, write_experiment_outputs
+    from .sim.run import solver_health
 
-    if critical_wavenumber(channel) is None:
-        threshold = mu_c_closed_form(1.0 / channel.L, channel.slip)
-        print(f"stable regime: viscosity {channel.mu:g} is not below the critical "
-              f"viscosity {threshold:.12g} of the fundamental wavenumber "
-              f"1/L = {1.0 / channel.L:g}; no simulation to run")
-        return 0, []
     cfg = _sim_config(raw, ns, channel)
     settings = _settings(raw, ns, "experiment", run_separation_experiment)
-    exp = run_separation_experiment(channel, sim=cfg, **settings)
+    try:
+        exp = run_separation_experiment(channel, sim=cfg, **settings)
+    except StableRegimeError as exc:
+        print(exc)
+        return 0, []
     written = write_experiment_outputs(exp, out)
     outputs = [p.relative_to(out).as_posix() for p in written]
     for o in exp.outcomes:
@@ -377,7 +347,9 @@ def _cmd_experiment(ns, out, channel, raw):
     print(f"experiment: slope = {exp.slope:.6g} (want 2 +- 0.2), "
           f"escape spacing ok = {exp.escape_ok}, "
           f"verdict = {'PASS' if exp.verdict else 'FAIL'}")
-    health = {"influence_cond_max": _influence_cond_max(cfg)}
+    residuals = [o.diagnostics.energy_residual for o in exp.outcomes if o.error is None]
+    health = solver_health(cfg, float(exp.lambdas[-1]), residuals,
+                           [o.record_cfl for o in exp.outcomes])
     if all(o.refused for o in exp.outcomes):
         print("error: every delta was refused at its start", file=sys.stderr)
         return 2, outputs, health

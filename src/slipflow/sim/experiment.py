@@ -20,8 +20,8 @@ discretization error of the linear propagator.  Every delta starts first,
 in the given order; then one loop over the step index m advances the
 nonlinear branches of every running delta in one group step
 (``ChannelStepper.step``) and their linear twins in another, and each delta
-records at its own m % stride == 0 or m == n_steps and leaves the loop
-after its last step.  The group step makes each branch's products of a
+records on the schedule of a run (``sim.run._scheduled``) and leaves the
+loop after its last step.  The group step makes each branch's products of a
 lone step, so a delta's series do not depend on which deltas share its
 sweep, bit for bit.  Every packet starts in the
 odd-in-x1 symmetry class (pure imaginary mode rows, zero mean flow), the
@@ -36,16 +36,17 @@ identically zero; the driver then skips the two reduced integrations (zero
 is an exact fixed point) and records exact zeros instead.  Both unit packets
 are embedded once per sweep and scaled by each delta.
 
-The sweep is refused (ValidationError) when the 2 pi L-periodic channel is
+The sweep is refused (StableRegimeError) when the 2 pi L-periodic channel is
 stable, i.e. mu >= mu_c(1/L) (``critical.critical_wavenumber`` is None), and
 ``modes.build_packet`` refuses a wavenumber with no growing mode.  Each
 nonlinear branch starts and records through the checks of a run
 (``sim.run``), the full one's start is also refused when the CFL number of
-the linear prediction at t_final exceeds 1, and the twins have no CFL
-bound.  A refused start takes no step and is that delta's recorded
-ValidationError (``DeltaOutcome.refused``); a CFL number above 1 in either
-nonlinear branch at a record is its SimulationBlowupError, and so is a
-branch whose state stops being finite in a group step, which ends its own
+the linear prediction at t_final exceeds the record's abort bound CFL_ABORT,
+and the twins have no CFL bound.  A refused start takes no step and is that
+delta's recorded ValidationError (``DeltaOutcome.refused``); a CFL number
+above CFL_ABORT in either nonlinear branch at a record is its
+SimulationBlowupError, and so is a branch whose state stops being finite in
+a group step, which ends its own
 delta only: the others keep stepping.  A failed delta
 is ``DeltaOutcome(delta, error=...)``: its measured fields keep their
 defaults, NaN and empty series, which the manifests write as null.
@@ -63,7 +64,7 @@ import numpy as np
 
 from ..model import ChannelConfig, LatticeSweep, ModeProblem, ValidationError
 from ..output import csv_row, write_csv, write_json, write_lines
-from ..critical import critical_wavenumber
+from ..critical import critical_wavenumber, mu_c_closed_form
 from ..numerics import build_basis
 from ..spectrum import assemble, solve_spectrum
 from ..modes import (
@@ -83,8 +84,9 @@ from .field import (
     velocity_from_streamfunction,
     velocity_norms,
 )
-from .run import _Recorder, _start, diagnostics_to_csv
+from .run import _Recorder, _refuse_dt, _scheduled, _start, diagnostics_to_csv
 from .stepper import (
+    CFL_ABORT,
     ChannelStepper,
     InfluenceConditioningError,
     SimConfig,
@@ -95,9 +97,14 @@ __all__ = [
     "GateReport",
     "DeltaOutcome",
     "SeparationExperiment",
+    "StableRegimeError",
     "run_separation_experiment",
     "write_experiment_outputs",
 ]
+
+
+class StableRegimeError(ValidationError):
+    """The channel is stable at its fundamental wavenumber: no instability to measure."""
 
 
 @dataclass(frozen=True)
@@ -144,6 +151,7 @@ class DeltaOutcome:
     c4: float = math.nan
     m0: float = math.nan
     diagnostics: object = None
+    record_cfl: np.ndarray = _no_series()  # its records' CFL numbers (_Recorder.cfl)
     error: str | None = None
 
     @property
@@ -208,8 +216,8 @@ _FAILURES = (
 )
 
 
-def _failed(delta: float, exc: Exception) -> DeltaOutcome:
-    return DeltaOutcome(delta, error=f"{type(exc).__name__}: {exc}")
+def _failed(delta: float, exc: Exception, cfl=()) -> DeltaOutcome:
+    return DeltaOutcome(delta, record_cfl=np.array(cfl), error=f"{type(exc).__name__}: {exc}")
 
 
 class _DeltaRun(_Recorder):
@@ -238,16 +246,12 @@ class _DeltaRun(_Recorder):
         full0 = unit_full * delta
         nf = _start(full0, cfg)
         # refuse a dt whose CFL number at the linear prediction for t_final,
-        # embedded like the initial data, passes the record's abort threshold 1
+        # embedded like the initial data, passes the record's abort bound
         grown = ModePacket(packet.modes,
                            packet.coefficients * np.exp(packet.lambdas * cfg.t_end))
         predicted = field_from_packet(grown, sim.M, sim.P, sim.channel.L) * delta
         cfl = nf.cfl_number(nf._solve_planes(nf._state_from_streamfunction(predicted).imag))
-        if cfl > 1.0:
-            raise ValidationError(
-                f"dt = {cfg.dt:g} exceeds the advective stability bound {cfg.dt / cfl:g} "
-                f"estimated from the linear prediction at t = {cfg.t_end:g}"
-            )
+        _refuse_dt(cfg, cfl, CFL_ABORT, f"the linear prediction at t = {cfg.t_end:g}")
         # a linear twin holds its branch's checked initial data
         lf = ChannelStepper(twin, full0)
         self.reduced_active = unit_reduced is not None
@@ -257,17 +261,12 @@ class _DeltaRun(_Recorder):
             super().__init__(nf, nr, lf, ChannelStepper(twin, red0))
         else:
             super().__init__(nf, lf)
-        self.rec_steps, self.rows = [], []
-        self.record(0)
+        self.rows = []
+        self.record()
 
     def branches(self, linearized: bool) -> list:
         """The nonlinear branches (nf, nr) or their linear twins (lf, lr)."""
         return [st for st in self.steppers if st.cfg.linearized == linearized]
-
-    def record(self, m: int):
-        """Capture the record of step ``m``."""
-        self.rec_steps.append(m)
-        super().record()
 
     def _evaluate(self, block: tuple, *others: tuple):
         # the block is the last n records: nf's diagnostics, then nf, nr, lf,
@@ -285,7 +284,7 @@ class _DeltaRun(_Recorder):
         # at step 0, a delta's first record and so the first of its block,
         # each linear twin holds its nonlinear branch's initial data, so it
         # takes that branch's velocity and d_from_linear is 0
-        if self.rec_steps[-n] == 0:
+        if self.steps[-n] == 0:
             u[0, 2:] = u[0, :2]
         # sep, the linear prediction, d_full and d_red, then nr itself; a
         # one-mode packet's reduced branches are exactly zero
@@ -325,7 +324,7 @@ class _DeltaRun(_Recorder):
             delta=delta,
             t_delta=t_delta,
             t_final=t_final,
-            steps=np.array(self.rec_steps),
+            steps=np.array(self.steps),
             times=times,
             sep_l2=sep,
             linear_prediction=linpred,
@@ -342,6 +341,7 @@ class _DeltaRun(_Recorder):
             c4=c4,
             m0=separation / epsilon0,
             diagnostics=diagnostics,
+            record_cfl=np.array(self.cfl),
         )
 
 
@@ -350,7 +350,7 @@ def _step_sweep(live: dict, outcomes: list, stride: int):
     steps, filling ``outcomes`` by index.  Each step m advances the
     nonlinear branches of every live delta in one group step and their
     linear twins in another (``ChannelStepper.step``); then each delta
-    records at its own m % stride == 0 or m == n_steps and leaves after its
+    records when m is on its schedule (``_scheduled``) and leaves after its
     last step.  A failure ends its own delta only: a group step's
     SimulationBlowupError the deltas of the branches it names (a
     FloatingPointError, which names none, every delta of the group), a
@@ -368,32 +368,30 @@ def _step_sweep(live: dict, outcomes: list, stride: int):
                 hit = getattr(exc, "steppers", group)
                 for i, run in list(live.items()):
                     if any(st in hit for st in run.steppers):
-                        outcomes[i] = _failed(run.delta, exc)
+                        outcomes[i] = _failed(run.delta, exc, run.cfl)
                         del live[i]
         for i, run in list(live.items()):
             try:
-                if m % stride == 0 or m == run.n_steps:
-                    run.record(m)
+                if _scheduled(m, run.n_steps, stride):
+                    run.record()
                 if m == run.n_steps:
                     outcomes[i] = run.outcome()
                     del live[i]
             except _FAILURES as exc:
-                outcomes[i] = _failed(run.delta, exc)
+                outcomes[i] = _failed(run.delta, exc, run.cfl)
                 del live[i]
 
 
-def _fit_slope(outcomes, stride: int) -> float:
+def _fit_slope(outcomes) -> float:
     """Slope of log(d_from_linear_full) vs log(delta) at a shared fixed time,
-    the last record step, a multiple of ``stride``, that every delta reached."""
+    the last step past 0 that every completed delta recorded."""
     done = [o for o in outcomes if o.error is None]
     if len(done) < 2:
         return math.nan
-    row = min(int(o.steps[-1]) for o in done) // stride
-    if row <= 0:
+    step = max(set.intersection(*(set(o.steps.tolist()) for o in done)))
+    if step == 0:
         return math.nan
-    # each delta records every stride-th step up to its last step, so record
-    # ``row`` is step row * stride in every outcome
-    d = [float(o.d_from_linear_full[row]) for o in done]
+    d = [float(o.d_from_linear_full[np.searchsorted(o.steps, step)]) for o in done]
     if min(d) <= 0.0:
         return math.nan
     xs = [math.log(o.delta) for o in done]
@@ -415,18 +413,18 @@ def run_separation_experiment(
     """Run the full delta sweep and return the completed experiment record.
 
     Preconditions: the channel must be unstable (mu below mu_c(1/L), the
-    critical viscosity of its fundamental wavenumber), every delta must
-    satisfy delta * F_N(0) < epsilon0, and no two may share a
+    critical viscosity of its fundamental wavenumber, else StableRegimeError),
+    every delta must satisfy delta * F_N(0) < epsilon0, and no two may share a
     ``delta_dir_name``.  A refused start or a failure inside one delta run
     (blow-up, CFL loss) is recorded in that outcome's ``error`` field; the
     remaining deltas still run.  When ``out_dir`` is given the per-delta
     series, diagnostics, and manifests are written there.
     """
     if critical_wavenumber(channel) is None:
-        raise ValidationError(
+        raise StableRegimeError(
             f"stable regime: viscosity {channel.mu:g} is not below the critical "
-            f"viscosity of the fundamental wavenumber 1/L = {1.0 / channel.L:g}; "
-            "no instability to measure"
+            f"viscosity {mu_c_closed_form(1.0 / channel.L, channel.slip):.12g} of the "
+            f"fundamental wavenumber 1/L = {1.0 / channel.L:g}; no simulation to run"
         )
     if sim is None:
         sim = SimConfig(channel=channel)
@@ -489,7 +487,7 @@ def run_separation_experiment(
             outcomes[i] = _failed(d, exc)
     _step_sweep(live, outcomes, sim.diagnostics_stride)
 
-    slope = _fit_slope(outcomes, sim.diagnostics_stride)
+    slope = _fit_slope(outcomes)
     slope_ok = bool(abs(slope - 2.0) <= 0.2)  # False for a NaN slope
 
     lam_top = packet.top_lambda

@@ -3,9 +3,12 @@
 A run, and each branch of the separation experiment, starts through
 ``_start``: initial data that break the wall conditions raise
 ValidationError, and so does a nonlinear start with dt above the advective
-stability bound (CFL_LIMIT).  ``_abort_past_cfl_one`` ends a nonlinear run
-with SimulationBlowupError at a record whose CFL number exceeds 1.  A
-linearized run has no advection, so it has no CFL bound.
+stability bound (CFL_LIMIT).  ``_abort_past_cfl`` ends a nonlinear run
+with SimulationBlowupError at a record whose CFL number exceeds CFL_ABORT.
+A linearized run has no advection, so it has no CFL bound.  Records (the
+sweep's too) and checkpoints fall on one schedule, ``_scheduled``: every
+stride-th step and the last.  ``solver_health`` builds the health record
+that both DNS commands write.
 
 A diagnostics record is a capture and a later evaluation (``_Recorder``).
 The capture copies the planes the diagnostics read and, on a nonlinear run,
@@ -34,6 +37,7 @@ state its steps advance from the state block (see ``sim.stepper``).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,10 +49,14 @@ from ..output import write_csv, write_json
 from .energy import _dissipation, _production
 from .field import SpectralField2D, _forms, _sobolev_norms, _velocity_weights
 from .stepper import (
+    CFL_ABORT,
     CFL_LIMIT,
     ChannelStepper,
+    InfluenceConditioningError,
     SimConfig,
     SimulationBlowupError,
+    _on_leading_axis,
+    _operator_set,
     check_boundary_conditions,
 )
 
@@ -56,6 +64,7 @@ __all__ = [
     "RunDiagnostics",
     "RunResult",
     "run",
+    "solver_health",
     "write_checkpoint",
     "read_checkpoint",
     "diagnostics_to_csv",
@@ -214,17 +223,12 @@ def _record_block(stepper: ChannelStepper, x: np.ndarray, phi: np.ndarray | None
     return (l2, h1, h2, bp, diss, nlf, dedt, resid), s
 
 
-def _on_record_axis(arrays: tuple) -> np.ndarray:
-    """``arrays`` stacked on a leading record axis: a view of a lone one."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 class _Recorder:
     """Diagnostics records of ``steppers``, captured at once and evaluated
     in blocks; the first stepper's records are the run's.
 
-    ``record`` is the capture: it stashes t and a copy of the real planes
-    each stepper's diagnostics read (``_diagnostic_planes``): the rows
+    ``record`` is the capture: it stashes the step count and a copy of the
+    real planes each stepper's diagnostics read (``_diagnostic_planes``): the rows
     0 .. b-1, b the end of the stepper's box, all M+1 rows of a nonlinear
     state, and on a linearized one the prefix ending with its last live row
     (b >= 1, so the mean row stays).  Every later row is exactly zero in
@@ -232,7 +236,7 @@ class _Recorder:
     tendency's velocity, so the prefix has the same norms, wall traces and
     inner products as the full rows.  A locked state reads its imaginary
     plane alone, the real one being zero.  A nonlinear stepper's captured
-    planes are solved at once and ``_abort_past_cfl_one`` reads their CFL
+    planes are solved at once and ``_abort_past_cfl`` reads their CFL
     number (kept in ``cfl``, in capture order), so a CFL failure stops the
     run at the record that crosses, that record already stashed.
 
@@ -246,7 +250,7 @@ class _Recorder:
 
     def __init__(self, *steppers: ChannelStepper):
         self.steppers = steppers
-        self.times, self.cfl, self.values = [], [], []
+        self.steps, self.cfl, self.values = [], [], []
         self._stash, self._bytes = [], 0
 
     def record(self):
@@ -257,11 +261,11 @@ class _Recorder:
             phi = None if st.cfg.linearized else st._solve_planes(x)
             captured.append((x, phi))
             self._bytes += x.nbytes + (0 if phi is None else phi.nbytes)
-        self.times.append(self.steppers[0].t)
+        self.steps.append(self.steppers[0].steps)
         self._stash.append(captured)
         for st, (_, phi) in zip(self.steppers, captured):
             if phi is not None:
-                self.cfl.append(_abort_past_cfl_one(st, phi[0]))
+                self.cfl.append(_abort_past_cfl(st, phi[0]))
         if self._bytes >= _BLOCK_BYTES:
             self.evaluate()
 
@@ -273,8 +277,8 @@ class _Recorder:
         blocks = []
         for pairs in zip(*self._stash):
             xs, phis = zip(*pairs)
-            blocks.append((_on_record_axis(xs),
-                           None if phis[0] is None else _on_record_axis(phis)))
+            blocks.append((_on_leading_axis(xs),
+                           None if phis[0] is None else _on_leading_axis(phis)))
         self._stash, self._bytes = [], 0
         self._evaluate(*blocks)
 
@@ -289,18 +293,24 @@ class _Recorder:
     def finish(self) -> RunDiagnostics:
         self.evaluate()
         series = [np.concatenate(blocks) for blocks in zip(*self.values)] or [np.zeros(0)] * 8
-        times = np.array(self.times, dtype=float)
+        times = np.array(self.steps) * self.steppers[0].cfg.dt  # each stepper's t
         return RunDiagnostics(times, *series, _growth_rate(times, series[0]))
 
 
-def _abort_past_cfl_one(stepper: ChannelStepper, phi: np.ndarray) -> float:
+def _abort_past_cfl(stepper: ChannelStepper, phi: np.ndarray) -> float:
     """The CFL number (``cfl_number``) of a nonlinear stepper's solved
     imaginary plane ``phi`` (``_solve_planes``); SimulationBlowupError when
-    it exceeds 1."""
+    it exceeds CFL_ABORT."""
     cfl = stepper.cfl_number(phi)
-    if cfl > 1.0:
-        raise SimulationBlowupError(f"advective CFL exceeded 1 at t = {stepper.t:.6g}")
+    if cfl > CFL_ABORT:
+        raise SimulationBlowupError(f"advective CFL exceeded {CFL_ABORT:g} at t = {stepper.t:.6g}")
     return cfl
+
+
+def _scheduled(m: int, n_steps: int, stride: int) -> bool:
+    """Whether step ``m`` of an ``n_steps`` run is on the ``stride``
+    schedule: every stride-th step and the last."""
+    return m % stride == 0 or m == n_steps
 
 
 def _start(initial: SpectralField2D, cfg: SimConfig) -> ChannelStepper:
@@ -309,13 +319,17 @@ def _start(initial: SpectralField2D, cfg: SimConfig) -> ChannelStepper:
     or when a nonlinear run's initial CFL number exceeds CFL_LIMIT."""
     check_boundary_conditions(initial, cfg)
     stepper = ChannelStepper(cfg, initial)
-    cfl = 0.0 if cfg.linearized else stepper.cfl_number()
-    if cfl > CFL_LIMIT:
-        raise ValidationError(
-            f"dt = {cfg.dt:g} exceeds the advective stability bound "
-            f"{cfg.dt * CFL_LIMIT / cfl:g} estimated from the initial data"
-        )
+    if not cfg.linearized:
+        _refuse_dt(cfg, stepper.cfl_number(), CFL_LIMIT, "the initial data")
     return stepper
+
+
+def _refuse_dt(cfg: SimConfig, cfl: float, limit: float, source: str):
+    """ValidationError when the CFL number ``cfl`` that ``cfg.dt`` gives
+    ``source`` exceeds ``limit``, naming the largest dt within it."""
+    if cfl > limit:
+        raise ValidationError(f"dt = {cfg.dt:g} exceeds the advective stability bound "
+                              f"{cfg.dt * limit / cfl:g} estimated from {source}")
 
 
 def run(
@@ -351,11 +365,9 @@ def run(
     try:
         for m in range(1, cfg.n_steps + 1):
             stepper.step()
-            if m % cfg.diagnostics_stride == 0 or m == cfg.n_steps:
+            if _scheduled(m, cfg.n_steps, cfg.diagnostics_stride):
                 rec.record()
-            if checkpoint_stride is not None and (
-                m % checkpoint_stride == 0 or m == cfg.n_steps
-            ):
+            if checkpoint_stride is not None and _scheduled(m, cfg.n_steps, checkpoint_stride):
                 path = out / f"checkpoint_{m:08d}.bin"
                 write_checkpoint(path, stepper)
                 checkpoints.append(path)
@@ -376,6 +388,32 @@ def run(
         checkpoints=checkpoints,
         record_cfl=np.array(rec.cfl),
     )
+
+
+def solver_health(cfg: SimConfig, lam: float, energy_residual, record_cfl) -> dict:
+    """The health record of a DNS run on ``cfg``: ``crank_nicolson_rate``,
+    the rate ln|(1 + h) / (1 - h)| / dt, h = lam dt / 2, that Crank-Nicolson
+    steps realize for a mode of rate ``lam`` > 0 and its relative gap to
+    ``lam`` (both inf at the pole h = 1); ``influence_cond_max``, the largest
+    condition number of ``cfg``'s per-mode influence matrices (None when
+    their build refuses them); ``record_cfl_max`` and ``energy_residual_max``,
+    the largest value in the arrays ``record_cfl`` and ``energy_residual``
+    (None when they hold none)."""
+    h = 0.5 * lam * cfg.dt
+    lam_run = math.inf if h == 1.0 else math.log(abs((1.0 + h) / (1.0 - h))) / cfg.dt
+    try:
+        cond = float(_operator_set(cfg)["_influence_cond"].max())
+    except InfluenceConditioningError:
+        cond = None
+    cfl, resid = (np.concatenate([np.zeros(0), *arrays])
+                  for arrays in (record_cfl, energy_residual))
+    return {
+        "crank_nicolson_rate": {"lambda": lam, "lambda_run": lam_run,
+                                "relative_gap": lam_run / lam - 1.0},
+        "influence_cond_max": cond,
+        "record_cfl_max": float(cfl.max()) if cfl.size else None,
+        "energy_residual_max": float(resid.max()) if resid.size else None,
+    }
 
 
 def write_checkpoint(path: str | Path, stepper: ChannelStepper) -> Path:

@@ -115,7 +115,6 @@ __all__ = [
     "InfluenceConditioningError",
     "check_boundary_conditions",
     "cheb_diff_matrix",
-    "influence_condition",
 ]
 
 
@@ -143,6 +142,8 @@ INFLUENCE_COND_MAX = 1.0e8
 
 # Largest advective CFL number a nonlinear run may start from (see sim.run._start).
 CFL_LIMIT = 0.3
+# Largest CFL number a nonlinear record may read, or a sweep's delta predict.
+CFL_ABORT = 1.0
 
 
 @dataclass(frozen=True)
@@ -207,13 +208,10 @@ def _complex(planes: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _boxes(planes: list, box: tuple) -> np.ndarray:
-    """The ``box`` of each of a group's ``planes`` on a leading branch axis:
-    a view of a lone stepper's box, else a stacked copy (the group step
-    writes its results back)."""
-    if len(planes) == 1:
-        return planes[0][box][None]
-    return np.stack([p[box] for p in planes])
+def _on_leading_axis(arrays: list) -> np.ndarray:
+    """``arrays`` stacked on a leading (branch or record) axis: a view of a
+    lone one, else a stacked copy (the group step writes its results back)."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _dirichlet_eigenbasis(A: np.ndarray):
@@ -249,13 +247,6 @@ def _operator_set(cfg: SimConfig) -> dict:
     slip = cfg.channel.slip
     return _operators(cfg.M, cfg.P, cfg.channel.L, cfg.channel.mu,
                       slip.xi_minus, slip.xi_plus, cfg.dt)
-
-
-def influence_condition(cfg: SimConfig) -> np.ndarray:
-    """The 2-norm condition numbers (M,) of the influence matrices of modes
-    1 .. M of ``cfg``'s operators, read-only; building them raises
-    InfluenceConditioningError past INFLUENCE_COND_MAX."""
-    return _operator_set(cfg)["_influence_cond"]
 
 
 @functools.lru_cache(maxsize=4)
@@ -599,13 +590,14 @@ class ChannelStepper:
                                  "linearized flag, the box and the AB2 history")
         cfg, box = self.cfg, self._box
         rows = box[1]
-        x = _boxes([st._state for st in group], box)
+        x = _on_leading_axis([st._state[box] for st in group])
         rhs = x @ self._explicit_base.T
         rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * x
         if not cfg.linearized:
             adv = self._advection(self._solve_planes(x, rows), x)
             if self._have_history:
-                rhs -= cfg.dt * (1.5 * adv - 0.5 * _boxes([st._history for st in group], box))
+                rhs -= cfg.dt * (1.5 * adv - 0.5 * _on_leading_axis(
+                    [st._history[box] for st in group]))
             else:
                 rhs -= cfg.dt * adv
             for st, a in zip(group, adv):

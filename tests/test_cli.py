@@ -15,7 +15,9 @@ import slipflow
 from slipflow.cli import main
 from slipflow.critical import mu_c_global
 from slipflow.model import ChannelConfig, ModeProblem, SlipPair
-from slipflow.sim import ChannelStepper, SimConfig
+from slipflow.sim import ChannelStepper, SimConfig, write_experiment_outputs
+from slipflow.sim.run import _Recorder
+from slipflow.sim.stepper import _operator_set
 from slipflow.spectrum import assemble, solve_spectrum
 
 
@@ -221,43 +223,88 @@ class TestCrankNicolsonRate:
             "(relative gap 4.346e-02)"
         )
 
-    def test_rate_is_infinite_at_the_pole(self):
-        from slipflow.cli import _crank_nicolson_rate
-
-        assert _crank_nicolson_rate(8.0, 0.25) == (math.inf, math.inf)
-        lam_run, gap = _crank_nicolson_rate(8.0, 0.5)  # past the pole: g = -3
-        assert lam_run == pytest.approx(2.0 * math.log(3.0), rel=1.0e-15)
-        assert gap == pytest.approx(lam_run / 8.0 - 1.0, rel=1.0e-15)
-
 
 class TestSolverHealth:
-    """``simulate`` and ``experiment`` write the largest condition number of
-    the stepper's per-mode influence matrices to their run manifest."""
+    """``simulate`` and ``experiment`` write the same solver-health record
+    (``sim.run.solver_health``) to their run manifest."""
 
     def test_acceptance_configuration_is_well_conditioned(self, tmp_path):
-        from slipflow.sim import influence_condition
-
         # the acceptance channel and grid: mu = 0.5, M = 32, P = 64, dt = 4e-3
         rc = run_cli("--out", tmp_path, "simulate", "--linearized", "--t-end", "8e-3")
         assert rc == 0
         got = read_manifest(tmp_path)["influence_cond_max"]
         cfg = SimConfig(channel=ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)))
-        cond = influence_condition(cfg)
+        cond = _operator_set(cfg)["_influence_cond"]
         assert cond.shape == (32,) and not cond.flags.writeable
         assert got == float(cond.max())
         assert 1.0 < got < 1.0e3
 
     def test_experiment_manifest_names_its_grid(self, tmp_path):
-        from slipflow.sim import influence_condition
-
-        # a sweep refused at its start has still built its operators
+        # a sweep refused at its start has still built its operators, and
+        # its deltas recorded nothing
         rc = run_cli("--out", tmp_path, "experiment", "--mu", "0.5", "--m", "16",
                      "--p", "56", "--dt", "0.2", "--deltas", "1e-2")
         assert rc == 2
         cfg = SimConfig(channel=ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)),
                         M=16, P=56, dt=0.2)
-        assert read_manifest(tmp_path)["influence_cond_max"] == float(
-            influence_condition(cfg).max())
+        manifest = read_manifest(tmp_path)
+        assert manifest["influence_cond_max"] == float(
+            _operator_set(cfg)["_influence_cond"].max())
+        assert manifest["record_cfl_max"] is None
+        assert manifest["energy_residual_max"] is None
+
+    def test_experiment_manifest_reads_its_records(self, tmp_path, monkeypatch):
+        # record_cfl_max is the largest CFL number the record-time abort
+        # checks of the sweep's nonlinear branches read, and
+        # energy_residual_max the largest budget residual of a full branch
+        read, in_record = [], []
+        cfl_number, record = ChannelStepper.cfl_number, _Recorder.record
+
+        def reading(st, phi=None):
+            cfl = cfl_number(st, phi)
+            if in_record:
+                read.append(cfl)
+            return cfl
+
+        def recording(rec):
+            in_record.append(True)
+            try:
+                record(rec)
+            finally:
+                in_record.pop()
+
+        sweeps = []
+
+        def writing(exp, out):
+            sweeps.append(exp)
+            return write_experiment_outputs(exp, out)
+
+        monkeypatch.setattr(ChannelStepper, "cfl_number", reading)
+        monkeypatch.setattr(_Recorder, "record", recording)
+        monkeypatch.setattr(slipflow.sim, "write_experiment_outputs", writing)
+        rc = run_cli("--out", tmp_path, "experiment", "--mu", "0.1", "--m", "16",
+                     "--p", "56", "--dt", "1e-3", "--deltas", "1e-3", "1e-4")
+        assert rc == 1  # the escape spacing fails on this two-mode packet
+        (exp,) = sweeps
+        manifest = read_manifest(tmp_path)
+        # nf and nr read one CFL number each per record: 13 + 25 records
+        assert [o.steps.size for o in exp.outcomes] == [14, 26]
+        assert len(read) == 2 * (14 + 26)
+        recorded = np.concatenate([o.record_cfl for o in exp.outcomes])
+        assert sorted(recorded) == sorted(read)
+        assert manifest["record_cfl_max"] == max(read) > 0.0
+        assert manifest["energy_residual_max"] == max(
+            o.diagnostics.energy_residual.max() for o in exp.outcomes) > 0.0
+        cfg = SimConfig(channel=ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0)),
+                        M=16, P=56, dt=1.0e-3)
+        assert manifest["influence_cond_max"] == float(
+            _operator_set(cfg)["_influence_cond"].max())
+        lam = exp.lambdas[-1]
+        rate = manifest["crank_nicolson_rate"]
+        assert rate["lambda"] == lam
+        h = 0.5 * lam * 1.0e-3
+        assert rate["lambda_run"] == math.log((1.0 + h) / (1.0 - h)) / 1.0e-3
+        assert rate["relative_gap"] == rate["lambda_run"] / lam - 1.0
 
     def test_simulate_manifest_reads_its_records(self, tmp_path, monkeypatch):
         # record_cfl_max is the largest CFL number the record-time abort
@@ -292,13 +339,6 @@ class TestSolverHealth:
         assert manifest["record_cfl_max"] is None
         energy = np.loadtxt(tmp_path / "lin" / "energy.csv", delimiter=",", skiprows=1)
         assert manifest["energy_residual_max"] == energy[:, 5].max()
-
-    def test_refused_build_reads_null(self):
-        from slipflow.cli import _influence_cond_max
-
-        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
-        near = SimConfig(channel=channel, M=2, P=24, dt=4.293719, t_end=4.293719)
-        assert _influence_cond_max(near) is None
 
 
 class TestVerify:
@@ -363,12 +403,10 @@ class TestExperimentCommand:
 
 class TestNoGrowingMode:
     def test_every_command_reports_the_packet_refusal(self, tmp_path, capsys, monkeypatch):
-        import slipflow.critical
         from slipflow.sim import experiment
 
         # let the experiment past its lattice test, as an unresolved basis
         # would, so that its packet meets a spectrum with no growing mode
-        monkeypatch.setattr(slipflow.critical, "critical_wavenumber", lambda channel: 1.0)
         monkeypatch.setattr(experiment, "critical_wavenumber", lambda channel: 1.0)
         errors = []
         for command in (["modes"], ["simulate", "--t-end", "0.01"],

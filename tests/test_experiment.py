@@ -16,6 +16,8 @@ from slipflow.sim import (
     DeltaOutcome,
     SimConfig,
     SimulationBlowupError,
+    SpectralField2D,
+    StableRegimeError,
     field_from_packet,
     run,
     run_separation_experiment,
@@ -136,6 +138,33 @@ class TestSmokeSweep:
                     delta_dir_name(exp.deltas[0]) + "/separation.csv"):
             assert (tmp_path / rel).read_bytes() == (out / rel).read_bytes()
 
+    def test_sweep_records_on_the_schedule_of_a_run(self, smoke_experiment, tmp_path):
+        # a run of a delta's step count and stride records, and checkpoints,
+        # at that delta's steps; neither delta's last step is a multiple of 25
+        exp, _ = smoke_experiment
+        zero = SpectralField2D(np.zeros((3, 16), dtype=complex), exp.channel.L)
+        for o in exp.outcomes:
+            n = int(o.steps[-1])
+            assert n % 25 != 0
+            cfg = SimConfig(channel=exp.channel, M=2, P=16, dt=1.0e-3,
+                            t_end=(n - 0.5) * 1.0e-3, linearized=True,
+                            diagnostics_stride=25)
+            assert cfg.n_steps == n
+            result = run(zero, cfg, out_dir=tmp_path / str(n), checkpoint_stride=25)
+            steps = np.rint(result.diagnostics.times / 1.0e-3).astype(int)
+            np.testing.assert_array_equal(steps, o.steps)
+            written = [int(p.stem.split("_")[1]) for p in result.checkpoints]
+            assert written == o.steps[1:].tolist()
+
+    def test_slope_reads_the_last_step_both_deltas_recorded(self, smoke_experiment):
+        # the record the stride arithmetic names: row (shortest last step) //
+        # stride, step row * stride in every delta
+        exp, _ = smoke_experiment
+        row = min(int(o.steps[-1]) for o in exp.outcomes) // 25
+        assert [int(o.steps[row]) for o in exp.outcomes] == [row * 25] * 2
+        d = [math.log(o.d_from_linear_full[row]) for o in exp.outcomes]
+        assert exp.slope == float(np.polyfit([math.log(x) for x in exp.deltas], d, 1)[0])
+
 
 class TestRecordReference:
     def test_record_matches_the_per_field_functions(self, monkeypatch):
@@ -246,8 +275,13 @@ class TestLockedBranches:
 class TestValidation:
     def test_stable_regime_is_rejected(self):
         channel = ChannelConfig(L=1.0, mu=2.0, slip=SlipPair(1.0, 1.0))
-        with pytest.raises(ValidationError, match="stable regime"):
+        with pytest.raises(ValidationError, match="stable regime") as info:
             run_separation_experiment(channel)
+        # the text the CLI prints before it exits 0
+        assert isinstance(info.value, StableRegimeError)
+        assert str(info.value) == (
+            "stable regime: viscosity 2 is not below the critical viscosity "
+            "0.590784248785 of the fundamental wavenumber 1/L = 1; no simulation to run")
 
     def test_sim_channel_must_match(self):
         channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))

@@ -28,6 +28,7 @@ from slipflow.sim.run import (
     RunDiagnostics,
     _record_block,
     _Recorder,
+    solver_health,
 )
 from slipflow.sim.stepper import ChannelStepper
 from slipflow.sim.energy import boundary_production, gradient_dissipation
@@ -906,3 +907,24 @@ class TestLinearizedRun:
         np.testing.assert_array_equal(four.h2_norm, 4.0 * one.h2_norm)
         np.testing.assert_array_equal(four.boundary_production,
                                       16.0 * one.boundary_production)
+
+
+class TestSolverHealth:
+    """``solver_health``, the one owner of the health record that
+    ``simulate`` and ``experiment`` write."""
+
+    def test_crank_nicolson_rate_is_infinite_at_the_pole(self, channel):
+        def rate(lam, dt):
+            cfg = SimConfig(channel=channel, M=2, P=16, dt=dt, t_end=dt)
+            got = solver_health(cfg, lam, [], [])["crank_nicolson_rate"]
+            assert got["lambda"] == lam
+            return got["lambda_run"], got["relative_gap"]
+
+        assert rate(8.0, 0.25) == (math.inf, math.inf)
+        lam_run, gap = rate(8.0, 0.5)  # past the pole: g = -3
+        assert lam_run == pytest.approx(2.0 * math.log(3.0), rel=1.0e-15)
+        assert gap == pytest.approx(lam_run / 8.0 - 1.0, rel=1.0e-15)
+
+    def test_refused_build_reads_null(self, channel):
+        near = SimConfig(channel=channel, M=2, P=24, dt=4.293719, t_end=4.293719)
+        assert solver_health(near, 0.5, [], [])["influence_cond_max"] is None
