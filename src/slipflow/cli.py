@@ -231,16 +231,22 @@ def _cmd_spectrum(ns, out, channel, raw):
     spectrum = solve_spectrum(assemble(problem, build_basis(ns.basis)))
     write_csv(out / "spectrum.csv", "n,lambda", enumerate(spectrum.eigenvalues, start=1))
 
-    n_gal, n_oracle, max_rel = oracle_agreement(spectrum)
+    n_gal, n_oracle, max_rel, excused = oracle_agreement(spectrum)
     report = {
         "positive_count_galerkin": n_gal,
         "positive_count_oracle": n_oracle,
         "marginal_branches_oracle": determinant_roots(problem).marginal,
         "max_rel_mismatch": max_rel,
     }
+    # a Galerkin positive of a marginal branch is a roundoff rate, not a
+    # count mismatch; the report names it only when there is one
+    excuse = ""
+    if excused:
+        report["marginal_positives_excused"] = excused
+        excuse = f", {excused} marginal excused"
     write_json(out / "spectrum_report.json", report)
-    ok = n_gal == n_oracle and max_rel <= 1.0e-6
-    print(f"spectrum: k = {ns.k:g}, positive count {n_gal} (oracle {n_oracle}), "
+    ok = n_gal == n_oracle + excused and max_rel <= 1.0e-6
+    print(f"spectrum: k = {ns.k:g}, positive count {n_gal} (oracle {n_oracle}{excuse}), "
           f"max relative mismatch {max_rel:.3e} -> {'ok' if ok else 'MISMATCH'}")
     return (0 if ok else 1), ["spectrum.csv", "spectrum_report.json"]
 

@@ -36,7 +36,13 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 
 from .model import LatticeSweep, ModeProblem, ValidationError
-from .numerics import ChebBasis, find_root_bracketed, slip_defects, wall_values
+from .numerics import (
+    ChebBasis,
+    find_root_bracketed,
+    gauss_legendre,
+    slip_defects,
+    wall_values,
+)
 from .spectrum import Spectrum, assemble, solve_spectrum
 
 __all__ = [
@@ -137,12 +143,13 @@ def packet_l2_norm(packet: ModePacket, L: float = 1.0) -> float:
 
     The x1 integral of sin^2 or cos^2 over the 2 pi L period is pi L for
     every lattice mode, so the norm reduces to a Gauss-Legendre quadrature
-    of the profile polynomials |sum c_j psi_j|^2 + |sum c_j phi_j|^2.
+    (``numerics.gauss_legendre``, the rule of the modes' basis) of the
+    profile polynomials |sum c_j psi_j|^2 + |sum c_j phi_j|^2.
     """
     if packet.count == 0:
         return 0.0
     n_gl = max(m.phi.coef.size for m in packet.modes) + 2
-    x, w = np.polynomial.legendre.leggauss(n_gl)
+    x, w = gauss_legendre(n_gl)
     su = np.zeros_like(x)
     sv = np.zeros_like(x)
     for cj, mode in zip(packet.coefficients, packet.modes):
@@ -175,13 +182,13 @@ def mode_residuals(mode: NormalMode):
     Returns (line1, line2, wall, slip): the L2 norms over [-1, 1] of the two
     momentum lines, max |phi(+/-1)|, and the larger slip defect
     |mu psi'(+/-1) -/+ xi_{+/-} psi(+/-1)| (``slip_defects`` of u1 = psi).
-    The quadrature is Gauss-Legendre with four points more than the trial
-    basis size.
+    The quadrature is the Gauss-Legendre rule with four points more than
+    the trial basis size, the basis's own (``numerics.gauss_legendre``).
     """
     prob = mode.problem
     k, mu, lam = prob.k, prob.mu, mode.lam
     psi, phi, pi = mode.psi, mode.phi, mode.pi
-    x, w = np.polynomial.legendre.leggauss(phi.coef.size + 2)
+    x, w = gauss_legendre(phi.coef.size + 2)
     r1 = lam * psi(x) - k * pi(x) + mu * (k * k * psi(x) - psi.deriv(2)(x))
     r2 = lam * phi(x) + pi.deriv()(x) + mu * (k * k * phi(x) - phi.deriv(2)(x))
     wall = float(np.abs(wall_values(phi.coef)).max())

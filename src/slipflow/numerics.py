@@ -9,7 +9,9 @@ enforces the essential conditions phi(+/-1) = 0 exactly; slip conditions are
 natural and never imposed on the trial space.  All inner products are formed
 with a Gauss-Legendre rule on N + 4 nodes, which is exact for polynomials of
 degree 2(N + 4) - 1 = 2N + 7, enough for every form assembled here (degree
-at most 2N + 6).
+at most 2N + 6).  Each rule comes from ``gauss_legendre``, one read-only
+rule per node count, which the DNS Gram matrices and the mode quadratures
+read too.
 
 Derivative values of the basis are tabulated once, up to fourth order, at
 the quadrature nodes and at the walls; assembly and residual evaluation are
@@ -53,6 +55,7 @@ __all__ = [
     "ChebBasis",
     "build_basis",
     "chebder_map",
+    "gauss_legendre",
     "solve_generalized_symmetric",
     "inverse_cholesky",
     "whiten",
@@ -139,6 +142,20 @@ def chebder_map(n: int) -> np.ndarray:
     return D
 
 
+@lru_cache(maxsize=16)
+def gauss_legendre(n: int):
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule
+    (``legendre.leggauss``), exact for polynomials of degree <= 2n - 1.
+
+    Built once per node count and shared by every reader: ``build_basis``,
+    the DNS Gram matrices (``sim.field._gram_matrix``) and the mode
+    quadratures (``modes.packet_l2_norm``, ``modes.mode_residuals``).
+    """
+    nodes, weights = legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _basis_series(N: int):
     """Yield the Chebyshev-T series of phi_j^(d), d = 0 .. MAX_DERIVATIVE, as
     (N, N+2-d) row arrays: phi_j = (1 - x**2) T_j = T_j / 2 - (T_{j+2} +
@@ -163,7 +180,7 @@ def build_basis(N: int) -> ChebBasis:
         raise ValueError(f"basis size must be an integer >= 4, got {N}")
     N = int(N)
 
-    nodes, weights = legendre.leggauss(N + 4)
+    nodes, weights = gauss_legendre(N + 4)
     # Vandermonde of T_0 .. T_{N+1} at the quadrature nodes and the walls;
     # the table of each derivative order is one matmul with its leading columns
     node_vander = C.chebvander(nodes, N + 1)
@@ -176,7 +193,7 @@ def build_basis(N: int) -> ChebBasis:
         if d == 0:
             coeff_rows = series
 
-    for arr in (nodes, weights, coeff_rows, *node_tables, *wall_tables):
+    for arr in (coeff_rows, *node_tables, *wall_tables):
         arr.flags.writeable = False
 
     return ChebBasis(

@@ -2,9 +2,14 @@
 
 Floats are printed with 17 significant digits, enough to round-trip every
 double exactly, so reruns reproduce each CSV byte for byte and a reader
-recovers the stored values bit for bit.  JSON is indented by two spaces
-with sorted keys and ends in a newline; a non-finite float (a quantity a
-failed run never measured) is written as null.
+recovers the stored values bit for bit.  Each CSV row is formatted by one
+``%`` of its header's count of ``%.17g`` fields over the row's values, so
+a row has one value per header column.  ``%.17g`` prints a float and its
+NumPy scalar alike (and an integer as its digits), so a row of Python
+numbers, such as a ``tolist()`` of stacked columns, gives the bytes of
+``csv_row``.  JSON is indented by two spaces with sorted keys and ends in
+a newline; a non-finite float (a quantity a failed run never measured) is
+written as null.
 
 Standard library only: the command-line module imports it before numpy is
 loaded.
@@ -39,8 +44,10 @@ def write_lines(path, lines) -> Path:
 
 
 def write_csv(path, header: str, rows) -> Path:
-    """A header line followed by one ``csv_row`` per row of numbers."""
-    return write_lines(path, [header, *(csv_row(row) for row in rows)])
+    """A header line followed by one line per row of numbers, each the
+    ``csv_row`` of the row, formatted by one ``%`` over the row's values."""
+    line = ",".join([_FLOAT] * (header.count(",") + 1))
+    return write_lines(path, [header, *(line % tuple(row) for row in rows)])
 
 
 def _finite(obj):

@@ -16,14 +16,18 @@ delta * F_N(T^delta) = epsilon0, and verifies with measured constants that
 Each branch is integrated alongside a linearized twin started from the same
 initial data, all four with the same step size, so the recorded difference
 from linear isolates the quadratic (advection) effect rather than the time
-discretization error of the linear propagator.  Every delta starts first,
-in the given order; then one loop over the step index m advances the
-nonlinear branches of every running delta in one group step
+discretization error of the linear propagator.  A delta runs n =
+ceil(T^delta / dt) steps, the last of length h = T^delta - (n - 1) dt
+(``ChannelStepper.step``'s ``last``), so its last record, the separation, the
+bound, the gates and ``t_final`` are read at T^delta itself.  Every delta
+starts first, in the given order; then one loop over the step index m
+advances the nonlinear branches of every running delta in one group step
 (``ChannelStepper.step``) and their linear twins in another, and each delta
 records on the schedule of a run (``sim.run._scheduled``) and leaves the
-loop after its last step.  The group step makes each branch's products of a
-lone step, so a delta's series do not depend on which deltas share its
-sweep, bit for bit.  Every packet starts in the
+loop after its last step, a lone step of each branch on the operators
+built for its h.  The group step makes each branch's products of a lone
+step, so a delta's series do not depend on which deltas share its sweep,
+bit for bit.  Every packet starts in the
 odd-in-x1 symmetry class (pure imaginary mode rows, zero mean flow), the
 one class the nonlinear stepper takes, and its half-period products keep
 the branches in it exactly (see ``sim.stepper``).  That matters:
@@ -41,7 +45,7 @@ stable, i.e. mu >= mu_c(1/L) (``critical.critical_wavenumber`` is None), and
 ``modes.build_packet`` refuses a wavenumber with no growing mode.  Each
 nonlinear branch starts and records through the checks of a run
 (``sim.run``), the full one's start is also refused when the CFL number of
-the linear prediction at t_final exceeds the record's abort bound CFL_ABORT,
+the linear prediction at T^delta exceeds the record's abort bound CFL_ABORT,
 and the twins have no CFL bound.  A refused start takes no step and is that
 delta's recorded ValidationError (``DeltaOutcome.refused``); a CFL number
 above CFL_ABORT in either nonlinear branch at a record is its
@@ -91,6 +95,7 @@ from .stepper import (
     InfluenceConditioningError,
     SimConfig,
     SimulationBlowupError,
+    _last_step_operators,
 )
 
 __all__ = [
@@ -237,21 +242,23 @@ class _DeltaRun(_Recorder):
         self.delta, self.packet, self.sim = delta, packet, sim
         self.epsilon0, self.c1, self.delta0 = epsilon0, c1, delta0
         self.t_delta = escape_time(packet, delta, epsilon0)
-        # SimConfig's step count: one step when T^delta is below dt
-        self.n_steps = replace(sim, t_end=max(self.t_delta, sim.dt)).n_steps
-        cfg = replace(sim, t_end=self.n_steps * sim.dt, linearized=False)
+        # SimConfig's step count, one step when T^delta is below dt; the
+        # last step has length h and ends at T^delta
+        cfg = replace(sim, t_end=max(self.t_delta, sim.dt), linearized=False)
+        self.n_steps = cfg.n_steps
+        self.h = self.t_delta - (self.n_steps - 1) * sim.dt
         twin = replace(cfg, linearized=True)
 
         unit_full, unit_reduced = units
         full0 = unit_full * delta
         nf = _start(full0, cfg)
-        # refuse a dt whose CFL number at the linear prediction for t_final,
+        # refuse a dt whose CFL number at the linear prediction for T^delta,
         # embedded like the initial data, passes the record's abort bound
         grown = ModePacket(packet.modes,
-                           packet.coefficients * np.exp(packet.lambdas * cfg.t_end))
+                           packet.coefficients * np.exp(packet.lambdas * self.t_delta))
         predicted = field_from_packet(grown, sim.M, sim.P, sim.channel.L) * delta
         cfl = nf.cfl_number(nf._solve_planes(nf._state_from_streamfunction(predicted).imag))
-        _refuse_dt(cfg, cfl, CFL_ABORT, f"the linear prediction at t = {cfg.t_end:g}")
+        _refuse_dt(cfg, cfl, CFL_ABORT, f"the linear prediction at t = {self.t_delta:g}")
         # a linear twin holds its branch's checked initial data
         lf = ChannelStepper(twin, full0)
         self.reduced_active = unit_reduced is not None
@@ -267,6 +274,13 @@ class _DeltaRun(_Recorder):
     def branches(self, linearized: bool) -> list:
         """The nonlinear branches (nf, nr) or their linear twins (lf, lr)."""
         return [st for st in self.steppers if st.cfg.linearized == linearized]
+
+    def last_step(self):
+        """Step every branch by the last step, of length h, to T^delta: each
+        a lone step on the one operator set built for this delta's h."""
+        last = _last_step_operators(self.sim, self.h)
+        for st in self.steppers:
+            st.step(last=last)
 
     def _evaluate(self, block: tuple, *others: tuple):
         # the block is the last n records: nf's diagnostics, then nf, nr, lf,
@@ -347,19 +361,22 @@ class _DeltaRun(_Recorder):
 
 def _step_sweep(live: dict, outcomes: list, stride: int):
     """Step the started deltas ``live`` (index -> _DeltaRun) to their last
-    steps, filling ``outcomes`` by index.  Each step m advances the
-    nonlinear branches of every live delta in one group step and their
-    linear twins in another (``ChannelStepper.step``); then each delta
-    records when m is on its schedule (``_scheduled``) and leaves after its
-    last step.  A failure ends its own delta only: a group step's
-    SimulationBlowupError the deltas of the branches it names (a
-    FloatingPointError, which names none, every delta of the group), a
-    record's failure its delta."""
+    steps, filling ``outcomes`` by index.  Each step m before a delta's
+    last advances the nonlinear branches of every such delta in one group
+    step and their linear twins in another (``ChannelStepper.step``); at
+    its last step a delta steps its branches alone, by h to T^delta
+    (``_DeltaRun.last_step``).  Then each delta records when m is on its
+    schedule (``_scheduled``) and leaves after its last step.  A failure
+    ends its own delta only: a group step's SimulationBlowupError the
+    deltas of the branches it names (a FloatingPointError, which names
+    none, every delta of the group), a last step's or a record's failure
+    its delta."""
     m = 0
     while live:
         m += 1
         for linearized in (False, True):
-            group = [st for run in live.values() for st in run.branches(linearized)]
+            group = [st for run in live.values() if m < run.n_steps
+                     for st in run.branches(linearized)]
             if not group:
                 continue
             try:
@@ -372,6 +389,8 @@ def _step_sweep(live: dict, outcomes: list, stride: int):
                         del live[i]
         for i, run in list(live.items()):
             try:
+                if m == run.n_steps:
+                    run.last_step()
                 if _scheduled(m, run.n_steps, stride):
                     run.record()
                 if m == run.n_steps:
@@ -384,14 +403,16 @@ def _step_sweep(live: dict, outcomes: list, stride: int):
 
 def _fit_slope(outcomes) -> float:
     """Slope of log(d_from_linear_full) vs log(delta) at a shared fixed time,
-    the last step past 0 that every completed delta recorded."""
+    the last time past 0 that every completed delta recorded (a record at
+    step m reads t = m dt in every delta; a last record, at T^delta, only
+    where T^delta is such a time)."""
     done = [o for o in outcomes if o.error is None]
     if len(done) < 2:
         return math.nan
-    step = max(set.intersection(*(set(o.steps.tolist()) for o in done)))
-    if step == 0:
+    t = max(set.intersection(*(set(o.times.tolist()) for o in done)))
+    if t == 0.0:
         return math.nan
-    d = [float(o.d_from_linear_full[np.searchsorted(o.steps, step)]) for o in done]
+    d = [float(o.d_from_linear_full[np.searchsorted(o.times, t)]) for o in done]
     if min(d) <= 0.0:
         return math.nan
     xs = [math.log(o.delta) for o in done]
@@ -570,13 +591,8 @@ def write_experiment_outputs(exp: SeparationExperiment, out_dir) -> list:
             series = write_csv(
                 sub / "separation.csv",
                 "t,sep_l2,linear_prediction,d_from_linear_full,d_from_linear_reduced",
-                zip(
-                    o.times,
-                    o.sep_l2,
-                    o.linear_prediction,
-                    o.d_from_linear_full,
-                    o.d_from_linear_reduced,
-                ),
+                np.column_stack([o.times, o.sep_l2, o.linear_prediction,
+                                 o.d_from_linear_full, o.d_from_linear_reduced]).tolist(),
             )
             diag = diagnostics_to_csv(o.diagnostics, sub / "diagnostics.csv")
             written.extend([series, diag])

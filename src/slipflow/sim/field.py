@@ -43,7 +43,7 @@ from numpy.polynomial import chebyshev as C
 
 from ..model import SlipPair, ValidationError
 from ..modes import ModePacket, packet_streamfunction_profile
-from ..numerics import chebder_map, slip_defects, wall_values
+from ..numerics import chebder_map, gauss_legendre, slip_defects, wall_values
 
 __all__ = [
     "SpectralField2D",
@@ -136,17 +136,27 @@ def _chebder_rows(rows: np.ndarray, order: int = 1) -> np.ndarray:
     return rows @ _chebder_matrix(rows.shape[1], order).T
 
 
+@lru_cache(maxsize=4)
+def _legendre_vander(P: int) -> np.ndarray:
+    """Read-only (P, P) table of T_0..T_(P-1) at the P Gauss-Legendre nodes
+    of ``gauss_legendre(P)``."""
+    out = C.chebvander(gauss_legendre(P)[0], P - 1)
+    out.flags.writeable = False
+    return out
+
+
 def _gram_matrix(P: int, order: int) -> np.ndarray:
     """(P, P) Gram matrix int T_i^(order) T_j^(order) dx2 over [-1, 1].
 
     B holds the order-th derivatives of T_0..T_(P-1) at the P Gauss-Legendre
     nodes x with weights w, and G = B^T diag(w) B is exact for these
-    degree <= 2P - 2 integrands.  Not cached: ``_gram_stack``, its one
-    caller, is.
+    degree <= 2P - 2 integrands.  The rule and the Chebyshev table at its
+    nodes are cached (``gauss_legendre``, ``_legendre_vander``), so the
+    three orders of ``_gram_stack``, its one caller, share them; the
+    matrix itself is not cached: the stack is.
     """
-    x, w = np.polynomial.legendre.leggauss(P)
-    B = C.chebvander(x, P - 1) @ _chebder_matrix(P, order)
-    return B.T @ (w[:, None] * B)
+    B = _legendre_vander(P) @ _chebder_matrix(P, order)
+    return B.T @ (gauss_legendre(P)[1][:, None] * B)
 
 
 @dataclass

@@ -227,18 +227,20 @@ class _Recorder:
     """Diagnostics records of ``steppers``, captured at once and evaluated
     in blocks; the first stepper's records are the run's.
 
-    ``record`` is the capture: it stashes the step count and a copy of the
-    real planes each stepper's diagnostics read (``_diagnostic_planes``): the rows
-    0 .. b-1, b the end of the stepper's box, all M+1 rows of a nonlinear
-    state, and on a linearized one the prefix ending with its last live row
-    (b >= 1, so the mean row stays).  Every later row is exactly zero in
-    the streamfunction, the velocity, the viscous tendency and that
-    tendency's velocity, so the prefix has the same norms, wall traces and
-    inner products as the full rows.  A locked state reads its imaginary
-    plane alone, the real one being zero.  A nonlinear stepper's captured
-    planes are solved at once and ``_abort_past_cfl`` reads their CFL
-    number (kept in ``cfl``, in capture order), so a CFL failure stops the
-    run at the record that crosses, that record already stashed.
+    ``record`` is the capture: it stashes the step count, the time of the
+    first stepper (``t``: steps dt, or the end of a last step of length h)
+    and a copy of the real planes each stepper's diagnostics read
+    (``_diagnostic_planes``): the rows 0 .. b-1, b the end of the stepper's
+    box, all M+1 rows of a nonlinear state, and on a linearized one the
+    prefix ending with its last live row (b >= 1, so the mean row stays).
+    Every later row is exactly zero in the streamfunction, the velocity,
+    the viscous tendency and that tendency's velocity, so the prefix has
+    the same norms, wall traces and inner products as the full rows.  A
+    locked state reads its imaginary plane alone, the real one being zero.
+    A nonlinear stepper's captured planes are solved at once and
+    ``_abort_past_cfl`` reads their CFL number (kept in ``cfl``, in capture
+    order), so a CFL failure stops the run at the record that crosses,
+    that record already stashed.
 
     Once the stash holds ``_BLOCK_BYTES`` (16 KiB) of planes and solved
     planes, and at ``finish`` (which a failed run calls too), ``evaluate``
@@ -250,7 +252,7 @@ class _Recorder:
 
     def __init__(self, *steppers: ChannelStepper):
         self.steppers = steppers
-        self.steps, self.cfl, self.values = [], [], []
+        self.steps, self.times, self.cfl, self.values = [], [], [], []
         self._stash, self._bytes = [], 0
 
     def record(self):
@@ -262,6 +264,7 @@ class _Recorder:
             captured.append((x, phi))
             self._bytes += x.nbytes + (0 if phi is None else phi.nbytes)
         self.steps.append(self.steppers[0].steps)
+        self.times.append(self.steppers[0].t)
         self._stash.append(captured)
         for st, (_, phi) in zip(self.steppers, captured):
             if phi is not None:
@@ -293,7 +296,7 @@ class _Recorder:
     def finish(self) -> RunDiagnostics:
         self.evaluate()
         series = [np.concatenate(blocks) for blocks in zip(*self.values)] or [np.zeros(0)] * 8
-        times = np.array(self.steps) * self.steppers[0].cfg.dt  # each stepper's t
+        times = np.array(self.times, dtype=float)
         return RunDiagnostics(times, *series, _growth_rate(times, series[0]))
 
 
@@ -462,7 +465,7 @@ def read_checkpoint(path: str | Path, cfg: SimConfig) -> ChannelStepper:
 def _series_to_csv(diag: RunDiagnostics, path: str | Path, header: str) -> Path:
     """The ``RunDiagnostics`` series of the ``header`` columns (``_CSV_FIELDS``)."""
     cols = [getattr(diag, _CSV_FIELDS.get(name, name)) for name in header.split(",")]
-    return write_csv(path, header, zip(*cols))
+    return write_csv(path, header, np.column_stack(cols).tolist())
 
 
 def diagnostics_to_csv(diag: RunDiagnostics, path: str | Path) -> Path:

@@ -19,9 +19,12 @@ Prognostic variables, per Fourier mode n in x1:
     with V^-1 shared by every mode, a per-mode diagonal, and V, which is
     folded into every map that reads the streamfunction.
     The operators depend only on (M, P, L, mu, xi_-, xi_+, dt): they are
-    built once per configuration, shared read-only by every stepper that has
-    it (the branches of an experiment, a stepper read from a checkpoint),
-    and a small cache keeps the last few configurations.
+    built once per configuration (``_operators``), shared read-only by
+    every stepper that has it (the branches of an experiment, a stepper
+    read from a checkpoint), and a small cache keeps the last few
+    configurations.  The grid tables that both builds read, D, D2 and the
+    Dirichlet eigenbasis, depend on P alone and are formed once per P
+    (``_grid``).
   * n = 0: the x1-mean of u1, advanced by Crank-Nicolson diffusion with the
     Robin slip rows mu u' = +xi_+ u (top) and mu u' = -xi_- u (bottom)
     replacing the wall equations, unforced: only a linearized state has a
@@ -32,10 +35,16 @@ Advection uses second-order Adams-Bashforth extrapolation (first step:
 plain Euler weights), evaluated pseudospectrally on a grid padded to 4M
 points in x1 and ceil(3P/2) Chebyshev nodes in x2, which removes quadratic
 aliasing in both directions.  The x2 half of the padding is two fixed real
-matrices built with the operators: the pad matrix maps the P node values to
+matrices: the pad matrix maps the P node values to
 the ceil(3P/2) padded node values of the same polynomial, and the unpad
 matrix maps padded node values to the P node values of their truncation to
 P Chebyshev coefficients.  The x1 half is the sine and cosine table below.
+These advection and CFL tables (``_n1``, ``_pad``, ``_unpad``,
+``_pad_with_d``, ``_phi_pad``, ``_half_sin``, ``_closed_cos``,
+``_half_cos``, ``_half_fwd``) depend on the grid (M, P, L) alone: one
+read-only build per grid (``_advection_tables``), which a nonlinear
+stepper installs and ``cfl_number`` reads.  A linearized step forms no
+advection, so a linearized run never builds them.
 
 The state and the AB2 advection history are real (2, M+1, P) arrays, the
 real and the imaginary parts of the rows.  Building the stepper or loading
@@ -242,11 +251,45 @@ def _dirichlet_eigenbasis(A: np.ndarray):
     return lam, Q @ V, V_inv @ Q.T
 
 
+def _read_only(tables: dict) -> dict:
+    """``tables`` with every array made read-only: a build is shared."""
+    for value in tables.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(P: int) -> tuple:
+    """The x2 tables of P nodes that both builds read, read-only: the CGL
+    nodes x2, D, D2 = D @ D and the Dirichlet eigenbasis (lam, V, V^-1) of
+    the interior D2 (``_dirichlet_eigenbasis``), formed once per P."""
+    x2 = cgl_nodes(P)
+    D = cheb_diff_matrix(P)
+    D2 = D @ D
+    lam, V, V_inv = _dirichlet_eigenbasis(D2[1:-1, 1:-1])
+    out = (x2, D, D2, lam, V, V_inv)
+    for value in out:
+        value.flags.writeable = False
+    return out
+
+
 def _operator_set(cfg: SimConfig) -> dict:
     """The shared read-only operators of ``cfg`` (``_operators``)."""
     slip = cfg.channel.slip
     return _operators(cfg.M, cfg.P, cfg.channel.L, cfg.channel.mu,
                       slip.xi_minus, slip.xi_plus, cfg.dt)
+
+
+def _last_step_operators(cfg: SimConfig, h: float) -> dict:
+    """The operators of a last step of length ``h`` on ``cfg``'s channel and
+    grid (``ChannelStepper.step``'s ``last``): those of ``_operators`` at
+    dt = h, and h itself as ``"h"``.  Built afresh, not cached: each delta
+    of a sweep ends with its own h, and a cached set would outlive it."""
+    slip = cfg.channel.slip
+    ops = _operators.__wrapped__(cfg.M, cfg.P, cfg.channel.L, cfg.channel.mu,
+                                 slip.xi_minus, slip.xi_plus, h)
+    return {**ops, "h": h}
 
 
 @functools.lru_cache(maxsize=4)
@@ -255,13 +298,12 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     """The operators of one stepper configuration, by ChannelStepper attribute name.
 
     Built once per configuration and shared by every stepper that has it,
-    so every array is read-only.  An ill-conditioned influence matrix raises
-    InfluenceConditioningError, and a raise is not cached, so each
-    construction of such a stepper raises.
+    so every array is read-only.  The advection and CFL tables depend on
+    the grid alone and are not here (``_advection_tables``).  An
+    ill-conditioned influence matrix raises InfluenceConditioningError, and
+    a raise is not cached, so each construction of such a stepper raises.
     """
-    x2 = cgl_nodes(P)
-    D = cheb_diff_matrix(P)
-    D2 = D @ D
+    x2, D, D2, lam, V, V_inv = _grid(P)
     kappa = np.arange(M + 1) / L
     alpha = 0.5 * mu * dt
 
@@ -270,32 +312,37 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     slip_minus = mu * D2[-1] + xi_minus * D[-1]
 
     eye = np.eye(P)
-    # Per-mode Helmholtz operators H = D2 - kappa_n^2 (modes 0..M) and the
-    # Crank-Nicolson matrices A = I - alpha H with identity wall rows,
-    # except the mean mode's Robin rows; zeroing the wall columns of A^-1
-    # folds in the zeroed wall rows of every right-hand side.
+    # Per-mode Helmholtz operators H = D2 - kappa_n^2 (modes 0..M).  Each
+    # stack is dropped once read, negations and the Crank-Nicolson matrix
+    # are formed in place, and T is formed in place, so at most two
+    # (M+1, P, P) arrays are live during the build (a last step of a sweep
+    # builds one more set beside the one its steppers hold).
     H = D2 - (kappa**2)[:, None, None] * eye
-    A = eye - alpha * H
+    # The slip rows S Kinv of the Poisson-Dirichlet inverse Kinv = -K^-1 Z,
+    # K = H with identity wall rows, from the inverse of K.  Slip rows from
+    # the eigenbasis below, or from one solve with K^T, lose up to two
+    # digits to cancellation in S phi (see TestExtendedPrecision).  K's
+    # wall rows are written into H; A overwrites those rows below.
+    K = H[1:]
+    K[:, 0], K[:, -1] = eye[0], eye[-1]
+    k_inv = np.linalg.inv(K)
+    k_inv[:, :, [0, -1]] = 0.0
+    SK = np.stack([slip_plus, slip_minus]) @ np.negative(k_inv, out=k_inv)
+    del K, k_inv
+    # the Crank-Nicolson matrices A = I - alpha H with identity wall rows,
+    # except the mean mode's Robin rows; zeroing the wall columns of A^-1
+    # folds in the zeroed wall rows of every right-hand side
+    A = H
+    del H
+    A *= -alpha
+    A += eye
     A[:, 0], A[:, -1] = eye[0], eye[-1]
     A[0, 0] = mu * D[0] - xi_plus * eye[0]
     A[0, -1] = mu * D[-1] + xi_minus * eye[-1]
-    # each matrix is dropped once solved and T is formed in place, so at
-    # most three (M+1, P, P) arrays are live during the build
     a_inv = np.linalg.inv(A)
     del A
     og = a_inv[1:, :, [0, -1]]  # unit omega wall values through the solve
     a_inv[:, :, [0, -1]] = 0.0
-    # The slip rows S Kinv of the Poisson-Dirichlet inverse Kinv = -K^-1 Z,
-    # K = H with identity wall rows, from the inverse of K.  Slip rows from
-    # the eigenbasis below, or from one solve with K^T, lose up to two
-    # digits to cancellation in S phi (see TestExtendedPrecision).
-    K = H[1:]
-    K[:, 0], K[:, -1] = eye[0], eye[-1]
-    k_inv = np.linalg.inv(K)
-    del H, K
-    k_inv[:, :, [0, -1]] = 0.0
-    SK = np.stack([slip_plus, slip_minus]) @ -k_inv
-    del k_inv
     G = SK @ og
     finite = np.isfinite(G).all(axis=(1, 2))
     cond = np.full(M, np.inf)
@@ -317,17 +364,37 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     # solve is the per-mode diagonal -1 / (lam - kappa_n^2) (zero on the
     # mean row), and every map that reads the streamfunction takes
     # eigen-coordinates, V folded into it
-    lam, V, V_inv = _dirichlet_eigenbasis(D2[1:-1, 1:-1])
     to_eig = np.zeros((P, P - 2))
     to_eig[1:-1] = V_inv.T
     eig_solve = np.zeros((M + 1, P - 2))
     eig_solve[1:] = -1.0 / (lam - (kappa[1:] ** 2)[:, None])
+    C = _cheb_transform_matrix(P, False)
+    return _read_only({
+        "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
+        "_slip_plus": slip_plus, "_slip_minus": slip_minus,
+        "_explicit_base": eye + alpha * D2,  # row form handles kappa in step
+        "_T": a_inv, "_influence_cond": cond,
+        "_to_eig": to_eig, "_eig_solve": eig_solve,
+        "_coeff_map": V.T @ np.hstack([(C @ D).T, C.T])[1:-1], "_node_coeffs": C.T,
+    })
 
+
+@functools.lru_cache(maxsize=4)
+def _advection_tables(M: int, P: int, L: float) -> dict:
+    """The advection and CFL tables of one grid, by ChannelStepper attribute name.
+
+    They depend on (M, P, L) alone, so steppers of one grid share one
+    read-only build whatever their viscosity, slip and dt: a nonlinear
+    stepper installs it, ``cfl_number`` reads it, and a linearized run,
+    which forms no advection, never builds it.
+    """
+    _, D, _, _, V, _ = _grid(P)
+    kappa = np.arange(M + 1) / L
     # product grid padded against quadratic aliasing in x1 and x2
     n1 = max(4 * M, 8)
     p_pad = math.ceil(3 * P / 2)
     pad_coeffs = np.zeros((p_pad, P))
-    pad_coeffs[:P] = cheb_coeffs_from_values(eye, axis=0)
+    pad_coeffs[:P] = cheb_coeffs_from_values(np.eye(P), axis=0)
     pad = cheb_values_from_coeffs(pad_coeffs, axis=0)
     unpad = cheb_values_from_coeffs(
         cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
@@ -341,23 +408,12 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     angle = (np.pi / half) * (np.outer(np.arange(half + 1), np.arange(1, M + 1)) % n1)
     sin, cos = 2.0 * np.sin(angle), 2.0 * np.cos(angle)
     closed_cos = cos * kappa[1:]
-    C = _cheb_transform_matrix(P, False)
-    ops = {
-        "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
-        "_slip_plus": slip_plus, "_slip_minus": slip_minus,
-        "_explicit_base": eye + alpha * D2,  # row form handles kappa in step
-        "_T": a_inv, "_influence_cond": cond,
-        "_to_eig": to_eig, "_eig_solve": eig_solve,
+    return _read_only({
         "_n1": n1, "_pad": pad, "_unpad": unpad,
         "_pad_with_d": pad_with_d, "_phi_pad": V.T @ pad_with_d[1:-1],
         "_half_sin": sin[1:half], "_closed_cos": closed_cos,
         "_half_cos": closed_cos[1:-1], "_half_fwd": sin[1:half].T / -n1,
-        "_coeff_map": V.T @ np.hstack([(C @ D).T, C.T])[1:-1], "_node_coeffs": C.T,
-    }
-    for value in ops.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return ops
+    })
 
 
 class ChannelStepper:
@@ -394,10 +450,14 @@ class ChannelStepper:
 
     The operators come from ``_operators``, one read-only build per
     (M, P, L, mu, xi_-, xi_+, dt) shared by every stepper of that
-    configuration.  The state planes ``_state``, the history planes
-    ``_history`` and the box ``_box`` are the stepper's own and set by
-    ``_install`` alone, which refuses a nonlinear state outside the locked
-    class; readers get complex rows from ``_rows`` and ``_blocks``.
+    configuration.  The advection tables below come from
+    ``_advection_tables``, one read-only build per grid (M, P, L): a
+    nonlinear stepper installs them, a linearized one holds none, and
+    ``cfl_number`` reads the build of its grid.  The state planes
+    ``_state``, the history planes ``_history`` and the box ``_box`` are the
+    stepper's own and set by ``_install`` alone, which refuses a nonlinear
+    state outside the locked class; readers get complex rows from ``_rows``
+    and ``_blocks``.
 
     ``step(*others)`` advances this stepper and ``others`` in one group
     step.  Steppers may share a step when they share the operator set (one
@@ -405,8 +465,9 @@ class ChannelStepper:
     history; ``step`` refuses any other group with ValueError.  Each product
     broadcasts over the group's leading branch axis instead of forming one
     wider product, so a branch's result does not depend on the others.
-    Each step counts in ``steps`` and sets ``t = steps * dt``, so the clock
-    gathers no rounding from repeated sums.
+    Each step counts in ``steps`` and sets ``t = steps * dt`` (a last step
+    of length h, ``t = (steps - 1) * dt + h``), so the clock gathers no
+    rounding from repeated sums.
 
     The x1 synthesis is one table of 2 sin(kappa_n x1_j) and
     2 cos(kappa_n x1_j), n = 1 .. M, at x1_j = j pi L / (n1/2),
@@ -452,6 +513,8 @@ class ChannelStepper:
 
     def _build_operators(self):
         vars(self).update(_operator_set(self.cfg))
+        if not self.cfg.linearized:
+            vars(self).update(_advection_tables(self.cfg.M, self.cfg.P, self.L))
 
     # -- representation changes ----------------------------------------
 
@@ -572,11 +635,17 @@ class ChannelStepper:
 
     # -- stepping --------------------------------------------------------
 
-    def step(self, *others: ChannelStepper):
+    def step(self, *others: ChannelStepper, last: dict | None = None):
         """Advance the box x of the state one dt, x <- T (x E^T - alpha kappa^2 x
         - dt AB2(adv)), with the AB2 history in the same box of ``_history``
         (Euler weights on the very first step).  A linearized step forms no
         streamfunction and no advection (both would be zero).
+
+        Given ``last`` (``_last_step_operators``), this is the last step of a
+        run that ends between two multiples of dt: a step of its length h,
+        with its operators (the advection tables are the grid's own) and the
+        variable-step AB2 weights (1 + h / 2dt, -h / 2dt) after steps of dt;
+        the clock then reads (steps - 1) dt + h.
 
         ``others`` join the step as one group (see the class docstring); a
         lone stepper is the one-branch group, its box a view with no copy.
@@ -589,25 +658,31 @@ class ChannelStepper:
                 raise ValueError("steppers in one step must share the operators, the "
                                  "linearized flag, the box and the AB2 history")
         cfg, box = self.cfg, self._box
+        # the step length, the AB2 weight r of (1 + r, -r) and the operators
+        if last is None:
+            dt, r, ops = cfg.dt, 0.5, vars(self)
+        else:
+            dt, r, ops = last["h"], 0.5 * last["h"] / cfg.dt, last
+        T, base, alpha = ops["_T"], ops["_explicit_base"], ops["_alpha"]
         rows = box[1]
         x = _on_leading_axis([st._state[box] for st in group])
-        rhs = x @ self._explicit_base.T
-        rhs -= self._alpha * (self.kappa[rows] ** 2)[:, None] * x
+        rhs = x @ base.T
+        rhs -= alpha * (self.kappa[rows] ** 2)[:, None] * x
         if not cfg.linearized:
             adv = self._advection(self._solve_planes(x, rows), x)
             if self._have_history:
-                rhs -= cfg.dt * (1.5 * adv - 0.5 * _on_leading_axis(
+                rhs -= dt * ((1.0 + r) * adv - r * _on_leading_axis(
                     [st._history[box] for st in group]))
             else:
-                rhs -= cfg.dt * adv
+                rhs -= dt * adv
             for st, a in zip(group, adv):
                 st._history[box] = a
-        new = (self._T[rows] @ rhs[..., None])[..., 0]
+        new = (T[rows] @ rhs[..., None])[..., 0]
         for st, s in zip(group, new):
             st._state[box] = s
             st._have_history = True
             st.steps += 1
-            st.t = st.steps * cfg.dt
+            st.t = st.steps * cfg.dt if last is None else (st.steps - 1) * cfg.dt + dt
         if not np.isfinite(new).all():
             bad = tuple(st for st, s in zip(group, new) if not np.isfinite(s).all())
             raise SimulationBlowupError(
@@ -619,7 +694,9 @@ class ChannelStepper:
     def cfl_number(self, phi: np.ndarray | None = None) -> float:
         """Advective CFL of the current state at the configured dt.
 
-        Uses the largest |u1| and |u2| on the product grid; ``phi`` holds
+        Uses the largest |u1| and |u2| on the product grid of the grid's
+        advection tables (``_advection_tables``, built on a first read by a
+        linearized stepper, which does not hold them); ``phi`` holds
         the imaginary plane of the state's M+1 streamfunction rows, real
         (M+1, P-2) rows b_n of phi_n = i b_n in the eigenbasis
         (``_solve_planes`` of the state's, by default).  They are
@@ -636,14 +713,15 @@ class ChannelStepper:
                              "odd-in-x1 class (pure imaginary mode rows, zero mean flow)")
         if phi is None:
             phi = self._solve_planes(self._state[1])
+        tables = _advection_tables(self.cfg.M, self.cfg.P, self.L)
         # phi_n = i b_n: u1 has rows i (D b)_n and u2 rows kappa_n b_n
-        pp = self._pad.shape[0]
-        f = phi[1:] @ self._phi_pad
-        u1 = self._half_sin @ f[:, pp:]
-        u2 = self._closed_cos @ f[:, :pp]
+        pp = tables["_pad"].shape[0]
+        f = phi[1:] @ tables["_phi_pad"]
+        u1 = tables["_half_sin"] @ f[:, pp:]
+        u2 = tables["_closed_cos"] @ f[:, :pp]
         m1 = float(np.abs(u1).max(initial=0.0))
         m2 = float(np.abs(u2).max(initial=0.0))
-        dx1 = 2.0 * math.pi * self.L / self._n1
+        dx1 = 2.0 * math.pi * self.L / tables["_n1"]
         dx2_min = abs(self.x2[0] - self.x2[1])
         return self.cfg.dt * (m1 / dx1 + m2 / dx2_min)
 

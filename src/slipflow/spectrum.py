@@ -459,12 +459,18 @@ def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
 def oracle_agreement(spectrum: Spectrum):
     """Pair the positive Galerkin eigenvalues with the determinant roots.
 
-    Returns (galerkin_count, oracle_count, max_rel_mismatch): the two positive
-    counts and the largest |lambda_j - root_j| / root_j over the leading
-    min(galerkin_count, oracle_count) pairs, both in descending order; the
-    mismatch is 0 when there is no pair.
+    Returns (galerkin_count, oracle_count, max_rel_mismatch, excused): the
+    two positive counts, the largest |lambda_j - root_j| / root_j over the
+    leading min(galerkin_count, oracle_count) pairs, both in descending
+    order (0 when there is no pair), and the Galerkin positives beyond the
+    roots that are taken as the roundoff rates of marginal branches, at
+    most ``DeterminantTrace.marginal`` of them.  The counts agree when
+    galerkin_count == oracle_count + excused.
     """
-    roots = determinant_roots(spectrum.problem).roots[::-1]
+    trace = determinant_roots(spectrum.problem)
+    roots = trace.roots[::-1]
     n = min(spectrum.positive_count, roots.size)
     rel = np.abs(spectrum.eigenvalues[:n] - roots[:n]) / roots[:n]
-    return spectrum.positive_count, int(roots.size), float(rel.max()) if n else 0.0
+    excused = min(max(spectrum.positive_count - roots.size, 0), trace.marginal)
+    return (spectrum.positive_count, int(roots.size), float(rel.max()) if n else 0.0,
+            int(excused))

@@ -77,8 +77,12 @@ class TestSmokeSweep:
             assert np.all(np.diff(o.times) > 0.0)
             n_steps = math.ceil(o.t_delta / 1.0e-3 - 1.0e-12)
             assert o.steps[-1] == n_steps
-            assert o.t_final == pytest.approx(n_steps * 1.0e-3, rel=1.0e-12)
-            assert o.t_final >= o.t_delta - 1.0e-12
+            # the last step has length h = T^delta - (n - 1) dt and ends at
+            # T^delta exactly; every earlier record reads m dt
+            h = o.t_delta - (n_steps - 1) * 1.0e-3
+            assert 0.0 < h <= 1.0e-3
+            assert o.t_final == o.times[-1] == (n_steps - 1) * 1.0e-3 + h == o.t_delta
+            assert np.array_equal(o.times[:-1], o.steps[:-1] * 1.0e-3)
             # identical initial data: at t = 0 each linear twin takes its
             # nonlinear branch's velocity, so the distance is exactly zero
             assert o.d_from_linear_full[0] == 0.0
@@ -364,6 +368,24 @@ class TestSlowModeDrop:
         assert not outcome.d_from_linear_reduced.any()
 
 
+class TestLastStepAtEscapeTime:
+    def test_separation_at_t_delta_converges_at_second_order(self):
+        # each delta ends at T^delta exactly, its last step of length
+        # h = T^delta - (n - 1) dt; ending at n dt instead put the reported
+        # separation up to dt past T^delta and read an observed order -7.44
+        channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
+        seps = []
+        for dt in (1.0e-3, 5.0e-4, 2.5e-4):
+            sim = SimConfig(channel=channel, M=16, P=56, dt=dt, diagnostics_stride=25)
+            exp = run_separation_experiment(channel, sim=sim, deltas=(1.0e-3,),
+                                            basis_size=48, n_max=12)
+            (o,) = exp.outcomes
+            assert o.ok and o.t_final == o.t_delta
+            seps.append(o.separation)
+        order = math.log2((seps[0] - seps[1]) / (seps[1] - seps[2]))
+        assert abs(order - 2.0) <= 0.3
+
+
 class TestFailureIsolation:
     def test_one_failed_delta_does_not_stop_the_sweep(self, tmp_path, monkeypatch):
         channel = ChannelConfig(L=1.0, mu=0.1, slip=SlipPair(1.0, 1.0))
@@ -380,12 +402,12 @@ class TestFailureIsolation:
         monkeypatch.setattr(experiment_mod, "_start",
                             lambda *args: started.append(start(*args)) or started[-1])
 
-        def poisoned(st, *others):
+        def poisoned(st, *others, **kwargs):
             # a NaN in the first delta's full branch (started first) before
             # step 101, mid-sweep: that delta runs 318 steps, the second 603
             if not st.cfg.linearized and round(st.t / sim.dt) == 100:
                 started[0]._state[1, 1, 0] = math.nan
-            return real_step(st, *others)
+            return real_step(st, *others, **kwargs)
 
         monkeypatch.setattr(ChannelStepper, "step", poisoned)
         exp = run_separation_experiment(
@@ -442,8 +464,8 @@ class TestBranchStart:
 
     def test_cfl_predicted_above_one_is_a_recorded_refusal(self, monkeypatch):
         # delta = 1e-5 starts below the stability bound at dt = 0.2, but its
-        # linear prediction at t_final reads CFL 1.18: without the refusal it
-        # stepped to t = 16.2 and lost the CFL bound there
+        # linear prediction at T^delta = 16.0588 reads CFL 1.11, past the
+        # record's abort bound 1
         sim = SimConfig(channel=self.CHANNEL, M=16, P=56, dt=0.2)
         steps = []
         real_step = ChannelStepper.step
@@ -453,8 +475,8 @@ class TestBranchStart:
         assert steps == []
         assert outcome.refused
         assert outcome.error == (
-            "ValidationError: dt = 0.2 exceeds the advective stability bound 0.169378 "
-            "estimated from the linear prediction at t = 16.2"
+            "ValidationError: dt = 0.2 exceeds the advective stability bound 0.180896 "
+            "estimated from the linear prediction at t = 16.0588"
         )
 
     def test_cfl_above_one_at_a_record_ends_the_delta(self, monkeypatch):

@@ -329,7 +329,9 @@ def test_gram_matrices_are_cached_read_only():
     # the matrices are cached, read-only, in their one stack
     stack = field_module._gram_stack(24)
     assert stack is field_module._gram_stack(24)
-    np.testing.assert_array_equal(stack[:, 24:48], field_module._gram_matrix(24, 1))
+    for k in (0, 1, 2):
+        np.testing.assert_array_equal(stack[:, 24 * k:24 * (k + 1)],
+                                      field_module._gram_matrix(24, k))
     with pytest.raises(ValueError):
         stack[0, 0] = 1.0
 

@@ -38,6 +38,17 @@ def test_csv_floats_parse_back_to_the_identical_double(tmp_path):
     assert lines[0] == "a,b,c,d,e" and lines[-1] == ""
     parsed = [float(v) for line in lines[1:-1] for v in line.split(",")]
     assert [_bits(p) for p in parsed] == [_bits(float(v)) for v in values]
+    assert lines[1:-1] == [csv_row(row) for row in rows]
+    # NumPy-scalar rows, enumerate rows and the non-finite values print as
+    # csv_row prints them: one format per row changes no byte
+    scalars = [[np.float64(v) for v in row] for row in rows]
+    path = write_csv(tmp_path / "u.csv", "a,b,c,d,e", scalars)
+    assert path.read_text().split("\n")[1:-1] == [csv_row(row) for row in scalars]
+    pairs = list(enumerate([np.float64(0.1), math.nan, math.inf, -math.inf,
+                            np.float64(-math.inf), -0.0], start=1))
+    path = write_csv(tmp_path / "v.csv", "n,x", pairs)
+    assert path.read_text().split("\n")[1:-1] == [csv_row(row) for row in pairs]
+    assert write_csv(tmp_path / "w.csv", "a,b", []).read_text() == "a,b\n"
 
 
 @settings(max_examples=300, deadline=None)

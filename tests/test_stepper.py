@@ -34,7 +34,7 @@ from slipflow.sim.field import (
     slip_residuals,
 )
 from slipflow.sim.run import read_checkpoint, write_checkpoint
-from slipflow.sim.stepper import _complex, _planes
+from slipflow.sim.stepper import _advection_tables, _complex, _last_step_operators, _planes
 
 
 @pytest.fixture(scope="module")
@@ -690,12 +690,36 @@ class TestSharedOperators:
         first = ChannelStepper(self._cfg(), zero)
         # the linearized flag and t_end are not part of the operators
         second = ChannelStepper(self._cfg(linearized=True, t_end=0.5), zero)
-        for name in ("_T", "_to_eig", "_eig_solve", "_phi_pad", "_coeff_map",
-                     "_influence_cond"):
+        for name in ("_T", "_to_eig", "_eig_solve", "_coeff_map", "_influence_cond"):
             assert getattr(second, name) is getattr(first, name)
         other = ChannelStepper(self._cfg(dt=2.0e-3), zero)
         assert other._T is not first._T and other._eig_solve is not first._eig_solve
         assert np.abs(other._T - first._T).max() > 0.0
+        # the advection tables depend on the grid alone: two nonlinear
+        # steppers that differ in dt share them
+        for name in ("_phi_pad", "_pad", "_unpad", "_half_sin", "_half_fwd"):
+            assert getattr(other, name) is getattr(first, name)
+
+    def test_linearized_stepper_holds_no_advection_table(self):
+        _advection_tables.cache_clear()
+        zero = SpectralField2D(np.zeros((7, 24), dtype=complex), 1.0)
+        stepper = ChannelStepper(self._cfg(linearized=True), zero)
+        tables = ("_n1", "_pad", "_unpad", "_pad_with_d", "_phi_pad", "_half_sin",
+                  "_closed_cos", "_half_cos", "_half_fwd")
+        assert not set(tables) & set(vars(stepper))
+        assert _advection_tables.cache_info().currsize == 0
+        # its CFL number still reads the tables of its grid
+        assert stepper.cfl_number() == 0.0
+        assert _advection_tables.cache_info().currsize == 1
+
+    def test_linearized_run_leaves_the_advection_tables_unbuilt(self, channel, basis48):
+        field, _ = mode_field(channel, basis48, amplitude=1.0e-3)
+        cfg = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, t_end=5.0e-3,
+                        linearized=True, diagnostics_stride=1)
+        _advection_tables.cache_clear()
+        result = run(field, cfg)
+        assert result.diagnostics.times.size == 6
+        assert _advection_tables.cache_info().currsize == 0
 
     def test_cached_operators_are_read_only(self):
         stepper = ChannelStepper(self._cfg(), SpectralField2D(_locked_rows(6, 24, 1), 1.0))
@@ -723,6 +747,22 @@ class TestSharedOperators:
         assert stepper._to_eig.shape == (P, P - 2)
         assert stepper._eig_solve.shape == (M + 1, P - 2)
         assert not stepper._to_eig[[0, -1]].any() and not stepper._eig_solve[0].any()
+
+    def test_last_step_of_length_h(self):
+        # a last step of length dt is a step, bit for bit; one of length h
+        # builds the operators of h and ends at (steps - 1) dt + h
+        rows = _locked_rows(6, 24, 3)
+        steppers = [ChannelStepper(self._cfg(), SpectralField2D(rows, 1.0)) for _ in range(3)]
+        for st in steppers:
+            st.step()
+        a, b, c = steppers
+        a.step()
+        b.step(last=_last_step_operators(b.cfg, 1.0e-3))
+        assert np.array_equal(a._state, b._state) and np.array_equal(a._history, b._history)
+        assert a.t == b.t == 2.0e-3 and a.steps == b.steps == 2
+        c.step(last=_last_step_operators(c.cfg, 4.0e-4))
+        assert c.steps == 2 and c.t == 1.0e-3 + 4.0e-4
+        assert np.abs(c._state - a._state).max() > 0.0
 
     def test_ill_conditioned_configuration_raises_on_every_construction(self, channel):
         zero = SpectralField2D(np.zeros((3, 24), dtype=complex), channel.L)
