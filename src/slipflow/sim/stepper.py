@@ -44,7 +44,9 @@ These advection and CFL tables (``_n1``, ``_pad``, ``_unpad``,
 ``_half_cos``, ``_half_fwd``) depend on the grid (M, P, L) alone: one
 read-only build per grid (``_advection_tables``), which a nonlinear
 stepper installs and ``cfl_number`` reads.  A linearized step forms no
-advection, so a linearized run never builds them.
+advection, so a linearized run never builds them.  ``_pad_with_d`` is
+stored C-ordered and ``_unpad`` Fortran-ordered, so each right operand of
+the step is C-contiguous as read, the layout BLAS multiplies fastest.
 
 The state and the AB2 advection history are real (2, M+1, P) arrays, the
 real and the imaginary parts of the rows.  Building the stepper or loading
@@ -302,6 +304,7 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     the grid alone and are not here (``_advection_tables``).  An
     ill-conditioned influence matrix raises InfluenceConditioningError, and
     a raise is not cached, so each construction of such a stepper raises.
+    ``_explicit_base`` is stored Fortran-ordered: ``step`` reads its ``.T``.
     """
     x2, D, D2, lam, V, V_inv = _grid(P)
     kappa = np.arange(M + 1) / L
@@ -372,7 +375,7 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     return _read_only({
         "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
         "_slip_plus": slip_plus, "_slip_minus": slip_minus,
-        "_explicit_base": eye + alpha * D2,  # row form handles kappa in step
+        "_explicit_base": np.asfortranarray(eye + alpha * D2),  # row form handles kappa in step
         "_T": a_inv, "_influence_cond": cond,
         "_to_eig": to_eig, "_eig_solve": eig_solve,
         "_coeff_map": V.T @ np.hstack([(C @ D).T, C.T])[1:-1], "_node_coeffs": C.T,
@@ -396,10 +399,10 @@ def _advection_tables(M: int, P: int, L: float) -> dict:
     pad_coeffs = np.zeros((p_pad, P))
     pad_coeffs[:P] = cheb_coeffs_from_values(np.eye(P), axis=0)
     pad = cheb_values_from_coeffs(pad_coeffs, axis=0)
-    unpad = cheb_values_from_coeffs(
+    unpad = np.asfortranarray(cheb_values_from_coeffs(
         cheb_coeffs_from_values(np.eye(p_pad), axis=0)[:P], axis=0
-    )
-    pad_with_d = np.hstack([pad.T, (pad @ D).T])
+    ))
+    pad_with_d = np.ascontiguousarray(np.hstack([pad.T, (pad @ D).T]))
     # x1 synthesis at x1_j = j pi L / (n1/2), j = 0 .. n1/2: 2 sin and
     # 2 cos of kappa_n x1_j, n = 1 .. M, with n j reduced mod n1 so every
     # angle lies in [0, 2 pi).  The products take the interior points

@@ -85,6 +85,7 @@ __all__ = [
     "characteristic_determinant",
     "determinant_roots",
     "oracle_agreement",
+    "inertia_violation",
     "spectrum_residuals",
     "gram_defects",
     "resolved_count",
@@ -122,6 +123,11 @@ class Spectrum:
 
 # a branch with |kappa_i(0) - 1| below this is marginal: its growth rate is roundoff
 MARGINAL_TOL = 1e-8
+
+# the most positive growth rates a pencil can have: B = R - mu E with R of
+# rank 2 and E positive definite, so by Sylvester's law of inertia B, and
+# the pencil B v = lambda A v, has at most two positive eigenvalues
+INERTIA_BOUND = 2
 
 
 @dataclass(frozen=True)
@@ -474,3 +480,11 @@ def oracle_agreement(spectrum: Spectrum):
     excused = min(max(spectrum.positive_count - roots.size, 0), trace.marginal)
     return (spectrum.positive_count, int(roots.size), float(rel.max()) if n else 0.0,
             int(excused))
+
+
+def inertia_violation(positive_count: int) -> str | None:
+    """The named cause of a Galerkin positive count above INERTIA_BOUND, which
+    no counting against the oracle excuses, else None."""
+    if positive_count <= INERTIA_BOUND:
+        return None
+    return f"positive count {positive_count} exceeds {INERTIA_BOUND}, the inertia bound"

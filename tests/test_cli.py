@@ -130,6 +130,27 @@ class TestSpectrum:
         assert run_cli("--out", tmp_path, "spectrum", "--k", "1", "--mu", "0.3") == 0
         report = json.loads((tmp_path / "spectrum_report.json").read_text())
         assert "marginal_positives_excused" not in report
+        assert "inertia_violation" not in report
+
+    def test_count_above_the_inertia_bound_is_named(self, tmp_path, capsys, monkeypatch):
+        # a Galerkin count of 3 with two marginal branches excused would
+        # match the one root; the inertia bound of 2 still fails the run
+        import dataclasses
+
+        import slipflow.spectrum
+
+        solve, roots = slipflow.spectrum.solve_spectrum, slipflow.spectrum.determinant_roots
+        monkeypatch.setattr(slipflow.spectrum, "solve_spectrum",
+                            lambda pencil: dataclasses.replace(solve(pencil), positive_count=3))
+        monkeypatch.setattr(slipflow.spectrum, "determinant_roots",
+                            lambda prob: dataclasses.replace(roots(prob), marginal=2))
+        assert run_cli("--out", tmp_path, "spectrum", "--k", "1", "--mu", "0.5") == 1
+        report = json.loads((tmp_path / "spectrum_report.json").read_text())
+        assert report["positive_count_galerkin"] == 3
+        assert report["marginal_positives_excused"] == 2
+        assert report["inertia_violation"] == "positive count 3 exceeds 2, the inertia bound"
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("MISMATCH: positive count 3 exceeds 2, the inertia bound")
 
 
 class TestDispersion:

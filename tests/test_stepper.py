@@ -736,6 +736,20 @@ class TestSharedOperators:
         stepper.step()
         assert stepper._state.flags.writeable
 
+    @pytest.mark.parametrize("M, P", [(16, 56), (32, 64)])
+    def test_right_operands_of_a_step_are_c_contiguous(self, M, P):
+        # BLAS multiplies a C-contiguous right operand fastest, so every table
+        # a nonlinear step multiplies from the right is C-contiguous as read,
+        # the transposed ones stored Fortran-ordered; a last step's too
+        cfg = self._cfg(M=M, P=P)
+        stepper = ChannelStepper(cfg, SpectralField2D(np.zeros((M + 1, P), dtype=complex), 1.0))
+        last = _last_step_operators(cfg, 4.0e-4)
+        operands = {"_pad_with_d": stepper._pad_with_d, "_phi_pad": stepper._phi_pad,
+                    "_to_eig": stepper._to_eig, "_unpad.T": stepper._unpad.T,
+                    "_explicit_base.T": stepper._explicit_base.T,
+                    "last _explicit_base.T": last["_explicit_base"].T}
+        assert [k for k, v in operands.items() if not v.flags.c_contiguous] == []
+
     def test_one_per_mode_matrix_stack(self):
         # the Poisson solve is the shared eigenbasis and a per-mode diagonal,
         # so the Crank-Nicolson/influence stack T is the one (M+1, P, P) array

@@ -1,12 +1,16 @@
 """Built-in verification battery: all checks pass, reports are reproducible,
 and a deliberately corrupted dependency is caught."""
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import slipflow.critical
+import slipflow.spectrum
 import slipflow.verification
+from slipflow.numerics import build_basis
 from slipflow.verification import CHECK_NAMES, verification_report, verify_all
 
 
@@ -78,3 +82,26 @@ class TestTamperDetection:
         failed = {c["name"] for c in tampered["checks"] if not c["passed"]}
         assert "critical_variational_agreement" in failed
         assert "critical_closed_form" in failed
+
+    def test_count_above_the_inertia_bound_is_named(self, monkeypatch):
+        # a spectrum with a positive rate reads a Galerkin count of 3, which
+        # two excused marginal branches would match to one root; the oracle
+        # check still fails on the inertia bound of 2
+        solve = slipflow.verification.solve_spectrum
+        roots = slipflow.spectrum.determinant_roots
+
+        def three(pencil):
+            spec = solve(pencil)
+            return dataclasses.replace(spec, positive_count=3) if spec.positive_count else spec
+
+        monkeypatch.setattr(slipflow.verification, "solve_spectrum", three)
+        monkeypatch.setattr(slipflow.spectrum, "determinant_roots",
+                            lambda prob: dataclasses.replace(roots(prob), marginal=2))
+        check = slipflow.verification.check_spectrum_oracle
+        passed, margin, detail = check(SimpleNamespace(basis64=build_basis(64)))
+        assert not passed and margin == 2.0
+        causes = detail["inertia_violations"]
+        assert len(causes) == 3
+        cause = ": positive count 3 exceeds 2, the inertia bound"
+        assert all(c.endswith(cause) for c in causes)
+        assert causes[0].startswith("k = 1, mu = 0.5:")
