@@ -19,8 +19,10 @@ SLIPFLOW_* environment variables (SLIPFLOW_VISCOSITY=0.2,
 SLIPFLOW_SLIP__XI_PLUS=2 for nested keys), then command-line flags.  The
 "sim" section takes the fields of SimConfig and the "experiment" section
 the keywords of run_separation_experiment (deltas, epsilon0, delta0,
-basis_size, n_max, packet_count), each typed by its annotation; any other
-key is refused (exit code 2).
+basis_size, n_max, packet_count), each typed by its annotation.  One
+reader, ``_read_section``, reads every section: keys match in any case,
+and a key given twice, an unknown key or a value of the wrong JSON type is
+refused (exit code 2).
 
 Exit codes: 0 success, 1 a failed check or run (oracle mismatch, blow-up, a
 falsified experiment verdict), 2 a usage error: a bad configuration, a
@@ -30,10 +32,11 @@ channel whose fundamental wavenumber 1/L is stable (mu >= mu_c(1/L)) is
 stable at every lattice wavenumber; `experiment` reads its settings, then
 reports the stable regime and exits 0 without simulating.
 
-Every command writes a run_manifest.json carrying a sha256 digest of the
-resolved configuration (defaults, file, environment and channel flags)
-together with the subcommand's parsed flags and --seed; --out, --threads
-and the --config path are left out.  Rerunning an identical invocation
+Every command writes a run_manifest.json (a failed simulate too, listing
+its truncated run's files) carrying a sha256 digest of the resolved
+configuration (defaults, file, environment and channel flags) together
+with the subcommand's parsed flags and --seed; --out, --threads and the
+--config path are left out.  Rerunning an identical invocation
 reproduces every output file byte for byte (floats are printed with 17
 significant digits); wall-clock timings go to stderr, never into files.
 `simulate` and `experiment` add the same four solver-health keys, built by
@@ -53,17 +56,81 @@ import json
 import os
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
+from typing import get_args, get_origin
 
 from . import __version__
 
 TOOL_VERSION = f"slipflow {__version__}"
+
+ENV_PREFIX = "SLIPFLOW_"
 
 _DEFAULT_CONFIG = {
     "period_length": 1.0,
     "viscosity": 0.5,
     "slip": {"xi_minus": 1.0, "xi_plus": 1.0},
 }
+
+# the kinds of the top level and of slip; those of sim and experiment are
+# the annotations of the keywords _settings reads them for
+_CONFIG_KINDS = {"period_length": float, "viscosity": float, "slip": dict,
+                 "sim": dict, "experiment": dict}
+_SLIP_KINDS = {"xi_minus": float, "xi_plus": float}
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), dict: dict}
+
+
+class ConfigError(ValueError):
+    """A configuration file or override entry is missing or malformed."""
+
+
+def load_config(path) -> dict:
+    """The raw (nested dict) configuration of a JSON file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path}: invalid JSON ({exc})")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path}: top level must be an object")
+    return raw
+
+
+def _parse_env_value(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def apply_env_overrides(raw: dict, environ=None) -> dict:
+    """A copy of ``raw`` overlaid with the SLIPFLOW_* environment variables.
+
+    SLIPFLOW_<KEY> sets a top-level key and SLIPFLOW_<SECTION>__<KEY> a key
+    of a section.  Names are case-insensitive: a new key is stored lower
+    case, and a key the section already holds keeps its spelling.
+    """
+    env = os.environ if environ is None else environ
+    out = json.loads(json.dumps(raw))  # deep copy, JSON-clean
+    for name, text in sorted(env.items()):
+        if not name.startswith(ENV_PREFIX):
+            continue
+        path = name[len(ENV_PREFIX):].lower()
+        if "__" in path:
+            section, key = path.split("__", 1)
+            if not section or not key:
+                raise ConfigError(f"{name}: malformed override name")
+            target = out.setdefault(section, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"{section}: cannot override a scalar with a section")
+            # replace the key the section already spells in another case
+            key = next((k for k in target if k.lower() == key), key)
+            target[key] = _parse_env_value(text)
+        else:
+            out[path] = _parse_env_value(text)
+    return out
 
 
 def _merge_config(base: dict, extra: dict) -> dict:
@@ -75,24 +142,12 @@ def _merge_config(base: dict, extra: dict) -> dict:
     return base
 
 
-_TOP_LEVEL_KEYS = {"period_length", "viscosity", "slip", "sim", "experiment"}
-
-
 def _resolve_raw(ns) -> dict:
     """Defaults <- config file <- environment <- channel flags, as a dict."""
-    from .model import ConfigError, apply_env_overrides, load_config
-
     raw = json.loads(json.dumps(_DEFAULT_CONFIG))
     if ns.config is not None:
         _merge_config(raw, load_config(ns.config))
     raw = apply_env_overrides(raw)
-    unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown configuration keys {unknown}")
-    if isinstance(raw.get("slip"), dict):
-        bad = sorted(set(raw["slip"]) - {"xi_minus", "xi_plus"})
-        if bad:
-            raise ConfigError(f"slip: unknown keys {bad}")
     if getattr(ns, "length", None) is not None:
         raw["period_length"] = ns.length
     if getattr(ns, "mu", None) is not None:
@@ -104,25 +159,70 @@ def _resolve_raw(ns) -> dict:
     return raw
 
 
-def _section(raw: dict, name: str, keys) -> dict:
-    """The config section ``name`` spelled as ``keys``, refusing any other key.
+def _cast(value, kind):
+    """``value`` as ``kind`` (bool, int, float, dict, a Sequence of one, or
+    either ``| None``) when it has that kind's JSON type: true/false, an
+    integer, any number, an object, an array, null; a bool is no number.
+    TypeError otherwise."""
+    options = get_args(kind)
+    if type(None) in options:
+        if value is None:
+            return None
+        kind = next(a for a in options if a is not type(None))
+    if get_origin(kind) is Sequence and isinstance(value, list):
+        return [_cast(v, get_args(kind)[0]) for v in value]
+    if kind in _JSON_TYPES and isinstance(value, _JSON_TYPES[kind]) and (
+        isinstance(value, bool) == (kind is bool)
+    ):
+        return kind(value)
+    raise TypeError
 
-    Keys match regardless of case, since environment overrides arrive lower
-    case (SLIPFLOW_SIM__M sets M).
+
+def _read_section(given: dict, name: str | None, kinds: dict) -> dict:
+    """The config section ``name`` (None: the top level) typed by ``kinds``.
+
+    Keys match ``kinds`` in any case, since environment overrides arrive
+    lower case (SLIPFLOW_SIM__M sets M).  A key given twice in different
+    case, an unknown key and a value that ``_cast`` refuses raise
+    ConfigError naming the section or key; a section that is not a JSON
+    object is such a value one level up (kind ``dict``).
     """
-    from .model import ConfigError
-
-    given = raw.get(name, {})
-    if not isinstance(given, dict):
-        raise ConfigError(f"{name}: must be a section (JSON object)")
-    spelling = {key.lower(): key for key in keys}
-    section = {spelling.get(key.lower(), key): value for key, value in given.items()}
-    if len(section) < len(given):
-        raise ConfigError(f"{name}: a key is given twice in different case")
-    unknown = sorted(set(section) - set(keys))
+    where = name or "configuration"
+    spelling = {key.lower(): key for key in kinds}
+    section = {}
+    for spelled, value in given.items():
+        key = spelling.get(spelled.lower(), spelled)
+        if key in section:
+            raise ConfigError(f"{where}: {key} is given twice, once as {spelled}")
+        section[key] = value
+    unknown = sorted(set(section) - set(kinds))
     if unknown:
-        raise ConfigError(f"{name}: unknown keys {unknown}")
-    return section
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    typed = {}
+    for key, value in section.items():
+        try:
+            typed[key] = _cast(value, kinds[key])
+        except TypeError:
+            label = f"{name}.{key}" if name else key
+            raise ConfigError(f"{label}: bad value {value!r}") from None
+    return typed
+
+
+def channel_from_config(raw: dict):
+    """The ChannelConfig of a raw config dict, whose whole top level is read."""
+    from .model import ChannelConfig, SlipPair, ValidationError
+
+    config = _read_section(raw, None, _CONFIG_KINDS)
+    slip = _read_section(config.get("slip", {}), "slip", _SLIP_KINDS)
+    missing = [key for key in ("period_length", "viscosity") if key not in config]
+    missing += [f"slip.{key}" for key in _SLIP_KINDS if key not in slip]
+    if missing:
+        raise ConfigError(f"missing keys {missing}")
+    try:
+        return ChannelConfig(L=config["period_length"], mu=config["viscosity"],
+                             slip=SlipPair(**slip))
+    except ValidationError as exc:
+        raise ConfigError(str(exc))
 
 
 def _sim_config(raw: dict, ns, channel):
@@ -136,49 +236,21 @@ def _settings(raw: dict, ns, section: str, target) -> dict:
     """Keywords of ``target`` from the config section, overlaid with the flags.
 
     The keys are the parameters of ``target`` but channel, sim and out_dir,
-    and each flag's dest is the key it sets.  A value must already have the
-    JSON type of its parameter's annotation (bool, int, float, a Sequence of
-    one, or either ``| None``): true/false, an integer, any number, an array,
-    null; a bool is no number.  Keys not given keep ``target``'s defaults.
+    each typed by its annotation (``_read_section``), and each flag's dest
+    is the key it sets.  Keys not given keep ``target``'s defaults.
     """
     import inspect
-    from collections.abc import Sequence
-    from typing import get_args, get_origin
-
-    from .model import ConfigError
 
     params = inspect.signature(target, eval_str=True).parameters
     kinds = {key: p.annotation for key, p in params.items()
              if key not in ("channel", "sim", "out_dir")}
-
-    scalars = {bool: bool, int: int, float: (int, float)}
-
-    def cast(value, kind):
-        options = get_args(kind)
-        if type(None) in options:
-            if value is None:
-                return None
-            kind = next(a for a in options if a is not type(None))
-        if get_origin(kind) is Sequence and isinstance(value, list):
-            return [cast(v, get_args(kind)[0]) for v in value]
-        if kind in scalars and isinstance(value, scalars[kind]) and (
-            isinstance(value, bool) == (kind is bool)
-        ):
-            return kind(value)
-        raise TypeError
-
-    given = dict(_section(raw, section, kinds))
+    given = _read_section(raw, None, _CONFIG_KINDS).get(section, {})
+    settings = _read_section(given, section, kinds)
     for key in kinds:
         value = getattr(ns, key, None)
         if value is not None:
-            given[key] = value
-    clean = {}
-    for key, value in given.items():
-        try:
-            clean[key] = cast(value, kinds[key])
-        except TypeError:
-            raise ConfigError(f"{section}.{key}: bad value {value!r}") from None
-    return clean
+            settings[key] = value
+    return settings
 
 
 # global and channel flags: the output place and thread count change no
@@ -312,14 +384,23 @@ def _cmd_modes(ns, out, channel, raw):
 
 
 def _cmd_simulate(ns, out, channel, raw):
-    from .sim import diagnostics_to_csv, energy_to_csv, field_from_packet, run
+    from .sim import (InfluenceConditioningError, SimulationBlowupError,
+                      diagnostics_to_csv, energy_to_csv, field_from_packet, run)
     from .sim.run import solver_health
 
     cfg = _sim_config(raw, ns, channel)
     packet = _packet(ns, channel)
     initial = field_from_packet(packet, cfg.M, cfg.P, channel.L) * ns.amplitude
     stride = ns.checkpoint_stride if ns.checkpoint_stride is not None else cfg.n_steps
-    result = run(initial, cfg, out_dir=out, checkpoint_stride=stride)
+    try:
+        result = run(initial, cfg, out_dir=out, checkpoint_stride=stride)
+    except (SimulationBlowupError, InfluenceConditioningError, FloatingPointError) as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # run() refuses ill-conditioned operators as it builds its stepper,
+        # and after a failure in its step loop writes the truncated run
+        if isinstance(exc, InfluenceConditioningError):
+            return 1, []
+        return 1, ["diagnostics_truncated.csv", "failure_manifest.json"]
     diagnostics_to_csv(result.diagnostics, out / "diagnostics.csv")
     energy_to_csv(result.diagnostics, out / "energy.csv")
     outputs = ["diagnostics.csv", "energy.csv"]
@@ -463,7 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=1.0e-3,
                    help="initial data amplitude (default 1e-3)")
     p.add_argument("--basis", type=int, default=48)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
+    p.add_argument("--t-end", dest="t_end", type=float, default=None,
+                   help="end time (default 1), rounded up to a multiple of dt")
     p.add_argument("--linearized", action="store_true", default=None,
                    help="drop the nonlinear term")
     p.add_argument("--checkpoint-stride", dest="checkpoint_stride", type=int,
@@ -501,25 +583,17 @@ def main(argv=None) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    from .model import ConfigError, channel_from_config
     from .output import write_json
-    from .sim import InfluenceConditioningError, SimulationBlowupError
 
     t0 = time.perf_counter()
     try:
         raw = _resolve_raw(ns)
         t_setup = time.perf_counter() - t0
-        # verify builds its own channels and reads no channel config
-        channel = None if ns.command == "verify" else channel_from_config(raw)
+        # every command reads the whole configuration; verify builds its own
+        # channels and ignores this one
+        channel = channel_from_config(raw)
         # a handler returns (exit code, outputs) and may add manifest fields
         rc, outputs, *fields = _HANDLERS[ns.command](ns, out, channel, raw)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SimulationBlowupError, InfluenceConditioningError,
-            FloatingPointError) as exc:
-        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

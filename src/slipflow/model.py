@@ -20,8 +20,6 @@ admissible wavenumbers form the lattice ``k = n / L``, ``n = 1, 2, ...``.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 __all__ = [
@@ -30,21 +28,11 @@ __all__ = [
     "ModeProblem",
     "LatticeSweep",
     "ValidationError",
-    "ConfigError",
-    "load_config",
-    "channel_from_config",
-    "ENV_PREFIX",
 ]
-
-ENV_PREFIX = "SLIPFLOW_"
 
 
 class ValidationError(ValueError):
     """A model parameter is out of its admissible range."""
-
-
-class ConfigError(ValueError):
-    """A configuration file or override entry is missing or malformed."""
 
 
 def _require(cond: bool, message: str) -> None:
@@ -124,102 +112,3 @@ class LatticeSweep:
         """The instability problem of lattice mode n, wavenumber ``k = n / L``."""
         _require(1 <= n <= self.n_max, "n: mode index out of sweep range")
         return ModeProblem(k=n / self.L, mu=self.mu, slip=self.slip)
-
-
-# ---------------------------------------------------------------------------
-# Configuration files
-#
-# JSON with nested sections.  Recognized keys:
-#   period_length          float > 0
-#   viscosity              float > 0
-#   slip.xi_minus          float >= 0
-#   slip.xi_plus           float >= 0
-# plus free-form "sim" and "experiment" sections consumed elsewhere.
-# Environment variables override file values:  SLIPFLOW_<KEY> for top-level
-# keys and SLIPFLOW_<SECTION>__<KEY> for nested ones (case-insensitive key,
-# double underscore separates section from key), e.g. SLIPFLOW_VISCOSITY=0.3
-# or SLIPFLOW_SLIP__XI_PLUS=2.
-# ---------------------------------------------------------------------------
-
-
-def _parse_env_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
-def apply_env_overrides(raw: dict, environ=None) -> dict:
-    """Overlay SLIPFLOW_* environment variables onto a raw config dict.
-
-    Names are case-insensitive: a new key is stored lower case, and a key
-    the section already holds keeps its spelling.
-    """
-    env = os.environ if environ is None else environ
-    out = json.loads(json.dumps(raw))  # deep copy, JSON-clean
-    for name, text in sorted(env.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        path = name[len(ENV_PREFIX):].lower()
-        if "__" in path:
-            section, key = path.split("__", 1)
-            if not section or not key:
-                raise ConfigError(f"{name}: malformed override name")
-            target = out.setdefault(section, {})
-            if not isinstance(target, dict):
-                raise ConfigError(f"{section}: cannot override a scalar with a section")
-            # replace the key the section already spells in another case
-            key = next((k for k in target if k.lower() == key), key)
-            target[key] = _parse_env_value(text)
-        else:
-            out[path] = _parse_env_value(text)
-    return out
-
-
-def load_config(path) -> dict:
-    """Read a JSON config file.
-
-    Returns the raw (nested dict) configuration; overlay the environment
-    with ``apply_env_overrides`` and validate the channel keys with
-    ``channel_from_config``.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON ({exc})")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path}: top level must be an object")
-    return raw
-
-
-def _get_number(raw: dict, key: str, *, section: str | None = None):
-    src = raw
-    label = key
-    if section is not None:
-        src = raw.get(section)
-        label = f"{section}.{key}"
-        if src is None:
-            raise ConfigError(f"{section}: missing section")
-        if not isinstance(src, dict):
-            raise ConfigError(f"{section}: must be a section (JSON object)")
-    if key not in src:
-        raise ConfigError(f"{label}: missing key")
-    value = src[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label}: must be a number, got {value!r}")
-    return float(value)
-
-
-def channel_from_config(raw: dict) -> ChannelConfig:
-    """Validate the channel keys of a raw config dict into a ChannelConfig."""
-    L = _get_number(raw, "period_length")
-    mu = _get_number(raw, "viscosity")
-    xi_minus = _get_number(raw, "xi_minus", section="slip")
-    xi_plus = _get_number(raw, "xi_plus", section="slip")
-    try:
-        return ChannelConfig(L=L, mu=mu, slip=SlipPair(xi_minus=xi_minus, xi_plus=xi_plus))
-    except ValidationError as exc:
-        raise ConfigError(str(exc))

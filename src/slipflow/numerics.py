@@ -18,14 +18,14 @@ the quadrature nodes and at the walls; assembly and residual evaluation are
 then plain weighted matrix products.  The coefficient rows are written in
 closed form, (1 - x**2) T_j = T_j / 2 - (T_{j+2} + T_{|j-2|}) / 4, and each
 derivative series is one product with ``chebder_map``, the integer matrix of
-d/dx on Chebyshev-T coefficients.  It is the package's one coefficient-space
-derivative map: the DNS's ``sim.field._chebder_matrix`` is built from it.
-The stepper's node-space collocation matrix ``sim.stepper.cheb_diff_matrix``
-is not (see there).  Every series entry is a dyadic rational
-with few bits, so the tables' series are exact, not rounded.  Each basis
-also carries its k-independent Gram blocks G_d = int(phi^(d) phi^(d)),
-d = 0, 1, 2, so ``gram_form`` and ``energy_form`` at one more k are sums
-of three scaled blocks.
+d/dx on Chebyshev-T coefficients.  The DNS's ``sim.field._chebder_matrix``
+is built from it; the mode profiles of ``modes.build_mode`` differentiate
+with numpy's ``Chebyshev.deriv`` and the stepper with the collocation
+matrix ``sim.stepper.cheb_diff_matrix`` (see there).  Every series entry
+is a dyadic rational with few bits, so the tables' series are exact, not
+rounded.  Each basis also carries its k-independent Gram blocks
+G_d = int(phi^(d) phi^(d)), d = 0, 1, 2, so ``gram_form`` and
+``energy_form`` at one more k are sums of three scaled blocks.
 
 Every symmetric pencil B v = lambda A v is reduced to a standard one the
 way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened

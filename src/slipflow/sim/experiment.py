@@ -433,7 +433,8 @@ def run_separation_experiment(
 ) -> SeparationExperiment:
     """Run the full delta sweep and return the completed experiment record.
 
-    Preconditions: the channel must be unstable (mu below mu_c(1/L), the
+    Preconditions: ``sim`` must not be linearized, and its t_end is unused.
+    The channel must be unstable (mu below mu_c(1/L), the
     critical viscosity of its fundamental wavenumber, else StableRegimeError),
     every delta must satisfy delta * F_N(0) < epsilon0, and no two may share a
     ``delta_dir_name``.  A refused start or a failure inside one delta run
@@ -441,6 +442,9 @@ def run_separation_experiment(
     remaining deltas still run.  When ``out_dir`` is given the per-delta
     series, diagnostics, and manifests are written there.
     """
+    if sim is not None and sim.linearized:
+        raise ValidationError("sim.linearized: the experiment runs the nonlinear "
+                              "equations beside their linearization")
     if critical_wavenumber(channel) is None:
         raise StableRegimeError(
             f"stable regime: viscosity {channel.mu:g} is not below the critical "

@@ -159,7 +159,10 @@ CFL_ABORT = 1.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Resolution and stepping parameters for one run."""
+    """Resolution and stepping parameters for one run.
+
+    A run takes ``n_steps`` = ceil(t_end / dt) steps of dt, so it ends past
+    t_end when t_end is not a multiple of dt."""
 
     channel: ChannelConfig
     M: int = 32

@@ -222,6 +222,24 @@ class TestSimulate:
         assert "run failed: SimulationBlowupError: advective CFL exceeded 1 at t = 0.15" \
             in capsys.readouterr().err
         assert (tmp_path / "failure_manifest.json").exists()
+        # a failed run still writes its run manifest, naming the truncated run
+        manifest = read_manifest(tmp_path)
+        assert manifest["command"] == "simulate"
+        assert manifest["tool_version"] == f"slipflow {slipflow.__version__}"
+        assert re.fullmatch("[0-9a-f]{64}", manifest["config_digest"])
+        assert manifest["outputs"] == ["diagnostics_truncated.csv", "failure_manifest.json"]
+        assert all((tmp_path / name).exists() for name in manifest["outputs"])
+
+    def test_ill_conditioned_operators_map_to_exit_code_one(self, tmp_path, capsys):
+        # mode 1's influence matrix is singular near this dt (test_stepper),
+        # so the run is refused before its first step and writes no run files
+        dt = "4.29371901504907"
+        rc = run_cli("--out", tmp_path, "simulate", "--linearized", "--m", "2",
+                     "--p", "24", "--basis", "16", "--dt", dt, "--t-end", dt)
+        assert rc == 1
+        assert "run failed: InfluenceConditioningError" in capsys.readouterr().err
+        assert read_manifest(tmp_path)["outputs"] == []
+        assert not (tmp_path / "failure_manifest.json").exists()
 
     def test_linearized_run_has_no_cfl_bound(self, tmp_path, capsys, basis48):
         # the linear growth carries this state far past CFL 1, which bounds
@@ -500,8 +518,7 @@ class TestConfigResolution:
         assert float(footer.split("=")[1]) == mu_c_global(SlipPair(2.0, 2.0))
 
     def test_env_sets_the_grid_size(self):
-        from slipflow.cli import _sim_config
-        from slipflow.model import ChannelConfig, apply_env_overrides
+        from slipflow.cli import _sim_config, apply_env_overrides
 
         channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
         env = {"SLIPFLOW_SIM__M": "6", "SLIPFLOW_SIM__P": "24"}
@@ -512,8 +529,7 @@ class TestConfigResolution:
         assert (cfg.M, cfg.P) == (6, 24)
 
     def test_sim_values_of_their_json_type_are_accepted(self):
-        from slipflow.cli import _sim_config
-        from slipflow.model import ChannelConfig, apply_env_overrides
+        from slipflow.cli import _sim_config, apply_env_overrides
 
         channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
         env = {"SLIPFLOW_SIM__LINEARIZED": "true", "SLIPFLOW_SIM__T_END": "2"}
@@ -621,16 +637,33 @@ class TestUsageErrors:
         assert rc == 2
         assert "cfl_limit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("linearized", "false"), ("M", 8.9),
-                                            ("dt", True)])
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("sim.linearized", "false", id="linearized-false"),
+        pytest.param("sim.M", 8.9, id="M-8.9"),
+        pytest.param("sim.dt", True, id="dt-True"),
+        # the channel keys and slip go through the same reader
+        ("period_length", True), ("viscosity", "0.3"), ("slip.xi_minus", True),
+        ("slip", 1.0),
+    ])
     def test_sim_value_of_the_wrong_type_is_refused(self, tmp_path, capsys, key, value):
+        section, _, name = key.rpartition(".")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sim": {key: value}}))
+        cfg.write_text(json.dumps({section: {name: value}} if section else {name: value}))
         rc = run_cli("--config", cfg, "--out", tmp_path, "simulate",
                      "--t-end", "0.01")
         assert rc == 2
-        assert f"sim.{key}: bad value" in capsys.readouterr().err
+        assert f"{key}: bad value" in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    def test_top_level_key_in_another_case_is_refused(self, tmp_path, capsys):
+        # keys match in any case, so the file's Viscosity is a second
+        # spelling of the default viscosity
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"Viscosity": 0.3}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "critical")
+        assert rc == 2
+        assert ("error: configuration: viscosity is given twice, once as Viscosity"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_checkpoint_stride_below_one_is_refused(self, tmp_path, capsys, stride):
@@ -653,6 +686,16 @@ class TestUsageErrors:
         rc = run_cli("--config", cfg, "--out", tmp_path, "experiment")
         assert rc == 2
         assert "experiment: unknown keys ['coefficients']" in capsys.readouterr().err
+
+    def test_linearized_experiment_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"viscosity": 0.5, "sim": {
+            "M": 16, "P": 56, "dt": 4.0e-3, "linearized": True, "t_end": 0.01}}))
+        rc = run_cli("--config", cfg, "--out", tmp_path, "experiment",
+                     "--deltas", "1e-2", "1e-3")
+        assert rc == 2
+        assert "error: sim.linearized:" in capsys.readouterr().err
+        assert not (tmp_path / "experiment_manifest.json").exists()
 
     @pytest.mark.parametrize("key, value", [("deltas", "1e-3"), ("delta0", True),
                                             ("packet_count", 2.5)])

@@ -4,17 +4,19 @@ import json
 
 import pytest
 
-from slipflow.model import (
+from slipflow.cli import (
     ENV_PREFIX,
-    ChannelConfig,
     ConfigError,
+    apply_env_overrides,
+    channel_from_config,
+    load_config,
+)
+from slipflow.model import (
+    ChannelConfig,
     LatticeSweep,
     ModeProblem,
     SlipPair,
     ValidationError,
-    apply_env_overrides,
-    channel_from_config,
-    load_config,
 )
 
 
