@@ -418,10 +418,14 @@ def _cmd_simulate(ns, out, channel, raw):
 
 
 def _cmd_experiment(ns, out, channel, raw):
-    from .sim import StableRegimeError, run_separation_experiment, write_experiment_outputs
+    from .sim import (SimConfig, StableRegimeError, run_separation_experiment,
+                      write_experiment_outputs)
     from .sim.run import solver_health
 
-    cfg = _sim_config(raw, ns, channel)
+    # each delta runs to its own escape time, so the sweep reads no t_end: one
+    # given is typed, then replaced by dt, the least that SimConfig takes
+    sim = _settings(raw, ns, "sim", SimConfig)
+    cfg = SimConfig(channel=channel, **{**sim, "t_end": sim.get("dt", SimConfig.dt)})
     settings = _settings(raw, ns, "experiment", run_separation_experiment)
     try:
         exp = run_separation_experiment(channel, sim=cfg, **settings)

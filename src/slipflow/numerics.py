@@ -31,8 +31,8 @@ Every symmetric pencil B v = lambda A v is reduced to a standard one the
 way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened
 W = L^-1 B L^-T.  ``inverse_cholesky`` keeps L^-1 of each read-only form
 (``gram_form`` and ``energy_form`` return such arrays), so the dense solve,
-the Lanczos path and the mu_c quotient of one wavenumber factor each form
-once.  Everything here is numpy; the package needs no scipy at run time.
+the discrete slip operator and the mu_c quotient of one wavenumber factor
+each form once.  Everything here is numpy; the package needs no scipy at run time.
 
 Every wall check, of eigenfunctions (u1 = phi'), modes (u1 = psi) and DNS
 fields (their u1 rows), goes through ``wall_values`` (values at x = -1, +1)
@@ -327,8 +327,9 @@ def boundary_form(slip, basis: ChebBasis) -> np.ndarray:
 def energy_form(k: float, basis: ChebBasis) -> np.ndarray:
     """E_ij = int(phi_i'' phi_j'' + 2 k^2 phi_i' phi_j' + k^4 phi_i phi_j), SPD.
 
-    Cached for the last few (k, basis) pairs, so the pencil, the Lanczos
-    path and the mu_c quotient of one wavenumber share one read-only array.
+    Cached for the last few (k, basis) pairs, so the pencil, the discrete
+    slip operator and the mu_c quotient of one wavenumber share one
+    read-only array.
     It is G2 + 2 k^2 G1 + k^4 G0 on the basis's ``gram_blocks``.
     """
     G0, G1, G2 = basis.gram_blocks

@@ -23,14 +23,11 @@ O(N^2) work per pair and factors no shifted pencil.  A pair keeps its dense
 value when the step does not strictly lower its residual or, at an exact
 eigenvalue tie, gives no finite correction.
 
-Two checks of the dense solve live here, and the commands run them
-differently: ``slipflow spectrum`` runs the exact oracle, ``slipflow
-verify`` runs the oracle and the mu_c quotient
-(``critical.mu_c_variational``), and only the tier-1 tests and the
-benchmark's ``spectrum`` workload run the Lanczos path
-(``lambda1_variational``).  First, the oracle, the operator method of
-Lafitte & Nguyen: lambda >= 0 is a growth rate exactly when 1 is an
-eigenvalue of a compact self-adjoint operator, and because the slip
+Two checks of the dense solve live here.  ``slipflow spectrum`` runs the
+first, and ``slipflow verify`` runs both and the mu_c quotient
+(``critical.mu_c_variational``).  First, the exact oracle, the operator
+method of Lafitte & Nguyen: lambda >= 0 is a growth rate exactly when 1 is
+an eigenvalue of a compact self-adjoint operator, and because the slip
 boundary form has rank 2 that operator is the 2x2 matrix
 K(lambda) = Xi^(1/2) G(lambda) Xi^(1/2), Xi = diag(xi_minus, xi_plus).
 With m = sqrt(k^2 + lambda/mu), the even and odd wall responses
@@ -38,19 +35,19 @@ e = (m tanh m - k tanh k)/lambda and o = (m coth m - k coth k)/lambda give
 G = [[e+o, o-e], [o-e, e+o]] / 2.  The eigenvalues kappa_1 >= kappa_2 of K
 do not increase with lambda, so each branch with kappa_i(0) > 1 crosses 1
 exactly once: there are at most two growth rates, and mu kappa_1(0) is
-mu_c(k).  Second, the Lanczos path: lambda_1 equals the maximum of the
-Rayleigh quotient B_k(phi,phi) / int((phi')^2 + k^2 phi^2), computed here by
-Lanczos iteration from one random start, with full reorthogonalization and
-a restart at each invariant subspace; the top eigenvalue of the n x n
-tridiagonal is taken by
-``np.linalg.eigvalsh``.  The whitened operator W = L^-1 B L^-T (A = L L^T) is
-formed once per call, so each Lanczos step is one matrix-vector product.
-The path runs no dense eigensolve of W, so it shares no eigensolver with the
-dense solve.  It does share the assembled pencil and its factor: ``assemble``
-is cached per (problem, basis), ``energy_form`` and ``gram_form`` per
-(k, basis), and ``inverse_cholesky`` per read-only form, so the dense solve,
-the Lanczos path and the mu_c quotient of one wavenumber read one B, one E
-and one A, and factor A and E once each.
+mu_c(k).  Second, the same method on the trial space: with D the wall
+slopes, B = D Xi D^T - mu E, so lambda_1 of the pencil is the unit
+crossing of the top eigenvalue of the 2x2 discrete slip operator
+K_N(lambda) = Xi^(1/2) D^T (lambda A + mu E)^-1 D Xi^(1/2)
+(``lambda1_variational``).  A table of the pencil (A, E) per (k, basis)
+makes each evaluation of K_N O(N); its eigensolve is not the dense
+solve's, and it needs no mu and no xi.  K_N is the Galerkin restriction of
+K, so the Galerkin kappa_1 lies below the exact one.  The checks share the
+cached forms: ``assemble`` is cached per (problem, basis), ``energy_form``,
+``gram_form`` and the K_N table per (k, basis), and ``inverse_cholesky``
+per read-only form, so the dense solve, lambda_1 of K_N and the mu_c
+quotient of one wavenumber read one B, one E and one A, and factor A and E
+once each.
 """
 
 from __future__ import annotations
@@ -69,9 +66,9 @@ from .numerics import (
     energy_form,
     find_root_bracketed,
     gram_form,
+    inverse_cholesky,
     slip_defects,
     solve_generalized_symmetric,
-    whiten,
 )
 
 __all__ = [
@@ -143,8 +140,7 @@ def assemble(problem: ModeProblem, basis: ChebBasis) -> AssembledPencil:
     """Assemble B = R - mu E and the Gram form A for the problem's wavenumber.
 
     Cached for the last few (problem, basis) pairs like ``energy_form``, so
-    the dense solve and the Lanczos path of one check share one read-only
-    pencil.
+    every check of one problem reads one read-only pencil.
     """
     k = problem.k
     B = boundary_form(problem.slip, basis) - problem.mu * energy_form(k, basis)
@@ -262,89 +258,6 @@ def gram_defects(spectrum: Spectrum, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Independent variational path for lambda_1: Lanczos on the whitened pencil.
-# ---------------------------------------------------------------------------
-
-
-def _largest_tridiagonal_eigenvalue(alpha: np.ndarray, beta: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
-    ``alpha`` and off-diagonal ``beta``, by ``np.linalg.eigvalsh`` of the
-    n x n matrix.
-
-    Its error is of order eps times the norm of T, the order of the error
-    with which the whitened W, and so T, is formed.  Just below mu_c, where
-    lambda_1 is small beside that norm, the gap to the refined Galerkin
-    lambda_1 at N = 96 and mu = 0.999 mu_c reads at most 4.4e-9 relative
-    over the cases and start seeds of
-    ``test_lambda1_variational_keeps_digits_near_mu_c`` (bound 1e-8); a
-    Sturm bisection to the smallest tolerance read 3.3e-9 there.
-    """
-    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    return float(np.linalg.eigvalsh(T)[-1])
-
-
-def _lanczos_top_eigenvalue(W: np.ndarray, rng: np.random.Generator) -> float:
-    """Largest eigenvalue of the symmetric W by n = size Lanczos steps.
-
-    Full reorthogonalization (two passes) keeps the n Lanczos vectors
-    orthonormal.  A step whose new direction vanishes (b below 1e-14
-    max(|alpha_j|, 1)) has found an invariant subspace; the run then
-    restarts from a fresh random vector, orthogonalized twice against the
-    vectors so far, with beta_j = 0.  The n x n tridiagonal T is therefore
-    orthogonally similar to W for every start, and its largest eigenvalue
-    (``_largest_tridiagonal_eigenvalue``) is the top eigenvalue of W.
-    """
-    n = W.shape[0]
-    Q = np.empty((n, n))  # Lanczos vectors by rows
-    alpha = np.empty(n)
-    beta = np.empty(n - 1)
-    w = rng.standard_normal(n)
-    b = math.sqrt(w @ w)
-    for j in range(n):
-        Q[j] = q = w / b
-        w = W @ q
-        alpha[j] = q @ w
-        if j + 1 == n:
-            break
-        Qj = Q[: j + 1]
-        w -= (Qj @ w) @ Qj  # full reorthogonalization
-        w -= (Qj @ w) @ Qj
-        b = math.sqrt(w @ w)
-        if b < 1e-14 * max(abs(alpha[j]), 1.0):
-            beta[j] = 0.0
-            w = rng.standard_normal(n)
-            w -= (Qj @ w) @ Qj
-            w -= (Qj @ w) @ Qj
-            b = math.sqrt(w @ w)
-        else:
-            beta[j] = b
-    return _largest_tridiagonal_eigenvalue(alpha, beta)
-
-
-def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0) -> float:
-    """Maximum of the Rayleigh quotient B_k(phi,phi)/int((phi')^2+k^2 phi^2).
-
-    No command runs this path: ``slipflow spectrum`` checks the dense solve
-    against the exact oracle (``determinant_roots``), ``slipflow verify``
-    against the oracle and the mu_c quotient, and only the tier-1 tests and
-    the benchmark's ``spectrum`` workload call it.  It shares no eigensolver
-    with the dense pencil solve: the quotient is maximized by
-    Lanczos iterations (one random start, full reorthogonalization, a
-    restart at each invariant subspace, see ``_lanczos_top_eigenvalue``) on
-    the A-whitened operator W = L^-1 B L^-T, with the maximum of the n x n
-    tridiagonal taken by a symmetric eigenvalue routine.  W is formed once
-    by ``whiten`` from the cached factor L^-1 (A = L L^T) that the dense
-    solve of the same pencil also reads, so a Lanczos step is one
-    matrix-vector product and no dense eigensolve of W is involved.  The
-    Lanczos basis spans the whole space, so the maximum does not depend on
-    the start beyond roundoff.
-    """
-    pencil = assemble(problem, basis)
-    W, _ = whiten(pencil.B, pencil.A)
-    return _lanczos_top_eigenvalue(W, np.random.default_rng(seed))
-
-
-# ---------------------------------------------------------------------------
 # Exact oracle: the rank-2 slip operator K(lambda) and its unit crossings.
 # ---------------------------------------------------------------------------
 
@@ -426,6 +339,20 @@ def characteristic_determinant(lam: float, problem: ModeProblem) -> float:
     return (1.0 - kappa1) * (1.0 - kappa2)
 
 
+def _unit_crossing(excess, start: float) -> float:
+    """The one root in (0, inf) of ``excess``, nonincreasing there with
+    excess(0+) > 0: bracketed by factors of 4 from ``start``, up while
+    excess > 0 and then down while excess <= 0, and solved by Brent's method
+    to 1e-14 of the bracket's upper end."""
+    hi = start
+    while excess(hi) > 0.0:
+        hi *= 4.0
+    lo = 0.25 * hi
+    while lo > 0.0 and excess(lo) <= 0.0:
+        hi, lo = lo, 0.25 * lo
+    return find_root_bracketed(excess, lo, hi, tol=1e-14 * hi)
+
+
 def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
     """Growth rates as the unit crossings of the eigenvalue branches of K(lam).
 
@@ -435,8 +362,8 @@ def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
     lam -> 0 limit, and mu kappa_1(0) is mu_c(k).  A branch with
     |kappa_i(0) - 1| < MARGINAL_TOL is marginal: its crossing is roundoff,
     so it is counted in ``marginal`` and gives no root.  Each crossing is
-    bracketed by factors of 4 from lam = mu k^2 and solved by Brent's method;
-    one determinant evaluation confirms every root.
+    bracketed by factors of 4 from lam = mu k^2 and solved by Brent's method
+    (``_unit_crossing``); one determinant evaluation confirms every root.
     """
     kappa0 = operator_eigenvalues(0.0, problem)
     roots = []
@@ -447,13 +374,7 @@ def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
         def excess(lam: float, branch=branch) -> float:
             return operator_eigenvalues(lam, problem)[branch] - 1.0
 
-        hi = problem.mu * problem.k ** 2
-        while excess(hi) > 0.0:
-            hi *= 4.0
-        lo = 0.25 * hi
-        while lo > 0.0 and excess(lo) <= 0.0:
-            hi, lo = lo, 0.25 * lo
-        roots.append(find_root_bracketed(excess, lo, hi, tol=1e-14 * hi))
+        roots.append(_unit_crossing(excess, problem.mu * problem.k ** 2))
     for lam in roots:
         det = characteristic_determinant(lam, problem)
         if abs(det) > 1e-10 * max(1.0, operator_eigenvalues(lam, problem)[0]):
@@ -488,3 +409,73 @@ def inertia_violation(positive_count: int) -> str | None:
     if positive_count <= INERTIA_BOUND:
         return None
     return f"positive count {positive_count} exceeds {INERTIA_BOUND}, the inertia bound"
+
+
+# ---------------------------------------------------------------------------
+# Discrete slip operator K_N(lambda): lambda_1 of the Galerkin pencil.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _slip_table(k: float, basis: ChebBasis):
+    """Read-only (sigma, G) of the pencil (A, E), cached per (k, basis) like
+    ``energy_form``: with E = L L^T (the factor ``critical.mu_c_variational``
+    reads) and L^-1 A L^-T = Y diag(sigma) Y^T, sigma ascending, G = Y^T L^-1 D
+    holds the wall slopes D = ``wall_tables[1].T``.  Factoring A instead
+    reads up to 4.4e-7 relative from the dense lambda_1 at N = 96 on the
+    benchmark grid."""
+    inv = inverse_cholesky(energy_form(k, basis))
+    X = inv @ gram_form(k, basis) @ inv.T
+    sigma, Y = np.linalg.eigh(0.5 * (X + X.T))
+    G = Y.T @ (inv @ basis.wall_tables[1].T)
+    sigma.flags.writeable = G.flags.writeable = False
+    return sigma, G
+
+
+def _discrete_kappa1(problem: ModeProblem, basis: ChebBasis):
+    """(kappa1_N, pole): lam -> the top eigenvalue of K_N(lam), and -mu / sigma_max.
+
+    K_N(lam) = H^T diag(1 / (lam sigma + mu)) H, H = G Xi^(1/2)
+    (``_slip_table``), for lam above the pole, where lam A + mu E is
+    definite: one product with the rows h_-^2, h_+^2, h_- h_+ and the closed
+    form of a 2x2 top eigenvalue, a sum of nonnegative terms.
+    """
+    sigma, G = _slip_table(problem.k, basis)
+    H = G * np.sqrt([problem.slip.xi_minus, problem.slip.xi_plus])
+    rows = np.stack([H[:, 0] * H[:, 0], H[:, 1] * H[:, 1], H[:, 0] * H[:, 1]])
+    mu = problem.mu
+
+    def kappa1(lam: float) -> float:
+        a, c, b = rows @ (1.0 / (lam * sigma + mu))
+        return 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+
+    return kappa1, -mu / sigma[-1]
+
+
+def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0) -> float:
+    """lambda_1 of the pencil, the maximum of B_k(phi,phi)/int((phi')^2+k^2 phi^2)
+    on the trial space, as the unit crossing of kappa1_N (``_discrete_kappa1``).
+
+    Above the pole the pencil has as many eigenvalues above lam as K_N(lam)
+    has above 1 (Sylvester), and kappa1_N falls from +inf to 0.  When
+    kappa1_N(0) > 1 the crossing is bracketed as the oracle's roots are
+    (``_unit_crossing``); otherwise it lies in (pole, 0], bracketed towards 0
+    when kappa1_N(pole / 2) > 1 and towards the pole when not.  With no slip
+    lambda_1 is the pole.  The path reaches neither ``whiten`` nor the dense
+    solve.  ``seed`` is ignored, as there is no random start; it stays
+    because the benchmark's ``spectrum`` workload passes it.
+    """
+    kappa1, pole = _discrete_kappa1(problem, basis)
+    if problem.slip.total == 0.0:
+        return pole
+
+    def excess(lam: float) -> float:
+        return kappa1(lam) - 1.0
+
+    if excess(0.0) > 0.0:
+        return _unit_crossing(excess, problem.mu * problem.k ** 2)
+    # measured from the nearer end, t = -lam or u = lam - pole, each bracket
+    # keeps the relative digits of a lambda_1 near that end
+    if excess(0.5 * pole) > 0.0:
+        return -_unit_crossing(lambda t: -excess(-t), -0.5 * pole)
+    return pole + _unit_crossing(lambda u: excess(pole + u), -0.5 * pole)

@@ -30,6 +30,7 @@ from .spectrum import (
     assemble,
     gram_defects,
     inertia_violation,
+    lambda1_variational,
     oracle_agreement,
     resolved_count,
     solve_spectrum,
@@ -141,11 +142,14 @@ def check_critical_variational(battery: _Battery) -> tuple:
 
 def check_spectrum_oracle(battery: _Battery) -> tuple:
     """Positive Galerkin eigenvalues match determinant roots, same count; a
-    count above the inertia bound fails and is named in the detail."""
+    count above the inertia bound fails and is named in the detail.  In
+    every case lambda_1 of the discrete slip operator (``lambda1_variational``)
+    meets the dense lambda_1 to 1e-10 relative, or the check fails."""
     basis = battery.basis64
     worst = 0.0
     detail = {}
     inertia = []
+    lambda1_gap = 0.0
     cases = [
         (1.0, 0.5, _STD_SLIP),
         (1.0, 0.9 * critical.mu_c_closed_form(1.0, _STD_SLIP), _STD_SLIP),
@@ -153,7 +157,10 @@ def check_spectrum_oracle(battery: _Battery) -> tuple:
     ]
     sup = (1.0, 1.1 * critical.mu_c_closed_form(1.0, _STD_SLIP), _STD_SLIP)
     for k, mu, pair in (*cases, sup):
-        spec = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=pair), basis))
+        problem = ModeProblem(k=k, mu=mu, slip=pair)
+        spec = solve_spectrum(assemble(problem, basis))
+        lambda1_gap = max(lambda1_gap, abs(lambda1_variational(problem, basis) - spec.lambda1)
+                          / abs(spec.lambda1))
         n_gal, n_oracle, rel, excused = oracle_agreement(spec)
         cause = inertia_violation(n_gal)
         if cause:
@@ -165,9 +172,12 @@ def check_spectrum_oracle(battery: _Battery) -> tuple:
             worst = 2.0
         else:
             worst = max(worst, rel / 1.0e-8)
+    if lambda1_gap > 1.0e-10:
+        worst = 2.0
     if inertia:
         detail["inertia_violations"] = inertia
     detail["cases"] = len(cases) + 1
+    detail["lambda1_gap_max"] = lambda1_gap
     return _check(worst, detail)
 
 

@@ -697,6 +697,24 @@ class TestUsageErrors:
         assert "error: sim.linearized:" in capsys.readouterr().err
         assert not (tmp_path / "experiment_manifest.json").exists()
 
+    def test_experiment_ignores_a_sim_t_end_below_dt(self, tmp_path, capsys):
+        # each delta runs to its own escape time, so a sim.t_end below dt,
+        # which simulate refuses, is read but changes no experiment output
+        outs = []
+        for sim in ({"t_end": 1.0e-3}, {}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"viscosity": 0.5, "sim": {
+                "M": 16, "P": 56, "dt": 4.0e-3, **sim}}))
+            out = tmp_path / f"out{len(outs)}"
+            rc = run_cli("--config", cfg, "--out", out, "experiment",
+                         "--deltas", "1e-2", "1e-3")
+            assert rc == 0
+            assert "t_end" not in capsys.readouterr().err
+            outs.append(out)
+        for name in ("summary.csv", "experiment_manifest.json",
+                     "delta_1e-03/separation.csv", "delta_1e-03/manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     @pytest.mark.parametrize("key, value", [("deltas", "1e-3"), ("delta0", True),
                                             ("packet_count", 2.5)])
     def test_experiment_value_of_the_wrong_type_is_refused(self, tmp_path, capsys,

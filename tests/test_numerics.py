@@ -134,8 +134,10 @@ def test_generalized_eig_rejects_bad_input():
 
 
 def test_generalized_eig_factors_the_mass_side_once(monkeypatch):
-    # the dense solve and the Lanczos path of one pencil read one read-only
-    # Gram form, and its Cholesky factor is computed once for both
+    # the dense solve of one pencil factors its read-only Gram form A once;
+    # lambda_1 of the discrete slip operator factors the read-only energy
+    # form E once, and the mu_c quotient of the same wavenumber reuses it
+    from slipflow.critical import mu_c_variational
     from slipflow.spectrum import lambda1_variational
 
     calls = []
@@ -154,9 +156,11 @@ def test_generalized_eig_factors_the_mass_side_once(monkeypatch):
     problem = ModeProblem(k=0.7, mu=0.3, slip=SlipPair(1.0, 2.0))
     pencil = assemble(problem, basis)
     lam_g = solve_spectrum(pencil).lambda1
-    lam_v = lambda1_variational(problem, basis)
     assert len(calls) == 1 and calls[0] is pencil.A
-    assert abs(lam_v - lam_g) <= 1e-8 * abs(lam_g)
+    lam_v = lambda1_variational(problem, basis)
+    mu_c_variational(problem.k, problem.slip, basis)
+    assert len(calls) == 2 and calls[1] is energy_form(problem.k, basis)
+    assert abs(lam_v - lam_g) <= 1e-10 * abs(lam_g)
     monkeypatch.undo()
 
     # a failure of the eigensolver itself is not a mass-side failure
