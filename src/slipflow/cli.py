@@ -24,8 +24,10 @@ reader, ``_read_section``, reads every section: keys match in any case,
 and a key given twice, an unknown key or a value of the wrong JSON type is
 refused (exit code 2).
 
-Exit codes: 0 success, 1 a failed check or run (oracle mismatch, blow-up, a
-falsified experiment verdict), 2 a usage error: a bad configuration, a
+Exit codes come from findings (``slipflow.findings``), each printed on one
+stdout line: 1 exactly when some finding fails (an oracle mismatch, a
+blow-up, a falsified experiment gate), else 0; a flagged or unavailable
+finding fails nothing.  2 is a usage error: a bad configuration, a
 wavenumber with no growing mode, or an experiment whose every delta was
 refused at its start (its outputs and manifests are still written).  A
 channel whose fundamental wavenumber 1/L is stable (mu >= mu_c(1/L)) is
@@ -39,13 +41,10 @@ with the subcommand's parsed flags and --seed; --out, --threads and the
 --config path are left out.  Rerunning an identical invocation
 reproduces every output file byte for byte (floats are printed with 17
 significant digits); wall-clock timings go to stderr, never into files.
-`simulate` and `experiment` add the same four solver-health keys, built by
-one owner, `sim.run.solver_health`: `crank_nicolson_rate`, the rate the
-Crank-Nicolson steps realize for the packet's top rate and its relative gap
-(`simulate` prints it); `influence_cond_max`, the largest condition number
-of the stepper's per-mode influence matrices; `record_cfl_max`, the largest
-CFL number a nonlinear record read; and `energy_residual_max`, the largest
-energy-budget residual of a record.  Each is null when nothing was measured.
+`spectrum` and `verify` list their findings in their own report, and
+`simulate` and `experiment` in the run manifest: the four solver-health
+findings of `sim.run.solver_health`, and the experiment's per-delta,
+slope and escape-spacing findings (`sim.experiment.sweep_findings`).
 """
 
 from __future__ import annotations
@@ -134,9 +133,13 @@ def apply_env_overrides(raw: dict, environ=None) -> dict:
 
 
 def _merge_config(base: dict, extra: dict) -> dict:
+    """``base`` overlaid with ``extra``, section by section.  A key replaces
+    the key that ``base`` spells in another case, as ``apply_env_overrides``
+    does, unless ``extra`` spells that one too: a key given twice stays so."""
     for key, value in extra.items():
+        key = next((k for k in base if k.lower() == key.lower() and k not in extra), key)
         if isinstance(value, dict) and isinstance(base.get(key), dict):
-            base[key].update(value)
+            _merge_config(base[key], value)
         else:
             base[key] = value
     return base
@@ -290,43 +293,23 @@ def _cmd_critical(ns, out, channel, raw):
     write_lines(out / "critical.csv", lines)
     print(f"critical: {ns.points} samples on [{k_min:g}, {k_max:g}], "
           f"mu_c_global = {mu_global:.12g}")
-    return 0, ["critical.csv"]
+    return ["critical.csv"], []
 
 
 def _cmd_spectrum(ns, out, channel, raw):
+    from .findings import write_report
     from .model import ModeProblem
     from .numerics import build_basis
-    from .output import write_csv, write_json
-    from .spectrum import (assemble, determinant_roots, inertia_violation,
-                           oracle_agreement, solve_spectrum)
+    from .output import write_csv
+    from .spectrum import assemble, oracle_findings, solve_spectrum
 
     problem = ModeProblem(k=ns.k, mu=channel.mu, slip=channel.slip)
     spectrum = solve_spectrum(assemble(problem, build_basis(ns.basis)))
     write_csv(out / "spectrum.csv", "n,lambda", enumerate(spectrum.eigenvalues, start=1))
-
-    n_gal, n_oracle, max_rel, excused = oracle_agreement(spectrum)
-    report = {
-        "positive_count_galerkin": n_gal,
-        "positive_count_oracle": n_oracle,
-        "marginal_branches_oracle": determinant_roots(problem).marginal,
-        "max_rel_mismatch": max_rel,
-    }
-    # a Galerkin positive of a marginal branch is a roundoff rate, not a
-    # count mismatch; the report names it only when there is one
-    excuse = ""
-    if excused:
-        report["marginal_positives_excused"] = excused
-        excuse = f", {excused} marginal excused"
-    # a count above the inertia bound fails whatever the oracle says
-    inertia = inertia_violation(n_gal)
-    if inertia:
-        report["inertia_violation"] = inertia
-    write_json(out / "spectrum_report.json", report)
-    ok = not inertia and n_gal == n_oracle + excused and max_rel <= 1.0e-6
-    print(f"spectrum: k = {ns.k:g}, positive count {n_gal} (oracle {n_oracle}{excuse}), "
-          f"max relative mismatch {max_rel:.3e} -> {'ok' if ok else 'MISMATCH'}"
-          + (f": {inertia}" if inertia else ""))
-    return (0 if ok else 1), ["spectrum.csv", "spectrum_report.json"]
+    findings = oracle_findings(spectrum, 1.0e-6)
+    write_report(out / "spectrum_report.json", findings)
+    print(f"spectrum: k = {ns.k:g}, basis {ns.basis}")
+    return ["spectrum.csv", "spectrum_report.json"], findings
 
 
 def _cmd_dispersion(ns, out, channel, raw):
@@ -347,7 +330,7 @@ def _cmd_dispersion(ns, out, channel, raw):
     best_k, best_lam, _ = max(rows, key=lambda row: row[1])
     print(f"dispersion: {ns.n_max} lattice wavenumbers, "
           f"max lambda1 = {best_lam:.12g} at k = {best_k:g}")
-    return 0, ["dispersion.csv"]
+    return ["dispersion.csv"], []
 
 
 def _cmd_modes(ns, out, channel, raw):
@@ -380,10 +363,11 @@ def _cmd_modes(ns, out, channel, raw):
     write_json(out / "packet.json", manifest)
     print(f"modes: {packet.count} unstable mode(s) at k = {k:g}, "
           f"T_delta({ns.delta:g}) = {t_delta:.12g}")
-    return 0, ["modes.csv", "packet.json"]
+    return ["modes.csv", "packet.json"], []
 
 
 def _cmd_simulate(ns, out, channel, raw):
+    from .findings import Finding
     from .sim import (InfluenceConditioningError, SimulationBlowupError,
                       diagnostics_to_csv, energy_to_csv, field_from_packet, run)
     from .sim.run import solver_health
@@ -398,9 +382,9 @@ def _cmd_simulate(ns, out, channel, raw):
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         # run() refuses ill-conditioned operators as it builds its stepper,
         # and after a failure in its step loop writes the truncated run
-        if isinstance(exc, InfluenceConditioningError):
-            return 1, []
-        return 1, ["diagnostics_truncated.csv", "failure_manifest.json"]
+        truncated = [] if isinstance(exc, InfluenceConditioningError) else [
+            "diagnostics_truncated.csv", "failure_manifest.json"]
+        return truncated, [Finding("run", None, None, "fail", f"{type(exc).__name__}: {exc}")]
     diagnostics_to_csv(result.diagnostics, out / "diagnostics.csv")
     energy_to_csv(result.diagnostics, out / "energy.csv")
     outputs = ["diagnostics.csv", "energy.csv"]
@@ -409,17 +393,14 @@ def _cmd_simulate(ns, out, channel, raw):
     print(f"simulate: {cfg.n_steps} steps to t = {diag.times[-1]:g}, "
           f"final l2 = {diag.l2_norm[-1]:.12g}, "
           f"growth rate estimate = {diag.growth_rate_estimate[-1]:.12g}")
-    health = solver_health(cfg, packet.top_lambda, [diag.energy_residual], [result.record_cfl])
-    rate = health["crank_nicolson_rate"]
-    print(f"simulate: Crank-Nicolson at dt = {cfg.dt:g} realizes the top rate "
-          f"lambda = {rate['lambda']:.12g} as lambda_run = {rate['lambda_run']:.12g} "
-          f"(relative gap {rate['relative_gap']:.3e})")
-    return 0, outputs, health
+    return outputs, solver_health(cfg, packet.top_lambda, [diag.energy_residual],
+                                  [result.record_cfl])
 
 
 def _cmd_experiment(ns, out, channel, raw):
     from .sim import (SimConfig, StableRegimeError, run_separation_experiment,
                       write_experiment_outputs)
+    from .sim.experiment import sweep_findings
     from .sim.run import solver_health
 
     # each delta runs to its own escape time, so the sweep reads no t_end: one
@@ -431,40 +412,25 @@ def _cmd_experiment(ns, out, channel, raw):
         exp = run_separation_experiment(channel, sim=cfg, **settings)
     except StableRegimeError as exc:
         print(exc)
-        return 0, []
+        return [], []
     written = write_experiment_outputs(exp, out)
     outputs = [p.relative_to(out).as_posix() for p in written]
-    for o in exp.outcomes:
-        if o.error is not None:
-            print(f"  delta = {o.delta:.3e}  FAILED: {o.error}")
-        else:
-            print(f"  delta = {o.delta:.3e}  T_delta = {o.t_delta:.6g}  "
-                  f"separation = {o.separation:.6g}  bound = {o.bound:.6g}  "
-                  f"verdict = {'pass' if o.ok else 'FAIL'}")
-    print(f"experiment: slope = {exp.slope:.6g} (want 2 +- 0.2), "
-          f"escape spacing ok = {exp.escape_ok}, "
-          f"verdict = {'PASS' if exp.verdict else 'FAIL'}")
+    print(f"experiment: {len(exp.outcomes)} deltas at k = {exp.k:g}")
     residuals = [o.diagnostics.energy_residual for o in exp.outcomes if o.error is None]
-    health = solver_health(cfg, float(exp.lambdas[-1]), residuals,
-                           [o.record_cfl for o in exp.outcomes])
+    findings = sweep_findings(exp) + solver_health(
+        cfg, float(exp.lambdas[-1]), residuals, [o.record_cfl for o in exp.outcomes])
     if all(o.refused for o in exp.outcomes):
-        print("error: every delta was refused at its start", file=sys.stderr)
-        return 2, outputs, health
-    return (0 if exp.verdict else 1), outputs, health
+        return outputs, findings, "every delta was refused at its start"
+    return outputs, findings
 
 
 def _cmd_verify(ns, out, channel, raw):
-    from .output import write_json
-    from .verification import verification_report
+    from .findings import write_report
+    from .verification import verify_all
 
-    report = verification_report(seed=ns.seed)
-    write_json(out / "verify_report.json", report)
-    for check in report["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        print(f"{status}  {check['name']}  (margin = {check['margin']:.3e})")
-    print("verify: all properties passed" if report["all_passed"]
-          else "verify: FAILURES present")
-    return (0 if report["all_passed"] else 1), ["verify_report.json"]
+    findings = verify_all(seed=ns.seed)
+    write_report(out / "verify_report.json", findings, seed=ns.seed, tool_version=__version__)
+    return ["verify_report.json"], findings
 
 
 _HANDLERS = {
@@ -587,7 +553,7 @@ def main(argv=None) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    from .output import write_json
+    from .findings import exit_code, finding_line, write_report
 
     t0 = time.perf_counter()
     try:
@@ -596,23 +562,25 @@ def main(argv=None) -> int:
         # every command reads the whole configuration; verify builds its own
         # channels and ignores this one
         channel = channel_from_config(raw)
-        # a handler returns (exit code, outputs) and may add manifest fields
-        rc, outputs, *fields = _HANDLERS[ns.command](ns, out, channel, raw)
+        # a handler returns its outputs and findings, and the error of a
+        # refused run that still wrote its outputs
+        outputs, findings, *refused = _HANDLERS[ns.command](ns, out, channel, raw)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    for finding in findings:
+        print(finding_line(finding))
+    for error in refused:
+        print(f"error: {error}", file=sys.stderr)
     t_cmd = time.perf_counter() - t0 - t_setup
     print(f"timings: setup {t_setup:.3f} s, {ns.command} {t_cmd:.3f} s",
           file=sys.stderr)
-    write_json(out / "run_manifest.json", {
-        "command": ns.command,
-        "config_digest": _config_digest(raw, ns),
-        "tool_version": TOOL_VERSION,
-        "outputs": list(outputs),
-        **(fields[0] if fields else {}),
-    })
-    return rc
+    # spectrum and verify list their findings in their own report
+    write_report(out / "run_manifest.json", [] if ns.command in ("spectrum", "verify") else findings,
+                 command=ns.command, config_digest=_config_digest(raw, ns),
+                 tool_version=TOOL_VERSION, outputs=list(outputs))
+    return 2 if refused else exit_code(findings)
 
 
 if __name__ == "__main__":

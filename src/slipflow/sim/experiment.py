@@ -66,6 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..findings import Finding
 from ..model import ChannelConfig, LatticeSweep, ModeProblem, ValidationError
 from ..output import csv_row, write_csv, write_json, write_lines
 from ..critical import critical_wavenumber, mu_c_closed_form
@@ -104,6 +105,7 @@ __all__ = [
     "SeparationExperiment",
     "StableRegimeError",
     "run_separation_experiment",
+    "sweep_findings",
     "write_experiment_outputs",
 ]
 
@@ -161,12 +163,8 @@ class DeltaOutcome:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.error is None
-            and self.gate_h2.held
-            and self.gate_l2.held
-            and self.separation_ok
-        )
+        return (self.error is None and self.gate_h2.held and self.gate_l2.held
+                and self.separation_ok)
 
     @property
     def refused(self) -> bool:
@@ -197,11 +195,7 @@ class SeparationExperiment:
 
     @property
     def verdict(self) -> bool:
-        return (
-            all(o.ok for o in self.outcomes)
-            and self.slope_ok
-            and self.escape_ok
-        )
+        return all(o.ok for o in self.outcomes) and self.slope_ok and self.escape_ok
 
 
 def _gate(times, lhs, rhs) -> GateReport:
@@ -211,6 +205,10 @@ def _gate(times, lhs, rhs) -> GateReport:
         return GateReport(False, float(times[bad[0]]), float(ratio.max()))
     return GateReport(True, None, float(ratio.max()))
 
+
+# the tolerances of the fitted slope on 2 and, relative, of each decade's
+# escape-time increment on ln(10) / lambda_N
+SLOPE_TOL, ESCAPE_TOL = 0.2, 0.05
 
 # the failures that end one delta and become its recorded error
 _FAILURES = (
@@ -513,7 +511,7 @@ def run_separation_experiment(
     _step_sweep(live, outcomes, sim.diagnostics_stride)
 
     slope = _fit_slope(outcomes)
-    slope_ok = bool(abs(slope - 2.0) <= 0.2)  # False for a NaN slope
+    slope_ok = bool(abs(slope - 2.0) <= SLOPE_TOL)  # False for a NaN slope
 
     lam_top = packet.top_lambda
     expected = math.log(10.0) / lam_top
@@ -528,7 +526,7 @@ def run_separation_experiment(
             continue
         inc = ob.t_delta - oa.t_delta
         increments.append(inc)
-        decade_ok.append(abs(inc - expected) <= 0.05 * expected)
+        decade_ok.append(abs(inc - expected) <= ESCAPE_TOL * expected)
     escape_ok = bool(decade_ok) and all(decade_ok)
 
     exp = SeparationExperiment(
@@ -552,6 +550,24 @@ def run_separation_experiment(
     if out_dir is not None:
         write_experiment_outputs(exp, out_dir)
     return exp
+
+
+def sweep_findings(exp: SeparationExperiment) -> list:
+    """Each delta's separation against the bound it must reach, the slope,
+    and the largest relative miss of an escape-time increment."""
+    findings = [Finding(delta_dir_name(o.delta), o.separation, o.bound, "ok" if o.ok else "fail",
+                        None if o.ok else o.error or "a gate or the separation bound failed",
+                        {"t_delta": o.t_delta}) for o in exp.outcomes]
+    inc, expected = exp.escape_increments, exp.escape_expected
+    miss = float(np.abs(inc - expected).max() / expected) if inc.size else None
+    return findings + [
+        Finding("slope", exp.slope, None, "ok" if exp.slope_ok else "fail",
+                None if exp.slope_ok else f"want 2 +- {SLOPE_TOL:g}"),
+        Finding("escape_spacing", miss, ESCAPE_TOL, "ok" if exp.escape_ok else "fail",
+                None if exp.escape_ok else "no two completed deltas a decade apart"
+                if miss is None else "an increment misses ln(10) / lambda_N",
+                {"increments": inc.tolist(), "expected": expected}),
+    ]
 
 
 def _outcome_manifest(o: DeltaOutcome, exp: SeparationExperiment) -> dict:

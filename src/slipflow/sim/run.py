@@ -7,7 +7,7 @@ stability bound (CFL_LIMIT).  ``_abort_past_cfl`` ends a nonlinear run
 with SimulationBlowupError at a record whose CFL number exceeds CFL_ABORT.
 A linearized run has no advection, so it has no CFL bound.  Records (the
 sweep's too) and checkpoints fall on one schedule, ``_scheduled``: every
-stride-th step and the last.  ``solver_health`` builds the health record
+stride-th step and the last.  ``solver_health`` builds the health findings
 that both DNS commands write.
 
 A diagnostics record is a capture and a later evaluation (``_Recorder``).
@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..findings import bounded
 from ..model import ValidationError
 from ..output import write_csv, write_json
 from .energy import _dissipation, _production
@@ -51,6 +52,7 @@ from .field import SpectralField2D, _forms, _sobolev_norms, _velocity_weights
 from .stepper import (
     CFL_ABORT,
     CFL_LIMIT,
+    INFLUENCE_COND_MAX,
     ChannelStepper,
     InfluenceConditioningError,
     SimConfig,
@@ -393,30 +395,40 @@ def run(
     )
 
 
-def solver_health(cfg: SimConfig, lam: float, energy_residual, record_cfl) -> dict:
-    """The health record of a DNS run on ``cfg``: ``crank_nicolson_rate``,
-    the rate ln|(1 + h) / (1 - h)| / dt, h = lam dt / 2, that Crank-Nicolson
-    steps realize for a mode of rate ``lam`` > 0 and its relative gap to
-    ``lam`` (both inf at the pole h = 1); ``influence_cond_max``, the largest
-    condition number of ``cfg``'s per-mode influence matrices (None when
-    their build refuses them); ``record_cfl_max`` and ``energy_residual_max``,
-    the largest value in the arrays ``record_cfl`` and ``energy_residual``
-    (None when they hold none)."""
+# the size of the Crank-Nicolson rate gap above which a run's growth is
+# flagged (it fails nothing).  The gaps at Lambda, xi = (1, 1): 2.9e-7 at
+# acceptance, 6.1e-6 at the smoke sweep, 2.0e-4 at mu 0.02 with dt 1e-3;
+# flagged are 3.2e-3 at mu 0.02 with the default dt 4e-3 (whose delta = 1e-7
+# separation reads 3.6% off its dt = 1e-3 value), 1.3e-2 at mu 0.01 with dt
+# 4e-3, and 4.3e-2 for `simulate --mu 0.05 --xi 0 3 --linearized`
+CN_GAP_FLAG = 1.0e-3
+
+
+def solver_health(cfg: SimConfig, lam: float, energy_residual, record_cfl) -> list:
+    """The health findings of a DNS run on ``cfg``: ``crank_nicolson_rate``,
+    the relative gap to ``lam`` of the rate ln|(1 + h) / (1 - h)| / dt,
+    h = lam dt / 2, that Crank-Nicolson steps realize for it (both rates in
+    the detail; unavailable at the pole h = 1); ``influence_cond_max``, the
+    largest condition number of the per-mode influence matrices
+    (unavailable when their build refuses them); the largest values of the
+    arrays ``record_cfl`` and ``energy_residual`` (unavailable when empty)."""
     h = 0.5 * lam * cfg.dt
     lam_run = math.inf if h == 1.0 else math.log(abs((1.0 + h) / (1.0 - h))) / cfg.dt
+    gap = lam_run / lam - 1.0
     try:
         cond = float(_operator_set(cfg)["_influence_cond"].max())
     except InfluenceConditioningError:
         cond = None
     cfl, resid = (np.concatenate([np.zeros(0), *arrays])
                   for arrays in (record_cfl, energy_residual))
-    return {
-        "crank_nicolson_rate": {"lambda": lam, "lambda_run": lam_run,
-                                "relative_gap": lam_run / lam - 1.0},
-        "influence_cond_max": cond,
-        "record_cfl_max": float(cfl.max()) if cfl.size else None,
-        "energy_residual_max": float(resid.max()) if resid.size else None,
-    }
+    return [
+        bounded("crank_nicolson_rate", gap if math.isfinite(gap) else None, CN_GAP_FLAG,
+                "flagged", f"dt = {cfg.dt:g} realizes lambda = {lam:.12g} as "
+                f"lambda_run = {lam_run:.12g}", {"lambda": lam, "lambda_run": lam_run}),
+        bounded("influence_cond_max", cond, INFLUENCE_COND_MAX),
+        bounded("record_cfl_max", float(cfl.max()) if cfl.size else None, CFL_ABORT),
+        bounded("energy_residual_max", float(resid.max()) if resid.size else None, None),
+    ]
 
 
 def write_checkpoint(path: str | Path, stepper: ChannelStepper) -> Path:

@@ -58,6 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .findings import Finding, bounded
 from .model import ModeProblem
 from .numerics import (
     ChebBasis,
@@ -81,8 +82,7 @@ __all__ = [
     "operator_eigenvalues",
     "characteristic_determinant",
     "determinant_roots",
-    "oracle_agreement",
-    "inertia_violation",
+    "oracle_findings",
     "spectrum_residuals",
     "gram_defects",
     "resolved_count",
@@ -383,32 +383,36 @@ def determinant_roots(problem: ModeProblem) -> DeterminantTrace:
     return DeterminantTrace(roots=np.array(sorted(roots)), marginal=marginal)
 
 
-def oracle_agreement(spectrum: Spectrum):
-    """Pair the positive Galerkin eigenvalues with the determinant roots.
-
-    Returns (galerkin_count, oracle_count, max_rel_mismatch, excused): the
-    two positive counts, the largest |lambda_j - root_j| / root_j over the
-    leading min(galerkin_count, oracle_count) pairs, both in descending
-    order (0 when there is no pair), and the Galerkin positives beyond the
-    roots that are taken as the roundoff rates of marginal branches, at
-    most ``DeterminantTrace.marginal`` of them.  The counts agree when
-    galerkin_count == oracle_count + excused.
-    """
+def oracle_findings(spectrum: Spectrum, tol: float) -> list:
+    """The count rule: findings ``positive_count``, ``inertia_bound`` and
+    ``max_rel_mismatch`` of the positive Galerkin eigenvalues against the
+    determinant roots, paired in descending order.  Positives beyond the
+    roots, up to ``DeterminantTrace.marginal``, are excused as the roundoff
+    rates of marginal branches; a count above INERTIA_BOUND fails whatever
+    the oracle says.  The largest |lambda_j - root_j| / root_j (0 with no
+    pair) is held to ``tol``, and a miss names whether every mismatched rate
+    lies below its root, as a Rayleigh-Ritz value must, or one lies above."""
     trace = determinant_roots(spectrum.problem)
     roots = trace.roots[::-1]
-    n = min(spectrum.positive_count, roots.size)
-    rel = np.abs(spectrum.eigenvalues[:n] - roots[:n]) / roots[:n]
-    excused = min(max(spectrum.positive_count - roots.size, 0), trace.marginal)
-    return (spectrum.positive_count, int(roots.size), float(rel.max()) if n else 0.0,
-            int(excused))
-
-
-def inertia_violation(positive_count: int) -> str | None:
-    """The named cause of a Galerkin positive count above INERTIA_BOUND, which
-    no counting against the oracle excuses, else None."""
-    if positive_count <= INERTIA_BOUND:
-        return None
-    return f"positive count {positive_count} exceeds {INERTIA_BOUND}, the inertia bound"
+    n_gal, n_oracle = spectrum.positive_count, int(roots.size)
+    n = min(n_gal, n_oracle)
+    gap = (spectrum.eigenvalues[:n] - roots[:n]) / roots[:n]
+    rel = float(np.abs(gap).max()) if n else 0.0
+    excused = int(min(max(n_gal - n_oracle, 0), trace.marginal))
+    detail = {"positive_count_oracle": n_oracle, "marginal_branches_oracle": trace.marginal}
+    if excused:
+        detail["marginal_positives_excused"] = excused
+    agree = n_gal == n_oracle + excused
+    below = bool(np.all(gap[np.abs(gap) > tol] < 0.0))
+    return [
+        Finding("positive_count", n_gal, None, "ok" if agree else "fail", None if agree else
+                f"{n_oracle} oracle roots and {excused} marginal excused", detail),
+        bounded("inertia_bound", n_gal, INERTIA_BOUND,
+                cause=f"positive count {n_gal} exceeds {INERTIA_BOUND}, the inertia bound"),
+        bounded("max_rel_mismatch", rel, tol, cause=(
+            "every mismatched rate lies below its root: under-resolved, as Rayleigh-Ritz "
+            "requires" if below else "a Galerkin rate lies above its root")),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Self-contained property suite: every module invariant as a named check.
 
-Each check returns (passed, margin, detail), the margin being the worst
-case of the measured quantity divided by its allowance, so margin <= 1
-means pass with room and the margin field quantifies how much; the check
-table ``_CHECKS`` names each check once and ``verify_all`` makes the
-PropertyCheck records.  Checks that are pure
-yes/no questions (bit-exact restarts, count agreement) report margin 0 on
-success and 2 on failure.
+Each check returns (margin, detail), the margin being the worst case of the
+measured quantity divided by its allowance, so margin <= 1 means pass with
+room and the margin quantifies how much; the check table ``_CHECKS`` names
+each check once and ``verify_all`` makes each a finding of value margin and
+bound 1.  Checks that are pure yes/no questions (bit-exact restarts, count
+agreement) report margin 0 on success and 2 on failure.
 
 The suite is deterministic: all randomness flows from the single seed, and
 the JSON report contains no timings, so two runs with the same seed produce
@@ -23,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
+from .findings import bounded
 from .model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair
 from .numerics import ChebBasis, build_basis, find_root_bracketed
 from .spectrum import (
     Spectrum,
     assemble,
     gram_defects,
-    inertia_violation,
     lambda1_variational,
-    oracle_agreement,
+    oracle_findings,
     resolved_count,
     solve_spectrum,
     spectrum_residuals,
@@ -59,7 +58,7 @@ from .sim.energy import energy_inequality_check, random_solenoidal_field
 from .sim.run import read_checkpoint, run, write_checkpoint
 from .sim.stepper import ChannelStepper, SimConfig
 
-__all__ = ["PropertyCheck", "verify_all", "verification_report", "CHECK_NAMES"]
+__all__ = ["verify_all", "CHECK_NAMES"]
 
 _STD_SLIP = SlipPair(1.0, 1.0)
 _REFERENCE = ModeProblem(k=1.0, mu=0.5, slip=_STD_SLIP)
@@ -73,22 +72,6 @@ class _Battery:
     basis48: ChebBasis
     basis64: ChebBasis
     reference: Spectrum  # _REFERENCE in basis48
-
-
-@dataclass
-class PropertyCheck:
-    name: str
-    passed: bool
-    margin: float
-    detail: dict
-
-
-def _check(margin, detail=None, passed=None) -> tuple:
-    """(passed, margin, detail) of one check; ``_CHECKS`` gives its name."""
-    margin = float(margin)
-    if passed is None:
-        passed = bool(margin <= 1.0)
-    return passed, margin, detail or {}
 
 
 def check_critical_closed_form(battery: _Battery) -> tuple:
@@ -114,7 +97,7 @@ def check_critical_closed_form(battery: _Battery) -> tuple:
         worst = max(worst, large)
         detail[f"small_k_rel_{pair.xi_minus:g}_{pair.xi_plus:g}"] = small
         detail[f"large_k_ratio_{pair.xi_minus:g}_{pair.xi_plus:g}"] = large * 0.02
-    return _check(worst, detail)
+    return worst, detail
 
 
 def check_critical_monotone(battery: _Battery) -> tuple:
@@ -125,7 +108,7 @@ def check_critical_monotone(battery: _Battery) -> tuple:
         vals = np.array([critical.mu_c_closed_form(k, pair) for k in ks])
         if np.any(np.diff(vals) >= 0.0):
             worst = 2.0
-    return _check(worst, {"grid_points": ks.size})
+    return worst, {"grid_points": ks.size}
 
 
 def check_critical_variational(battery: _Battery) -> tuple:
@@ -137,48 +120,43 @@ def check_critical_variational(battery: _Battery) -> tuple:
             closed = critical.mu_c_closed_form(k, pair)
             var = critical.mu_c_variational(k, pair, basis)
             worst = max(worst, abs(var - closed) / closed / 1.0e-6)
-    return _check(worst, {"tolerance": 1.0e-6})
+    return worst, {"tolerance": 1.0e-6}
 
 
 def check_spectrum_oracle(battery: _Battery) -> tuple:
-    """Positive Galerkin eigenvalues match determinant roots, same count; a
-    count above the inertia bound fails and is named in the detail.  In
-    every case lambda_1 of the discrete slip operator (``lambda1_variational``)
-    meets the dense lambda_1 to 1e-10 relative, or the check fails."""
+    """Positive Galerkin eigenvalues match determinant roots to 1e-8 by the
+    count rule of ``slipflow spectrum`` (``oracle_findings``); a count above
+    the inertia bound is named in the detail.  In every case lambda_1 of the
+    discrete slip operator (``lambda1_variational``) meets the dense
+    lambda_1 to 1e-10 relative, or the check fails."""
     basis = battery.basis64
     worst = 0.0
     detail = {}
-    inertia = []
     lambda1_gap = 0.0
     cases = [
         (1.0, 0.5, _STD_SLIP),
         (1.0, 0.9 * critical.mu_c_closed_form(1.0, _STD_SLIP), _STD_SLIP),
         (2.0, 0.9 * critical.mu_c_closed_form(2.0, SlipPair(0.0, 3.0)), SlipPair(0.0, 3.0)),
     ]
-    sup = (1.0, 1.1 * critical.mu_c_closed_form(1.0, _STD_SLIP), _STD_SLIP)
+    sup = (1.0, 1.1 * critical.mu_c_closed_form(1.0, _STD_SLIP), _STD_SLIP)  # no positive rate
     for k, mu, pair in (*cases, sup):
         problem = ModeProblem(k=k, mu=mu, slip=pair)
         spec = solve_spectrum(assemble(problem, basis))
         lambda1_gap = max(lambda1_gap, abs(lambda1_variational(problem, basis) - spec.lambda1)
                           / abs(spec.lambda1))
-        n_gal, n_oracle, rel, excused = oracle_agreement(spec)
-        cause = inertia_violation(n_gal)
-        if cause:
-            inertia.append(f"k = {k:g}, mu = {mu:.6g}: {cause}")
-        if (k, mu, pair) == sup:  # supercritical: no positive rate at all
-            if n_gal != 0 or n_oracle != 0:
-                worst = 2.0
-        elif cause or n_gal != n_oracle + excused:
+        count, bound, mismatch = oracle_findings(spec, 1.0e-8)
+        if bound.status == "fail":
+            detail.setdefault("inertia_violations", []).append(
+                f"k = {k:g}, mu = {mu:.6g}: {bound.cause}")
+        if "fail" in (count.status, bound.status) or (k, mu, pair) == sup and count.value:
             worst = 2.0
         else:
-            worst = max(worst, rel / 1.0e-8)
+            worst = max(worst, mismatch.value / 1.0e-8)
     if lambda1_gap > 1.0e-10:
         worst = 2.0
-    if inertia:
-        detail["inertia_violations"] = inertia
     detail["cases"] = len(cases) + 1
     detail["lambda1_gap_max"] = lambda1_gap
-    return _check(worst, detail)
+    return worst, detail
 
 
 def check_sign_flip(battery: _Battery) -> tuple:
@@ -192,7 +170,7 @@ def check_sign_flip(battery: _Battery) -> tuple:
             hi = solve_spectrum(assemble(ModeProblem(k=k, mu=1.1 * mu_c, slip=pair), basis)).lambda1
             if not (lo > 0.0 > hi):
                 worst = 2.0
-    return _check(worst, {"k_values": [0.5, 1.0, 4.0]})
+    return worst, {"k_values": [0.5, 1.0, 4.0]}
 
 
 def check_eigenfunction_quality(battery: _Battery) -> tuple:
@@ -214,7 +192,7 @@ def check_eigenfunction_quality(battery: _Battery) -> tuple:
         "norm_defect": norm_defect,
         "orthogonality_defect": ortho,
     }
-    return _check(worst, detail)
+    return worst, detail
 
 
 def check_mode_triple(battery: _Battery) -> tuple:
@@ -225,7 +203,7 @@ def check_mode_triple(battery: _Battery) -> tuple:
         l1, l2, wall_phi, slip = mode_residuals(mode)
         worst = max(worst, l1 / 1.0e-7, l2 / 1.0e-7, wall_phi / 1.0e-10, slip / 1.0e-8)
         detail[f"lambda_{mode.lam:.6f}"] = {"line1": l1, "line2": l2}
-    return _check(worst, detail)
+    return worst, detail
 
 
 def check_escape_time(battery: _Battery) -> tuple:
@@ -250,7 +228,7 @@ def check_escape_time(battery: _Battery) -> tuple:
     worst = max(worst, ident / 1.0e-12)
     detail = {"single_mode_rel": abs(t1 - exact) / exact, "defining_residual": resid,
               "l2_identity_rel": ident}
-    return _check(worst, detail)
+    return worst, detail
 
 
 def check_field_norms(battery: _Battery) -> tuple:
@@ -298,17 +276,12 @@ def check_field_norms(battery: _Battery) -> tuple:
     div = divergence_max(u1, u2)
     worst = max(worst, div / 1.0e-10)
     detail = {"analytic_rel": rel, "parseval_rel": pars, "divergence": div}
-    return _check(worst, detail)
-
-
-def _fastest_mode_packet(battery: _Battery):
-    """Unit packet of the fastest mode of the reference spectrum."""
-    return build_packet(battery.reference, count=1)
+    return worst, detail
 
 
 def check_linearized_growth(battery: _Battery) -> tuple:
     """The linearized stepper reproduces the top eigenvalue growth rate."""
-    packet = _fastest_mode_packet(battery)
+    packet = build_packet(battery.reference, count=1)
     field = field_from_packet(packet, 8, 56, 1.0)
     lam = packet.top_lambda
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
@@ -318,8 +291,7 @@ def check_linearized_growth(battery: _Battery) -> tuple:
     times, l2 = result.diagnostics.times, result.diagnostics.l2_norm
     slope = float(np.polyfit(times, np.log(l2), 1)[0])
     rel = abs(slope - lam) / lam
-    return _check(rel / 1.0e-2,
-                  {"fitted": slope, "eigenvalue": lam, "rel_error": rel})
+    return rel / 1.0e-2, {"fitted": slope, "eigenvalue": lam, "rel_error": rel}
 
 
 def check_mean_robin_rate(battery: _Battery) -> tuple:
@@ -337,8 +309,7 @@ def check_mean_robin_rate(battery: _Battery) -> tuple:
     times, l2 = result.diagnostics.times, result.diagnostics.l2_norm
     slope = float(np.polyfit(times, np.log(l2), 1)[0])
     rel = abs(slope - rate) / rate
-    return _check(rel / 1.0e-4,
-                  {"fitted": slope, "analytic": rate, "rel_error": rel})
+    return rel / 1.0e-4, {"fitted": slope, "analytic": rate, "rel_error": rel}
 
 
 def check_energy_fuzz(battery: _Battery) -> tuple:
@@ -353,13 +324,12 @@ def check_energy_fuzz(battery: _Battery) -> tuple:
         chk = energy_inequality_check(u1, u2, 0.5, _STD_SLIP, lam_cap)
         holds_all &= chk.holds
         worst = max(worst, (chk.lhs - chk.rhs) / (1.0e-8 * chk.norm_sq))
-    packet = _fastest_mode_packet(battery)
+    packet = build_packet(battery.reference, count=1)
     u1, u2 = velocity_from_streamfunction(field_from_packet(packet, 8, 64, 1.0))
     chk = energy_inequality_check(u1, u2, 0.5, _STD_SLIP, lam_cap)
     eq_rel = abs(chk.lhs / chk.norm_sq - packet.top_lambda) / packet.top_lambda
     margin = max(worst, eq_rel / 1.0e-6, 0.0 if holds_all else 2.0)
-    return _check(margin,
-                  {"fields": 25, "worst_ratio": worst, "mode_equality_rel": eq_rel})
+    return margin, {"fields": 25, "worst_ratio": worst, "mode_equality_rel": eq_rel}
 
 
 def check_checkpoint_roundtrip(battery: _Battery) -> tuple:
@@ -367,7 +337,7 @@ def check_checkpoint_roundtrip(battery: _Battery) -> tuple:
     import tempfile
     from pathlib import Path
 
-    field = field_from_packet(_fastest_mode_packet(battery), 8, 56, 1.0)
+    field = field_from_packet(build_packet(battery.reference, count=1), 8, 56, 1.0)
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.08,
                     diagnostics_stride=10)
@@ -387,13 +357,12 @@ def check_checkpoint_roundtrip(battery: _Battery) -> tuple:
     same = np.array_equal(resumed._rows(), straight._rows()) and (
         resumed.t == straight.t
     )
-    margin = 0.0 if same else 2.0
-    return _check(margin, {"bit_identical": bool(same)})
+    return (0.0 if same else 2.0), {"bit_identical": bool(same)}
 
 
 def check_run_invariants(battery: _Battery) -> tuple:
     """Nonlinear run preserves reality, boundary conditions, energy budget."""
-    field = field_from_packet(_fastest_mode_packet(battery), 8, 56, 1.0)
+    field = field_from_packet(build_packet(battery.reference, count=1), 8, 56, 1.0)
     channel = ChannelConfig(L=1.0, mu=0.5, slip=_STD_SLIP)
     cfg = SimConfig(channel=channel, M=8, P=56, dt=2.0e-3, t_end=0.1,
                     diagnostics_stride=10)
@@ -407,7 +376,7 @@ def check_run_invariants(battery: _Battery) -> tuple:
     worst = max(reality / 1.0e-12, bc / 1.0e-8, energy_ratio)
     detail = {"reality_defect": reality, "bc_residual": bc,
               "energy_worst_ratio": energy_ratio}
-    return _check(worst, detail)
+    return worst, detail
 
 
 _CHECKS = (
@@ -430,8 +399,8 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def verify_all(seed: int = 0):
-    """Run every property check; deterministic for a fixed seed."""
+def verify_all(seed: int = 0) -> list:
+    """Every property check as a finding; deterministic for a fixed seed."""
     basis48 = build_basis(48)
     battery = _Battery(
         seed=seed,
@@ -439,25 +408,5 @@ def verify_all(seed: int = 0):
         basis64=build_basis(64),
         reference=solve_spectrum(assemble(_REFERENCE, basis48)),
     )
-    return [PropertyCheck(name, *check(battery)) for name, check in _CHECKS]
-
-
-def verification_report(seed: int = 0) -> dict:
-    """JSON-ready report: names, pass flags, margins; no timings."""
-    from . import __version__
-
-    checks = verify_all(seed=seed)
-    return {
-        "tool_version": __version__,
-        "seed": seed,
-        "all_passed": all(c.passed for c in checks),
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "margin": c.margin,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
-    }
+    return [bounded(name, float(margin), 1.0, cause="margin above 1", detail=detail)
+            for name, check in _CHECKS for margin, detail in [check(battery)]]

@@ -49,6 +49,16 @@ def standard_cases(factors=(0.5, 0.9)):
     ]
 
 
+def oracle_counts(spectrum, tol=1.0e-8):
+    """(galerkin count, oracle count, max relative mismatch, excused) of a
+    spectrum, read off the findings of the count rule."""
+    from slipflow.spectrum import oracle_findings
+
+    count, _, mismatch = oracle_findings(spectrum, tol)
+    return (count.value, count.detail["positive_count_oracle"], mismatch.value,
+            count.detail.get("marginal_positives_excused", 0))
+
+
 def dct_coeffs_from_values(vals, axis=-1):
     """Chebyshev-T coefficients from CGL node values by scipy's DCT-I.
 

@@ -29,6 +29,11 @@ def read_manifest(out):
     return json.loads((out / "run_manifest.json").read_text())
 
 
+def read_findings(path):
+    """The findings of a written report, by name (none when it lists none)."""
+    return {f["name"]: f for f in json.loads(Path(path).read_text()).get("findings", [])}
+
+
 class TestCritical:
     def test_writes_curve_and_global_threshold(self, tmp_path):
         rc = run_cli("--out", tmp_path, "critical", "--k", "0.5", "4", "--points", "7")
@@ -74,10 +79,11 @@ class TestSpectrum:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) > 0.0
-        report = json.loads((tmp_path / "spectrum_report.json").read_text())
-        assert report["positive_count_galerkin"] == report["positive_count_oracle"]
-        assert report["positive_count_galerkin"] == 1
-        assert report["max_rel_mismatch"] < 1.0e-8
+        report = read_findings(tmp_path / "spectrum_report.json")
+        count = report["positive_count"]
+        assert count["value"] == count["detail"]["positive_count_oracle"] == 1
+        assert report["max_rel_mismatch"]["value"] < 1.0e-8
+        assert {f["status"] for f in report.values()} == {"ok"}
 
     def test_oracle_mismatch_fails_the_run(self, tmp_path, monkeypatch):
         import slipflow.spectrum
@@ -89,9 +95,34 @@ class TestSpectrum:
         )
         rc = run_cli("--out", tmp_path, "spectrum", "--k", "1.0", "--mu", "0.5")
         assert rc == 1
-        report = json.loads((tmp_path / "spectrum_report.json").read_text())
-        assert report["positive_count_galerkin"] == 1
-        assert report["positive_count_oracle"] == 0
+        count = read_findings(tmp_path / "spectrum_report.json")["positive_count"]
+        assert (count["value"], count["detail"]["positive_count_oracle"]) == (1, 0)
+        assert count["status"] == "fail"
+        assert count["cause"] == "0 oracle roots and 0 marginal excused"
+
+    def test_under_resolved_rates_lie_below_their_roots(self, tmp_path, capsys):
+        # the default basis of 64 gives 1669.6 and 1631.0 against roots near
+        # 3168: below them, as a Rayleigh-Ritz value must be, so the mismatch
+        # names an under-resolved basis and the run still fails
+        assert run_cli("--out", tmp_path, "spectrum", "--k", "16", "--mu", "3.125e-4") == 1
+        mismatch = read_findings(tmp_path / "spectrum_report.json")["max_rel_mismatch"]
+        assert mismatch["status"] == "fail"
+        assert mismatch["value"] == pytest.approx(0.4852, abs=1.0e-4)
+        cause = "every mismatched rate lies below its root: under-resolved, as Rayleigh-Ritz requires"
+        assert mismatch["cause"] == cause
+        assert capsys.readouterr().out.rstrip().endswith(cause)
+
+    def test_a_rate_above_its_root_is_named(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import slipflow.spectrum
+
+        roots = slipflow.spectrum.determinant_roots
+        monkeypatch.setattr(slipflow.spectrum, "determinant_roots", lambda prob: (
+            dataclasses.replace(roots(prob), roots=0.5 * roots(prob).roots)))
+        assert run_cli("--out", tmp_path, "spectrum", "--k", "1.0", "--mu", "0.5") == 1
+        mismatch = read_findings(tmp_path / "spectrum_report.json")["max_rel_mismatch"]
+        assert mismatch["cause"] == "a Galerkin rate lies above its root"
 
 
     def test_equal_slip_pair_counts_both_rates(self, tmp_path):
@@ -102,10 +133,11 @@ class TestSpectrum:
         mu = 0.5 * mu_c_closed_form(4.0, SlipPair(1.0, 1.0))
         rc = run_cli("--out", tmp_path, "spectrum", "--k", "4", "--mu", repr(mu))
         assert rc == 0
-        report = json.loads((tmp_path / "spectrum_report.json").read_text())
-        assert report["positive_count_oracle"] == report["positive_count_galerkin"] == 2
-        assert report["marginal_branches_oracle"] == 0
-        assert report["max_rel_mismatch"] < 1.0e-8
+        report = read_findings(tmp_path / "spectrum_report.json")
+        count = report["positive_count"]
+        assert count["detail"]["positive_count_oracle"] == count["value"] == 2
+        assert count["detail"]["marginal_branches_oracle"] == 0
+        assert report["max_rel_mismatch"]["value"] < 1.0e-8
 
 
     @pytest.mark.parametrize("basis, rc", [("256", 0), ("64", 1)])
@@ -116,21 +148,21 @@ class TestSpectrum:
         # miss it by 0.479 and the run still fails on the rate
         assert run_cli("--out", tmp_path, "spectrum", "--k", "16", "--xi", "10", "0.1",
                        "--mu", "0.003125", "--basis", basis) == rc
-        report = json.loads((tmp_path / "spectrum_report.json").read_text())
-        assert report["positive_count_galerkin"] == 2
-        assert report["positive_count_oracle"] == 1
-        assert report["marginal_branches_oracle"] == 1
-        assert report["marginal_positives_excused"] == 1
-        assert (report["max_rel_mismatch"] <= 1.0e-8) == (rc == 0)
-        out = capsys.readouterr().out
-        assert "positive count 2 (oracle 1, 1 marginal excused)" in out
-        assert out.rstrip().endswith("ok" if rc == 0 else "MISMATCH")
+        report = read_findings(tmp_path / "spectrum_report.json")
+        count = report["positive_count"]
+        assert (count["value"], count["status"]) == (2, "ok")
+        assert count["detail"] == {"positive_count_oracle": 1, "marginal_branches_oracle": 1,
+                                   "marginal_positives_excused": 1}
+        assert (report["max_rel_mismatch"]["value"] <= 1.0e-8) == (rc == 0)
+        out = capsys.readouterr().out.splitlines()
+        assert "ok          positive_count = 2" in out
+        assert out[-1].split()[:2] == ["ok" if rc == 0 else "fail", "max_rel_mismatch"]
 
     def test_report_names_no_excuse_without_a_marginal_positive(self, tmp_path):
         assert run_cli("--out", tmp_path, "spectrum", "--k", "1", "--mu", "0.3") == 0
-        report = json.loads((tmp_path / "spectrum_report.json").read_text())
-        assert "marginal_positives_excused" not in report
-        assert "inertia_violation" not in report
+        report = read_findings(tmp_path / "spectrum_report.json")
+        assert "marginal_positives_excused" not in report["positive_count"]["detail"]
+        assert report["inertia_bound"]["status"] == "ok"
 
     def test_count_above_the_inertia_bound_is_named(self, tmp_path, capsys, monkeypatch):
         # a Galerkin count of 3 with two marginal branches excused would
@@ -145,12 +177,15 @@ class TestSpectrum:
         monkeypatch.setattr(slipflow.spectrum, "determinant_roots",
                             lambda prob: dataclasses.replace(roots(prob), marginal=2))
         assert run_cli("--out", tmp_path, "spectrum", "--k", "1", "--mu", "0.5") == 1
-        report = json.loads((tmp_path / "spectrum_report.json").read_text())
-        assert report["positive_count_galerkin"] == 3
-        assert report["marginal_positives_excused"] == 2
-        assert report["inertia_violation"] == "positive count 3 exceeds 2, the inertia bound"
-        out = capsys.readouterr().out
-        assert out.rstrip().endswith("MISMATCH: positive count 3 exceeds 2, the inertia bound")
+        report = read_findings(tmp_path / "spectrum_report.json")
+        assert report["positive_count"]["value"] == 3
+        assert report["positive_count"]["detail"]["marginal_positives_excused"] == 2
+        assert report["positive_count"]["status"] == "ok"
+        inertia = report["inertia_bound"]
+        assert (inertia["value"], inertia["bound"], inertia["status"]) == (3, 2, "fail")
+        assert inertia["cause"] == "positive count 3 exceeds 2, the inertia bound"
+        assert ("fail        inertia_bound = 3 (bound 2): positive count 3 exceeds 2, "
+                "the inertia bound") in capsys.readouterr().out.splitlines()
 
 
 class TestDispersion:
@@ -264,13 +299,16 @@ class TestCrankNicolsonRate:
         # ln|(1 + lambda dt/2) / (1 - lambda dt/2)| / dt, 4.35% above lambda
         rc = run_cli("--out", tmp_path, "simulate", "--mu", "0.05", "--xi", "0", "3",
                      "--linearized", "--t-end", "0.1")
+        # the gap is flagged, above 1e-3, and fails nothing
         assert rc == 0
-        rate = read_manifest(tmp_path)["crank_nicolson_rate"]
+        found = read_findings(tmp_path / "run_manifest.json")["crank_nicolson_rate"]
+        rate, gap = found["detail"], found["value"]
         diag = np.loadtxt(tmp_path / "diagnostics.csv", delimiter=",", skiprows=1)
         assert rate["lambda"] == pytest.approx(173.77217436, rel=1.0e-10)
         assert abs(rate["lambda_run"] / diag[-1, 6] - 1.0) <= 1.0e-8
-        assert rate["relative_gap"] == rate["lambda_run"] / rate["lambda"] - 1.0
-        assert 0.0434 < rate["relative_gap"] < 0.0436
+        assert gap == rate["lambda_run"] / rate["lambda"] - 1.0
+        assert 0.0434 < gap < 0.0436
+        assert (found["bound"], found["status"]) == (1.0e-3, "flagged")
         lines = capsys.readouterr().out.splitlines()
         # the printed digits are compared as numbers: the final l2 sits about
         # 1e-12 (relative) from a rounding boundary of its sixth decimal, and
@@ -281,9 +319,8 @@ class TestCrankNicolsonRate:
         assert float(head[1]) == pytest.approx(132854.626222, rel=1.0e-9)
         assert float(head[2]) == pytest.approx(181.324011095, rel=1.0e-9)
         assert lines[1] == (
-            "simulate: Crank-Nicolson at dt = 0.004 realizes the top rate lambda = "
-            f"{rate['lambda']:.12g} as lambda_run = {rate['lambda_run']:.12g} "
-            "(relative gap 4.346e-02)"
+            f"flagged     crank_nicolson_rate = {gap:.6g} (bound 0.001): dt = 0.004 "
+            f"realizes lambda = {rate['lambda']:.12g} as lambda_run = {rate['lambda_run']:.12g}"
         )
 
 
@@ -295,7 +332,9 @@ class TestSolverHealth:
         # the acceptance channel and grid: mu = 0.5, M = 32, P = 64, dt = 4e-3
         rc = run_cli("--out", tmp_path, "simulate", "--linearized", "--t-end", "8e-3")
         assert rc == 0
-        got = read_manifest(tmp_path)["influence_cond_max"]
+        found = read_findings(tmp_path / "run_manifest.json")["influence_cond_max"]
+        assert (found["bound"], found["status"]) == (1.0e8, "ok")
+        got = found["value"]
         cfg = SimConfig(channel=ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)))
         cond = _operator_set(cfg)["_influence_cond"]
         assert cond.shape == (32,) and not cond.flags.writeable
@@ -310,11 +349,11 @@ class TestSolverHealth:
         assert rc == 2
         cfg = SimConfig(channel=ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)),
                         M=16, P=56, dt=0.2)
-        manifest = read_manifest(tmp_path)
-        assert manifest["influence_cond_max"] == float(
+        health = read_findings(tmp_path / "run_manifest.json")
+        assert health["influence_cond_max"]["value"] == float(
             _operator_set(cfg)["_influence_cond"].max())
-        assert manifest["record_cfl_max"] is None
-        assert manifest["energy_residual_max"] is None
+        for name in ("record_cfl_max", "energy_residual_max"):
+            assert (health[name]["value"], health[name]["status"]) == (None, "unavailable")
 
     def test_experiment_manifest_reads_its_records(self, tmp_path, monkeypatch):
         # record_cfl_max is the largest CFL number the record-time abort
@@ -349,7 +388,8 @@ class TestSolverHealth:
                      "--p", "56", "--dt", "1e-3", "--deltas", "1e-3", "1e-4")
         assert rc == 1  # the escape spacing fails on this two-mode packet
         (exp,) = sweeps
-        manifest = read_manifest(tmp_path)
+        manifest = {name: f["value"] for name, f in read_findings(
+            tmp_path / "run_manifest.json").items()}
         # nf and nr read one CFL number each per record: 13 + 25 records
         assert [o.steps.size for o in exp.outcomes] == [14, 26]
         assert len(read) == 2 * (14 + 26)
@@ -363,11 +403,11 @@ class TestSolverHealth:
         assert manifest["influence_cond_max"] == float(
             _operator_set(cfg)["_influence_cond"].max())
         lam = exp.lambdas[-1]
-        rate = manifest["crank_nicolson_rate"]
+        rate = read_findings(tmp_path / "run_manifest.json")["crank_nicolson_rate"]["detail"]
         assert rate["lambda"] == lam
         h = 0.5 * lam * 1.0e-3
         assert rate["lambda_run"] == math.log((1.0 + h) / (1.0 - h)) / 1.0e-3
-        assert rate["relative_gap"] == rate["lambda_run"] / lam - 1.0
+        assert manifest["crank_nicolson_rate"] == rate["lambda_run"] / lam - 1.0
 
     def test_simulate_manifest_reads_its_records(self, tmp_path, monkeypatch):
         # record_cfl_max is the largest CFL number the record-time abort
@@ -385,7 +425,8 @@ class TestSolverHealth:
                      "--m", "16", "--p", "56", "--dt", "2e-3", "--t-end", "0.1",
                      "--stride", "5")
         assert rc == 0
-        manifest = read_manifest(tmp_path)
+        manifest = {name: f["value"] for name, f in read_findings(
+            tmp_path / "run_manifest.json").items()}
         # the start's stability check reads the CFL number of the unsolved
         # state; each of the 11 records reads it off its solved planes
         at_records = [cfl for solved, cfl in read if solved]
@@ -398,7 +439,8 @@ class TestSolverHealth:
         rc = run_cli("--out", tmp_path / "lin", "simulate", "--mu", "0.5", "--linearized",
                      "--m", "16", "--p", "56", "--dt", "2e-3", "--t-end", "0.1")
         assert rc == 0
-        manifest = read_manifest(tmp_path / "lin")
+        manifest = {name: f["value"] for name, f in read_findings(
+            tmp_path / "lin" / "run_manifest.json").items()}
         assert manifest["record_cfl_max"] is None
         energy = np.loadtxt(tmp_path / "lin" / "energy.csv", delimiter=",", skiprows=1)
         assert manifest["energy_residual_max"] == energy[:, 5].max()
@@ -408,12 +450,38 @@ class TestVerify:
     def test_full_battery_via_cli(self, tmp_path, capsys):
         rc = run_cli("--out", tmp_path, "verify")
         assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 14
-        assert "FAIL" not in out
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 14 and all(line.startswith("ok ") for line in out)
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert report["all_passed"] is True
-        assert len(report["checks"]) == 14
+        assert (report["seed"], report["tool_version"]) == (0, slipflow.__version__)
+        assert len(report["findings"]) == 14
+        assert {(f["status"], f["bound"]) for f in report["findings"]} == {("ok", 1.0)}
+        # the findings are listed once, in verify's own report
+        assert "findings" not in read_manifest(tmp_path)
+
+
+class TestExitRule:
+    """One exit rule: a command exits 1 exactly when a finding of its written
+    report fails (spectrum and verify write their own report, simulate and
+    experiment the run manifest)."""
+
+    @pytest.mark.parametrize("args, report, rc", [
+        (["spectrum", "--k", "1", "--mu", "0.3"], "spectrum_report.json", 0),
+        (["spectrum", "--k", "16", "--mu", "3.125e-4"], "spectrum_report.json", 1),
+        (["verify"], "verify_report.json", 0),
+        (["simulate", "--mu", "0.05", "--xi", "0", "3", "--linearized", "--t-end", "0.1"],
+         "run_manifest.json", 0),
+        (["simulate", "--mu", "0.1", "--amplitude", "0.5", "--m", "16", "--p", "56",
+          "--dt", "1e-3", "--t-end", "1.0", "--stride", "10"], "run_manifest.json", 1),
+        (["experiment", "--mu", "0.1", "--m", "16", "--p", "56", "--dt", "1e-3",
+          "--deltas", "1e-3", "1e-4"], "run_manifest.json", 1),
+        (["experiment", "--mu", "2.0"], "run_manifest.json", 0),
+    ], ids=["spectrum-ok", "spectrum-under-resolved", "verify", "simulate", "blowup",
+            "smoke-experiment", "stable-regime"])
+    def test_exit_one_exactly_when_a_finding_fails(self, tmp_path, args, report, rc):
+        assert run_cli("--out", tmp_path, *args) == rc
+        statuses = [f["status"] for f in read_findings(tmp_path / report).values()]
+        assert (rc == 1) == ("fail" in statuses)
 
 
 class TestExperimentCommand:
@@ -438,7 +506,7 @@ class TestExperimentCommand:
         rc = run_cli("--out", tmp_path / "a", *grid, "--dt", "0.2", "--deltas", "1e-2")
         assert rc == 2
         captured = capsys.readouterr()
-        assert "FAILED: ValidationError: dt = 0.2 exceeds" in captured.out
+        assert "delta_1e-02 = nan (bound nan): ValidationError: dt = 0.2 exceeds" in captured.out
         assert "every delta was refused at its start" in captured.err
         manifest = json.loads((tmp_path / "a" / "delta_1e-02" / "manifest.json").read_text())
         assert manifest["error"].startswith("ValidationError")
@@ -450,8 +518,8 @@ class TestExperimentCommand:
                      "--deltas", "1e-2", "1e-5")
         assert rc == 1
         out = capsys.readouterr().out
-        assert out.count("FAILED: ValidationError") == 1
-        assert "verdict = pass" in out and "verdict = FAIL" in out
+        assert out.count(": ValidationError") == 1
+        assert "fail        delta_1e-02 = nan" in out and "ok          delta_1e-05 = " in out
 
     def test_deltas_sharing_a_directory_are_a_usage_error(self, tmp_path, capsys):
         # 1e-2 and 1.2e-2 both format as delta_1e-02: the sweep is refused
@@ -655,11 +723,18 @@ class TestUsageErrors:
         assert f"{key}: bad value" in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.csv").exists()
 
-    def test_top_level_key_in_another_case_is_refused(self, tmp_path, capsys):
-        # keys match in any case, so the file's Viscosity is a second
-        # spelling of the default viscosity
+    def test_top_level_key_in_another_case_overrides(self, tmp_path, capsys):
+        # keys match in any case, so the file's Viscosity and XI_PLUS replace
+        # the defaults, as an environment override does
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"Viscosity": 0.3}))
+        cfg.write_text(json.dumps({"Viscosity": 0.3, "Slip": {"XI_PLUS": 2.0}}))
+        assert run_cli("--config", cfg, "--out", tmp_path, "modes", "--grid", "4", "5") == 0
+        packet = json.loads((tmp_path / "packet.json").read_text())
+        assert (packet["mu"], packet["slip"]) == (0.3, {"xi_minus": 1.0, "xi_plus": 2.0})
+
+    def test_top_level_key_given_twice_in_the_file_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"viscosity": 0.3, "Viscosity": 0.2}))
         rc = run_cli("--config", cfg, "--out", tmp_path, "critical")
         assert rc == 2
         assert ("error: configuration: viscosity is given twice, once as Viscosity"

@@ -30,7 +30,7 @@ from slipflow.sim.run import (
     _Recorder,
     solver_health,
 )
-from slipflow.sim.stepper import ChannelStepper
+from slipflow.sim.stepper import CFL_ABORT, INFLUENCE_COND_MAX, ChannelStepper
 from slipflow.sim.energy import boundary_production, gradient_dissipation
 from slipflow.sim.field import (
     SpectralField2D,
@@ -910,21 +910,42 @@ class TestLinearizedRun:
 
 
 class TestSolverHealth:
-    """``solver_health``, the one owner of the health record that
+    """``solver_health``, the one owner of the health findings that
     ``simulate`` and ``experiment`` write."""
 
     def test_crank_nicolson_rate_is_infinite_at_the_pole(self, channel):
         def rate(lam, dt):
             cfg = SimConfig(channel=channel, M=2, P=16, dt=dt, t_end=dt)
-            got = solver_health(cfg, lam, [], [])["crank_nicolson_rate"]
-            assert got["lambda"] == lam
-            return got["lambda_run"], got["relative_gap"]
+            got = solver_health(cfg, lam, [], [])[0]
+            assert got.name == "crank_nicolson_rate" and got.detail["lambda"] == lam
+            return got.detail["lambda_run"], got.value, got.status
 
-        assert rate(8.0, 0.25) == (math.inf, math.inf)
-        lam_run, gap = rate(8.0, 0.5)  # past the pole: g = -3
+        # at the pole the gap is infinite: nothing measured, and no pass
+        assert rate(8.0, 0.25) == (math.inf, None, "unavailable")
+        lam_run, gap, status = rate(8.0, 0.5)  # past the pole: g = -3
         assert lam_run == pytest.approx(2.0 * math.log(3.0), rel=1.0e-15)
         assert gap == pytest.approx(lam_run / 8.0 - 1.0, rel=1.0e-15)
+        assert status == "flagged"
+
+    @pytest.mark.parametrize("lam_dt, status", [(0.1, "ok"), (0.12, "flagged")])
+    def test_crank_nicolson_gap_above_1e_3_is_flagged(self, channel, lam_dt, status):
+        # the gap is about (lambda dt)^2 / 12: 8.3e-4 at 0.1, 1.2e-3 at 0.12
+        cfg = SimConfig(channel=channel, M=2, P=16, dt=1.0e-2, t_end=1.0e-2)
+        got = solver_health(cfg, lam_dt / 1.0e-2, [], [])[0]
+        assert (got.bound, got.status) == (1.0e-3, status)
+        assert (got.cause is None) == (status == "ok")
 
     def test_refused_build_reads_null(self, channel):
         near = SimConfig(channel=channel, M=2, P=24, dt=4.293719, t_end=4.293719)
-        assert solver_health(near, 0.5, [], [])["influence_cond_max"] is None
+        cond = solver_health(near, 0.5, [], [])[1]
+        assert (cond.name, cond.value, cond.status) == ("influence_cond_max", None, "unavailable")
+
+    def test_bounds_are_the_abort_bounds(self, channel):
+        cfg = SimConfig(channel=channel, M=2, P=16, dt=1.0e-2, t_end=1.0e-2)
+        health = solver_health(cfg, 1.0, [np.array([1.0e-9])], [np.array([0.5, 1.5])])
+        assert [f.name for f in health] == ["crank_nicolson_rate", "influence_cond_max",
+                                           "record_cfl_max", "energy_residual_max"]
+        _, cond, cfl, energy = health
+        assert cond.bound == INFLUENCE_COND_MAX and cond.status == "ok"
+        assert (cfl.value, cfl.bound, cfl.status) == (1.5, CFL_ABORT, "fail")
+        assert (energy.value, energy.bound, energy.status) == (1.0e-9, None, "ok")

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import standard_cases
+from conftest import oracle_counts, standard_cases
 
 from slipflow.model import ModeProblem, SlipPair
 from slipflow.numerics import build_basis, solve_generalized_symmetric, whiten
@@ -21,7 +21,6 @@ from slipflow.spectrum import (
     gram_defects,
     lambda1_variational,
     operator_eigenvalues,
-    oracle_agreement,
     resolved_count,
     solve_spectrum,
     spectrum_residuals,
@@ -31,7 +30,7 @@ from slipflow.spectrum import (
 @pytest.mark.parametrize("k,mu,slip", standard_cases((0.5, 0.9)))
 def test_positive_eigenvalues_match_oracle(k, mu, slip, basis64):
     spectrum = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=slip), basis64))
-    n_gal, n_oracle, rel, _ = oracle_agreement(spectrum)
+    n_gal, n_oracle, rel, _ = oracle_counts(spectrum)
     assert n_gal == n_oracle
     assert n_oracle >= 1
     assert rel <= 1e-8
@@ -41,7 +40,7 @@ def test_positive_eigenvalues_match_oracle(k, mu, slip, basis64):
 def test_supercritical_cases_have_no_positive_eigenvalues(k, mu, slip, basis64):
     spectrum = solve_spectrum(assemble(ModeProblem(k=k, mu=mu, slip=slip), basis64))
     assert spectrum.lambda1 < 0.0
-    assert oracle_agreement(spectrum)[:2] == (0, 0)
+    assert oracle_counts(spectrum)[:2] == (0, 0)
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.05])
@@ -307,7 +306,7 @@ def test_solve_spectrum_factors_no_shifted_pencil(basis64, monkeypatch):
     monkeypatch.setattr("scipy.linalg.lu_factor", forbidden)
     problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
     spectrum = solve_spectrum(assemble(problem, basis64))
-    n_gal, n_oracle, rel, _ = oracle_agreement(spectrum)
+    n_gal, n_oracle, rel, _ = oracle_counts(spectrum)
     assert n_gal == n_oracle >= 1
     assert rel <= 1e-8
 
@@ -619,7 +618,7 @@ def test_equal_slip_pairs_match_galerkin(k, expected, basis96):
     roots = determinant_roots(problem).roots[::-1]
     assert roots == pytest.approx(expected, rel=1e-8)
     spectrum = solve_spectrum(assemble(problem, basis96))
-    n_gal, n_oracle, rel, _ = oracle_agreement(spectrum)
+    n_gal, n_oracle, rel, _ = oracle_counts(spectrum)
     assert n_gal == n_oracle == 2
     assert rel <= 1e-8
 
@@ -666,7 +665,7 @@ def test_marginal_positive_is_excused(size, resolved):
     slip = SlipPair(10.0, 0.1)
     problem = ModeProblem(k=16.0, mu=0.01 * mu_c_closed_form(16.0, slip), slip=slip)
     spectrum = solve_spectrum(assemble(problem, build_basis(size)))
-    n_gal, n_oracle, rel, excused = oracle_agreement(spectrum)
+    n_gal, n_oracle, rel, excused = oracle_counts(spectrum)
     assert (n_gal, n_oracle, excused) == (2, 1, 1)
     assert abs(spectrum.eigenvalues[1]) < 1e-10
     assert (rel <= 1e-8) == resolved

@@ -10,42 +10,43 @@ import pytest
 import slipflow.critical
 import slipflow.spectrum
 import slipflow.verification
+from slipflow.findings import write_report
 from slipflow.numerics import build_basis
-from slipflow.verification import CHECK_NAMES, verification_report, verify_all
+from slipflow.verification import CHECK_NAMES, verify_all
 
 
 @pytest.fixture(scope="module")
 def report():
-    return verification_report(seed=0)
+    return verify_all(seed=0)
 
 
 class TestBattery:
     def test_every_check_passes(self, report):
-        assert report["all_passed"] is True
-        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        failed = [c.name for c in report if c.status != "ok"]
         assert failed == []
 
     def test_names_match_the_exported_list(self, report):
-        assert tuple(c["name"] for c in report["checks"]) == CHECK_NAMES
+        assert tuple(c.name for c in report) == CHECK_NAMES
         assert len(CHECK_NAMES) == 14
 
     def test_margins_are_within_budget(self, report):
-        for c in report["checks"]:
-            assert c["margin"] <= 1.0, c["name"]
-            assert c["margin"] >= 0.0, c["name"]
+        for c in report:
+            assert c.bound == 1.0, c.name
+            assert 0.0 <= c.value <= 1.0, c.name
 
-    def test_report_structure(self, report):
-        assert report["seed"] == 0
-        assert isinstance(report["tool_version"], str)
-        for c in report["checks"]:
-            assert set(c) == {"name", "passed", "margin", "detail"}
+    def test_report_structure(self, report, tmp_path):
+        # each check is a finding whose value is its margin
+        written = json.loads(write_report(tmp_path / "r.json", report, seed=0).read_text())
+        assert written["seed"] == 0
+        for c in written["findings"]:
+            assert set(c) == {"name", "value", "bound", "status", "cause", "detail"}
 
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self, report):
-        again = verification_report(seed=0)
-        a = json.dumps(report, sort_keys=True)
-        b = json.dumps(again, sort_keys=True)
+        again = verify_all(seed=0)
+        a = json.dumps([c._asdict() for c in report], sort_keys=True)
+        b = json.dumps([c._asdict() for c in again], sort_keys=True)
         assert a == b
 
     def test_battery_builds_each_basis_once(self, report, monkeypatch):
@@ -59,12 +60,12 @@ class TestDeterminism:
         monkeypatch.setattr(slipflow.verification, "build_basis", counting)
         checks = verify_all(seed=0)
         assert sorted(sizes) == [48, 64]
-        assert [c.margin for c in checks] == [c["margin"] for c in report["checks"]]
+        assert [c.value for c in checks] == [c.value for c in report]
 
-    def test_verify_all_matches_report(self, report):
-        checks = verify_all(seed=0)
-        assert [c.name for c in checks] == [c["name"] for c in report["checks"]]
-        assert [c.margin for c in checks] == [c["margin"] for c in report["checks"]]
+    def test_verify_all_matches_report(self, report, tmp_path):
+        written = json.loads(write_report(tmp_path / "r.json", report).read_text())
+        assert [c["name"] for c in written["findings"]] == [c.name for c in report]
+        assert [c["value"] for c in written["findings"]] == [c.value for c in report]
 
 
 class TestTamperDetection:
@@ -77,9 +78,8 @@ class TestTamperDetection:
             "mu_c_closed_form",
             lambda k, slip: 1.01 * real(k, slip),
         )
-        tampered = verification_report(seed=0)
-        assert tampered["all_passed"] is False
-        failed = {c["name"] for c in tampered["checks"] if not c["passed"]}
+        tampered = verify_all(seed=0)
+        failed = {c.name for c in tampered if c.status == "fail"}
         assert "critical_variational_agreement" in failed
         assert "critical_closed_form" in failed
 
@@ -98,8 +98,8 @@ class TestTamperDetection:
         monkeypatch.setattr(slipflow.spectrum, "determinant_roots",
                             lambda prob: dataclasses.replace(roots(prob), marginal=2))
         check = slipflow.verification.check_spectrum_oracle
-        passed, margin, detail = check(SimpleNamespace(basis64=build_basis(64)))
-        assert not passed and margin == 2.0
+        margin, detail = check(SimpleNamespace(basis64=build_basis(64)))
+        assert margin == 2.0
         causes = detail["inertia_violations"]
         assert len(causes) == 3
         cause = ": positive count 3 exceeds 2, the inertia bound"
