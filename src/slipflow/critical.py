@@ -26,8 +26,8 @@ eigenvalue of the rank-2 slip operator K of ``spectrum.operator_eigenvalues``:
 the same quantity as the formula above, but built from the wall responses,
 which neither cancel at small k nor overflow at large k.  Its cross-check
 ``mu_c_variational`` maximizes the quotient on the trial space through the
-cached inverse Cholesky factor of the energy form
-(``numerics.inverse_cholesky``).
+inverse Cholesky factor of the energy form that the basis's table of k
+holds (``numerics.PencilTable``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelConfig, ModeProblem, SlipPair
-from .numerics import ChebBasis, energy_form, inverse_cholesky
+from .numerics import ChebBasis
 from .spectrum import operator_eigenvalues
 
 __all__ = [
@@ -65,7 +65,7 @@ def mu_c_variational(k: float, slip: SlipPair, basis: ChebBasis) -> float:
     With E = L L^T and Z = L^-1 D Xi^(1/2), the pencil has the eigenvalues
     of L^-1 R L^-T = Z Z^T, and the nonzero eigenvalues of Z Z^T are those of
     the 2x2 matrix Z^T Z = Xi^(1/2) D^T E^-1 D Xi^(1/2).  So the factor L^-1
-    (``inverse_cholesky``, cached with the read-only E of ``energy_form``),
+    (the ``energy_factor`` of the basis's table of k, built once per basis),
     one product with two columns and one 2x2 eigenvalue give the maximum
     exactly, with no iterative optimizer and no N x N eigensolve.  An E that
     is not positive definite raises ``NotPositiveDefiniteError``.
@@ -77,7 +77,7 @@ def mu_c_variational(k: float, slip: SlipPair, basis: ChebBasis) -> float:
     if basis.size < 8:
         raise ValueError(f"basis size must be >= 8 for the quotient maximum, got {basis.size}")
     sqrt_xi = np.sqrt([slip.xi_minus, slip.xi_plus])
-    Z = inverse_cholesky(energy_form(k, basis)) @ (basis.wall_tables[1].T * sqrt_xi)
+    Z = basis.table(k).energy_factor @ (basis.wall_tables[1].T * sqrt_xi)
     top = np.linalg.eigvalsh(Z.T @ Z)[-1]
     return float(max(top, 0.0))
 

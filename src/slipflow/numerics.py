@@ -29,10 +29,11 @@ G_d = int(phi^(d) phi^(d)), d = 0, 1, 2, so ``gram_form`` and
 
 Every symmetric pencil B v = lambda A v is reduced to a standard one the
 way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened
-W = L^-1 B L^-T.  ``inverse_cholesky`` keeps L^-1 of each read-only form
-(``gram_form`` and ``energy_form`` return such arrays), so the dense solve,
-the discrete slip operator and the mu_c quotient of one wavenumber factor
-each form once.  Everything here is numpy; the package needs no scipy at run time.
+W = L^-1 B L^-T.  The forms of one wavenumber, their factors L^-1 and the
+discrete slip operator's table live in the basis's ``PencilTable`` of that
+wavenumber, so the dense solve, the discrete slip operator and the mu_c
+quotient factor each form once for as long as the basis lives.
+Everything here is numpy; the package needs no scipy at run time.
 
 Every wall check, of eigenfunctions (u1 = phi'), modes (u1 = psi) and DNS
 fields (their u1 rows), goes through ``wall_values`` (values at x = -1, +1)
@@ -43,9 +44,8 @@ Chebyshev-T series along the last axis with any leading shape.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -53,6 +53,7 @@ from numpy.polynomial import legendre
 
 __all__ = [
     "ChebBasis",
+    "PencilTable",
     "build_basis",
     "chebder_map",
     "gauss_legendre",
@@ -90,8 +91,9 @@ class BracketError(ValueError):
 class ChebBasis:
     """Tabulated wall-clamped Chebyshev basis of dimension ``size``.
 
-    Bases compare and hash by identity, so one basis is one cache key of
-    ``energy_form`` and ``gram_form``.
+    Bases compare and hash by identity.  ``table(k)`` is the basis's own
+    ``PencilTable`` of wavenumber k, made on first use: O(N^2) floats per
+    built member per wavenumber, freed with the basis.
 
     ``node_tables[d][q, j]`` is the d-th derivative of phi_j at quadrature
     node q; ``wall_tables[d][s, j]`` the same at the wall x2 = -1 (s = 0)
@@ -111,6 +113,7 @@ class ChebBasis:
     wall_tables: list = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
     gram_blocks: tuple = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         w = self.quad_weights[:, None]
@@ -121,6 +124,56 @@ class ChebBasis:
             G.flags.writeable = False
             blocks.append(G)
         self.gram_blocks = tuple(blocks)
+
+    def table(self, k: float) -> PencilTable:
+        """The ``PencilTable`` of wavenumber k on this basis."""
+        if k not in self._tables:
+            self._tables[k] = PencilTable(k, self.gram_blocks, self.wall_tables[1].T)
+        return self._tables[k]
+
+
+class PencilTable:
+    """The forms of wavenumber k on one basis, each built on first use and
+    read-only: ``energy`` E and ``gram`` A (sums of the Gram blocks), their
+    inverse Cholesky factors ``energy_factor`` and ``gram_factor``, and
+    ``slip``, (sigma, G) of the discrete slip operator: with L_E^-1 A L_E^-T
+    = Y diag(sigma) Y^T, sigma ascending, G = Y^T L_E^-1 D, D the wall
+    slopes (factoring A instead reads up to 4.4e-7 relative from the dense
+    lambda_1 at N = 96).  It holds no reference to the basis."""
+
+    def __init__(self, k: float, gram_blocks: tuple, slopes: np.ndarray):
+        self.k, self._blocks, self._slopes = k, gram_blocks, slopes
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        G0, G1, G2 = self._blocks
+        E = G2 + (2.0 * self.k * self.k) * G1 + self.k ** 4 * G0
+        E.flags.writeable = False
+        return E
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        G0, G1, _ = self._blocks
+        A = G1 + (self.k * self.k) * G0
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def energy_factor(self) -> np.ndarray:
+        return inverse_cholesky(self.energy)
+
+    @cached_property
+    def gram_factor(self) -> np.ndarray:
+        return inverse_cholesky(self.gram)
+
+    @cached_property
+    def slip(self):
+        inv = self.energy_factor
+        X = inv @ self.gram @ inv.T
+        sigma, Y = np.linalg.eigh(0.5 * (X + X.T))
+        G = Y.T @ (inv @ self._slopes)
+        sigma.flags.writeable = G.flags.writeable = False
+        return sigma, G
 
 
 @lru_cache(maxsize=32)
@@ -217,12 +270,6 @@ def _fix_signs(vectors: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     return out
 
 
-# id(A) -> (weak reference to A, read-only L^-1), oldest first; as many
-# entries as the gram_form and energy_form caches hold arrays together
-_INVERSE_FACTORS: dict = {}
-_INVERSE_FACTORS_SIZE = 16
-
-
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     """Inverse of the nonsingular lower-triangular L, lower-triangular.
 
@@ -247,17 +294,9 @@ def inverse_cholesky(A: np.ndarray) -> np.ndarray:
     """L^-1 of the symmetric positive definite A = L L^T, read-only.
 
     L comes from ``np.linalg.cholesky`` and its inverse from
-    ``_lower_inverse``.  An A that is read-only and owns its data, as the
-    cached ``gram_form`` and ``energy_form`` arrays are, is taken as
-    immutable: its factor is kept for the last few such arrays, keyed by
-    identity and held no longer than A lives, so every caller reading one
-    form shares one factorization.  Raises ``NotPositiveDefiniteError`` when
-    A is not positive definite.
+    ``_lower_inverse``; ``PencilTable`` keeps the factors of its forms.
+    Raises ``NotPositiveDefiniteError`` when A is not positive definite.
     """
-    key = id(A)
-    entry = _INVERSE_FACTORS.get(key)
-    if entry is not None and entry[0]() is A:
-        return entry[1]
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -266,22 +305,18 @@ def inverse_cholesky(A: np.ndarray) -> np.ndarray:
         ) from None
     inv = _lower_inverse(L)
     inv.flags.writeable = False
-    if not A.flags.writeable and A.flags.owndata:
-        if len(_INVERSE_FACTORS) >= _INVERSE_FACTORS_SIZE:
-            del _INVERSE_FACTORS[next(iter(_INVERSE_FACTORS))]
-        _INVERSE_FACTORS[key] = (weakref.ref(A), inv)
     return inv
 
 
-def whiten(B: np.ndarray, A: np.ndarray):
-    """The standard form of the pencil (B, A): ``(W, L^-1)`` with
-    W = L^-1 B L^-T symmetric and L^-1 from ``inverse_cholesky(A)``."""
-    inv = inverse_cholesky(A)
+def whiten(B: np.ndarray, A: np.ndarray, inv: np.ndarray | None = None):
+    """The standard form ``(W, L^-1)`` of the pencil (B, A): W = L^-1 B L^-T
+    symmetric, L^-1 the given ``inv`` or, when None, ``inverse_cholesky(A)``."""
+    inv = inverse_cholesky(A) if inv is None else inv
     W = inv @ B @ inv.T
     return 0.5 * (W + W.T), inv
 
 
-def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
+def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray, _inv: np.ndarray | None = None):
     """All eigenpairs of B v = lambda A v, B symmetric, A symmetric positive definite.
 
     B may be indefinite.  Returns ``(eigenvalues, eigenvectors)``: the
@@ -289,7 +324,8 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
     ``eigenvalues[i]``, the columns A-orthonormal, each signed so that its
     first significant entry is positive.  The steps are those of LAPACK's
     ``sygvd``: W = L^-1 B L^-T (``whiten``), W = Y diag(w) Y^T by
-    ``np.linalg.eigh``, V = L^-T Y.  A that is not positive definite raises
+    ``np.linalg.eigh``, V = L^-T Y, L^-1 being ``_inv`` when the caller
+    holds it.  A that is not positive definite raises
     ``NotPositiveDefiniteError``; a failure of the eigensolver itself
     propagates as ``np.linalg.LinAlgError``.
     """
@@ -301,7 +337,7 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
         scale = np.abs(M).max() or 1.0
         if np.abs(M - M.T).max() > 1e-12 * scale:
             raise NonSymmetricError(f"matrix {name} is not symmetric to relative 1e-12")
-    W, inv = whiten(B, A)
+    W, inv = whiten(B, A, _inv)
     w, Y = np.linalg.eigh(W)
     order = np.argsort(w)[::-1]  # descending, stable for exact ties
     return w[order], _fix_signs(inv.T @ Y[:, order])
@@ -323,31 +359,16 @@ def boundary_form(slip, basis: ChebBasis) -> np.ndarray:
     return slip.xi_minus * np.outer(dm, dm) + slip.xi_plus * np.outer(dp, dp)
 
 
-@lru_cache(maxsize=8)
 def energy_form(k: float, basis: ChebBasis) -> np.ndarray:
-    """E_ij = int(phi_i'' phi_j'' + 2 k^2 phi_i' phi_j' + k^4 phi_i phi_j), SPD.
-
-    Cached for the last few (k, basis) pairs, so the pencil, the discrete
-    slip operator and the mu_c quotient of one wavenumber share one
-    read-only array.
-    It is G2 + 2 k^2 G1 + k^4 G0 on the basis's ``gram_blocks``.
-    """
-    G0, G1, G2 = basis.gram_blocks
-    E = G2 + (2.0 * k * k) * G1 + k ** 4 * G0
-    E.flags.writeable = False
-    return E
+    """E_ij = int(phi_i'' phi_j'' + 2 k^2 phi_i' phi_j' + k^4 phi_i phi_j), SPD:
+    the read-only ``energy`` of the basis's table of k."""
+    return basis.table(k).energy
 
 
-@lru_cache(maxsize=8)
 def gram_form(k: float, basis: ChebBasis) -> np.ndarray:
-    """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of the pencil.
-
-    Cached and read-only like ``energy_form``: G1 + k^2 G0.
-    """
-    G0, G1, _ = basis.gram_blocks
-    A = G1 + (k * k) * G0
-    A.flags.writeable = False
-    return A
+    """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of the
+    pencil: the read-only ``gram`` of the basis's table of k."""
+    return basis.table(k).gram
 
 
 @lru_cache(maxsize=16)

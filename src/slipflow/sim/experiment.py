@@ -399,22 +399,22 @@ def _step_sweep(live: dict, outcomes: list, stride: int):
                 del live[i]
 
 
-def _fit_slope(outcomes) -> float:
-    """Slope of log(d_from_linear_full) vs log(delta) at a shared fixed time,
-    the last time past 0 that every completed delta recorded (a record at
-    step m reads t = m dt in every delta; a last record, at T^delta, only
-    where T^delta is such a time)."""
+def _fit_slope(outcomes):
+    """(slope, None) of log(d_from_linear_full) vs log(delta) at a shared
+    fixed time, the last time past 0 that every completed delta recorded (a
+    record at step m reads t = m dt in every delta; a last record, at
+    T^delta, only where T^delta is such a time), or (NaN, why not)."""
     done = [o for o in outcomes if o.error is None]
     if len(done) < 2:
-        return math.nan
+        return math.nan, f"{len(done)} of {len(outcomes)} deltas completed, the fit needs 2"
     t = max(set.intersection(*(set(o.times.tolist()) for o in done)))
     if t == 0.0:
-        return math.nan
+        return math.nan, "the completed deltas share no record time past 0"
     d = [float(o.d_from_linear_full[np.searchsorted(o.times, t)]) for o in done]
     if min(d) <= 0.0:
-        return math.nan
+        return math.nan, f"a distance from linear at t = {t:g} is not positive"
     xs = [math.log(o.delta) for o in done]
-    return float(np.polyfit(xs, [math.log(v) for v in d], 1)[0])
+    return float(np.polyfit(xs, [math.log(v) for v in d], 1)[0]), None
 
 
 def run_separation_experiment(
@@ -510,7 +510,7 @@ def run_separation_experiment(
             outcomes[i] = _failed(d, exc)
     _step_sweep(live, outcomes, sim.diagnostics_stride)
 
-    slope = _fit_slope(outcomes)
+    slope, _ = _fit_slope(outcomes)
     slope_ok = bool(abs(slope - 2.0) <= SLOPE_TOL)  # False for a NaN slope
 
     lam_top = packet.top_lambda
@@ -555,14 +555,15 @@ def run_separation_experiment(
 def sweep_findings(exp: SeparationExperiment) -> list:
     """Each delta's separation against the bound it must reach, the slope,
     and the largest relative miss of an escape-time increment."""
-    findings = [Finding(delta_dir_name(o.delta), o.separation, o.bound, "ok" if o.ok else "fail",
+    findings = [Finding(delta_dir_name(o.delta), None if o.error else o.separation,
+                        None if o.error else o.bound, "ok" if o.ok else "fail",
                         None if o.ok else o.error or "a gate or the separation bound failed",
                         {"t_delta": o.t_delta}) for o in exp.outcomes]
     inc, expected = exp.escape_increments, exp.escape_expected
     miss = float(np.abs(inc - expected).max() / expected) if inc.size else None
     return findings + [
-        Finding("slope", exp.slope, None, "ok" if exp.slope_ok else "fail",
-                None if exp.slope_ok else f"want 2 +- {SLOPE_TOL:g}"),
+        Finding("slope", exp.slope, None, "ok" if exp.slope_ok else "fail", None if exp.slope_ok
+                else _fit_slope(exp.outcomes)[1] or f"want 2 +- {SLOPE_TOL:g}"),
         Finding("escape_spacing", miss, ESCAPE_TOL, "ok" if exp.escape_ok else "fail",
                 None if exp.escape_ok else "no two completed deltas a decade apart"
                 if miss is None else "an increment misses ln(10) / lambda_N",

@@ -42,19 +42,16 @@ K_N(lambda) = Xi^(1/2) D^T (lambda A + mu E)^-1 D Xi^(1/2)
 (``lambda1_variational``).  A table of the pencil (A, E) per (k, basis)
 makes each evaluation of K_N O(N); its eigensolve is not the dense
 solve's, and it needs no mu and no xi.  K_N is the Galerkin restriction of
-K, so the Galerkin kappa_1 lies below the exact one.  The checks share the
-cached forms: ``assemble`` is cached per (problem, basis), ``energy_form``,
-``gram_form`` and the K_N table per (k, basis), and ``inverse_cholesky``
-per read-only form, so the dense solve, lambda_1 of K_N and the mu_c
-quotient of one wavenumber read one B, one E and one A, and factor A and E
-once each.
+K, so the Galerkin kappa_1 lies below the exact one.  The checks read the
+basis's table of the wavenumber (``ChebBasis.table``): the dense solve,
+lambda_1 of K_N and the mu_c quotient read one E and one A, and factor each
+once, for as long as the caller holds the basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +64,6 @@ from .numerics import (
     energy_form,
     find_root_bracketed,
     gram_form,
-    inverse_cholesky,
     slip_defects,
     solve_generalized_symmetric,
 )
@@ -135,13 +131,9 @@ class DeterminantTrace:
     marginal: int
 
 
-@lru_cache(maxsize=8)
 def assemble(problem: ModeProblem, basis: ChebBasis) -> AssembledPencil:
-    """Assemble B = R - mu E and the Gram form A for the problem's wavenumber.
-
-    Cached for the last few (problem, basis) pairs like ``energy_form``, so
-    every check of one problem reads one read-only pencil.
-    """
+    """Assemble B = R - mu E and the Gram form A for the problem's
+    wavenumber, both read-only; A and E are the basis's table's."""
     k = problem.k
     B = boundary_form(problem.slip, basis) - problem.mu * energy_form(k, basis)
     B.flags.writeable = False
@@ -201,7 +193,9 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
 
 def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
     """All eigenpairs of the pencil, descending, A-normalized, signs fixed."""
-    lams, V = solve_generalized_symmetric(pencil.B, pencil.A)
+    table = pencil.basis.table(pencil.problem.k)
+    inv = table.gram_factor if pencil.A is table.gram else None
+    lams, V = solve_generalized_symmetric(pencil.B, pencil.A, inv)
     lams, V = _refine_leading_pairs(pencil, lams, V, resolved_count(pencil))
     return Spectrum(
         problem=pencil.problem,
@@ -420,31 +414,15 @@ def oracle_findings(spectrum: Spectrum, tol: float) -> list:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _slip_table(k: float, basis: ChebBasis):
-    """Read-only (sigma, G) of the pencil (A, E), cached per (k, basis) like
-    ``energy_form``: with E = L L^T (the factor ``critical.mu_c_variational``
-    reads) and L^-1 A L^-T = Y diag(sigma) Y^T, sigma ascending, G = Y^T L^-1 D
-    holds the wall slopes D = ``wall_tables[1].T``.  Factoring A instead
-    reads up to 4.4e-7 relative from the dense lambda_1 at N = 96 on the
-    benchmark grid."""
-    inv = inverse_cholesky(energy_form(k, basis))
-    X = inv @ gram_form(k, basis) @ inv.T
-    sigma, Y = np.linalg.eigh(0.5 * (X + X.T))
-    G = Y.T @ (inv @ basis.wall_tables[1].T)
-    sigma.flags.writeable = G.flags.writeable = False
-    return sigma, G
-
-
 def _discrete_kappa1(problem: ModeProblem, basis: ChebBasis):
     """(kappa1_N, pole): lam -> the top eigenvalue of K_N(lam), and -mu / sigma_max.
 
-    K_N(lam) = H^T diag(1 / (lam sigma + mu)) H, H = G Xi^(1/2)
-    (``_slip_table``), for lam above the pole, where lam A + mu E is
+    K_N(lam) = H^T diag(1 / (lam sigma + mu)) H, H = G Xi^(1/2) (the
+    table's ``slip``), for lam above the pole, where lam A + mu E is
     definite: one product with the rows h_-^2, h_+^2, h_- h_+ and the closed
     form of a 2x2 top eigenvalue, a sum of nonnegative terms.
     """
-    sigma, G = _slip_table(problem.k, basis)
+    sigma, G = basis.table(problem.k).slip
     H = G * np.sqrt([problem.slip.xi_minus, problem.slip.xi_plus])
     rows = np.stack([H[:, 0] * H[:, 0], H[:, 1] * H[:, 1], H[:, 0] * H[:, 1]])
     mu = problem.mu

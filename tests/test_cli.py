@@ -506,7 +506,8 @@ class TestExperimentCommand:
         rc = run_cli("--out", tmp_path / "a", *grid, "--dt", "0.2", "--deltas", "1e-2")
         assert rc == 2
         captured = capsys.readouterr()
-        assert "delta_1e-02 = nan (bound nan): ValidationError: dt = 0.2 exceeds" in captured.out
+        assert "fail        delta_1e-02 = n/a: ValidationError: dt = 0.2 exceeds" in captured.out
+        assert "slope = nan: 0 of 1 deltas completed, the fit needs 2" in captured.out
         assert "every delta was refused at its start" in captured.err
         manifest = json.loads((tmp_path / "a" / "delta_1e-02" / "manifest.json").read_text())
         assert manifest["error"].startswith("ValidationError")
@@ -519,7 +520,8 @@ class TestExperimentCommand:
         assert rc == 1
         out = capsys.readouterr().out
         assert out.count(": ValidationError") == 1
-        assert "fail        delta_1e-02 = nan" in out and "ok          delta_1e-05 = " in out
+        assert "fail        delta_1e-02 = n/a: " in out and "ok          delta_1e-05 = " in out
+        assert "fail        slope = nan: 1 of 2 deltas completed, the fit needs 2" in out
 
     def test_deltas_sharing_a_directory_are_a_usage_error(self, tmp_path, capsys):
         # 1e-2 and 1.2e-2 both format as delta_1e-02: the sweep is refused

@@ -151,11 +151,12 @@ def test_variational_usage_errors(basis64, monkeypatch):
         mu_c_variational(0.0, slip, basis64)
     with pytest.raises(ValueError):
         mu_c_variational(1.0, slip, build_basis(7))
-    monkeypatch.setattr(
-        "slipflow.critical.energy_form", lambda k, basis: -energy_form(k, basis)
-    )
+    # a fresh basis, whose table of k = 1 holds -E before it factors E
+    basis = build_basis(64)
+    table = basis.table(1.0)
+    monkeypatch.setattr(table, "energy", -table.energy)
     with pytest.raises(NotPositiveDefiniteError):
-        mu_c_variational(1.0, slip, basis64)
+        mu_c_variational(1.0, slip, basis)
 
 
 def test_critical_wavenumber_bisection():

@@ -332,6 +332,25 @@ class TestFailedOutcome:
         assert o.steps.size == 0 and o.times.size == 0
         assert DeltaOutcome(1.0e-3, error="ValidationError: dt = 0.2 exceeds").refused
 
+    def test_a_nan_slope_names_its_reason(self):
+        def done(delta, times, d):
+            return DeltaOutcome(delta, times=np.array(times), d_from_linear_full=np.array(d))
+
+        failed = DeltaOutcome(1.0e-2, error="SimulationBlowupError: advective CFL exceeded 1")
+        cases = [
+            ([failed, done(1.0e-3, [0.0, 0.1], [0.0, 1e-6])], "1 of 2 deltas completed, the fit needs 2"),
+            ([done(1.0e-3, [0.0, 0.1], [0.0, 1e-6]), done(1.0e-4, [0.0, 0.2], [0.0, 1e-8])],
+             "the completed deltas share no record time past 0"),
+            ([done(1.0e-3, [0.0, 0.1], [0.0, 1e-6]), done(1.0e-4, [0.0, 0.1], [0.0, 0.0])],
+             "a distance from linear at t = 0.1 is not positive"),
+        ]
+        for outcomes, why in cases:
+            slope, cause = experiment_mod._fit_slope(outcomes)
+            assert math.isnan(slope) and cause == why
+        slope, cause = experiment_mod._fit_slope(
+            [done(1.0e-3, [0.0, 0.1], [0.0, 1e-6]), done(1.0e-4, [0.0, 0.1], [0.0, 1e-8])])
+        assert abs(slope - 2.0) <= 1e-12 and cause is None
+
 
 class TestStableLattice:
     def test_stable_fundamental_wavenumber_is_refused(self):

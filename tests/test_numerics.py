@@ -190,13 +190,18 @@ def test_lower_inverse_matches_a_triangular_solve(N):
 
 
 def test_inverse_cholesky_is_cached_for_read_only_forms_only():
+    # the basis's table serves one factor per form; inverse_cholesky itself
+    # keeps nothing, whatever array it is given
     basis = build_basis(12)
+    table = basis.table(0.3)
+    for form, factor in (("gram", "gram_factor"), ("energy", "energy_factor")):
+        M, inv = getattr(table, form), getattr(table, factor)
+        assert basis.table(0.3) is table and getattr(table, factor) is inv
+        assert not M.flags.writeable and not inv.flags.writeable
+        assert np.array_equal(inverse_cholesky(M), inv)
+        assert np.abs(inv @ M @ inv.T - np.eye(12)).max() <= 1e-12 * np.abs(M).max()
     A = gram_form(0.3, basis)
-    inv = inverse_cholesky(A)
-    assert inverse_cholesky(A) is inv and not inv.flags.writeable
-    assert np.abs(inv @ A @ inv.T - np.eye(12)).max() <= 1e-13
-    copy = np.array(A)  # writeable: may change, so never served from the cache
-    assert inverse_cholesky(copy) is not inverse_cholesky(copy)
+    assert inverse_cholesky(A) is not inverse_cholesky(A)
     with pytest.raises(NotPositiveDefiniteError):
         inverse_cholesky(-np.eye(3))
 

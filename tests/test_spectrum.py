@@ -1,8 +1,10 @@
 """Galerkin spectrum against the rank-2 slip-operator oracle, lambda_1 of the
 discrete slip operator, and a Lanczos reference."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -205,12 +207,109 @@ BENCHMARK_FRACTIONS = (1.0e-3, 1.0e-2, 0.1, 0.5, 0.999)
 
 
 def test_assemble_is_cached_and_read_only(basis32):
+    # nothing caches a pencil; its A is the basis's table's, and both sides
+    # are read-only
     problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
     pencil = assemble(problem, basis32)
-    assert pencil is assemble(ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0)), basis32)
+    assert pencil.A is basis32.table(1.0).gram
     for M in (pencil.B, pencil.A):
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
+
+
+def _benchmark_cases():
+    from slipflow.critical import mu_c_closed_form
+
+    return [(n, ModeProblem(k=k, mu=f * mu_c_closed_form(k, SlipPair(*xi)), slip=SlipPair(*xi)))
+            for n in (48, 64, 96) for k in BENCHMARK_KS for xi in BENCHMARK_SLIPS
+            for f in BENCHMARK_FRACTIONS]
+
+
+def test_each_basis_builds_one_table_per_wavenumber_in_any_order(monkeypatch):
+    # the benchmark's 225 cases, shuffled: every dense solve runs its own
+    # eigh, and each of the 15 (k, basis) tables factors A and E and runs the
+    # eigh of K_N once, whatever the order
+    from slipflow.critical import mu_c_variational
+
+    bases = {n: build_basis(n) for n in (48, 64, 96)}
+    cases = _benchmark_cases()
+    order = np.random.default_rng(11).permutation(len(cases))
+    counts = {"eigh": 0, "cholesky": 0, "dense": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr("numpy.linalg.eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr("numpy.linalg.cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr("slipflow.spectrum.solve_generalized_symmetric",
+                        counted("dense", solve_generalized_symmetric))
+    for i in order:
+        n, problem = cases[i]
+        solve_spectrum(assemble(problem, bases[n]))
+        lambda1_variational(problem, bases[n])
+        mu_c_variational(problem.k, problem.slip, bases[n])
+    assert counts["dense"] == 225
+    assert counts["eigh"] - counts["dense"] == 15  # K_N tables
+    assert counts["cholesky"] == 30
+
+
+def test_a_table_dies_with_its_basis():
+    from slipflow.critical import mu_c_variational
+
+    basis = build_basis(32)
+    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+    solve_spectrum(assemble(problem, basis))
+    lambda1_variational(problem, basis)
+    mu_c_variational(problem.k, problem.slip, basis)
+    refs = [weakref.ref(basis), weakref.ref(basis.table(1.0)), weakref.ref(basis.table(1.0).energy)]
+    del basis
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_warm_table_gives_the_bits_of_a_fresh_one():
+    from slipflow.critical import mu_c_variational
+
+    problem = ModeProblem(k=1.0, mu=0.3, slip=SlipPair(1.0, 2.0))
+    warm = build_basis(48)
+    for k in np.linspace(0.25, 5.0, 20):
+        other = ModeProblem(k=float(k), mu=0.3, slip=problem.slip)
+        solve_spectrum(assemble(other, warm))
+        lambda1_variational(other, warm)
+    assert len(warm._tables) == 20
+    results = []
+    for basis in (warm, build_basis(48)):
+        spec = solve_spectrum(assemble(problem, basis))
+        results.append((spec.eigenvalues, spec.coefficients, lambda1_variational(problem, basis),
+                        mu_c_variational(problem.k, problem.slip, basis)))
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+
+
+def test_leading_eigenvalues_do_not_fall_as_the_basis_grows():
+    # Rayleigh-Ritz on nested trial spaces: the j-th Galerkin eigenvalue does
+    # not decrease with N, up to the roundoff of the whitened pencil, here
+    # 20 eps ||W||_2 with ||W||_2 the largest |eigenvalue|; one basis per N
+    # serves the three cases
+    from slipflow.critical import mu_c_closed_form
+
+    cases = [(0.5, (1.0, 1.0), 0.1), (4.0, (0.0, 3.0), 0.01), (16.0, (10.0, 0.1), 0.5)]
+    problems = [ModeProblem(k=k, mu=f * mu_c_closed_form(k, SlipPair(*xi)), slip=SlipPair(*xi))
+                for k, xi, f in cases]
+    eps = np.finfo(float).eps
+    previous = [None] * len(problems)
+    for n in (32, 48, 64, 96, 128, 256):
+        basis = build_basis(n)
+        for i, problem in enumerate(problems):
+            lams = solve_spectrum(assemble(problem, basis)).eigenvalues
+            scale = np.abs(lams).max()
+            if previous[i] is not None:
+                fall = previous[i][0] - lams[:4]
+                assert np.all(fall <= 20.0 * eps * max(scale, previous[i][1])), (n, problem)
+            previous[i] = (lams[:4], scale)
 
 
 def _lu_refined(pencil, lams, V, count):
