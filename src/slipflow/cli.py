@@ -317,14 +317,14 @@ def _cmd_dispersion(ns, out, channel, raw):
     from .model import LatticeSweep
     from .numerics import build_basis
     from .output import write_csv
-    from .spectrum import assemble, solve_spectrum
+    from .spectrum import lambda1_variational
 
     sweep = LatticeSweep(L=channel.L, mu=channel.mu, slip=channel.slip, n_max=ns.n_max)
     basis = build_basis(ns.basis)
     rows = []
     for n in range(1, ns.n_max + 1):
         problem = sweep.problem(n)
-        lam1 = solve_spectrum(assemble(problem, basis)).lambda1
+        lam1 = lambda1_variational(problem, basis)
         rows.append((problem.k, lam1, mu_c_closed_form(problem.k, channel.slip)))
     write_csv(out / "dispersion.csv", "k,lambda1,mu_c", rows)
     best_k, best_lam, _ = max(rows, key=lambda row: row[1])
@@ -492,7 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lambda1 and mu_c over the wavenumber lattice")
     p.add_argument("--n-max", dest="n_max", type=int, default=8,
                    help="largest lattice index (default 8)")
-    p.add_argument("--basis", type=int, default=48)
+    p.add_argument("--basis", type=int, default=48,
+                   help="Galerkin basis size of the lambda1 column (default 48)")
 
     p = sub.add_parser("modes", parents=[chan],
                        help="export the unstable packet fields on a grid")

@@ -25,9 +25,10 @@ as k -> 0.  The threshold is computed as mu kappa_1(0), with kappa_1 the top
 eigenvalue of the rank-2 slip operator K of ``spectrum.operator_eigenvalues``:
 the same quantity as the formula above, but built from the wall responses,
 which neither cancel at small k nor overflow at large k.  Its cross-check
-``mu_c_variational`` maximizes the quotient on the trial space through the
-inverse Cholesky factor of the energy form that the basis's table of k
-holds (``numerics.PencilTable``).
+``mu_c_variational`` is the maximum of the quotient on the trial space,
+mu kappa_1(0) of the discrete slip operator K_N, the Galerkin restriction
+of K, read off the basis's table of k (``numerics.PencilTable``) as
+``spectrum.lambda1_variational`` reads lambda_1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .model import ChannelConfig, ModeProblem, SlipPair
 from .numerics import ChebBasis
-from .spectrum import operator_eigenvalues
+from .spectrum import _discrete_kappa1, operator_eigenvalues
 
 __all__ = [
     "mu_c_closed_form",
@@ -57,29 +58,23 @@ def mu_c_closed_form(k: float, slip: SlipPair) -> float:
 
 
 def mu_c_variational(k: float, slip: SlipPair, basis: ChebBasis) -> float:
-    """Discrete maximum of the production/energy quotient on the trial space.
+    """Discrete maximum of the production/energy quotient on the trial space:
+    mu kappa_1(0) of the discrete slip operator K_N at mu = 1.
 
-    Exactly the largest eigenvalue of the pencil (R, E), with E the SPD
-    k-energy form and R = D Xi D^T the boundary form: the columns of D are
-    the wall slopes phi_j'(-1), phi_j'(+1) and Xi = diag(xi_minus, xi_plus).
-    With E = L L^T and Z = L^-1 D Xi^(1/2), the pencil has the eigenvalues
-    of L^-1 R L^-T = Z Z^T, and the nonzero eigenvalues of Z Z^T are those of
-    the 2x2 matrix Z^T Z = Xi^(1/2) D^T E^-1 D Xi^(1/2).  So the factor L^-1
-    (the ``energy_factor`` of the basis's table of k, built once per basis),
-    one product with two columns and one 2x2 eigenvalue give the maximum
-    exactly, with no iterative optimizer and no N x N eigensolve.  An E that
-    is not positive definite raises ``NotPositiveDefiniteError``.
-    Nondecreasing in the basis size (nested Galerkin spaces) and converging
-    to mu_c_closed_form from below.
+    The maximum is the largest eigenvalue of the pencil (R, E), with E the
+    SPD k-energy form and R = D Xi D^T the boundary form of the wall slopes
+    D.  Its nonzero eigenvalues are those of the 2x2 matrix
+    Xi^(1/2) D^T E^-1 D Xi^(1/2), which is K_N(0) at mu = 1, so the value is
+    read off the basis's table of k as ``mu_c_closed_form`` reads K: no
+    iterative optimizer and no N x N eigensolve.  An E that is not positive
+    definite raises ``NotPositiveDefiniteError``.  Nondecreasing in the
+    basis size (nested Galerkin spaces) and converging to mu_c_closed_form
+    from below.
     """
-    if not k > 0.0:
-        raise ValueError(f"k: must be > 0, got {k}")
     if basis.size < 8:
         raise ValueError(f"basis size must be >= 8 for the quotient maximum, got {basis.size}")
-    sqrt_xi = np.sqrt([slip.xi_minus, slip.xi_plus])
-    Z = basis.table(k).energy_factor @ (basis.wall_tables[1].T * sqrt_xi)
-    top = np.linalg.eigvalsh(Z.T @ Z)[-1]
-    return float(max(top, 0.0))
+    kappa1, _ = _discrete_kappa1(ModeProblem(k=k, mu=1.0, slip=slip), basis)
+    return float(kappa1(0.0))
 
 
 def mu_c_global(slip: SlipPair) -> float:

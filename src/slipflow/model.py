@@ -11,8 +11,10 @@ coefficients ``xi_plus`` (top wall) and ``xi_minus`` (bottom wall):
 
 The sign convention is the destabilizing one: the walls feed energy into
 the fluid at rate ``xi_plus * u1(+1)**2 + xi_minus * u1(-1)**2``.  Both
-coefficients are nonnegative and at least one must be positive; a single
-inert wall (one coefficient zero) is allowed.
+coefficients must be nonnegative, and either or both may be zero: a zero
+coefficient makes its wall free-slip (``d2 u1 = 0``) and inert.  With both
+zero the walls feed no energy, so every growth rate is negative and the
+critical viscosity is 0 at every wavenumber.
 
 Perturbations are resolved in Fourier modes ``exp(i*n*x1/L)``, so the
 admissible wavenumbers form the lattice ``k = n / L``, ``n = 1, 2, ...``.

@@ -43,7 +43,7 @@ from .numerics import (
     slip_defects,
     wall_values,
 )
-from .spectrum import Spectrum, assemble, solve_spectrum
+from .spectrum import Spectrum, lambda1_variational
 
 __all__ = [
     "NormalMode",
@@ -304,17 +304,14 @@ def packet_streamfunction_profile(packet: ModePacket) -> np.ndarray:
 def compute_capital_lambda(sweep: LatticeSweep, basis: ChebBasis):
     """Maximal growth rate over the wavenumber lattice: (Lambda, argmax k).
 
-    Solves the spectrum at every k = n/L, n = 1..n_max.  Raises if the top
-    rate at the last lattice point is still positive (the sweep has not
-    reached the stable range, so the max may be unconverged); warns if the
-    rates fail to decrease along the sweep.
+    Reads lambda_1 at every k = n/L, n = 1..n_max, from the discrete slip
+    operator K_N (``spectrum.lambda1_variational``), with no dense solve.
+    Raises if the top rate at the last lattice point is still positive (the
+    sweep has not reached the stable range, so the max may be unconverged);
+    warns if the rates fail to decrease along the sweep.
     """
-    lam1 = np.array(
-        [
-            solve_spectrum(assemble(sweep.problem(n), basis)).lambda1
-            for n in range(1, sweep.n_max + 1)
-        ]
-    )
+    lam1 = np.array([lambda1_variational(sweep.problem(n), basis)
+                     for n in range(1, sweep.n_max + 1)])
     if lam1[-1] > 0.0:
         raise ValueError(
             f"lambda_1 = {lam1[-1]:g} still positive at the last lattice point "

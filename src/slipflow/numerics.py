@@ -24,15 +24,17 @@ with numpy's ``Chebyshev.deriv`` and the stepper with the collocation
 matrix ``sim.stepper.cheb_diff_matrix`` (see there).  Every series entry
 is a dyadic rational with few bits, so the tables' series are exact, not
 rounded.  Each basis also carries its k-independent Gram blocks
-G_d = int(phi^(d) phi^(d)), d = 0, 1, 2, so ``gram_form`` and
-``energy_form`` at one more k are sums of three scaled blocks.
+G_d = int(phi^(d) phi^(d)), d = 0, 1, 2, so the Gram form A and the
+energy form E of one more k (``PencilTable``) are sums of three scaled
+blocks.
 
 Every symmetric pencil B v = lambda A v is reduced to a standard one the
 way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened
 W = L^-1 B L^-T.  The forms of one wavenumber, their factors L^-1 and the
 discrete slip operator's table live in the basis's ``PencilTable`` of that
-wavenumber, so the dense solve, the discrete slip operator and the mu_c
-quotient factor each form once for as long as the basis lives.
+wavenumber, so the dense solve and the discrete slip operator, which gives
+lambda_1 and mu_c on the trial space, factor each form once for as long as
+the basis lives.
 Everything here is numpy; the package needs no scipy at run time.
 
 Every wall check, of eigenfunctions (u1 = phi'), modes (u1 = psi) and DNS
@@ -64,8 +66,6 @@ __all__ = [
     "boundary_form",
     "wall_values",
     "slip_defects",
-    "energy_form",
-    "gram_form",
     "NonSymmetricError",
     "NotPositiveDefiniteError",
     "BracketError",
@@ -146,6 +146,8 @@ class PencilTable:
 
     @cached_property
     def energy(self) -> np.ndarray:
+        """E_ij = int(phi_i'' phi_j'' + 2 k^2 phi_i' phi_j' + k^4 phi_i phi_j),
+        the SPD k-energy form."""
         G0, G1, G2 = self._blocks
         E = G2 + (2.0 * self.k * self.k) * G1 + self.k ** 4 * G0
         E.flags.writeable = False
@@ -153,6 +155,8 @@ class PencilTable:
 
     @cached_property
     def gram(self) -> np.ndarray:
+        """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of
+        the pencil."""
         G0, G1, _ = self._blocks
         A = G1 + (self.k * self.k) * G0
         A.flags.writeable = False
@@ -344,8 +348,9 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray, _inv: np.ndarray |
 
 
 # ---------------------------------------------------------------------------
-# Quadratic forms of the stability problem, assembled in the trial basis.
-# All three are exact: integrands are polynomials within the quadrature degree.
+# The boundary form of the stability problem, assembled in the trial basis;
+# the energy and Gram forms are ``PencilTable.energy`` and ``.gram``.  All
+# three are exact: integrands are polynomials within the quadrature degree.
 # ---------------------------------------------------------------------------
 
 
@@ -357,18 +362,6 @@ def boundary_form(slip, basis: ChebBasis) -> np.ndarray:
     dm = basis.wall_tables[1][0]
     dp = basis.wall_tables[1][1]
     return slip.xi_minus * np.outer(dm, dm) + slip.xi_plus * np.outer(dp, dp)
-
-
-def energy_form(k: float, basis: ChebBasis) -> np.ndarray:
-    """E_ij = int(phi_i'' phi_j'' + 2 k^2 phi_i' phi_j' + k^4 phi_i phi_j), SPD:
-    the read-only ``energy`` of the basis's table of k."""
-    return basis.table(k).energy
-
-
-def gram_form(k: float, basis: ChebBasis) -> np.ndarray:
-    """A_ij = int(phi_i' phi_j' + k^2 phi_i phi_j), the SPD mass side of the
-    pencil: the read-only ``gram`` of the basis's table of k."""
-    return basis.table(k).gram
 
 
 @lru_cache(maxsize=16)

@@ -23,9 +23,7 @@ O(N^2) work per pair and factors no shifted pencil.  A pair keeps its dense
 value when the step does not strictly lower its residual or, at an exact
 eigenvalue tie, gives no finite correction.
 
-Two checks of the dense solve live here.  ``slipflow spectrum`` runs the
-first, and ``slipflow verify`` runs both and the mu_c quotient
-(``critical.mu_c_variational``).  First, the exact oracle, the operator
+Two slip operators live here.  First, the exact oracle, the operator
 method of Lafitte & Nguyen: lambda >= 0 is a growth rate exactly when 1 is
 an eigenvalue of a compact self-adjoint operator, and because the slip
 boundary form has rank 2 that operator is the 2x2 matrix
@@ -35,17 +33,23 @@ e = (m tanh m - k tanh k)/lambda and o = (m coth m - k coth k)/lambda give
 G = [[e+o, o-e], [o-e, e+o]] / 2.  The eigenvalues kappa_1 >= kappa_2 of K
 do not increase with lambda, so each branch with kappa_i(0) > 1 crosses 1
 exactly once: there are at most two growth rates, and mu kappa_1(0) is
-mu_c(k).  Second, the same method on the trial space: with D the wall
-slopes, B = D Xi D^T - mu E, so lambda_1 of the pencil is the unit
-crossing of the top eigenvalue of the 2x2 discrete slip operator
+mu_c(k).  ``slipflow spectrum`` checks the dense solve against these roots.
+Second, the same method on the trial space: with D the wall slopes,
+B = D Xi D^T - mu E, so lambda_1 of the pencil is the unit crossing of the
+top eigenvalue of the 2x2 discrete slip operator
 K_N(lambda) = Xi^(1/2) D^T (lambda A + mu E)^-1 D Xi^(1/2)
-(``lambda1_variational``).  A table of the pencil (A, E) per (k, basis)
-makes each evaluation of K_N O(N); its eigensolve is not the dense
-solve's, and it needs no mu and no xi.  K_N is the Galerkin restriction of
-K, so the Galerkin kappa_1 lies below the exact one.  The checks read the
-basis's table of the wavenumber (``ChebBasis.table``): the dense solve,
-lambda_1 of K_N and the mu_c quotient read one E and one A, and factor each
-once, for as long as the caller holds the basis.
+(``lambda1_variational``), and mu kappa_1(0) of K_N is mu_c on the trial
+space (``critical.mu_c_variational``).  K_N is the one owner of both:
+``dispersion`` and Lambda (``modes.compute_capital_lambda``) read lambda_1
+from it, and the dense solve serves only the callers that read
+eigenvectors or the whole spectrum: the packets, ``slipflow spectrum``, and
+``slipflow verify``'s dense cross-checks, one of which holds lambda_1 of
+K_N to the dense lambda_1.  A table of the pencil (A, E) per (k, basis)
+makes each evaluation of K_N O(N); its eigensolve is not the dense solve's,
+and it needs no mu and no xi.  K_N is the Galerkin restriction of K, so the
+Galerkin kappa_1 lies below the exact one.  Both paths read the basis's
+table of the wavenumber (``ChebBasis.table``), which holds one E and one A
+and factors each once, for as long as the caller holds the basis.
 """
 
 from __future__ import annotations
@@ -61,9 +65,7 @@ from .numerics import (
     ChebBasis,
     boundary_form,
     chebder_map,
-    energy_form,
     find_root_bracketed,
-    gram_form,
     slip_defects,
     solve_generalized_symmetric,
 )
@@ -134,10 +136,10 @@ class DeterminantTrace:
 def assemble(problem: ModeProblem, basis: ChebBasis) -> AssembledPencil:
     """Assemble B = R - mu E and the Gram form A for the problem's
     wavenumber, both read-only; A and E are the basis's table's."""
-    k = problem.k
-    B = boundary_form(problem.slip, basis) - problem.mu * energy_form(k, basis)
+    table = basis.table(problem.k)
+    B = boundary_form(problem.slip, basis) - problem.mu * table.energy
     B.flags.writeable = False
-    return AssembledPencil(B=B, A=gram_form(k, basis), problem=problem, basis=basis)
+    return AssembledPencil(B=B, A=table.gram, problem=problem, basis=basis)
 
 
 def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarray, count: int):
@@ -246,7 +248,7 @@ def gram_defects(spectrum: Spectrum, n: int):
     of the Gram matrix G = V^T A V of the first n coefficient columns V.
     """
     V = spectrum.coefficients[:, :n]
-    gram = V.T @ gram_form(spectrum.problem.k, spectrum.basis) @ V
+    gram = V.T @ spectrum.basis.table(spectrum.problem.k).gram @ V
     diag = np.diag(gram)
     return float(np.abs(diag - 1.0).max()), float(np.abs(gram - np.diag(diag)).max())
 

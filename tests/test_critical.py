@@ -13,14 +13,14 @@ from slipflow.critical import (
     mu_c_global,
     mu_c_variational,
 )
-from slipflow.model import ChannelConfig, SlipPair
+from slipflow.model import ChannelConfig, ModeProblem, SlipPair
 from slipflow.numerics import (
     NotPositiveDefiniteError,
     boundary_form,
     build_basis,
-    energy_form,
     solve_generalized_symmetric,
 )
+from slipflow.spectrum import _discrete_kappa1
 
 
 def test_equal_slip_identity():
@@ -107,7 +107,7 @@ def pencil_bases():
 def _mu_c_full_pencil(k, slip, basis):
     # the reference: top eigenvalue of the full N x N pencil (R, E)
     R = boundary_form(slip, basis)
-    E = energy_form(k, basis)
+    E = basis.table(k).energy
     return max(solve_generalized_symmetric(R, E)[0][0], 0.0)
 
 
@@ -126,6 +126,21 @@ def test_variational_nondecreasing_in_basis_size(k, slip, pencil_bases):
     values = [mu_c_variational(k, slip, pencil_bases[n]) for n in PENCIL_SIZES]
     for coarse, fine in zip(values, values[1:]):
         assert fine >= coarse * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("k", PENCIL_KS)
+@pytest.mark.parametrize("slip", PENCIL_SLIPS, ids=_slip_id)
+def test_variational_is_the_discrete_slip_operator_at_unit_viscosity(k, slip, pencil_bases,
+                                                                     monkeypatch):
+    # mu_c on the trial space is mu kappa_1(0) of K_N at mu = 1, read off the
+    # basis's table as mu_c_closed_form reads K, with no 2x2 eigensolve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mu_c_variational reached numpy.linalg.eigvalsh")
+
+    monkeypatch.setattr("numpy.linalg.eigvalsh", forbidden)
+    for n in PENCIL_SIZES:
+        kappa1, _ = _discrete_kappa1(ModeProblem(k=k, mu=1.0, slip=slip), pencil_bases[n])
+        assert mu_c_variational(k, slip, pencil_bases[n]) == kappa1(0.0)
 
 
 @pytest.mark.parametrize("k", PENCIL_KS)

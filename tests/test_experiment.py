@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from slipflow.model import ChannelConfig, ModeProblem, SlipPair, ValidationError
+from slipflow.cli import main
+from slipflow.model import ChannelConfig, LatticeSweep, ModeProblem, SlipPair, ValidationError
 from slipflow.numerics import build_basis
-from slipflow.modes import build_packet
+from slipflow.modes import build_packet, compute_capital_lambda
 from slipflow.sim import (
     ChannelStepper,
     DeltaOutcome,
@@ -25,6 +26,7 @@ from slipflow.sim import (
     velocity_norms,
     write_experiment_outputs,
 )
+from slipflow import spectrum as spectrum_mod
 from slipflow.spectrum import assemble, solve_spectrum
 from slipflow.sim import experiment as experiment_mod
 from slipflow.sim.experiment import delta_dir_name
@@ -385,6 +387,31 @@ class TestSlowModeDrop:
         assert outcome.error is None
         # the one-mode packet's reduced branch is identically zero
         assert not outcome.d_from_linear_reduced.any()
+
+
+class TestDenseSolves:
+    def test_only_the_packet_runs_a_dense_solve(self, tmp_path, monkeypatch):
+        # lambda_1 of every lattice point comes from the discrete slip operator
+        # K_N, so Lambda and dispersion run no dense solve, and the experiment
+        # runs one, for its packet at k*
+        calls = []
+        solve = spectrum_mod.solve_generalized_symmetric
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr("slipflow.spectrum.solve_generalized_symmetric", counted)
+        channel = ChannelConfig(L=1.0, mu=0.2356, slip=SlipPair(1.0, 1.0))
+        sweep = LatticeSweep(L=1.0, mu=0.5, slip=channel.slip, n_max=8)
+        compute_capital_lambda(sweep, build_basis(48))
+        assert len(calls) == 0
+        assert main(["--out", str(tmp_path / "dispersion"), "dispersion", "--n-max", "8"]) == 0
+        assert len(calls) == 0
+        sim = SimConfig(channel=channel, M=4, P=18, dt=2.0e-3, diagnostics_stride=10)
+        with pytest.warns(RuntimeWarning, match="growth rate <= Lambda/2"):
+            run_separation_experiment(channel, sim=sim, deltas=(1.0e-2,), basis_size=16)
+        assert calls == [(16, 16)]
 
 
 class TestLastStepAtEscapeTime:

@@ -26,7 +26,7 @@ from slipflow.modes import (
     sample_field,
     sample_packet_field,
 )
-from slipflow.spectrum import assemble, solve_spectrum
+from slipflow.spectrum import assemble, lambda1_variational, solve_spectrum
 
 STD_SLIP = SlipPair(1.0, 1.0)
 
@@ -188,8 +188,11 @@ def test_compute_capital_lambda(basis48):
     sweep = LatticeSweep(L=1.0, mu=0.5, slip=STD_SLIP, n_max=8)
     cap, k_star = compute_capital_lambda(sweep, basis48)
     assert k_star == 1.0
-    spectrum = solve_spectrum(assemble(ModeProblem(k=1.0, mu=0.5, slip=STD_SLIP), basis48))
-    assert cap == spectrum.lambda1
+    # lambda_1 is K_N's (lambda1_variational), which meets the dense one
+    problem = ModeProblem(k=1.0, mu=0.5, slip=STD_SLIP)
+    assert cap == lambda1_variational(problem, basis48)
+    spectrum = solve_spectrum(assemble(problem, basis48))
+    assert abs(cap - spectrum.lambda1) <= 1e-12 * abs(spectrum.lambda1)
     with pytest.raises(ValueError):
         # sweep too short: the last lattice point is still unstable
         compute_capital_lambda(LatticeSweep(L=1.0, mu=0.05, slip=STD_SLIP, n_max=1), basis48)

@@ -22,9 +22,7 @@ from slipflow.numerics import (
     boundary_form,
     build_basis,
     chebder_map,
-    energy_form,
     find_root_bracketed,
-    gram_form,
     inverse_cholesky,
     slip_defects,
     solve_generalized_symmetric,
@@ -82,8 +80,8 @@ def test_forms_equal_their_quadrature_sums(k, lopsided, basis48):
         return sum(c * (basis.node_tables[d] * w).T @ basis.node_tables[d] for d, c in terms)
 
     for got, want in (
-        (gram_form(k, basis), quadrature((1, 1.0), (0, k * k))),
-        (energy_form(k, basis), quadrature((2, 1.0), (1, 2.0 * k * k), (0, k ** 4))),
+        (basis.table(k).gram, quadrature((1, 1.0), (0, k * k))),
+        (basis.table(k).energy, quadrature((2, 1.0), (1, 2.0 * k * k), (0, k ** 4))),
     ):
         assert got.shape == (basis.size, basis.size)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -159,7 +157,7 @@ def test_generalized_eig_factors_the_mass_side_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is pencil.A
     lam_v = lambda1_variational(problem, basis)
     mu_c_variational(problem.k, problem.slip, basis)
-    assert len(calls) == 2 and calls[1] is energy_form(problem.k, basis)
+    assert len(calls) == 2 and calls[1] is basis.table(problem.k).energy
     assert abs(lam_v - lam_g) <= 1e-10 * abs(lam_g)
     monkeypatch.undo()
 
@@ -180,7 +178,7 @@ def test_lower_inverse_matches_a_triangular_solve(N):
     from scipy.linalg import solve_triangular
 
     basis = build_basis(N)
-    for form in (gram_form(0.05, basis), energy_form(0.05, basis)):
+    for form in (basis.table(0.05).gram, basis.table(0.05).energy):
         L = np.linalg.cholesky(form)
         inv = _lower_inverse(L)
         assert np.array_equal(inv, np.tril(inv))
@@ -200,7 +198,7 @@ def test_inverse_cholesky_is_cached_for_read_only_forms_only():
         assert not M.flags.writeable and not inv.flags.writeable
         assert np.array_equal(inverse_cholesky(M), inv)
         assert np.abs(inv @ M @ inv.T - np.eye(12)).max() <= 1e-12 * np.abs(M).max()
-    A = gram_form(0.3, basis)
+    A = table.gram
     assert inverse_cholesky(A) is not inverse_cholesky(A)
     with pytest.raises(NotPositiveDefiniteError):
         inverse_cholesky(-np.eye(3))
@@ -286,8 +284,8 @@ def test_boundary_form_rank_and_psd(basis32):
 def test_forms_closed_form_entries(basis32):
     # phi_0 = 1 - x^2: int phi'^2 = 8/3, int phi^2 = 16/15, int phi''^2 = 8
     k = 1.3
-    A = gram_form(k, basis32)
-    E = energy_form(k, basis32)
+    A = basis32.table(k).gram
+    E = basis32.table(k).energy
     assert abs(A[0, 0] - (8.0 / 3.0 + k ** 2 * 16.0 / 15.0)) < 1e-12
     assert abs(E[0, 0] - (8.0 + 2.0 * k ** 2 * 8.0 / 3.0 + k ** 4 * 16.0 / 15.0)) < 1e-11
     assert np.abs(A - A.T).max() == 0.0
@@ -296,15 +294,15 @@ def test_forms_closed_form_entries(basis32):
 
 
 def test_forms_are_cached_read_only_per_basis(basis32):
-    for form in (energy_form, gram_form):
-        M = form(1.3, basis32)
-        assert M is form(1.3, basis32)
+    for form in ("energy", "gram"):
+        M = getattr(basis32.table(1.3), form)
+        assert M is getattr(basis32.table(1.3), form)
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
     # bases are keys by identity: an equal basis built twice is two keys
     first, second = build_basis(48), build_basis(48)
-    assert energy_form(1.3, first) is not energy_form(1.3, second)
-    assert np.array_equal(energy_form(1.3, first), energy_form(1.3, second))
+    assert first.table(1.3).energy is not second.table(1.3).energy
+    assert np.array_equal(first.table(1.3).energy, second.table(1.3).energy)
 
 
 def test_find_root_bracketed_refuses_nan_values():
