@@ -262,9 +262,11 @@ _NOT_DIGESTED = ("config", "out", "threads", "length", "mu", "xi")
 
 
 def _config_digest(raw: dict, ns) -> str:
-    """sha256 of the resolved config and the subcommand's parsed flags."""
+    """sha256 of the resolved config, every key lower case as ``_read_section``
+    matches them, and the subcommand's parsed flags."""
     args = {key: value for key, value in vars(ns).items() if key not in _NOT_DIGESTED}
-    canon = json.dumps({"config": raw, "args": args}, sort_keys=True,
+    config = json.loads(json.dumps(raw), object_pairs_hook=lambda kv: {k.lower(): v for k, v in kv})
+    canon = json.dumps({"config": config, "args": args}, sort_keys=True,
                        separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

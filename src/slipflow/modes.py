@@ -43,7 +43,7 @@ from .numerics import (
     slip_defects,
     wall_values,
 )
-from .spectrum import Spectrum, lambda1_variational
+from .spectrum import MARGINAL_TOL, Spectrum, lambda1_variational, operator_eigenvalues
 
 __all__ = [
     "NormalMode",
@@ -306,13 +306,13 @@ def compute_capital_lambda(sweep: LatticeSweep, basis: ChebBasis):
 
     Reads lambda_1 at every k = n/L, n = 1..n_max, from the discrete slip
     operator K_N (``spectrum.lambda1_variational``), with no dense solve.
-    Raises if the top rate at the last lattice point is still positive (the
-    sweep has not reached the stable range, so the max may be unconverged);
-    warns if the rates fail to decrease along the sweep.
+    Raises if the top rate at the last lattice point is positive on a branch
+    that is not marginal (``spectrum.determinant_roots``'s rule): the max may
+    be unconverged.  Warns if the rates fail to decrease along the sweep.
     """
-    lam1 = np.array([lambda1_variational(sweep.problem(n), basis)
-                     for n in range(1, sweep.n_max + 1)])
-    if lam1[-1] > 0.0:
+    problems = [sweep.problem(n) for n in range(1, sweep.n_max + 1)]
+    lam1 = np.array([lambda1_variational(problem, basis) for problem in problems])
+    if lam1[-1] > 0.0 and abs(operator_eigenvalues(0.0, problems[-1])[0] - 1.0) >= MARGINAL_TOL:
         raise ValueError(
             f"lambda_1 = {lam1[-1]:g} still positive at the last lattice point "
             f"k = {sweep.n_max / sweep.L:g}; increase n_max"

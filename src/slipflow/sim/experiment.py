@@ -24,7 +24,7 @@ starts first, in the given order; then one loop over the step index m
 advances the nonlinear branches of every running delta in one group step
 (``ChannelStepper.step``) and their linear twins in another, and each delta
 records on the schedule of a run (``sim.run._scheduled``) and leaves the
-loop after its last step, a lone step of each branch on the operators
+loop after its last step, a lone step of each branch on the step map
 built for its h.  The group step makes each branch's products of a lone
 step, so a delta's series do not depend on which deltas share its sweep,
 bit for bit.  Every packet starts in the
@@ -275,7 +275,7 @@ class _DeltaRun(_Recorder):
 
     def last_step(self):
         """Step every branch by the last step, of length h, to T^delta: each
-        a lone step on the one operator set built for this delta's h."""
+        a lone step on the one step map built for this delta's h."""
         last = _last_step_operators(self.sim, self.h)
         for st in self.steppers:
             st.step(last=last)

@@ -18,13 +18,12 @@ Prognostic variables, per Fourier mode n in x1:
     cond(V) about 2.3 at P = 64, so -(D^2 - kappa_n^2)^-1 is one product
     with V^-1 shared by every mode, a per-mode diagonal, and V, which is
     folded into every map that reads the streamfunction.
-    The operators depend only on (M, P, L, mu, xi_-, xi_+, dt): they are
-    built once per configuration (``_operators``), shared read-only by
-    every stepper that has it (the branches of an experiment, a stepper
-    read from a checkpoint), and a small cache keeps the last few
-    configurations.  The grid tables that both builds read, D, D2 and the
-    Dirichlet eigenbasis, depend on P alone and are formed once per P
-    (``_grid``).
+    The channel build (``_operators``) depends on (M, P, L, mu, xi_-, xi_+),
+    the step map (``_step_map``, the one builder of ``_T``) also on the step
+    length h.  A stepper installs the build of its channel and the map of its
+    dt, each shared read-only by the steppers that have it (the branches of
+    an experiment, a stepper read from a checkpoint); a last step builds the
+    map of its h alone.  D, D2 and the Dirichlet eigenbasis are ``_grid``'s.
   * n = 0: the x1-mean of u1, advanced by Crank-Nicolson diffusion with the
     Robin slip rows mu u' = +xi_+ u (top) and mu u' = -xi_- u (bottom)
     replacing the wall equations, unforced: only a linearized state has a
@@ -56,7 +55,7 @@ below), else both; the live span of rows (first to last nonzero one) on a
 linearized stepper, whose rows decouple so that a zero row stays zero, and
 rows 1 .. M on a nonlinear one.  A step advances the box alone, by stacked
 real matmuls.  One call may step a group of steppers that share the
-operator set, the ``linearized`` flag, the box and whether they have an
+step map, the ``linearized`` flag, the box and whether they have an
 AB2 history (the branches of a separation sweep): their boxes lie on a
 leading branch axis and every product broadcasts over it, making for each
 branch the BLAS call of a lone step, so each advances bit for bit as it
@@ -279,67 +278,84 @@ def _grid(P: int) -> tuple:
     return out
 
 
-def _operator_set(cfg: SimConfig) -> dict:
-    """The shared read-only operators of ``cfg`` (``_operators``)."""
+def _channel_key(cfg: SimConfig) -> tuple:
+    """(M, P, L, mu, xi_-, xi_+) of ``cfg``: the arguments of ``_operators``."""
     slip = cfg.channel.slip
-    return _operators(cfg.M, cfg.P, cfg.channel.L, cfg.channel.mu,
-                      slip.xi_minus, slip.xi_plus, cfg.dt)
+    return (cfg.M, cfg.P, cfg.channel.L, cfg.channel.mu, slip.xi_minus, slip.xi_plus)
+
+
+def _operator_set(cfg: SimConfig) -> dict:
+    """The cached step map of ``cfg``'s dt, the one its steppers hold."""
+    return _dt_map(*_channel_key(cfg), cfg.dt)
 
 
 def _last_step_operators(cfg: SimConfig, h: float) -> dict:
-    """The operators of a last step of length ``h`` on ``cfg``'s channel and
-    grid (``ChannelStepper.step``'s ``last``): those of ``_operators`` at
-    dt = h, and h itself as ``"h"``.  Built afresh, not cached: each delta
-    of a sweep ends with its own h, and a cached set would outlive it."""
-    slip = cfg.channel.slip
-    ops = _operators.__wrapped__(cfg.M, cfg.P, cfg.channel.L, cfg.channel.mu,
-                                 slip.xi_minus, slip.xi_plus, h)
-    return {**ops, "h": h}
+    """The step map of a last step of length ``h`` (``ChannelStepper.step``'s
+    ``last``), not cached: each delta of a sweep ends with its own h."""
+    return _step_map(*_channel_key(cfg), h)
 
 
 @functools.lru_cache(maxsize=4)
 def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
-               xi_plus: float, dt: float) -> dict:
-    """The operators of one stepper configuration, by ChannelStepper attribute name.
-
-    Built once per configuration and shared by every stepper that has it,
-    so every array is read-only.  The advection and CFL tables depend on
-    the grid alone and are not here (``_advection_tables``).  An
-    ill-conditioned influence matrix raises InfluenceConditioningError, and
-    a raise is not cached, so each construction of such a stepper raises.
-    ``_explicit_base`` is stored Fortran-ordered: ``step`` reads its ``.T``.
-    """
+               xi_plus: float) -> dict:
+    """The dt-free operators of one channel and grid, by ChannelStepper
+    attribute name, read-only: shared by its steppers, whatever their dt,
+    and its step maps.  The advection tables are ``_advection_tables``."""
     x2, D, D2, lam, V, V_inv = _grid(P)
     kappa = np.arange(M + 1) / L
-    alpha = 0.5 * mu * dt
 
     # slip functionals acting on a streamfunction node vector
     slip_plus = mu * D2[0] - xi_plus * D[0]
     slip_minus = mu * D2[-1] + xi_minus * D[-1]
 
     eye = np.eye(P)
-    # Per-mode Helmholtz operators H = D2 - kappa_n^2 (modes 0..M).  Each
-    # stack is dropped once read, negations and the Crank-Nicolson matrix
-    # are formed in place, and T is formed in place, so at most two
-    # (M+1, P, P) arrays are live during the build (a last step of a sweep
-    # builds one more set beside the one its steppers hold).
-    H = D2 - (kappa**2)[:, None, None] * eye
     # The slip rows S Kinv of the Poisson-Dirichlet inverse Kinv = -K^-1 Z,
-    # K = H with identity wall rows, from the inverse of K.  Slip rows from
-    # the eigenbasis below, or from one solve with K^T, lose up to two
-    # digits to cancellation in S phi (see TestExtendedPrecision).  K's
-    # wall rows are written into H; A overwrites those rows below.
-    K = H[1:]
+    # K = D2 - kappa_n^2 (n >= 1) with identity wall rows, from the inverse
+    # of K.  Slip rows from the eigenbasis below, or from one solve with
+    # K^T, lose up to two digits to cancellation in S phi (see
+    # TestExtendedPrecision).
+    K = D2 - (kappa[1:] ** 2)[:, None, None] * eye
     K[:, 0], K[:, -1] = eye[0], eye[-1]
     k_inv = np.linalg.inv(K)
     k_inv[:, :, [0, -1]] = 0.0
-    SK = np.stack([slip_plus, slip_minus]) @ np.negative(k_inv, out=k_inv)
-    del K, k_inv
-    # the Crank-Nicolson matrices A = I - alpha H with identity wall rows,
-    # except the mean mode's Robin rows; zeroing the wall columns of A^-1
-    # folds in the zeroed wall rows of every right-hand side
-    A = H
-    del H
+    slip_kinv = np.stack([slip_plus, slip_minus]) @ np.negative(k_inv, out=k_inv)
+
+    # The Poisson-Dirichlet solve in the shared eigenbasis of the interior
+    # D2 (Haidvogel & Zang 1979): the eigen-coordinates V^-1 omega_int of a
+    # node row are one product with V^-T embedded with zero wall rows, the
+    # solve is the per-mode diagonal -1 / (lam - kappa_n^2) (zero on the
+    # mean row), and every map that reads the streamfunction takes
+    # eigen-coordinates, V folded into it
+    to_eig = np.zeros((P, P - 2))
+    to_eig[1:-1] = V_inv.T
+    eig_solve = np.zeros((M + 1, P - 2))
+    eig_solve[1:] = -1.0 / (lam - (kappa[1:] ** 2)[:, None])
+    C = _cheb_transform_matrix(P, False)
+    return _read_only({
+        "x2": x2, "D": D, "D2": D2, "kappa": kappa,
+        "_slip_plus": slip_plus, "_slip_minus": slip_minus, "_slip_kinv": slip_kinv,
+        "_to_eig": to_eig, "_eig_solve": eig_solve,
+        "_coeff_map": V.T @ np.hstack([(C @ D).T, C.T])[1:-1], "_node_coeffs": C.T,
+    })
+
+
+def _step_map(M: int, P: int, L: float, mu: float, xi_minus: float,
+              xi_plus: float, h: float) -> dict:
+    """The Crank-Nicolson/influence-matrix map of one step of length ``h``,
+    read-only, by ChannelStepper attribute name: ``_T``, ``_explicit_base``
+    (Fortran-ordered: ``step`` reads its ``.T``), ``_alpha`` = mu h / 2,
+    ``_influence_cond`` and ``_h``.  The one builder of ``_T``, on the
+    channel build (``_operators``); an ill-conditioned influence matrix
+    raises InfluenceConditioningError."""
+    ops = _operators(M, P, L, mu, xi_minus, xi_plus)
+    D, D2, kappa, SK = ops["D"], ops["D2"], ops["kappa"], ops["_slip_kinv"]
+    alpha = 0.5 * mu * h
+    eye = np.eye(P)
+    # the Crank-Nicolson matrices A = I - alpha (D2 - kappa_n^2) with identity
+    # wall rows, except the mean mode's Robin rows; zeroing the wall columns
+    # of A^-1 folds in the zeroed wall rows of every right-hand side.  A and
+    # T are formed in place, so at most two (M+1, P, P) arrays are live
+    A = D2 - (kappa**2)[:, None, None] * eye
     A *= -alpha
     A += eye
     A[:, 0], A[:, -1] = eye[0], eye[-1]
@@ -363,26 +379,14 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     # new[n] = T[n] @ rhs[n]: Helmholtz solve, then the wall-omega
     # correction that zeroes the slip functionals of its streamfunction
     a_inv[1:] -= og @ np.linalg.solve(G, SK @ a_inv[1:])
-
-    # The Poisson-Dirichlet solve in the shared eigenbasis of the interior
-    # D2 (Haidvogel & Zang 1979): the eigen-coordinates V^-1 omega_int of a
-    # node row are one product with V^-T embedded with zero wall rows, the
-    # solve is the per-mode diagonal -1 / (lam - kappa_n^2) (zero on the
-    # mean row), and every map that reads the streamfunction takes
-    # eigen-coordinates, V folded into it
-    to_eig = np.zeros((P, P - 2))
-    to_eig[1:-1] = V_inv.T
-    eig_solve = np.zeros((M + 1, P - 2))
-    eig_solve[1:] = -1.0 / (lam - (kappa[1:] ** 2)[:, None])
-    C = _cheb_transform_matrix(P, False)
     return _read_only({
-        "x2": x2, "D": D, "D2": D2, "kappa": kappa, "_alpha": alpha,
-        "_slip_plus": slip_plus, "_slip_minus": slip_minus,
+        "_T": a_inv, "_influence_cond": cond, "_alpha": alpha, "_h": h,
         "_explicit_base": np.asfortranarray(eye + alpha * D2),  # row form handles kappa in step
-        "_T": a_inv, "_influence_cond": cond,
-        "_to_eig": to_eig, "_eig_solve": eig_solve,
-        "_coeff_map": V.T @ np.hstack([(C @ D).T, C.T])[1:-1], "_node_coeffs": C.T,
     })
+
+
+# a stepper's step map; a raise is not cached, so each ill-conditioned stepper raises
+_dt_map = functools.lru_cache(maxsize=4)(_step_map)
 
 
 @functools.lru_cache(maxsize=4)
@@ -431,12 +435,12 @@ class ChannelStepper:
     Kinv = -K^-1 Z for the Poisson-Dirichlet matrix K, og = A^-1 [e_0, e_P-1]
     the wall-omega Green columns and S the two slip functionals,
     T[n] = Ainv - og G^-1 S Kinv Ainv with the influence matrix G = S Kinv og
-    for n >= 1; S Kinv comes from the dense inverse of K.  The mean row's A
-    has the two Robin rows as its wall rows and no influence correction, so
-    T[0] = Ainv.  ``_T`` is the one per-mode (M+1, P, P) stack.  A G whose
-    condition number exceeds INFLUENCE_COND_MAX raises
-    InfluenceConditioningError when the operators are built; the condition
-    numbers of modes 1 .. M are kept as ``_influence_cond`` (M,).
+    for n >= 1; S Kinv (``_slip_kinv``) comes from the dense inverse of K.
+    The mean row's A has the two Robin rows as its wall rows and no
+    influence correction, so T[0] = Ainv.  ``_T`` is the one per-mode
+    (M+1, P, P) stack.  A G whose condition number exceeds
+    INFLUENCE_COND_MAX raises InfluenceConditioningError when the step map
+    is built; modes 1 .. M keep theirs as ``_influence_cond`` (M,).
 
     The streamfunction is solved in the eigenbasis of the interior D2,
     D2_int = V diag(lam) V^-1 (Haidvogel & Zang 1979), taken from its
@@ -454,9 +458,8 @@ class ChannelStepper:
     DCT-I); ``_unpad`` (P, ceil(3P/2)) takes padded node values to the P
     node values of their first P Chebyshev coefficients.
 
-    The operators come from ``_operators``, one read-only build per
-    (M, P, L, mu, xi_-, xi_+, dt) shared by every stepper of that
-    configuration.  The advection tables below come from
+    The operators come from the channel build and the step map of dt (see
+    the module docstring).  The advection tables below come from
     ``_advection_tables``, one read-only build per grid (M, P, L): a
     nonlinear stepper installs them, a linearized one holds none, and
     ``cfl_number`` reads the build of its grid.  The state planes
@@ -466,7 +469,7 @@ class ChannelStepper:
     and ``_blocks``.
 
     ``step(*others)`` advances this stepper and ``others`` in one group
-    step.  Steppers may share a step when they share the operator set (one
+    step.  Steppers may share a step when they share the step map (one
     build), the ``linearized`` flag, the box and whether they have an AB2
     history; ``step`` refuses any other group with ValueError.  Each product
     broadcasts over the group's leading branch axis instead of forming one
@@ -518,7 +521,7 @@ class ChannelStepper:
     # -- operator setup ------------------------------------------------
 
     def _build_operators(self):
-        vars(self).update(_operator_set(self.cfg))
+        vars(self).update(_operators(*_channel_key(self.cfg)), **_operator_set(self.cfg))
         if not self.cfg.linearized:
             vars(self).update(_advection_tables(self.cfg.M, self.cfg.P, self.L))
 
@@ -642,16 +645,13 @@ class ChannelStepper:
     # -- stepping --------------------------------------------------------
 
     def step(self, *others: ChannelStepper, last: dict | None = None):
-        """Advance the box x of the state one dt, x <- T (x E^T - alpha kappa^2 x
-        - dt AB2(adv)), with the AB2 history in the same box of ``_history``
-        (Euler weights on the very first step).  A linearized step forms no
-        streamfunction and no advection (both would be zero).
-
-        Given ``last`` (``_last_step_operators``), this is the last step of a
-        run that ends between two multiples of dt: a step of its length h,
-        with its operators (the advection tables are the grid's own) and the
-        variable-step AB2 weights (1 + h / 2dt, -h / 2dt) after steps of dt;
-        the clock then reads (steps - 1) dt + h.
+        """Advance the box x of the state by the step map's length h,
+        x <- T (x E^T - alpha kappa^2 x - h AB2(adv)), with the AB2 history in
+        the same box of ``_history``: weights (1 + h / 2dt, -h / 2dt), Euler
+        on the very first step.  A linearized step forms no streamfunction
+        and no advection (both would be zero).  The map is the stepper's own,
+        h = dt, or ``last`` (``_last_step_operators``), that of a run's last
+        step, of length h, whose clock then reads (steps - 1) dt + h.
 
         ``others`` join the step as one group (see the class docstring); a
         lone stepper is the one-branch group, its box a view with no copy.
@@ -664,12 +664,10 @@ class ChannelStepper:
                 raise ValueError("steppers in one step must share the operators, the "
                                  "linearized flag, the box and the AB2 history")
         cfg, box = self.cfg, self._box
-        # the step length, the AB2 weight r of (1 + r, -r) and the operators
-        if last is None:
-            dt, r, ops = cfg.dt, 0.5, vars(self)
-        else:
-            dt, r, ops = last["h"], 0.5 * last["h"] / cfg.dt, last
-        T, base, alpha = ops["_T"], ops["_explicit_base"], ops["_alpha"]
+        # the step map and the AB2 weight r of (1 + r, -r), exactly 0.5 at h = dt
+        ops = vars(self) if last is None else last
+        h, T, base, alpha = ops["_h"], ops["_T"], ops["_explicit_base"], ops["_alpha"]
+        r = 0.5 * h / cfg.dt
         rows = box[1]
         x = _on_leading_axis([st._state[box] for st in group])
         rhs = x @ base.T
@@ -677,10 +675,10 @@ class ChannelStepper:
         if not cfg.linearized:
             adv = self._advection(self._solve_planes(x, rows), x)
             if self._have_history:
-                rhs -= dt * ((1.0 + r) * adv - r * _on_leading_axis(
+                rhs -= h * ((1.0 + r) * adv - r * _on_leading_axis(
                     [st._history[box] for st in group]))
             else:
-                rhs -= dt * adv
+                rhs -= h * adv
             for st, a in zip(group, adv):
                 st._history[box] = a
         new = (T[rows] @ rhs[..., None])[..., 0]
@@ -688,7 +686,7 @@ class ChannelStepper:
             st._state[box] = s
             st._have_history = True
             st.steps += 1
-            st.t = st.steps * cfg.dt if last is None else (st.steps - 1) * cfg.dt + dt
+            st.t = st.steps * cfg.dt if last is None else (st.steps - 1) * cfg.dt + h
         if not np.isfinite(new).all():
             bad = tuple(st for st, s in zip(group, new) if not np.isfinite(s).all())
             raise SimulationBlowupError(

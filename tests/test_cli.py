@@ -641,6 +641,20 @@ class TestConfigResolution:
         stable = ["experiment", "--mu", "2.0", "--deltas"]
         assert digest("g", *stable, "1e-3") != digest("h", *stable, "1e-4")
 
+    def test_digest_does_not_depend_on_how_keys_are_spelled(self, tmp_path, monkeypatch):
+        # keys match in any case, so M in the file, m in the file and
+        # SLIPFLOW_SIM__M are one configuration with one digest
+        def digest(name, sim):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"sim": sim}))
+            assert run_cli("--config", cfg, "--out", tmp_path / name,
+                           "critical", "--points", "3") == 0
+            return read_manifest(tmp_path / name)["config_digest"]
+
+        upper, lower = digest("upper", {"M": 8}), digest("lower", {"m": 8})
+        monkeypatch.setenv("SLIPFLOW_SIM__M", "8")
+        assert upper == lower == digest("env", {})
+
 
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -26,7 +26,13 @@ from slipflow.modes import (
     sample_field,
     sample_packet_field,
 )
-from slipflow.spectrum import assemble, lambda1_variational, solve_spectrum
+from slipflow.spectrum import (
+    MARGINAL_TOL,
+    assemble,
+    lambda1_variational,
+    operator_eigenvalues,
+    solve_spectrum,
+)
 
 STD_SLIP = SlipPair(1.0, 1.0)
 
@@ -196,6 +202,31 @@ def test_compute_capital_lambda(basis48):
     with pytest.raises(ValueError):
         # sweep too short: the last lattice point is still unstable
         compute_capital_lambda(LatticeSweep(L=1.0, mu=0.05, slip=STD_SLIP, n_max=1), basis48)
+
+
+def test_capital_lambda_excuses_a_marginal_last_point(basis48):
+    # at mu = 0.02 the point k = 25 is marginal (kappa_1(0) = 1 to
+    # roundoff): its lambda_1 on 48 functions reads +3.8e-12, roundoff, so
+    # the sweep to n_max = 25 is complete; k = 24, the critical
+    # wavenumber, is genuinely unstable
+    mu = 0.02
+    last = ModeProblem(k=25.0, mu=mu, slip=STD_SLIP)
+    assert abs(operator_eigenvalues(0.0, last)[0] - 1.0) < MARGINAL_TOL
+    assert 0.0 < lambda1_variational(last, basis48) < 1e-10
+    cap, k_star = compute_capital_lambda(LatticeSweep(L=1.0, mu=mu, slip=STD_SLIP, n_max=25),
+                                         basis48)
+    assert cap > 0.0 and k_star < 25.0
+    with pytest.raises(ValueError, match="k = 24; increase n_max"):
+        compute_capital_lambda(LatticeSweep(L=1.0, mu=mu, slip=STD_SLIP, n_max=24), basis48)
+
+
+def test_capital_lambda_refuses_a_small_genuine_positive(basis48):
+    # at mu = 0.05, k = 10 sits 7.8e-8 above marginal, beyond MARGINAL_TOL,
+    # and lambda_1 = 1.57e-6 is a growth rate, so n_max = 10 is too short
+    top = operator_eigenvalues(0.0, ModeProblem(k=10.0, mu=0.05, slip=STD_SLIP))[0]
+    assert MARGINAL_TOL < top - 1.0 < 1e-7
+    with pytest.raises(ValueError, match="k = 10; increase n_max"):
+        compute_capital_lambda(LatticeSweep(L=1.0, mu=0.05, slip=STD_SLIP, n_max=10), basis48)
 
 
 def test_sample_field_structure(basis48):

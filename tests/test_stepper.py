@@ -692,8 +692,12 @@ class TestSharedOperators:
         second = ChannelStepper(self._cfg(linearized=True, t_end=0.5), zero)
         for name in ("_T", "_to_eig", "_eig_solve", "_coeff_map", "_influence_cond"):
             assert getattr(second, name) is getattr(first, name)
+        # the channel build is dt-free: a stepper of another dt shares it
+        # and holds its own step map
         other = ChannelStepper(self._cfg(dt=2.0e-3), zero)
-        assert other._T is not first._T and other._eig_solve is not first._eig_solve
+        for name in ("_to_eig", "_eig_solve", "_coeff_map", "_slip_kinv"):
+            assert getattr(other, name) is getattr(first, name)
+        assert other._T is not first._T
         assert np.abs(other._T - first._T).max() > 0.0
         # the advection tables depend on the grid alone: two nonlinear
         # steppers that differ in dt share them
@@ -777,6 +781,23 @@ class TestSharedOperators:
         c.step(last=_last_step_operators(c.cfg, 4.0e-4))
         assert c.steps == 2 and c.t == 1.0e-3 + 4.0e-4
         assert np.abs(c._state - a._state).max() > 0.0
+
+    def test_last_step_reuses_the_channel_build(self, monkeypatch):
+        # a last step inverts its Crank-Nicolson stack alone: the Poisson
+        # inverse behind S Kinv is the cached channel build's
+        cfg = self._cfg()
+        ChannelStepper(cfg, SpectralField2D(np.zeros((7, 24), dtype=complex), 1.0))
+        inverted = []
+        inv = np.linalg.inv
+
+        def counting(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        last = _last_step_operators(cfg, 4.0e-4)
+        assert inverted == [(7, 24, 24)]
+        assert last["_h"] == 4.0e-4 and last["_alpha"] == 0.5 * 0.5 * 4.0e-4
 
     def test_ill_conditioned_configuration_raises_on_every_construction(self, channel):
         zero = SpectralField2D(np.zeros((3, 24), dtype=complex), channel.L)
