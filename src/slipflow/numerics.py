@@ -30,11 +30,14 @@ blocks.
 
 Every symmetric pencil B v = lambda A v is reduced to a standard one the
 way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened
-W = L^-1 B L^-T.  The forms of one wavenumber, their factors L^-1 and the
-discrete slip operator's table live in the basis's ``PencilTable`` of that
-wavenumber, so the dense solve and the discrete slip operator, which gives
-lambda_1 and mu_c on the trial space, factor each form once for as long as
-the basis lives.
+W = L^-1 B L^-T, whose eigenpairs ``eigh_whitened`` alone computes.  The
+forms of one wavenumber, their factors L^-1, the whitened energy form and
+wall slopes, and the discrete slip operator's table live in the basis's
+``PencilTable`` of that wavenumber, none of them depending on mu or the
+slip: the dense solve forms W of each (mu, xi) from them by a rank-2
+update, and the discrete slip operator, which gives lambda_1 and mu_c on
+the trial space, reads its rows, so each form is factored once for as
+long as the basis lives.
 Everything here is numpy; the package needs no scipy at run time.
 
 Every wall check, of eigenfunctions (u1 = phi'), modes (u1 = psi) and DNS
@@ -60,6 +63,7 @@ __all__ = [
     "chebder_map",
     "gauss_legendre",
     "solve_generalized_symmetric",
+    "eigh_whitened",
     "inverse_cholesky",
     "whiten",
     "find_root_bracketed",
@@ -134,12 +138,22 @@ class ChebBasis:
 
 class PencilTable:
     """The forms of wavenumber k on one basis, each built on first use and
-    read-only: ``energy`` E and ``gram`` A (sums of the Gram blocks), their
-    inverse Cholesky factors ``energy_factor`` and ``gram_factor``, and
-    ``slip``, (sigma, G) of the discrete slip operator: with L_E^-1 A L_E^-T
-    = Y diag(sigma) Y^T, sigma ascending, G = Y^T L_E^-1 D, D the wall
-    slopes (factoring A instead reads up to 4.4e-7 relative from the dense
-    lambda_1 at N = 96).  It holds no reference to the basis."""
+    read-only, none of them depending on mu or the slip:
+
+    - ``energy`` E and ``gram`` A, sums of the Gram blocks, and their
+      inverse Cholesky factors ``energy_factor`` L_E^-1 and ``gram_factor``
+      L_A^-1;
+    - ``whitened_energy`` M = L_A^-1 E L_A^-T and ``whitened_slopes``
+      U = L_A^-1 D, D the (N, 2) wall slopes, so the A-whitened pencil of
+      any (mu, xi) is the rank-2 update W = U Xi U^T - mu M, Xi =
+      diag(xi_minus, xi_plus) (``spectrum.solve_spectrum``);
+    - ``slip``, (sigma, rows) of the discrete slip operator: with L_E^-1 A
+      L_E^-T = Y diag(sigma) Y^T, sigma ascending, and G = Y^T L_E^-1 D,
+      rows = (G_0^2, G_1^2, G_0 G_1), the unit-slip rows of K_N
+      (``spectrum._discrete_kappa1``; factoring A instead reads up to
+      4.4e-7 relative from the dense lambda_1 at N = 96).
+
+    It holds no reference to the basis."""
 
     def __init__(self, k: float, gram_blocks: tuple, slopes: np.ndarray):
         self.k, self._blocks, self._slopes = k, gram_blocks, slopes
@@ -171,13 +185,28 @@ class PencilTable:
         return inverse_cholesky(self.gram)
 
     @cached_property
+    def whitened_energy(self) -> np.ndarray:
+        """M = L_A^-1 E L_A^-T, symmetric to the bit."""
+        M, _ = whiten(self.energy, self.gram, self.gram_factor)
+        M.flags.writeable = False
+        return M
+
+    @cached_property
+    def whitened_slopes(self) -> np.ndarray:
+        """U = L_A^-1 D, column 0 the wall x2 = -1 and column 1 x2 = +1."""
+        U = self.gram_factor @ self._slopes
+        U.flags.writeable = False
+        return U
+
+    @cached_property
     def slip(self):
         inv = self.energy_factor
         X = inv @ self.gram @ inv.T
         sigma, Y = np.linalg.eigh(0.5 * (X + X.T))
         G = Y.T @ (inv @ self._slopes)
-        sigma.flags.writeable = G.flags.writeable = False
-        return sigma, G
+        rows = np.stack([G[:, 0] * G[:, 0], G[:, 1] * G[:, 1], G[:, 0] * G[:, 1]])
+        sigma.flags.writeable = rows.flags.writeable = False
+        return sigma, rows
 
 
 @lru_cache(maxsize=32)
@@ -264,14 +293,13 @@ def build_basis(N: int) -> ChebBasis:
 
 
 def _fix_signs(vectors: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
-    """Deterministic sign convention: first significant entry positive."""
-    out = np.array(vectors)
-    mag = np.abs(out)
+    """Deterministic sign convention, in place: first significant entry positive."""
+    mag = np.abs(vectors)
     # a zero column has no significant entry; argmax then picks its 0, kept
     first = np.argmax(mag > threshold * mag.max(axis=0), axis=0)
-    flip = out[first, np.arange(out.shape[1])] < 0
-    out[:, flip] = -out[:, flip]
-    return out
+    flip = vectors[first, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] *= -1.0
+    return vectors
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -320,16 +348,29 @@ def whiten(B: np.ndarray, A: np.ndarray, inv: np.ndarray | None = None):
     return 0.5 * (W + W.T), inv
 
 
-def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray, _inv: np.ndarray | None = None):
+def eigh_whitened(W: np.ndarray, inv: np.ndarray):
+    """All eigenpairs of the pencil whose standard form is W = L^-1 B L^-T.
+
+    The one dense eigensolve: W = Y diag(w) Y^T by ``np.linalg.eigh``, which
+    reads W's lower triangle, then V = L^-T Y with L^-1 = ``inv``.  Returns
+    ``(eigenvalues, eigenvectors)``: the eigenvalues in descending order,
+    ``eigenvectors[:, i]`` belonging to ``eigenvalues[i]``, the columns
+    A-orthonormal, each signed so that its first significant entry is
+    positive (``_fix_signs``, in place on the fresh V).  A failure of the
+    eigensolver propagates as ``np.linalg.LinAlgError``.
+    """
+    w, Y = np.linalg.eigh(W)
+    # eigh returns w ascending; reversed, exact ties keep eigh's order reversed
+    return w[::-1], _fix_signs(inv.T @ Y[:, ::-1])
+
+
+def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray):
     """All eigenpairs of B v = lambda A v, B symmetric, A symmetric positive definite.
 
-    B may be indefinite.  Returns ``(eigenvalues, eigenvectors)``: the
-    eigenvalues in descending order, and ``eigenvectors[:, i]`` belonging to
-    ``eigenvalues[i]``, the columns A-orthonormal, each signed so that its
-    first significant entry is positive.  The steps are those of LAPACK's
-    ``sygvd``: W = L^-1 B L^-T (``whiten``), W = Y diag(w) Y^T by
-    ``np.linalg.eigh``, V = L^-T Y, L^-1 being ``_inv`` when the caller
-    holds it.  A that is not positive definite raises
+    B may be indefinite.  The steps are those of LAPACK's ``sygvd``: both
+    sides are checked symmetric to relative 1e-12 (``NonSymmetricError``),
+    W = L^-1 B L^-T (``whiten``), then ``eigh_whitened``, whose return
+    convention this shares.  A that is not positive definite raises
     ``NotPositiveDefiniteError``; a failure of the eigensolver itself
     propagates as ``np.linalg.LinAlgError``.
     """
@@ -341,10 +382,7 @@ def solve_generalized_symmetric(B: np.ndarray, A: np.ndarray, _inv: np.ndarray |
         scale = np.abs(M).max() or 1.0
         if np.abs(M - M.T).max() > 1e-12 * scale:
             raise NonSymmetricError(f"matrix {name} is not symmetric to relative 1e-12")
-    W, inv = whiten(B, A, _inv)
-    w, Y = np.linalg.eigh(W)
-    order = np.argsort(w)[::-1]  # descending, stable for exact ties
-    return w[order], _fix_signs(inv.T @ Y[:, order])
+    return eigh_whitened(*whiten(B, A))
 
 
 # ---------------------------------------------------------------------------

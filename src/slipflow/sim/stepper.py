@@ -295,6 +295,18 @@ def _last_step_operators(cfg: SimConfig, h: float) -> dict:
     return _step_map(*_channel_key(cfg), h)
 
 
+def _minus_diagonal(D2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The (len(shifts), P, P) stack D2 - shifts[n] I, written onto the
+    diagonal of a copy of D2 per shift: every entry is the bits of
+    D2 - shifts[n] * I[i, j], the off-diagonal D2 - 0.0 = D2, with no
+    stacked identity product."""
+    P = D2.shape[0]
+    out = np.empty((shifts.size, P, P))
+    out[...] = D2
+    out.reshape(shifts.size, P * P)[:, :: P + 1] -= shifts[:, None]
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
                xi_plus: float) -> dict:
@@ -314,7 +326,7 @@ def _operators(M: int, P: int, L: float, mu: float, xi_minus: float,
     # of K.  Slip rows from the eigenbasis below, or from one solve with
     # K^T, lose up to two digits to cancellation in S phi (see
     # TestExtendedPrecision).
-    K = D2 - (kappa[1:] ** 2)[:, None, None] * eye
+    K = _minus_diagonal(D2, kappa[1:] ** 2)
     K[:, 0], K[:, -1] = eye[0], eye[-1]
     k_inv = np.linalg.inv(K)
     k_inv[:, :, [0, -1]] = 0.0
@@ -355,14 +367,13 @@ def _step_map(M: int, P: int, L: float, mu: float, xi_minus: float,
     # wall rows, except the mean mode's Robin rows; zeroing the wall columns
     # of A^-1 folds in the zeroed wall rows of every right-hand side.  A and
     # T are formed in place, so at most two (M+1, P, P) arrays are live
-    A = D2 - (kappa**2)[:, None, None] * eye
+    A = _minus_diagonal(D2, kappa**2)
     A *= -alpha
     A += eye
     A[:, 0], A[:, -1] = eye[0], eye[-1]
     A[0, 0] = mu * D[0] - xi_plus * eye[0]
     A[0, -1] = mu * D[-1] + xi_minus * eye[-1]
     a_inv = np.linalg.inv(A)
-    del A
     og = a_inv[1:, :, [0, -1]]  # unit omega wall values through the solve
     a_inv[:, :, [0, -1]] = 0.0
     G = SK @ og
@@ -377,8 +388,10 @@ def _step_map(M: int, P: int, L: float, mu: float, xi_minus: float,
             f"(cond = {cond[i]:.3g} > {INFLUENCE_COND_MAX:g})"
         )
     # new[n] = T[n] @ rhs[n]: Helmholtz solve, then the wall-omega
-    # correction that zeroes the slip functionals of its streamfunction
-    a_inv[1:] -= og @ np.linalg.solve(G, SK @ a_inv[1:])
+    # correction that zeroes the slip functionals of its streamfunction,
+    # formed in A's buffer
+    a_inv[1:] -= np.matmul(og, np.linalg.solve(G, SK @ a_inv[1:]), out=A[1:])
+    del A
     return _read_only({
         "_T": a_inv, "_influence_cond": cond, "_alpha": alpha, "_h": h,
         "_explicit_base": np.asfortranarray(eye + alpha * D2),  # row form handles kappa in step

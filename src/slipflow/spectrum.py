@@ -15,7 +15,9 @@ Weak form: lambda * int(phi' theta' + k^2 phi theta) equals the bilinear form
 
 for all wall-vanishing theta; the slip conditions are natural.  Projected on
 the trial basis this is the symmetric pencil B v = lambda A v with B = R -
-mu E indefinite and A the SPD Gram form, solved densely.  The leading pairs
+mu E indefinite and A the SPD Gram form, solved densely through its
+A-whitened standard form W = U Xi U^T - mu M, a rank-2 update of tables
+that hold no mu and no xi (below).  The leading pairs
 then take one correction step: their residual is formed from B and A
 themselves, where the dense solver's backward error shows in full, and is
 corrected through the computed eigenbasis, which squares that error for
@@ -44,12 +46,19 @@ space (``critical.mu_c_variational``).  K_N is the one owner of both:
 from it, and the dense solve serves only the callers that read
 eigenvectors or the whole spectrum: the packets, ``slipflow spectrum``, and
 ``slipflow verify``'s dense cross-checks, one of which holds lambda_1 of
-K_N to the dense lambda_1.  A table of the pencil (A, E) per (k, basis)
-makes each evaluation of K_N O(N); its eigensolve is not the dense solve's,
-and it needs no mu and no xi.  K_N is the Galerkin restriction of K, so the
-Galerkin kappa_1 lies below the exact one.  Both paths read the basis's
-table of the wavenumber (``ChebBasis.table``), which holds one E and one A
-and factors each once, for as long as the caller holds the basis.
+K_N to the dense lambda_1.  K_N is the Galerkin restriction of K, so the
+Galerkin kappa_1 lies below the exact one.
+
+Both paths read the basis's table of the wavenumber (``ChebBasis.table``,
+a ``numerics.PencilTable``), which needs no mu and no xi and is built once
+for as long as the caller holds the basis: E and A, each factored once;
+M = L_A^-1 E L_A^-T and U = L_A^-1 D, so that each case's standard form is
+the rank-2 update W = U Xi U^T - mu M, and the dense solve of a case runs
+one eigh and no O(N^3) whitening; and sigma with K_N's unit-slip rows
+(G_0^2, G_1^2, G_0 G_1), so that each evaluation of K_N is one O(N) row
+product, its eigensolve not the dense solve's.  When kappa1_N(0) > 1,
+lambda_1 is found by Newton's method on 1/kappa1_N - 1, concave and
+increasing in lambda, from lambda = 0 with no bracket.
 """
 
 from __future__ import annotations
@@ -65,9 +74,9 @@ from .numerics import (
     ChebBasis,
     boundary_form,
     chebder_map,
+    eigh_whitened,
     find_root_bracketed,
     slip_defects,
-    solve_generalized_symmetric,
 )
 
 __all__ = [
@@ -165,7 +174,9 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
     step never degrades a converged pair, and a replaced vector keeps the
     sign with y^T A v >= 0.  An exact tie w_i = lambda_j (i != j) divides
     by zero: the correction is not finite and the dense pair stays, with no
-    floating-point warning.
+    floating-point warning.  The replaced pairs are written into ``lams``
+    and ``V`` in place; the pairs are copied in descending order only when
+    a replaced eigenvalue has left it.
     """
     A, B = pencil.A, pencil.B
     n = min(count, lams.size)
@@ -187,17 +198,31 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
     better = np.flatnonzero(np.isfinite(norm2) & (norm2 > 0.0) & (r_new < np.linalg.norm(R, axis=0)))
     Y = Y[:, better]
     Y *= np.where(np.einsum("ij,ij->j", Y, AX[:, better]) < 0.0, -1.0, 1.0)
-    lams, V = lams.copy(), V.copy()
     lams[better], V[:, better] = lam_new[better], Y
+    if np.all(lams[1:] <= lams[:-1]):
+        return lams, V
     order = np.argsort(-lams, kind="stable")
     return lams[order], V[:, order]
 
 
 def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
-    """All eigenpairs of the pencil, descending, A-normalized, signs fixed."""
-    table = pencil.basis.table(pencil.problem.k)
-    inv = table.gram_factor if pencil.A is table.gram else None
-    lams, V = solve_generalized_symmetric(pencil.B, pencil.A, inv)
+    """All eigenpairs of the pencil, descending, A-normalized, signs fixed.
+
+    The pencil is ``assemble``'s.  Its A-whitened standard form is the
+    rank-2 update W = U Xi U^T - mu M of the wavenumber table's
+    ``whitened_slopes`` U and ``whitened_energy`` M, formed as
+    -mu M + s_- s_-^T + s_+ s_+^T with s the columns of U Xi^(1/2), so W is
+    symmetric to the bit and no O(N^3) whitening runs per case; one
+    ``eigh_whitened`` solves it, and B and A serve the refinement's
+    residual (``_refine_leading_pairs``).
+    """
+    problem = pencil.problem
+    table = pencil.basis.table(problem.k)
+    S = table.whitened_slopes * np.sqrt([problem.slip.xi_minus, problem.slip.xi_plus])
+    W = table.whitened_energy * -problem.mu
+    W += np.outer(S[:, 0], S[:, 0])
+    W += np.outer(S[:, 1], S[:, 1])
+    lams, V = eigh_whitened(W, table.gram_factor)
     lams, V = _refine_leading_pairs(pencil, lams, V, resolved_count(pencil))
     return Spectrum(
         problem=pencil.problem,
@@ -419,21 +444,68 @@ def oracle_findings(spectrum: Spectrum, tol: float) -> list:
 def _discrete_kappa1(problem: ModeProblem, basis: ChebBasis):
     """(kappa1_N, pole): lam -> the top eigenvalue of K_N(lam), and -mu / sigma_max.
 
-    K_N(lam) = H^T diag(1 / (lam sigma + mu)) H, H = G Xi^(1/2) (the
-    table's ``slip``), for lam above the pole, where lam A + mu E is
-    definite: one product with the rows h_-^2, h_+^2, h_- h_+ and the closed
-    form of a 2x2 top eigenvalue, a sum of nonnegative terms.
+    K_N(lam) = Xi^(1/2) G^T diag(1 / (lam sigma + mu)) G Xi^(1/2), (sigma,
+    G) of the table's ``slip``, for lam above the pole, where lam A + mu E
+    is definite: one product of the unit-slip rows G_0^2, G_1^2, G_0 G_1
+    with 1 / (lam sigma + mu), its entries scaled by xi_-, xi_+ and
+    sqrt(xi_- xi_+), and the closed form of a 2x2 top eigenvalue, a sum of
+    nonnegative terms.  ``kappa1(lam, slope=True)`` returns (kappa1_N,
+    dkappa1_N/dlam), the slope from one more row product, with
+    sigma / (lam sigma + mu)^2 for dK_N/dlam; at a double eigenvalue of K_N
+    it is the right derivative, the top eigenvalue of dK_N/dlam.
     """
-    sigma, G = basis.table(problem.k).slip
-    H = G * np.sqrt([problem.slip.xi_minus, problem.slip.xi_plus])
-    rows = np.stack([H[:, 0] * H[:, 0], H[:, 1] * H[:, 1], H[:, 0] * H[:, 1]])
-    mu = problem.mu
+    sigma, rows = basis.table(problem.k).slip
+    xm, xp, mu = problem.slip.xi_minus, problem.slip.xi_plus, problem.mu
+    xb = math.sqrt(xm * xp)
 
-    def kappa1(lam: float) -> float:
-        a, c, b = rows @ (1.0 / (lam * sigma + mu))
-        return 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    def kappa1(lam: float, slope: bool = False):
+        d = 1.0 / (lam * sigma + mu)
+        a, c, b = (rows @ d).tolist()
+        a, c, b = xm * a, xp * c, xb * b
+        h = math.hypot(0.5 * (a - c), b)
+        if not slope:
+            return 0.5 * (a + c) + h
+        da, dc, db = (rows @ (sigma * d * d)).tolist()
+        da, dc, db = -xm * da, -xp * dc, -xb * db
+        if h == 0.0:
+            dh = math.hypot(0.5 * (da - dc), db)
+        else:
+            dh = (0.25 * (a - c) * (da - dc) + b * db) / h
+        return 0.5 * (a + c) + h, 0.5 * (da + dc) + dh
 
     return kappa1, -mu / sigma[-1]
+
+
+_NEWTON_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAXITER = 50
+
+
+def _newton_crossing(kappa1, kappa: float, slope: float) -> float:
+    """The unit crossing of kappa1_N when kappa1_N(0) > 1, by Newton's
+    method on g(lam) = 1 / kappa1_N(lam) - 1 from lam = 0.
+
+    With H = G Xi^(1/2) and Sigma = diag(sigma), 1 / kappa1_N =
+    lambda_min((H^T (lam Sigma + mu)^-1 H)^-1), and D -> (H^T D^-1 H)^-1
+    is matrix concave and increasing, so g is concave and increasing:
+    each tangent lies on or above g, and the iterates rise monotonically to
+    the root, none passing it but by roundoff, with no bracket.  The step
+    -g / g' is kappa1 (kappa1 - 1) / (-dkappa1).  The search stops on a
+    step below 4 eps of the new iterate, which it returns unevaluated, or
+    on an iterate where kappa1_N <= 1; RuntimeError after
+    ``_NEWTON_MAXITER`` steps.  ``kappa`` and ``slope`` are kappa1_N and
+    its slope at 0.
+    """
+    lam = 0.0
+    for _ in range(_NEWTON_MAXITER):
+        step = kappa * (kappa - 1.0) / -slope
+        lam_next = lam + step
+        if step <= _NEWTON_RTOL * lam_next:
+            return lam_next
+        lam = lam_next
+        kappa, slope = kappa1(lam, slope=True)
+        if kappa <= 1.0:
+            return lam
+    raise RuntimeError(f"no convergence in {_NEWTON_MAXITER} Newton steps, last lambda = {lam!r}")
 
 
 def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0) -> float:
@@ -442,9 +514,10 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0
 
     Above the pole the pencil has as many eigenvalues above lam as K_N(lam)
     has above 1 (Sylvester), and kappa1_N falls from +inf to 0.  When
-    kappa1_N(0) > 1 the crossing is bracketed as the oracle's roots are
-    (``_unit_crossing``); otherwise it lies in (pole, 0], bracketed towards 0
-    when kappa1_N(pole / 2) > 1 and towards the pole when not.  With no slip
+    kappa1_N(0) > 1 the crossing is found by Newton's method from 0
+    (``_newton_crossing``); otherwise it lies in (pole, 0], bracketed as
+    the oracle's roots are (``_unit_crossing``) towards 0 when
+    kappa1_N(pole / 2) > 1 and towards the pole when not.  With no slip
     lambda_1 is the pole.  The path reaches neither ``whiten`` nor the dense
     solve.  ``seed`` is ignored, as there is no random start; it stays
     because the benchmark's ``spectrum`` workload passes it.
@@ -453,11 +526,13 @@ def lambda1_variational(problem: ModeProblem, basis: ChebBasis, *, seed: int = 0
     if problem.slip.total == 0.0:
         return pole
 
+    kappa, slope = kappa1(0.0, slope=True)
+    if kappa > 1.0:
+        return _newton_crossing(kappa1, kappa, slope)
+
     def excess(lam: float) -> float:
         return kappa1(lam) - 1.0
 
-    if excess(0.0) > 0.0:
-        return _unit_crossing(excess, problem.mu * problem.k ** 2)
     # measured from the nearer end, t = -lam or u = lam - pole, each bracket
     # keeps the relative digits of a lambda_1 near that end
     if excess(0.5 * pole) > 0.0:

@@ -393,15 +393,16 @@ class TestDenseSolves:
     def test_only_the_packet_runs_a_dense_solve(self, tmp_path, monkeypatch):
         # lambda_1 of every lattice point comes from the discrete slip operator
         # K_N, so Lambda and dispersion run no dense solve, and the experiment
-        # runs one, for its packet at k*
+        # runs one, for its packet at k*; every dense solve goes through the
+        # one eigensolve owner, eigh_whitened
         calls = []
-        solve = spectrum_mod.solve_generalized_symmetric
+        solve = spectrum_mod.eigh_whitened
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr("slipflow.spectrum.solve_generalized_symmetric", counted)
+        monkeypatch.setattr("slipflow.spectrum.eigh_whitened", counted)
         channel = ChannelConfig(L=1.0, mu=0.2356, slip=SlipPair(1.0, 1.0))
         sweep = LatticeSweep(L=1.0, mu=0.5, slip=channel.slip, n_max=8)
         compute_capital_lambda(sweep, build_basis(48))

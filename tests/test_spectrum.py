@@ -11,7 +11,7 @@ import pytest
 from conftest import oracle_counts, standard_cases
 
 from slipflow.model import ModeProblem, SlipPair
-from slipflow.numerics import build_basis, solve_generalized_symmetric, whiten
+from slipflow.numerics import build_basis, eigh_whitened, solve_generalized_symmetric, whiten
 from slipflow.spectrum import (
     AssembledPencil,
     Spectrum,
@@ -171,7 +171,8 @@ def test_lambda1_variational_calls_no_dense_eigensolver(monkeypatch):
     for target in (
         "slipflow.numerics.whiten",
         "slipflow.numerics.solve_generalized_symmetric",
-        "slipflow.spectrum.solve_generalized_symmetric",
+        "slipflow.numerics.eigh_whitened",
+        "slipflow.spectrum.eigh_whitened",
     ):
         monkeypatch.setattr(target, forbidden)
     lam_v = lambda1_variational(problem, basis64)
@@ -194,7 +195,8 @@ def test_lanczos_reference_calls_no_dense_eigensolver(basis64, monkeypatch):
         "scipy.linalg.eigh",
         "numpy.linalg.eigh",
         "slipflow.numerics.solve_generalized_symmetric",
-        "slipflow.spectrum.solve_generalized_symmetric",
+        "slipflow.numerics.eigh_whitened",
+        "slipflow.spectrum.eigh_whitened",
     ):
         monkeypatch.setattr(target, forbidden)
     lam_v = lanczos_lambda1(problem, basis64)
@@ -227,8 +229,9 @@ def _benchmark_cases():
 
 def test_each_basis_builds_one_table_per_wavenumber_in_any_order(monkeypatch):
     # the benchmark's 225 cases, shuffled: every dense solve runs its own
-    # eigh, and each of the 15 (k, basis) tables factors A and E and runs the
-    # eigh of K_N once, whatever the order
+    # eigh through the one eigensolve owner, eigh_whitened, and each of the
+    # 15 (k, basis) tables factors A and E and runs the eigh of K_N once,
+    # whatever the order
     from slipflow.critical import mu_c_variational
 
     bases = {n: build_basis(n) for n in (48, 64, 96)}
@@ -244,8 +247,7 @@ def test_each_basis_builds_one_table_per_wavenumber_in_any_order(monkeypatch):
 
     monkeypatch.setattr("numpy.linalg.eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr("numpy.linalg.cholesky", counted("cholesky", np.linalg.cholesky))
-    monkeypatch.setattr("slipflow.spectrum.solve_generalized_symmetric",
-                        counted("dense", solve_generalized_symmetric))
+    monkeypatch.setattr("slipflow.spectrum.eigh_whitened", counted("dense", eigh_whitened))
     for i in order:
         n, problem = cases[i]
         solve_spectrum(assemble(problem, bases[n]))
@@ -254,6 +256,186 @@ def test_each_basis_builds_one_table_per_wavenumber_in_any_order(monkeypatch):
     assert counts["dense"] == 225
     assert counts["eigh"] - counts["dense"] == 15  # K_N tables
     assert counts["cholesky"] == 30
+
+
+def _whitened_reference(pencil):
+    """Reference spectrum of the whitened pencil: W = L_A^-1 B L_A^-T by two
+    products (``whiten``), its dense eigenpairs, then the same refinement.
+    Returns (W, ||W||_2, Spectrum)."""
+    W, inv = whiten(pencil.B, pencil.A)
+    lams, V = eigh_whitened(W, inv)
+    norm = float(np.abs(lams).max())
+    lams, V = _refine_leading_pairs(pencil, lams, V, resolved_count(pencil))
+    count = int(np.count_nonzero(lams > 0.0))
+    return W, norm, Spectrum(pencil.problem, lams, V, count, pencil.basis)
+
+
+def _verify_defects(spectrum):
+    """Each resolved-mode defect of ``slipflow verify``'s eigenfunction check
+    over its bound: strong residual 1e-6, slip defects 1e-8, A-norm 1e-10,
+    orthogonality 1e-8."""
+    n = resolved_count(spectrum)
+    strong, bc_minus, bc_plus = spectrum_residuals(spectrum)
+    norm, orthogonality = gram_defects(spectrum, n)
+    return np.array([strong[:n].max() / 1e-6, max(bc_minus[:n].max(), bc_plus[:n].max()) / 1e-8,
+                     norm / 1e-10, orthogonality / 1e-8])
+
+
+def test_table_standard_form_matches_the_whitened_pencil(monkeypatch):
+    # the rank-2 update W = U Xi U^T - mu M of the tables against the
+    # whitening of (B, A) by two products, over the benchmark's 225 cases
+    # (shuffled by seed 1) and the two N = 256 cases of the CI.  Measured:
+    # |W_table - W_whiten|_max at most 0.47 eps ||W||_2, the resolved
+    # eigenvalues at most 0.13 of their bound apart.  In every case whose
+    # reference meets all four verify bounds the table path does too.  The
+    # equal-slip pair at k = 16, whose two rates coincide to roundoff, loses
+    # orthogonality in the refinement on either path (1.4e-7 on the table
+    # path at N = 48, 6.7e-9 on the reference), in a case whose strong
+    # residual, 7.3e-5 on both, is outside the verify bound
+    from slipflow.critical import mu_c_closed_form
+
+    eps = np.finfo(float).eps
+    bases = {n: build_basis(n) for n in (48, 64, 96, 256)}
+    cases = _benchmark_cases()
+    cases = [cases[i] for i in np.random.default_rng(1).permutation(len(cases))]
+    cases += [(256, ModeProblem(k=16.0, mu=3.125e-4, slip=SlipPair(1.0, 1.0))),
+              (256, ModeProblem(k=16.0, mu=0.003125, slip=SlipPair(10.0, 0.1)))]
+    assert mu_c_closed_form(16.0, SlipPair(10.0, 0.1)) > 0.003125
+    solved = []
+
+    def recorded(W, inv):
+        solved.append(W.copy())
+        return eigh_whitened(W, inv)
+
+    monkeypatch.setattr("slipflow.spectrum.eigh_whitened", recorded)
+    for n, problem in cases:
+        pencil = assemble(problem, bases[n])
+        spec = solve_spectrum(pencil)
+        W = solved.pop()
+        W_ref, norm, ref = _whitened_reference(pencil)
+        assert np.array_equal(W, W.T)
+        assert np.abs(W - W_ref).max() <= 2.0 * eps * norm, (n, problem)
+        assert spec.positive_count == ref.positive_count, (n, problem)
+        m = resolved_count(spec)
+        gap = np.abs(spec.eigenvalues[:m] - ref.eigenvalues[:m])
+        bound = np.maximum(1e-12 * np.abs(ref.eigenvalues[:m]), 100.0 * eps * norm)
+        assert np.all(gap <= bound), (n, problem)
+        if np.all(_verify_defects(ref) <= 1.0):
+            assert np.all(_verify_defects(spec) <= 1.0), (n, problem)
+
+
+def _bracketed_crossing(kappa1, start: float):
+    """Reference for the crossing of kappa1_N when kappa1_N(0) > 1: the
+    bracketed path ``lambda1_variational`` took before Newton's method,
+    the bracket grown by factors of 4 from ``start`` and solved by Brent's
+    method to 1e-14 of its upper end.  Returns (crossing, upper end)."""
+    from slipflow.numerics import find_root_bracketed
+
+    def excess(lam):
+        return kappa1(lam) - 1.0
+
+    hi = start
+    while excess(hi) > 0.0:
+        hi *= 4.0
+    lo = 0.25 * hi
+    while lo > 0.0 and excess(lo) <= 0.0:
+        hi, lo = lo, 0.25 * lo
+    return find_root_bracketed(excess, lo, hi, tol=1e-14 * hi), hi
+
+
+def _crossing_cases():
+    grid = [(problem, n) for n, problem in _benchmark_cases()]
+    lattices = [(ModeProblem(k=float(n), mu=mu, slip=SlipPair(1.0, 1.0)), 48)
+                for mu, n_max in ((0.5, 8), (0.1, 12)) for n in range(1, n_max + 1)]
+    return grid + lattices
+
+
+def test_newton_crossing_meets_the_bracketed_reference(monkeypatch):
+    # the benchmark's 225 cases and the Lambda lattices of the acceptance
+    # channel (mu 0.5, n <= 8) and the smoke channel (mu 0.1, n <= 12), each
+    # on its basis.  Newton's lambda_1 lies within 1e-14 hi + 8 eps lambda_1
+    # of the bracketed one, widened by 32 eps / |kappa1_N'|: at
+    # mu = 0.999 mu_c kappa1_N reads 1 to the last bit over a band of
+    # lambda up to 13.7 eps / |kappa1_N'| wide, so two root finders may
+    # land 3e-13 relative apart there.  Every evaluated iterate rises and
+    # keeps kappa1_N >= 1 - 4 eps (measured: 1 - 2 eps), and a crossing
+    # takes at most 12 evaluations (measured: 9), the one at 0 included
+    import slipflow.spectrum as spectrum_mod
+
+    eps = np.finfo(float).eps
+    bases = {n: build_basis(n) for n in (48, 64, 96)}
+    original = spectrum_mod._discrete_kappa1
+    iterates = []
+
+    def recorded(problem, basis):
+        kappa1, pole = original(problem, basis)
+
+        def kappa1_recorded(lam, slope=False):
+            out = kappa1(lam, slope)
+            if slope:
+                iterates.append((lam, out[0]))
+            return out
+
+        return kappa1_recorded, pole
+
+    monkeypatch.setattr(spectrum_mod, "_discrete_kappa1", recorded)
+    newton = 0
+    for problem, n in _crossing_cases():
+        basis = bases[n]
+        kappa1, _ = original(problem, basis)
+        iterates.clear()
+        lam = lambda1_variational(problem, basis)
+        if kappa1(0.0) <= 1.0:
+            continue  # the stable branches keep the bracketed path
+        newton += 1
+        ref, hi = _bracketed_crossing(kappa1, problem.mu * problem.k ** 2)
+        _, slope = kappa1(ref, slope=True)
+        bound = 1e-14 * hi + 8.0 * eps * abs(ref) + 32.0 * eps / abs(slope)
+        assert abs(lam - ref) <= bound, (n, problem)
+        steps = np.array([x for x, _ in iterates])
+        assert steps[0] == 0.0 and np.all(np.diff(steps) >= 0.0), (n, problem)
+        assert min(k for _, k in iterates) >= 1.0 - 4.0 * eps, (n, problem)
+        assert len(iterates) <= 12, (n, problem)
+    assert newton == 225 + 1 + 5  # the lattices are unstable at k <= 1 and k <= 5
+
+
+def test_kappa1_slope_matches_a_difference_quotient(basis64):
+    # dkappa1_N/dlam against a central difference on a benchmark table, and
+    # at a double eigenvalue of K_N (h = 0: rows G_0^2 = G_1^2, G_0 G_1 = 0,
+    # equal slip), where the right derivative, the top eigenvalue of
+    # dK_N/dlam, is taken; Newton's crossing there meets the bracketed one
+    problem = ModeProblem(k=1.0, mu=0.3, slip=SlipPair(0.5, 3.0))
+    kappa1, _ = _discrete_kappa1(problem, basis64)
+    for lam in (0.0, 0.1, 1.0, 10.0):
+        lo, hi = max(lam - 1e-6 * max(lam, 1.0), 0.0), lam + 1e-6 * max(lam, 1.0)
+        quotient = (kappa1(hi) - kappa1(lo)) / (hi - lo)
+        value, slope = kappa1(lam, slope=True)
+        assert value == kappa1(lam)
+        assert abs(slope - quotient) <= 1e-6 * abs(slope), lam
+    basis = build_basis(8)
+    sigma = np.array([0.5, 1.0, 2.0])
+    squares = np.array([1.0, 2.0, 1.0])
+    basis.table(1.0).__dict__["slip"] = (sigma, np.stack([squares, squares, np.zeros(3)]))
+    double = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(2.0, 2.0))
+    kappa1, _ = _discrete_kappa1(double, basis)
+    for lam in (0.0, 0.7):
+        value, slope = kappa1(lam, slope=True)
+        exact = -2.0 * np.sum(squares * sigma / (lam * sigma + 0.5) ** 2)
+        assert value == 2.0 * np.sum(squares / (lam * sigma + 0.5))
+        assert abs(slope - exact) <= 1e-14 * abs(exact)
+    ref, _ = _bracketed_crossing(kappa1, double.mu * double.k ** 2)
+    assert abs(lambda1_variational(double, basis) - ref) <= 1e-14 * ref
+
+
+def test_newton_crossing_meets_the_half_space_law():
+    # where tanh k and coth k are 1 to roundoff, each wall's slip mode is
+    # that of a half-space, and kappa = 1 reads lambda = xi (xi / mu - 2 k):
+    # at mu = 0.02, xi = 1, k = 16 .. 24 the crossing runs from lambda = 18
+    # down to 2 (the CI's dispersion check; measured 2.0e-12 relative)
+    basis = build_basis(64)
+    for k in range(16, 25):
+        lam = lambda1_variational(ModeProblem(k=float(k), mu=0.02, slip=SlipPair(1.0, 1.0)), basis)
+        assert abs(lam - (50.0 - 2.0 * k)) <= 1e-10 * (50.0 - 2.0 * k), k
 
 
 def test_a_table_dies_with_its_basis():
