@@ -208,7 +208,8 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
 def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
     """All eigenpairs of the pencil, descending, A-normalized, signs fixed.
 
-    The pencil is ``assemble``'s.  Its A-whitened standard form is the
+    The pencil must be ``assemble``'s, whose A is the wavenumber table's
+    ``gram`` (``ValueError`` otherwise).  Its A-whitened standard form is the
     rank-2 update W = U Xi U^T - mu M of the wavenumber table's
     ``whitened_slopes`` U and ``whitened_energy`` M, formed as
     -mu M + s_- s_-^T + s_+ s_+^T with s the columns of U Xi^(1/2), so W is
@@ -218,6 +219,8 @@ def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
     """
     problem = pencil.problem
     table = pencil.basis.table(problem.k)
+    if pencil.A is not table.gram:
+        raise ValueError("solve_spectrum takes assemble's pencil: its A is the basis's table's gram")
     S = table.whitened_slopes * np.sqrt([problem.slip.xi_minus, problem.slip.xi_plus])
     W = table.whitened_energy * -problem.mu
     W += np.outer(S[:, 0], S[:, 0])
