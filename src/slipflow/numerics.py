@@ -31,13 +31,13 @@ blocks.
 Every symmetric pencil B v = lambda A v is reduced to a standard one the
 way LAPACK's ``sygvd`` does it: A = L L^T by Cholesky, then the whitened
 W = L^-1 B L^-T, whose eigenpairs ``eigh_whitened`` alone computes.  The
-forms of one wavenumber, their factors L^-1, the whitened energy form and
-wall slopes, and the discrete slip operator's table live in the basis's
-``PencilTable`` of that wavenumber, none of them depending on mu or the
-slip: the dense solve forms W of each (mu, xi) from them by a rank-2
-update, and the discrete slip operator, which gives lambda_1 and mu_c on
-the trial space, reads its rows, so each form is factored once for as
-long as the basis lives.
+forms of one wavenumber, the Gram form's factor L^-1, the whitened energy
+form and wall slopes, and the discrete slip operator's table live in the
+basis's ``PencilTable`` of that wavenumber, none of them depending on mu
+or the slip: the dense solve forms W of each (mu, xi) from them by a
+rank-2 update, and the discrete slip operator, which gives lambda_1 and
+mu_c on the trial space, reads its rows, so each table member is built
+once for as long as the basis lives.
 Everything here is numpy; the package needs no scipy at run time.
 
 Every wall check, of eigenfunctions (u1 = phi'), modes (u1 = psi) and DNS
@@ -140,9 +140,8 @@ class PencilTable:
     """The forms of wavenumber k on one basis, each built on first use and
     read-only, none of them depending on mu or the slip:
 
-    - ``energy`` E and ``gram`` A, sums of the Gram blocks, and their
-      inverse Cholesky factors ``energy_factor`` L_E^-1 and ``gram_factor``
-      L_A^-1;
+    - ``energy`` E and ``gram`` A, sums of the Gram blocks, and A's
+      inverse Cholesky factor ``gram_factor`` L_A^-1;
     - ``whitened_energy`` M = L_A^-1 E L_A^-T and ``whitened_slopes``
       U = L_A^-1 D, D the (N, 2) wall slopes, so the A-whitened pencil of
       any (mu, xi) is the rank-2 update W = U Xi U^T - mu M, Xi =
@@ -151,7 +150,8 @@ class PencilTable:
       L_E^-T = Y diag(sigma) Y^T, sigma ascending, and G = Y^T L_E^-1 D,
       rows = (G_0^2, G_1^2, G_0 G_1), the unit-slip rows of K_N
       (``spectrum._discrete_kappa1``; factoring A instead reads up to
-      4.4e-7 relative from the dense lambda_1 at N = 96).
+      4.4e-7 relative from the dense lambda_1 at N = 96).  L_E^-1 is
+      formed here and not kept.
 
     It holds no reference to the basis."""
 
@@ -177,10 +177,6 @@ class PencilTable:
         return A
 
     @cached_property
-    def energy_factor(self) -> np.ndarray:
-        return inverse_cholesky(self.energy)
-
-    @cached_property
     def gram_factor(self) -> np.ndarray:
         return inverse_cholesky(self.gram)
 
@@ -200,7 +196,7 @@ class PencilTable:
 
     @cached_property
     def slip(self):
-        inv = self.energy_factor
+        inv = inverse_cholesky(self.energy)
         X = inv @ self.gram @ inv.T
         sigma, Y = np.linalg.eigh(0.5 * (X + X.T))
         G = Y.T @ (inv @ self._slopes)
@@ -326,7 +322,7 @@ def inverse_cholesky(A: np.ndarray) -> np.ndarray:
     """L^-1 of the symmetric positive definite A = L L^T, read-only.
 
     L comes from ``np.linalg.cholesky`` and its inverse from
-    ``_lower_inverse``; ``PencilTable`` keeps the factors of its forms.
+    ``_lower_inverse``; ``PencilTable`` keeps the factor of its Gram form.
     Raises ``NotPositiveDefiniteError`` when A is not positive definite.
     """
     try:

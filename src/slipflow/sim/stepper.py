@@ -686,12 +686,14 @@ class ChannelStepper:
         rhs = x @ base.T
         rhs -= alpha * (self.kappa[rows] ** 2)[:, None] * x
         if not cfg.linearized:
-            adv = self._advection(self._solve_planes(x, rows), x)
-            if self._have_history:
-                rhs -= h * ((1.0 + r) * adv - r * _on_leading_axis(
-                    [st._history[box] for st in group]))
-            else:
-                rhs -= h * adv
+            # a blow-up overflows here: SimulationBlowupError below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                adv = self._advection(self._solve_planes(x, rows), x)
+                if self._have_history:
+                    rhs -= h * ((1.0 + r) * adv - r * _on_leading_axis(
+                        [st._history[box] for st in group]))
+                else:
+                    rhs -= h * adv
             for st, a in zip(group, adv):
                 st._history[box] = a
         new = (T[rows] @ rhs[..., None])[..., 0]

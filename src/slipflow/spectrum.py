@@ -21,9 +21,10 @@ that hold no mu and no xi (below).  The leading pairs
 then take one correction step: their residual is formed from B and A
 themselves, where the dense solver's backward error shows in full, and is
 corrected through the computed eigenbasis, which squares that error for
-O(N^2) work per pair and factors no shifted pencil.  A pair keeps its dense
-value when the step does not strictly lower its residual or, at an exact
-eigenvalue tie, gives no finite correction.
+O(N^2) work per pair and factors no shifted pencil.  No pair is corrected
+against one whose eigenvalue coincides with its own to 1e-10 max|lambda|,
+so coinciding pairs stay A-orthogonal.  A pair keeps its dense value when
+the step does not strictly lower its residual.
 
 Two slip operators live here.  First, the exact oracle, the operator
 method of Lafitte & Nguyen: lambda >= 0 is a growth rate exactly when 1 is
@@ -51,7 +52,7 @@ Galerkin kappa_1 lies below the exact one.
 
 Both paths read the basis's table of the wavenumber (``ChebBasis.table``,
 a ``numerics.PencilTable``), which needs no mu and no xi and is built once
-for as long as the caller holds the basis: E and A, each factored once;
+for as long as the caller holds the basis: E and A, A factored once;
 M = L_A^-1 E L_A^-T and U = L_A^-1 D, so that each case's standard form is
 the rank-2 update W = U Xi U^T - mu M, and the dense solve of a case runs
 one eigh and no O(N^3) whitening; and sigma with K_N's unit-slip rows
@@ -98,10 +99,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AssembledPencil:
-    """Discrete pencil (B, A) of one ModeProblem in a given trial basis."""
+    """One ModeProblem on a trial basis; its forms live in the basis's table."""
 
-    B: np.ndarray
-    A: np.ndarray
     problem: ModeProblem
     basis: ChebBasis
 
@@ -143,16 +142,15 @@ class DeterminantTrace:
 
 
 def assemble(problem: ModeProblem, basis: ChebBasis) -> AssembledPencil:
-    """Assemble B = R - mu E and the Gram form A for the problem's
-    wavenumber, both read-only; A and E are the basis's table's."""
-    table = basis.table(problem.k)
-    B = boundary_form(problem.slip, basis) - problem.mu * table.energy
-    B.flags.writeable = False
-    return AssembledPencil(B=B, A=table.gram, problem=problem, basis=basis)
+    """The pencil of the problem on the basis; it forms nothing."""
+    return AssembledPencil(problem=problem, basis=basis)
 
 
-def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarray, count: int):
-    """One stacked correction step on the leading pairs, through the dense eigenbasis.
+_CLUSTER_RTOL = 1e-10  # eigenvalues this close, relative to max|lambda|, coincide
+
+
+def _refine_leading_pairs(B: np.ndarray, A: np.ndarray, lams: np.ndarray, V: np.ndarray, count: int):
+    """One stacked correction step on the leading pairs of (B, A), through the dense eigenbasis.
 
     The dense solve returns pairs (w, V) that are exact for a nearby pencil
     (B + dB, A + dA) with |dB| of order eps ||B||, and the strong-form
@@ -163,39 +161,38 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
     backward error in full.  Since V^T (B + dB) V = diag(w) and
     V^T (A + dA) V = I, B - lambda_j A = V^-T (diag(w) - lambda_j) V^-1
     - (dB - lambda_j dA), so the Newton correction of pair j,
-    -V [(V^T r_j) / (w_i - lambda_j)] with its own entry i = j dropped, is
-    exact but for dB and dA acting on a correction that is itself of their
-    order.  The corrected pair's error is therefore of order the squared
-    backward error over the eigenvalue gaps, as after one inverse-iteration
-    step, for O(N^2) work per pair instead of an O(N^3) factorization.  Each
-    corrected column is A-normalized and its Rayleigh quotient taken.
+    -V [(V^T r_j) / (w_i - lambda_j)], is exact but for dB and dA acting on
+    a correction that is itself of their order.  The corrected pair's error
+    is therefore of order the squared backward error over the eigenvalue
+    gaps, as after one inverse-iteration step, for O(N^2) work per pair
+    instead of an O(N^3) factorization.  Each corrected column is
+    A-normalized and its Rayleigh quotient taken.
+
+    The sum skips every i with |w_i - lambda_j| <= ``_CLUSTER_RTOL`` max|w|,
+    the pair's own entry and coinciding pairs alike: only a cluster's span is
+    determined (Davis-Kahan), so each pair keeps its dense components inside
+    its cluster, and the cluster stays A-orthogonal.
 
     A pair is replaced only when its pencil residual strictly falls, so the
     step never degrades a converged pair, and a replaced vector keeps the
-    sign with y^T A v >= 0.  An exact tie w_i = lambda_j (i != j) divides
-    by zero: the correction is not finite and the dense pair stays, with no
-    floating-point warning.  The replaced pairs are written into ``lams``
+    sign with y^T A v >= 0.  The replaced pairs are written into ``lams``
     and ``V`` in place; the pairs are copied in descending order only when
     a replaced eigenvalue has left it.
     """
-    A, B = pencil.A, pencil.B
     n = min(count, lams.size)
     X, lam = V[:, :n], lams[:n]
     AX = A @ X
     R = B @ X - AX * lam
     gap = lams[:, None] - lam
-    gap[np.arange(n), np.arange(n)] = np.inf  # a pair does not correct itself
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Y = X - V @ ((V.T @ R) / gap)
-        AY = A @ Y
-        norm2 = np.einsum("ij,ij->j", Y, AY)
-        scale = np.sqrt(norm2)
-        Y, AY = Y / scale, AY / scale
-        BY = B @ Y
-        lam_new = np.einsum("ij,ij->j", Y, BY)
-        r_new = np.linalg.norm(BY - AY * lam_new, axis=0)
-    # NaN compares False, so a non-finite correction keeps the dense pair
-    better = np.flatnonzero(np.isfinite(norm2) & (norm2 > 0.0) & (r_new < np.linalg.norm(R, axis=0)))
+    gap[np.abs(gap) <= _CLUSTER_RTOL * np.abs(lams).max()] = np.inf
+    Y = X - V @ ((V.T @ R) / gap)
+    AY = A @ Y
+    scale = np.sqrt(np.einsum("ij,ij->j", Y, AY))
+    Y, AY = Y / scale, AY / scale
+    BY = B @ Y
+    lam_new = np.einsum("ij,ij->j", Y, BY)
+    r_new = np.linalg.norm(BY - AY * lam_new, axis=0)
+    better = np.flatnonzero(r_new < np.linalg.norm(R, axis=0))
     Y = Y[:, better]
     Y *= np.where(np.einsum("ij,ij->j", Y, AX[:, better]) < 0.0, -1.0, 1.0)
     lams[better], V[:, better] = lam_new[better], Y
@@ -208,32 +205,24 @@ def _refine_leading_pairs(pencil: AssembledPencil, lams: np.ndarray, V: np.ndarr
 def solve_spectrum(pencil: AssembledPencil) -> Spectrum:
     """All eigenpairs of the pencil, descending, A-normalized, signs fixed.
 
-    The pencil must be ``assemble``'s, whose A is the wavenumber table's
-    ``gram`` (``ValueError`` otherwise).  Its A-whitened standard form is the
-    rank-2 update W = U Xi U^T - mu M of the wavenumber table's
-    ``whitened_slopes`` U and ``whitened_energy`` M, formed as
-    -mu M + s_- s_-^T + s_+ s_+^T with s the columns of U Xi^(1/2), so W is
-    symmetric to the bit and no O(N^3) whitening runs per case; one
-    ``eigh_whitened`` solves it, and B and A serve the refinement's
-    residual (``_refine_leading_pairs``).
+    Its A-whitened standard form is the rank-2 update W = U Xi U^T - mu M
+    of the wavenumber table's ``whitened_slopes`` U and ``whitened_energy``
+    M, formed as -mu M + s_- s_-^T + s_+ s_+^T with s the columns of
+    U Xi^(1/2), so W is symmetric to the bit and no O(N^3) whitening runs
+    per case; one ``eigh_whitened`` solves it.  B = R - mu E, from
+    ``boundary_form`` and the table's ``energy``, and the table's ``gram``
+    A serve the refinement's residual (``_refine_leading_pairs``).
     """
-    problem = pencil.problem
-    table = pencil.basis.table(problem.k)
-    if pencil.A is not table.gram:
-        raise ValueError("solve_spectrum takes assemble's pencil: its A is the basis's table's gram")
+    problem, basis = pencil.problem, pencil.basis
+    table = basis.table(problem.k)
     S = table.whitened_slopes * np.sqrt([problem.slip.xi_minus, problem.slip.xi_plus])
     W = table.whitened_energy * -problem.mu
     W += np.outer(S[:, 0], S[:, 0])
     W += np.outer(S[:, 1], S[:, 1])
     lams, V = eigh_whitened(W, table.gram_factor)
-    lams, V = _refine_leading_pairs(pencil, lams, V, resolved_count(pencil))
-    return Spectrum(
-        problem=pencil.problem,
-        eigenvalues=lams,
-        coefficients=V,
-        positive_count=int(np.count_nonzero(lams > 0.0)),
-        basis=pencil.basis,
-    )
+    B = boundary_form(problem.slip, basis) - problem.mu * table.energy
+    lams, V = _refine_leading_pairs(B, table.gram, lams, V, resolved_count(pencil))
+    return Spectrum(problem, lams, V, int(np.count_nonzero(lams > 0.0)), basis)
 
 
 def resolved_count(spectrum: Spectrum | AssembledPencil) -> int:

@@ -152,9 +152,8 @@ def test_generalized_eig_factors_the_mass_side_once(monkeypatch):
     calls.clear()
     basis = build_basis(20)  # a fresh basis: its forms are not cached yet
     problem = ModeProblem(k=0.7, mu=0.3, slip=SlipPair(1.0, 2.0))
-    pencil = assemble(problem, basis)
-    lam_g = solve_spectrum(pencil).lambda1
-    assert len(calls) == 1 and calls[0] is pencil.A
+    lam_g = solve_spectrum(assemble(problem, basis)).lambda1
+    assert len(calls) == 1 and calls[0] is basis.table(problem.k).gram
     lam_v = lambda1_variational(problem, basis)
     mu_c_variational(problem.k, problem.slip, basis)
     assert len(calls) == 2 and calls[1] is basis.table(problem.k).energy
@@ -188,17 +187,22 @@ def test_lower_inverse_matches_a_triangular_solve(N):
 
 
 def test_inverse_cholesky_is_cached_for_read_only_forms_only():
-    # the basis's table serves one factor per form; inverse_cholesky itself
-    # keeps nothing, whatever array it is given
+    # the basis's table serves its read-only forms and the one factor it
+    # keeps, the Gram form's; E's factor is formed for the slip rows and
+    # not kept.  inverse_cholesky itself keeps nothing, whatever array it is
+    # given
     basis = build_basis(12)
     table = basis.table(0.3)
-    for form, factor in (("gram", "gram_factor"), ("energy", "energy_factor")):
-        M, inv = getattr(table, form), getattr(table, factor)
-        assert basis.table(0.3) is table and getattr(table, factor) is inv
-        assert not M.flags.writeable and not inv.flags.writeable
-        assert np.array_equal(inverse_cholesky(M), inv)
-        assert np.abs(inv @ M @ inv.T - np.eye(12)).max() <= 1e-12 * np.abs(M).max()
-    A = table.gram
+    A, E, inv = table.gram, table.energy, table.gram_factor
+    assert basis.table(0.3) is table and table.gram_factor is inv
+    assert table.gram is A and table.energy is E
+    assert not A.flags.writeable and not E.flags.writeable and not inv.flags.writeable
+    assert np.array_equal(inverse_cholesky(A), inv)
+    assert np.abs(inv @ A @ inv.T - np.eye(12)).max() <= 1e-12 * np.abs(A).max()
+    inv_e = inverse_cholesky(E)
+    assert np.abs(inv_e @ E @ inv_e.T - np.eye(12)).max() <= 1e-12 * np.abs(E).max()
+    table.slip
+    assert not hasattr(table, "energy_factor")
     assert inverse_cholesky(A) is not inverse_cholesky(A)
     with pytest.raises(NotPositiveDefiniteError):
         inverse_cholesky(-np.eye(3))

@@ -11,9 +11,14 @@ import pytest
 from conftest import oracle_counts, standard_cases
 
 from slipflow.model import ModeProblem, SlipPair
-from slipflow.numerics import build_basis, eigh_whitened, solve_generalized_symmetric, whiten
+from slipflow.numerics import (
+    boundary_form,
+    build_basis,
+    eigh_whitened,
+    solve_generalized_symmetric,
+    whiten,
+)
 from slipflow.spectrum import (
-    AssembledPencil,
     Spectrum,
     _discrete_kappa1,
     _refine_leading_pairs,
@@ -139,11 +144,17 @@ def _lanczos_top_eigenvalue(W: np.ndarray, rng) -> float:
     return _largest_tridiagonal_eigenvalue(alpha, beta)
 
 
+def _pencil_forms(problem, basis):
+    """(B, A) of the problem on the basis: B = R - mu E from
+    ``boundary_form`` and the table's energy form, A the table's gram."""
+    table = basis.table(problem.k)
+    return boundary_form(problem.slip, basis) - problem.mu * table.energy, table.gram
+
+
 def lanczos_lambda1(problem, basis, seed=0) -> float:
     """Reference lambda_1: Lanczos from one random start on the A-whitened
-    W = L^-1 B L^-T of the cached pencil, with no dense eigensolve of W."""
-    pencil = assemble(problem, basis)
-    W, _ = whiten(pencil.B, pencil.A)
+    W = L^-1 B L^-T of the pencil, with no dense eigensolve of W."""
+    W, _ = whiten(*_pencil_forms(problem, basis))
     return _lanczos_top_eigenvalue(W, np.random.default_rng(seed))
 
 
@@ -209,12 +220,15 @@ BENCHMARK_FRACTIONS = (1.0e-3, 1.0e-2, 0.1, 0.5, 0.999)
 
 
 def test_assemble_is_cached_and_read_only(basis32):
-    # nothing caches a pencil; its A is the basis's table's, and both sides
-    # are read-only
+    # a pencil forms nothing: it names its problem and basis, and the forms
+    # the solve reads are the basis's table's, built once and read-only
     problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
     pencil = assemble(problem, basis32)
-    assert pencil.A is basis32.table(1.0).gram
-    for M in (pencil.B, pencil.A):
+    assert pencil.problem is problem and pencil.basis is basis32
+    table = basis32.table(1.0)
+    for name in ("gram", "energy", "gram_factor", "whitened_energy", "whitened_slopes"):
+        M = getattr(table, name)
+        assert getattr(table, name) is M
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
 
@@ -258,16 +272,17 @@ def test_each_basis_builds_one_table_per_wavenumber_in_any_order(monkeypatch):
     assert counts["cholesky"] == 30
 
 
-def _whitened_reference(pencil):
+def _whitened_reference(problem, basis):
     """Reference spectrum of the whitened pencil: W = L_A^-1 B L_A^-T by two
     products (``whiten``), its dense eigenpairs, then the same refinement.
     Returns (W, ||W||_2, Spectrum)."""
-    W, inv = whiten(pencil.B, pencil.A)
+    B, A = _pencil_forms(problem, basis)
+    W, inv = whiten(B, A)
     lams, V = eigh_whitened(W, inv)
     norm = float(np.abs(lams).max())
-    lams, V = _refine_leading_pairs(pencil, lams, V, resolved_count(pencil))
+    lams, V = _refine_leading_pairs(B, A, lams, V, resolved_count(assemble(problem, basis)))
     count = int(np.count_nonzero(lams > 0.0))
-    return W, norm, Spectrum(pencil.problem, lams, V, count, pencil.basis)
+    return W, norm, Spectrum(problem, lams, V, count, basis)
 
 
 def _verify_defects(spectrum):
@@ -288,10 +303,9 @@ def test_table_standard_form_matches_the_whitened_pencil(monkeypatch):
     # |W_table - W_whiten|_max at most 0.47 eps ||W||_2, the resolved
     # eigenvalues at most 0.13 of their bound apart.  In every case whose
     # reference meets all four verify bounds the table path does too.  The
-    # equal-slip pair at k = 16, whose two rates coincide to roundoff, loses
-    # orthogonality in the refinement on either path (1.4e-7 on the table
-    # path at N = 48, 6.7e-9 on the reference), in a case whose strong
-    # residual, 7.3e-5 on both, is outside the verify bound
+    # equal-slip pair at k = 16, whose two rates coincide to roundoff, stays
+    # A-orthogonal on either path (to 2.6e-15 at N = 48), in a case whose
+    # strong residual, 7.3e-5 on both, is outside the verify bound
     from slipflow.critical import mu_c_closed_form
 
     eps = np.finfo(float).eps
@@ -309,10 +323,9 @@ def test_table_standard_form_matches_the_whitened_pencil(monkeypatch):
 
     monkeypatch.setattr("slipflow.spectrum.eigh_whitened", recorded)
     for n, problem in cases:
-        pencil = assemble(problem, bases[n])
-        spec = solve_spectrum(pencil)
+        spec = solve_spectrum(assemble(problem, bases[n]))
         W = solved.pop()
-        W_ref, norm, ref = _whitened_reference(pencil)
+        W_ref, norm, ref = _whitened_reference(problem, bases[n])
         assert np.array_equal(W, W.T)
         assert np.abs(W - W_ref).max() <= 2.0 * eps * norm, (n, problem)
         assert spec.positive_count == ref.positive_count, (n, problem)
@@ -499,9 +512,8 @@ def test_leading_eigenvalues_do_not_fall_as_the_basis_grows():
             previous[i] = (lams[:4], scale)
 
 
-def _lu_refined(pencil, lams, V, count):
+def _lu_refined(B, A, lams, V, count):
     """Reference: one LU inverse-iteration / Rayleigh-quotient step per leading pair."""
-    A, B = pencil.A, pencil.B
     lams, V = lams.copy(), V.copy()
     for j in range(min(count, lams.size)):
         v = V[:, j]
@@ -528,32 +540,19 @@ def test_refinement_matches_lu_inverse_iteration_on_benchmark_grid(k, xi, basis4
     mu_c = mu_c_closed_form(k, slip)
     for f in BENCHMARK_FRACTIONS:
         problem = ModeProblem(k=k, mu=f * mu_c, slip=slip)
-        pencil = assemble(problem, basis48)
-        spec = solve_spectrum(pencil)
+        spec = solve_spectrum(assemble(problem, basis48))
         n = resolved_count(spec)
-        lams, V = _lu_refined(pencil, *solve_generalized_symmetric(pencil.B, pencil.A), n)
+        B, A = _pencil_forms(problem, basis48)
+        lams, V = _lu_refined(B, A, *solve_generalized_symmetric(B, A), n)
         reference = Spectrum(problem, lams, V, int(np.count_nonzero(lams > 0.0)), basis48)
         strong = spectrum_residuals(spec)[0][:n]
         assert np.all(strong <= 1.5 * spectrum_residuals(reference)[0][:n]), f
         assert spec.positive_count == reference.positive_count
         pos = slice(reference.positive_count)
         absV = np.abs(V[:, pos])
-        roundoff = np.finfo(float).eps * np.einsum("ij,ij->j", absV, np.abs(pencil.B) @ absV)
+        roundoff = np.finfo(float).eps * np.einsum("ij,ij->j", absV, np.abs(B) @ absV)
         gap = np.abs(spec.eigenvalues[pos] - lams[pos])
         assert np.all(gap <= np.maximum(1e-12 * np.abs(lams[pos]), roundoff)), f
-
-
-def _diagonal_pencil(diagonal):
-    n = len(diagonal)
-    problem = ModeProblem(k=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
-    return AssembledPencil(B=np.diag(diagonal), A=np.eye(n), problem=problem, basis=build_basis(n))
-
-
-def test_solve_spectrum_refuses_a_pencil_not_assembled_on_its_table():
-    # the standard form is built from the table, so a pencil whose A is
-    # not the table's gram would be solved as a different pencil
-    with pytest.raises(ValueError, match="assemble"):
-        solve_spectrum(_diagonal_pencil([4.0, 3.0, 2.0, 1.0]))
 
 
 def test_refinement_keeps_exactly_tied_pairs_without_warning():
@@ -562,17 +561,18 @@ def test_refinement_keeps_exactly_tied_pairs_without_warning():
     # given, so it gets copies and the originals stay the reference
     lams = np.array([5.0, 5.0, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0])
     V = np.eye(8) + 1e-7 * np.random.default_rng(3).standard_normal((8, 8))
-    pencil = _diagonal_pencil(lams)
+    B = np.diag(lams)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        refined, W = _refine_leading_pairs(pencil, lams.copy(), V.copy(), 4)
-    # the tie w_0 = w_1 makes both corrections non-finite: the dense pairs stay
-    assert np.array_equal(refined[:2], lams[:2])
-    assert np.array_equal(W[:, :2], V[:, :2])
+        refined, W = _refine_leading_pairs(B, np.eye(8), lams.copy(), V.copy(), 4)
+    # the tie w_0 = w_1 is skipped: each tied pair is corrected outside its
+    # eigenspace, span(e_0, e_1), and not against its partner
+    assert np.abs(refined[:2] - 5.0).max() <= 4.0 * np.finfo(float).eps * 5.0
+    assert np.abs(W[2:, :2]).max() <= 1e-12
     # the untied pairs are corrected to far below the perturbation, signs kept
-    residual = np.linalg.norm(pencil.B @ W[:, 2:4] - W[:, 2:4] * refined[2:4], axis=0)
+    residual = np.linalg.norm(B @ W[:, 2:4] - W[:, 2:4] * refined[2:4], axis=0)
     assert residual.max() <= 1e-12
-    assert np.all(np.einsum("ij,ij->j", W[:, 2:4], V[:, 2:4]) > 0.0)
+    assert np.all(np.einsum("ij,ij->j", W[:, :4], V[:, :4]) > 0.0)
 
 
 def test_refinement_keeps_a_pair_whose_residual_does_not_fall():
@@ -583,13 +583,31 @@ def test_refinement_keeps_a_pair_whose_residual_does_not_fall():
     lams = np.array([4.0, 3.75, 2.0, 1.0])
     V = np.eye(4)
     V[1, 0] = eps
-    pencil = _diagonal_pencil([4.0, 3.0, 2.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        refined, W = _refine_leading_pairs(pencil, lams.copy(), V.copy(), 2)
+        refined, W = _refine_leading_pairs(np.diag([4.0, 3.0, 2.0, 1.0]), np.eye(4), lams.copy(),
+                                           V.copy(), 2)
     assert refined[0] == lams[0]
     assert np.array_equal(W[:, 0], V[:, 0])
     assert abs(refined[1] - 3.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", (48, 64, 96))
+@pytest.mark.parametrize("fraction", (0.5, 0.999))
+def test_coinciding_branches_stay_a_orthogonal(n, fraction):
+    # at equal slip and k = 16 the even and odd branches coincide to
+    # e^(-2k): the refinement corrects neither against the other, so the
+    # resolved pairs stay A-normalized and A-orthogonal (at most 1.7e-14
+    # and 5.3e-15 measured); dividing by their near-zero gap read 1.37e-7
+    # at N = 48, mu = 0.5 mu_c, and 1.8e-9 at N = 96, mu = 0.999 mu_c
+    from slipflow.critical import mu_c_closed_form
+
+    slip = SlipPair(1.0, 1.0)
+    problem = ModeProblem(k=16.0, mu=fraction * mu_c_closed_form(16.0, slip), slip=slip)
+    spec = solve_spectrum(assemble(problem, build_basis(n)))
+    assert spec.eigenvalues[0] - spec.eigenvalues[1] <= 1e-12 * np.abs(spec.eigenvalues).max()
+    norm, orthogonality = gram_defects(spec, resolved_count(spec))
+    assert norm <= 1e-10 and orthogonality <= 1e-10
 
 
 def test_solve_spectrum_factors_no_shifted_pencil(basis64, monkeypatch):

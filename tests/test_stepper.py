@@ -1,6 +1,7 @@
 """Time stepper: scheme order, exact invariants, and analytic decay/growth rates."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -653,6 +654,19 @@ class TestGroupStep:
         assert err.value.steppers == (group[1],)
         # every branch stepped
         assert all(st.t == 1.0e-3 for st in group)
+
+    def test_blow_up_raises_without_floating_point_warnings(self):
+        # a locked state scaled to 1e200 overflows the advection's products
+        # and leaves inf - inf in them: the step reports that as
+        # SimulationBlowupError, not as numpy RuntimeWarnings first
+        channel = ChannelConfig(L=1.0, mu=0.5, slip=SlipPair(1.0, 1.0))
+        cfg = SimConfig(channel=channel, M=16, P=56, dt=1.0e-3, t_end=0.1)
+        stepper = ChannelStepper(cfg, SpectralField2D(1.0e200 * _locked_rows(16, 56, 5), 1.0))
+        assert stepper._locked
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationBlowupError, match="state stopped being finite"):
+                stepper.step()
 
     @pytest.mark.parametrize("other", ["linearized", "box", "operators", "history"])
     def test_mixed_group_is_refused(self, other):

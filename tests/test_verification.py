@@ -34,6 +34,13 @@ class TestBattery:
             assert c.bound == 1.0, c.name
             assert 0.0 <= c.value <= 1.0, c.name
 
+    def test_coinciding_branches_are_held_to_the_gram_allowances(self, report):
+        # the cluster case k = 16, mu = 0.5 mu_c, slip (1, 1) on the 48-function
+        # basis: its two coinciding rates stay A-orthogonal to roundoff
+        detail = {c.name: c for c in report}["eigenfunction_quality"].detail
+        assert detail["cluster_norm_defect"] <= 1e-10
+        assert detail["cluster_orthogonality_defect"] <= 1e-10
+
     def test_report_structure(self, report, tmp_path):
         # each check is a finding whose value is its margin
         written = json.loads(write_report(tmp_path / "r.json", report, seed=0).read_text())
